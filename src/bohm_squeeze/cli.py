@@ -36,7 +36,7 @@ from .closedform import (
     sample_density,
     sample_external,
 )
-from .fockalg import ConvergenceError, FockSpaceSpec
+from .fockalg import N_MAX_LIMIT, ConvergenceError, FockSpaceSpec
 from .verify import V_SOURCES, VSource
 
 __all__ = [
@@ -62,6 +62,15 @@ DEFAULT_TOLERANCES = {
     "variance": 1e-5,           # var(v) against exp(2(r-1) nu)/2
     "variance_product": 1e-6,   # var(u) var(v) against exp(4 r nu)/4
     "fock_interior": 1e-8,      # factorization distance flag threshold
+}
+
+
+# Flags a subcommand has no use for: passing one is an error, not ignored.
+UNUSED_FLAGS = {
+    "density": ("tol",),
+    "verify": (),
+    "fock": ("grid_n",),
+    "entropy": ("grid_n", "tol"),
 }
 
 
@@ -300,50 +309,51 @@ def run_fock(
     Entries whose interior distance exceeds ``tolerance`` are flagged, not
     failed: at fixed truncation the distance is dominated by reflection off
     the truncation edge and grows steeply with nu (see fockalg docstring).
+    A squeeze value whose exponential or ODE oracle does not converge gets
+    an entry with an ``error`` message instead of the measurements.
     """
-    if n_max > 63:
-        raise ConfigError("n_max above 63 exceeds the dense two-mode bound")
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = FockSpaceSpec(n_max)
+    out_dir.mkdir(parents=True, exist_ok=True)
     half = n_max // 2 if interior is None else interior
 
     entries = []
     for nu in nu_values:
         entry: dict = {"nu": nu, "interior_level": half}
         try:
-            direct = fockalg.two_mode_squeeze_direct(nu, spec)
-            factored = fockalg.two_mode_squeeze_factored(nu, spec)
+            entry.update(_fock_measurements(nu, spec, half, tolerance))
         except ConvergenceError as exc:
             entry["error"] = str(exc)
-            entries.append(entry)
-            continue
-        d_int = fockalg.interior_block(direct, half)
-        f_int = fockalg.interior_block(factored, half)
-        denom = float(np.linalg.norm(d_int))
-        distance = float(np.linalg.norm(d_int - f_int)) / denom
-        col = fockalg.vacuum_column(direct)
-        ns = np.arange(half + 1)
-        exact = np.tanh(nu) ** ns / np.cosh(nu)
-        vac_err = float(np.max(np.abs(col[ns, ns] - exact)))
-        off = col.copy()
-        off[ns, ns] = 0.0
-        ode = fockalg.disentangle_ode_oracle(nu, steps=2000)
-        closed = fockalg.disentangle_closed_form(nu)
-        ode_dev = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
-        entry.update(
-            {
-                "factorization_interior_rel": distance,
-                "vacuum_column_max_err": vac_err,
-                "vacuum_offdiag_max": float(np.abs(off[: half + 1, : half + 1]).max()),
-                "ode_max_dev": ode_dev,
-                "flagged": bool(distance > tolerance or vac_err > tolerance),
-            }
-        )
         entries.append(entry)
 
     out = out_dir / "fock_report.json"
     _write_json(out, {"n_max": n_max, "tolerance": tolerance, "entries": entries})
     return out
+
+
+def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: float) -> dict:
+    direct = fockalg.two_mode_squeeze_direct(nu, spec)
+    factored = fockalg.two_mode_squeeze_factored(nu, spec)
+    d_int = fockalg.interior_block(direct, half)
+    f_int = fockalg.interior_block(factored, half)
+    denom = float(np.linalg.norm(d_int))
+    distance = float(np.linalg.norm(d_int - f_int)) / denom
+    col = fockalg.vacuum_column(direct)
+    ns = np.arange(half + 1)
+    with np.errstate(over="ignore"):  # cosh is inf past |nu| ~ 710, where the column tends to 0
+        exact = np.tanh(nu) ** ns / np.cosh(nu)
+    vac_err = float(np.max(np.abs(col[ns, ns] - exact)))
+    off = col.copy()
+    off[ns, ns] = 0.0
+    ode = fockalg.disentangle_ode_oracle(nu, steps=2000)
+    closed = fockalg.disentangle_closed_form(nu)
+    ode_dev = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
+    return {
+        "factorization_interior_rel": distance,
+        "vacuum_column_max_err": vac_err,
+        "vacuum_offdiag_max": float(np.abs(off[: half + 1, : half + 1]).max()),
+        "ode_max_dev": ode_dev,
+        "flagged": bool(distance > tolerance or vac_err > tolerance),
+    }
 
 
 def run_entropy(nu_values: Sequence[float], out_dir: Path, *, terms: int = 600) -> Path:
@@ -400,6 +410,11 @@ def _load_simple_config(path: str) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        unused = [
+            f"--{flag.replace('_', '-')}" for flag in UNUSED_FLAGS[args.command] if getattr(args, flag) is not None
+        ]
+        if unused:
+            raise ConfigError(f"{' and '.join(unused)} does not apply to {args.command}")
         if args.command in ("density", "verify"):
             cfg = load_config(args.config, out_override=args.out, grid_n=args.grid_n)
             if args.tol is not None:
@@ -420,13 +435,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = Path(args.out) if args.out else Path(raw.get("out_dir", "out"))
         nu_values = raw.get("nu_values")
         if not isinstance(nu_values, list) or not nu_values or not all(
-            isinstance(v, (int, float)) and math.isfinite(v) for v in nu_values
+            # JSON true/false load as bool, a subclass of int
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in nu_values
         ):
             raise ConfigError("config must list finite numbers in 'nu_values'")
         if args.command == "fock":
             n_max = raw.get("n_max", 24)
-            if not isinstance(n_max, int) or n_max < 1:
-                raise ConfigError("'n_max' must be a positive integer")
+            if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= N_MAX_LIMIT:
+                raise ConfigError(f"'n_max' must be an integer from 1 to {N_MAX_LIMIT}")
             tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES["fock_interior"]
             print(run_fock([float(v) for v in nu_values], n_max, out_dir, tolerance=tol))
         else:

@@ -1,15 +1,24 @@
-"""Truncated two-mode Fock-space operator algebra.
+"""Truncated two-mode Fock-space operator algebra, stored by sectors.
 
 A finite-dimensional oracle for the operator identities behind the
-engineered amplitude: ladder operators on the truncated number basis, a
-scaling-and-squaring matrix exponential, the pair-creation squeeze
-exp[nu (a+ b+ - a b)] both directly and in the normally-ordered factored
-form
+engineered amplitude: a scaling-and-squaring matrix exponential, the
+pair-creation squeeze exp[nu (a+ b+ - a b)] both directly and in the
+normally-ordered factored form
 
     exp(f1 a+ b+) exp(f2 (a a+ + b+ b)) exp(f3 a b),
     f1 = tanh nu, f2 = -ln cosh nu, f3 = -tanh nu,
 
 plus a Runge-Kutta oracle for the function system defining (f1, f2, f3).
+
+Sector structure: every generator here changes n_a and n_b together
+(a+ b+, a b) or not at all (a a+, b+ b), so it conserves d = n_a - n_b.
+On the truncated space n_a, n_b <= n_max each operator is therefore
+block-diagonal in the 2 n_max + 1 sectors d = -n_max .. n_max, and sector
+d holds the n_max + 1 - |d| states |j + max(d, 0), j + max(-d, 0)>,
+j = min(n_a, n_b).  Operators are built and exponentiated sector by
+sector and never assembled as (n_max + 1)^2-square matrices.  One
+operator takes (2 n_max + 1)(n_max + 1)^2 doubles; ``N_MAX_LIMIT`` keeps
+that within 64 MiB.
 
 Truncation note: the squeeze generator pumps occupation upward, so rows
 and columns near the truncation edge of the *direct* exponential are
@@ -30,14 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_TWO_MODE_DIM",
+    "N_MAX_LIMIT",
     "ConvergenceError",
     "FockSpaceSpec",
     "FockOperator",
     "DisentangleFunctions",
-    "build_ladder",
-    "dagger",
-    "matrix_exponential",
     "two_mode_squeeze_direct",
     "two_mode_squeeze_factored",
     "interior_block",
@@ -46,8 +52,9 @@ __all__ = [
     "disentangle_closed_form",
 ]
 
-# Dense-matrix tractability bound on (n_max + 1)^2.
-MAX_TWO_MODE_DIM = 4096
+# Largest n_max whose sector storage, (2 n_max + 1)(n_max + 1)^2 doubles,
+# fits in 64 MiB.
+N_MAX_LIMIT = 160
 
 
 class ConvergenceError(RuntimeError):
@@ -56,62 +63,71 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockSpaceSpec:
-    """Single-mode truncation n_max; two-mode dimension (n_max + 1)^2."""
+    """Single-mode truncation n_max; 2 n_max + 1 sectors of n_max + 1 states or fewer."""
 
     n_max: int
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.dim > MAX_TWO_MODE_DIM:
-            raise ValueError(
-                f"two-mode dimension {self.dim} exceeds the dense-matrix bound {MAX_TWO_MODE_DIM}"
-            )
+        if self.n_max > N_MAX_LIMIT:
+            raise ValueError(f"n_max {self.n_max} exceeds the sector-storage bound {N_MAX_LIMIT}")
 
     @property
-    def dim(self) -> int:
-        return (self.n_max + 1) ** 2
-
-    def index(self, n_a: int, n_b: int) -> int:
-        """Flat index of |n_a, n_b> (n_a major)."""
-        return n_a * (self.n_max + 1) + n_b
+    def sector_shape(self) -> tuple[int, int, int]:
+        """Shape of one operator's storage: (sectors, n_max + 1, n_max + 1)."""
+        return (2 * self.n_max + 1, self.n_max + 1, self.n_max + 1)
 
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on the truncated two-mode space, |n_a, n_b> basis."""
+    """Operator conserving n_a - n_b on the truncated two-mode space.
+
+    ``entries[d + n_max, i, j]`` is <state i| op |state j> in sector
+    d = n_a - n_b, states numbered by min(n_a, n_b).  Sector d has
+    n_max + 1 - |d| states; the rows and columns padding it to n_max + 1
+    are not states and hold the identity.
+    """
 
     spec: FockSpaceSpec
     entries: np.ndarray
 
     def __post_init__(self):
         e = np.asarray(self.entries)
-        if e.shape != (self.spec.dim, self.spec.dim):
-            raise ValueError(f"operator shape {e.shape} does not match dimension {self.spec.dim}")
+        if e.shape != self.spec.sector_shape:
+            raise ValueError(f"operator shape {e.shape} does not match sectors {self.spec.sector_shape}")
         object.__setattr__(self, "entries", e)
 
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.spec, self.entries @ other.entries)
+
+def _sector_levels(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_a, n_b, present) at position j of sector d, shape (2 n_max + 1, n_max + 1).
+
+    ``present`` is False on the padding positions j > n_max - |d|.
+    """
+    d = np.arange(-n_max, n_max + 1)[:, None]
+    j = np.arange(n_max + 1)
+    return j + np.maximum(d, 0), j + np.maximum(-d, 0), j <= n_max - np.abs(d)
 
 
-def build_ladder(spec: FockSpaceSpec) -> tuple[FockOperator, FockOperator]:
-    """Annihilation operators (a, b) = (A1 x I, I x A1), <n-1|A1|n> = sqrt(n)."""
-    one = np.diag(np.sqrt(np.arange(1.0, spec.n_max + 1)), k=1)
-    eye = np.eye(spec.n_max + 1)
-    return (
-        FockOperator(spec, np.kron(one, eye)),
-        FockOperator(spec, np.kron(eye, one)),
-    )
+def _pair_creation(spec: FockSpaceSpec) -> np.ndarray:
+    """a+ b+ per sector: <n_a+1, n_b+1| a+ b+ |n_a, n_b> = sqrt((n_a+1)(n_b+1)).
 
-
-def dagger(op: FockOperator) -> FockOperator:
-    return FockOperator(op.spec, op.entries.conj().T)
+    In each sector it takes position j to j + 1, so its blocks are
+    sub-diagonal; a b is their transpose.
+    """
+    n_a, n_b, present = _sector_levels(spec.n_max)
+    out = np.zeros(spec.sector_shape)
+    j = np.arange(spec.n_max)
+    out[:, j + 1, j] = np.where(present[:, 1:], np.sqrt((n_a[:, :-1] + 1.0) * (n_b[:, :-1] + 1.0)), 0.0)
+    return out
 
 
 def _expm_array(m: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential.
+    """Scaling-and-squaring Taylor exponential of each trailing square block.
 
-    Scales by 2^-s until the 1-norm is below 0.5, applies a degree-16
+    ``m`` is one matrix or a stack of them; all share one scaling, set by
+    the largest block 1-norm, which for a block-diagonal operator is its
+    1-norm.  Scales by 2^-s until that is below 0.5, applies a degree-16
     Taylor polynomial by Horner (remainder below 1e-16 at that radius) and
     squares back.  Complex input with exactly-zero imaginary part drops to
     real arithmetic, which roughly quarters the matmul cost.
@@ -120,23 +136,18 @@ def _expm_array(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix exponential of a non-finite matrix")
     if np.iscomplexobj(m) and not np.any(m.imag):
         return _expm_array(m.real.copy()).astype(complex)
-    norm = float(np.max(np.sum(np.abs(m), axis=0))) if m.size else 0.0
+    norm = float(np.max(np.sum(np.abs(m), axis=-2))) if m.size else 0.0
     squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
     if squarings > 64:
         raise ConvergenceError(f"matrix 1-norm {norm:.3e} too large after maximal scaling")
     scaled = m / (2.0**squarings)
-    eye = np.eye(m.shape[0], dtype=m.dtype)
+    eye = np.eye(m.shape[-1], dtype=m.dtype)
     acc = eye + scaled / 16.0
     for k in range(15, 0, -1):
         acc = eye + (scaled @ acc) / k
     for _ in range(squarings):
         acc = acc @ acc
     return acc
-
-
-def matrix_exponential(op: FockOperator) -> FockOperator:
-    """exp of a truncated-space operator."""
-    return FockOperator(op.spec, _expm_array(op.entries))
 
 
 def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
@@ -146,41 +157,51 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
     interior matrix elements converge to the untruncated values as n_max
     grows, while elements near the truncation edge carry reflection error.
     """
-    a, b = build_ladder(spec)
-    ad, bd = dagger(a), dagger(b)
-    gen = nu * (ad.entries @ bd.entries - a.entries @ b.entries)
-    return FockOperator(spec, _expm_array(gen))
+    pairs = _pair_creation(spec)
+    return FockOperator(spec, _expm_array(nu * (pairs - pairs.swapaxes(1, 2))))
 
 
 def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec) -> FockOperator:
     """Factored form exp(f1 a+ b+) exp(f2 (a a+ + b+ b)) exp(f3 a b).
 
-    The middle generator is the literal product a a+ (not a+ a + 1): on the
-    truncated space the two differ only in the top-level diagonal entry,
-    and the discrepancy never reaches interior blocks because the middle
-    factor is diagonal.
+    The middle generator is diagonal and is the literal product a a+ (not
+    a+ a + 1): on the truncated space the two differ only at the top level
+    n_a = n_max, where a a+ is 0, and the discrepancy never reaches
+    interior blocks because the middle factor is diagonal.
     """
     f = disentangle_closed_form(nu)
-    a, b = build_ladder(spec)
-    ad, bd = dagger(a), dagger(b)
-    raising = _expm_array(f.f1 * (ad.entries @ bd.entries))
-    middle = _expm_array(f.f2 * (a.entries @ ad.entries + bd.entries @ b.entries))
-    lowering = _expm_array(f.f3 * (a.entries @ b.entries))
-    return FockOperator(spec, raising @ middle @ lowering)
+    pairs = _pair_creation(spec)
+    n_a, n_b, present = _sector_levels(spec.n_max)
+    number = np.where(present, np.where(n_a < spec.n_max, n_a + 1, 0) + n_b, 0)
+    raising = _expm_array(f.f1 * pairs)
+    lowering = _expm_array(f.f3 * pairs.swapaxes(1, 2))
+    middle = np.exp(f.f2 * number)
+    return FockOperator(spec, raising @ (middle[:, :, None] * lowering))
 
 
 def interior_block(op: FockOperator, level: int) -> np.ndarray:
-    """Sub-matrix over basis states with n_a <= level and n_b <= level."""
-    if level > op.spec.n_max:
-        raise ValueError(f"interior level {level} exceeds n_max {op.spec.n_max}")
-    idx = [op.spec.index(na, nb) for na in range(level + 1) for nb in range(level + 1)]
-    return op.entries[np.ix_(idx, idx)]
+    """Block over basis states with n_a <= level and n_b <= level, by sector.
+
+    Shape (2 level + 1, level + 1, level + 1), laid out like
+    ``FockOperator.entries`` for sectors |d| <= level and zero off the
+    block, so differences and Frobenius norms equal those of the dense
+    sub-matrix.
+    """
+    n_max = op.spec.n_max
+    if level > n_max:
+        raise ValueError(f"interior level {level} exceeds n_max {n_max}")
+    # n_a, n_b <= level exactly at the states of the space truncated at level
+    _, _, inside = _sector_levels(level)
+    block = op.entries[n_max - level : n_max + level + 1, : level + 1, : level + 1]
+    return np.where(inside[:, :, None] & inside[:, None, :], block, 0.0)
 
 
 def vacuum_column(op: FockOperator) -> np.ndarray:
-    """<n_a, n_b| op |0, 0> reshaped to (n_max+1, n_max+1)."""
-    d = op.spec.n_max + 1
-    return op.entries[:, 0].reshape(d, d)
+    """<n_a, n_b| op |0, 0> as an (n_max+1, n_max+1) array.
+
+    |0, 0> lies in sector 0, so only the diagonal n_a = n_b can be nonzero.
+    """
+    return np.diag(op.entries[op.spec.n_max, :, 0])
 
 
 @dataclass(frozen=True)
@@ -193,7 +214,10 @@ class DisentangleFunctions:
 
 
 def disentangle_closed_form(nu: float) -> DisentangleFunctions:
-    return DisentangleFunctions(math.tanh(nu), -math.log(math.cosh(nu)), -math.tanh(nu))
+    # cosh overflows past |nu| ~ 710; from |nu| = 20 on, ln cosh nu equals
+    # |nu| - ln 2 to double precision
+    log_cosh = math.log(math.cosh(nu)) if abs(nu) <= 20.0 else abs(nu) - math.log(2.0)
+    return DisentangleFunctions(math.tanh(nu), -log_cosh, -math.tanh(nu))
 
 
 def disentangle_ode_oracle(nu_end: float, steps: int, *, local_tol: float = 1e-9) -> DisentangleFunctions:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bohm_squeeze import cli, verify
+from bohm_squeeze import cli, fockalg, verify
 from bohm_squeeze.closedform import GridSpec2D
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -206,9 +206,34 @@ def test_fock_report_flags_truncation_tail(tmp_path):
     assert by_nu[2.0]["ode_max_dev"] < 1e-8
 
 
-def test_fock_nmax_cap(tmp_path):
-    with pytest.raises(cli.ConfigError, match="63"):
-        cli.run_fock([0.5], 64, tmp_path)
+def test_fock_n_max_limit_edge(tmp_path, capsys):
+    limit = fockalg.N_MAX_LIMIT
+    with pytest.raises(ValueError, match="exceeds"):
+        cli.run_fock([0.5], limit + 1, tmp_path / "direct")
+    assert not (tmp_path / "direct").exists()
+    over = write_config(tmp_path, "over.json", {"nu_values": [0.5], "n_max": limit + 1, "out_dir": str(tmp_path)})
+    assert cli.main(["fock", "--config", str(over)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(limit) in err
+    # at the bound the config is accepted; the run then stops at an output
+    # path that is a regular file, before any exponential is computed
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    at = write_config(tmp_path, "at.json", {"nu_values": [0.5], "n_max": limit, "out_dir": str(occupied)})
+    assert cli.main(["fock", "--config", str(at)]) == cli.EXIT_IO
+    assert "i/o failure" in capsys.readouterr().err
+
+
+def test_fock_large_squeeze_reports_errors(tmp_path, capsys):
+    # nu = 800 overflowed cosh; its ODE oracle and the 1e200 exponential do
+    # not converge, which the report records per entry
+    cfg = write_config(tmp_path, "f.json", {"nu_values": [0.5, 800, 1e200], "n_max": 4, "out_dir": str(tmp_path)})
+    assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    entries = json.loads((tmp_path / "fock_report.json").read_text())["entries"]
+    assert "error" not in entries[0]
+    assert "local error" in entries[1]["error"]
+    assert "1-norm" in entries[2]["error"]
 
 
 def test_entropy_table(tmp_path):
@@ -281,3 +306,38 @@ def test_main_rejects_bad_nu_values(tmp_path, capsys):
     cfg = write_config(tmp_path, "f.json", {"nu_values": "x", "out_dir": str(tmp_path)})
     assert cli.main(["entropy", "--config", str(cfg)]) == cli.EXIT_USAGE
     assert "nu_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("fock", {"nu_values": [0.5], "n_max": True}),
+        ("fock", {"nu_values": [0.5, True], "n_max": 4}),
+        ("entropy", {"nu_values": [False, 1.0]}),
+    ],
+)
+def test_main_rejects_booleans_as_numbers(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "f.json", {**payload, "out_dir": str(tmp_path / "out")})
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("fock", ["--grid-n", "21"]),
+        ("entropy", ["--grid-n", "21"]),
+        ("entropy", ["--tol", "1e-3"]),
+        ("density", ["--tol", "1e-3"]),
+    ],
+)
+def test_main_rejects_unused_flags(tmp_path, capsys, command, flags):
+    if command == "density":
+        cfg = small_density_config(tmp_path)
+    else:
+        cfg = write_config(tmp_path, "f.json", {"nu_values": [0.5], "n_max": 4, "out_dir": str(tmp_path / "out")})
+    assert cli.main([command, "--config", str(cfg), *flags]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flags[0] in err and command in err
+    assert not (tmp_path / "out").exists()

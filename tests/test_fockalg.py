@@ -1,8 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
+from test_acceptance import interior_level
 
 from bohm_squeeze import fockalg as fa
 
@@ -14,74 +17,118 @@ def spec24():
 
 @pytest.fixture(scope="module")
 def spec40_direct_nu1():
-    # shared by the truncation-law and factorization tests (expensive)
+    # shared by the truncation-law and factorization tests
     spec = fa.FockSpaceSpec(40)
     return spec, fa.two_mode_squeeze_direct(1.0, spec)
 
 
 # ---------------------------------------------------------------------------
-# ladder operators
+# dense reference: ladder operators on the (n_max + 1)^2 product basis
+
+
+def dense_ladder(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation operators (a, b) = (A1 x I, I x A1), <n-1|A1|n> = sqrt(n)."""
+    one = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    eye = np.eye(n_max + 1)
+    return np.kron(one, eye), np.kron(eye, one)
+
+
+def dense_index(n_max: int, n_a: int, n_b: int) -> int:
+    """Flat index of |n_a, n_b> (n_a major)."""
+    return n_a * (n_max + 1) + n_b
+
+
+def to_dense(op: fa.FockOperator) -> np.ndarray:
+    """Assemble sector storage into the dense |n_a, n_b> matrix, zero between sectors."""
+    n_max = op.spec.n_max
+    out = np.zeros(((n_max + 1) ** 2,) * 2)
+    for d in range(-n_max, n_max + 1):
+        size = n_max + 1 - abs(d)
+        idx = [dense_index(n_max, j + max(d, 0), j + max(-d, 0)) for j in range(size)]
+        out[np.ix_(idx, idx)] = op.entries[d + n_max, :size, :size]
+    return out
+
+
+def identity_operator(spec: fa.FockSpaceSpec) -> np.ndarray:
+    return np.broadcast_to(np.eye(spec.n_max + 1), spec.sector_shape)
 
 
 def test_minimal_ladder_matrix():
-    a, b = fa.build_ladder(fa.FockSpaceSpec(1))
+    a, b = dense_ladder(1)
     # A1 is 2x2 with sqrt(1) at (0, 1); a = A1 x I
     expected_a = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-    np.testing.assert_array_equal(a.entries, expected_a)
+    np.testing.assert_array_equal(a, expected_a)
     expected_b = np.kron(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-    np.testing.assert_array_equal(b.entries, expected_b)
+    np.testing.assert_array_equal(b, expected_b)
 
 
 def test_vacuum_annihilation():
-    spec = fa.FockSpaceSpec(6)
-    a, b = fa.build_ladder(spec)
-    vac = np.zeros(spec.dim)
-    vac[spec.index(0, 0)] = 1.0
-    assert np.all(a.entries @ vac == 0.0)
-    assert np.all(b.entries @ vac == 0.0)
+    a, b = dense_ladder(6)
+    vac = np.zeros(a.shape[0])
+    vac[dense_index(6, 0, 0)] = 1.0
+    assert np.all(a @ vac == 0.0)
+    assert np.all(b @ vac == 0.0)
 
 
 def test_commutator_is_identity_below_truncation():
-    spec = fa.FockSpaceSpec(9)
-    a, _ = fa.build_ladder(spec)
-    ad = fa.dagger(a)
-    comm = a.entries @ ad.entries - ad.entries @ a.entries
+    a, _ = dense_ladder(9)
+    comm = a @ a.T - a.T @ a
     # rows/cols not touching the top single-mode level n_a = 9
-    keep = [spec.index(na, nb) for na in range(9) for nb in range(10)]
+    keep = [dense_index(9, na, nb) for na in range(9) for nb in range(10)]
     np.testing.assert_allclose(comm[np.ix_(keep, keep)], np.eye(len(keep)), atol=1e-13)
 
 
 def test_modes_commute():
-    spec = fa.FockSpaceSpec(5)
-    a, b = fa.build_ladder(spec)
-    np.testing.assert_array_equal(a.entries @ b.entries, b.entries @ a.entries)
+    a, b = dense_ladder(5)
+    np.testing.assert_array_equal(a @ b, b @ a)
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_sector_operators_match_dense_reference(n_max):
+    # the sector-built exponentials against scipy's on the dense kron
+    # generators; zeros between sectors are checked too
+    spec = fa.FockSpaceSpec(n_max)
+    a, b = dense_ladder(n_max)
+    ad, bd = a.T, b.T
+    for nu in [-0.6, 0.3, 1.0]:
+        direct = scipy_expm(nu * (ad @ bd - a @ b))
+        np.testing.assert_allclose(to_dense(fa.two_mode_squeeze_direct(nu, spec)), direct, rtol=0, atol=1e-13)
+        f = fa.disentangle_closed_form(nu)
+        factored = scipy_expm(f.f1 * ad @ bd) @ scipy_expm(f.f2 * (a @ ad + bd @ b)) @ scipy_expm(f.f3 * a @ b)
+        np.testing.assert_allclose(to_dense(fa.two_mode_squeeze_factored(nu, spec)), factored, rtol=0, atol=1e-13)
+
+
+def test_interior_block_matches_dense_sub_matrix():
+    spec = fa.FockSpaceSpec(6)
+    op = fa.two_mode_squeeze_factored(0.7, spec)
+    idx = [dense_index(6, na, nb) for na in range(4) for nb in range(4)]
+    sub = to_dense(op)[np.ix_(idx, idx)]
+    block = fa.interior_block(op, 3)
+    assert block.shape == (7, 4, 4)
+    assert np.linalg.norm(block) == pytest.approx(np.linalg.norm(sub), rel=1e-14)
+    assert np.count_nonzero(block) == np.count_nonzero(sub)
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential
+# matrix exponential, on stacks of blocks as the squeeze routes call it
 
 
 def test_expm_zero_is_identity():
-    spec = fa.FockSpaceSpec(3)
-    z = fa.FockOperator(spec, np.zeros((spec.dim, spec.dim)))
-    np.testing.assert_array_equal(fa.matrix_exponential(z).entries, np.eye(spec.dim))
+    out = fa._expm_array(np.zeros((7, 4, 4)))
+    np.testing.assert_array_equal(out, np.broadcast_to(np.eye(4), (7, 4, 4)))
 
 
 def test_expm_diagonal():
-    spec = fa.FockSpaceSpec(2)
-    d = np.linspace(-2.0, 1.5, spec.dim)
-    op = fa.FockOperator(spec, np.diag(d))
-    np.testing.assert_allclose(fa.matrix_exponential(op).entries, np.diag(np.exp(d)), rtol=1e-13)
+    d = np.linspace(-2.0, 1.5, 12).reshape(3, 4)
+    blocks = d[:, :, None] * np.eye(4)
+    np.testing.assert_allclose(fa._expm_array(blocks), np.exp(d)[:, :, None] * np.eye(4), rtol=1e-13)
 
 
 def test_expm_inverse_property():
     rng = np.random.default_rng(3)
-    spec = fa.FockSpaceSpec(3)
-    m = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
-    m *= 0.5
-    forward = fa.matrix_exponential(fa.FockOperator(spec, m)).entries
-    backward = fa.matrix_exponential(fa.FockOperator(spec, -m)).entries
-    np.testing.assert_allclose(forward @ backward, np.eye(spec.dim), atol=1e-10)
+    m = 0.5 * (rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16)))
+    product = fa._expm_array(m) @ fa._expm_array(-m)
+    np.testing.assert_allclose(product, np.broadcast_to(np.eye(16), m.shape), atol=1e-10)
 
 
 def test_expm_matches_scipy_oracle():
@@ -91,20 +138,23 @@ def test_expm_matches_scipy_oracle():
         ours = fa._expm_array(m)
         ref = scipy_expm(m)
         np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+    # blocks of very different norms share the scaling set by the largest
+    stack = np.stack([s * rng.normal(size=(12, 12)) / math.sqrt(12) for s in [0.01, 1.0, 30.0]])
+    for ours, block in zip(fa._expm_array(stack), stack):
+        ref = scipy_expm(block)
+        np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
 
 
 def test_expm_convergence_failure():
-    spec = fa.FockSpaceSpec(1)
-    huge = fa.FockOperator(spec, np.full((4, 4), 1e60))
     with pytest.raises(fa.ConvergenceError, match="1-norm"):
-        fa.matrix_exponential(huge)
+        fa._expm_array(np.full((3, 4, 4), 1e60))
 
 
 def test_expm_rejects_nonfinite():
-    spec = fa.FockSpaceSpec(1)
-    bad = fa.FockOperator(spec, np.full((4, 4), np.nan))
+    bad = np.zeros((3, 4, 4))
+    bad[1, 2, 0] = np.nan
     with pytest.raises(ValueError):
-        fa.matrix_exponential(bad)
+        fa._expm_array(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +163,7 @@ def test_expm_rejects_nonfinite():
 
 def test_direct_zero_squeeze_is_identity(spec24):
     op = fa.two_mode_squeeze_direct(0.0, spec24)
-    np.testing.assert_allclose(op.entries, np.eye(spec24.dim), atol=1e-15)
+    np.testing.assert_allclose(op.entries, identity_operator(spec24), atol=1e-15)
 
 
 def test_direct_vacuum_column_matches_pair_law(spec40_direct_nu1):
@@ -136,9 +186,10 @@ def test_direct_vacuum_column_pair_structure(spec40_direct_nu1):
 
 def test_direct_is_orthogonal_on_interior(spec24):
     op = fa.two_mode_squeeze_direct(0.5, spec24)
-    prod = op.entries.T @ op.entries
+    prod = op.entries.swapaxes(1, 2) @ op.entries
     interior = fa.interior_block(fa.FockOperator(spec24, prod), 12)
-    np.testing.assert_allclose(interior, np.eye(13 * 13), atol=1e-8)
+    eye = fa.interior_block(fa.FockOperator(spec24, identity_operator(spec24)), 12)
+    np.testing.assert_allclose(interior, eye, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +198,7 @@ def test_direct_is_orthogonal_on_interior(spec24):
 
 def test_factored_zero_squeeze_is_identity(spec24):
     op = fa.two_mode_squeeze_factored(0.0, spec24)
-    np.testing.assert_allclose(op.entries, np.eye(spec24.dim), atol=1e-15)
+    np.testing.assert_allclose(op.entries, identity_operator(spec24), atol=1e-15)
 
 
 def test_factored_interior_block_is_truncation_independent():
@@ -199,6 +250,30 @@ def test_fixed_truncation_distance_grows_with_squeeze(spec24):
     assert distances[0.5] > 1e-5
     assert distances[1.0] > 1e-2
 
+@settings(max_examples=30, deadline=None)
+@given(n_max=st.integers(22, 40), nu=st.floats(-1.0, 1.0))
+def test_factored_matches_direct_on_occupation_rule_interior(n_max, nu):
+    # criterion 1's interior rule across truncations: below n_max = 22 the
+    # rule's level is not yet converged (n_max = 16, nu = 0.925: 3.3e-7 at L = 2)
+    spec = fa.FockSpaceSpec(n_max)
+    level = interior_level(nu, n_max)
+    d = fa.interior_block(fa.two_mode_squeeze_direct(nu, spec), level)
+    f = fa.interior_block(fa.two_mode_squeeze_factored(nu, spec), level)
+    assert np.linalg.norm(d - f) / np.linalg.norm(d) < 1e-8
+
+
+def test_level_12_at_strong_squeeze_needs_n_max_56():
+    # criterion 1's fixed level 12 at nu = 1 converges once the truncation
+    # clears the squeezed occupation 12 cosh 2 + sinh^2 1 ~ 46 (3.1e-10)
+    start = time.perf_counter()
+    spec = fa.FockSpaceSpec(56)
+    d = fa.interior_block(fa.two_mode_squeeze_direct(1.0, spec), 12)
+    f = fa.interior_block(fa.two_mode_squeeze_factored(1.0, spec), 12)
+    distance = np.linalg.norm(d - f) / np.linalg.norm(d)
+    elapsed = time.perf_counter() - start
+    assert distance < 1e-9
+    assert elapsed < 5.0
+
 
 # ---------------------------------------------------------------------------
 # factorization-function system
@@ -239,14 +314,34 @@ def test_ode_step_size_failure():
         fa.disentangle_ode_oracle(2.0, steps=100, local_tol=1e-14)
 
 
+def test_closed_form_at_large_squeeze():
+    # cosh overflows past |nu| ~ 710; ln cosh nu -> |nu| - ln 2
+    f = fa.disentangle_closed_form(800.0)
+    assert (f.f1, f.f2, f.f3) == (1.0, -(800.0 - math.log(2.0)), -1.0)
+    assert fa.disentangle_closed_form(-20.5).f2 == pytest.approx(-math.log(math.cosh(20.5)), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # spec guards
 
 
-def test_dimension_cap():
+def test_n_max_limit_edge():
+    # the bound is the largest n_max whose sector storage fits in 64 MiB
+    def storage(n_max):
+        return (2 * n_max + 1) * (n_max + 1) ** 2 * 8
+
+    limit = fa.N_MAX_LIMIT
+    assert storage(limit) <= 2**26 < storage(limit + 1)
+    assert fa.FockSpaceSpec(limit).sector_shape == (2 * limit + 1, limit + 1, limit + 1)
     with pytest.raises(ValueError, match="exceeds"):
-        fa.FockSpaceSpec(64)
-    assert fa.FockSpaceSpec(63).dim == 4096
+        fa.FockSpaceSpec(limit + 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        fa.FockSpaceSpec(0)
+
+
+def test_operator_shape_checked(spec24):
+    with pytest.raises(ValueError, match="sectors"):
+        fa.FockOperator(spec24, np.eye(625))
 
 
 def test_interior_level_bound(spec24):
