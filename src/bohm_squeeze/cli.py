@@ -37,6 +37,7 @@ from .closedform import (
     sample_external,
 )
 from .fockalg import N_MAX_LIMIT, ConvergenceError, FockSpaceSpec
+from .timefns import finite_number
 from .verify import V_SOURCES, VSource
 
 __all__ = [
@@ -68,7 +69,7 @@ DEFAULT_TOLERANCES = {
 # Flags a subcommand has no use for: passing one is an error, not ignored.
 UNUSED_FLAGS = {
     "density": ("tol",),
-    "verify": (),
+    "verify": ("grid_n",),
     "fock": ("grid_n",),
     "entropy": ("grid_n", "tol"),
 }
@@ -109,8 +110,7 @@ class RunConfig:
         return g
 
 
-def load_config(path: str | Path, *, out_override: str | None = None, grid_n: int | None = None) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+def _read_json_object(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -119,7 +119,23 @@ def load_config(path: str | Path, *, out_override: str | None = None, grid_n: in
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    return raw
 
+
+def _number_list(raw: dict, key: str) -> list[float]:
+    """The non-empty list of finite numbers under ``key``."""
+    values = raw.get(key)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"config must list finite numbers in '{key}'")
+    try:
+        return [finite_number(v, f"'{key}' entry") for v in values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def load_config(path: str | Path, *, out_override: str | None = None, grid_n: int | None = None) -> RunConfig:
+    """Parse and validate a JSON run configuration."""
+    raw = _read_json_object(path)
     try:
         scenario = Scenario.from_json(raw.get("scenario", {}))
     except ValueError as exc:
@@ -136,11 +152,9 @@ def load_config(path: str | Path, *, out_override: str | None = None, grid_n: in
     if grid_n is not None and (grid_n < 3 or grid_n % 2 == 0):
         raise ConfigError("--grid-n must be an odd integer >= 3")
 
-    times_raw = raw.get("times", [])
-    if not isinstance(times_raw, list) or not times_raw:
-        raise ConfigError("config must list at least one time in 'times'")
-    if not all(isinstance(t, (int, float)) and math.isfinite(t) for t in times_raw):
-        raise ConfigError("'times' entries must be finite numbers")
+    times = _number_list(raw, "times")
+    if len(set(times)) != len(times):
+        raise ConfigError("'times' lists a time more than once")
 
     outputs = raw.get("outputs", ["density"])
     if not isinstance(outputs, list) or not outputs:
@@ -166,7 +180,7 @@ def load_config(path: str | Path, *, out_override: str | None = None, grid_n: in
     return RunConfig(
         scenario=scenario,
         grid=grid,
-        times=tuple(float(t) for t in times_raw),
+        times=tuple(times),
         out_dir=out_dir,
         outputs=tuple(outputs),
         v_source=v_source,
@@ -200,7 +214,9 @@ def _fmt(value: float) -> str:
 
 
 def _time_tag(t: float) -> str:
-    return f"{t:g}"
+    """Short tag for file names, distinct for distinct times: ``:g`` if it reads back as t."""
+    short = f"{t:g}"
+    return short if float(short) == t else repr(t)
 
 
 def _write_field_csv(path: Path, field2d) -> None:
@@ -395,18 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_simple_config(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    return raw
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -431,23 +435,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return EXIT_TOLERANCE
             return EXIT_OK
 
-        raw = _load_simple_config(args.config)
+        raw = _read_json_object(args.config)
         out_dir = Path(args.out) if args.out else Path(raw.get("out_dir", "out"))
-        nu_values = raw.get("nu_values")
-        if not isinstance(nu_values, list) or not nu_values or not all(
-            # JSON true/false load as bool, a subclass of int
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in nu_values
-        ):
-            raise ConfigError("config must list finite numbers in 'nu_values'")
+        nu_values = _number_list(raw, "nu_values")
         if args.command == "fock":
             n_max = raw.get("n_max", 24)
             if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= N_MAX_LIMIT:
                 raise ConfigError(f"'n_max' must be an integer from 1 to {N_MAX_LIMIT}")
             tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES["fock_interior"]
-            print(run_fock([float(v) for v in nu_values], n_max, out_dir, tolerance=tol))
+            print(run_fock(nu_values, n_max, out_dir, tolerance=tol))
         else:
-            print(run_entropy([float(v) for v in nu_values], out_dir))
+            print(run_entropy(nu_values, out_dir))
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .timefns import TimePolynomial
+from .timefns import TimePolynomial, finite_number
 
 __all__ = [
     "NU_LIMIT",
@@ -122,8 +122,8 @@ class Scenario:
         if not isinstance(obj, dict):
             raise ValueError("scenario must be a JSON object")
         try:
-            m = float(obj["m"])
-            r = float(obj["r"])
+            m = finite_number(obj["m"], "m")
+            r = finite_number(obj["r"], "r")
             nu = TimePolynomial.from_json(obj["nu"])
             mu = TimePolynomial.from_json(obj.get("mu", {"coeffs": [0.0]}))
         except KeyError as exc:
@@ -178,14 +178,17 @@ class GridSpec2D:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridSpec2D":
+        def count(key: str) -> int:
+            n = finite_number(obj[key], key)
+            if n != int(n):
+                raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
+            return int(n)
+
         try:
             return cls(
-                x_min=float(obj["x_min"]),
-                x_max=float(obj["x_max"]),
-                y_min=float(obj["y_min"]),
-                y_max=float(obj["y_max"]),
-                nx=int(obj["nx"]),
-                ny=int(obj["ny"]),
+                *(finite_number(obj[key], key) for key in ("x_min", "x_max", "y_min", "y_max")),
+                nx=count("nx"),
+                ny=count("ny"),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid grid definition: {exc}") from exc

@@ -8,12 +8,23 @@ Only polynomials are supported, so first and second derivatives are exact
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+__all__ = ["TimePolynomial", "finite_number"]
 
-__all__ = ["TimePolynomial"]
+
+def finite_number(value: object, what: str) -> float:
+    """A JSON number as a float; refuses true/false, strings and non-finite values."""
+    try:
+        # JSON true/false load as bool, a subclass of int
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -72,8 +83,6 @@ class TimePolynomial:
         if not isinstance(obj, dict) or "coeffs" not in obj:
             raise ValueError("time polynomial must be given as {'coeffs': [c0, c1, ...]}")
         coeffs = obj["coeffs"]
-        if not isinstance(coeffs, (list, tuple)) or not all(
-            isinstance(c, (int, float)) and np.isfinite(c) for c in coeffs
-        ):
-            raise ValueError("polynomial coefficients must be finite numbers")
-        return cls(coeffs)
+        if not isinstance(coeffs, (list, tuple)):
+            raise ValueError("polynomial coefficients must be a list of numbers")
+        return cls([finite_number(c, "polynomial coefficient") for c in coeffs])

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,20 @@ def test_entropy_table(tmp_path):
     assert np.all(np.diff(table[:, 1]) > 0)
 
 
+def test_fock_overflowing_squeeze_reports_error(tmp_path, capsys):
+    # nu * generator is inf at nu = 1e308: an error entry like nu = 1e200,
+    # not an overflow warning and exit 1
+    cfg = write_config(tmp_path, "f.json", {"nu_values": [0.5, 1e308], "n_max": 4, "out_dir": str(tmp_path)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    entries = json.loads((tmp_path / "fock_report.json").read_text())["entries"]
+    alone = json.loads(cli.run_fock([0.5], 4, tmp_path / "alone").read_text())["entries"]
+    assert entries[0] == alone[0]
+    assert "1-norm" in entries[1]["error"]
+
+
 # ---------------------------------------------------------------------------
 # entry point and exit codes
 
@@ -324,16 +339,59 @@ def test_main_rejects_booleans_as_numbers(tmp_path, capsys, command, payload):
 
 
 @pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("times", None, [True]),
+        ("scenario", "m", True),
+        ("scenario", "r", "0"),
+        ("scenario", "nu", {"coeffs": [False, True]}),
+        ("grid", "nx", 5.9),
+        ("grid", "ny", "5"),
+    ],
+)
+def test_main_rejects_non_numbers_in_density_config(tmp_path, capsys, section, key, value):
+    cfg = json.loads(small_density_config(tmp_path).read_text())
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert cli.main(["density", "--config", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and (key or section) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_time_tags_are_distinct_per_time(tmp_path, capsys):
+    # the :g tag stays wherever it reads back as t, so shipped names keep
+    assert [cli._time_tag(t) for t in [0.0, 1.0, 3.0, 0.25, 1e-7]] == ["0", "1", "3", "0.25", "1e-07"]
+    grid = {"x_min": -3.0, "x_max": 3.0, "y_min": -3.0, "y_max": 3.0, "nx": 5, "ny": 5}
+    close = small_density_config(tmp_path, times=[1.0000001, 1.0000002], grid=grid)
+    assert cli.main(["density", "--config", str(close)]) == cli.EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "density_t1.0000001.csv",
+        "density_t1.0000002.csv",
+    ]
+    capsys.readouterr()
+    repeated = small_density_config(tmp_path, times=[0.5, 0.5], out_dir=str(tmp_path / "rep"))
+    assert cli.main(["density", "--config", str(repeated)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "times" in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
     "command, flags",
     [
         ("fock", ["--grid-n", "21"]),
         ("entropy", ["--grid-n", "21"]),
         ("entropy", ["--tol", "1e-3"]),
         ("density", ["--tol", "1e-3"]),
+        ("verify", ["--grid-n", "21"]),
     ],
 )
 def test_main_rejects_unused_flags(tmp_path, capsys, command, flags):
-    if command == "density":
+    if command in ("density", "verify"):
         cfg = small_density_config(tmp_path)
     else:
         cfg = write_config(tmp_path, "f.json", {"nu_values": [0.5], "n_max": 4, "out_dir": str(tmp_path / "out")})

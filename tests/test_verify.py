@@ -162,6 +162,25 @@ def test_simpson_weights_validation():
     np.testing.assert_allclose(w, np.array([1, 4, 2, 4, 1]) / 3.0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_simpson_moments_match_outer_product_sums(seed):
+    # reference: the explicit weighted sums over a 2-D weight array that the
+    # separable routine replaces
+    rng = np.random.default_rng(seed)
+    na, nb = 2 * rng.integers(1, 40, size=2) + 1
+    a = np.linspace(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), na)
+    b = np.linspace(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), nb)
+    rho = rng.random((na, nb))
+    wa = verify.simpson_weights(na) * (a[1] - a[0])
+    wb = verify.simpson_weights(nb) * (b[1] - b[0])
+    w = np.outer(wa, wb)
+    got = verify._simpson_moments(rho, a, b)
+    for value, factor in zip(got, [1.0, a[:, None] ** 2, b[None, :] ** 2, a[:, None] * b[None, :]]):
+        terms = w * rho * factor
+        # relative to the integrand's magnitude: the a b moment may cancel
+        assert abs(value - np.sum(terms)) <= 1e-13 * np.sum(np.abs(terms))
+
+
 def test_normalization_ground_state():
     s = example1()
     grid = cf.auto_grid(s, 0.0)
@@ -202,6 +221,15 @@ def test_quadrature_variances_example1():
     assert vp == pytest.approx(math.exp(2.0) / 2.0, abs=1e-5)
     assert vm == pytest.approx(math.exp(-2.0) / 2.0, abs=1e-5)
     assert vp * vm == pytest.approx(0.25, abs=1e-6)
+
+
+def test_quadrature_variances_cancellation_bound():
+    # var(v) from cartesian moments cancels to about eps var(u)/var(v); at
+    # nu = 2 that stays far below the 1e-5 check and matches the rotated frame
+    s = example1()
+    _, vm = verify.quadrature_variances(s, 2.0, cf.auto_grid(s, 2.0))
+    _, _, vm_rotated = verify.diagonal_moments(s, 2.0)
+    assert vm == pytest.approx(vm_rotated, rel=100 * np.finfo(float).eps * math.exp(8.0))
 
 
 def test_normalization_example1_late_time_rotated():
