@@ -11,7 +11,6 @@ configs.
 """
 
 from .closedform import (
-    ComplexField2D,
     ConicClass,
     GridSpec2D,
     ScalarField2D,
@@ -29,7 +28,6 @@ from .timefns import TimePolynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexField2D",
     "ConicClass",
     "GridSpec2D",
     "ScalarField2D",

@@ -60,8 +60,8 @@ DEFAULT_TOLERANCES = {
     "residual_max": 1e-4,       # stencil residuals (schrodinger, continuity, bohm)
     "hj_max": 1e-9,             # analytic Hamilton-Jacobi closure
     "normalization": 1e-6,
-    "variance": 1e-5,           # var(v) against exp(2(r-1) nu)/2
-    "variance_product": 1e-6,   # var(u) var(v) against exp(4 r nu)/4
+    "variance": 1e-8,           # var(v) against exp(2(r-1) nu)/2, relative
+    "variance_product": 1e-8,   # var(u) var(v) against exp(4 r nu)/4, relative
     "fock_interior": 1e-8,      # factorization distance flag threshold
 }
 
@@ -122,6 +122,16 @@ def _read_json_object(path: str | Path) -> dict:
     return raw
 
 
+def _positive_tolerance(value: object, what: str) -> float:
+    try:
+        tol = finite_number(value, what)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if tol <= 0.0:
+        raise ConfigError(f"{what} must be positive, got {value!r}")
+    return tol
+
+
 def _number_list(raw: dict, key: str) -> list[float]:
     """The non-empty list of finite numbers under ``key``."""
     values = raw.get(key)
@@ -175,6 +185,7 @@ def load_config(path: str | Path, *, out_override: str | None = None, grid_n: in
     unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
+    tolerances = {key: _positive_tolerance(value, f"tolerance '{key}'") for key, value in tolerances.items()}
 
     out_dir = Path(out_override) if out_override else Path(raw.get("out_dir", "out"))
     return RunConfig(
@@ -184,7 +195,7 @@ def load_config(path: str | Path, *, out_override: str | None = None, grid_n: in
         out_dir=out_dir,
         outputs=tuple(outputs),
         v_source=v_source,
-        tolerances=dict(tolerances),
+        tolerances=tolerances,
         grid_n=grid_n,
     )
 
@@ -243,22 +254,19 @@ def run_density(cfg: RunConfig) -> list[Path]:
     """Sample the configured fields for every time into <field>_t<t>.csv.
 
     Emits |psi|^2 by default; the config's ``outputs`` list can add the
-    Bohm and external potentials on the same grids.
+    Bohm and external potentials on the same grids.  Every field is
+    sampled before the first write, so a failing time leaves no file.
     """
+    tasks = [(name, t) for name in cfg.outputs for t in cfg.times]
+    fields = _run_tasks(lambda name, t: FIELD_SAMPLERS[name](cfg.scenario, cfg.grid_for(t), t), tasks)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-
-    def one(name: str, t: float) -> Path:
-        field2d = FIELD_SAMPLERS[name](cfg.scenario, cfg.grid_for(t), t)
-        out = cfg.out_dir / f"{name}_t{_time_tag(t)}.csv"
-        _write_field_csv(out, field2d)
-        return out
-
-    return _run_tasks(one, [(name, t) for name in cfg.outputs for t in cfg.times])
+    paths = [cfg.out_dir / f"{name}_t{_time_tag(t)}.csv" for name, t in tasks]
+    _run_tasks(_write_field_csv, list(zip(paths, fields)))
+    return paths
 
 
 def run_verify(cfg: RunConfig) -> tuple[Path, bool]:
-    """Residual, normalization and variance report; False on any violation."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    """Residual, normalization and relative variance report; False on any violation."""
     s = cfg.scenario
     res_tol = cfg.tolerance("residual_max")
     hj_tol = cfg.tolerance("hj_max")
@@ -293,10 +301,12 @@ def run_verify(cfg: RunConfig) -> tuple[Path, bool]:
                 ok = False
         if abs(entry["normalization"] - 1.0) > cfg.tolerance("normalization"):
             ok = False
-        if abs(entry["var_minus"] - entry["var_minus_expected"]) > cfg.tolerance("variance"):
+        expected = entry["var_minus_expected"]
+        if abs(entry["var_minus"] - expected) > cfg.tolerance("variance") * expected:
             ok = False
+        expected = entry["variance_product_expected"]
         product = entry["var_plus"] * entry["var_minus"]
-        if abs(product - entry["variance_product_expected"]) > cfg.tolerance("variance_product"):
+        if abs(product - expected) > cfg.tolerance("variance_product") * expected:
             ok = False
 
     payload = {
@@ -306,6 +316,7 @@ def run_verify(cfg: RunConfig) -> tuple[Path, bool]:
         "results": entries,
         "pass": ok,
     }
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.out_dir / "residuals.json"
     _write_json(out, payload)
     return out, ok
@@ -373,17 +384,18 @@ def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: flo
 
 
 def run_entropy(nu_values: Sequence[float], out_dir: Path, *, terms: int = 600) -> Path:
-    """entropy.csv with summed and closed-form entropies per squeeze value."""
+    """entropy.csv with summed and closed-form entropies per squeeze value; no file if one fails."""
+    rows = ["nu,entropy_sum,entropy_closed,schmidt_lambda0\n"]
+    for nu in nu_values:
+        spec = spectral.schmidt_spectrum(nu, terms)
+        rows.append(
+            f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
+            f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / "entropy.csv"
     with out.open("w", newline="\n") as fh:
-        fh.write("nu,entropy_sum,entropy_closed,schmidt_lambda0\n")
-        for nu in nu_values:
-            spec = spectral.schmidt_spectrum(nu, terms)
-            fh.write(
-                f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
-                f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"
-            )
+        fh.write("".join(rows))
     return out
 
 
@@ -419,10 +431,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         ]
         if unused:
             raise ConfigError(f"{' and '.join(unused)} does not apply to {args.command}")
+        tol = None if args.tol is None else _positive_tolerance(args.tol, "--tol")
         if args.command in ("density", "verify"):
             cfg = load_config(args.config, out_override=args.out, grid_n=args.grid_n)
-            if args.tol is not None:
-                cfg.tolerances["residual_max"] = args.tol
+            if tol is not None:
+                cfg.tolerances["residual_max"] = tol
             if args.command == "density":
                 paths = run_density(cfg)
                 for p in paths:
@@ -442,8 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             n_max = raw.get("n_max", 24)
             if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= N_MAX_LIMIT:
                 raise ConfigError(f"'n_max' must be an integer from 1 to {N_MAX_LIMIT}")
-            tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES["fock_interior"]
-            print(run_fock(nu_values, n_max, out_dir, tolerance=tol))
+            print(run_fock(nu_values, n_max, out_dir, tolerance=tol or DEFAULT_TOLERANCES["fock_interior"]))
         else:
             print(run_entropy(nu_values, out_dir))
         return EXIT_OK

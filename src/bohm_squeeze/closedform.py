@@ -1,23 +1,26 @@
 """Closed-form wavefunction, Bohm potential and external potential.
 
-All analytic objects here are quadratic forms in (x, y) with time-dependent
-coefficients, because the engineered state is Gaussian with a quadratic
-phase:
+All analytic objects here are quadratic forms with time-dependent
+coefficients, because the engineered state is Gaussian with the quadratic
+phase S = m*nud*[r*(x^2+y^2)/2 + x*y] + mu(t).  Each form is diagonal in
+the modes u = (x+y)/sqrt2 and v = (x-y)/sqrt2 (Schumaker & Caves 1985), so
+``QuadForm`` holds it as c_u*u^2 + c_v*v^2 + const.  With
+e+- = exp(-2 (r +- 1) nu) and the upper sign for u, the coefficients are
 
-    S(x, y, t)  = m*nud*[r*(x^2+y^2)/2 + x*y] + mu(t)
-    ln A(x,y,t) = -ln(pi)/2 - r*nu - P*(x^2+y^2)/2 + Q*x*y,
-                  P = exp(-2*r*nu)*cosh(2*nu),  Q = exp(-2*r*nu)*sinh(2*nu)
+    form      c_u, c_v                                        const
+    S         m nu' (r+-1)/2                                  mu
+    S_t       m nu'' (r+-1)/2                                 mu'
+    ln A      -e+-/2                                          -r nu - ln sqrt(pi)
+    V_B       -e+-^2/(2m)                                     (e+ + e-)/(2m)
+    kinetic   m nu'^2 (r+-1)^2/2                              0
+    V         -m (r+-1)^2 nu'^2/2 - m (r+-1) nu''/2 + e+-^2/(2m)
+                                                              -(e+ + e-)/(2m) - mu'
+    variant   as V, with -e+-^2 in place of +e+-^2/(2m)       (e+ + e-) - mu'
 
-The ``QuadForm`` container carries such forms (value = quad*(x^2+y^2) +
-cross*x*y + const); working with coefficients keeps the Hamilton-Jacobi
-closure exact and makes level-curve classification a two-liner.
-
-The amplitude above is the stable rewrite of the product form
-(1/sqrt(pi)) e^{-r nu} exp[-(x^2+y^2)/2 e^{-2 r nu}
- - ((x^2+y^2) tanh^2 nu - 2 x y tanh nu) cosh^2 nu e^{-2 r nu}]:
-multiplying by cosh^2 rather than dividing by sech^2 avoids blow-up at
-large nu, and collapsing the two exponents into (P, Q) avoids the
-cosh^2 - sinh^2 cancellation.
+Every coefficient is one exponential per mode, computed straight from nu:
+nothing cancels, however strong the squeeze.  Working with coefficients
+keeps the Hamilton-Jacobi closure exact and makes level-curve
+classification a two-liner.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ __all__ = [
     "Scenario",
     "GridSpec2D",
     "ScalarField2D",
-    "ComplexField2D",
     "QuadForm",
     "ConicClass",
     "phase_coeffs",
@@ -56,15 +58,15 @@ __all__ = [
     "auto_grid",
     "sample_amplitude",
     "sample_density",
-    "sample_psi",
     "sample_bohm",
     "sample_external",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+SQRT2 = math.sqrt(2.0)
 
-# cosh(4*nu) overflows float64 near |nu| ~ 177; refuse far before that so
-# failures are explicit instead of silent infinities.
+# exp(4 (|nu| + |r nu|)) overflows float64 near |nu| + |r nu| ~ 177; refuse
+# far before that so failures are explicit instead of silent infinities.
 NU_LIMIT = 50.0
 
 ArrayLike = Union[float, np.ndarray]
@@ -216,44 +218,40 @@ class ScalarField2D:
 
 
 @dataclass(frozen=True)
-class ComplexField2D:
-    """Complex field sampled on a grid at a fixed time."""
-
-    grid: GridSpec2D
-    t: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.nx, self.grid.ny):
-            raise ValueError(f"field shape {v.shape} does not match grid ({self.grid.nx}, {self.grid.ny})")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class QuadForm:
-    """Centered quadratic form quad*(x^2 + y^2) + cross*x*y + const."""
+    """Centered quadratic form c_u*u^2 + c_v*v^2 + const on the diagonal modes.
 
-    quad: float
-    cross: float
+    u = (x+y)/sqrt2 and v = (x-y)/sqrt2; calls in (x, y) rotate first.
+    """
+
+    c_u: float
+    c_v: float
     const: float
 
+    def modes(self, u: ArrayLike, v: ArrayLike) -> ArrayLike:
+        return self.c_u * u * u + self.c_v * v * v + self.const
+
     def __call__(self, x: ArrayLike, y: ArrayLike) -> ArrayLike:
-        return self.quad * (x * x + y * y) + self.cross * x * y + self.const
+        return self.modes((x + y) / SQRT2, (x - y) / SQRT2)
 
     def grad(self, x: ArrayLike, y: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
-        return 2.0 * self.quad * x + self.cross * y, 2.0 * self.quad * y + self.cross * x
+        """(d/dx, d/dy) = ((d/du + d/dv), (d/du - d/dv)) / sqrt2."""
+        du = self.c_u * (x + y)
+        dv = self.c_v * (x - y)
+        return du + dv, du - dv
+
+    @property
+    def laplacian(self) -> float:
+        return 2.0 * (self.c_u + self.c_v)
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
-        return QuadForm(self.quad + other.quad, self.cross + other.cross, self.const + other.const)
+        return QuadForm(self.c_u + other.c_u, self.c_v + other.c_v, self.const + other.const)
 
     def __sub__(self, other: "QuadForm") -> "QuadForm":
-        return QuadForm(self.quad - other.quad, self.cross - other.cross, self.const - other.const)
+        return QuadForm(self.c_u - other.c_u, self.c_v - other.c_v, self.const - other.const)
 
     def scaled(self, f: float) -> "QuadForm":
-        return QuadForm(f * self.quad, f * self.cross, f * self.const)
+        return QuadForm(f * self.c_u, f * self.c_v, f * self.const)
 
 
 Classification = Literal["ellipse", "parabola-degenerate", "hyperbola", "degenerate-lines"]
@@ -266,8 +264,8 @@ class ConicClass:
     ``discriminant`` is the determinant of the full 3x3 matrix of the conic
     written as  level - potential = 0  (no linear terms arise here), and
     ``minor33`` is the determinant of its leading 2x2 block.  For the
-    centered forms of this module: minor33 = quad^2 - cross^2/4 and
-    discriminant = (level - const) * minor33.
+    centered forms of this module: minor33 = c_u * c_v, an exact product,
+    and discriminant = (level - const) * minor33.
     """
 
     discriminant: float
@@ -286,7 +284,7 @@ def _classify(minor33: float, discriminant: float) -> Classification:
 
 
 def conic_of_level_curve(form: QuadForm, level: float) -> ConicClass:
-    minor33 = form.quad * form.quad - form.cross * form.cross / 4.0
+    minor33 = form.c_u * form.c_v
     discriminant = (level - form.const) * minor33
     return ConicClass(discriminant=discriminant, minor33=minor33, classification=_classify(minor33, discriminant))
 
@@ -295,45 +293,47 @@ def conic_of_level_curve(form: QuadForm, level: float) -> ConicClass:
 # coefficient layer
 
 
+def _mode_decays(s: Scenario, nu: float) -> tuple[float, float]:
+    """(e+, e-) = exp(-2 (r +- 1) nu) = (1/(2 var u), 1/(2 var v))."""
+    return math.exp(-2.0 * (s.r + 1.0) * nu), math.exp(-2.0 * (s.r - 1.0) * nu)
+
+
 def phase_coeffs(s: Scenario, t: float) -> QuadForm:
     """Quadratic form of the phase S at time t."""
-    nud = s.nu.d1(t)
-    return QuadForm(quad=s.m * nud * s.r / 2.0, cross=s.m * nud, const=s.mu.value(t))
+    k = s.m * s.nu.d1(t) / 2.0
+    return QuadForm(c_u=k * (s.r + 1.0), c_v=k * (s.r - 1.0), const=s.mu.value(t))
 
 
 def phase_rate_coeffs(s: Scenario, t: float) -> QuadForm:
     """Quadratic form of dS/dt at time t."""
-    nudd = s.nu.d2(t)
-    return QuadForm(quad=s.m * nudd * s.r / 2.0, cross=s.m * nudd, const=s.mu.d1(t))
+    k = s.m * s.nu.d2(t) / 2.0
+    return QuadForm(c_u=k * (s.r + 1.0), c_v=k * (s.r - 1.0), const=s.mu.d1(t))
 
 
 def log_amplitude_coeffs(s: Scenario, t: float) -> QuadForm:
     """Quadratic form of ln A at time t (see module docstring)."""
     nu = s.nu_at(t)
-    scale = math.exp(-2.0 * s.r * nu)
-    p = scale * math.cosh(2.0 * nu)
-    q = scale * math.sinh(2.0 * nu)
-    return QuadForm(quad=-p / 2.0, cross=q, const=-s.r * nu - math.log(SQRT_PI))
+    e_u, e_v = _mode_decays(s, nu)
+    return QuadForm(c_u=-e_u / 2.0, c_v=-e_v / 2.0, const=-s.r * nu - math.log(SQRT_PI))
 
 
 def bohm_coeffs(s: Scenario, t: float) -> QuadForm:
     """Quadratic form of the Bohm potential -(lap A)/(2 m A)."""
-    nu = s.nu_at(t)
-    e4 = math.exp(-4.0 * s.r * nu)
-    e2 = math.exp(-2.0 * s.r * nu)
-    return QuadForm(
-        quad=-e4 * math.cosh(4.0 * nu) / (2.0 * s.m),
-        cross=e4 * math.sinh(4.0 * nu) / s.m,
-        const=e2 * math.cosh(2.0 * nu) / s.m,
-    )
+    e_u, e_v = _mode_decays(s, s.nu_at(t))
+    return QuadForm(c_u=-e_u * e_u / (2.0 * s.m), c_v=-e_v * e_v / (2.0 * s.m), const=(e_u + e_v) / (2.0 * s.m))
 
 
 def kinetic_coeffs(s: Scenario, t: float) -> QuadForm:
     """Quadratic form of |grad S|^2 / (2m)."""
     nud = s.nu.d1(t)
-    r = s.r
     k = s.m * nud * nud / 2.0
-    return QuadForm(quad=k * (r * r + 1.0), cross=4.0 * k * r, const=0.0)
+    return QuadForm(c_u=k * (s.r + 1.0) ** 2, c_v=k * (s.r - 1.0) ** 2, const=0.0)
+
+
+def _flow(s: Scenario, t: float, w: float) -> float:
+    """-S_t - |grad S|^2/(2m) on the mode of weight w = r +- 1."""
+    nud = s.nu.d1(t)
+    return -s.m * w * w * nud * nud / 2.0 - s.m * w * s.nu.d2(t) / 2.0
 
 
 def external_coeffs(s: Scenario, t: float) -> QuadForm:
@@ -343,39 +343,30 @@ def external_coeffs(s: Scenario, t: float) -> QuadForm:
     V = -S_t - |grad S|^2/(2m) - V_B; all three parts are quadratic forms,
     so the closure residual vanishes identically (see tests).
     """
-    nu = s.nu_at(t)
-    nud = s.nu.d1(t)
-    nudd = s.nu.d2(t)
-    e4 = math.exp(-4.0 * s.r * nu)
-    e2 = math.exp(-2.0 * s.r * nu)
-    r, m = s.r, s.m
+    e_u, e_v = _mode_decays(s, s.nu_at(t))
+    two_m = 2.0 * s.m
     return QuadForm(
-        quad=-m * (r * r + 1.0) * nud * nud / 2.0 - m * r * nudd / 2.0 + e4 * math.cosh(4.0 * nu) / (2.0 * m),
-        cross=-2.0 * m * r * nud * nud - m * nudd - e4 * math.sinh(4.0 * nu) / m,
-        const=-e2 * math.cosh(2.0 * nu) / m - s.mu.d1(t),
+        c_u=_flow(s, t, s.r + 1.0) + e_u * e_u / two_m,
+        c_v=_flow(s, t, s.r - 1.0) + e_v * e_v / two_m,
+        const=-(e_u + e_v) / two_m - s.mu.d1(t),
     )
 
 
 def external_variant_coeffs(s: Scenario, t: float) -> QuadForm:
     """Sign-variant transcription of the external potential.
 
-    Identical to :func:`external_coeffs` except that every hyperbolic
-    (curvature) term enters with opposite sign and weight 2 instead of
-    1/(2m).  The difference from the consistent form is exactly
-    (2m + 1) * V_B, so this variant violates the Hamilton-Jacobi identity;
-    it is kept as a deliberately wrong source for the residual diagnostics
-    (see ``verify`` and the ``v_source`` config option).
+    Identical to :func:`external_coeffs` except that the Bohm terms enter
+    as -e+-^2 and +(e+ + e-), that is as +2m V_B instead of -V_B.  The
+    difference from the consistent form is exactly (2m + 1) * V_B, so this
+    variant violates the Hamilton-Jacobi identity; it is kept as a
+    deliberately wrong source for the residual diagnostics (see ``verify``
+    and the ``v_source`` config option).
     """
-    nu = s.nu_at(t)
-    nud = s.nu.d1(t)
-    nudd = s.nu.d2(t)
-    e4 = math.exp(-4.0 * s.r * nu)
-    e2 = math.exp(-2.0 * s.r * nu)
-    r, m = s.r, s.m
+    e_u, e_v = _mode_decays(s, s.nu_at(t))
     return QuadForm(
-        quad=-m * (r * r + 1.0) * nud * nud / 2.0 - m * r * nudd / 2.0 - e4 * math.cosh(4.0 * nu),
-        cross=-2.0 * m * r * nud * nud - m * nudd + 2.0 * e4 * math.sinh(4.0 * nu),
-        const=2.0 * e2 * math.cosh(2.0 * nu) - s.mu.d1(t),
+        c_u=_flow(s, t, s.r + 1.0) - e_u * e_u,
+        c_v=_flow(s, t, s.r - 1.0) - e_v * e_v,
+        const=e_u + e_v - s.mu.d1(t),
     )
 
 
@@ -416,9 +407,9 @@ def external_potential_variant(s: Scenario, x: ArrayLike, y: ArrayLike, t: float
 def classify_level_curves_bohm(s: Scenario, t: float) -> ConicClass:
     """Conic type of the Bohm-potential level curve through V_B = 0.
 
-    minor33 = exp(-8 r nu)/(4 m^2) > 0 and the discriminant
-    -exp(-10 r nu) cosh(2 nu)/(4 m^3) < 0 for every scenario and time, so
-    the classification is always "ellipse".
+    minor33 = c_u c_v = exp(-8 r nu)/(4 m^2) > 0 and the discriminant
+    -(e+ + e-) minor33/(2m) < 0 for every scenario and time, so the
+    classification is always "ellipse".
     """
     return conic_of_level_curve(bohm_coeffs(s, t), level=0.0)
 
@@ -443,41 +434,41 @@ def spread_sigmas(s: Scenario, t: float) -> tuple[float, float]:
     var(u) = exp(2(r+1) nu)/2 and var(v) = exp(2(r-1) nu)/2.
     """
     nu = s.nu_at(t)
-    return math.exp((s.r + 1.0) * nu) / math.sqrt(2.0), math.exp((s.r - 1.0) * nu) / math.sqrt(2.0)
+    return math.exp((s.r + 1.0) * nu) / SQRT2, math.exp((s.r - 1.0) * nu) / SQRT2
 
 
-def auto_grid(
-    s: Scenario,
-    t: float,
-    *,
-    coverage: float = 7.5,
-    points_per_sigma: float = 2.0,
-    n_min: int = 61,
-    n_cap: int = 1401,
-) -> GridSpec2D:
+# auto_grid: half width in marginal sigmas, samples per sigma of the
+# narrowest mode, and the fewest and most samples per axis
+AUTO_COVERAGE = 7.5
+AUTO_POINTS_PER_SIGMA = 2.0
+AUTO_N_MIN = 61
+AUTO_N_CAP = 1401
+
+
+def auto_grid(s: Scenario, t: float) -> GridSpec2D:
     """Square grid adapted to the state at time t.
 
     The density along any grid edge x = L peaks at exp(-L^2 / (2 sigma_x^2))
     with sigma_x^2 = (sigma_u^2 + sigma_v^2)/2 (the marginal variance), so
-    the half width is ``coverage * sigma_x``; the spacing resolves the
-    narrowest diagonal mode with ``points_per_sigma`` samples per sigma.
-    Sample counts are odd so composite Simpson applies directly.
+    the half width is ``AUTO_COVERAGE * sigma_x``; the spacing resolves the
+    narrowest diagonal mode with ``AUTO_POINTS_PER_SIGMA`` samples per
+    sigma.  Sample counts are odd so composite Simpson applies directly.
 
-    Raises when the required resolution exceeds ``n_cap``: a severely
+    Raises when the required resolution exceeds ``AUTO_N_CAP``: a severely
     squeezed state on a huge domain cannot be represented on a desk-scale
     cartesian grid, and an explicit grid (or the rotated-frame moments in
     ``verify``) must be used instead.
     """
     sigma_u, sigma_v = spread_sigmas(s, t)
-    half = coverage * math.sqrt((sigma_u**2 + sigma_v**2) / 2.0)
-    h = min(sigma_u, sigma_v, 1.0 / math.sqrt(2.0)) / points_per_sigma
+    half = AUTO_COVERAGE * math.sqrt((sigma_u**2 + sigma_v**2) / 2.0)
+    h = min(sigma_u, sigma_v, 1.0 / SQRT2) / AUTO_POINTS_PER_SIGMA
     n = int(math.ceil(2.0 * half / h)) + 1
-    n = max(n, n_min)
+    n = max(n, AUTO_N_MIN)
     if n % 2 == 0:
         n += 1
-    if n > n_cap:
+    if n > AUTO_N_CAP:
         raise ValueError(
-            f"auto grid at t = {t:g} needs {n} points per axis (cap {n_cap}); "
+            f"auto grid at t = {t:g} needs {n} points per axis (cap {AUTO_N_CAP}); "
             "supply an explicit grid for this time"
         )
     return GridSpec2D.square(half, n)
@@ -493,11 +484,6 @@ def sample_density(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:
     x, y = grid.mesh()
     a = amplitude_A(s, x, y, t)
     return ScalarField2D(grid=grid, t=t, values=a * a)
-
-
-def sample_psi(s: Scenario, grid: GridSpec2D, t: float) -> ComplexField2D:
-    x, y = grid.mesh()
-    return ComplexField2D(grid=grid, t=t, values=wavefunction_psi(s, x, y, t))
 
 
 def sample_bohm(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:

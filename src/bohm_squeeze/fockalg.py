@@ -174,7 +174,8 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec) -> FockOperator:
     number = np.where(present, np.where(n_a < spec.n_max, n_a + 1, 0) + n_b, 0)
     raising = _expm_array(f.f1 * pairs)
     lowering = _expm_array(f.f3 * pairs.swapaxes(1, 2))
-    middle = np.exp(f.f2 * number)
+    with np.errstate(over="ignore"):  # f2 * number is -inf near |nu| ~ 1e308, where the factor tends to 0
+        middle = np.exp(f.f2 * number)
     return FockOperator(spec, raising @ (middle[:, :, None] * lowering))
 
 

@@ -182,7 +182,7 @@ def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-
     a_y[:, 0] = a_y[:, -1] = 0.0
     sform = phase_coeffs(s, t)
     s_x, s_y = sform.grad(x, y)
-    s_lap = 4.0 * sform.quad  # S_xx + S_yy
+    s_lap = sform.laplacian
     residual = a_t + (s_x * a_x + s_y * a_y) / s.m + s_lap * a_now / (2.0 * s.m)
     return _report("continuity", t, _interior(residual), grid, dt)
 
@@ -323,15 +323,14 @@ def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
     the density is axis-aligned; the rotation has unit Jacobian, so this is
     the same integral as :func:`normalization` but remains tractable for
     strongly squeezed states whose cartesian bounding box is astronomically
-    larger than their support.
+    larger than their support.  ln A comes from its mode coefficients on
+    the mode axes, so nothing cancels at any squeeze.
     """
     sigma_u, sigma_v = spread_sigmas(s, t)
     us = np.linspace(-DIAGONAL_COVERAGE * sigma_u, DIAGONAL_COVERAGE * sigma_u, DIAGONAL_POINTS)
     vs = np.linspace(-DIAGONAL_COVERAGE * sigma_v, DIAGONAL_COVERAGE * sigma_v, DIAGONAL_POINTS)
-    x = (us[:, None] + vs[None, :]) / math.sqrt(2.0)
-    y = (us[:, None] - vs[None, :]) / math.sqrt(2.0)
-    a = amplitude_A(s, x, y, t)
-    total, uu, vv, _ = _simpson_moments(a * a, us, vs)
+    rho = np.exp(2.0 * log_amplitude_coeffs(s, t).modes(us[:, None], vs[None, :]))
+    total, uu, vv, _ = _simpson_moments(rho, us, vs)
     return total, uu / total, vv / total
 
 
@@ -354,9 +353,9 @@ def _stencil_error_model(s: Scenario, t: float, half: float, n: int) -> float:
     gform = log_amplitude_coeffs(s, t)
     sform = phase_coeffs(s, t)
     g_x, g_y = gform.grad(x, y)
-    g_xx = 2.0 * gform.quad
+    g_xx = gform.laplacian / 2.0
     s_x, s_y = sform.grad(x, y)
-    s_xx = 2.0 * sform.quad
+    s_xx = sform.laplacian / 2.0
     amp = np.exp(gform(x, y))
 
     def fourth(first, second):

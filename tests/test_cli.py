@@ -185,6 +185,77 @@ def test_verify_flags_variant_source(tmp_path):
     assert hj["max_abs_residual"] > 1.0
 
 
+def fig2_verify_config(tmp_path: Path, **overrides) -> Path:
+    payload = {**json.loads((CONFIG_DIR / "fig2.json").read_text()), "grid": "auto", "out_dir": str(tmp_path / "out")}
+    payload.update(overrides)
+    return write_config(tmp_path, "fig2_verify.json", payload)
+
+
+def test_verify_variance_tolerances_are_relative(tmp_path, capsys):
+    # fig2's scenario at its own times: var(u) var(v) reaches e^36/4 ~ 1e15,
+    # so only a bound relative to the expected value can hold it
+    assert cli.main(["verify", "--config", str(fig2_verify_config(tmp_path))]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "residuals.json").read_text())
+    assert report["tolerances"]["variance"] == report["tolerances"]["variance_product"] == 1e-8
+    errors = {"variance": 0.0, "variance_product": 0.0}
+    for e in report["results"]:
+        product = e["var_plus"] * e["var_minus"]
+        errors["variance"] = max(errors["variance"], abs(e["var_minus"] / e["var_minus_expected"] - 1))
+        errors["variance_product"] = max(errors["variance_product"], abs(product / e["variance_product_expected"] - 1))
+        assert e["normalization"] == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert 0.0 < max(errors.values()) < 1e-12
+    # a relative bound below the measured error trips the check
+    for key, err in errors.items():
+        capsys.readouterr()
+        cfg = fig2_verify_config(tmp_path, tolerances={key: err / 2}, out_dir=str(tmp_path / key))
+        assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_TOLERANCE
+        assert json.loads((tmp_path / key / "residuals.json").read_text())["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "command, flags, tolerances",
+    [
+        ("verify", ["--tol", "nan"], None),
+        ("verify", ["--tol", "-1"], None),
+        ("verify", ["--tol", "0"], None),
+        ("verify", [], {"normalization": True}),
+        ("verify", [], {"variance": float("nan")}),
+        ("verify", [], {"hj_max": -1e-9}),
+        ("fock", ["--tol", "nan"], None),
+        ("fock", ["--tol", "-1"], None),
+    ],
+)
+def test_main_rejects_non_positive_tolerances(tmp_path, capsys, command, flags, tolerances):
+    if command == "verify":
+        extra = {} if tolerances is None else {"tolerances": tolerances}
+        cfg = small_density_config(tmp_path, grid="auto", times=[0.5], **extra)
+    else:
+        cfg = write_config(tmp_path, "f.json", {"nu_values": [0.5], "n_max": 4, "out_dir": str(tmp_path / "out")})
+    assert cli.main([command, "--config", str(cfg), *flags]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tol" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("density", {"times": [1.0, 100.0]}),
+        ("verify", {"times": [0.5, 100.0], "grid": "auto"}),
+        ("entropy", {"nu_values": [0.5, 3.0]}),
+    ],
+)
+def test_failed_run_leaves_no_output(tmp_path, capsys, command, payload):
+    # the first time or squeeze value succeeds, a later one fails
+    if command == "entropy":
+        cfg = write_config(tmp_path, "e.json", {**payload, "out_dir": str(tmp_path / "out")})
+    else:
+        cfg = small_density_config(tmp_path, **payload)
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # fock / entropy reports
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -208,9 +209,10 @@ def test_hamilton_jacobi_closure_is_exact():
                 + cf.external_coeffs(s, t)
                 + cf.phase_rate_coeffs(s, t)
             )
-            scale = max(abs(c) for c in (cf.bohm_coeffs(s, t).quad, cf.bohm_coeffs(s, t).const, 1.0))
-            assert abs(total.quad) < 1e-12 * scale
-            assert abs(total.cross) < 1e-12 * scale
+            bohm = cf.bohm_coeffs(s, t)
+            scale = max(abs(c) for c in ((bohm.c_u + bohm.c_v) / 2, bohm.const, 1.0))
+            assert abs(total.c_u) < 1e-12 * scale
+            assert abs(total.c_v) < 1e-12 * scale
             assert abs(total.const) < 1e-12 * scale
 
 
@@ -264,8 +266,8 @@ def test_variant_differs_from_closure_by_bohm_multiple():
         for t in [0.0, 0.4, 1.3]:
             diff = cf.external_variant_coeffs(s, t) - cf.external_coeffs(s, t)
             vb = cf.bohm_coeffs(s, t).scaled(2 * s.m + 1)
-            assert diff.quad == pytest.approx(vb.quad, rel=1e-12)
-            assert diff.cross == pytest.approx(vb.cross, rel=1e-12, abs=1e-15)
+            assert diff.c_u == pytest.approx(vb.c_u, rel=1e-12)
+            assert diff.c_v == pytest.approx(vb.c_v, rel=1e-12, abs=1e-15)
             assert diff.const == pytest.approx(vb.const, rel=1e-12)
 
 
@@ -275,6 +277,31 @@ def test_external_value_at_origin():
         nu = s.nu.value(t)
         expected = -math.exp(-2 * s.r * nu) * math.cosh(2 * nu) / s.m - s.mu.d1(t)
         assert cf.external_potential(s, 0.0, 0.0, t) == pytest.approx(expected, rel=1e-13)
+
+
+def test_quadform_is_held_by_mode_coefficients():
+    assert [f.name for f in dataclasses.fields(cf.QuadForm)] == ["c_u", "c_v", "const"]
+    # ln A is one exponential per mode: -exp(-2 (r +- 1) nu)/2
+    s = generic()
+    nu = s.nu.value(1.1)
+    form = cf.log_amplitude_coeffs(s, 1.1)
+    assert form.c_u == pytest.approx(-math.exp(-2 * (s.r + 1) * nu) / 2, rel=1e-15)
+    assert form.c_v == pytest.approx(-math.exp(-2 * (s.r - 1) * nu) / 2, rel=1e-15)
+
+
+def test_quadform_cartesian_calls_rotate_to_modes():
+    # a quadratic form's central differences are exact up to rounding
+    form = cf.QuadForm(c_u=0.7, c_v=-1.9, const=0.3)
+    rng = np.random.default_rng(3)
+    h = 1e-3
+    for x, y in rng.uniform(-2, 2, size=(10, 2)):
+        u, v = (x + y) / math.sqrt(2), (x - y) / math.sqrt(2)
+        assert form(x, y) == pytest.approx(0.7 * u * u - 1.9 * v * v + 0.3, rel=1e-14, abs=1e-14)
+        g_x, g_y = form.grad(x, y)
+        assert g_x == pytest.approx((form(x + h, y) - form(x - h, y)) / (2 * h), abs=1e-9)
+        assert g_y == pytest.approx((form(x, y + h) - form(x, y - h)) / (2 * h), abs=1e-9)
+        lap = (form(x + h, y) + form(x - h, y) + form(x, y + h) + form(x, y - h) - 4 * form(x, y)) / h**2
+        assert form.laplacian == pytest.approx(lap, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

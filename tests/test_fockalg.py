@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,17 @@ def test_closed_form_at_large_squeeze():
     f = fa.disentangle_closed_form(800.0)
     assert (f.f1, f.f2, f.f3) == (1.0, -(800.0 - math.log(2.0)), -1.0)
     assert fa.disentangle_closed_form(-20.5).f2 == pytest.approx(-math.log(math.cosh(20.5)), rel=1e-15)
+
+
+def test_factored_route_silent_at_overflowing_squeeze():
+    # f2 * number overflows to -inf at nu = 1e308; the middle factor's limit
+    # is 0 off the number-0 states, which nu = 1e300 reaches without overflow
+    spec = fa.FockSpaceSpec(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        limit = fa.two_mode_squeeze_factored(1e308, spec)
+        reference = fa.two_mode_squeeze_factored(1e300, spec)
+    np.testing.assert_array_equal(limit.entries, reference.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,20 @@ def test_diagonal_moments_match_cartesian_route():
     assert vm_r == pytest.approx(vm_c, rel=1e-7)
 
 
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_diagonal_moments_exact_to_half_nu_limit(r):
+    # ln A on the mode axes has no cancelling terms, so the moments stay
+    # exact up to |nu| = NU_LIMIT / 2, fig2's nu = 9 and nu = 12 included
+    for nu in [*np.linspace(-cf.NU_LIMIT / 2, cf.NU_LIMIT / 2, 21), 9.0, 12.0]:
+        s = Scenario(m=1.0, r=r, nu=TimePolynomial([0, float(nu)]), mu=TimePolynomial([0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm, vp, vm = verify.diagonal_moments(s, 1.0)
+        assert norm == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert vp == pytest.approx(math.exp(2 * (r + 1) * nu) / 2, rel=1e-12, abs=0)
+        assert vm == pytest.approx(math.exp(2 * (r - 1) * nu) / 2, rel=1e-12, abs=0)
+
+
 def test_variance_law_negative_squeeze():
     # with nu < 0 the anti-diagonal mode is the squeezed one
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, -1]), mu=TimePolynomial([0]))
