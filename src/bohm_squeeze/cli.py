@@ -265,8 +265,12 @@ def run_density(cfg: RunConfig) -> list[Path]:
     return paths
 
 
-def run_verify(cfg: RunConfig) -> tuple[Path, bool]:
-    """Residual, normalization and relative variance report; False on any violation."""
+def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
+    """Residual, normalization and relative variance report, and one line per failing check.
+
+    Each line names the check, the time, the value and its limit; the
+    list is empty when every check passes.
+    """
     s = cfg.scenario
     res_tol = cfg.tolerance("residual_max")
     hj_tol = cfg.tolerance("hj_max")
@@ -293,33 +297,35 @@ def run_verify(cfg: RunConfig) -> tuple[Path, bool]:
 
     entries = _run_tasks(one, [(t,) for t in cfg.times])
 
-    ok = True
+    failures = []
+
+    def check(name: str, t: float, value: float, limit: float) -> None:
+        if value > limit:
+            failures.append(f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {limit:.3e}")
+
     for entry in entries:
+        t = entry["t"]
         for rep in entry["reports"]:
             limit = hj_tol if rep["equation"] == "hamilton_jacobi" else res_tol
-            if rep["max_abs_residual"] > limit:
-                ok = False
-        if abs(entry["normalization"] - 1.0) > cfg.tolerance("normalization"):
-            ok = False
+            check(rep["equation"], t, rep["max_abs_residual"], limit)
+        check("normalization", t, abs(entry["normalization"] - 1.0), cfg.tolerance("normalization"))
         expected = entry["var_minus_expected"]
-        if abs(entry["var_minus"] - expected) > cfg.tolerance("variance") * expected:
-            ok = False
+        check("variance", t, abs(entry["var_minus"] - expected) / expected, cfg.tolerance("variance"))
         expected = entry["variance_product_expected"]
         product = entry["var_plus"] * entry["var_minus"]
-        if abs(product - expected) > cfg.tolerance("variance_product") * expected:
-            ok = False
+        check("variance_product", t, abs(product - expected) / expected, cfg.tolerance("variance_product"))
 
     payload = {
         "scenario": s.to_json(),
         "v_source": cfg.v_source,
         "tolerances": {k: cfg.tolerance(k) for k in DEFAULT_TOLERANCES},
         "results": entries,
-        "pass": ok,
+        "pass": not failures,
     }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.out_dir / "residuals.json"
     _write_json(out, payload)
-    return out, ok
+    return out, failures
 
 
 def run_fock(
@@ -403,8 +409,19 @@ def run_entropy(nu_values: Sequence[float], out_dir: Path, *, terms: int = 600) 
 # argument parsing / entry point
 
 
+class _UsageError(Exception):
+    """A command-line argument error, reported by ``main`` as exit code 1."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser that hands errors to ``main`` instead of exiting with status 2."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bohm-squeeze",
         description="Sample and verify engineered two-mode squeezed vacuum-like states.",
     )
@@ -424,7 +441,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         unused = [
             f"--{flag.replace('_', '-')}" for flag in UNUSED_FLAGS[args.command] if getattr(args, flag) is not None
@@ -441,12 +462,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 for p in paths:
                     print(p)
                 return EXIT_OK
-            out, ok = run_verify(cfg)
+            out, failures = run_verify(cfg)
             print(out)
-            if not ok:
-                print("tolerance violation; see report", file=sys.stderr)
-                return EXIT_TOLERANCE
-            return EXIT_OK
+            for line in failures:
+                print(line, file=sys.stderr)
+            return EXIT_TOLERANCE if failures else EXIT_OK
 
         raw = _read_json_object(args.config)
         out_dir = Path(args.out) if args.out else Path(raw.get("out_dir", "out"))

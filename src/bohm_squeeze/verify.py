@@ -316,6 +316,14 @@ DIAGONAL_COVERAGE = 8.0
 DIAGONAL_POINTS = 2001
 
 
+def _mode_moments(c: float, sigma: float) -> tuple[float, float]:
+    """1-D Simpson integrals of exp(2 c w^2) and w^2 exp(2 c w^2) over +-coverage sigma."""
+    ws = np.linspace(-DIAGONAL_COVERAGE * sigma, DIAGONAL_COVERAGE * sigma, DIAGONAL_POINTS)
+    weights = simpson_weights(DIAGONAL_POINTS) * (ws[1] - ws[0])
+    m0, m2 = np.vecdot(np.stack([weights, weights * ws * ws]), np.exp(2.0 * c * ws * ws))
+    return float(m0), float(m2)
+
+
 def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
     """(norm, var_plus, var_minus) by Simpson in rotated coordinates.
 
@@ -325,13 +333,16 @@ def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
     strongly squeezed states whose cartesian bounding box is astronomically
     larger than their support.  ln A comes from its mode coefficients on
     the mode axes, so nothing cancels at any squeeze.
+
+    The density is exp(2 c_u u^2) exp(2 c_v v^2) e^(2 const) and the tensor
+    Simpson weights are products, so each 2-D Simpson sum on the
+    DIAGONAL_POINTS^2 nodes is exactly a product of two 1-D sums: O(n) work.
     """
+    form = log_amplitude_coeffs(s, t)
     sigma_u, sigma_v = spread_sigmas(s, t)
-    us = np.linspace(-DIAGONAL_COVERAGE * sigma_u, DIAGONAL_COVERAGE * sigma_u, DIAGONAL_POINTS)
-    vs = np.linspace(-DIAGONAL_COVERAGE * sigma_v, DIAGONAL_COVERAGE * sigma_v, DIAGONAL_POINTS)
-    rho = np.exp(2.0 * log_amplitude_coeffs(s, t).modes(us[:, None], vs[None, :]))
-    total, uu, vv, _ = _simpson_moments(rho, us, vs)
-    return total, uu / total, vv / total
+    u0, u2 = _mode_moments(form.c_u, sigma_u)
+    v0, v2 = _mode_moments(form.c_v, sigma_v)
+    return u0 * v0 * math.exp(2.0 * form.const), u2 / u0, v2 / v0
 
 
 # ---------------------------------------------------------------------------
@@ -378,22 +389,54 @@ def _stencil_error_model(s: Scenario, t: float, half: float, n: int) -> float:
     return max(e_schrod, e_bohm, e_cont)
 
 
+# the grid chooser stops at the bracket width 48 bisection steps of [0.05, 6]
+# reach, and takes at most this many secant steps
+GRID_HALF_TOL = (6.0 - 0.05) / 2**48
+GRID_SECANT_STEPS = 18
+
+
 def residual_grid(s: Scenario, t: float, n: int = 201, target: float = 2e-5) -> GridSpec2D:
     """Largest square grid whose predicted stencil error stays at ``target``.
 
-    Bisects the half extent in [0.05, 6]; the model error grows
+    Searches the half extent in [0.05, 6] by regula falsi with the Illinois
+    modification: secant steps on ln(model / target) against ln(half),
+    where the model is close to a power law.  The model error grows
     monotonically with extent at fixed n (larger h and larger fourth
-    derivatives), so bisection is safe.
+    derivatives), so the bracket always holds the largest feasible extent.
+    Each step lands at least GRID_HALF_TOL / 2 inside the bracket, so once
+    the secant has converged the next step closes the bracket to
+    GRID_HALF_TOL (about ten model calls in all).  The returned extent is
+    always the feasible end of the bracket.
     """
+    if not target > 0.0:
+        raise ValueError(f"stencil-error target must be positive, got {target!r}")
     lo, hi = 0.05, 6.0
-    if _stencil_error_model(s, t, hi, n) <= target:
+
+    def excess(half: float) -> float:
+        return math.log(_stencil_error_model(s, t, half, n) / target)
+
+    f_hi = excess(hi)
+    if f_hi <= 0.0:
         return GridSpec2D.square(hi, n)
-    if _stencil_error_model(s, t, lo, n) > target:
+    f_lo = excess(lo)
+    if f_lo > 0.0:
         raise ValueError(f"no feasible extent at n = {n} for t = {t:g}; raise n or target")
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if _stencil_error_model(s, t, mid, n) <= target:
-            lo = mid
+    kept = 0  # +1 after hi was kept, -1 after lo was kept
+    for _ in range(GRID_SECANT_STEPS):
+        if hi - lo <= GRID_HALF_TOL:
+            break
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        mid = math.exp(x_lo - f_lo * (x_hi - x_lo) / (f_hi - f_lo))
+        mid = min(max(mid, lo + GRID_HALF_TOL / 2), hi - GRID_HALF_TOL / 2)
+        f_mid = excess(mid)
+        if f_mid <= 0.0:
+            lo, f_lo = mid, f_mid
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
+            hi, f_hi = mid, f_mid
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
     return GridSpec2D.square(lo, n)

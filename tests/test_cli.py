@@ -150,8 +150,8 @@ def test_density_parallel_matches_serial(tmp_path):
 
 def test_verify_passes_for_example1(tmp_path):
     cfg = cli.load_config(small_density_config(tmp_path, grid="auto", times=[0.25, 0.5]))
-    out, ok = cli.run_verify(cfg)
-    assert ok
+    out, failures = cli.run_verify(cfg)
+    assert failures == []
     payload = json.loads(out.read_text())
     assert payload["pass"] is True
     assert {r["equation"] for r in payload["results"][0]["reports"]} == {
@@ -178,8 +178,8 @@ def test_verify_example2_config():
 
 def test_verify_flags_variant_source(tmp_path):
     cfg = cli.load_config(small_density_config(tmp_path, grid="auto", times=[0.5], v_source="variant"))
-    out, ok = cli.run_verify(cfg)
-    assert not ok
+    out, failures = cli.run_verify(cfg)
+    assert failures
     payload = json.loads(out.read_text())
     hj = [r for r in payload["results"][0]["reports"] if r["equation"] == "hamilton_jacobi"][0]
     assert hj["max_abs_residual"] > 1.0
@@ -253,6 +253,16 @@ def test_failed_run_leaves_no_output(tmp_path, capsys, command, payload):
         cfg = small_density_config(tmp_path, **payload)
     assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_without_feasible_grid_is_usage_error(tmp_path, capsys):
+    # fig1's scenario at t = 2: even the smallest extent misses the
+    # stencil-error target on 201 points
+    cfg = small_density_config(tmp_path, times=[1.0, 2.0], grid="auto")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no feasible extent at n = 201 for t = 2" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -352,6 +362,68 @@ def test_main_verify_tolerance_violation(tmp_path, capsys):
     cfg_path = small_density_config(tmp_path, grid="auto", times=[0.5], v_source="variant")
     assert cli.main(["verify", "--config", str(cfg_path)]) == cli.EXIT_TOLERANCE
     assert "tolerance violation" in capsys.readouterr().err
+
+
+def test_main_verify_names_each_failing_check(tmp_path, capsys):
+    # the variant potential breaks exactly the two checks that use V, at
+    # every time; each gets one stderr line with its value and limit
+    cfg_path = small_density_config(tmp_path, grid="auto", times=[0.25, 0.5], v_source="variant")
+    assert cli.main(["verify", "--config", str(cfg_path)]) == cli.EXIT_TOLERANCE
+    lines = capsys.readouterr().err.splitlines()
+    report = json.loads((tmp_path / "out" / "residuals.json").read_text())
+    expected = []
+    for entry in report["results"]:
+        for rep in entry["reports"]:
+            limit = report["tolerances"]["hj_max" if rep["equation"] == "hamilton_jacobi" else "residual_max"]
+            if rep["max_abs_residual"] > limit:
+                expected.append(
+                    f"tolerance violation: {rep['equation']} at t = {entry['t']:g}: "
+                    f"{rep['max_abs_residual']:.3e} > {limit:.3e}"
+                )
+    assert len(expected) == 4 and {line.split()[2] for line in expected} == {"schrodinger", "hamilton_jacobi"}
+    assert lines == expected
+    # the report gains no key
+    assert set(report) == {"scenario", "v_source", "tolerances", "results", "pass"}
+    assert set(report["results"][0]) == {
+        "t", "reports", "normalization", "var_plus", "var_minus", "var_minus_expected", "variance_product_expected",
+    }
+
+
+def test_main_verify_names_failing_moment_checks(tmp_path, capsys):
+    cfg_path = small_density_config(
+        tmp_path, grid="auto", times=[0.5], tolerances={"normalization": 1e-300, "variance_product": 1e-300}
+    )
+    assert cli.main(["verify", "--config", str(cfg_path)]) == cli.EXIT_TOLERANCE
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1].strip() for line in lines] == ["normalization at t = 0.5", "variance_product at t = 0.5"]
+    assert all(line.endswith("> 1.000e-300") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--config", str(CONFIG_DIR / "verify_example1.json"), "--tol", "abc"], "invalid float value"),
+        (["verify"], "required: --config"),
+        (["bogus", "--config", str(CONFIG_DIR / "verify_example1.json")], "invalid choice: 'bogus'"),
+        ([], "required: command"),
+    ],
+    ids=["tol-abc", "missing-config", "unknown-subcommand", "no-subcommand"],
+)
+def test_main_argument_errors_are_usage_errors(capsys, argv, message):
+    # returned, not raised as argparse's SystemExit(2), which would read as
+    # a tolerance violation
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("usage error:") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_main_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: bohm-squeeze" in capsys.readouterr().out
 
 
 def test_main_verify_ok(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -277,6 +278,39 @@ def test_diagonal_moments_exact_to_half_nu_limit(r):
         assert vm == pytest.approx(math.exp(2 * (r - 1) * nu) / 2, rel=1e-12, abs=0)
 
 
+def diagonal_moments_2d(s, t):
+    # reference: the 2-D Simpson sums over the full DIAGONAL_POINTS^2 density
+    # on the same nodes, which the mode-factored routine replaces
+    sigma_u, sigma_v = cf.spread_sigmas(s, t)
+    c, n = verify.DIAGONAL_COVERAGE, verify.DIAGONAL_POINTS
+    us = np.linspace(-c * sigma_u, c * sigma_u, n)
+    vs = np.linspace(-c * sigma_v, c * sigma_v, n)
+    rho = np.exp(2.0 * cf.log_amplitude_coeffs(s, t).modes(us[:, None], vs[None, :]))
+    total, uu, vv, _ = verify._simpson_moments(rho, us, vs)
+    return total, uu / total, vv / total
+
+
+@pytest.mark.parametrize("nu", [0.25, 1.0, 9.0, 25.0])
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_diagonal_moments_equal_2d_simpson_sums(r, nu):
+    s = Scenario(m=1.0, r=r, nu=TimePolynomial([0, nu]), mu=TimePolynomial([0]))
+    for got, ref in zip(verify.diagonal_moments(s, 1.0), diagonal_moments_2d(s, 1.0)):
+        assert got == pytest.approx(ref, rel=1e-14, abs=0)
+
+
+def test_diagonal_moments_build_no_2d_array():
+    # the 2001^2 density the factored sums replace took 32 MB
+    s = example2()
+    verify.diagonal_moments(s, 1.0)
+    tracemalloc.start()
+    try:
+        verify.diagonal_moments(s, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_variance_law_negative_squeeze():
     # with nu < 0 the anti-diagonal mode is the squeezed one
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, -1]), mu=TimePolynomial([0]))
@@ -315,3 +349,96 @@ def test_residual_grid_caps_extent():
     s = example1()
     grid = verify.residual_grid(s, 1e-3, n=401, target=1e-3)
     assert grid.x_max <= 6.0
+
+
+# the bracket width 48 bisection steps of [0.05, 6] reach
+BISECTION_WIDTH = (6.0 - 0.05) / 2**48
+
+
+def residual_grid_bisection(s, t, n=201, target=2e-5):
+    # reference: the 48-step bisection the secant search replaced
+    lo, hi = 0.05, 6.0
+    if verify._stencil_error_model(s, t, hi, n) <= target:
+        return hi
+    if verify._stencil_error_model(s, t, lo, n) > target:
+        raise ValueError("no feasible extent")
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        if verify._stencil_error_model(s, t, mid, n) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# fig1's and fig2's scenarios (examples 1 and 2) at the verify configs'
+# times and at the figures' own times that have a feasible grid
+@pytest.mark.parametrize("n", [101, 201])
+@pytest.mark.parametrize(
+    "scenario_fn,t",
+    [(example1, t) for t in (0.25, 0.5, 1.0, 0.0)] + [(example2, t) for t in (0.25, 0.5, 1.0, 0.0, 2.0, 3.0)],
+)
+def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
+    s = scenario_fn()
+    model = verify._stencil_error_model
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return model(*args)
+
+    monkeypatch.setattr(verify, "_stencil_error_model", counted)
+    half = verify.residual_grid(s, t, n=n).x_max
+    monkeypatch.undo()
+    assert len(calls) <= 20
+    assert abs(half - residual_grid_bisection(s, t, n=n)) <= BISECTION_WIDTH
+    # the bracket closed: the returned extent is feasible, one width more is not
+    assert model(s, t, half, n) <= 2e-5 < model(s, t, half + BISECTION_WIDTH, n)
+
+
+@pytest.mark.parametrize("root", [0.3, 1.2345, 5.0])
+def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
+    # on an exact power law the first secant step lands on the largest
+    # feasible extent itself, up to rounding; the search must still close
+    # its bracket rather than creep toward the root
+    def power_law(s, t, half, n):
+        return 2e-5 * (half / root) ** 4
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return power_law(*args)
+
+    monkeypatch.setattr(verify, "_stencil_error_model", counted)
+    half = verify.residual_grid(example1(), 0.5).x_max
+    assert len(calls) <= 6
+    assert power_law(None, None, half, None) <= 2e-5 < power_law(None, None, half + BISECTION_WIDTH, None)
+    assert abs(half - root) <= BISECTION_WIDTH
+
+
+def test_residual_grid_feasible_upper_end_is_exact():
+    s = example1()
+    edge = verify._stencil_error_model(s, 0.0, 6.0, 201)
+    assert verify.residual_grid(s, 0.0, target=edge).x_max == 6.0
+    below = verify.residual_grid(s, 0.0, target=np.nextafter(edge, 0.0)).x_max
+    assert below < 6.0
+    assert verify._stencil_error_model(s, 0.0, below, 201) <= np.nextafter(edge, 0.0)
+
+
+def test_residual_grid_infeasible_lower_end_raises():
+    # fig1's scenario at t = 2: the smallest extent already misses the target
+    s = example1()
+    with pytest.raises(ValueError, match="no feasible extent at n = 201 for t = 2"):
+        verify.residual_grid(s, 2.0)
+    edge = verify._stencil_error_model(s, 2.0, 0.05, 201)
+    assert verify.residual_grid(s, 2.0, target=edge).x_max == pytest.approx(0.05, rel=0, abs=BISECTION_WIDTH)
+    with pytest.raises(ValueError, match="no feasible extent"):
+        verify.residual_grid(s, 2.0, target=np.nextafter(edge, 0.0))
+
+
+@pytest.mark.parametrize("target", [0.0, -1e-5, float("nan")])
+def test_residual_grid_rejects_non_positive_target(target):
+    # the search works on ln(model / target)
+    with pytest.raises(ValueError, match="target must be positive"):
+        verify.residual_grid(example1(), 0.5, target=target)
