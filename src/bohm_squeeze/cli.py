@@ -10,7 +10,8 @@ entropy   summed vs closed-form entanglement entropy        -> entropy.csv
 Exit codes: 0 success, 1 usage/config error, 2 tolerance violation,
 3 I/O failure.  Output is deterministic: fixed float formatting, sorted
 JSON keys, no timestamps.  BOHM_SQUEEZE_THREADS caps the worker pool used
-for independent per-time tasks (0 or unset picks a small default).
+for independent per-time tasks (0 or unset picks a small default; any
+other value that is not a non-negative integer is a config error).
 """
 
 from __future__ import annotations
@@ -201,12 +202,15 @@ def load_config(path: str | Path, *, out_override: str | None = None, grid_n: in
 
 
 def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("BOHM_SQUEEZE_THREADS", "0")
+    """Pool size for n_tasks: BOHM_SQUEEZE_THREADS caps it, 0, empty or unset picks the default."""
+    raw = os.environ.get("BOHM_SQUEEZE_THREADS") or "0"
     try:
         cap = int(raw)
     except ValueError:
-        cap = 0
-    if cap <= 0:
+        cap = -1
+    if cap < 0:
+        raise ConfigError(f"BOHM_SQUEEZE_THREADS must be a non-negative integer, got {raw!r}")
+    if cap == 0:
         cap = min(4, os.cpu_count() or 1)
     return max(1, min(cap, n_tasks))
 

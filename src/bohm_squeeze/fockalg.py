@@ -1,24 +1,27 @@
 """Truncated two-mode Fock-space operator algebra, stored by sectors.
 
 A finite-dimensional oracle for the operator identities behind the
-engineered amplitude: a scaling-and-squaring matrix exponential, the
-pair-creation squeeze exp[nu (a+ b+ - a b)] both directly and in the
-normally-ordered factored form
+engineered amplitude: the pair-creation squeeze exp[nu (a+ b+ - a b)]
+both directly and in the normally-ordered factored form
 
     exp(f1 a+ b+) exp(f2 (a a+ + b+ b)) exp(f3 a b),
     f1 = tanh nu, f2 = -ln cosh nu, f3 = -tanh nu,
 
 plus a Runge-Kutta oracle for the function system defining (f1, f2, f3).
+Only the direct route is exponentiated, by scaling-and-squaring Taylor
+series; the factored route is built from closed-form elements (its outer
+factors are terminating series, its middle one diagonal), so the two
+routes share no algorithm.
 
 Sector structure: every generator here changes n_a and n_b together
 (a+ b+, a b) or not at all (a a+, b+ b), so it conserves d = n_a - n_b.
 On the truncated space n_a, n_b <= n_max each operator is therefore
 block-diagonal in the 2 n_max + 1 sectors d = -n_max .. n_max, and sector
 d holds the n_max + 1 - |d| states |j + max(d, 0), j + max(-d, 0)>,
-j = min(n_a, n_b).  Operators are built and exponentiated sector by
-sector and never assembled as (n_max + 1)^2-square matrices.  One
-operator takes (2 n_max + 1)(n_max + 1)^2 doubles; ``N_MAX_LIMIT`` keeps
-that within 64 MiB.
+j = min(n_a, n_b).  Operators are built sector by sector and never
+assembled as (n_max + 1)^2-square matrices.  One operator takes
+(2 n_max + 1)(n_max + 1)^2 doubles; ``N_MAX_LIMIT`` keeps that within
+64 MiB.
 
 Truncation note: the squeeze generator pumps occupation upward, so rows
 and columns near the truncation edge of the *direct* exponential are
@@ -160,20 +163,49 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
     return FockOperator(spec, _expm_array(generator))
 
 
+def _pair_exponential(f: float, n_max: int) -> np.ndarray:
+    """exp(f a+ b+) per sector, from its closed-form elements.
+
+    a+ b+ raises position j to j + 1 within a sector, so the series
+    terminates and the exponential is lower-triangular with
+
+        <j + k| exp(f a+ b+) |j> = f^k / k! sqrt((n_a + k)! (n_b + k)! / (n_a! n_b!))
+
+    at (n_a, n_b) of position j (Truax 1985).  Each sub-diagonal k follows
+    from sub-diagonal k - 1 by one factor f sqrt(n_a n_b) / k, read at the
+    row, so every element is a product of k roundings.  f = 0 gives the
+    identity exactly, and padding rows and columns hold the identity.
+    """
+    n_a, n_b, present = _sector_levels(n_max)
+    out = np.zeros((2 * n_max + 1, n_max + 1, n_max + 1))
+    j = np.arange(n_max + 1)
+    out[:, j, j] = 1.0
+    # <j| a+ b+ |j - 1> at position j; 0 on padding, so no path leaves the sector
+    raise_into = np.where(present, np.sqrt(n_a * n_b), 0.0)
+    column = np.ones(out.shape[:2])
+    for k in range(1, n_max + 1):
+        column = column[:, :-1] * raise_into[:, k:] / k * f
+        out[:, j[k:], j[:-k]] = column
+    return out
+
+
 def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec) -> FockOperator:
     """Factored form exp(f1 a+ b+) exp(f2 (a a+ + b+ b)) exp(f3 a b).
 
-    The middle generator is diagonal and is the literal product a a+ (not
+    Every factor is built from closed-form elements, with no matrix
+    exponential: the raising factor by ``_pair_exponential``, the lowering
+    factor as the transpose of that at f3, and the diagonal middle factor
+    elementwise.  Only the direct route is exponentiated, so the two stay
+    independent.  The middle generator is the literal product a a+ (not
     a+ a + 1): on the truncated space the two differ only at the top level
     n_a = n_max, where a a+ is 0, and the discrepancy never reaches
     interior blocks because the middle factor is diagonal.
     """
     f = disentangle_closed_form(nu)
-    pairs = _pair_creation(spec)
     n_a, n_b, present = _sector_levels(spec.n_max)
     number = np.where(present, np.where(n_a < spec.n_max, n_a + 1, 0) + n_b, 0)
-    raising = _expm_array(f.f1 * pairs)
-    lowering = _expm_array(f.f3 * pairs.swapaxes(1, 2))
+    raising = _pair_exponential(f.f1, spec.n_max)
+    lowering = _pair_exponential(f.f3, spec.n_max).swapaxes(1, 2)
     with np.errstate(over="ignore"):  # f2 * number is -inf near |nu| ~ 1e308, where the factor tends to 0
         middle = np.exp(f.f2 * number)
     return FockOperator(spec, raising @ (middle[:, :, None] * lowering))
@@ -230,35 +262,50 @@ def disentangle_ode_oracle(nu_end: float, steps: int, *, local_tol: float = 1e-9
     are triangular in the derivatives; solving them once gives the explicit
     system f3' = -e^{2 f2}, f2' = -f1, f1' = 1 - f1^2 integrated here with
     classical RK4.  Each step is checked against two half steps; the step
-    count must keep that estimate below ``local_tol``.
+    count must keep that estimate below ``local_tol``.  The full step and
+    the first half step share their start-point stage, so a step costs 11
+    evaluations of the right-hand side, not 12.
     """
     if steps < 100:
         raise ValueError("need at least 100 integration steps")
-
-    def rhs(f1: float, f2: float, f3: float) -> tuple[float, float, float]:
-        return 1.0 - f1 * f1, -f1, -math.exp(2.0 * f2)
-
-    def rk4_step(f1: float, f2: float, f3: float, h: float) -> tuple[float, float, float]:
-        a1, a2, a3 = rhs(f1, f2, f3)
-        b1, b2, b3 = rhs(f1 + 0.5 * h * a1, f2 + 0.5 * h * a2, f3 + 0.5 * h * a3)
-        c1, c2, c3 = rhs(f1 + 0.5 * h * b1, f2 + 0.5 * h * b2, f3 + 0.5 * h * b3)
-        d1, d2, d3 = rhs(f1 + h * c1, f2 + h * c2, f3 + h * c3)
-        return (
-            f1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-            f2 + (h / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-            f3 + (h / 6.0) * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-        )
-
     h = nu_end / steps
-    f = (0.0, 0.0, 0.0)
+    f1 = f2 = f3 = 0.0
     for _ in range(steps):
-        full = rk4_step(*f, h)
-        half = rk4_step(*rk4_step(*f, h / 2.0), h / 2.0)
+        # the start-point stage is shared by the full step and the first half step
+        a1 = 1.0 - f1 * f1
+        a3 = -math.exp(2.0 * f2)
+        full = _rk4_step(f1, f2, f3, a1, a3, h)
+        m1, m2, m3 = _rk4_step(f1, f2, f3, a1, a3, h / 2.0)
+        half = _rk4_step(m1, m2, m3, 1.0 - m1 * m1, -math.exp(2.0 * m2), h / 2.0)
         err = max(abs(full[0] - half[0]), abs(full[1] - half[1]), abs(full[2] - half[2]))
         if err > local_tol:
             raise ConvergenceError(
                 f"local error estimate {err:.3e} exceeds {local_tol:.0e}; increase steps"
             )
         # Keep the two-half-step value: one extra order of local accuracy.
-        f = half
-    return DisentangleFunctions(*f)
+        f1, f2, f3 = half
+    return DisentangleFunctions(f1, f2, f3)
+
+
+def _rk4_step(
+    f1: float, f2: float, f3: float, a1: float, a3: float, h: float
+) -> tuple[float, float, float]:
+    """One classical RK4 step of f1' = 1 - f1^2, f2' = -f1, f3' = -e^{2 f2}.
+
+    (a1, a3) is the start-point stage of f1 and f3.  f2 needs no
+    evaluation: its slope at each stage is minus that stage's f1 point,
+    which is subtracted directly.
+    """
+    q = 0.5 * h
+    x1, x2, x3 = f1 + q * a1, f2 - q * f1, f3 + q * a3
+    b1, b3 = 1.0 - x1 * x1, -math.exp(2.0 * x2)
+    y1, y2, y3 = f1 + q * b1, f2 - q * x1, f3 + q * b3
+    c1, c3 = 1.0 - y1 * y1, -math.exp(2.0 * y2)
+    z1, z2, z3 = f1 + h * c1, f2 - h * y1, f3 + h * c3
+    d1, d3 = 1.0 - z1 * z1, -math.exp(2.0 * z2)
+    s = h / 6.0
+    return (
+        f1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+        f2 - s * (f1 + 2.0 * x1 + 2.0 * y1 + z1),
+        f3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+    )

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -142,6 +144,30 @@ def test_density_parallel_matches_serial(tmp_path):
     finally:
         os.environ.pop("BOHM_SQUEEZE_THREADS")
     assert parallel == serial
+
+
+@pytest.mark.parametrize("command", ["density", "verify"])
+@pytest.mark.parametrize("value", ["two", "-1", "1.5"])
+def test_malformed_thread_cap_is_config_error(tmp_path, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("BOHM_SQUEEZE_THREADS", value)
+    cfg = small_density_config(tmp_path, grid="auto", times=[0.25, 0.5])
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: BOHM_SQUEEZE_THREADS must be a non-negative integer, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [None, "", "0"])
+def test_thread_cap_zero_or_unset_keeps_default(monkeypatch, value):
+    if value is None:
+        monkeypatch.delenv("BOHM_SQUEEZE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("BOHM_SQUEEZE_THREADS", value)
+    assert cli._worker_count(8) == min(4, os.cpu_count() or 1)
+    assert cli._worker_count(1) == 1
+    monkeypatch.setenv("BOHM_SQUEEZE_THREADS", "3")
+    assert cli._worker_count(8) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +366,23 @@ def test_fock_overflowing_squeeze_reports_error(tmp_path, capsys):
     alone = json.loads(cli.run_fock([0.5], 4, tmp_path / "alone").read_text())["entries"]
     assert entries[0] == alone[0]
     assert "1-norm" in entries[1]["error"]
+
+
+def test_fock_imports_no_scipy(tmp_path):
+    # scipy is a test-only reference; importing it would add about 20 MiB
+    # to the resident size of every fock run
+    script = (
+        "import sys\n"
+        "from bohm_squeeze import cli\n"
+        f"code = cli.main(['fock', '--config', {str(CONFIG_DIR / 'fock.json')!r}, '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "fock_report.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -39,14 +39,18 @@ def dense_index(n_max: int, n_a: int, n_b: int) -> int:
     return n_a * (n_max + 1) + n_b
 
 
+def sector_states(n_max: int, d: int) -> list[int]:
+    """Dense indices of sector d's states, by position j = min(n_a, n_b)."""
+    return [dense_index(n_max, j + max(d, 0), j + max(-d, 0)) for j in range(n_max + 1 - abs(d))]
+
+
 def to_dense(op: fa.FockOperator) -> np.ndarray:
     """Assemble sector storage into the dense |n_a, n_b> matrix, zero between sectors."""
     n_max = op.spec.n_max
     out = np.zeros(((n_max + 1) ** 2,) * 2)
     for d in range(-n_max, n_max + 1):
-        size = n_max + 1 - abs(d)
-        idx = [dense_index(n_max, j + max(d, 0), j + max(-d, 0)) for j in range(size)]
-        out[np.ix_(idx, idx)] = op.entries[d + n_max, :size, :size]
+        idx = sector_states(n_max, d)
+        out[np.ix_(idx, idx)] = op.entries[d + n_max, : len(idx), : len(idx)]
     return out
 
 
@@ -97,6 +101,55 @@ def test_sector_operators_match_dense_reference(n_max):
         f = fa.disentangle_closed_form(nu)
         factored = scipy_expm(f.f1 * ad @ bd) @ scipy_expm(f.f2 * (a @ ad + bd @ b)) @ scipy_expm(f.f3 * a @ b)
         np.testing.assert_allclose(to_dense(fa.two_mode_squeeze_factored(nu, spec)), factored, rtol=0, atol=1e-13)
+
+
+PAIR_FACTORS = [0.0, 0.25, -0.25, math.tanh(1.0), -math.tanh(1.0), 1.0, -1.0]
+
+
+@pytest.mark.parametrize("n_max", [*range(1, 9), 24, 40])
+def test_pair_exponential_matches_dense_sector_blocks(n_max):
+    # closed-form elements against scipy's exponential of each dense sector
+    # block of f a+ b+; padding rows and columns hold the identity
+    a, b = dense_ladder(n_max)
+    pairs = a.T @ b.T
+    for f in PAIR_FACTORS:
+        stack = fa._pair_exponential(f, n_max)
+        for d in range(-n_max, n_max + 1):
+            idx = sector_states(n_max, d)
+            size = len(idx)
+            ref = scipy_expm(f * pairs[np.ix_(idx, idx)])
+            block = stack[d + n_max]
+            assert np.abs(block[:size, :size] - ref).max() <= 1e-12 * np.abs(ref).max(), (f, d)
+            np.testing.assert_array_equal(block[size:, :], np.eye(n_max + 1)[size:, :])
+            np.testing.assert_array_equal(block[:, size:], np.eye(n_max + 1)[:, size:])
+
+
+def test_pair_exponential_at_zero_is_identity():
+    for n_max in [1, 24, fa.N_MAX_LIMIT]:
+        identity = np.broadcast_to(np.eye(n_max + 1), (2 * n_max + 1, n_max + 1, n_max + 1))
+        np.testing.assert_array_equal(fa._pair_exponential(0.0, n_max), identity)
+
+
+@pytest.mark.parametrize("f", [1.0, -1.0])
+def test_pair_exponential_at_truncation_limit(f):
+    # largest elements ~ C(320, 160) ~ 1e95: finite and silent; the vacuum
+    # column of sector 0 is <k, k| exp(f a+ b+) |0, 0> = f^k, exactly
+    n_max = fa.N_MAX_LIMIT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = fa._pair_exponential(f, n_max)
+    assert np.all(np.isfinite(stack))
+    np.testing.assert_array_equal(stack[n_max, :, 0], f ** np.arange(n_max + 1))
+
+
+def test_factored_route_needs_no_matrix_exponential(monkeypatch, spec24):
+    expected = fa.two_mode_squeeze_factored(0.5, spec24).entries
+
+    def refuse(m):
+        raise AssertionError("the factored route called _expm_array")
+
+    monkeypatch.setattr(fa, "_expm_array", refuse)
+    np.testing.assert_array_equal(fa.two_mode_squeeze_factored(0.5, spec24).entries, expected)
 
 
 def test_interior_block_matches_dense_sub_matrix():
@@ -302,6 +355,42 @@ def test_ode_negative_direction():
     f = fa.disentangle_ode_oracle(-0.8, steps=500)
     assert f.f1 == pytest.approx(math.tanh(-0.8), abs=1e-9)
     assert f.f2 == pytest.approx(-math.log(math.cosh(0.8)), abs=1e-9)
+
+
+def reference_ode_oracle(nu_end: float, steps: int, local_tol: float = 1e-9) -> tuple[float, float, float]:
+    """RK4 with a right-hand-side call per stage and 12 evaluations a step: the arithmetic the oracle keeps."""
+
+    def rhs(f1, f2, f3):
+        return 1.0 - f1 * f1, -f1, -math.exp(2.0 * f2)
+
+    def rk4_step(f1, f2, f3, h):
+        a1, a2, a3 = rhs(f1, f2, f3)
+        b1, b2, b3 = rhs(f1 + 0.5 * h * a1, f2 + 0.5 * h * a2, f3 + 0.5 * h * a3)
+        c1, c2, c3 = rhs(f1 + 0.5 * h * b1, f2 + 0.5 * h * b2, f3 + 0.5 * h * b3)
+        d1, d2, d3 = rhs(f1 + h * c1, f2 + h * c2, f3 + h * c3)
+        return (
+            f1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            f2 + (h / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            f3 + (h / 6.0) * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+        )
+
+    h = nu_end / steps
+    f = (0.0, 0.0, 0.0)
+    for _ in range(steps):
+        full = rk4_step(*f, h)
+        half = rk4_step(*rk4_step(*f, h / 2.0), h / 2.0)
+        err = max(abs(full[0] - half[0]), abs(full[1] - half[1]), abs(full[2] - half[2]))
+        if err > local_tol:
+            raise fa.ConvergenceError(f"local error estimate {err:.3e} exceeds {local_tol:.0e}")
+        f = half
+    return f
+
+
+@pytest.mark.parametrize("steps", [2000, 500])
+@pytest.mark.parametrize("nu", [0.1, 0.25, 0.5, 0.75, 1.0, -0.8])
+def test_ode_bits_match_per_stage_reference(nu, steps):
+    f = fa.disentangle_ode_oracle(nu, steps=steps)
+    assert (f.f1, f.f2, f.f3) == reference_ode_oracle(nu, steps)
 
 
 def test_ode_step_count_validation():
