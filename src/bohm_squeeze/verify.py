@@ -9,6 +9,14 @@ of the analytic fields, Laplacians by 5-point stencils.  Residuals are
 reported over an interior region excluding a 2-point boundary ring where
 one-sided stencils would degrade the order.
 
+Field sampling: every closed-form field is a function of the mode
+u = (x+y)/sqrt2 plus (or, for A and psi, times) a function of the mode
+v = (x-y)/sqrt2.  On a grid with one spacing on both axes, u and v at
+node (i, j) depend only on i + j and i - j, so each field is a Hankel
+view of a 1-D u-factor combined with a Toeplitz view of a 1-D v-factor
+(``_ModeLattice``): exponentials run on 2 (nx + ny - 1) points, never on
+the nx * ny grid.  The residual checks therefore require hx == hy.
+
 Grid-size guidance: the second-order stencil error scales with the fourth
 spatial derivatives of the fields, which for these Gaussian-times-quadratic
 forms can be computed exactly.  ``residual_grid`` inverts that error model
@@ -25,8 +33,10 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .closedform import (
+    SQRT2,
     GridSpec2D,
     QuadForm,
     ScalarField2D,
@@ -40,7 +50,6 @@ from .closedform import (
     phase_coeffs,
     phase_rate_coeffs,
     spread_sigmas,
-    wavefunction_psi,
 )
 
 __all__ = [
@@ -162,6 +171,63 @@ def _interior(arr: np.ndarray, ring: int = 2) -> np.ndarray:
     return arr[ring:-ring, ring:-ring]
 
 
+class _ModeLattice:
+    """Closed-form fields on a grid of one spacing, from 1-D mode factors.
+
+    With x_i = x_min + i h and y_j = y_min + j h, x_i + y_j depends only on
+    i + j and x_i - y_j only on i - j, so the nodes' (u, v) take
+    nx + ny - 1 values each.  A field f(u) + g(v) (or f(u) g(v)) on the
+    grid is then a Hankel view of f on those u values plus (times) a
+    Toeplitz view of g on the v values; ``sliding_window_view`` gives both
+    without a copy.
+    """
+
+    def __init__(self, grid: GridSpec2D):
+        if not math.isclose(grid.hx, grid.hy, rel_tol=1e-12):
+            raise ValueError(
+                f"residual checks need one grid spacing on both axes, got hx = {grid.hx:.17g} "
+                f"and hy = {grid.hy:.17g}"
+            )
+        n = grid.nx + grid.ny - 1
+        self.ny = grid.ny
+        # x + y at i + j, and x - y at nx - 1 - i + j (descending, so each
+        # Toeplitz row is a contiguous window)
+        self.sums = np.linspace(grid.x_min + grid.y_min, grid.x_max + grid.y_max, n)
+        self.diffs = np.linspace(grid.x_max - grid.y_min, grid.x_min - grid.y_max, n)
+        self.u = self.sums / SQRT2
+        self.v = self.diffs / SQRT2
+
+    def _views(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(nx, ny) views f[i + j] and g[nx - 1 - i + j]."""
+        return sliding_window_view(f, self.ny), sliding_window_view(g, self.ny)[::-1]
+
+    def form(self, q: QuadForm) -> np.ndarray:
+        """q(x, y) on the grid."""
+        f, g = self._views(q.c_u * self.u * self.u + q.const, q.c_v * self.v * self.v)
+        return f + g
+
+    def grad(self, q: QuadForm) -> tuple[np.ndarray, np.ndarray]:
+        """(dq/dx, dq/dy) on the grid, as ``QuadForm.grad``."""
+        f, g = self._views(q.c_u * self.sums, q.c_v * self.diffs)
+        return f + g, f - g
+
+    def exp(self, log_amp: QuadForm, phase: QuadForm | None = None) -> np.ndarray:
+        """exp(log_amp + i phase) on the grid: one exponential per mode.
+
+        The constant of ``log_amp`` is split evenly between the factors.
+        For an amplitude (c_u, c_v <= 0) each factor is then at most
+        e^(const/2), so wherever the product is above the underflow floor
+        1e-300 both factors are normal numbers, as long as const <= 35.
+        """
+        fu = log_amp.c_u * self.u * self.u + 0.5 * log_amp.const
+        fv = log_amp.c_v * self.v * self.v + 0.5 * log_amp.const
+        if phase is not None:
+            fu = fu + 1j * (phase.c_u * self.u * self.u + phase.const)
+            fv = fv + 1j * (phase.c_v * self.v * self.v)
+        f, g = self._views(np.exp(fu), np.exp(fv))
+        return f * g
+
+
 def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-4) -> ResidualReport:
     """Residual of A_t + (S_x A_x + S_y A_y)/m + (S_xx + S_yy) A/(2m) = 0.
 
@@ -171,9 +237,9 @@ def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    x, y = grid.mesh()
-    a_now = amplitude_A(s, x, y, t)
-    a_t = (amplitude_A(s, x, y, t + dt) - amplitude_A(s, x, y, t - dt)) / (2.0 * dt)
+    lattice = _ModeLattice(grid)
+    a_now = lattice.exp(log_amplitude_coeffs(s, t))
+    a_t = (lattice.exp(log_amplitude_coeffs(s, t + dt)) - lattice.exp(log_amplitude_coeffs(s, t - dt))) / (2.0 * dt)
     a_x = np.empty_like(a_now)
     a_y = np.empty_like(a_now)
     a_x[1:-1, :] = (a_now[2:, :] - a_now[:-2, :]) / (2.0 * grid.hx)
@@ -181,7 +247,7 @@ def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-
     a_x[0, :] = a_x[-1, :] = 0.0
     a_y[:, 0] = a_y[:, -1] = 0.0
     sform = phase_coeffs(s, t)
-    s_x, s_y = sform.grad(x, y)
+    s_x, s_y = lattice.grad(sform)
     s_lap = sform.laplacian
     residual = a_t + (s_x * a_x + s_y * a_y) / s.m + s_lap * a_now / (2.0 * s.m)
     return _report("continuity", t, _interior(residual), grid, dt)
@@ -196,9 +262,8 @@ def hamilton_jacobi_residual(
     with ``variant`` it leaves exactly (2m + 1) V_B, which is the point of
     that source.
     """
-    x, y = grid.mesh()
     total = kinetic_coeffs(s, t) + bohm_coeffs(s, t) + external_quadform(s, t, v_source) + phase_rate_coeffs(s, t)
-    residual = total(x, y)
+    residual = _ModeLattice(grid).form(total)
     return _report("hamilton_jacobi", t, residual, grid, dt=0.0)
 
 
@@ -216,27 +281,28 @@ def schrodinger_residual(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    x, y = grid.mesh()
-    p_now = wavefunction_psi(s, x, y, t)
-    p_t = (wavefunction_psi(s, x, y, t + dt) - wavefunction_psi(s, x, y, t - dt)) / (2.0 * dt)
+    lattice = _ModeLattice(grid)
+
+    def psi(at: float) -> np.ndarray:
+        return lattice.exp(log_amplitude_coeffs(s, at), phase_coeffs(s, at))
+
+    p_now = psi(t)
+    p_t = (psi(t + dt) - psi(t - dt)) / (2.0 * dt)
     lap = np.zeros_like(p_now)
     lap[1:-1, 1:-1] = (
         (p_now[2:, 1:-1] - 2.0 * p_now[1:-1, 1:-1] + p_now[:-2, 1:-1]) / grid.hx**2
         + (p_now[1:-1, 2:] - 2.0 * p_now[1:-1, 1:-1] + p_now[1:-1, :-2]) / grid.hy**2
     )
-    v = external_quadform(s, t, v_source)(x, y)
+    v = lattice.form(external_quadform(s, t, v_source))
     residual = 1j * p_t + lap / (2.0 * s.m) - v * p_now
     return _report("schrodinger", t, _interior(residual), grid, dt)
 
 
 def bohm_definition_residual(s: Scenario, t: float, grid: GridSpec2D) -> ResidualReport:
     """Deviation of the stencil Bohm potential from the closed form."""
-    from .closedform import sample_amplitude
-
-    field = sample_amplitude(s, grid, t)
-    fd = bohm_from_amplitude(field, s.m)
-    xi, yi = fd.grid.mesh()
-    closed = bohm_coeffs(s, t)(xi, yi)
+    lattice = _ModeLattice(grid)
+    fd = bohm_from_amplitude(ScalarField2D(grid=grid, t=t, values=lattice.exp(log_amplitude_coeffs(s, t))), s.m)
+    closed = lattice.form(bohm_coeffs(s, t))[1:-1, 1:-1]
     # fd already lost one ring; drop one more for the shared 2-ring policy.
     return _report("bohm_definition", t, _interior(fd.values - closed, ring=1), grid, dt=0.0)
 

@@ -292,6 +292,25 @@ def test_verify_without_feasible_grid_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_accepts_rectangular_grid_of_one_spacing(tmp_path):
+    grid = {"x_min": -6.0, "x_max": 6.0, "y_min": -3.0, "y_max": 3.0, "nx": 601, "ny": 301}
+    cfg = small_density_config(tmp_path, times=[0.0], grid=grid)
+    # at the box corners (|x| = 6) the Bohm-definition stencil error is
+    # 1.8e-2, as on the square +-6 grid, so the residual tolerance is raised
+    assert cli.main(["verify", "--config", str(cfg), "--tol", "0.05"]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "residuals.json").read_text())
+    assert report["pass"] and report["results"][0]["reports"][0]["grid"] == grid
+
+
+def test_verify_rejects_two_spacings(tmp_path, capsys):
+    grid = {"x_min": -3.0, "x_max": 3.0, "y_min": -3.0, "y_max": 3.0, "nx": 41, "ny": 21}
+    cfg = small_density_config(tmp_path, grid=grid)
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("invalid input: residual checks need one grid spacing")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # fock / entropy reports
 

@@ -1,7 +1,9 @@
 import math
 import time
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +240,19 @@ def test_direct_vacuum_column_pair_structure(spec40_direct_nu1):
     assert np.abs(col).max() < 1e-10
 
 
+def test_direct_route_holds_four_operators_at_most():
+    # the generator and, in _expm_array, the scaled copy and two Horner
+    # buffers; without the in-place steps the peak was 6.06 operators here
+    spec = fa.FockSpaceSpec(40)
+    tracemalloc.start()
+    try:
+        op = fa.two_mode_squeeze_direct(0.5, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * op.entries.nbytes
+
+
 def test_direct_is_orthogonal_on_interior(spec24):
     op = fa.two_mode_squeeze_direct(0.5, spec24)
     prod = op.entries.swapaxes(1, 2) @ op.entries
@@ -303,6 +318,35 @@ def test_fixed_truncation_distance_grows_with_squeeze(spec24):
     assert distances[0.1] < 1e-8
     assert distances[0.5] > 1e-5
     assert distances[1.0] > 1e-2
+
+# the factored route's sector-0 diagonal stays within this many eps of the
+# exact value of its own product, times the product's largest term (at most
+# 25 measured for nu in {0.5, 1} and levels up to 80)
+FACTORED_ROUNDING_MULTIPLE = 64
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+@pytest.mark.parametrize("level", [40, 80])
+def test_factored_rounding_is_set_by_largest_term(nu, level):
+    # element (i, i) of sector 0 is sum_k C(i, k)^2 (f1 f3)^(i-k) e^(f2 (2k+1))
+    # with the float f1, f2, f3; sum it in 60 digits with n_max = level + 1
+    spec = fa.FockSpaceSpec(level + 1)
+    diagonal = np.diagonal(fa.two_mode_squeeze_factored(nu, spec).entries[spec.n_max])
+    f = fa.disentangle_closed_form(nu)
+    with mpmath.workdps(60):
+        pair, f2 = mpmath.mpf(f.f1) * mpmath.mpf(f.f3), mpmath.mpf(f.f2)
+        for i in range(level + 1):
+            terms = [mpmath.binomial(i, k) ** 2 * pair ** (i - k) * mpmath.exp(f2 * (2 * k + 1)) for k in range(i + 1)]
+            largest = max(abs(term) for term in terms)
+            error = abs(mpmath.mpf(diagonal[i]) - mpmath.fsum(terms))
+            assert error <= FACTORED_ROUNDING_MULTIPLE * np.finfo(float).eps * largest
+    if nu == 0.5:
+        # the module docstring's figures: 3.8e8 at level 40, 4.9e18 at 80,
+        # where the element itself is 0.035 and rounding leaves nothing
+        assert float(largest) == pytest.approx({40: 3.8e8, 80: 4.9e18}[level], rel=0.01)
+        if level == 80:
+            assert abs(diagonal[level] - 0.035) > 1.0
+
 
 @settings(max_examples=30, deadline=None)
 @given(n_max=st.integers(22, 40), nu=st.floats(-1.0, 1.0))

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bohm_squeeze import GridSpec2D, Scenario, TimePolynomial
 from bohm_squeeze import closedform as cf
@@ -150,6 +151,117 @@ def test_dt_validation():
         verify.continuity_residual(s, 0.5, grid, dt=0.0)
     with pytest.raises(ValueError, match="dt"):
         verify.schrodinger_residual(s, 0.5, grid, dt=-1e-4)
+
+
+RESIDUALS = [
+    verify.schrodinger_residual,
+    verify.continuity_residual,
+    verify.hamilton_jacobi_residual,
+    verify.bohm_definition_residual,
+]
+
+
+@pytest.mark.parametrize("residual", RESIDUALS)
+def test_residuals_require_one_spacing(residual):
+    s = example1()
+    with pytest.raises(ValueError, match="one grid spacing"):
+        residual(s, 0.5, GridSpec2D(-3.0, 3.0, -3.0, 3.0, 41, 21))
+    # rectangular windows of one spacing are fine, and so is a spacing
+    # mismatch at the rounding level; 1e-11 relative is not
+    residual(s, 0.5, GridSpec2D(-3.0, 3.0, -1.5, 1.5, 41, 21))
+    residual(s, 0.5, GridSpec2D(-3.0, 3.0, -3.0, 3.0 * (1.0 + 1e-13), 41, 41))
+    with pytest.raises(ValueError, match="one grid spacing"):
+        residual(s, 0.5, GridSpec2D(-3.0, 3.0, -3.0, 3.0 * (1.0 + 1e-11), 41, 41))
+
+
+@st.composite
+def equal_spacing_grids(draw):
+    """Grids of one spacing: odd and even counts, rectangular, off-centre."""
+    h = draw(st.floats(1e-3, 1.0))
+    nx, ny = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    x_min, y_min = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
+    return GridSpec2D(x_min, x_min + (nx - 1) * h, y_min, y_min + (ny - 1) * h, nx, ny)
+
+
+@st.composite
+def scenarios_at(draw):
+    """A scenario and a time with |nu| and |r nu| within NU_LIMIT."""
+    coeff = st.floats(-5.0, 5.0)
+    s = Scenario(
+        m=draw(st.floats(0.1, 10.0)),
+        r=draw(st.floats(-3.0, 3.0)),
+        nu=TimePolynomial([0.0, draw(coeff), draw(coeff)]),
+        mu=TimePolynomial([draw(coeff), draw(coeff)]),
+    )
+    t = draw(st.floats(0.0, 3.0))
+    nu = s.nu.value(t)
+    assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
+    return s, t
+
+
+def _scale(form: cf.QuadForm, x: np.ndarray, y: np.ndarray) -> float:
+    """Bound on every term of ``form`` on the nodes, which sets its rounding."""
+    return (abs(form.c_u) + abs(form.c_v)) * float((x * x + y * y).max()) + abs(form.const)
+
+
+def _tol(scale: float) -> float:
+    return 64.0 * np.finfo(float).eps * (1.0 + scale)
+
+
+def _close_exp(ours: np.ndarray, ref: np.ndarray, scale: float) -> bool:
+    """exp of an exponent with rounding tol(scale): relative to the value.
+
+    Below the underflow floor that bohm_from_amplitude refuses, absolute.
+    """
+    return bool(np.all(np.abs(ours - ref) <= _tol(scale) * np.maximum(np.abs(ref), 1e-300)))
+
+
+def _close_form(ours: np.ndarray, ref: np.ndarray, scale: float) -> bool:
+    """A sum of terms bounded by scale: relative to that bound."""
+    return bool(np.all(np.abs(ours - ref) <= _tol(scale)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=equal_spacing_grids(),
+    case=scenarios_at(),
+    coeffs=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+)
+def test_mode_lattice_matches_meshgrid(grid, case, coeffs):
+    s, t = case
+    lattice = verify._ModeLattice(grid)
+    x, y = grid.mesh()
+    amp, phase = cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t)
+    amp_scale, phase_scale = _scale(amp, x, y), _scale(phase, x, y)
+    ours = lattice.exp(amp)
+    assert ours.shape == (grid.nx, grid.ny)
+    assert _close_exp(ours, np.exp(amp(x, y)), amp_scale)
+    ref = np.exp(amp(x, y)) * np.exp(1j * phase(x, y))
+    assert _close_exp(lattice.exp(amp, phase), ref, max(amp_scale, phase_scale))
+
+    form = cf.QuadForm(*coeffs)
+    scale = _scale(form, x, y)
+    assert _close_form(lattice.form(form), form(x, y), scale)
+    gx, gy = lattice.grad(form)
+    rx, ry = form.grad(x, y)
+    scale = (abs(form.c_u) + abs(form.c_v)) * float((np.abs(x) + np.abs(y)).max())
+    assert _close_form(gx, rx, scale) and _close_form(gy, ry, scale)
+
+
+def test_mode_lattice_runs_no_2d_exponential(monkeypatch):
+    s = example2()
+    grid = GridSpec2D(-3.0, 3.0, -1.0, 2.0, 61, 31)
+    sizes = []
+    real_exp = np.exp
+
+    def counting_exp(arg, *args, **kwargs):
+        sizes.append(np.size(arg))
+        return real_exp(arg, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    for residual in RESIDUALS:
+        residual(s, 0.5, grid)
+    assert sizes and set(sizes) == {grid.nx + grid.ny - 1}
 
 
 # ---------------------------------------------------------------------------
