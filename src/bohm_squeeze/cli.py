@@ -9,9 +9,7 @@ entropy   summed vs closed-form entanglement entropy        -> entropy.csv
 
 Exit codes: 0 success, 1 usage/config error, 2 tolerance violation,
 3 I/O failure.  Output is deterministic: fixed float formatting, sorted
-JSON keys, no timestamps.  BOHM_SQUEEZE_THREADS caps the worker pool used
-for independent per-time tasks (0 or unset picks a small default; any
-other value that is not a non-negative integer is a config error).
+JSON keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -19,9 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -201,29 +197,6 @@ def load_config(path: str | Path, *, out_override: str | None = None, grid_n: in
     )
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Pool size for n_tasks: BOHM_SQUEEZE_THREADS caps it, 0, empty or unset picks the default."""
-    raw = os.environ.get("BOHM_SQUEEZE_THREADS") or "0"
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ConfigError(f"BOHM_SQUEEZE_THREADS must be a non-negative integer, got {raw!r}")
-    if cap == 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
-
-
-def _run_tasks(fn, args_list):
-    workers = _worker_count(len(args_list))
-    if workers == 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -234,16 +207,17 @@ def _time_tag(t: float) -> str:
     return short if float(short) == t else repr(t)
 
 
-def _write_field_csv(path: Path, field2d) -> None:
-    """Write x,y,value rows, x varying fastest within each y block."""
-    xs = field2d.grid.xs()
-    ys = field2d.grid.ys()
-    with path.open("w", newline="\n") as fh:
-        fh.write("x,y,value\n")
-        for iy, yv in enumerate(ys):
-            col = field2d.values[:, iy]
-            for ix, xv in enumerate(xs):
-                fh.write(f"{_fmt(xv)},{_fmt(yv)},{_fmt(col[ix])}\n")
+def _write_field_csv(fh, field2d) -> None:
+    """Write x,y,value rows to a text stream, x varying fastest within each y block.
+
+    Each x is formatted once per grid and each y once per block, and a
+    block goes out in one write.
+    """
+    xs = [_fmt(x) + "," for x in field2d.grid.xs().tolist()]
+    fh.write("x,y,value\n")
+    for yv, col in zip(field2d.grid.ys().tolist(), field2d.values.T.tolist()):
+        y = _fmt(yv) + ","
+        fh.write("".join([f"{x}{y}{v:.17g}\n" for x, v in zip(xs, col)]))  # _fmt's format, inline per value
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -259,13 +233,23 @@ def run_density(cfg: RunConfig) -> list[Path]:
 
     Emits |psi|^2 by default; the config's ``outputs`` list can add the
     Bohm and external potentials on the same grids.  Every field is
-    sampled before the first write, so a failing time leaves no file.
+    sampled before the first write, so a failing time leaves no file, and
+    a failing write removes the files this run has written.
     """
     tasks = [(name, t) for name in cfg.outputs for t in cfg.times]
-    fields = _run_tasks(lambda name, t: FIELD_SAMPLERS[name](cfg.scenario, cfg.grid_for(t), t), tasks)
+    fields = [FIELD_SAMPLERS[name](cfg.scenario, cfg.grid_for(t), t) for name, t in tasks]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     paths = [cfg.out_dir / f"{name}_t{_time_tag(t)}.csv" for name, t in tasks]
-    _run_tasks(_write_field_csv, list(zip(paths, fields)))
+    written = []
+    try:
+        for path, field2d in zip(paths, fields):
+            with path.open("w", newline="\n") as fh:
+                written.append(path)
+                _write_field_csv(fh, field2d)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return paths
 
 
@@ -279,7 +263,14 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     res_tol = cfg.tolerance("residual_max")
     hj_tol = cfg.tolerance("hj_max")
 
-    def one(t: float) -> dict:
+    entries = []
+    failures = []
+
+    def check(name: str, t: float, value: float, limit: float) -> None:
+        if value > limit:
+            failures.append(f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {limit:.3e}")
+
+    for t in cfg.times:
         grid = cfg.grid if cfg.grid is not None else verify.residual_grid(s, t)
         reports = [
             verify.schrodinger_residual(s, t, grid, v_source=cfg.v_source),
@@ -289,35 +280,30 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
         ]
         norm, var_plus, var_minus = verify.diagonal_moments(s, t)
         nu = s.nu_at(t)
-        return {
-            "t": t,
-            "reports": [r.to_json() for r in reports],
-            "normalization": norm,
-            "var_plus": var_plus,
-            "var_minus": var_minus,
-            "var_minus_expected": math.exp(2.0 * (s.r - 1.0) * nu) / 2.0,
-            "variance_product_expected": math.exp(4.0 * s.r * nu) / 4.0,
-        }
-
-    entries = _run_tasks(one, [(t,) for t in cfg.times])
-
-    failures = []
-
-    def check(name: str, t: float, value: float, limit: float) -> None:
-        if value > limit:
-            failures.append(f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {limit:.3e}")
-
-    for entry in entries:
-        t = entry["t"]
-        for rep in entry["reports"]:
-            limit = hj_tol if rep["equation"] == "hamilton_jacobi" else res_tol
-            check(rep["equation"], t, rep["max_abs_residual"], limit)
-        check("normalization", t, abs(entry["normalization"] - 1.0), cfg.tolerance("normalization"))
-        expected = entry["var_minus_expected"]
-        check("variance", t, abs(entry["var_minus"] - expected) / expected, cfg.tolerance("variance"))
-        expected = entry["variance_product_expected"]
-        product = entry["var_plus"] * entry["var_minus"]
-        check("variance_product", t, abs(product - expected) / expected, cfg.tolerance("variance_product"))
+        var_minus_expected = math.exp(2.0 * (s.r - 1.0) * nu) / 2.0
+        product_expected = math.exp(4.0 * s.r * nu) / 4.0
+        for rep in reports:
+            limit = hj_tol if rep.equation == "hamilton_jacobi" else res_tol
+            check(rep.equation, t, rep.max_abs_residual, limit)
+        check("normalization", t, abs(norm - 1.0), cfg.tolerance("normalization"))
+        check("variance", t, abs(var_minus - var_minus_expected) / var_minus_expected, cfg.tolerance("variance"))
+        check(
+            "variance_product",
+            t,
+            abs(var_plus * var_minus - product_expected) / product_expected,
+            cfg.tolerance("variance_product"),
+        )
+        entries.append(
+            {
+                "t": t,
+                "reports": [r.to_json() for r in reports],
+                "normalization": norm,
+                "var_plus": var_plus,
+                "var_minus": var_minus,
+                "var_minus_expected": var_minus_expected,
+                "variance_product_expected": product_expected,
+            }
+        )
 
     payload = {
         "scenario": s.to_json(),

@@ -370,8 +370,9 @@ def quadrature_variances(s: Scenario, t: float, grid: GridSpec2D) -> tuple[float
 
     From cartesian moments, var(u), var(v) = ((<xx> + <yy>)/2 +- <xy>) / norm;
     the squeezed mode's difference cancels to a relative error of about
-    eps var(u)/var(v): 7e-13 at r = 0, nu = 2 (1.1e-13 measured), against
-    the variance check's 1e-5.  :func:`diagonal_moments` does not cancel.
+    eps var(u)/var(v): 7e-13 at r = 0, nu = 2 (1.1e-13 measured).  The
+    CLI's variance checks (relative 1e-8) use :func:`diagonal_moments`,
+    which does not cancel.
     """
     total, xx, yy, xy = _simpson_moments(_grid_density(s, t, grid), grid.xs(), grid.ys())
     return ((xx + yy) / 2.0 + xy) / total, ((xx + yy) / 2.0 - xy) / total

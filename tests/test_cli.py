@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from bohm_squeeze import cli, fockalg, verify
-from bohm_squeeze.closedform import GridSpec2D
+from bohm_squeeze.closedform import GridSpec2D, ScalarField2D
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -100,6 +101,22 @@ def test_density_output_is_deterministic(tmp_path):
     assert first == second
 
 
+def test_field_csv_bytes_match_per_value_format():
+    # nx != ny, so a transposed loop would reorder or reshape the rows
+    grid = GridSpec2D(-1.0, 1.0, 0.0, 0.3, 3, 4)
+    values = np.arange(12.0).reshape(3, 4) / 3.0 - 1e-300 * np.arange(12).reshape(3, 4)
+    field2d = ScalarField2D(grid, 0.0, values)
+    out = io.StringIO()
+    cli._write_field_csv(out, field2d)
+    expected = "x,y,value\n" + "".join(
+        f"{x:.17g},{y:.17g},{values[ix, iy]:.17g}\n"
+        for iy, y in enumerate(grid.ys())
+        for ix, x in enumerate(grid.xs())
+    )
+    assert out.getvalue() == expected
+    assert out.getvalue().splitlines()[1:3] == ["-1,0,0", "0,0,1.3333333333333333"]
+
+
 def test_density_auto_grid_normalizes(tmp_path):
     cfg = cli.load_config(small_density_config(tmp_path, grid="auto", times=[0.0, 0.5, 1.0]))
     for path in cli.run_density(cfg):
@@ -129,45 +146,6 @@ def test_potential_field_outputs(tmp_path):
 def test_unknown_output_rejected(tmp_path):
     with pytest.raises(cli.ConfigError, match="unknown outputs"):
         cli.load_config(small_density_config(tmp_path, outputs=["wigner"]))
-
-
-def test_density_parallel_matches_serial(tmp_path):
-    cfg = cli.load_config(small_density_config(tmp_path, times=[0.0, 0.3, 0.6, 0.9]))
-    os.environ["BOHM_SQUEEZE_THREADS"] = "3"
-    try:
-        parallel = [p.read_bytes() for p in cli.run_density(cfg)]
-    finally:
-        os.environ.pop("BOHM_SQUEEZE_THREADS")
-    os.environ["BOHM_SQUEEZE_THREADS"] = "1"
-    try:
-        serial = [p.read_bytes() for p in cli.run_density(cfg)]
-    finally:
-        os.environ.pop("BOHM_SQUEEZE_THREADS")
-    assert parallel == serial
-
-
-@pytest.mark.parametrize("command", ["density", "verify"])
-@pytest.mark.parametrize("value", ["two", "-1", "1.5"])
-def test_malformed_thread_cap_is_config_error(tmp_path, capsys, monkeypatch, command, value):
-    monkeypatch.setenv("BOHM_SQUEEZE_THREADS", value)
-    cfg = small_density_config(tmp_path, grid="auto", times=[0.25, 0.5])
-    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: BOHM_SQUEEZE_THREADS must be a non-negative integer, got {value!r}\n"
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("value", [None, "", "0"])
-def test_thread_cap_zero_or_unset_keeps_default(monkeypatch, value):
-    if value is None:
-        monkeypatch.delenv("BOHM_SQUEEZE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("BOHM_SQUEEZE_THREADS", value)
-    assert cli._worker_count(8) == min(4, os.cpu_count() or 1)
-    assert cli._worker_count(1) == 1
-    monkeypatch.setenv("BOHM_SQUEEZE_THREADS", "3")
-    assert cli._worker_count(8) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +489,17 @@ def test_main_io_failure_via_file_collision(tmp_path, capsys):
     cfg_path = small_density_config(tmp_path, out_dir=str(collision))
     assert cli.main(["density", "--config", str(cfg_path)]) == cli.EXIT_IO
     assert "i/o failure" in capsys.readouterr().err
+
+
+def test_density_write_failure_removes_written_files(tmp_path, capsys):
+    # the second time's output path is a directory: the first file is
+    # written, the second open fails, and the run leaves no file behind
+    cfg_path = small_density_config(tmp_path)
+    (tmp_path / "out" / "density_t0.5.csv").mkdir(parents=True)
+    assert cli.main(["density", "--config", str(cfg_path)]) == cli.EXIT_IO
+    assert "i/o failure" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["density_t0.5.csv"]
+    assert (tmp_path / "out" / "density_t0.5.csv").is_dir()
 
 
 def test_main_fock_and_entropy(tmp_path, capsys):
