@@ -367,7 +367,7 @@ def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: flo
     vac_err = float(np.max(np.abs(col[ns, ns] - exact)))
     off = col.copy()
     off[ns, ns] = 0.0
-    ode = fockalg.disentangle_ode_oracle(nu, steps=2000)
+    ode = fockalg.disentangle_ode_oracle(nu, fockalg.ode_steps(nu))
     closed = fockalg.disentangle_closed_form(nu)
     ode_dev = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
     return {

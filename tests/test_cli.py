@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bohm_squeeze import cli, fockalg, verify
 from bohm_squeeze.closedform import GridSpec2D, ScalarField2D
@@ -339,6 +340,27 @@ def test_fock_large_squeeze_reports_errors(tmp_path, capsys):
     assert "error" not in entries[0]
     assert "local error" in entries[1]["error"]
     assert "1-norm" in entries[2]["error"]
+
+
+@pytest.mark.parametrize("nu", [2e4, 1e5])
+def test_fock_overflowing_ode_stage_reports_error(tmp_path, capsys, nu):
+    # an RK4 stage exponential overflows past |nu| ~ 2e4 (math.exp raised
+    # OverflowError and the run exited 1 with a traceback)
+    cfg = write_config(tmp_path, "f.json", {"nu_values": [nu], "n_max": 4, "out_dir": str(tmp_path)})
+    assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    (entry,) = json.loads((tmp_path / "fock_report.json").read_text())["entries"]
+    assert "overflows" in entry["error"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(nu=st.floats(allow_nan=False, allow_infinity=False))
+def test_fock_report_is_strict_json(tmp_path_factory, nu):
+    # every finite nu gives measurements or an error entry, never NaN or Infinity
+    out = cli.run_fock([nu], 2, tmp_path_factory.mktemp("fock"))
+    text = out.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
 
 
 def test_entropy_table(tmp_path):

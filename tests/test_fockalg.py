@@ -261,6 +261,26 @@ def test_direct_is_orthogonal_on_interior(spec24):
     np.testing.assert_allclose(interior, eye, atol=1e-8)
 
 
+def full_stack_generator(nu: float, spec: fa.FockSpaceSpec) -> np.ndarray:
+    """nu (a+ b+ - a b) on all 2 n_max + 1 sectors, d < 0 included."""
+    n_a, n_b, present = fa._sector_levels(spec.n_max)
+    pairs = np.zeros(spec.sector_shape)
+    j = np.arange(spec.n_max)
+    pairs[:, j + 1, j] = np.where(present[:, 1:], np.sqrt((n_a[:, :-1] + 1.0) * (n_b[:, :-1] + 1.0)), 0.0)
+    return nu * (pairs - pairs.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize(
+    "n_max, nu", [(24, 0.1), (24, 0.25), (24, 0.5), (24, 0.75), (24, 1.0), (60, 0.5)]
+)
+def test_direct_mirror_is_bitwise_full_stack_exponential(n_max, nu):
+    # sectors d < 0 are copies of d > 0, not exponentiated; the full stack
+    # shares the same largest 1-norm, so every bit agrees
+    spec = fa.FockSpaceSpec(n_max)
+    expected = fa._expm_array(full_stack_generator(nu, spec))
+    np.testing.assert_array_equal(fa.two_mode_squeeze_direct(nu, spec).entries, expected)
+
+
 # ---------------------------------------------------------------------------
 # factored form
 
@@ -446,6 +466,44 @@ def test_ode_step_size_failure():
     # 100 coarse steps over a long interval cannot hold a 1e-14 local bound
     with pytest.raises(fa.ConvergenceError, match="local error"):
         fa.disentangle_ode_oracle(2.0, steps=100, local_tol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "nu, steps",
+    [(0.0, 100), (0.1, 100), (0.25, 250), (1.0, 1000), (-1.0, 1000), (5.0, 2000), (-5.0, 2000), (1e308, 2000)],
+)
+def test_ode_step_law(nu, steps):
+    # min(2000, max(100, ceil(|nu| / 1e-3))); configs/fock.json takes 2600 in all
+    assert fa.ode_steps(nu) == steps
+
+
+def test_ode_step_law_holds_rounding_floor():
+    # the global error is about 1.2e-3 h^4, below rounding at h <= 1e-3;
+    # 3.2e-15 at worst here, against 4.0e-15 at 2000 fixed steps
+    worst = 0.0
+    for nu in np.linspace(-2.0, 2.0, 141):
+        f = fa.disentangle_ode_oracle(nu, fa.ode_steps(nu))
+        c = fa.disentangle_closed_form(nu)
+        worst = max(worst, abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("nu", [1e19, 1e100, -1e100])
+def test_ode_non_finite_steps_raise(nu):
+    # at 1e100 the estimate is NaN and the result was (-inf, inf, -inf);
+    # at 1e19 a stage exponential overflows
+    with pytest.raises(fa.ConvergenceError):
+        fa.disentangle_ode_oracle(nu, 2000)
+
+
+@settings(deadline=None, max_examples=60)
+@given(nu=st.floats(allow_nan=False, allow_infinity=False))
+def test_ode_oracle_finite_or_convergence_error(nu):
+    try:
+        f = fa.disentangle_ode_oracle(nu, fa.ode_steps(nu))
+    except fa.ConvergenceError:
+        return
+    assert all(math.isfinite(v) for v in (f.f1, f.f2, f.f3))
 
 
 def test_closed_form_at_large_squeeze():
