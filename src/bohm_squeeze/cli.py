@@ -53,6 +53,8 @@ EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_IO = 3
 
+ENTROPY_TERMS = 600  # Schmidt eigenvalues summed per entropy value
+
 DEFAULT_TOLERANCES = {
     "residual_max": 1e-4,       # stencil residuals (schrodinger, continuity, bohm)
     "hj_max": 1e-9,             # analytic Hamilton-Jacobi closure
@@ -323,21 +325,21 @@ def run_fock(
     n_max: int,
     out_dir: Path,
     *,
-    interior: int | None = None,
     tolerance: float = DEFAULT_TOLERANCES["fock_interior"],
 ) -> Path:
     """Factorization distances, vacuum-column errors and function-system
-    deviations per squeeze value.
+    deviations per squeeze value, on the interior block of level n_max // 2.
 
     Entries whose interior distance exceeds ``tolerance`` are flagged, not
     failed: at fixed truncation the distance is dominated by reflection off
     the truncation edge and grows steeply with nu (see fockalg docstring).
-    A squeeze value whose exponential or ODE oracle does not converge gets
-    an entry with an ``error`` message instead of the measurements.
+    A squeeze value whose exponentials do not converge gets an ``error``
+    message instead of their measurements; one whose ODE oracle does not
+    converge gets an ``ode_error`` message instead of ``ode_max_dev``.
     """
     spec = FockSpaceSpec(n_max)
     out_dir.mkdir(parents=True, exist_ok=True)
-    half = n_max // 2 if interior is None else interior
+    half = n_max // 2
 
     entries = []
     for nu in nu_values:
@@ -346,6 +348,13 @@ def run_fock(
             entry.update(_fock_measurements(nu, spec, half, tolerance))
         except ConvergenceError as exc:
             entry["error"] = str(exc)
+        try:
+            ode = fockalg.disentangle_ode_oracle(nu, fockalg.ode_steps(nu))
+        except ConvergenceError as exc:
+            entry["ode_error"] = str(exc)
+        else:
+            closed = fockalg.disentangle_closed_form(nu)
+            entry["ode_max_dev"] = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
         entries.append(entry)
 
     out = out_dir / "fock_report.json"
@@ -367,23 +376,19 @@ def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: flo
     vac_err = float(np.max(np.abs(col[ns, ns] - exact)))
     off = col.copy()
     off[ns, ns] = 0.0
-    ode = fockalg.disentangle_ode_oracle(nu, fockalg.ode_steps(nu))
-    closed = fockalg.disentangle_closed_form(nu)
-    ode_dev = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
     return {
         "factorization_interior_rel": distance,
         "vacuum_column_max_err": vac_err,
         "vacuum_offdiag_max": float(np.abs(off[: half + 1, : half + 1]).max()),
-        "ode_max_dev": ode_dev,
         "flagged": bool(distance > tolerance or vac_err > tolerance),
     }
 
 
-def run_entropy(nu_values: Sequence[float], out_dir: Path, *, terms: int = 600) -> Path:
+def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
     """entropy.csv with summed and closed-form entropies per squeeze value; no file if one fails."""
     rows = ["nu,entropy_sum,entropy_closed,schmidt_lambda0\n"]
     for nu in nu_values:
-        spec = spectral.schmidt_spectrum(nu, terms)
+        spec = spectral.schmidt_spectrum(nu, ENTROPY_TERMS)
         rows.append(
             f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
             f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"

@@ -51,10 +51,10 @@ def hermite_phi_table(n: int, eta) -> np.ndarray:
     return out
 
 
-def hermite_phi(n: int, eta, *, n_max: int = N_MAX_DEFAULT):
+def hermite_phi(n: int, eta):
     """Normalized oscillator eigenfunction phi_n(eta)."""
-    if n > n_max:
-        raise ValueError(f"order {n} exceeds the supported maximum {n_max}")
+    if n > N_MAX_DEFAULT:
+        raise ValueError(f"order {n} exceeds the supported maximum {N_MAX_DEFAULT}")
     table = hermite_phi_table(n, eta)
     value = table[n]
     return float(value) if np.ndim(eta) == 0 else value

@@ -330,27 +330,56 @@ def test_fock_n_max_limit_edge(tmp_path, capsys):
     assert "i/o failure" in capsys.readouterr().err
 
 
+EXPONENTIAL_FIELDS = {"factorization_interior_rel", "vacuum_column_max_err", "vacuum_offdiag_max", "flagged"}
+
+
 def test_fock_large_squeeze_reports_errors(tmp_path, capsys):
-    # nu = 800 overflowed cosh; its ODE oracle and the 1e200 exponential do
-    # not converge, which the report records per entry
+    # nu = 800 overflowed cosh; its ODE oracle does not converge but its
+    # exponentials do, and the 1e200 exponential does not: the report
+    # records each failure per entry and keeps what was measured
     cfg = write_config(tmp_path, "f.json", {"nu_values": [0.5, 800, 1e200], "n_max": 4, "out_dir": str(tmp_path)})
     assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
     entries = json.loads((tmp_path / "fock_report.json").read_text())["entries"]
-    assert "error" not in entries[0]
-    assert "local error" in entries[1]["error"]
-    assert "1-norm" in entries[2]["error"]
+    assert "error" not in entries[0] and "ode_error" not in entries[0]
+    assert "error" not in entries[1] and EXPONENTIAL_FIELDS <= entries[1].keys()
+    assert "local error" in entries[1]["ode_error"] and "ode_max_dev" not in entries[1]
+    assert "1-norm" in entries[2]["error"] and not EXPONENTIAL_FIELDS & entries[2].keys()
 
 
 @pytest.mark.parametrize("nu", [2e4, 1e5])
 def test_fock_overflowing_ode_stage_reports_error(tmp_path, capsys, nu):
     # an RK4 stage exponential overflows past |nu| ~ 2e4 (math.exp raised
-    # OverflowError and the run exited 1 with a traceback)
+    # OverflowError and the run exited 1 with a traceback); the exponentials'
+    # measurements stay in the entry
     cfg = write_config(tmp_path, "f.json", {"nu_values": [nu], "n_max": 4, "out_dir": str(tmp_path)})
     assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
     (entry,) = json.loads((tmp_path / "fock_report.json").read_text())["entries"]
-    assert "overflows" in entry["error"]
+    assert "overflows" in entry["ode_error"]
+    assert "error" not in entry and EXPONENTIAL_FIELDS <= entry.keys()
+
+
+def test_fock_ode_failure_keeps_factorization_distance(tmp_path):
+    # 2000 steps of 0.05 miss the oracle's local bound at nu = 100; the
+    # direct/factored comparison does not depend on the oracle and stays
+    (entry,) = json.loads(cli.run_fock([100.0], 4, tmp_path).read_text())["entries"]
+    assert "local error" in entry["ode_error"]
+    assert "error" not in entry and "ode_max_dev" not in entry
+    assert EXPONENTIAL_FIELDS <= entry.keys()
+    assert entry["vacuum_offdiag_max"] == 0.0
+
+
+@pytest.mark.parametrize("nu", [1e16, 1e18])
+def test_fock_squeeze_past_phase_precision_reports_error(tmp_path, capsys, nu):
+    # from generator 1-norm 2^53 (|nu| ~ 1.3e15 at n_max = 4) the phases
+    # keep no fractional bit: an error entry, with no numpy warning
+    cfg = write_config(tmp_path, "f.json", {"nu_values": [nu], "n_max": 4, "out_dir": str(tmp_path)})
+    assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    (entry,) = json.loads((tmp_path / "fock_report.json").read_text())["entries"]
+    assert "1-norm" in entry["error"]
+    assert "ode_error" in entry
 
 
 @settings(deadline=None, max_examples=40)

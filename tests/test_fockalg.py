@@ -148,9 +148,9 @@ def test_factored_route_needs_no_matrix_exponential(monkeypatch, spec24):
     expected = fa.two_mode_squeeze_factored(0.5, spec24).entries
 
     def refuse(m):
-        raise AssertionError("the factored route called _expm_array")
+        raise AssertionError("the factored route called np.linalg.eigh")
 
-    monkeypatch.setattr(fa, "_expm_array", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     np.testing.assert_array_equal(fa.two_mode_squeeze_factored(0.5, spec24).entries, expected)
 
 
@@ -166,60 +166,72 @@ def test_interior_block_matches_dense_sub_matrix():
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential, on stacks of blocks as the squeeze routes call it
-
-
-def test_expm_zero_is_identity():
-    out = fa._expm_array(np.zeros((7, 4, 4)))
-    np.testing.assert_array_equal(out, np.broadcast_to(np.eye(4), (7, 4, 4)))
-
-
-def test_expm_diagonal():
-    d = np.linspace(-2.0, 1.5, 12).reshape(3, 4)
-    blocks = d[:, :, None] * np.eye(4)
-    np.testing.assert_allclose(fa._expm_array(blocks), np.exp(d)[:, :, None] * np.eye(4), rtol=1e-13)
-
-
-def test_expm_inverse_property():
-    rng = np.random.default_rng(3)
-    m = 0.5 * (rng.normal(size=(5, 16, 16)) + 1j * rng.normal(size=(5, 16, 16)))
-    product = fa._expm_array(m) @ fa._expm_array(-m)
-    np.testing.assert_allclose(product, np.broadcast_to(np.eye(16), m.shape), atol=1e-10)
-
-
-def test_expm_matches_scipy_oracle():
-    rng = np.random.default_rng(5)
-    for scale in [0.1, 2.0, 40.0]:
-        m = scale * (rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))) / math.sqrt(30)
-        ours = fa._expm_array(m)
-        ref = scipy_expm(m)
-        np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
-    # blocks of very different norms share the scaling set by the largest
-    stack = np.stack([s * rng.normal(size=(12, 12)) / math.sqrt(12) for s in [0.01, 1.0, 30.0]])
-    for ours, block in zip(fa._expm_array(stack), stack):
-        ref = scipy_expm(block)
-        np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
-
-
-def test_expm_convergence_failure():
-    with pytest.raises(fa.ConvergenceError, match="1-norm"):
-        fa._expm_array(np.full((3, 4, 4), 1e60))
-
-
-def test_expm_rejects_nonfinite():
-    bad = np.zeros((3, 4, 4))
-    bad[1, 2, 0] = np.nan
-    with pytest.raises(ValueError):
-        fa._expm_array(bad)
-
-
-# ---------------------------------------------------------------------------
 # two-mode squeeze, direct
+
+
+def sector_generator(nu: float, n_max: int, d: int) -> np.ndarray:
+    """Dense block of nu (a+ b+ - a b) on sector d's n_max + 1 - |d| states."""
+    size = n_max + 1 - abs(d)
+    block = np.zeros((size, size))
+    for j in range(size - 1):
+        n_a, n_b = j + max(d, 0), j + max(-d, 0)
+        block[j + 1, j] = math.sqrt((n_a + 1) * (n_b + 1))
+    return nu * (block - block.T)
+
+
+@pytest.mark.parametrize(
+    "n_max, nu", [(24, 0.1), (24, 0.25), (24, 0.5), (24, 0.75), (24, 1.0), (60, 0.5), (4, -2.0)]
+)
+def test_direct_matches_scipy_sector_blocks(n_max, nu):
+    entries = fa.two_mode_squeeze_direct(nu, fa.FockSpaceSpec(n_max)).entries
+    for d in range(-n_max, n_max + 1):
+        size = n_max + 1 - abs(d)
+        ref = scipy_expm(sector_generator(nu, n_max, d))
+        assert np.abs(entries[d + n_max, :size, :size] - ref).max() <= 1e-12, d
+    # orthogonal to rounding on every sector, padding included
+    assert np.abs(entries.swapaxes(1, 2) @ entries - np.eye(n_max + 1)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 24, 60])
+@pytest.mark.parametrize("nu", [0.5, -2.0])
+def test_direct_padding_is_identity(n_max, nu):
+    # padding eigenvalues are exactly 0, so no phase reaches the padding
+    entries = fa.two_mode_squeeze_direct(nu, fa.FockSpaceSpec(n_max)).entries
+    eye = np.eye(n_max + 1)
+    for d in range(-n_max, n_max + 1):
+        size = n_max + 1 - abs(d)
+        np.testing.assert_array_equal(entries[d + n_max, size:, :], eye[size:, :])
+        np.testing.assert_array_equal(entries[d + n_max, :, size:], eye[:, size:])
+
+
+@pytest.mark.parametrize("n_max, nu", [(24, 0.5), (60, 1.0), (3, -0.7)])
+def test_direct_mirror_is_bitwise_copy(n_max, nu):
+    # sector -d is a copy of sector d, not computed
+    entries = fa.two_mode_squeeze_direct(nu, fa.FockSpaceSpec(n_max)).entries
+    for d in range(1, n_max + 1):
+        np.testing.assert_array_equal(entries[n_max - d], entries[n_max + d])
 
 
 def test_direct_zero_squeeze_is_identity(spec24):
     op = fa.two_mode_squeeze_direct(0.0, spec24)
-    np.testing.assert_allclose(op.entries, identity_operator(spec24), atol=1e-15)
+    np.testing.assert_array_equal(op.entries, identity_operator(spec24))
+
+
+@pytest.mark.parametrize("n_max", [4, 24])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_direct_phase_guard_at_two_to_53(n_max, sign):
+    # the generator's 1-norm is |nu| times its largest column sum (7 at
+    # n_max = 4); from 2^53 on the phases nu lambda keep no fractional bit
+    # and the route raises.  Just below, the phases carry |nu| times the
+    # eigenvalues' rounding, but every entry is a cosine or sine sum over
+    # orthonormal eigenvectors, so none exceeds 1
+    spec = fa.FockSpaceSpec(n_max)
+    edge = 2.0**53 / max(np.abs(sector_generator(1.0, n_max, d)).sum(axis=0).max() for d in range(n_max + 1))
+    entries = fa.two_mode_squeeze_direct(sign * 0.999 * edge, spec).entries
+    assert np.abs(entries).max() <= 1.0 + 1e-12
+    for nu in [1.001 * edge, 1e16, 1e18, 1e200, 1e308, math.nan]:
+        with pytest.raises(fa.ConvergenceError, match="1-norm"):
+            fa.two_mode_squeeze_direct(sign * nu, spec)
 
 
 def test_direct_vacuum_column_matches_pair_law(spec40_direct_nu1):
@@ -241,8 +253,7 @@ def test_direct_vacuum_column_pair_structure(spec40_direct_nu1):
 
 
 def test_direct_route_holds_four_operators_at_most():
-    # the generator and, in _expm_array, the scaled copy and two Horner
-    # buffers; without the in-place steps the peak was 6.06 operators here
+    # the result and the eigenvectors, about 1.5 operators
     spec = fa.FockSpaceSpec(40)
     tracemalloc.start()
     try:
@@ -259,26 +270,6 @@ def test_direct_is_orthogonal_on_interior(spec24):
     interior = fa.interior_block(fa.FockOperator(spec24, prod), 12)
     eye = fa.interior_block(fa.FockOperator(spec24, identity_operator(spec24)), 12)
     np.testing.assert_allclose(interior, eye, atol=1e-8)
-
-
-def full_stack_generator(nu: float, spec: fa.FockSpaceSpec) -> np.ndarray:
-    """nu (a+ b+ - a b) on all 2 n_max + 1 sectors, d < 0 included."""
-    n_a, n_b, present = fa._sector_levels(spec.n_max)
-    pairs = np.zeros(spec.sector_shape)
-    j = np.arange(spec.n_max)
-    pairs[:, j + 1, j] = np.where(present[:, 1:], np.sqrt((n_a[:, :-1] + 1.0) * (n_b[:, :-1] + 1.0)), 0.0)
-    return nu * (pairs - pairs.swapaxes(1, 2))
-
-
-@pytest.mark.parametrize(
-    "n_max, nu", [(24, 0.1), (24, 0.25), (24, 0.5), (24, 0.75), (24, 1.0), (60, 0.5)]
-)
-def test_direct_mirror_is_bitwise_full_stack_exponential(n_max, nu):
-    # sectors d < 0 are copies of d > 0, not exponentiated; the full stack
-    # shares the same largest 1-norm, so every bit agrees
-    spec = fa.FockSpaceSpec(n_max)
-    expected = fa._expm_array(full_stack_generator(nu, spec))
-    np.testing.assert_array_equal(fa.two_mode_squeeze_direct(nu, spec).entries, expected)
 
 
 # ---------------------------------------------------------------------------
