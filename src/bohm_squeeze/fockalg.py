@@ -43,11 +43,15 @@ generator's blocks for d and -d are equal element for element, because
 sqrt((n_a+1)(n_b+1)) is symmetric in the two modes, and the sectors d < 0
 are filled by mirroring.  Each sector's generator is i times a real
 symmetric tridiagonal (Jacobi) matrix up to a diagonal similarity, so one
-batched eigendecomposition gives the exponential; from generator 1-norm
-2^53 on (|nu| about 1.3e15 at n_max = 4, 1.9e14 at n_max = 24) its phases
-keep no fractional bit and it raises ``ConvergenceError``.  The factored
-route is not mirror-symmetric (a a+ is 0 at n_a = n_max, b+ b is not 0 at
-n_b = n_max) and is built on every sector.
+batched eigendecomposition gives the exponential.  Its +-lambda eigenvalue
+pairs are symmetric only to rounding, so the result drifts off orthogonal
+as |nu| grows: max |U^T U - I| follows (norm 2^-52)^2, norm the generator's
+1-norm (measured at up to 1.93 times that law below the guard, at n_max =
+4, 24 and 80).  Once twice the law passes ``DIRECT_DEFECT_BOUND`` (|nu| about
+4.5e9 at n_max = 4, 6.8e8 at n_max = 24) the route raises
+``ConvergenceError``.  The factored route is not mirror-symmetric (a a+ is
+0 at n_a = n_max, b+ b is not 0 at n_b = n_max) and is built on every
+sector.
 
 The RK4 oracle takes its step count from its error law: on this system
 its global error is about 1.2e-3 h^4 (at nu = 1: 6.9e-13 at 200 steps,
@@ -81,6 +85,10 @@ __all__ = [
 # Largest n_max whose sector storage, (2 n_max + 1)(n_max + 1)^2 doubles,
 # fits in 64 MiB.
 N_MAX_LIMIT = 160
+
+# Largest orthogonality defect max |U^T U - I| the direct route may predict
+# for its own result (see ``two_mode_squeeze_direct``).
+DIRECT_DEFECT_BOUND = 1e-10
 
 # The RK4 oracle's step-size bound and step-count range (see ``ode_steps``).
 ODE_MAX_STEP = 1e-3
@@ -161,9 +169,11 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
     of the result is scratch space until the copy fills it, so the route
     peaks at about 1.5 operators.
 
-    Raises ``ConvergenceError`` once the generator's 1-norm, |nu| times
-    its largest column sum, reaches 2^53: the phases nu lam, bounded by
-    that 1-norm, then keep no fractional bit.
+    Raises ``ConvergenceError`` once 2 (norm 2^-52)^2 passes
+    ``DIRECT_DEFECT_BOUND``, norm being the generator's 1-norm, |nu| times
+    its largest column sum: the phases nu lam carry |nu| times the
+    eigenvalues' rounding, and the result's orthogonality defect grows as
+    the square of that.
     """
     n_max = spec.n_max
     n_a, n_b, present = (levels[n_max:-1] for levels in _sector_levels(n_max))
@@ -173,8 +183,13 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
     jacobi[:, j[1:], j[:-1]] = coupling
     jacobi[:, j[:-1], j[1:]] = coupling
     norm = abs(nu) * float(jacobi.sum(axis=-2).max())  # a Python float: inf, not a warning, past 1e308
-    if not norm < 2.0**53:
-        raise ConvergenceError(f"generator 1-norm {norm:.3e} reaches 2^53: the phases keep no fractional bit")
+    drift = norm * 2.0**-52
+    defect = 2.0 * drift * drift
+    if not defect <= DIRECT_DEFECT_BOUND:
+        raise ConvergenceError(
+            f"generator 1-norm {norm:.3e} predicts an orthogonality defect {defect:.1e} "
+            f"above {DIRECT_DEFECT_BOUND:.0e}"
+        )
     lam, w = np.linalg.eigh(jacobi)
     del jacobi
     phase = nu * lam
@@ -248,7 +263,8 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec) -> FockOperator:
     lowering = _pair_exponential(f.f3, spec.n_max).swapaxes(1, 2)
     with np.errstate(over="ignore"):  # f2 * number is -inf near |nu| ~ 1e308, where the factor tends to 0
         middle = np.exp(f.f2 * number)
-    return FockOperator(spec, raising @ (middle[:, :, None] * lowering))
+    lowering *= middle[:, :, None]  # in place: the product's peak is three operators
+    return FockOperator(spec, raising @ lowering)
 
 
 def interior_block(op: FockOperator, level: int) -> np.ndarray:

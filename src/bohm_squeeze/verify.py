@@ -14,15 +14,26 @@ u = (x+y)/sqrt2 plus (or, for A and psi, times) a function of the mode
 v = (x-y)/sqrt2.  On a grid with one spacing on both axes, u and v at
 node (i, j) depend only on i + j and i - j, so each field is a Hankel
 view of a 1-D u-factor combined with a Toeplitz view of a 1-D v-factor
-(``_ModeLattice``): exponentials run on 2 (nx + ny - 1) points, never on
-the nx * ny grid.  The residual checks therefore require hx == hy.
+(``_ModeLattice``): exponentials run on nx + ny - 1 points per factor,
+never on the nx * ny grid.  The stencils act on those sampled factors.
+A node's four neighbours differ from it by one in both indices, so the
+5-point Laplacian and the central differences of a product f(u) g(v) are
+short sums of products of a neighbour sum or difference of f with one of
+g.  Each stencil residual is then a sum of rank-one Hankel-times-Toeplitz
+products on the interior: five for the Schrodinger and the continuity
+residuals, and one, (sum f / f)(sum g / g), plus the closed form for the
+Bohm definition.  The residual checks therefore require hx == hy.
 
 Grid-size guidance: the second-order stencil error scales with the fourth
 spatial derivatives of the fields, which for these Gaussian-times-quadratic
-forms can be computed exactly.  ``residual_grid`` inverts that error model
-to pick the largest square extent keeping the predicted stencil error at a
-target, so residual checks stay meaningful (error budget dominated by the
-identity under test, not by the stencil).
+forms can be computed exactly.  ``_stencil_error_law`` sets that error
+model up once per scenario and time: on a 33^2 lattice over the extent,
+every term is a polynomial in the squared half extent (times the
+amplitude), so one evaluation costs a few operations on 545 points.
+``residual_grid`` inverts the law to pick the largest square extent
+keeping the predicted stencil error at a target, so residual checks stay
+meaningful (error budget dominated by the identity under test, not by
+the stencil).
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -142,6 +153,14 @@ def external_quadform(s: Scenario, t: float, v_source: VSource = "hj_closure") -
 # finite-difference checks
 
 
+# boundary ring every stencil residual drops: one-sided stencils would
+# degrade the order there
+RING = 2
+
+# amplitudes below this make -(lap A)/(2 m A) meaningless
+AMPLITUDE_FLOOR = 1e-300
+
+
 def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
     """Bohm potential -(lap A)/(2 m A) by central second differences.
 
@@ -155,7 +174,7 @@ def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
     if g.nx < 5 or g.ny < 5:
         raise ValueError("need at least 5 samples per axis for an interior Laplacian")
     a = field_a.values
-    if float(np.min(a)) < 1e-300:
+    if float(np.min(a)) < AMPLITUDE_FLOOR:
         raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
     lap = (
         (a[2:, 1:-1] - 2.0 * a[1:-1, 1:-1] + a[:-2, 1:-1]) / g.hx**2
@@ -167,19 +186,19 @@ def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
     return ScalarField2D(grid=inner, t=field_a.t, values=vb)
 
 
-def _interior(arr: np.ndarray, ring: int = 2) -> np.ndarray:
-    return arr[ring:-ring, ring:-ring]
-
-
 class _ModeLattice:
     """Closed-form fields on a grid of one spacing, from 1-D mode factors.
 
-    With x_i = x_min + i h and y_j = y_min + j h, x_i + y_j depends only on
-    i + j and x_i - y_j only on i - j, so the nodes' (u, v) take
-    nx + ny - 1 values each.  A field f(u) + g(v) (or f(u) g(v)) on the
-    grid is then a Hankel view of f on those u values plus (times) a
-    Toeplitz view of g on the v values; ``sliding_window_view`` gives both
-    without a copy.
+    Node (i, j) has x + y at index s = i + j and x - y at k = nx - 1 - i + j
+    of nx + ny - 1 values each, so a field f(u) + g(v) (or f(u) g(v)) is a
+    Hankel view of f plus (times) a Toeplitz view of g, both without a copy
+    (``sliding_window_view``).  The ring-RING interior takes the middle
+    values s, k = 2 RING .. nx + ny - 2 - 2 RING.  A node's neighbours are
+    (s +- 1, k -+ 1) and (s +- 1, k +- 1), so for psi = f(u) g(v)
+
+        h^2 lap psi         = (f[s+1] + f[s-1]) (g[k+1] + g[k-1]) - 4 f[s] g[k]
+        2 h (psi_x + psi_y) =  (f[s+1] - f[s-1]) (g[k+1] + g[k-1])
+        2 h (psi_x - psi_y) = -(f[s+1] + f[s-1]) (g[k+1] - g[k-1])
     """
 
     def __init__(self, grid: GridSpec2D):
@@ -189,30 +208,30 @@ class _ModeLattice:
                 f"and hy = {grid.hy:.17g}"
             )
         n = grid.nx + grid.ny - 1
-        self.ny = grid.ny
-        # x + y at i + j, and x - y at nx - 1 - i + j (descending, so each
-        # Toeplitz row is a contiguous window)
+        self.nx, self.ny, self.h = grid.nx, grid.ny, grid.hx
+        # x + y at s, and x - y at k (descending, so each Toeplitz row is a
+        # contiguous window)
         self.sums = np.linspace(grid.x_min + grid.y_min, grid.x_max + grid.y_max, n)
         self.diffs = np.linspace(grid.x_max - grid.y_min, grid.x_min - grid.y_max, n)
         self.u = self.sums / SQRT2
         self.v = self.diffs / SQRT2
 
-    def _views(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(nx, ny) views f[i + j] and g[nx - 1 - i + j]."""
-        return sliding_window_view(f, self.ny), sliding_window_view(g, self.ny)[::-1]
+    def views(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views f[s] and g[k] on the whole grid or on its ring-RING interior.
+
+        The factors' length says which: the window width minus the row
+        count is ny - nx for both.
+        """
+        width = (f.size + 1 + self.ny - self.nx) // 2
+        return sliding_window_view(f, width), sliding_window_view(g, width)[::-1]
 
     def form(self, q: QuadForm) -> np.ndarray:
         """q(x, y) on the grid."""
-        f, g = self._views(q.c_u * self.u * self.u + q.const, q.c_v * self.v * self.v)
+        f, g = self.views(q.c_u * self.u * self.u + q.const, q.c_v * self.v * self.v)
         return f + g
 
-    def grad(self, q: QuadForm) -> tuple[np.ndarray, np.ndarray]:
-        """(dq/dx, dq/dy) on the grid, as ``QuadForm.grad``."""
-        f, g = self._views(q.c_u * self.sums, q.c_v * self.diffs)
-        return f + g, f - g
-
-    def exp(self, log_amp: QuadForm, phase: QuadForm | None = None) -> np.ndarray:
-        """exp(log_amp + i phase) on the grid: one exponential per mode.
+    def factors(self, log_amp: QuadForm, phase: QuadForm | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """1-D factors f(u), g(v) of exp(log_amp + i phase): one exponential per mode.
 
         The constant of ``log_amp`` is split evenly between the factors.
         For an amplitude (c_u, c_v <= 0) each factor is then at most
@@ -224,8 +243,62 @@ class _ModeLattice:
         if phase is not None:
             fu = fu + 1j * (phase.c_u * self.u * self.u + phase.const)
             fv = fv + 1j * (phase.c_v * self.v * self.v)
-        f, g = self._views(np.exp(fu), np.exp(fv))
-        return f * g
+        return np.exp(fu), np.exp(fv)
+
+    def inner(self, f: np.ndarray) -> np.ndarray:
+        """f at the interior's s (or k) values."""
+        return f[2 * RING : f.size - 2 * RING]
+
+    def stencil(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f[s], f[s+1] + f[s-1] and f[s+1] - f[s-1] at the interior's s values."""
+        up = f[2 * RING + 1 : f.size - 2 * RING + 1]
+        down = f[2 * RING - 1 : f.size - 2 * RING - 1]
+        return self.inner(f), up + down, up - down
+
+    def products(self, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Sum over the (f, g) terms of f[s] g[k] on the interior."""
+        (f, g), *rest = terms
+        hankel, toeplitz = self.views(f, g)
+        total = hankel * toeplitz
+        for f, g in rest:
+            hankel, toeplitz = self.views(f, g)
+            total += hankel * toeplitz
+        return total
+
+    def corner_min(self, f: np.ndarray, g: np.ndarray) -> float:
+        """Smallest f[s] g[k] over the grid's four corners."""
+        n = f.size
+        corners = [(0, self.nx - 1), (self.nx - 1, 0), (self.ny - 1, n - 1), (n - 1, self.ny - 1)]
+        return min(float(f[s] * g[k]) for s, k in corners)
+
+
+def _stencil_lattice(grid: GridSpec2D) -> _ModeLattice:
+    lattice = _ModeLattice(grid)
+    if min(grid.nx, grid.ny) < 2 * RING + 1:
+        raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
+    return lattice
+
+
+def _continuity_field(s: Scenario, t: float, grid: GridSpec2D, dt: float) -> np.ndarray:
+    """Continuity residual on the interior, from rank-one products of mode factors."""
+    lattice = _stencil_lattice(grid)
+    f, g = lattice.factors(log_amplitude_coeffs(s, t))
+    f_next, g_next = lattice.factors(log_amplitude_coeffs(s, t + dt))
+    f_prev, g_prev = lattice.factors(log_amplitude_coeffs(s, t - dt))
+    f0, f_sum, f_diff = lattice.stencil(f)
+    g0, g_sum, g_diff = lattice.stencil(g)
+    sform = phase_coeffs(s, t)
+    rate = 1.0 / (2.0 * dt)
+    # S_x = S_u + S_v and S_y = S_u - S_v with S_u = c_u (x + y), S_v = c_v (x - y),
+    # so S_x A_x + S_y A_y = S_u (A_x + A_y) + S_v (A_x - A_y)
+    flux = 1.0 / (2.0 * lattice.h * s.m)
+    return lattice.products(
+        (rate * lattice.inner(f_next), lattice.inner(g_next)),
+        (-rate * lattice.inner(f_prev), lattice.inner(g_prev)),
+        (flux * sform.c_u * lattice.inner(lattice.sums) * f_diff, g_sum),
+        (-f_sum, flux * sform.c_v * lattice.inner(lattice.diffs) * g_diff),
+        (sform.laplacian / (2.0 * s.m) * f0, g0),
+    )
 
 
 def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-4) -> ResidualReport:
@@ -237,20 +310,7 @@ def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    lattice = _ModeLattice(grid)
-    a_now = lattice.exp(log_amplitude_coeffs(s, t))
-    a_t = (lattice.exp(log_amplitude_coeffs(s, t + dt)) - lattice.exp(log_amplitude_coeffs(s, t - dt))) / (2.0 * dt)
-    a_x = np.empty_like(a_now)
-    a_y = np.empty_like(a_now)
-    a_x[1:-1, :] = (a_now[2:, :] - a_now[:-2, :]) / (2.0 * grid.hx)
-    a_y[:, 1:-1] = (a_now[:, 2:] - a_now[:, :-2]) / (2.0 * grid.hy)
-    a_x[0, :] = a_x[-1, :] = 0.0
-    a_y[:, 0] = a_y[:, -1] = 0.0
-    sform = phase_coeffs(s, t)
-    s_x, s_y = lattice.grad(sform)
-    s_lap = sform.laplacian
-    residual = a_t + (s_x * a_x + s_y * a_y) / s.m + s_lap * a_now / (2.0 * s.m)
-    return _report("continuity", t, _interior(residual), grid, dt)
+    return _report("continuity", t, _continuity_field(s, t, grid, dt), grid, dt)
 
 
 def hamilton_jacobi_residual(
@@ -267,6 +327,32 @@ def hamilton_jacobi_residual(
     return _report("hamilton_jacobi", t, residual, grid, dt=0.0)
 
 
+def _schrodinger_field(s: Scenario, t: float, grid: GridSpec2D, dt: float, v_source: VSource) -> np.ndarray:
+    """Schrodinger residual on the interior, from rank-one products of mode factors."""
+    lattice = _stencil_lattice(grid)
+
+    def psi(at: float) -> tuple[np.ndarray, np.ndarray]:
+        return lattice.factors(log_amplitude_coeffs(s, at), phase_coeffs(s, at))
+
+    f, g = psi(t)
+    f_next, g_next = psi(t + dt)
+    f_prev, g_prev = psi(t - dt)
+    f0, f_sum, _ = lattice.stencil(f)
+    g0, g_sum, _ = lattice.stencil(g)
+    pot = external_quadform(s, t, v_source)
+    u, v = lattice.inner(lattice.u), lattice.inner(lattice.v)
+    rate = 0.5j / dt
+    lap_weight = 1.0 / (2.0 * s.m * lattice.h**2)
+    # V = V_u(u) + V_v(v); the stencil's -4 psi joins V_u's term
+    return lattice.products(
+        (rate * lattice.inner(f_next), lattice.inner(g_next)),
+        (-rate * lattice.inner(f_prev), lattice.inner(g_prev)),
+        (lap_weight * f_sum, g_sum),
+        (-(pot.c_u * u * u + pot.const + 4.0 * lap_weight) * f0, g0),
+        (-f0, pot.c_v * v * v * g0),
+    )
+
+
 def schrodinger_residual(
     s: Scenario,
     t: float,
@@ -281,30 +367,35 @@ def schrodinger_residual(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    lattice = _ModeLattice(grid)
+    return _report("schrodinger", t, _schrodinger_field(s, t, grid, dt, v_source), grid, dt)
 
-    def psi(at: float) -> np.ndarray:
-        return lattice.exp(log_amplitude_coeffs(s, at), phase_coeffs(s, at))
 
-    p_now = psi(t)
-    p_t = (psi(t + dt) - psi(t - dt)) / (2.0 * dt)
-    lap = np.zeros_like(p_now)
-    lap[1:-1, 1:-1] = (
-        (p_now[2:, 1:-1] - 2.0 * p_now[1:-1, 1:-1] + p_now[:-2, 1:-1]) / grid.hx**2
-        + (p_now[1:-1, 2:] - 2.0 * p_now[1:-1, 1:-1] + p_now[1:-1, :-2]) / grid.hy**2
-    )
-    v = lattice.form(external_quadform(s, t, v_source))
-    residual = 1j * p_t + lap / (2.0 * s.m) - v * p_now
-    return _report("schrodinger", t, _interior(residual), grid, dt)
+def _bohm_definition_field(s: Scenario, t: float, grid: GridSpec2D) -> np.ndarray:
+    """Stencil minus closed-form Bohm potential on the interior.
+
+    For A = f(u) g(v), h^2 lap A / A is
+    ((f[s+1] + f[s-1]) / f[s]) ((g[k+1] + g[k-1]) / g[k]) - 4: one product
+    on the grid.  ln A is concave, so A is smallest at a corner and the
+    underflow guard reads the corners.
+    """
+    lattice = _stencil_lattice(grid)
+    f, g = lattice.factors(log_amplitude_coeffs(s, t))
+    if lattice.corner_min(f, g) < AMPLITUDE_FLOOR:
+        raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
+    f0, f_sum, _ = lattice.stencil(f)
+    g0, g_sum, _ = lattice.stencil(g)
+    b = bohm_coeffs(s, t)
+    u, v = lattice.inner(lattice.u), lattice.inner(lattice.v)
+    lap_weight = 1.0 / (2.0 * s.m * lattice.h**2)
+    # -(lap A)/(2 m A) = -lap_weight (f ratio)(g ratio) + 4 lap_weight; the 4 joins B_u
+    f_ratio, g_ratio = lattice.views(-lap_weight * f_sum / f0, g_sum / g0)
+    b_u, b_v = lattice.views(b.c_u * u * u + b.const - 4.0 * lap_weight, b.c_v * v * v)
+    return f_ratio * g_ratio - b_u - b_v
 
 
 def bohm_definition_residual(s: Scenario, t: float, grid: GridSpec2D) -> ResidualReport:
     """Deviation of the stencil Bohm potential from the closed form."""
-    lattice = _ModeLattice(grid)
-    fd = bohm_from_amplitude(ScalarField2D(grid=grid, t=t, values=lattice.exp(log_amplitude_coeffs(s, t))), s.m)
-    closed = lattice.form(bohm_coeffs(s, t))[1:-1, 1:-1]
-    # fd already lost one ring; drop one more for the shared 2-ring policy.
-    return _report("bohm_definition", t, _interior(fd.values - closed, ring=1), grid, dt=0.0)
+    return _report("bohm_definition", t, _bohm_definition_field(s, t, grid), grid, dt=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,44 +507,65 @@ def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
 # stencil-error model and grid chooser
 
 
-def _stencil_error_model(s: Scenario, t: float, half: float, n: int) -> float:
-    """Predicted worst interior stencil error on [-half, half]^2 with n points.
+# the error law samples the forms on the unit lattice linspace(-1, 1, LAW_POINTS)^2,
+# scaled by the half extent; its nodes are multiples of 1/16, exact in binary
+LAW_POINTS = 33
+
+
+def _stencil_error_law(s: Scenario, t: float) -> Callable[[float, int], float]:
+    """Predicted worst interior stencil error on [-half, half]^2 with n points, as law(half, n).
 
     ln A and S are quadratic forms, so all derivatives of A and psi are
-    exact polynomials-times-Gaussian; the bound below evaluates the exact
-    fourth-derivative coefficients on a coarse lattice and applies the
-    central-stencil error constants (h^2/12 for second derivatives, h^2/6
-    for first).
+    exact polynomials-times-Gaussian; the bound evaluates the exact
+    fourth-derivative coefficients on a LAW_POINTS^2 lattice over the
+    extent and applies the central-stencil error constants (h^2/12 for
+    second derivatives, h^2/6 for first).  Scaled by ``half``, each
+    gradient is ``half`` times its value on the unit lattice, so every term
+    is a polynomial in half^2 (times exp(half^2 q_0 + const)) whose
+    coefficients are set up here, once.  Every term is even under
+    (x, y) -> (-x, -y), which maps row-major node p to LAW_POINTS^2 - 1 - p,
+    so the first half of the nodes and the centre give the same maxima.
     """
-    h = 2.0 * half / (n - 1)
-    xs = np.linspace(-half, half, 33)
-    x, y = np.meshgrid(xs, xs, indexing="ij")
     gform = log_amplitude_coeffs(s, t)
     sform = phase_coeffs(s, t)
-    g_x, g_y = gform.grad(x, y)
-    g_xx = gform.laplacian / 2.0
-    s_x, s_y = sform.grad(x, y)
-    s_xx = sform.laplacian / 2.0
-    amp = np.exp(gform(x, y))
+    unit = np.linspace(-1.0, 1.0, LAW_POINTS)
+    x, y = (c.ravel()[: (LAW_POINTS * LAW_POINTS + 1) // 2] for c in np.meshgrid(unit, unit, indexing="ij"))
+    q0 = gform.c_u * ((x + y) ** 2 / 2.0) + gform.c_v * ((x - y) ** 2 / 2.0)
+    # rows: d/dx, d/dy
+    g1 = np.stack(gform.grad(x, y))
+    s1 = np.stack(sform.grad(x, y))
+    g2 = gform.laplacian / 2.0
+    w1 = g1 + 1j * s1
+    w2 = g2 + 1j * sform.laplacian / 2.0
+    # |d^4/dx^4 e^f| / |e^f| for quadratic f with f' = half w1 is
+    # |half^4 w1^4 + 6 half^2 w1^2 f'' + 3 f''^2|, and |S'| |d^3/dx^3 A| / A
+    # is half^2 |half^2 S' g1^3 + 3 S' g1 g2|: coefficients by powers of half^2
+    w1_sq, g1_sq = w1 * w1, g1 * g1
+    psi_terms = (w1_sq * w1_sq, 6.0 * w2 * w1_sq, 3.0 * w2 * w2)
+    bohm_terms = (g1_sq * g1_sq, 6.0 * g2 * g1_sq, 3.0 * g2 * g2)
+    flux_terms = (s1 * g1 * g1_sq, 3.0 * g2 * s1 * g1)
 
-    def fourth(first, second):
-        # |d^4/dx^4 e^f| / |e^f| for quadratic f: |f'^4 + 6 f'^2 f'' + 3 f''^2|
-        return np.abs(first**4 + 6.0 * first * first * second + 3.0 * second**2)
+    def law(half: float, n: int) -> float:
+        h2 = half * half
+        amp = np.exp(h2 * q0 + gform.const)
+        c4, c2, c0 = psi_terms
+        psi4 = amp * np.abs((h2 * c4 + c2) * h2 + c0).sum(axis=0)
+        c4, c2, c0 = bohm_terms
+        p4 = np.abs((h2 * c4 + c2) * h2 + c0).sum(axis=0)
+        c2, c0 = flux_terms
+        a3 = amp * np.abs(h2 * c2 + c0).sum(axis=0)
+        h = 2.0 * half / (n - 1)
+        e_schrod = (h * h / 12.0) * float(psi4.max()) / (2.0 * s.m)
+        e_bohm = (h * h / 12.0) * float(p4.max()) / (2.0 * s.m)
+        e_cont = (h * h / 6.0) * h2 * float(a3.max()) / s.m
+        return max(e_schrod, e_bohm, e_cont)
 
-    wx = g_x + 1j * s_x
-    wy = g_y + 1j * s_y
-    z = g_xx + 1j * s_xx
-    psi4 = amp * (fourth(wx, z) + fourth(wy, z))
-    e_schrod = (h * h / 12.0) * float(psi4.max()) / (2.0 * s.m)
+    return law
 
-    p4 = fourth(g_x, g_xx) + fourth(g_y, g_xx)
-    e_bohm = (h * h / 12.0) * float(p4.max()) / (2.0 * s.m)
 
-    a3x = amp * np.abs(g_x**3 + 3.0 * g_x * g_xx)
-    a3y = amp * np.abs(g_y**3 + 3.0 * g_y * g_xx)
-    e_cont = (h * h / 6.0) * float((np.abs(s_x) * a3x + np.abs(s_y) * a3y).max()) / s.m
-
-    return max(e_schrod, e_bohm, e_cont)
+def _stencil_error_model(s: Scenario, t: float, half: float, n: int) -> float:
+    """Predicted worst interior stencil error on [-half, half]^2 with n points."""
+    return _stencil_error_law(s, t)(half, n)
 
 
 # the grid chooser stops at the bracket width 48 bisection steps of [0.05, 6]
@@ -479,8 +591,10 @@ def residual_grid(s: Scenario, t: float, n: int = 201, target: float = 2e-5) -> 
         raise ValueError(f"stencil-error target must be positive, got {target!r}")
     lo, hi = 0.05, 6.0
 
+    law = _stencil_error_law(s, t)
+
     def excess(half: float) -> float:
-        return math.log(_stencil_error_model(s, t, half, n) / target)
+        return math.log(law(half, n) / target)
 
     f_hi = excess(hi)
     if f_hi <= 0.0:

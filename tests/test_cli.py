@@ -370,10 +370,11 @@ def test_fock_ode_failure_keeps_factorization_distance(tmp_path):
     assert entry["vacuum_offdiag_max"] == 0.0
 
 
-@pytest.mark.parametrize("nu", [1e16, 1e18])
+@pytest.mark.parametrize("nu", [1e11, 1e16, 1e18])
 def test_fock_squeeze_past_phase_precision_reports_error(tmp_path, capsys, nu):
-    # from generator 1-norm 2^53 (|nu| ~ 1.3e15 at n_max = 4) the phases
-    # keep no fractional bit: an error entry, with no numpy warning
+    # past |nu| ~ 4.5e9 at n_max = 4 the direct route's predicted
+    # orthogonality defect passes its bound: an error entry, with no numpy
+    # warning
     cfg = write_config(tmp_path, "f.json", {"nu_values": [nu], "n_max": 4, "out_dir": str(tmp_path)})
     assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""

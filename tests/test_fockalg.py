@@ -219,17 +219,19 @@ def test_direct_zero_squeeze_is_identity(spec24):
 
 @pytest.mark.parametrize("n_max", [4, 24])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_direct_phase_guard_at_two_to_53(n_max, sign):
+def test_direct_guard_at_predicted_orthogonality_defect(n_max, sign):
     # the generator's 1-norm is |nu| times its largest column sum (7 at
-    # n_max = 4); from 2^53 on the phases nu lambda keep no fractional bit
-    # and the route raises.  Just below, the phases carry |nu| times the
-    # eigenvalues' rounding, but every entry is a cosine or sine sum over
-    # orthonormal eigenvectors, so none exceeds 1
+    # n_max = 4); the route raises once 2 (norm 2^-52)^2, twice its
+    # predicted orthogonality defect, passes the bound.  Just below, the
+    # measured defect stays within the bound and no entry exceeds 1
     spec = fa.FockSpaceSpec(n_max)
-    edge = 2.0**53 / max(np.abs(sector_generator(1.0, n_max, d)).sum(axis=0).max() for d in range(n_max + 1))
+    column_sum = max(np.abs(sector_generator(1.0, n_max, d)).sum(axis=0).max() for d in range(n_max + 1))
+    edge = 2.0**52 * math.sqrt(fa.DIRECT_DEFECT_BOUND / 2.0) / column_sum
     entries = fa.two_mode_squeeze_direct(sign * 0.999 * edge, spec).entries
     assert np.abs(entries).max() <= 1.0 + 1e-12
-    for nu in [1.001 * edge, 1e16, 1e18, 1e200, 1e308, math.nan]:
+    defect = np.abs(entries.swapaxes(1, 2) @ entries - np.eye(n_max + 1)).max()
+    assert defect <= fa.DIRECT_DEFECT_BOUND
+    for nu in [1.001 * edge, 1e11, 1e16, 1e18, 1e200, 1e308, math.nan]:
         with pytest.raises(fa.ConvergenceError, match="1-norm"):
             fa.two_mode_squeeze_direct(sign * nu, spec)
 
@@ -262,6 +264,19 @@ def test_direct_route_holds_four_operators_at_most():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * op.entries.nbytes
+
+
+def test_factored_route_holds_three_operators_at_most():
+    # the raising factor, the lowering factor scaled in place by the middle
+    # one, and their product
+    spec = fa.FockSpaceSpec(80)
+    tracemalloc.start()
+    try:
+        op = fa.two_mode_squeeze_factored(0.5, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * op.entries.nbytes
 
 
 def test_direct_is_orthogonal_on_interior(spec24):

@@ -1,15 +1,18 @@
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bohm_squeeze import GridSpec2D, Scenario, TimePolynomial
+from bohm_squeeze import GridSpec2D, ScalarField2D, Scenario, TimePolynomial
 from bohm_squeeze import closedform as cf
 from bohm_squeeze import verify
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 def example1():
     return Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
@@ -233,19 +236,16 @@ def test_mode_lattice_matches_meshgrid(grid, case, coeffs):
     x, y = grid.mesh()
     amp, phase = cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t)
     amp_scale, phase_scale = _scale(amp, x, y), _scale(phase, x, y)
-    ours = lattice.exp(amp)
+    hankel, toeplitz = lattice.views(*lattice.factors(amp))
+    ours = hankel * toeplitz
     assert ours.shape == (grid.nx, grid.ny)
     assert _close_exp(ours, np.exp(amp(x, y)), amp_scale)
     ref = np.exp(amp(x, y)) * np.exp(1j * phase(x, y))
-    assert _close_exp(lattice.exp(amp, phase), ref, max(amp_scale, phase_scale))
+    hankel, toeplitz = lattice.views(*lattice.factors(amp, phase))
+    assert _close_exp(hankel * toeplitz, ref, max(amp_scale, phase_scale))
 
     form = cf.QuadForm(*coeffs)
-    scale = _scale(form, x, y)
-    assert _close_form(lattice.form(form), form(x, y), scale)
-    gx, gy = lattice.grad(form)
-    rx, ry = form.grad(x, y)
-    scale = (abs(form.c_u) + abs(form.c_v)) * float((np.abs(x) + np.abs(y)).max())
-    assert _close_form(gx, rx, scale) and _close_form(gy, ry, scale)
+    assert _close_form(lattice.form(form), form(x, y), _scale(form, x, y))
 
 
 def test_mode_lattice_runs_no_2d_exponential(monkeypatch):
@@ -262,6 +262,114 @@ def test_mode_lattice_runs_no_2d_exponential(monkeypatch):
     for residual in RESIDUALS:
         residual(s, 0.5, grid)
     assert sizes and set(sizes) == {grid.nx + grid.ny - 1}
+
+
+def stencil_fields_2d(s, t, grid, dt, v_source):
+    # reference: the 2-D residual fields the rank-one products replace.  Each
+    # field is sampled through QuadForm.__call__ on the mesh and the 5-point
+    # and central stencils act on the 2-D arrays; the Bohm term comes from
+    # bohm_from_amplitude.  Returns the fields and, per field, a rounding
+    # bound: the samples' relative error, carried through the stencils'
+    # coefficients at the local magnitude of the samples
+    x, y = grid.mesh()
+    inner = (slice(2, -2), slice(2, -2))
+    times = (t - dt, t, t + dt)
+    amps = [cf.log_amplitude_coeffs(s, at) for at in times]
+    phases = [cf.phase_coeffs(s, at) for at in times]
+    v = verify.external_quadform(s, t, v_source)
+    b = cf.bohm_coeffs(s, t)
+    scale = max(_scale(form, x, y) for form in [*amps, *phases, v, b])
+    scale = max(scale, (abs(phases[1].c_u) + abs(phases[1].c_v)) * float((np.abs(x) + np.abs(y)).max()))
+    # relative error of every sample, and of using hx for hy
+    delta = _tol(scale) + abs(1.0 - (grid.hx / grid.hy) ** 2)
+    hx, hy, h = grid.hx, grid.hy, min(grid.hx, grid.hy)
+
+    def near(values):
+        # largest magnitude among the 5-point neighbours, on the interior
+        m = np.abs(values)
+        return np.maximum.reduce([m[2:-2, 2:-2], m[3:-1, 2:-2], m[1:-3, 2:-2], m[2:-2, 3:-1], m[2:-2, 1:-3]])
+
+    def lap(f):
+        return (f[2:, 1:-1] - 2.0 * f[1:-1, 1:-1] + f[:-2, 1:-1]) / hx**2 + (
+            f[1:-1, 2:] - 2.0 * f[1:-1, 1:-1] + f[1:-1, :-2]
+        ) / hy**2
+
+    psi = [np.exp(a(x, y)) * np.exp(1j * p(x, y)) for a, p in zip(amps, phases)]
+    vv = v(x, y)
+    schrod = 1j * (psi[2] - psi[0]) / (2.0 * dt) + np.pad(lap(psi[1]), 1) / (2.0 * s.m) - vv * psi[1]
+    big = np.maximum.reduce([near(psi[1]), np.abs(psi[0])[inner], np.abs(psi[2])[inner], np.full_like(vv[inner], 1e-300)])
+    schrod_tol = 4.0 * delta * big * (1.0 / dt + 4.0 / (s.m * h * h) + np.abs(vv[inner]) + 1.0)
+
+    amp = [np.exp(a(x, y)) for a in amps]
+    a = amp[1]
+    a_x = np.zeros_like(a)
+    a_y = np.zeros_like(a)
+    a_x[1:-1, :] = (a[2:, :] - a[:-2, :]) / (2.0 * hx)
+    a_y[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * hy)
+    s_x, s_y = phases[1].grad(x, y)
+    cont = (amp[2] - amp[0]) / (2.0 * dt) + (s_x * a_x + s_y * a_y) / s.m + phases[1].laplacian * a / (2.0 * s.m)
+    big = np.maximum.reduce([near(a), amp[0][inner], amp[2][inner], np.full_like(a[inner], 1e-300)])
+    slope = (np.abs(s_x) + np.abs(s_y))[inner]
+    cont_tol = 4.0 * delta * big * (1.0 / dt + slope / (s.m * h) + abs(phases[1].laplacian) / s.m + 1.0)
+
+    try:
+        fd = verify.bohm_from_amplitude(ScalarField2D(grid=grid, t=t, values=a), s.m).values
+    except ValueError:
+        bohm = bohm_tol = None  # the amplitude reaches the underflow floor
+    else:
+        bohm = fd[1:-1, 1:-1] - b(x, y)[inner]
+        # neighbours over the centre: -(lap A)/(2 m A) is a sum of such ratios
+        ratio = (a[3:-1, 2:-2] + a[1:-3, 2:-2] + a[2:-2, 3:-1] + a[2:-2, 1:-3]) / a[inner]
+        bohm_tol = 4.0 * delta * ((ratio + 4.0) / (s.m * h * h) + np.abs(b(x, y)[inner]) + 1.0)
+    return (schrod[inner], schrod_tol), (cont[inner], cont_tol), (bohm, bohm_tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    grid=equal_spacing_grids().filter(lambda g: min(g.nx, g.ny) >= 5),
+    case=scenarios_at(),
+    v_source=st.sampled_from(verify.V_SOURCES),
+)
+def test_factored_stencils_match_2d_stencils(grid, case, v_source):
+    s, t = case
+    dt = 1e-4
+    assume(math.isclose(grid.hx, grid.hy, rel_tol=1e-12))
+    for at in (t - dt, t + dt):
+        nu = s.nu.value(at)
+        assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
+    with warnings.catch_warnings():
+        # the 2-D samples may underflow where the factors do not
+        warnings.simplefilter("ignore", RuntimeWarning)
+        (schrod, schrod_tol), (cont, cont_tol), (bohm, bohm_tol) = stencil_fields_2d(s, t, grid, dt, v_source)
+    ours = verify._schrodinger_field(s, t, grid, dt, v_source)
+    assert ours.shape == schrod.shape == (grid.nx - 4, grid.ny - 4)
+    assert np.all(np.abs(ours - schrod) <= schrod_tol)
+    assert np.all(np.abs(verify._continuity_field(s, t, grid, dt) - cont) <= cont_tol)
+    if bohm is None:
+        with pytest.raises(ValueError, match="underflow"):
+            verify._bohm_definition_field(s, t, grid)
+    else:
+        assert np.all(np.abs(verify._bohm_definition_field(s, t, grid) - bohm) <= bohm_tol)
+
+
+@pytest.mark.parametrize("residual", [verify.schrodinger_residual, verify.continuity_residual, verify.bohm_definition_residual])
+def test_stencil_residuals_need_an_interior(residual):
+    s = example1()
+    residual(s, 0.5, GridSpec2D(-1.0, 1.0, -1.0, 1.0, 5, 5))
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        residual(s, 0.5, GridSpec2D(-1.0, 1.0, -0.375, 0.375, 9, 4))
+
+
+@pytest.mark.parametrize("config", ["verify_example1.json", "verify_example2.json"])
+def test_variant_fails_at_every_example_time(config):
+    payload = json.loads((CONFIG_DIR / config).read_text())
+    s = Scenario.from_json(payload["scenario"])
+    for t in payload["times"]:
+        grid = verify.residual_grid(s, t)
+        good = verify.schrodinger_residual(s, t, grid)
+        bad = verify.schrodinger_residual(s, t, grid, v_source="variant")
+        assert good.max_abs_residual < 1e-4 < bad.max_abs_residual
+        assert bad.max_abs_residual > 100.0 * good.max_abs_residual
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +600,27 @@ def residual_grid_bisection(s, t, n=201, target=2e-5):
 )
 def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
     s = scenario_fn()
-    model = verify._stencil_error_model
-    calls = []
+    make_law = verify._stencil_error_law
+    builds, calls = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return model(*args)
+    def counted_law(*args):
+        builds.append(args)
+        law = make_law(*args)
 
-    monkeypatch.setattr(verify, "_stencil_error_model", counted)
+        def counted(*point):
+            calls.append(point)
+            return law(*point)
+
+        return counted
+
+    monkeypatch.setattr(verify, "_stencil_error_law", counted_law)
     half = verify.residual_grid(s, t, n=n).x_max
     monkeypatch.undo()
+    assert builds == [(s, t)]
     assert len(calls) <= 20
     assert abs(half - residual_grid_bisection(s, t, n=n)) <= BISECTION_WIDTH
     # the bracket closed: the returned extent is feasible, one width more is not
+    model = verify._stencil_error_model
     assert model(s, t, half, n) <= 2e-5 < model(s, t, half + BISECTION_WIDTH, n)
 
 
@@ -513,7 +629,7 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
     # on an exact power law the first secant step lands on the largest
     # feasible extent itself, up to rounding; the search must still close
     # its bracket rather than creep toward the root
-    def power_law(s, t, half, n):
+    def power_law(half, n):
         return 2e-5 * (half / root) ** 4
 
     calls = []
@@ -522,11 +638,49 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
         calls.append(args)
         return power_law(*args)
 
-    monkeypatch.setattr(verify, "_stencil_error_model", counted)
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: counted)
     half = verify.residual_grid(example1(), 0.5).x_max
     assert len(calls) <= 6
-    assert power_law(None, None, half, None) <= 2e-5 < power_law(None, None, half + BISECTION_WIDTH, None)
+    assert power_law(half, None) <= 2e-5 < power_law(half + BISECTION_WIDTH, None)
     assert abs(half - root) <= BISECTION_WIDTH
+
+
+def stencil_error_lattice(s, t, half, n):
+    # reference: the direct evaluation on the full 33^2 lattice over the
+    # extent, with every gradient sampled there, that the law replaces
+    h = 2.0 * half / (n - 1)
+    xs = np.linspace(-half, half, 33)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    gform, sform = cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t)
+    g_x, g_y = gform.grad(x, y)
+    g_xx = gform.laplacian / 2.0
+    s_x, s_y = sform.grad(x, y)
+    s_xx = sform.laplacian / 2.0
+    amp = np.exp(gform(x, y))
+
+    def fourth(first, second):
+        return np.abs(first**4 + 6.0 * first * first * second + 3.0 * second**2)
+
+    z = g_xx + 1j * s_xx
+    psi4 = amp * (fourth(g_x + 1j * s_x, z) + fourth(g_y + 1j * s_y, z))
+    p4 = fourth(g_x, g_xx) + fourth(g_y, g_xx)
+    a3 = np.abs(s_x) * amp * np.abs(g_x**3 + 3.0 * g_x * g_xx) + np.abs(s_y) * amp * np.abs(g_y**3 + 3.0 * g_y * g_xx)
+    return max(
+        (h * h / 12.0) * psi4.max() / (2.0 * s.m),
+        (h * h / 12.0) * p4.max() / (2.0 * s.m),
+        (h * h / 6.0) * a3.max() / s.m,
+    )
+
+
+def test_stencil_error_law_matches_lattice():
+    # shipped scenarios (fig1 and fig2 share them), every shipped time, the
+    # whole search range of extents
+    for s in [example1(), example2()]:
+        for t in [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]:
+            law = verify._stencil_error_law(s, t)
+            for half in np.geomspace(0.05, 6.0, 25):
+                for n in [101, 201, 601]:
+                    assert law(half, n) == pytest.approx(stencil_error_lattice(s, t, half, n), rel=1e-13, abs=0)
 
 
 def test_residual_grid_feasible_upper_end_is_exact():
