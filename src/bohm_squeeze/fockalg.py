@@ -53,11 +53,16 @@ as |nu| grows: max |U^T U - I| follows (norm 2^-52)^2, norm the generator's
 0 at n_a = n_max, b+ b is not 0 at n_b = n_max) and is built on every
 sector.
 
-The RK4 oracle takes its step count from its error law: on this system
-its global error is about 1.2e-3 h^4 (at nu = 1: 6.9e-13 at 200 steps,
-4.3e-14 at 400, 1.0e-15 at 1000), so a step h <= 1e-3 keeps it at the
-rounding floor.  ``ode_steps`` gives min(2000, max(100, ceil(|nu| / 1e-3)))
-steps; from |nu| = 2 on that is the 2000 steps every nu once took.
+The ODE oracle integrates the function system with the Dormand-Prince
+5(4) pair (Dormand & Prince 1980) in equal steps.  The pair reuses its last
+stage as the next step's first, so a step costs 6 evaluations of the
+right-hand side, and its embedded 4th-order solution checks every step.
+Its global error is at most about 5e-4 h^5 on this system (at nu = 1:
+8.8e-11 at 20 steps, 3.2e-12 at 40, 1.1e-13 at 80), so a step h <= 5e-3
+keeps it at the rounding floor.  ``ode_steps`` gives
+min(2000, max(20, ceil(|nu| / 5e-3))) steps: 520 for the five nu of
+configs/fock.json, or 3,120 evaluations.  At the 2000-step cap the local
+check holds up to |nu| ~ 106.67.
 """
 
 from __future__ import annotations
@@ -90,14 +95,29 @@ N_MAX_LIMIT = 160
 # for its own result (see ``two_mode_squeeze_direct``).
 DIRECT_DEFECT_BOUND = 1e-10
 
-# The RK4 oracle's step-size bound and step-count range (see ``ode_steps``).
-ODE_MAX_STEP = 1e-3
-ODE_MIN_STEPS = 100
+# The ODE oracle's step-size bound and step-count range (see ``ode_steps``).
+ODE_MAX_STEP = 5e-3
+ODE_MIN_STEPS = 20
 ODE_MAX_STEPS = 2000
+
+# Dormand & Prince (1980) 5(4) pair: row i holds the coefficients a_(i+2, j)
+# of stage i + 2 (the system is autonomous, so the nodes c_i are not
+# needed); the last row is the 5th-order weights b_j, so the last stage
+# sits at the step's result.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# b_j - b*_j, the 5th- minus the embedded 4th-order weights of all 7 stages
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 class ConvergenceError(RuntimeError):
-    """A matrix exponential or the RK4 oracle could not reach a checked result."""
+    """A matrix exponential or the ODE oracle could not reach a checked result."""
 
 
 @dataclass(frozen=True)
@@ -309,13 +329,18 @@ def disentangle_closed_form(nu: float) -> DisentangleFunctions:
 
 
 def ode_steps(nu_end: float) -> int:
-    """RK4 step count for ``disentangle_ode_oracle`` from the step-size bound.
+    """Step count for ``disentangle_ode_oracle`` from the step-size bound.
 
-    min(2000, max(100, ceil(|nu_end| / 1e-3))): steps of at most 1e-3, where
-    the oracle's global error, about 1.2e-3 h^4, is below rounding; at
-    least the oracle's 100 steps; and never more than 2000, the count every
-    nu once took.  100 at nu = 0.1, 1000 at nu = 1, 2000 from |nu| = 2 on.
+    min(2000, max(20, ceil(|nu_end| / 5e-3))): steps of at most 5e-3, where
+    the oracle's global error, at most about 5e-4 h^5, is below rounding; at
+    least the oracle's 20 steps; and never more than 2000.  20 at nu = 0.1,
+    200 at nu = 1, 2000 from |nu| = 10 on.  At the cap the local check
+    holds up to |nu_end| ~ 106.67 (the result is then off the closed forms
+    by 1.8e-10 at 106) and fails past it.  A NaN nu_end raises
+    ``ValueError``.
     """
+    if math.isnan(nu_end):
+        raise ValueError(f"nu must be a number, got {nu_end}")
     span = abs(nu_end) / ODE_MAX_STEP
     if span >= ODE_MAX_STEPS:  # also where span overflows to inf
         return ODE_MAX_STEPS
@@ -331,63 +356,65 @@ def disentangle_ode_oracle(nu_end: float, steps: int, *, local_tol: float = 1e-9
        -1 = f3' e^{-2 f2}
     are triangular in the derivatives; solving them once gives the explicit
     system f3' = -e^{2 f2}, f2' = -f1, f1' = 1 - f1^2 integrated here with
-    classical RK4.  Each step is checked against two half steps; the step
-    count must keep that estimate below ``local_tol``.  The full step and
-    the first half step share their start-point stage, so a step costs 11
-    evaluations of the right-hand side, not 12.  ``ode_steps`` gives the
-    step count that keeps the global error at rounding.
+    the Dormand-Prince 5(4) pair (``_DP_A``) in ``steps`` equal steps,
+    keeping the 5th-order solution.  The pair is first-same-as-last: its
+    last stage is the right-hand side at the step's result, and serves as
+    the next step's first stage, so a step costs 6 evaluations of
+    (1 - f1^2, -e^{2 f2}); f2' needs none, its slope at each stage being
+    minus that stage's f1 point.  Each step is checked: the difference to
+    the embedded 4th-order solution (``_DP_E``) must be at most
+    ``local_tol`` in every component.  ``ode_steps`` gives the step count
+    that keeps the global error at rounding.
 
     A stage exponential that overflows, an estimate that is not a number
     and a result that is not finite all raise ``ConvergenceError``: steps
-    that long cannot be checked (from |nu_end| ~ 2e4 at 2000 steps).
+    that long cannot be checked (from |nu_end| ~ 9.1e3 at 2000 steps).
     """
     if steps < ODE_MIN_STEPS:
         raise ValueError(f"need at least {ODE_MIN_STEPS} integration steps")
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), b = _DP_A
+    b1, _, b3, b4, b5, b6 = b
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
     h = nu_end / steps
     f1 = f2 = f3 = 0.0
     try:
+        # stage i has the point (y_i, z_i) of (f1, f2) and the slopes
+        # (k_i, -y_i, m_i) of (f1, f2, f3); no slope depends on f3, so its
+        # stage points are never formed
+        k1, m1 = 1.0 - f1 * f1, -math.exp(2.0 * f2)
         for _ in range(steps):
-            # the start-point stage is shared by the full step and the first half step
-            a1 = 1.0 - f1 * f1
-            a3 = -math.exp(2.0 * f2)
-            full = _rk4_step(f1, f2, f3, a1, a3, h)
-            m1, m2, m3 = _rk4_step(f1, f2, f3, a1, a3, h / 2.0)
-            half = _rk4_step(m1, m2, m3, 1.0 - m1 * m1, -math.exp(2.0 * m2), h / 2.0)
-            e1, e2, e3 = abs(full[0] - half[0]), abs(full[1] - half[1]), abs(full[2] - half[2])
+            y2 = f1 + h * (a21 * k1)
+            z2 = f2 - h * (a21 * f1)
+            k2, m2 = 1.0 - y2 * y2, -math.exp(2.0 * z2)
+            y3 = f1 + h * (a31 * k1 + a32 * k2)
+            z3 = f2 - h * (a31 * f1 + a32 * y2)
+            k3, m3 = 1.0 - y3 * y3, -math.exp(2.0 * z3)
+            y4 = f1 + h * (a41 * k1 + a42 * k2 + a43 * k3)
+            z4 = f2 - h * (a41 * f1 + a42 * y2 + a43 * y3)
+            k4, m4 = 1.0 - y4 * y4, -math.exp(2.0 * z4)
+            y5 = f1 + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+            z5 = f2 - h * (a51 * f1 + a52 * y2 + a53 * y3 + a54 * y4)
+            k5, m5 = 1.0 - y5 * y5, -math.exp(2.0 * z5)
+            y6 = f1 + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+            z6 = f2 - h * (a61 * f1 + a62 * y2 + a63 * y3 + a64 * y4 + a65 * y5)
+            k6, m6 = 1.0 - y6 * y6, -math.exp(2.0 * z6)
+            # the 5th-order result is the last stage's point (b2 = 0)
+            y7 = f1 + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+            z7 = f2 - h * (b1 * f1 + b3 * y3 + b4 * y4 + b5 * y5 + b6 * y6)
+            g7 = f3 + h * (b1 * m1 + b3 * m3 + b4 * m4 + b5 * m5 + b6 * m6)
+            k7, m7 = 1.0 - y7 * y7, -math.exp(2.0 * z7)
+            d1 = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
+            d2 = abs(h * (e1 * f1 + e3 * y3 + e4 * y4 + e5 * y5 + e6 * y6 + e7 * y7))
+            d3 = abs(h * (e1 * m1 + e3 * m3 + e4 * m4 + e5 * m5 + e6 * m6 + e7 * m7))
             # compared one by one: max() drops a NaN that is not its first argument
-            if not (e1 <= local_tol and e2 <= local_tol and e3 <= local_tol):
-                err = math.nan if math.isnan(e1 + e2 + e3) else max(e1, e2, e3)
+            if not (d1 <= local_tol and d2 <= local_tol and d3 <= local_tol):
+                err = math.nan if math.isnan(d1 + d2 + d3) else max(d1, d2, d3)
                 raise ConvergenceError(
                     f"local error estimate {err:.3e} exceeds {local_tol:.0e}; increase steps"
                 )
-            # Keep the two-half-step value: one extra order of local accuracy.
-            f1, f2, f3 = half
+            f1, f2, f3, k1, m1 = y7, z7, g7, k7, m7
     except OverflowError:
         raise ConvergenceError(f"stage exponential overflows with step size {h:.3e}; increase steps") from None
     if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
         raise ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
     return DisentangleFunctions(f1, f2, f3)
-
-
-def _rk4_step(
-    f1: float, f2: float, f3: float, a1: float, a3: float, h: float
-) -> tuple[float, float, float]:
-    """One classical RK4 step of f1' = 1 - f1^2, f2' = -f1, f3' = -e^{2 f2}.
-
-    (a1, a3) is the start-point stage of f1 and f3.  f2 needs no
-    evaluation: its slope at each stage is minus that stage's f1 point,
-    which is subtracted directly.
-    """
-    q = 0.5 * h
-    x1, x2, x3 = f1 + q * a1, f2 - q * f1, f3 + q * a3
-    b1, b3 = 1.0 - x1 * x1, -math.exp(2.0 * x2)
-    y1, y2, y3 = f1 + q * b1, f2 - q * x1, f3 + q * b3
-    c1, c3 = 1.0 - y1 * y1, -math.exp(2.0 * y2)
-    z1, z2, z3 = f1 + h * c1, f2 - h * y1, f3 + h * c3
-    d1, d3 = 1.0 - z1 * z1, -math.exp(2.0 * z2)
-    s = h / 6.0
-    return (
-        f1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-        f2 - s * (f1 + 2.0 * x1 + 2.0 * y1 + z1),
-        f3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-    )

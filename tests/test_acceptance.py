@@ -96,7 +96,7 @@ def test_criterion_1_factorization_identity_at_fixed_truncation():
 
 
 def test_criterion_2_ode_oracle_matches_closed_forms():
-    """RK4 integration of the factorization system vs tanh/-ln cosh/-tanh."""
+    """Runge-Kutta integration of the factorization system vs tanh/-ln cosh/-tanh."""
     start = time.perf_counter()
     worst = 0.0
     for nu in np.linspace(0.0, 2.0, 20):

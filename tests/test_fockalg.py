@@ -427,32 +427,48 @@ def test_ode_negative_direction():
     assert f.f2 == pytest.approx(-math.log(math.cosh(0.8)), abs=1e-9)
 
 
+# Dormand & Prince (1980) 5(4) pair: stage coefficients a_ij, 5th-order
+# weights b_j and embedded 4th-order weights b*_j
+DP_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+DP_B = [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0]
+DP_B4 = [5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+
+
 def reference_ode_oracle(nu_end: float, steps: int, local_tol: float = 1e-9) -> tuple[float, float, float]:
-    """RK4 with a right-hand-side call per stage and 12 evaluations a step: the arithmetic the oracle keeps."""
+    """Dormand-Prince with a right-hand-side call per stage and 7 a step: the arithmetic the oracle keeps."""
 
-    def rhs(f1, f2, f3):
-        return 1.0 - f1 * f1, -f1, -math.exp(2.0 * f2)
+    def rhs(f):
+        return 1.0 - f[0] * f[0], -f[0], -math.exp(2.0 * f[1])
 
-    def rk4_step(f1, f2, f3, h):
-        a1, a2, a3 = rhs(f1, f2, f3)
-        b1, b2, b3 = rhs(f1 + 0.5 * h * a1, f2 + 0.5 * h * a2, f3 + 0.5 * h * a3)
-        c1, c2, c3 = rhs(f1 + 0.5 * h * b1, f2 + 0.5 * h * b2, f3 + 0.5 * h * b3)
-        d1, d2, d3 = rhs(f1 + h * c1, f2 + h * c2, f3 + h * c3)
-        return (
-            f1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-            f2 + (h / 6.0) * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-            f3 + (h / 6.0) * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-        )
+    def advance(f, h, weights, k):
+        # f + h * sum_j w_j k_j in each component, summed left to right
+        out = []
+        for i in range(3):
+            total = weights[0] * k[0][i]
+            for w, kj in zip(weights[1:], k[1:]):
+                total += w * kj[i]
+            out.append(f[i] + h * total)
+        return tuple(out)
 
     h = nu_end / steps
     f = (0.0, 0.0, 0.0)
     for _ in range(steps):
-        full = rk4_step(*f, h)
-        half = rk4_step(*rk4_step(*f, h / 2.0), h / 2.0)
-        err = max(abs(full[0] - half[0]), abs(full[1] - half[1]), abs(full[2] - half[2]))
-        if err > local_tol:
+        k = [rhs(f)]
+        for row in DP_A[1:]:
+            k.append(rhs(advance(f, h, row, k)))
+        fifth, fourth = advance(f, h, DP_B, k), advance(f, h, DP_B4, k)
+        err = max(abs(x - y) for x, y in zip(fifth, fourth))
+        if not err <= local_tol:
             raise fa.ConvergenceError(f"local error estimate {err:.3e} exceeds {local_tol:.0e}")
-        f = half
+        f = fifth
     return f
 
 
@@ -463,9 +479,24 @@ def test_ode_bits_match_per_stage_reference(nu, steps):
     assert (f.f1, f.f2, f.f3) == reference_ode_oracle(nu, steps)
 
 
+def test_ode_fifth_order():
+    # at nu = 1, above rounding, halving the step divides the global error
+    # by about 2^5 (27.3 from 20 to 40 steps, 29.9 from 40 to 80)
+    c = fa.disentangle_closed_form(1.0)
+
+    def error(steps):
+        f = fa.disentangle_ode_oracle(1.0, steps)
+        return max(abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3))
+
+    errors = [error(steps) for steps in (20, 40, 80)]
+    assert errors[-1] > 1e-14
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 2.0**4.5 < coarse / fine < 2.0**5.5
+
+
 def test_ode_step_count_validation():
-    with pytest.raises(ValueError, match="100"):
-        fa.disentangle_ode_oracle(1.0, steps=50)
+    with pytest.raises(ValueError, match="20"):
+        fa.disentangle_ode_oracle(1.0, steps=19)
 
 
 def test_ode_step_size_failure():
@@ -476,22 +507,54 @@ def test_ode_step_size_failure():
 
 @pytest.mark.parametrize(
     "nu, steps",
-    [(0.0, 100), (0.1, 100), (0.25, 250), (1.0, 1000), (-1.0, 1000), (5.0, 2000), (-5.0, 2000), (1e308, 2000)],
+    [
+        (0.0, 20),
+        (0.1, 20),
+        (0.25, 50),
+        (1.0, 200),
+        (-1.0, 200),
+        (5.0, 1000),
+        (-5.0, 1000),
+        (10.0, 2000),
+        (-12.0, 2000),
+        (1e308, 2000),
+    ],
 )
 def test_ode_step_law(nu, steps):
-    # min(2000, max(100, ceil(|nu| / 1e-3))); configs/fock.json takes 2600 in all
+    # min(2000, max(20, ceil(|nu| / 5e-3))); configs/fock.json takes 520 in all
     assert fa.ode_steps(nu) == steps
 
 
+def test_ode_step_law_rejects_nan():
+    with pytest.raises(ValueError, match="nu"):
+        fa.ode_steps(math.nan)
+
+
 def test_ode_step_law_holds_rounding_floor():
-    # the global error is about 1.2e-3 h^4, below rounding at h <= 1e-3;
-    # 3.2e-15 at worst here, against 4.0e-15 at 2000 fixed steps
+    # the global error is at most about 5e-4 h^5, below rounding at
+    # h <= 5e-3; 2.2e-15 at worst here
     worst = 0.0
     for nu in np.linspace(-2.0, 2.0, 141):
         f = fa.disentangle_ode_oracle(nu, fa.ode_steps(nu))
         c = fa.disentangle_closed_form(nu)
         worst = max(worst, abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3))
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ode_step_cap_edge(sign):
+    # at the 2000-step cap the local check holds up to |nu| ~ 106.67: the
+    # largest estimate is 9.7e-10 at 106, and at 107.5 the check fails, as
+    # the reference's difference of its two solutions does
+    nu = sign * 106.0
+    f = fa.disentangle_ode_oracle(nu, fa.ode_steps(nu))
+    assert (f.f1, f.f2, f.f3) == reference_ode_oracle(nu, 2000)
+    c = fa.disentangle_closed_form(nu)
+    assert max(abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3)) < 1e-9
+    assert fa.ode_steps(sign * 107.5) == 2000
+    for oracle in (fa.disentangle_ode_oracle, reference_ode_oracle):
+        with pytest.raises(fa.ConvergenceError, match="local error"):
+            oracle(sign * 107.5, 2000)
 
 
 @pytest.mark.parametrize("nu", [1e19, 1e100, -1e100])
