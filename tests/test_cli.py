@@ -394,6 +394,42 @@ def test_fock_report_is_strict_json(tmp_path_factory, nu):
     json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    n_max=st.integers(1, 6),
+    nu_values=st.lists(
+        st.one_of(
+            st.floats(-3.0, 3.0),
+            st.sampled_from([1e16, -1e16, 1e11, -150.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_fock_entry_does_not_depend_on_other_nu(tmp_path_factory, n_max, nu_values):
+    # the direct route's spectrum is computed once per truncation and reused
+    # at every nu: each entry equals the entry of a run of its nu alone, and
+    # each run makes one eigendecomposition, also when the guard refuses
+    # every nu
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", counting_eigh)
+        out = cli.run_fock(nu_values, n_max, tmp_path_factory.mktemp("fock"))
+        assert len(calls) == 1
+        entries = json.loads(out.read_text())["entries"]
+        for k, (nu, entry) in enumerate(zip(nu_values, entries, strict=True)):
+            (alone,) = json.loads(cli.run_fock([nu], n_max, tmp_path_factory.mktemp("fock")).read_text())["entries"]
+            assert entry == alone
+            assert len(calls) == k + 2
+
+
 def test_entropy_table(tmp_path):
     out = cli.run_entropy([0.0, 0.5, 1.0, 1.5], tmp_path)
     rows = out.read_text().strip().splitlines()

@@ -1,7 +1,9 @@
+import json
 import math
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -115,7 +117,7 @@ def test_pair_exponential_matches_dense_sector_blocks(n_max):
     a, b = dense_ladder(n_max)
     pairs = a.T @ b.T
     for f in PAIR_FACTORS:
-        stack = fa._pair_exponential(f, n_max)
+        stack = fa._pair_exponential(f, fa.FockSpaceSpec(n_max))
         for d in range(-n_max, n_max + 1):
             idx = sector_states(n_max, d)
             size = len(idx)
@@ -129,7 +131,7 @@ def test_pair_exponential_matches_dense_sector_blocks(n_max):
 def test_pair_exponential_at_zero_is_identity():
     for n_max in [1, 24, fa.N_MAX_LIMIT]:
         identity = np.broadcast_to(np.eye(n_max + 1), (2 * n_max + 1, n_max + 1, n_max + 1))
-        np.testing.assert_array_equal(fa._pair_exponential(0.0, n_max), identity)
+        np.testing.assert_array_equal(fa._pair_exponential(0.0, fa.FockSpaceSpec(n_max)), identity)
 
 
 @pytest.mark.parametrize("f", [1.0, -1.0])
@@ -139,19 +141,22 @@ def test_pair_exponential_at_truncation_limit(f):
     n_max = fa.N_MAX_LIMIT
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stack = fa._pair_exponential(f, n_max)
+        stack = fa._pair_exponential(f, fa.FockSpaceSpec(n_max))
     assert np.all(np.isfinite(stack))
     np.testing.assert_array_equal(stack[n_max, :, 0], f ** np.arange(n_max + 1))
 
 
-def test_factored_route_needs_no_matrix_exponential(monkeypatch, spec24):
-    expected = fa.two_mode_squeeze_factored(0.5, spec24).entries
+def test_factored_route_needs_no_matrix_exponential(monkeypatch):
+    # a fresh spec, so no cached direct-route spectrum can hide a call
+    spec = fa.FockSpaceSpec(24)
+    expected = fa.two_mode_squeeze_factored(0.5, spec).entries
 
     def refuse(m):
         raise AssertionError("the factored route called np.linalg.eigh")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    np.testing.assert_array_equal(fa.two_mode_squeeze_factored(0.5, spec24).entries, expected)
+    np.testing.assert_array_equal(fa.two_mode_squeeze_factored(0.5, spec).entries, expected)
+    np.testing.assert_array_equal(fa.two_mode_squeeze_factored(0.5, fa.FockSpaceSpec(24)).entries, expected)
 
 
 def test_interior_block_matches_dense_sub_matrix():
@@ -255,7 +260,8 @@ def test_direct_vacuum_column_pair_structure(spec40_direct_nu1):
 
 
 def test_direct_route_holds_four_operators_at_most():
-    # the result and the eigenvectors, about 1.5 operators
+    # on a fresh spec: the result, the eigenvectors and Z Z^T, about 2
+    # operators
     spec = fa.FockSpaceSpec(40)
     tracemalloc.start()
     try:
@@ -264,6 +270,43 @@ def test_direct_route_holds_four_operators_at_most():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * op.entries.nbytes
+
+
+def test_direct_route_reuses_its_spectrum_memory():
+    # a second nu on the same spec computes no eigendecomposition, so it
+    # peaks below the first by at least the eigenvectors it reuses
+    spec = fa.FockSpaceSpec(40)
+    peaks = []
+    for nu in [0.5, 0.75]:
+        tracemalloc.start()
+        try:
+            fa.two_mode_squeeze_direct(nu, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    _, w, *_ = spec._spectrum
+    assert peaks[1] + w.nbytes <= peaks[0]
+
+
+CONFIG_NU = json.loads((Path(__file__).resolve().parents[1] / "configs" / "fock.json").read_text())["nu_values"]
+
+
+@pytest.mark.parametrize("n_max, nu_values", [(24, CONFIG_NU), (60, [0.3, -1.7, 2.0])])
+@pytest.mark.parametrize("route", [fa.two_mode_squeeze_direct, fa.two_mode_squeeze_factored])
+def test_spec_reused_across_nu_is_bitwise_fresh(n_max, nu_values, route):
+    # the cached sector structure carries nothing from one nu to the next
+    shared = fa.FockSpaceSpec(n_max)
+    for nu in nu_values:
+        np.testing.assert_array_equal(route(nu, shared).entries, route(nu, fa.FockSpaceSpec(n_max)).entries)
+
+
+def test_cached_sector_structure_is_read_only():
+    spec = fa.FockSpaceSpec(6)
+    cached = [*spec._ladder, *(a for a in spec._spectrum if isinstance(a, np.ndarray))]
+    assert len(cached) == 6
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
 
 
 def test_factored_route_holds_three_operators_at_most():
