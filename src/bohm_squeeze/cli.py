@@ -15,6 +15,7 @@ JSON keys, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -340,12 +341,13 @@ def run_fock(
     spec = FockSpaceSpec(n_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     half = n_max // 2
+    interior = fockalg.interior_index(spec, half)
 
     entries = []
     for nu in nu_values:
         entry: dict = {"nu": nu, "interior_level": half}
         try:
-            entry.update(_fock_measurements(nu, spec, half, tolerance))
+            entry.update(_fock_measurements(nu, spec, interior, half, tolerance))
         except ConvergenceError as exc:
             entry["error"] = str(exc)
         try:
@@ -362,13 +364,15 @@ def run_fock(
     return out
 
 
-def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: float) -> dict:
+def _fock_measurements(nu: float, spec: FockSpaceSpec, interior: np.ndarray, half: int, tolerance: float) -> dict:
+    """One entry's measurements; ``interior`` is ``fockalg.interior_index(spec, half)``."""
     direct = fockalg.two_mode_squeeze_direct(nu, spec)
-    factored = fockalg.two_mode_squeeze_factored(nu, spec)
-    d_int = fockalg.interior_block(direct, half)
-    f_int = fockalg.interior_block(factored, half)
-    denom = float(np.linalg.norm(d_int))
-    distance = float(np.linalg.norm(d_int - f_int)) / denom
+    d_int = direct.entries.take(interior)
+    # the difference in place of the factored interior: one copy of each
+    # interior, a third of the block's storage
+    diff = fockalg.two_mode_squeeze_factored(nu, spec).entries.take(interior)
+    diff -= d_int
+    distance = float(np.linalg.norm(diff)) / float(np.linalg.norm(d_int))
     col = fockalg.vacuum_column(direct)
     ns = np.arange(half + 1)
     with np.errstate(over="ignore"):  # cosh is inf past |nu| ~ 710, where the column tends to 0
@@ -415,6 +419,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# built once per process: argparse keeps no state between parse_args calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="bohm-squeeze",

@@ -127,11 +127,13 @@ class ResidualReport:
 
 def _report(equation: Equation, t: float, residual: np.ndarray, grid: GridSpec2D, dt: float) -> ResidualReport:
     flat = np.abs(residual).ravel()
+    max_abs = float(flat.max())
+    flat *= flat  # in place: a product would be a second grid-sized temporary
     return ResidualReport(
         equation=equation,
         t=t,
-        max_abs_residual=float(flat.max()),
-        rms_residual=float(np.sqrt(np.mean(flat * flat))),
+        max_abs_residual=max_abs,
+        rms_residual=float(np.sqrt(np.mean(flat))),
         grid=grid,
         dt=dt,
     )
@@ -561,11 +563,6 @@ def _stencil_error_law(s: Scenario, t: float) -> Callable[[float, int], float]:
         return max(e_schrod, e_bohm, e_cont)
 
     return law
-
-
-def _stencil_error_model(s: Scenario, t: float, half: float, n: int) -> float:
-    """Predicted worst interior stencil error on [-half, half]^2 with n points."""
-    return _stencil_error_law(s, t)(half, n)
 
 
 # the grid chooser stops at the bracket width 48 bisection steps of [0.05, 6]

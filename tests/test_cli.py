@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -473,6 +474,37 @@ def test_fock_imports_no_scipy(tmp_path):
 
 # ---------------------------------------------------------------------------
 # entry point and exit codes
+
+
+def test_parser_reused_within_a_process(tmp_path, capsys):
+    # main builds its parser once per process: fock, a usage error, then
+    # entropy in this process print, exit and write what fresh processes do
+    calls = [
+        ["fock", "--config", str(CONFIG_DIR / "fock.json"), "--out", str(tmp_path / "fock")],
+        ["entropy", "--config", str(CONFIG_DIR / "entropy.json"), "--bogus", "1"],
+        ["entropy", "--config", str(CONFIG_DIR / "entropy.json"), "--out", str(tmp_path / "entropy")],
+    ]
+
+    def written():
+        return {p.relative_to(tmp_path): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "bohm_squeeze.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr, written()))
+    assert [run[0] for run in fresh] == [cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_OK]
+    for name in ["fock", "entropy"]:
+        shutil.rmtree(tmp_path / name)
+
+    assert cli._build_parser() is cli._build_parser()
+    for argv, expected in zip(calls, fresh):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err, written()) == expected
 
 
 def test_main_density_ok(tmp_path, capsys):

@@ -136,7 +136,7 @@ def test_pair_exponential_at_zero_is_identity():
 
 @pytest.mark.parametrize("f", [1.0, -1.0])
 def test_pair_exponential_at_truncation_limit(f):
-    # largest elements ~ C(320, 160) ~ 1e95: finite and silent; the vacuum
+    # largest element C(160, 80) ~ 9.2e46: finite and silent; the vacuum
     # column of sector 0 is <k, k| exp(f a+ b+) |0, 0> = f^k, exactly
     n_max = fa.N_MAX_LIMIT
     with warnings.catch_warnings():
@@ -144,6 +144,38 @@ def test_pair_exponential_at_truncation_limit(f):
         stack = fa._pair_exponential(f, fa.FockSpaceSpec(n_max))
     assert np.all(np.isfinite(stack))
     np.testing.assert_array_equal(stack[n_max, :, 0], f ** np.arange(n_max + 1))
+
+
+@pytest.mark.parametrize("f", [0.46, -0.76, 1e-3])
+def test_pair_exponential_matches_mpmath_at_truncation_limit(f):
+    # Truax's closed form in 40 digits at n_max = 160, every element of every
+    # tenth column of five sectors: within (k + 2) eps relative, k the
+    # sub-diagonal, and within the smallest subnormal where the exact value
+    # is subnormal
+    n_max = fa.N_MAX_LIMIT
+    stack = fa._pair_exponential(f, fa.FockSpaceSpec(n_max))
+    eps = np.finfo(float).eps
+    past_underflow = 0
+    with mpmath.workdps(40):
+        factorial = [mpmath.factorial(i) for i in range(n_max + 1)]
+        power = [mpmath.mpf(f) ** k for k in range(n_max + 1)]
+        for d in [0, 1, -37, 80, n_max]:
+            size = n_max + 1 - abs(d)
+            for j in range(0, size, 10):
+                n_a, n_b = j + max(d, 0), j + max(-d, 0)
+                for k in range(size - j):
+                    exact = power[k] / factorial[k] * mpmath.sqrt(
+                        factorial[n_a + k] * factorial[n_b + k] / (factorial[n_a] * factorial[n_b])
+                    )
+                    value = stack[d + n_max, j + k, j]
+                    assert abs(value - exact) <= (k + 2) * eps * abs(exact) + 2.0**-1074, (d, j, k)
+                    past_underflow += abs(f) ** k < np.finfo(float).tiny <= abs(value)
+    if f == 1e-3:
+        # f^k is subnormal from k = 103 on; these elements are normal and
+        # keep their digits
+        assert past_underflow > 100
+    else:
+        assert past_underflow == 0
 
 
 def test_factored_route_needs_no_matrix_exponential(monkeypatch):
@@ -302,8 +334,8 @@ def test_spec_reused_across_nu_is_bitwise_fresh(n_max, nu_values, route):
 
 def test_cached_sector_structure_is_read_only():
     spec = fa.FockSpaceSpec(6)
-    cached = [*spec._ladder, *(a for a in spec._spectrum if isinstance(a, np.ndarray))]
-    assert len(cached) == 6
+    cached = [*spec._ladder, spec._pair_table, *(a for a in spec._spectrum if isinstance(a, np.ndarray))]
+    assert len(cached) == 7
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
@@ -320,6 +352,66 @@ def test_factored_route_holds_three_operators_at_most():
     finally:
         tracemalloc.stop()
     assert peak < 3.25 * op.entries.nbytes
+
+
+def test_factored_route_peaks_at_result_and_one_chunk():
+    # with the table built: the result, one chunk of each factor, and the
+    # n x n power tables and middle factor (0.04 operators at n_max = 80)
+    spec = fa.FockSpaceSpec(80)
+    spec._pair_table
+    tracemalloc.start()
+    try:
+        op = fa.two_mode_squeeze_factored(0.5, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk = fa.DIRECT_CHUNK_BYTES // op.entries[0].nbytes
+    assert chunk < len(op.entries)
+    assert peak < op.entries.nbytes + 2 * chunk * op.entries[0].nbytes + 0.1 * op.entries.nbytes
+
+
+@pytest.mark.parametrize("n_max, nu", [(6, 0.7), (24, -0.4), (24, 1e-3)])
+def test_factored_chunks_are_bitwise_one_product(monkeypatch, n_max, nu):
+    # three sectors a chunk leave a remainder of one sector of 13 and of 49;
+    # every chunk's product equals the one product over all sectors of the
+    # raising factor, scaled by the middle one, and the lowering factor
+    spec = fa.FockSpaceSpec(n_max)
+    f = fa.disentangle_closed_form(nu)
+    _, number = spec._ladder
+    raising = fa._pair_exponential(f.f1, spec) * np.exp(f.f2 * number)[:, None, :]
+    lowering = fa._pair_exponential(f.f3, spec).swapaxes(1, 2).copy()
+    whole = raising @ lowering
+    sector_bytes = 8 * (n_max + 1) ** 2
+    assert (2 * n_max + 1) % 3 == 1
+    for chunk_bytes in [(2 * n_max + 1) * sector_bytes, 3 * sector_bytes + 8, sector_bytes]:
+        monkeypatch.setattr(fa, "DIRECT_CHUNK_BYTES", chunk_bytes)
+        np.testing.assert_array_equal(fa.two_mode_squeeze_factored(nu, spec).entries, whole)
+
+
+def test_factored_route_reads_each_function(monkeypatch):
+    # f1, f2 and f3 come from disentangle_closed_form with no relation
+    # between them assumed: three unrelated values give the product of the
+    # three dense exponentials
+    n_max = 4
+    a, b = dense_ladder(n_max)
+    ad, bd = a.T, b.T
+    f1, f2, f3 = 0.3, -0.1, 0.2
+    monkeypatch.setattr(fa, "disentangle_closed_form", lambda nu: fa.DisentangleFunctions(f1, f2, f3))
+    dense = scipy_expm(f1 * ad @ bd) @ scipy_expm(f2 * (a @ ad + bd @ b)) @ scipy_expm(f3 * a @ b)
+    factored = fa.two_mode_squeeze_factored(0.0, fa.FockSpaceSpec(n_max))
+    np.testing.assert_allclose(to_dense(factored), dense, rtol=0, atol=1e-13)
+
+
+def test_interior_index_lists_interior_block():
+    # on an operator with no zero element, the block's nonzeros are exactly
+    # the interior states, in the order the index takes them
+    spec = fa.FockSpaceSpec(6)
+    op = fa.FockOperator(spec, 1.0 + np.random.default_rng(3).random(spec.sector_shape))
+    for level in [0, 3, 6]:
+        block = fa.interior_block(op, level)
+        np.testing.assert_array_equal(op.entries.take(fa.interior_index(spec, level)), block[block != 0])
+    with pytest.raises(ValueError, match="interior"):
+        fa.interior_index(spec, 7)
 
 
 def test_direct_is_orthogonal_on_interior(spec24):

@@ -577,14 +577,15 @@ BISECTION_WIDTH = (6.0 - 0.05) / 2**48
 
 def residual_grid_bisection(s, t, n=201, target=2e-5):
     # reference: the 48-step bisection the secant search replaced
+    law = verify._stencil_error_law(s, t)
     lo, hi = 0.05, 6.0
-    if verify._stencil_error_model(s, t, hi, n) <= target:
+    if law(hi, n) <= target:
         return hi
-    if verify._stencil_error_model(s, t, lo, n) > target:
+    if law(lo, n) > target:
         raise ValueError("no feasible extent")
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if verify._stencil_error_model(s, t, mid, n) <= target:
+        if law(mid, n) <= target:
             lo = mid
         else:
             hi = mid
@@ -620,8 +621,8 @@ def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
     assert len(calls) <= 20
     assert abs(half - residual_grid_bisection(s, t, n=n)) <= BISECTION_WIDTH
     # the bracket closed: the returned extent is feasible, one width more is not
-    model = verify._stencil_error_model
-    assert model(s, t, half, n) <= 2e-5 < model(s, t, half + BISECTION_WIDTH, n)
+    law = verify._stencil_error_law(s, t)
+    assert law(half, n) <= 2e-5 < law(half + BISECTION_WIDTH, n)
 
 
 @pytest.mark.parametrize("root", [0.3, 1.2345, 5.0])
@@ -685,11 +686,12 @@ def test_stencil_error_law_matches_lattice():
 
 def test_residual_grid_feasible_upper_end_is_exact():
     s = example1()
-    edge = verify._stencil_error_model(s, 0.0, 6.0, 201)
+    law = verify._stencil_error_law(s, 0.0)
+    edge = law(6.0, 201)
     assert verify.residual_grid(s, 0.0, target=edge).x_max == 6.0
     below = verify.residual_grid(s, 0.0, target=np.nextafter(edge, 0.0)).x_max
     assert below < 6.0
-    assert verify._stencil_error_model(s, 0.0, below, 201) <= np.nextafter(edge, 0.0)
+    assert law(below, 201) <= np.nextafter(edge, 0.0)
 
 
 def test_residual_grid_infeasible_lower_end_raises():
@@ -697,7 +699,7 @@ def test_residual_grid_infeasible_lower_end_raises():
     s = example1()
     with pytest.raises(ValueError, match="no feasible extent at n = 201 for t = 2"):
         verify.residual_grid(s, 2.0)
-    edge = verify._stencil_error_model(s, 2.0, 0.05, 201)
+    edge = verify._stencil_error_law(s, 2.0)(0.05, 201)
     assert verify.residual_grid(s, 2.0, target=edge).x_max == pytest.approx(0.05, rel=0, abs=BISECTION_WIDTH)
     with pytest.raises(ValueError, match="no feasible extent"):
         verify.residual_grid(s, 2.0, target=np.nextafter(edge, 0.0))
