@@ -21,8 +21,15 @@ A node's four neighbours differ from it by one in both indices, so the
 short sums of products of a neighbour sum or difference of f with one of
 g.  Each stencil residual is then a sum of rank-one Hankel-times-Toeplitz
 products on the interior: five for the Schrodinger and the continuity
-residuals, and one, (sum f / f)(sum g / g), plus the closed form for the
-Bohm definition.  The residual checks therefore require hx == hy.
+residuals, and for the Bohm definition (sum f / f)(sum g / g) plus the
+closed form's two mode terms, each against an all-ones factor.  The
+residual checks therefore require hx == hy.
+
+Memory: the Hankel and Toeplitz views are read-only strided arrays over
+the stacked 1-D factors (no copy), and ``_ModeLattice.products`` adds the
+terms a block of rows at a time through one scratch of at most 64 KiB, so
+each stencil residual builds its field in exactly one grid-sized array (the
+report then takes |r| into one real array of the same shape).
 
 Grid-size guidance: the second-order stencil error scales with the fourth
 spatial derivatives of the fields, which for these Gaussian-times-quadratic
@@ -44,13 +51,11 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .closedform import (
     SQRT2,
     GridSpec2D,
     QuadForm,
-    ScalarField2D,
     Scenario,
     amplitude_A,
     bohm_coeffs,
@@ -67,7 +72,6 @@ __all__ = [
     "V_SOURCES",
     "ResidualReport",
     "external_quadform",
-    "bohm_from_amplitude",
     "bohm_definition_residual",
     "continuity_residual",
     "hamilton_jacobi_residual",
@@ -162,30 +166,24 @@ RING = 2
 # amplitudes below this make -(lap A)/(2 m A) meaningless
 AMPLITUDE_FLOOR = 1e-300
 
+# bytes of the row-block scratch through which _ModeLattice.products adds each term
+PRODUCT_SCRATCH_BYTES = 2**16
 
-def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
-    """Bohm potential -(lap A)/(2 m A) by central second differences.
 
-    Returned on the grid interior (one-point boundary ring dropped, where
-    the 5-point Laplacian has no neighbors).  Guards against amplitudes at
-    the underflow floor, where the division is meaningless.
+def _windows(a: np.ndarray, width: int, step: int) -> np.ndarray:
+    """Read-only windows of ``width`` along a's last axis, one per row.
+
+    Row r starts at element r (step 1), or at the last window's start
+    minus r (step -1).  A strided view of a's memory, which must be
+    contiguous: no copy.
     """
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
-    g = field_a.grid
-    if g.nx < 5 or g.ny < 5:
-        raise ValueError("need at least 5 samples per axis for an interior Laplacian")
-    a = field_a.values
-    if float(np.min(a)) < AMPLITUDE_FLOOR:
-        raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
-    lap = (
-        (a[2:, 1:-1] - 2.0 * a[1:-1, 1:-1] + a[:-2, 1:-1]) / g.hx**2
-        + (a[1:-1, 2:] - 2.0 * a[1:-1, 1:-1] + a[1:-1, :-2]) / g.hy**2
-    )
-    vb = -lap / (2.0 * mass * a[1:-1, 1:-1])
-    xs, ys = g.xs(), g.ys()
-    inner = GridSpec2D(xs[1], xs[-2], ys[1], ys[-2], g.nx - 2, g.ny - 2)
-    return ScalarField2D(grid=inner, t=field_a.t, values=vb)
+    rows = a.shape[-1] - width + 1
+    offset = 0 if step > 0 else (rows - 1) * a.itemsize
+    shape = (*a.shape[:-1], rows, width)
+    strides = (*a.strides[:-1], step * a.itemsize, a.itemsize)
+    view = np.ndarray(shape, a.dtype, a, offset, strides)
+    view.flags.writeable = False
+    return view
 
 
 class _ModeLattice:
@@ -193,14 +191,20 @@ class _ModeLattice:
 
     Node (i, j) has x + y at index s = i + j and x - y at k = nx - 1 - i + j
     of nx + ny - 1 values each, so a field f(u) + g(v) (or f(u) g(v)) is a
-    Hankel view of f plus (times) a Toeplitz view of g, both without a copy
-    (``sliding_window_view``).  The ring-RING interior takes the middle
-    values s, k = 2 RING .. nx + ny - 2 - 2 RING.  A node's neighbours are
-    (s +- 1, k -+ 1) and (s +- 1, k +- 1), so for psi = f(u) g(v)
+    Hankel view of f plus (times) a Toeplitz view of g.  Both are read-only
+    strided ``np.ndarray`` views of the factors' own memory: a Hankel row
+    steps one element forward, a Toeplitz row one back.  The ring-RING
+    interior takes the middle values s, k = 2 RING .. nx + ny - 2 - 2 RING.
+    A node's neighbours are (s +- 1, k -+ 1) and (s +- 1, k +- 1), so for
+    psi = f(u) g(v)
 
         h^2 lap psi         = (f[s+1] + f[s-1]) (g[k+1] + g[k-1]) - 4 f[s] g[k]
         2 h (psi_x + psi_y) =  (f[s+1] - f[s-1]) (g[k+1] + g[k-1])
         2 h (psi_x - psi_y) = -(f[s+1] + f[s-1]) (g[k+1] - g[k-1])
+
+    ``products`` sums such rank-one terms into one grid-sized array, a block
+    of rows at a time through a scratch of at most PRODUCT_SCRATCH_BYTES, so
+    a residual allocates its result and nothing else of grid size.
     """
 
     def __init__(self, grid: GridSpec2D):
@@ -221,11 +225,12 @@ class _ModeLattice:
     def views(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views f[s] and g[k] on the whole grid or on its ring-RING interior.
 
-        The factors' length says which: the window width minus the row
-        count is ny - nx for both.
+        The factors' last axis says which: the window width minus the row
+        count is ny - nx for both.  Leading axes (a stack of factors) carry
+        over to the views.
         """
-        width = (f.size + 1 + self.ny - self.nx) // 2
-        return sliding_window_view(f, width), sliding_window_view(g, width)[::-1]
+        width = (f.shape[-1] + 1 + self.ny - self.nx) // 2
+        return _windows(f, width, 1), _windows(g, width, -1)
 
     def form(self, q: QuadForm) -> np.ndarray:
         """q(x, y) on the grid."""
@@ -258,13 +263,25 @@ class _ModeLattice:
         return self.inner(f), up + down, up - down
 
     def products(self, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Sum over the (f, g) terms of f[s] g[k] on the interior."""
-        (f, g), *rest = terms
-        hankel, toeplitz = self.views(f, g)
-        total = hankel * toeplitz
-        for f, g in rest:
-            hankel, toeplitz = self.views(f, g)
-            total += hankel * toeplitz
+        """Sum over the (f, g) terms of f[s] g[k] on the interior.
+
+        Every element is ((f0 g0 + f1 g1) + f2 g2) + ..., in term order, as
+        if each product were a grid of its own.
+        """
+        hankel, toeplitz = self.views(np.stack([f for f, _ in terms]), np.stack([g for _, g in terms]))
+        total = np.empty(hankel.shape[1:], np.result_type(hankel, toeplitz))
+        rows, width = total.shape
+        block = max(1, PRODUCT_SCRATCH_BYTES // (width * total.itemsize))
+        scratch = np.empty((min(block, rows), width), total.dtype)
+        for start in range(0, rows, block):
+            rows_in = slice(start, start + block)
+            out = total[rows_in]
+            part = scratch[: out.shape[0]]
+            h, t = hankel[:, rows_in], toeplitz[:, rows_in]
+            np.multiply(h[0], t[0], out)
+            for k in range(1, len(terms)):
+                np.multiply(h[k], t[k], part)
+                out += part
         return total
 
     def corner_min(self, f: np.ndarray, g: np.ndarray) -> float:
@@ -389,10 +406,14 @@ def _bohm_definition_field(s: Scenario, t: float, grid: GridSpec2D) -> np.ndarra
     b = bohm_coeffs(s, t)
     u, v = lattice.inner(lattice.u), lattice.inner(lattice.v)
     lap_weight = 1.0 / (2.0 * s.m * lattice.h**2)
-    # -(lap A)/(2 m A) = -lap_weight (f ratio)(g ratio) + 4 lap_weight; the 4 joins B_u
-    f_ratio, g_ratio = lattice.views(-lap_weight * f_sum / f0, g_sum / g0)
-    b_u, b_v = lattice.views(b.c_u * u * u + b.const - 4.0 * lap_weight, b.c_v * v * v)
-    return f_ratio * g_ratio - b_u - b_v
+    # -(lap A)/(2 m A) = -lap_weight (f ratio)(g ratio) + 4 lap_weight; the 4 joins
+    # B_u.  B_u and B_v enter against all-ones factors: x 1 is exact and a + (-b) is a - b
+    ones = np.ones_like(u)
+    return lattice.products(
+        (-lap_weight * f_sum / f0, g_sum / g0),
+        (-(b.c_u * u * u + b.const - 4.0 * lap_weight), ones),
+        (ones, -(b.c_v * v * v)),
+    )
 
 
 def bohm_definition_residual(s: Scenario, t: float, grid: GridSpec2D) -> ResidualReport:

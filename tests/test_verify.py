@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from bohm_squeeze import GridSpec2D, ScalarField2D, Scenario, TimePolynomial
 from bohm_squeeze import closedform as cf
@@ -26,11 +29,37 @@ def example2():
 # Bohm potential from the sampled amplitude
 
 
+def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
+    """Bohm potential -(lap A)/(2 m A) by central second differences.
+
+    A 2-D reference, independent of the mode factors: returned on the grid
+    interior (one-point boundary ring dropped, where the 5-point Laplacian
+    has no neighbors).  Guards against amplitudes at the underflow floor,
+    where the division is meaningless.
+    """
+    if mass <= 0.0:
+        raise ValueError("mass must be positive")
+    g = field_a.grid
+    if g.nx < 5 or g.ny < 5:
+        raise ValueError("need at least 5 samples per axis for an interior Laplacian")
+    a = field_a.values
+    if float(np.min(a)) < verify.AMPLITUDE_FLOOR:
+        raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
+    lap = (
+        (a[2:, 1:-1] - 2.0 * a[1:-1, 1:-1] + a[:-2, 1:-1]) / g.hx**2
+        + (a[1:-1, 2:] - 2.0 * a[1:-1, 1:-1] + a[1:-1, :-2]) / g.hy**2
+    )
+    vb = -lap / (2.0 * mass * a[1:-1, 1:-1])
+    xs, ys = g.xs(), g.ys()
+    inner = GridSpec2D(xs[1], xs[-2], ys[1], ys[-2], g.nx - 2, g.ny - 2)
+    return ScalarField2D(grid=inner, t=field_a.t, values=vb)
+
+
 def test_bohm_from_amplitude_ground_state():
     # exact check against the Gaussian identity V_B = 1 - (x^2+y^2)/2 at t=0
     s = example1()
     grid = verify.residual_grid(s, 0.0)
-    fd = verify.bohm_from_amplitude(cf.sample_amplitude(s, grid, 0.0), s.m)
+    fd = bohm_from_amplitude(cf.sample_amplitude(s, grid, 0.0), s.m)
     x, y = fd.grid.mesh()
     exact = 1.0 - (x * x + y * y) / 2.0
     assert np.abs(fd.values - exact).max() < 1e-4
@@ -59,19 +88,19 @@ def test_bohm_from_amplitude_second_order():
 def test_bohm_from_amplitude_guards():
     s = example1()
     with pytest.raises(ValueError, match="5 samples"):
-        verify.bohm_from_amplitude(cf.sample_amplitude(s, GridSpec2D.square(1.0, 4), 0.0), s.m)
+        bohm_from_amplitude(cf.sample_amplitude(s, GridSpec2D.square(1.0, 4), 0.0), s.m)
     with pytest.raises(ValueError, match="mass"):
-        verify.bohm_from_amplitude(cf.sample_amplitude(s, GridSpec2D.square(1.0, 9), 0.0), 0.0)
+        bohm_from_amplitude(cf.sample_amplitude(s, GridSpec2D.square(1.0, 9), 0.0), 0.0)
     # amplitude underflow on an absurdly wide box
     wide = GridSpec2D.square(60.0, 9)
     with pytest.raises(ValueError, match="underflow"):
-        verify.bohm_from_amplitude(cf.sample_amplitude(s, wide, 0.0), s.m)
+        bohm_from_amplitude(cf.sample_amplitude(s, wide, 0.0), s.m)
 
 
 def test_bohm_from_amplitude_interior_grid():
     s = example1()
     grid = GridSpec2D.square(1.0, 11)
-    fd = verify.bohm_from_amplitude(cf.sample_amplitude(s, grid, 0.3), s.m)
+    fd = bohm_from_amplitude(cf.sample_amplitude(s, grid, 0.3), s.m)
     assert fd.grid.nx == 9
     assert fd.grid.x_min == pytest.approx(grid.xs()[1])
     assert fd.grid.x_max == pytest.approx(grid.xs()[-2])
@@ -264,6 +293,79 @@ def test_mode_lattice_runs_no_2d_exponential(monkeypatch):
     assert sizes and set(sizes) == {grid.nx + grid.ny - 1}
 
 
+def bitwise_equal(a, b):
+    """Same dtype, shape and bits: signs of zero included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def sequential_products(f_terms, g_terms, width):
+    # reference: one grid-sized product per term from sliding_window_view,
+    # summed left to right (functools.reduce: sum() would start from +0)
+    products = [
+        sliding_window_view(f, width) * sliding_window_view(g, width)[::-1] for f, g in zip(f_terms, g_terms)
+    ]
+    return functools.reduce(operator.add, products)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "nx,ny,scratch_rows",
+    [
+        (201, 161, None),  # default scratch: 197 rows in blocks of 26 (complex) or 52 (real)
+        (41, 29, 7),  # 37 rows in blocks of 7
+        (12, 30, 1),
+        (30, 12, 37),  # one block larger than the grid
+    ],
+)
+def test_products_accumulate_in_term_order(monkeypatch, dtype, count, nx, ny, scratch_rows):
+    rng = np.random.default_rng(nx * 1000 + ny * 10 + count)
+    grid = GridSpec2D(0.0, (nx - 1) * 0.1, 0.0, (ny - 1) * 0.1, nx, ny)
+    lattice = verify._ModeLattice(grid)
+    size, width = nx + ny - 1 - 4 * verify.RING, ny - 4
+
+    def factor(scale):
+        values = rng.standard_normal(size) * scale
+        if dtype is np.complex128:
+            values = values + 1j * rng.standard_normal(size) * scale
+        return values
+
+    # magnitudes spread over the terms, so any other summation order rounds
+    # differently; at node (0, 0) every product is 0 (-1) = -0 (or -0 + 0j),
+    # which a sum started from +0 would lose
+    f_terms = [factor(10.0**k) for k in range(count)]
+    g_terms = [factor(1.0) for _ in range(count)]
+    for f, g in zip(f_terms, g_terms):
+        f[0], g[nx - 5] = 0.0, -1.0
+    if scratch_rows is not None:
+        monkeypatch.setattr(verify, "PRODUCT_SCRATCH_BYTES", scratch_rows * width * np.dtype(dtype).itemsize)
+    ours = lattice.products(*zip(f_terms, g_terms))
+    ref = sequential_products(f_terms, g_terms, width)
+    assert ours.shape == (nx - 4, ny - 4)
+    assert bitwise_equal(ours, ref)
+    assert np.signbit(ours[0, 0].real)
+
+
+def test_mode_lattice_views_are_read_only():
+    grid = GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11)
+    lattice = verify._ModeLattice(grid)
+    f, g = lattice.factors(cf.log_amplitude_coeffs(example2(), 0.5), cf.phase_coeffs(example2(), 0.5))
+    hankel, toeplitz = lattice.views(f, g)
+    assert hankel.shape == toeplitz.shape == (21, 11)
+    assert bitwise_equal(hankel, sliding_window_view(f, 11))
+    assert bitwise_equal(toeplitz, sliding_window_view(g, 11)[::-1])
+    for view in (hankel, toeplitz):
+        with pytest.raises(ValueError):
+            view[0, 0] = 0.0
+    # stacked factors: one view per row of the stack
+    hankel, toeplitz = lattice.views(np.stack([f, 2 * f]), np.stack([g, 2 * g]))
+    assert hankel.shape == toeplitz.shape == (2, 21, 11)
+    assert bitwise_equal(hankel[1], sliding_window_view(2 * f, 11))
+    with pytest.raises(ValueError):
+        toeplitz[1, 0, 0] = 0.0
+
+
 def stencil_fields_2d(s, t, grid, dt, v_source):
     # reference: the 2-D residual fields the rank-one products replace.  Each
     # field is sampled through QuadForm.__call__ on the mesh and the 5-point
@@ -313,7 +415,7 @@ def stencil_fields_2d(s, t, grid, dt, v_source):
     cont_tol = 4.0 * delta * big * (1.0 / dt + slope / (s.m * h) + abs(phases[1].laplacian) / s.m + 1.0)
 
     try:
-        fd = verify.bohm_from_amplitude(ScalarField2D(grid=grid, t=t, values=a), s.m).values
+        fd = bohm_from_amplitude(ScalarField2D(grid=grid, t=t, values=a), s.m).values
     except ValueError:
         bohm = bohm_tol = None  # the amplitude reaches the underflow floor
     else:
@@ -529,6 +631,22 @@ def test_diagonal_moments_build_no_2d_array():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_schrodinger_residual_builds_one_grid_array():
+    # the result, |r| (half of it) and a 64 KiB row-block scratch; a grid-sized
+    # temporary per term would reach 2
+    s = example1()
+    grid = verify.residual_grid(s, 0.5)
+    assert (grid.nx, grid.ny) == (201, 201)
+    verify.schrodinger_residual(s, 0.5, grid)
+    tracemalloc.start()
+    try:
+        verify.schrodinger_residual(s, 0.5, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * (grid.nx - 4) * (grid.ny - 4) * 16
 
 
 def test_variance_law_negative_squeeze():
