@@ -56,7 +56,6 @@ __all__ = [
     "classify_level_curves_external",
     "spread_sigmas",
     "auto_grid",
-    "sample_amplitude",
     "sample_density",
     "sample_bohm",
     "sample_external",
@@ -472,11 +471,6 @@ def auto_grid(s: Scenario, t: float) -> GridSpec2D:
             "supply an explicit grid for this time"
         )
     return GridSpec2D.square(half, n)
-
-
-def sample_amplitude(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:
-    x, y = grid.mesh()
-    return ScalarField2D(grid=grid, t=t, values=amplitude_A(s, x, y, t))
 
 
 def sample_density(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:

@@ -21,10 +21,17 @@ Sector structure: every generator here changes n_a and n_b together
 On the truncated space n_a, n_b <= n_max each operator is therefore
 block-diagonal in the 2 n_max + 1 sectors d = -n_max .. n_max, and sector
 d holds the n_max + 1 - |d| states |j + max(d, 0), j + max(-d, 0)>,
-j = min(n_a, n_b).  Operators are built sector by sector and never
+j = min(n_a, n_b).  Operators are stored sector by sector and never
 assembled as (n_max + 1)^2-square matrices.  One operator takes
 (2 n_max + 1)(n_max + 1)^2 doubles; ``N_MAX_LIMIT`` keeps that within
 64 MiB.
+
+Compression: given a ``level``, both routes compute only the operator's
+block on the states n_a, n_b <= level, sector d's leading (level + 1 -
+|d|)-square block for |d| <= level, and return it as an operator on
+``FockSpaceSpec(level)``, the identity on its padding.  At cli's level
+n_max // 2 a nu takes 0.08-0.13 ms a route at n_max = 24 (0.15-0.51 ms
+for the whole operator) and 8-21 ms at n_max = 160 (110-115 ms).
 
 Truncation note: the squeeze generator pumps occupation upward, so rows
 and columns near the truncation edge of the *direct* exponential are
@@ -62,7 +69,7 @@ middle factor is not (a a+ is 0 at n_a = n_max, b+ b is not 0 at n_b =
 n_max), so its product is formed on every sector.  A further nu costs two
 power scalings of the table and one batched product per chunk of sectors:
 0.32-0.52 ms at n_max = 24, against 0.74-1.1 ms when each nu ran the
-factors' recurrence twice, and 0.13-0.17 s at n_max = 160 (0.25-0.27 s),
+factors' recurrence twice, and 0.11-0.17 s at n_max = 160 (0.25-0.27 s),
 on one thread.
 
 The ODE oracle integrates the function system with the Dormand-Prince
@@ -95,7 +102,6 @@ __all__ = [
     "two_mode_squeeze_direct",
     "two_mode_squeeze_factored",
     "interior_block",
-    "interior_index",
     "vacuum_column",
     "ode_steps",
     "disentangle_ode_oracle",
@@ -140,13 +146,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockSpaceSpec:
-    """Single-mode truncation n_max; 2 n_max + 1 sectors of n_max + 1 states or fewer."""
+    """Single-mode truncation n_max >= 0; 2 n_max + 1 sectors of n_max + 1 states or fewer."""
 
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if self.n_max < 0:
+            raise ValueError("n_max must be at least 0")
         if self.n_max > N_MAX_LIMIT:
             raise ValueError(f"n_max {self.n_max} exceeds the sector-storage bound {N_MAX_LIMIT}")
 
@@ -221,7 +227,7 @@ class FockSpaceSpec:
         jacobi[:, n :: n + 1] = coupling  # sub-diagonal
         jacobi[:, 1 :: n + 1] = coupling  # super-diagonal
         jacobi = jacobi.reshape(n_max, n, n)
-        column_sum = float(jacobi.sum(axis=-2).max())
+        column_sum = float(jacobi.sum(axis=-2).max(initial=0.0))
         lam, w = np.linalg.eigh(jacobi)
         j = np.arange(n)
         masks = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])[:, (j - j[:, None]) % 4]
@@ -260,7 +266,26 @@ def _sector_levels(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return j + np.maximum(d, 0), j + np.maximum(-d, 0), j <= n_max - np.abs(d)
 
 
-def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
+def _compression_level(spec: FockSpaceSpec, level: int | None) -> int:
+    """``level``, n_max when None; a level outside [0, n_max] raises ``ValueError``."""
+    level = spec.n_max if level is None else level
+    if not 0 <= level <= spec.n_max:
+        raise ValueError(f"level {level} is outside [0, {spec.n_max}]")
+    return level
+
+
+def _pad_identity(out: np.ndarray) -> FockOperator:
+    """``out``, the sectors of a level, as an operator: the identity on their padding."""
+    level = len(out) // 2
+    # j > level - |d| as in ``_sector_levels``; broadcast, never out-sized
+    padding = np.arange(level + 1) > level - np.abs(np.arange(-level, level + 1))[:, None]
+    eye = np.eye(level + 1)
+    np.copyto(out, eye, where=padding[:, :, None])
+    np.copyto(out, eye, where=padding[:, None, :])
+    return FockOperator(FockSpaceSpec(level), out)
+
+
+def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec, *, level: int | None = None) -> FockOperator:
     """exp[nu (a+ b+ - a b)] on the truncated space, from each sector's Jacobi spectrum.
 
     The generator is real antisymmetric, so the result is real orthogonal;
@@ -279,13 +304,19 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
     state and a zero generator, so its block is the identity; sectors
     d < 0 are copies of d > 0 (see the module docstring).
 
+    ``level`` (default n_max) compresses the result to n_a, n_b <= level
+    (module docstring): element (j, k) needs only rows j and k of W, so a
+    level takes rows <= level of W on the sectors 0 .. level.  Its block
+    agrees with the full operator's to a few eps (3.1 eps of the largest
+    element at most at n_max = 24 and 60), not bitwise.
+
     lam and W are computed once per truncation and reused at every nu
     (``FockSpaceSpec._spectrum``); W, half an operator, stays with the spec.
-    The lower half of the result holds the scaled copies of W until the
-    mirror copy fills it, and Z Z^T is formed at most ``DIRECT_CHUNK_BYTES``
-    at a time, so a call peaks at about 1 operator and 1 MiB beside W
-    (65.7 MiB traced at n_max = 160), and the first call on a spec, which
-    also computes W, at about 1.5 operators (98.7 MiB).
+    The products are formed a few sectors at a time, each chunk of scaled
+    rows of W taking at most ``DIRECT_CHUNK_BYTES``, so a call peaks at
+    its result and about 3 MiB beside W (67.1 MiB traced at n_max = 160),
+    and the first call on a spec, which also computes W, at about 1.5
+    operators (100.1 MiB).
 
     Raises ``ConvergenceError`` once 2 (norm 2^-52)^2 passes
     ``DIRECT_DEFECT_BOUND``, norm being the generator's 1-norm, |nu| times
@@ -293,7 +324,8 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
     eigenvalues' rounding, and the result's orthogonality defect grows as
     the square of that.
     """
-    n_max, n = spec.n_max, spec.n_max + 1
+    level = _compression_level(spec, level)
+    n_max, n = spec.n_max, level + 1
     lam, w, column_sum, re, im = spec._spectrum
     norm = abs(nu) * column_sum  # a Python float: inf, not a warning, past 1e308
     drift = norm * 2.0**-52
@@ -303,26 +335,28 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec) -> FockOperator:
             f"generator 1-norm {norm:.3e} predicts an orthogonality defect {defect:.1e} "
             f"above {DIRECT_DEFECT_BOUND:.0e}"
         )
-    phase = nu * lam
+    sectors = min(n, n_max)  # d = 0 .. level, less the one-state sector d = n_max
+    w = w[:sectors, :n]
+    re, im = re[:n, :n], im[:n, :n]
+    phase = nu * lam[:sectors]
+    sin_phase = np.sin(phase)[:, None, :]
+    half_sin = math.sqrt(2.0) * np.sin(0.5 * phase)[:, None, :]
 
-    out = np.empty(spec.sector_shape)
-    scratch, upper = out[:n_max], out[n_max:-1]
-    np.multiply(w, np.sin(phase)[:, None, :], out=scratch)
-    np.matmul(scratch, w.swapaxes(1, 2), out=upper)  # S
-    upper *= -im
-    np.multiply(w, math.sqrt(2.0) * np.sin(0.5 * phase)[:, None, :], out=scratch)  # Z
-    # I - C = Z Z^T, a few sectors at a time: one temporary for the whole
-    # half would add half an operator to the peak
-    chunk = max(1, DIRECT_CHUNK_BYTES // (8 * n * n))
-    for s in range(0, n_max, chunk):
-        z = scratch[s : s + chunk]
-        zzt = z @ z.swapaxes(1, 2)
+    out = np.empty((2 * level + 1, n, n))
+    upper = out[level : level + sectors]
+    chunk = max(1, DIRECT_CHUNK_BYTES // (8 * n * (n_max + 1)))
+    for s in range(0, sectors, chunk):
+        rows, block = w[s : s + chunk], upper[s : s + chunk]
+        np.matmul(rows * sin_phase[s : s + chunk], rows.swapaxes(1, 2), out=block)  # S
+        block *= -im
+        z = rows * half_sin[s : s + chunk]
+        zzt = z @ z.swapaxes(1, 2)  # I - C
         zzt *= re
-        upper[s : s + chunk] -= zzt
-    upper.reshape(n_max, n * n)[:, :: n + 1] += 1.0
-    out[-1] = np.eye(n)
-    out[:n_max] = out[:n_max:-1]
-    return FockOperator(spec, out)
+        block -= zzt
+    upper.reshape(sectors, n * n)[:, :: n + 1] += 1.0
+    out[level + sectors :] = np.eye(n)
+    out[:level] = out[:level:-1]
+    return _pad_identity(out)
 
 
 def _pair_powers(f: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -342,41 +376,32 @@ def _pair_powers(f: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scale_pair_table(table: np.ndarray, powers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``table`` times f^k in place, f^k given by ``_pair_powers``: exp(f a+ b+) per sector."""
-    power, exponent = powers
-    table *= power
-    return np.ldexp(table, exponent, out=table)
-
-
-def _pair_exponential(f: float, spec: FockSpaceSpec) -> np.ndarray:
-    """exp(f a+ b+) per sector, from its closed-form elements.
+    """``table`` times f^k in place, f^k given by ``_pair_powers``: exp(f a+ b+) per sector.
 
     a+ b+ raises position j to j + 1 within a sector, so the series
     terminates and the exponential is lower-triangular with
 
         <j + k| exp(f a+ b+) |j> = f^k / k! sqrt((n_a + k)! (n_b + k)! / (n_a! n_b!))
 
-    at (n_a, n_b) of position j (Truax 1985).  Only f^k depends on f: each
-    element is the truncation's ``_pair_table`` element times f^k, taken as
-    m^k 2^(e k) (``_pair_powers``).  That adds three roundings to the
+    at (n_a, n_b) of position j (Truax 1985): the ``_pair_table`` element
+    times f^k, taken as m^k 2^(e k).  That adds three roundings to the
     table's four, whatever k: a power (within an ulp), one product and the
     subnormal rounding of 2^(e k), which is exact on normal numbers.  So
     every normal element is within about 3 eps of exact (1.53 eps at
     most measured at n_max = 160 against 40-digit mpmath, for f = 0.46,
-    -0.76 and 1e-3), where the recurrence it replaces took 3 roundings per
-    step of k.  f = 0 gives the identity exactly, and padding rows and
-    columns hold the identity.
+    -0.76 and 1e-3).  f = 0 gives the identity exactly, and the table's
+    padding stays the identity.
     """
-    n_max = spec.n_max
-    table = spec._pair_table[np.abs(np.arange(-n_max, n_max + 1))]
-    return _scale_pair_table(table, _pair_powers(f, n_max + 1))
+    power, exponent = powers
+    table *= power
+    return np.ldexp(table, exponent, out=table)
 
 
-def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec) -> FockOperator:
+def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec, *, level: int | None = None) -> FockOperator:
     """Factored form exp(f1 a+ b+) exp(f2 (a a+ + b+ b)) exp(f3 a b).
 
     Every factor is built from closed-form elements, with no matrix
-    exponential: the raising factor as ``_pair_exponential`` at f1, the
+    exponential: the raising factor as ``_scale_pair_table`` at f1, the
     lowering factor as the transpose of that at f3, each a power scaling
     of the truncation's ``_pair_table``, and the diagonal middle factor
     elementwise.  Only the direct route is exponentiated, so the two stay
@@ -385,9 +410,16 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec) -> FockOperator:
     n_a = n_max, where a a+ is 0, and the discrepancy never reaches
     interior blocks because the middle factor is diagonal.
 
-    A nu costs two n x n power tables and, a few sectors at a time, the
-    two factors and their batched product, formed straight into the
-    result.  A chunk of one factor takes at most ``DIRECT_CHUNK_BYTES``,
+    ``level`` (default n_max) compresses the result to n_a, n_b <= level
+    (module docstring) as the product of the factors' leading (level +
+    1)^2 corners.  That is exact: the raising factor is lower- and the
+    lowering factor upper-triangular in the position, so element (j, k)
+    sums over positions i <= min(j, k) only, and at n_max <= 24 the block
+    is bitwise the full operator's.
+
+    A nu costs two (level + 1)-square power tables and, a few sectors at a
+    time, the two factors and their batched product, formed straight into
+    the result.  A chunk of one factor takes at most ``DIRECT_CHUNK_BYTES``,
     so a call peaks at the result plus one chunk of each factor (1.27
     operators traced at n_max = 80, 1.05 at 160) beside the table, half an
     operator, which the first call on a spec builds (1.80 and 1.56).
@@ -398,19 +430,20 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec) -> FockOperator:
     at nu = 0.5 the largest sector-0 term is 3.8e8 at level 40 and 4.9e18
     at level 80), and the error is a few eps times the largest term.
     """
+    level = _compression_level(spec, level)
     f = disentangle_closed_form(nu)
-    n_max, n = spec.n_max, spec.n_max + 1
+    n_max, n = spec.n_max, level + 1
     _, number = spec._ladder
     with np.errstate(over="ignore"):  # f2 * number is -inf near |nu| ~ 1e308, where the factor tends to 0
-        middle = np.exp(f.f2 * number)
+        middle = np.exp(f.f2 * number[n_max - level : n_max + n, :n])
     table = spec._pair_table
     raising_powers = _pair_powers(f.f1, n)
     lowering_powers = [a.T.copy() for a in _pair_powers(f.f3, n)]
-    mirror = np.abs(np.arange(-n_max, n_max + 1))  # the table sector of each sector
-    out = np.empty(spec.sector_shape)
+    mirror = np.abs(np.arange(-level, n))  # the table sector of each sector
+    out = np.empty((2 * level + 1, n, n))
     chunk = max(1, DIRECT_CHUNK_BYTES // (8 * n * n))
-    for s in range(0, 2 * n_max + 1, chunk):
-        factor = table[mirror[s : s + chunk]]
+    for s in range(0, 2 * level + 1, chunk):
+        factor = table[mirror[s : s + chunk], :n, :n]
         # both factors row-major: numpy's batched product takes 2.5 times
         # as long with a transposed operand (n_max = 24)
         lower = _scale_pair_table(factor.swapaxes(1, 2).copy(), lowering_powers)
@@ -418,7 +451,7 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec) -> FockOperator:
         factor *= middle[s : s + chunk, None, :]
         np.matmul(factor, lower, out=out[s : s + chunk])
         del factor, lower  # before the next chunk's: one chunk of each at a time
-    return FockOperator(spec, out)
+    return _pad_identity(out)
 
 
 def interior_block(op: FockOperator, level: int) -> np.ndarray:
@@ -436,21 +469,6 @@ def interior_block(op: FockOperator, level: int) -> np.ndarray:
     _, _, inside = _sector_levels(level)
     block = op.entries[n_max - level : n_max + level + 1, : level + 1, : level + 1]
     return np.where(inside[:, :, None] & inside[:, None, :], block, 0.0)
-
-
-def interior_index(spec: FockSpaceSpec, level: int) -> np.ndarray:
-    """Flat indices into ``FockOperator.entries`` of the states with n_a, n_b <= level.
-
-    ``op.entries.take(index)`` lists the elements of ``interior_block(op,
-    level)`` that lie on the block, in the same order, without its zeros:
-    the same Frobenius norms from about a third of the storage.
-    """
-    n_max = spec.n_max
-    if level > n_max:
-        raise ValueError(f"interior level {level} exceeds n_max {n_max}")
-    _, _, inside = _sector_levels(level)
-    sector, row, column = np.nonzero(inside[:, :, None] & inside[:, None, :])
-    return np.ravel_multi_index((sector + n_max - level, row, column), spec.sector_shape)
 
 
 def vacuum_column(op: FockOperator) -> np.ndarray:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "N_MAX_DEFAULT",
     "SchmidtSpectrum",
-    "hermite_phi",
     "hermite_phi_table",
     "series_amplitude_r0",
     "mehler_closed",
@@ -25,11 +23,6 @@ __all__ = [
     "entanglement_entropy",
     "entropy_closed_form",
 ]
-
-# Hard ceiling on the recurrence order; the normalized recurrence is stable
-# far beyond this, the cap just catches runaway callers.
-N_MAX_DEFAULT = 512
-
 
 def hermite_phi_table(n: int, eta) -> np.ndarray:
     """phi_0 .. phi_n at eta, stacked along axis 0.
@@ -49,15 +42,6 @@ def hermite_phi_table(n: int, eta) -> np.ndarray:
     for k in range(1, n):
         out[k + 1] = eta * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
-
-
-def hermite_phi(n: int, eta):
-    """Normalized oscillator eigenfunction phi_n(eta)."""
-    if n > N_MAX_DEFAULT:
-        raise ValueError(f"order {n} exceeds the supported maximum {N_MAX_DEFAULT}")
-    table = hermite_phi_table(n, eta)
-    value = table[n]
-    return float(value) if np.ndim(eta) == 0 else value
 
 
 def series_amplitude_r0(x, y, nu: float, N: int):

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -117,6 +118,18 @@ def test_field_csv_bytes_match_per_value_format():
     )
     assert out.getvalue() == expected
     assert out.getvalue().splitlines()[1:3] == ["-1,0,0", "0,0,1.3333333333333333"]
+
+
+def test_field_csv_formats_repeated_values_and_signed_zeros_apart():
+    # each distinct value is formatted once: repeats share its text, and
+    # 0 and -0, equal as numbers, keep their own
+    grid = GridSpec2D(-1.0, 1.0, 0.0, 1.0, 3, 3)
+    values = np.array([[0.0, -0.0, 0.1], [-0.0, 0.1, 0.0], [0.1, 0.0, -0.0]])
+    out = io.StringIO()
+    cli._write_field_csv(out, ScalarField2D(grid, 0.0, values))
+    column = [row.rsplit(",", 1)[1] for row in out.getvalue().splitlines()[1:]]
+    assert column == [f"{values[ix, iy]:.17g}" for iy in range(3) for ix in range(3)]
+    assert column.count("-0") == 3 and column.count("0") == 3
 
 
 def test_density_auto_grid_normalizes(tmp_path):
@@ -429,6 +442,23 @@ def test_fock_entry_does_not_depend_on_other_nu(tmp_path_factory, n_max, nu_valu
             (alone,) = json.loads(cli.run_fock([nu], n_max, tmp_path_factory.mktemp("fock")).read_text())["entries"]
             assert entry == alone
             assert len(calls) == k + 2
+
+
+def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):
+    # with the truncation's cached arrays built, each nu allocates the two
+    # routes' level-40 operators and at most one chunk of each factor,
+    # never an operator of the whole truncation (161 x 81^2 doubles, 8.4 MB)
+    spec = fockalg.FockSpaceSpec(80)
+    spec._ladder, spec._pair_table, spec._spectrum
+    monkeypatch.setattr(cli, "FockSpaceSpec", lambda n_max: spec)
+    tracemalloc.start()
+    try:
+        cli.run_fock([0.25, 0.5, 1.0], 80, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full, interior = 8 * 161 * 81**2, 8 * 81 * 41**2
+    assert peak < 2 * interior + 2 * fockalg.DIRECT_CHUNK_BYTES + 0.1 * full
 
 
 def test_entropy_table(tmp_path):

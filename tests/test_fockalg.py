@@ -58,6 +58,13 @@ def to_dense(op: fa.FockOperator) -> np.ndarray:
     return out
 
 
+def pair_exponential(f: float, spec: fa.FockSpaceSpec) -> np.ndarray:
+    """exp(f a+ b+) on every sector, scaled from the truncation's table as the factored route does."""
+    n_max = spec.n_max
+    table = spec._pair_table[np.abs(np.arange(-n_max, n_max + 1))]
+    return fa._scale_pair_table(table, fa._pair_powers(f, n_max + 1))
+
+
 def identity_operator(spec: fa.FockSpaceSpec) -> np.ndarray:
     return np.broadcast_to(np.eye(spec.n_max + 1), spec.sector_shape)
 
@@ -117,7 +124,7 @@ def test_pair_exponential_matches_dense_sector_blocks(n_max):
     a, b = dense_ladder(n_max)
     pairs = a.T @ b.T
     for f in PAIR_FACTORS:
-        stack = fa._pair_exponential(f, fa.FockSpaceSpec(n_max))
+        stack = pair_exponential(f, fa.FockSpaceSpec(n_max))
         for d in range(-n_max, n_max + 1):
             idx = sector_states(n_max, d)
             size = len(idx)
@@ -131,7 +138,7 @@ def test_pair_exponential_matches_dense_sector_blocks(n_max):
 def test_pair_exponential_at_zero_is_identity():
     for n_max in [1, 24, fa.N_MAX_LIMIT]:
         identity = np.broadcast_to(np.eye(n_max + 1), (2 * n_max + 1, n_max + 1, n_max + 1))
-        np.testing.assert_array_equal(fa._pair_exponential(0.0, fa.FockSpaceSpec(n_max)), identity)
+        np.testing.assert_array_equal(pair_exponential(0.0, fa.FockSpaceSpec(n_max)), identity)
 
 
 @pytest.mark.parametrize("f", [1.0, -1.0])
@@ -141,7 +148,7 @@ def test_pair_exponential_at_truncation_limit(f):
     n_max = fa.N_MAX_LIMIT
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stack = fa._pair_exponential(f, fa.FockSpaceSpec(n_max))
+        stack = pair_exponential(f, fa.FockSpaceSpec(n_max))
     assert np.all(np.isfinite(stack))
     np.testing.assert_array_equal(stack[n_max, :, 0], f ** np.arange(n_max + 1))
 
@@ -153,7 +160,7 @@ def test_pair_exponential_matches_mpmath_at_truncation_limit(f):
     # sub-diagonal, and within the smallest subnormal where the exact value
     # is subnormal
     n_max = fa.N_MAX_LIMIT
-    stack = fa._pair_exponential(f, fa.FockSpaceSpec(n_max))
+    stack = pair_exponential(f, fa.FockSpaceSpec(n_max))
     eps = np.finfo(float).eps
     past_underflow = 0
     with mpmath.workdps(40):
@@ -378,8 +385,8 @@ def test_factored_chunks_are_bitwise_one_product(monkeypatch, n_max, nu):
     spec = fa.FockSpaceSpec(n_max)
     f = fa.disentangle_closed_form(nu)
     _, number = spec._ladder
-    raising = fa._pair_exponential(f.f1, spec) * np.exp(f.f2 * number)[:, None, :]
-    lowering = fa._pair_exponential(f.f3, spec).swapaxes(1, 2).copy()
+    raising = pair_exponential(f.f1, spec) * np.exp(f.f2 * number)[:, None, :]
+    lowering = pair_exponential(f.f3, spec).swapaxes(1, 2).copy()
     whole = raising @ lowering
     sector_bytes = 8 * (n_max + 1) ** 2
     assert (2 * n_max + 1) % 3 == 1
@@ -400,18 +407,6 @@ def test_factored_route_reads_each_function(monkeypatch):
     dense = scipy_expm(f1 * ad @ bd) @ scipy_expm(f2 * (a @ ad + bd @ b)) @ scipy_expm(f3 * a @ b)
     factored = fa.two_mode_squeeze_factored(0.0, fa.FockSpaceSpec(n_max))
     np.testing.assert_allclose(to_dense(factored), dense, rtol=0, atol=1e-13)
-
-
-def test_interior_index_lists_interior_block():
-    # on an operator with no zero element, the block's nonzeros are exactly
-    # the interior states, in the order the index takes them
-    spec = fa.FockSpaceSpec(6)
-    op = fa.FockOperator(spec, 1.0 + np.random.default_rng(3).random(spec.sector_shape))
-    for level in [0, 3, 6]:
-        block = fa.interior_block(op, level)
-        np.testing.assert_array_equal(op.entries.take(fa.interior_index(spec, level)), block[block != 0])
-    with pytest.raises(ValueError, match="interior"):
-        fa.interior_index(spec, 7)
 
 
 def test_direct_is_orthogonal_on_interior(spec24):
@@ -532,6 +527,91 @@ def test_level_12_at_strong_squeeze_needs_n_max_56():
     elapsed = time.perf_counter() - start
     assert distance < 1e-9
     assert elapsed < 5.0
+
+
+# ---------------------------------------------------------------------------
+# compression to an interior level
+
+ROUTES = [fa.two_mode_squeeze_direct, fa.two_mode_squeeze_factored]
+COMPRESSION_NU = [0.0, 0.3, -0.7, 1.0]
+
+
+def compression_levels(n_max: int) -> list[int]:
+    return sorted({0, 1, n_max // 2, n_max - 1, n_max})
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 24, 60])
+@pytest.mark.parametrize("route", ROUTES)
+def test_compression_is_interior_block_of_full_operator(n_max, route):
+    # the factored corner is exact (lower- times upper-triangular factors:
+    # rows and columns <= level never reach past it), and bitwise so up to
+    # n_max = 24; elsewhere both routes agree to rounding, at levels where
+    # the factored product is more than cancellation noise (below ~40)
+    spec = fa.FockSpaceSpec(n_max)
+    for nu in COMPRESSION_NU:
+        full = route(nu, spec)
+        for level in compression_levels(n_max):
+            op = route(nu, spec, level=level)
+            assert op.spec == fa.FockSpaceSpec(level)
+            block, reference = fa.interior_block(op, level), fa.interior_block(full, level)
+            if route is fa.two_mode_squeeze_factored and (n_max <= 24 or level == n_max):
+                np.testing.assert_array_equal(block, reference)
+            elif route is fa.two_mode_squeeze_direct or level < 40:
+                scale = np.abs(reference).max()
+                assert np.abs(block - reference).max() <= 8 * np.finfo(float).eps * scale, (nu, level)
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 24])
+@pytest.mark.parametrize("route", ROUTES)
+def test_compression_padding_is_identity(n_max, route):
+    for level in compression_levels(n_max):
+        entries = route(0.7, fa.FockSpaceSpec(n_max), level=level).entries
+        eye = np.eye(level + 1)
+        for d in range(-level, level + 1):
+            size = level + 1 - abs(d)
+            np.testing.assert_array_equal(entries[d + level, size:, :], eye[size:, :])
+            np.testing.assert_array_equal(entries[d + level, :, size:], eye[:, size:])
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_compression_at_n_max_is_full_operator(route):
+    # one code path: the default level is n_max, and the full operator is
+    # the scipy-checked one of the tests above
+    spec = fa.FockSpaceSpec(24)
+    for nu in COMPRESSION_NU:
+        full = route(nu, spec)
+        assert full.spec == spec
+        np.testing.assert_array_equal(route(nu, spec, level=24).entries, full.entries)
+
+
+def test_compression_of_vacuum_space():
+    # level 0 keeps the vacuum alone: <0,0|U|0,0> = 1 / cosh nu to rounding
+    spec = fa.FockSpaceSpec(24)
+    for route in ROUTES:
+        (((amplitude,),),) = route(0.1, spec, level=0).entries
+        assert amplitude == pytest.approx(1.0 / math.cosh(0.1), rel=1e-14)
+        np.testing.assert_array_equal(route(0.5, fa.FockSpaceSpec(0)).entries, np.ones((1, 1, 1)))
+
+
+def test_compression_keeps_the_direct_guard():
+    spec = fa.FockSpaceSpec(24)
+    messages = []
+    for level in [None, 12, 0]:
+        with pytest.raises(fa.ConvergenceError, match="1-norm") as info:
+            fa.two_mode_squeeze_direct(1e16, spec, level=level)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+    # the factored route has no guard: its compression at 1e16 is still the
+    # full operator's block
+    block = fa.interior_block(fa.two_mode_squeeze_factored(1e16, spec, level=12), 12)
+    np.testing.assert_array_equal(block, fa.interior_block(fa.two_mode_squeeze_factored(1e16, spec), 12))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("level", [-1, 5, 100])
+def test_compression_level_outside_truncation_is_rejected(route, level):
+    with pytest.raises(ValueError, match="outside"):
+        route(0.5, fa.FockSpaceSpec(4), level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +822,9 @@ def test_n_max_limit_edge():
     assert fa.FockSpaceSpec(limit).sector_shape == (2 * limit + 1, limit + 1, limit + 1)
     with pytest.raises(ValueError, match="exceeds"):
         fa.FockSpaceSpec(limit + 1)
-    with pytest.raises(ValueError, match="at least 1"):
-        fa.FockSpaceSpec(0)
+    # n_max = 0 is the vacuum alone, the space a level-0 compression lives on
+    with pytest.raises(ValueError, match="at least 0"):
+        fa.FockSpaceSpec(-1)
 
 
 def test_operator_shape_checked(spec24):

@@ -29,6 +29,11 @@ def example2():
 # Bohm potential from the sampled amplitude
 
 
+def sample_amplitude(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:
+    x, y = grid.mesh()
+    return ScalarField2D(grid=grid, t=t, values=cf.amplitude_A(s, x, y, t))
+
+
 def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
     """Bohm potential -(lap A)/(2 m A) by central second differences.
 
@@ -59,7 +64,7 @@ def test_bohm_from_amplitude_ground_state():
     # exact check against the Gaussian identity V_B = 1 - (x^2+y^2)/2 at t=0
     s = example1()
     grid = verify.residual_grid(s, 0.0)
-    fd = bohm_from_amplitude(cf.sample_amplitude(s, grid, 0.0), s.m)
+    fd = bohm_from_amplitude(sample_amplitude(s, grid, 0.0), s.m)
     x, y = fd.grid.mesh()
     exact = 1.0 - (x * x + y * y) / 2.0
     assert np.abs(fd.values - exact).max() < 1e-4
@@ -88,19 +93,19 @@ def test_bohm_from_amplitude_second_order():
 def test_bohm_from_amplitude_guards():
     s = example1()
     with pytest.raises(ValueError, match="5 samples"):
-        bohm_from_amplitude(cf.sample_amplitude(s, GridSpec2D.square(1.0, 4), 0.0), s.m)
+        bohm_from_amplitude(sample_amplitude(s, GridSpec2D.square(1.0, 4), 0.0), s.m)
     with pytest.raises(ValueError, match="mass"):
-        bohm_from_amplitude(cf.sample_amplitude(s, GridSpec2D.square(1.0, 9), 0.0), 0.0)
+        bohm_from_amplitude(sample_amplitude(s, GridSpec2D.square(1.0, 9), 0.0), 0.0)
     # amplitude underflow on an absurdly wide box
     wide = GridSpec2D.square(60.0, 9)
     with pytest.raises(ValueError, match="underflow"):
-        bohm_from_amplitude(cf.sample_amplitude(s, wide, 0.0), s.m)
+        bohm_from_amplitude(sample_amplitude(s, wide, 0.0), s.m)
 
 
 def test_bohm_from_amplitude_interior_grid():
     s = example1()
     grid = GridSpec2D.square(1.0, 11)
-    fd = bohm_from_amplitude(cf.sample_amplitude(s, grid, 0.3), s.m)
+    fd = bohm_from_amplitude(sample_amplitude(s, grid, 0.3), s.m)
     assert fd.grid.nx == 9
     assert fd.grid.x_min == pytest.approx(grid.xs()[1])
     assert fd.grid.x_max == pytest.approx(grid.xs()[-2])
