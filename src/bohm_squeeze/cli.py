@@ -344,22 +344,34 @@ def run_fock(
     A squeeze value whose exponentials do not converge gets an ``error``
     message instead of their measurements; one whose ODE oracle does not
     converge gets an ``ode_error`` message instead of ``ode_max_dev``.
+    Squeeze values whose oracle steps nu / ``ode_steps(nu)`` are equal
+    bitwise are integrated in one oracle call, each entry still bitwise
+    what its nu alone gives.
     """
     spec = FockSpaceSpec(n_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     half = n_max // 2
 
+    steps = [fockalg.ode_steps(nu) for nu in nu_values]
+    groups: dict[str, list[int]] = {}
+    for i, nu in enumerate(nu_values):
+        groups.setdefault((nu / steps[i]).hex(), []).append(i)
+    odes = {}
+    for members in groups.values():
+        longest = max(members, key=steps.__getitem__)
+        results = fockalg.disentangle_ode_oracle(nu_values[longest], [steps[i] for i in members])
+        odes.update(zip(members, results))
+
     entries = []
-    for nu in nu_values:
+    for i, nu in enumerate(nu_values):
         entry: dict = {"nu": nu, "interior_level": half}
         try:
             entry.update(_fock_measurements(nu, spec, half, tolerance))
         except ConvergenceError as exc:
             entry["error"] = str(exc)
-        try:
-            ode = fockalg.disentangle_ode_oracle(nu, fockalg.ode_steps(nu))
-        except ConvergenceError as exc:
-            entry["ode_error"] = str(exc)
+        ode = odes[i]
+        if isinstance(ode, ConvergenceError):
+            entry["ode_error"] = str(ode)
         else:
             closed = fockalg.disentangle_closed_form(nu)
             entry["ode_max_dev"] = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))

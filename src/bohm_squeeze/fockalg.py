@@ -79,14 +79,21 @@ right-hand side, and its embedded 4th-order solution checks every step.
 Its global error is at most about 5e-4 h^5 on this system (at nu = 1:
 8.8e-11 at 20 steps, 3.2e-12 at 40, 1.1e-13 at 80), so a step h <= 5e-3
 keeps it at the rounding floor.  ``ode_steps`` gives
-min(2000, max(20, ceil(|nu| / 5e-3))) steps: 520 for the five nu of
-configs/fock.json, or 3,120 evaluations.  At the 2000-step cap the local
-check holds up to |nu| ~ 106.67.
+min(2000, max(20, ceil(|nu| / 5e-3))) steps.  A step depends only on its
+size h = nu / steps and the state it starts from, so every nu whose h has
+the same bits (same sign, 0.0 apart from -0.0) lies on one trajectory: one
+call integrates it to the largest step count and returns each nu's state
+at its own count, bitwise what that nu alone gives.  The five nu of
+configs/fock.json share h = 5e-3 and take 200 steps (1,200 evaluations)
+instead of 520 (3,120).  At the 2000-step cap the local check holds up to
+|nu| ~ 106.67.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -475,6 +482,10 @@ def vacuum_column(op: FockOperator) -> np.ndarray:
     """<n_a, n_b| op |0, 0> as an (n_max+1, n_max+1) array.
 
     |0, 0> lies in sector 0, so only the diagonal n_a = n_b can be nonzero.
+    The array is built with ``np.diag`` from sector 0's column, so its
+    off-diagonal elements are zero by construction: the sector layout
+    stores no element that could put weight there, and ``fock``'s
+    ``vacuum_offdiag_max`` reads 0 whatever the routes compute.
     """
     return np.diag(op.entries[op.spec.n_max, :, 0])
 
@@ -501,10 +512,12 @@ def ode_steps(nu_end: float) -> int:
     min(2000, max(20, ceil(|nu_end| / 5e-3))): steps of at most 5e-3, where
     the oracle's global error, at most about 5e-4 h^5, is below rounding; at
     least the oracle's 20 steps; and never more than 2000.  20 at nu = 0.1,
-    200 at nu = 1, 2000 from |nu| = 10 on.  At the cap the local check
-    holds up to |nu_end| ~ 106.67 (the result is then off the closed forms
-    by 1.8e-10 at 106) and fails past it.  A NaN nu_end raises
-    ``ValueError``.
+    200 at nu = 1, 2000 from |nu| = 10 on.  Squeeze values whose steps
+    nu_end / ode_steps(nu_end) are equal bitwise share one oracle pass,
+    each result bitwise its own call's: the five of configs/fock.json take
+    200 steps in all, not 520.  At the cap the local check holds up to
+    |nu_end| ~ 106.67 (the result is then off the closed forms by 1.8e-10
+    at 106) and fails past it.  A NaN nu_end raises ``ValueError``.
     """
     if math.isnan(nu_end):
         raise ValueError(f"nu must be a number, got {nu_end}")
@@ -514,7 +527,9 @@ def ode_steps(nu_end: float) -> int:
     return max(ODE_MIN_STEPS, math.ceil(span))
 
 
-def disentangle_ode_oracle(nu_end: float, steps: int, *, local_tol: float = 1e-9) -> DisentangleFunctions:
+def disentangle_ode_oracle(
+    nu_end: float, steps: int | Sequence[int], *, local_tol: float = 1e-9
+) -> DisentangleFunctions | list[DisentangleFunctions | ConvergenceError]:
     """Integrate the factorization system from (0, 0, 0) to nu_end.
 
     The defining relations
@@ -536,52 +551,76 @@ def disentangle_ode_oracle(nu_end: float, steps: int, *, local_tol: float = 1e-9
     A stage exponential that overflows, an estimate that is not a number
     and a result that is not finite all raise ``ConvergenceError``: steps
     that long cannot be checked (from |nu_end| ~ 9.1e3 at 2000 steps).
+
+    ``steps`` may also be a sequence of step counts.  Then one pass of
+    max(steps) steps h = nu_end / max(steps) is integrated, and the list
+    returned holds, for each count in order, the state after that many
+    steps, or the ``ConvergenceError`` that count meets: the error of a
+    step at or before it, or its own state's finiteness check.  The steps
+    depend only on the bits of h, so each entry is bitwise what a call
+    with (count h, count) gives when count h / count is h again.
     """
-    if steps < ODE_MIN_STEPS:
+    single = isinstance(steps, numbers.Integral)
+    counts = [steps] if single else list(steps)
+    if min(counts) < ODE_MIN_STEPS:
         raise ValueError(f"need at least {ODE_MIN_STEPS} integration steps")
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), b = _DP_A
     b1, _, b3, b4, b5, b6 = b
     e1, _, e3, e4, e5, e6, e7 = _DP_E
-    h = nu_end / steps
+    h = nu_end / max(counts)
     f1 = f2 = f3 = 0.0
+    states, done, error = {}, 0, None
     try:
         # stage i has the point (y_i, z_i) of (f1, f2) and the slopes
         # (k_i, -y_i, m_i) of (f1, f2, f3); no slope depends on f3, so its
         # stage points are never formed
         k1, m1 = 1.0 - f1 * f1, -math.exp(2.0 * f2)
-        for _ in range(steps):
-            y2 = f1 + h * (a21 * k1)
-            z2 = f2 - h * (a21 * f1)
-            k2, m2 = 1.0 - y2 * y2, -math.exp(2.0 * z2)
-            y3 = f1 + h * (a31 * k1 + a32 * k2)
-            z3 = f2 - h * (a31 * f1 + a32 * y2)
-            k3, m3 = 1.0 - y3 * y3, -math.exp(2.0 * z3)
-            y4 = f1 + h * (a41 * k1 + a42 * k2 + a43 * k3)
-            z4 = f2 - h * (a41 * f1 + a42 * y2 + a43 * y3)
-            k4, m4 = 1.0 - y4 * y4, -math.exp(2.0 * z4)
-            y5 = f1 + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-            z5 = f2 - h * (a51 * f1 + a52 * y2 + a53 * y3 + a54 * y4)
-            k5, m5 = 1.0 - y5 * y5, -math.exp(2.0 * z5)
-            y6 = f1 + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-            z6 = f2 - h * (a61 * f1 + a62 * y2 + a63 * y3 + a64 * y4 + a65 * y5)
-            k6, m6 = 1.0 - y6 * y6, -math.exp(2.0 * z6)
-            # the 5th-order result is the last stage's point (b2 = 0)
-            y7 = f1 + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-            z7 = f2 - h * (b1 * f1 + b3 * y3 + b4 * y4 + b5 * y5 + b6 * y6)
-            g7 = f3 + h * (b1 * m1 + b3 * m3 + b4 * m4 + b5 * m5 + b6 * m6)
-            k7, m7 = 1.0 - y7 * y7, -math.exp(2.0 * z7)
-            d1 = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
-            d2 = abs(h * (e1 * f1 + e3 * y3 + e4 * y4 + e5 * y5 + e6 * y6 + e7 * y7))
-            d3 = abs(h * (e1 * m1 + e3 * m3 + e4 * m4 + e5 * m5 + e6 * m6 + e7 * m7))
-            # compared one by one: max() drops a NaN that is not its first argument
-            if not (d1 <= local_tol and d2 <= local_tol and d3 <= local_tol):
-                err = math.nan if math.isnan(d1 + d2 + d3) else max(d1, d2, d3)
-                raise ConvergenceError(
-                    f"local error estimate {err:.3e} exceeds {local_tol:.0e}; increase steps"
-                )
-            f1, f2, f3, k1, m1 = y7, z7, g7, k7, m7
+        for stop in sorted(set(counts)):
+            for _ in range(stop - done):
+                y2 = f1 + h * (a21 * k1)
+                z2 = f2 - h * (a21 * f1)
+                k2, m2 = 1.0 - y2 * y2, -math.exp(2.0 * z2)
+                y3 = f1 + h * (a31 * k1 + a32 * k2)
+                z3 = f2 - h * (a31 * f1 + a32 * y2)
+                k3, m3 = 1.0 - y3 * y3, -math.exp(2.0 * z3)
+                y4 = f1 + h * (a41 * k1 + a42 * k2 + a43 * k3)
+                z4 = f2 - h * (a41 * f1 + a42 * y2 + a43 * y3)
+                k4, m4 = 1.0 - y4 * y4, -math.exp(2.0 * z4)
+                y5 = f1 + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+                z5 = f2 - h * (a51 * f1 + a52 * y2 + a53 * y3 + a54 * y4)
+                k5, m5 = 1.0 - y5 * y5, -math.exp(2.0 * z5)
+                y6 = f1 + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+                z6 = f2 - h * (a61 * f1 + a62 * y2 + a63 * y3 + a64 * y4 + a65 * y5)
+                k6, m6 = 1.0 - y6 * y6, -math.exp(2.0 * z6)
+                # the 5th-order result is the last stage's point (b2 = 0)
+                y7 = f1 + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+                z7 = f2 - h * (b1 * f1 + b3 * y3 + b4 * y4 + b5 * y5 + b6 * y6)
+                g7 = f3 + h * (b1 * m1 + b3 * m3 + b4 * m4 + b5 * m5 + b6 * m6)
+                k7, m7 = 1.0 - y7 * y7, -math.exp(2.0 * z7)
+                d1 = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
+                d2 = abs(h * (e1 * f1 + e3 * y3 + e4 * y4 + e5 * y5 + e6 * y6 + e7 * y7))
+                d3 = abs(h * (e1 * m1 + e3 * m3 + e4 * m4 + e5 * m5 + e6 * m6 + e7 * m7))
+                # compared one by one: max() drops a NaN that is not its first argument
+                if not (d1 <= local_tol and d2 <= local_tol and d3 <= local_tol):
+                    err = math.nan if math.isnan(d1 + d2 + d3) else max(d1, d2, d3)
+                    raise ConvergenceError(
+                        f"local error estimate {err:.3e} exceeds {local_tol:.0e}; increase steps"
+                    )
+                f1, f2, f3, k1, m1 = y7, z7, g7, k7, m7
+            done = stop
+            states[stop] = (
+                DisentangleFunctions(f1, f2, f3)
+                if math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)
+                else ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
+            )
     except OverflowError:
-        raise ConvergenceError(f"stage exponential overflows with step size {h:.3e}; increase steps") from None
-    if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
-        raise ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
-    return DisentangleFunctions(f1, f2, f3)
+        error = ConvergenceError(f"stage exponential overflows with step size {h:.3e}; increase steps")
+    except ConvergenceError as exc:
+        error = exc
+    results = [states.get(count, error) for count in counts]
+    if not single:
+        return results
+    (result,) = results
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result

@@ -416,6 +416,9 @@ def test_fock_report_is_strict_json(tmp_path_factory, nu):
             st.floats(-3.0, 3.0),
             st.sampled_from([1e16, -1e16, 1e11, -150.0]),
             st.floats(allow_nan=False, allow_infinity=False),
+            # values on a 5e-3 grid often share their oracle step
+            st.integers(-2000, 2000).map(lambda k: k * 5e-3),
+            st.sampled_from([0.0, -0.0]),
         ),
         min_size=1,
         max_size=4,
@@ -423,25 +426,59 @@ def test_fock_report_is_strict_json(tmp_path_factory, nu):
 )
 def test_fock_entry_does_not_depend_on_other_nu(tmp_path_factory, n_max, nu_values):
     # the direct route's spectrum is computed once per truncation and reused
-    # at every nu: each entry equals the entry of a run of its nu alone, and
-    # each run makes one eigendecomposition, also when the guard refuses
-    # every nu
-    eigh = np.linalg.eigh
-    calls = []
+    # at every nu, and the ODE oracle integrates once per distinct step: each
+    # entry equals the entry of a run of its nu alone, and each run makes one
+    # eigendecomposition, also when the guard refuses every nu
+    eigh, oracle = np.linalg.eigh, fockalg.disentangle_ode_oracle
+    calls, oracle_calls = [], []
 
     def counting_eigh(a):
         calls.append(a.shape)
         return eigh(a)
 
+    def counting_oracle(nu_end, steps, **kwargs):
+        oracle_calls.append(nu_end)
+        return oracle(nu_end, steps, **kwargs)
+
+    # 0.0 and -0.0, and steps of opposite sign, are different steps
+    distinct_steps = {(nu / fockalg.ode_steps(nu)).hex() for nu in nu_values}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigh", counting_eigh)
+        mp.setattr(fockalg, "disentangle_ode_oracle", counting_oracle)
         out = cli.run_fock(nu_values, n_max, tmp_path_factory.mktemp("fock"))
         assert len(calls) == 1
+        assert len(oracle_calls) == len(distinct_steps)
         entries = json.loads(out.read_text())["entries"]
         for k, (nu, entry) in enumerate(zip(nu_values, entries, strict=True)):
             (alone,) = json.loads(cli.run_fock([nu], n_max, tmp_path_factory.mktemp("fock")).read_text())["entries"]
             assert entry == alone
             assert len(calls) == k + 2
+            assert len(oracle_calls) == len(distinct_steps) + k + 1
+
+
+def test_fock_config_integrates_one_shared_pass(tmp_path, monkeypatch):
+    # the five nu of configs/fock.json share the step 5e-3: one oracle call
+    # of 200 steps, 1 + 6 * 200 stage exponentials, where one call per nu
+    # took 520 steps (3,125 exponentials)
+    config = json.loads((CONFIG_DIR / "fock.json").read_text())
+    oracle, exp = fockalg.disentangle_ode_oracle, math.exp
+    calls, exponentials = [], []
+
+    def counting_oracle(nu_end, steps, **kwargs):
+        calls.append((nu_end, list(steps)))
+        return oracle(nu_end, steps, **kwargs)
+
+    def counting_exp(x):
+        exponentials.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(fockalg, "disentangle_ode_oracle", counting_oracle)
+    monkeypatch.setattr(math, "exp", counting_exp)
+    out = cli.run_fock(config["nu_values"], config["n_max"], tmp_path)
+    monkeypatch.undo()
+    assert calls == [(1.0, [20, 50, 100, 150, 200])]
+    assert len(exponentials) == 1 + 6 * 200
+    assert all("ode_max_dev" in entry for entry in json.loads(out.read_text())["entries"])
 
 
 def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):

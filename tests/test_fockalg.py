@@ -736,7 +736,8 @@ def test_ode_step_size_failure():
     ],
 )
 def test_ode_step_law(nu, steps):
-    # min(2000, max(20, ceil(|nu| / 5e-3))); configs/fock.json takes 520 in all
+    # min(2000, max(20, ceil(|nu| / 5e-3))); the five nu of configs/fock.json
+    # take 520 in all, and share the step 5e-3, so ``fock`` integrates 200
     assert fa.ode_steps(nu) == steps
 
 
@@ -770,6 +771,34 @@ def test_ode_step_cap_edge(sign):
     for oracle in (fa.disentangle_ode_oracle, reference_ode_oracle):
         with pytest.raises(fa.ConvergenceError, match="local error"):
             oracle(sign * 107.5, 2000)
+
+
+@pytest.mark.parametrize(
+    "nu_end, steps, local_tol, failing",
+    [
+        # the check first fails at step 28 of h = 0.02 under 3e-12, and at
+        # step 19 of h = 107.5 / 2000 under the default bound
+        (4.0, 200, 3e-12, 28),
+        (107.5, 2000, 1e-9, 19),
+    ],
+)
+def test_ode_shared_pass_matches_lone_calls(nu_end, steps, local_tol, failing):
+    # one pass of h = nu_end / steps serves every count: a count that reaches
+    # the failing step gets the error a lone call raises, an earlier count
+    # the lone call's bits, whatever the order of the counts
+    h = nu_end / steps
+    counts = [c for c in (steps, 20, failing - 1, failing, 20) if c >= fa.ODE_MIN_STEPS]
+    results = fa.disentangle_ode_oracle(nu_end, counts, local_tol=local_tol)
+    for count, result in zip(counts, results, strict=True):
+        assert (count * h) / count == h  # the lone call takes the same step
+        if count < failing:
+            alone = fa.disentangle_ode_oracle(count * h, count, local_tol=local_tol)
+            assert (result.f1, result.f2, result.f3) == (alone.f1, alone.f2, alone.f3)
+        else:
+            with pytest.raises(fa.ConvergenceError) as info:
+                fa.disentangle_ode_oracle(count * h, count, local_tol=local_tol)
+            assert isinstance(result, fa.ConvergenceError)
+            assert str(result) == str(info.value)
 
 
 @pytest.mark.parametrize("nu", [1e19, 1e100, -1e100])
