@@ -75,6 +75,13 @@ UNUSED_FLAGS = {
 }
 
 
+# Top-level keys of each subcommand's config.  density and verify read one
+# format (configs/fig*.json feed both), fock and entropy another.
+_SCENARIO_KEYS = ("scenario", "grid", "times", "outputs", "v_source", "tolerances", "out_dir")
+_SQUEEZE_KEYS = ("nu_values", "n_max", "out_dir")
+CONFIG_KEYS = {"density": _SCENARIO_KEYS, "verify": _SCENARIO_KEYS, "fock": _SQUEEZE_KEYS, "entropy": _SQUEEZE_KEYS}
+
+
 class ConfigError(ValueError):
     """Invalid or unusable run configuration."""
 
@@ -110,7 +117,8 @@ class RunConfig:
         return g
 
 
-def _read_json_object(path: str | Path) -> dict:
+def _read_json_object(path: str | Path, command: str) -> dict:
+    """The JSON object in ``path``, holding only keys that ``command``'s config takes."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -119,6 +127,11 @@ def _read_json_object(path: str | Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    for key in raw:
+        if key not in CONFIG_KEYS[command]:
+            fock_tol = (command, key) == ("fock", "tolerances")
+            hint = "set its flag threshold with --tol" if fock_tol else f"it takes {', '.join(CONFIG_KEYS[command])}"
+            raise ConfigError(f"{command} config has unknown key {key!r}; {hint}")
     return raw
 
 
@@ -144,8 +157,11 @@ def _number_list(raw: dict, key: str) -> list[float]:
 
 
 def load_config(path: str | Path, *, out_override: str | None = None, grid_n: int | None = None) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
-    raw = _read_json_object(path)
+    """Parse and validate a JSON density/verify configuration."""
+    return _run_config(_read_json_object(path, "density"), out_override, grid_n)
+
+
+def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunConfig:
     try:
         scenario = Scenario.from_json(raw.get("scenario", {}))
     except ValueError as exc:
@@ -344,9 +360,8 @@ def run_fock(
     A squeeze value whose exponentials do not converge gets an ``error``
     message instead of their measurements; one whose ODE oracle does not
     converge gets an ``ode_error`` message instead of ``ode_max_dev``.
-    Squeeze values whose oracle steps nu / ``ode_steps(nu)`` are equal
-    bitwise are integrated in one oracle call, each entry still bitwise
-    what its nu alone gives.
+    Squeeze values that share an oracle step are integrated in one call
+    (see ``fockalg.disentangle_ode_oracle``).
     """
     spec = FockSpaceSpec(n_max)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -443,17 +458,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sample and verify engineered two-mode squeezed vacuum-like states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("density", "write |psi|^2 grids as CSV"),
-        ("verify", "write residual/normalization report"),
-        ("fock", "write truncated-space factorization report"),
-        ("entropy", "write entanglement-entropy table"),
+    for name, help_text, tol_help in [
+        ("density", "write |psi|^2 grids as CSV", "not used by density (rejected)"),
+        ("verify", "write residual/normalization report", "override the stencil-residual tolerance (1e-4)"),
+        ("fock", "write truncated-space factorization report", "flag threshold for the interior distance (1e-8)"),
+        ("entropy", "write entanglement-entropy table", "not used by entropy (rejected)"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--grid-n", type=int, default=None, help="override grid sample count per axis")
-        p.add_argument("--tol", type=float, default=None, help="override the stencil-residual tolerance")
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
     return parser
 
 
@@ -470,8 +485,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unused:
             raise ConfigError(f"{' and '.join(unused)} does not apply to {args.command}")
         tol = None if args.tol is None else _positive_tolerance(args.tol, "--tol")
+        raw = _read_json_object(args.config, args.command)
         if args.command in ("density", "verify"):
-            cfg = load_config(args.config, out_override=args.out, grid_n=args.grid_n)
+            cfg = _run_config(raw, args.out, args.grid_n)
             if tol is not None:
                 cfg.tolerances["residual_max"] = tol
             if args.command == "density":
@@ -485,7 +501,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(line, file=sys.stderr)
             return EXIT_TOLERANCE if failures else EXIT_OK
 
-        raw = _read_json_object(args.config)
         out_dir = Path(args.out) if args.out else Path(raw.get("out_dir", "out"))
         nu_values = _number_list(raw, "nu_values")
         if args.command == "fock":

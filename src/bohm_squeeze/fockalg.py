@@ -1,92 +1,39 @@
 """Truncated two-mode Fock-space operator algebra, stored by sectors.
 
-A finite-dimensional oracle for the operator identities behind the
-engineered amplitude: the pair-creation squeeze exp[nu (a+ b+ - a b)]
-both directly and in the normally-ordered factored form
+An oracle for the operator identity behind the engineered amplitude,
 
-    exp(f1 a+ b+) exp(f2 (a a+ + b+ b)) exp(f3 a b),
+    exp[nu (a+ b+ - a b)] = exp(f1 a+ b+) exp(f2 (a a+ + b+ b)) exp(f3 a b),
     f1 = tanh nu, f2 = -ln cosh nu, f3 = -tanh nu,
 
-plus a Runge-Kutta oracle for the function system defining (f1, f2, f3).
-Only the direct route is exponentiated, from the spectrum of each
-sector's Jacobi matrix; the factored route is built from closed-form
-elements (its outer factors are terminating series, its middle one
-diagonal), so the two routes share no algorithm.  Each route keeps the
-part of its work that does not depend on nu on the ``FockSpaceSpec``,
-computed once per truncation: the direct route its spectrum, the factored
-route the table of its outer factors at f = 1, which a nu scales by f^k.
+by two routes that share no algorithm: ``two_mode_squeeze_direct``
+exponentiates the generator from each sector's Jacobi spectrum, and
+``two_mode_squeeze_factored`` multiplies factors built from closed-form
+elements.  ``disentangle_ode_oracle`` integrates the function system that
+defines (f1, f2, f3), in ``ode_steps`` steps.
 
-Sector structure: every generator here changes n_a and n_b together
-(a+ b+, a b) or not at all (a a+, b+ b), so it conserves d = n_a - n_b.
-On the truncated space n_a, n_b <= n_max each operator is therefore
-block-diagonal in the 2 n_max + 1 sectors d = -n_max .. n_max, and sector
-d holds the n_max + 1 - |d| states |j + max(d, 0), j + max(-d, 0)>,
-j = min(n_a, n_b).  Operators are stored sector by sector and never
-assembled as (n_max + 1)^2-square matrices.  One operator takes
-(2 n_max + 1)(n_max + 1)^2 doubles; ``N_MAX_LIMIT`` keeps that within
-64 MiB.
+Sector layout: every generator here changes n_a and n_b together or not at
+all, so it conserves d = n_a - n_b.  On the space n_a, n_b <= n_max an
+operator is block-diagonal in the 2 n_max + 1 sectors d = -n_max .. n_max.
+Position j of sector d is the state |j + max(d, 0), j + max(-d, 0)> when
+j <= n_max - |d| (``_present``) and padding otherwise.  ``FockOperator``
+stores the blocks, never the (n_max + 1)^2-square matrix, and
+``N_MAX_LIMIT`` keeps one operator within 64 MiB.  What a route needs at
+every nu is computed once per truncation and cached read-only on the
+``FockSpaceSpec``.
 
-Compression: given a ``level``, both routes compute only the operator's
-block on the states n_a, n_b <= level, sector d's leading (level + 1 -
-|d|)-square block for |d| <= level, and return it as an operator on
-``FockSpaceSpec(level)``, the identity on its padding.  At cli's level
-n_max // 2 a nu takes 0.08-0.13 ms a route at n_max = 24 (0.15-0.51 ms
-for the whole operator) and 8-21 ms at n_max = 160 (110-115 ms).
+Compression: given a ``level``, both routes compute only the block on the
+states n_a, n_b <= level and return it as an operator on
+``FockSpaceSpec(level)``, the identity on its padding (``_pad_identity``);
+``interior_block`` cuts the same block out of an operator.
 
-Truncation note: the squeeze generator pumps occupation upward, so rows
-and columns near the truncation edge of the *direct* exponential are
-unreliable; comparisons should restrict to an interior block chosen well
-below n_max.  The factored product has no truncation error on interior
-blocks, because its raising/lowering paths never touch the edge, but it
-is limited by cancellation: its sector-0 element (L, L) is the
-alternating sum over k of C(L, k)^2 (f1 f3)^(L-k) e^(f2 (2k+1)), whose
-largest term at nu = 0.5 is 3.8e8 at level 40 and 4.9e18 at level 80.
-Rounding leaves an error of a few eps times that term (1e-7 at level
-40; at level 80 the element comes out -1520 against 0.035).  The
-squeeze takes |L, L> to occupation <a+ a> = L cosh 2nu + sinh^2 nu, so a
-safe interior level L keeps that within n_max / 2: at n_max = 24 this
-gives L = 11, 10, 7, 4, 2 for nu = 0.1, 0.25, 0.5, 0.75, 1.0 and interior
-distances below 1e-10, while L = 12 at nu = 1 is off by 0.49.
-
-The direct exponential is taken on the sectors d >= 0 only: the
-generator's blocks for d and -d are equal element for element, because
-sqrt((n_a+1)(n_b+1)) is symmetric in the two modes, and the sectors d < 0
-are filled by mirroring.  Each sector's generator is i times a real
-symmetric tridiagonal (Jacobi) matrix up to a diagonal similarity, so one
-batched eigendecomposition gives the exponential.  Only the phases nu lambda
-depend on nu, so the spectrum is computed once per truncation, on first
-use, kept read-only on the ``FockSpaceSpec`` and reused at every nu: a
-further nu costs two batched products (0.16-0.23 ms, against 1.1-1.3 ms
-with its own eigendecomposition, at n_max = 24 on one thread).  The +-lambda eigenvalue
-pairs are symmetric only to rounding, so the result drifts off orthogonal
-as |nu| grows: max |U^T U - I| follows (norm 2^-52)^2, norm the generator's
-1-norm (measured at up to 1.93 times that law below the guard, at n_max =
-4, 24 and 80).  Once twice the law passes ``DIRECT_DEFECT_BOUND`` (|nu| about
-4.5e9 at n_max = 4, 6.8e8 at n_max = 24) the route raises
-``ConvergenceError``.  The factored route's outer factors are mirror-
-symmetric too, and their table holds the sectors d >= 0 only, but its
-middle factor is not (a a+ is 0 at n_a = n_max, b+ b is not 0 at n_b =
-n_max), so its product is formed on every sector.  A further nu costs two
-power scalings of the table and one batched product per chunk of sectors:
-0.32-0.52 ms at n_max = 24, against 0.74-1.1 ms when each nu ran the
-factors' recurrence twice, and 0.11-0.17 s at n_max = 160 (0.25-0.27 s),
-on one thread.
-
-The ODE oracle integrates the function system with the Dormand-Prince
-5(4) pair (Dormand & Prince 1980) in equal steps.  The pair reuses its last
-stage as the next step's first, so a step costs 6 evaluations of the
-right-hand side, and its embedded 4th-order solution checks every step.
-Its global error is at most about 5e-4 h^5 on this system (at nu = 1:
-8.8e-11 at 20 steps, 3.2e-12 at 40, 1.1e-13 at 80), so a step h <= 5e-3
-keeps it at the rounding floor.  ``ode_steps`` gives
-min(2000, max(20, ceil(|nu| / 5e-3))) steps.  A step depends only on its
-size h = nu / steps and the state it starts from, so every nu whose h has
-the same bits (same sign, 0.0 apart from -0.0) lies on one trajectory: one
-call integrates it to the largest step count and returns each nu's state
-at its own count, bitwise what that nu alone gives.  The five nu of
-configs/fock.json share h = 5e-3 and take 200 steps (1,200 evaluations)
-instead of 520 (3,120).  At the 2000-step cap the local check holds up to
-|nu| ~ 106.67.
+Limits: the squeeze takes |L, L> to occupation L cosh 2nu + sinh^2 nu, so
+the direct route's elements near n_max carry truncation error, and an
+interior level L is safe while that occupation stays within n_max / 2.
+The factored route has no truncation error on interior blocks, but its
+elements are alternating sums whose terms outgrow the result at high
+levels, so cancellation limits it (``two_mode_squeeze_factored``).  The
+direct route's rounding grows with |nu| until its guard raises
+``ConvergenceError`` (``two_mode_squeeze_direct``).
 """
 
 from __future__ import annotations
@@ -169,21 +116,6 @@ class FockSpaceSpec:
         return (2 * self.n_max + 1, self.n_max + 1, self.n_max + 1)
 
     @cached_property
-    def _ladder(self) -> tuple[np.ndarray, np.ndarray]:
-        """(raise, number) at position j of sector d, shape (2 n_max + 1, n_max + 1).
-
-        raise = <j| a+ b+ |j - 1> = sqrt(n_a n_b) and number = a a+ + b+ b
-        at the (n_a, n_b) of position j; both are 0 on padding.  Read-only,
-        built on first use and shared by every nu on this truncation.
-        """
-        n_a, n_b, present = _sector_levels(self.n_max)
-        raise_into = np.where(present, np.sqrt(n_a * n_b), 0.0)
-        number = np.where(present, np.where(n_a < self.n_max, n_a + 1, 0) + n_b, 0)
-        for a in (raise_into, number):
-            a.flags.writeable = False
-        return raise_into, number
-
-    @cached_property
     def _pair_table(self) -> np.ndarray:
         """exp(a+ b+) on the sectors d = 0 .. n_max, shape (n_max + 1, n_max + 1, n_max + 1).
 
@@ -196,8 +128,7 @@ class FockSpaceSpec:
         triangle, each rounded once, then one product and one square root,
         so every element is within 1.25 eps of exact, whatever k.  Padding
         holds the identity.  Sector -d equals sector d, the elements being
-        symmetric in n_a and n_b.  Half an operator; read-only, built on
-        first use and shared by every nu on this truncation.
+        symmetric in n_a and n_b.  Half an operator.
         """
         n_max, n = self.n_max, self.n_max + 1
         rows, row = [], [1]
@@ -222,14 +153,15 @@ class FockSpaceSpec:
         """(lam, W, column_sum, re, im): the nu-independent half of the direct route.
 
         J = W diag(lam) W^T for the Jacobi matrix J = B + B^T of each sector
-        d = 0 .. n_max - 1, B the a+ b+ sub-diagonal (``_ladder``'s raise
-        table); column_sum is J's largest column sum, and (re, im) are Re
-        and Im of i^(k - j) by (k - j) mod 4.  One batched eigendecomposition,
-        computed on first use and reused at every nu; W holds n_max
-        (n_max + 1)^2 doubles, half an operator.  Read-only.
+        d = 0 .. n_max - 1, B the a+ b+ sub-diagonal; column_sum is J's
+        largest column sum, and (re, im) are Re and Im of i^(k - j) by
+        (k - j) mod 4.  One batched eigendecomposition; W holds n_max
+        (n_max + 1)^2 doubles, half an operator.
         """
         n_max, n = self.n_max, self.n_max + 1
-        coupling = self._ladder[0][n_max:-1, 1:]
+        # <j| a+ b+ |j - 1> = sqrt(n_a n_b) at (n_a, n_b) = (j + d, j), 0 on padding
+        d, j = np.arange(n_max)[:, None], np.arange(1, n)
+        coupling = np.where(_present(n_max)[n_max:-1, 1:], np.sqrt((j + d) * j), 0.0)
         jacobi = np.zeros((n_max, n * n))
         jacobi[:, n :: n + 1] = coupling  # sub-diagonal
         jacobi[:, 1 :: n + 1] = coupling  # super-diagonal
@@ -263,29 +195,23 @@ class FockOperator:
         object.__setattr__(self, "entries", e)
 
 
-def _sector_levels(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_a, n_b, present) at position j of sector d, shape (2 n_max + 1, n_max + 1).
-
-    ``present`` is False on the padding positions j > n_max - |d|.
-    """
-    d = np.arange(-n_max, n_max + 1)[:, None]
-    j = np.arange(n_max + 1)
-    return j + np.maximum(d, 0), j + np.maximum(-d, 0), j <= n_max - np.abs(d)
+def _present(level: int) -> np.ndarray:
+    """Whether position j of sector d is a state, j <= level - |d|; shape (2 level + 1, level + 1)."""
+    return np.arange(level + 1) <= level - np.abs(np.arange(-level, level + 1))[:, None]
 
 
 def _compression_level(spec: FockSpaceSpec, level: int | None) -> int:
     """``level``, n_max when None; a level outside [0, n_max] raises ``ValueError``."""
     level = spec.n_max if level is None else level
     if not 0 <= level <= spec.n_max:
-        raise ValueError(f"level {level} is outside [0, {spec.n_max}]")
+        raise ValueError(f"interior level {level} is outside [0, {spec.n_max}]")
     return level
 
 
 def _pad_identity(out: np.ndarray) -> FockOperator:
     """``out``, the sectors of a level, as an operator: the identity on their padding."""
     level = len(out) // 2
-    # j > level - |d| as in ``_sector_levels``; broadcast, never out-sized
-    padding = np.arange(level + 1) > level - np.abs(np.arange(-level, level + 1))[:, None]
+    padding = ~_present(level)
     eye = np.eye(level + 1)
     np.copyto(out, eye, where=padding[:, :, None])
     np.copyto(out, eye, where=padding[:, None, :])
@@ -296,9 +222,9 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec, *, level: int | None
     """exp[nu (a+ b+ - a b)] on the truncated space, from each sector's Jacobi spectrum.
 
     The generator is real antisymmetric, so the result is real orthogonal;
-    interior matrix elements converge to the untruncated values as n_max
-    grows, while elements near the truncation edge carry reflection error.
-    In sector d the generator is G = B - B^T with B = a+ b+ sub-diagonal,
+    interior elements converge to the untruncated values as n_max grows,
+    while elements near the truncation edge carry reflection error.  In
+    sector d the generator is G = B - B^T with B = a+ b+ sub-diagonal,
     <n_a+1, n_b+1| a+ b+ |n_a, n_b> = sqrt((n_a+1)(n_b+1)); P = diag(i^j)
     gives P G P^-1 = i J with J = B + B^T, and with J = W diag(lam) W^T
 
@@ -308,28 +234,27 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec, *, level: int | None
 
     nu = 0 gives the identity exactly, and so do the padding rows and
     columns, whose eigenvalues are exactly 0.  Sector d = n_max holds one
-    state and a zero generator, so its block is the identity; sectors
-    d < 0 are copies of d > 0 (see the module docstring).
+    state and a zero generator, so its block is the identity.  G's blocks
+    for d and -d are equal, sqrt((n_a+1)(n_b+1)) being symmetric in the
+    two modes, so the sectors d < 0 are copies of d > 0.
 
-    ``level`` (default n_max) compresses the result to n_a, n_b <= level
-    (module docstring): element (j, k) needs only rows j and k of W, so a
-    level takes rows <= level of W on the sectors 0 .. level.  Its block
-    agrees with the full operator's to a few eps (3.1 eps of the largest
-    element at most at n_max = 24 and 60), not bitwise.
+    ``level`` (default n_max) compresses the result: element (j, k) needs
+    only rows j and k of W, so a level takes rows <= level of W on the
+    sectors 0 .. level.  The block agrees with the full operator's to a
+    few eps (3.1 eps of the largest element at most at n_max = 24 and
+    60), not bitwise.
 
-    lam and W are computed once per truncation and reused at every nu
-    (``FockSpaceSpec._spectrum``); W, half an operator, stays with the spec.
-    The products are formed a few sectors at a time, each chunk of scaled
-    rows of W taking at most ``DIRECT_CHUNK_BYTES``, so a call peaks at
-    its result and about 3 MiB beside W (67.1 MiB traced at n_max = 160),
-    and the first call on a spec, which also computes W, at about 1.5
-    operators (100.1 MiB).
+    lam and W come from ``FockSpaceSpec._spectrum``.  The products are
+    formed a few sectors at a time, each chunk of scaled rows of W taking
+    at most ``DIRECT_CHUNK_BYTES``, so a call peaks at its result and
+    about 3 MiB beside W.
 
     Raises ``ConvergenceError`` once 2 (norm 2^-52)^2 passes
     ``DIRECT_DEFECT_BOUND``, norm being the generator's 1-norm, |nu| times
     its largest column sum: the phases nu lam carry |nu| times the
-    eigenvalues' rounding, and the result's orthogonality defect grows as
-    the square of that.
+    eigenvalues' rounding, so the result drifts off orthogonal, max
+    |U^T U - I| growing as (norm 2^-52)^2.  The guard trips from |nu|
+    about 4.5e9 at n_max = 4 and 6.8e8 at n_max = 24.
     """
     level = _compression_level(spec, level)
     n_max, n = spec.n_max, level + 1
@@ -411,42 +336,45 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec, *, level: int | No
     exponential: the raising factor as ``_scale_pair_table`` at f1, the
     lowering factor as the transpose of that at f3, each a power scaling
     of the truncation's ``_pair_table``, and the diagonal middle factor
-    elementwise.  Only the direct route is exponentiated, so the two stay
-    independent.  The middle generator is the literal product a a+ (not
-    a+ a + 1): on the truncated space the two differ only at the top level
-    n_a = n_max, where a a+ is 0, and the discrepancy never reaches
-    interior blocks because the middle factor is diagonal.
+    elementwise.  The middle generator is the literal product a a+ (not
+    a+ a + 1): on the truncated space the two differ only at n_a = n_max,
+    where a a+ is 0, and the discrepancy never reaches interior blocks
+    because the middle factor is diagonal.  That zero also breaks the
+    mirror symmetry of sectors d and -d, so the product is formed on every
+    sector.
 
-    ``level`` (default n_max) compresses the result to n_a, n_b <= level
-    (module docstring) as the product of the factors' leading (level +
-    1)^2 corners.  That is exact: the raising factor is lower- and the
-    lowering factor upper-triangular in the position, so element (j, k)
-    sums over positions i <= min(j, k) only, and at n_max <= 24 the block
-    is bitwise the full operator's.
+    ``level`` (default n_max) compresses the result as the product of the
+    factors' leading (level + 1)^2 corners.  That is exact: the raising
+    factor is lower- and the lowering factor upper-triangular in the
+    position, so element (j, k) sums over positions i <= min(j, k) only,
+    and at n_max <= 24 the block is bitwise the full operator's.
 
-    A nu costs two (level + 1)-square power tables and, a few sectors at a
-    time, the two factors and their batched product, formed straight into
-    the result.  A chunk of one factor takes at most ``DIRECT_CHUNK_BYTES``,
-    so a call peaks at the result plus one chunk of each factor (1.27
-    operators traced at n_max = 80, 1.05 at 160) beside the table, half an
-    operator, which the first call on a spec builds (1.80 and 1.56).
+    The factors and their batched product are formed a few sectors at a
+    time, straight into the result; a chunk of one factor takes at most
+    ``DIRECT_CHUNK_BYTES``, so a call peaks at the result plus one chunk of
+    each factor beside the table.
 
     The product is free of truncation error on interior blocks, not of
-    rounding: each element is an alternating sum whose terms grow much
-    larger than the result at high levels (see the module docstring:
-    at nu = 0.5 the largest sector-0 term is 3.8e8 at level 40 and 4.9e18
-    at level 80), and the error is a few eps times the largest term.
+    rounding: sector 0's element (L, L) is the alternating sum over k of
+    C(L, k)^2 (f1 f3)^(L-k) e^(f2 (2k+1)), and its error is a few eps times
+    the largest term.  At nu = 0.5 that term is 3.8e8 at level 40 (an
+    error near 1e-7) and 4.9e18 at level 80, where the element comes out
+    -1520 against 0.035.
     """
     level = _compression_level(spec, level)
     f = disentangle_closed_form(nu)
     n_max, n = spec.n_max, level + 1
-    _, number = spec._ladder
+    mirror = np.abs(np.arange(-level, n))  # |d|, the table sector of each sector
+    # a a+ + b+ b = n_a + n_b + 1 = |d| + 2 j + 1 at position j of sector d
+    number = mirror[:, None] + np.arange(1, 2 * n, 2)
+    if level == n_max:  # a a+ is 0 at n_a = n_max, position n_max - d of sector d >= 0
+        d = np.arange(n)
+        number[level + d, n_max - d] -= n
     with np.errstate(over="ignore"):  # f2 * number is -inf near |nu| ~ 1e308, where the factor tends to 0
-        middle = np.exp(f.f2 * number[n_max - level : n_max + n, :n])
+        middle = np.exp(f.f2 * number)
     table = spec._pair_table
     raising_powers = _pair_powers(f.f1, n)
     lowering_powers = [a.T.copy() for a in _pair_powers(f.f3, n)]
-    mirror = np.abs(np.arange(-level, n))  # the table sector of each sector
     out = np.empty((2 * level + 1, n, n))
     chunk = max(1, DIRECT_CHUNK_BYTES // (8 * n * n))
     for s in range(0, 2 * level + 1, chunk):
@@ -469,11 +397,10 @@ def interior_block(op: FockOperator, level: int) -> np.ndarray:
     block, so differences and Frobenius norms equal those of the dense
     sub-matrix.
     """
+    level = _compression_level(op.spec, level)
     n_max = op.spec.n_max
-    if level > n_max:
-        raise ValueError(f"interior level {level} exceeds n_max {n_max}")
     # n_a, n_b <= level exactly at the states of the space truncated at level
-    _, _, inside = _sector_levels(level)
+    inside = _present(level)
     block = op.entries[n_max - level : n_max + level + 1, : level + 1, : level + 1]
     return np.where(inside[:, :, None] & inside[:, None, :], block, 0.0)
 
@@ -512,12 +439,10 @@ def ode_steps(nu_end: float) -> int:
     min(2000, max(20, ceil(|nu_end| / 5e-3))): steps of at most 5e-3, where
     the oracle's global error, at most about 5e-4 h^5, is below rounding; at
     least the oracle's 20 steps; and never more than 2000.  20 at nu = 0.1,
-    200 at nu = 1, 2000 from |nu| = 10 on.  Squeeze values whose steps
-    nu_end / ode_steps(nu_end) are equal bitwise share one oracle pass,
-    each result bitwise its own call's: the five of configs/fock.json take
-    200 steps in all, not 520.  At the cap the local check holds up to
-    |nu_end| ~ 106.67 (the result is then off the closed forms by 1.8e-10
-    at 106) and fails past it.  A NaN nu_end raises ``ValueError``.
+    200 at nu = 1, 2000 from |nu| = 10 on.  At the cap the local check
+    holds up to |nu_end| ~ 106.67 (the result is then off the closed forms
+    by 1.8e-10 at 106) and fails past it.  A NaN nu_end raises
+    ``ValueError``.
     """
     if math.isnan(nu_end):
         raise ValueError(f"nu must be a number, got {nu_end}")

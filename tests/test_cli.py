@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bohm_squeeze import cli, fockalg, verify
 from bohm_squeeze.closedform import GridSpec2D, ScalarField2D
@@ -486,7 +487,7 @@ def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):
     # routes' level-40 operators and at most one chunk of each factor,
     # never an operator of the whole truncation (161 x 81^2 doubles, 8.4 MB)
     spec = fockalg.FockSpaceSpec(80)
-    spec._ladder, spec._pair_table, spec._spectrum
+    spec._pair_table, spec._spectrum
     monkeypatch.setattr(cli, "FockSpaceSpec", lambda n_max: spec)
     tracemalloc.start()
     try:
@@ -781,3 +782,46 @@ def test_main_rejects_unused_flags(tmp_path, capsys, command, flags):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flags[0] in err and command in err
     assert not (tmp_path / "out").exists()
+
+
+SHIPPED_CONFIGS = {
+    "density": "fig1.json",
+    "verify": "verify_example1.json",
+    "fock": "fock.json",
+    "entropy": "entropy.json",
+}
+
+
+@st.composite
+def config_with_unknown_key(draw, command):
+    """A shipped config of ``command`` with one extra key or one key misspelled, and that key."""
+    payload = json.loads((CONFIG_DIR / SHIPPED_CONFIGS[command]).read_text())
+    if draw(st.booleans()):
+        old = draw(st.sampled_from(sorted(payload)))
+        # insert, replace or drop one character
+        i, drop, char = draw(st.integers(0, len(old) - 1)), draw(st.integers(0, 1)), draw(st.text(max_size=1))
+        key = old[:i] + char + old[i + drop :]
+        value = payload.pop(old)
+    else:
+        key, value = draw(st.text(min_size=1, max_size=12)), draw(st.none() | st.integers() | st.text())
+    assume(key not in cli.CONFIG_KEYS[command])
+    payload[key] = value
+    return payload, key
+
+
+@pytest.mark.parametrize("command", sorted(SHIPPED_CONFIGS))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_main_rejects_unknown_config_keys(tmp_path_factory, command, data):
+    payload, key = data.draw(config_with_unknown_key(command))
+    tmp = tmp_path_factory.mktemp("keys")
+    if "out_dir" in payload:
+        payload["out_dir"] = str(tmp / "config_out")
+    cfg = write_config(tmp, "cfg.json", payload)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp / "out")])
+    err = err.getvalue()
+    assert code == cli.EXIT_USAGE and out.getvalue() == ""
+    assert err.count("\n") == 1 and repr(key) in err and command in err and "Traceback" not in err
+    assert not (tmp / "out").exists() and not (tmp / "config_out").exists()

@@ -341,8 +341,8 @@ def test_spec_reused_across_nu_is_bitwise_fresh(n_max, nu_values, route):
 
 def test_cached_sector_structure_is_read_only():
     spec = fa.FockSpaceSpec(6)
-    cached = [*spec._ladder, spec._pair_table, *(a for a in spec._spectrum if isinstance(a, np.ndarray))]
-    assert len(cached) == 7
+    cached = [spec._pair_table, *(a for a in spec._spectrum if isinstance(a, np.ndarray))]
+    assert len(cached) == 5
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
@@ -384,7 +384,10 @@ def test_factored_chunks_are_bitwise_one_product(monkeypatch, n_max, nu):
     # raising factor, scaled by the middle one, and the lowering factor
     spec = fa.FockSpaceSpec(n_max)
     f = fa.disentangle_closed_form(nu)
-    _, number = spec._ladder
+    d, j = np.arange(-n_max, n_max + 1)[:, None], np.arange(n_max + 1)
+    n_a, n_b = j + np.maximum(d, 0), j + np.maximum(-d, 0)
+    # a a+ + b+ b at each state (a a+ is 0 at n_a = n_max), 0 on padding
+    number = np.where(j <= n_max - np.abs(d), np.where(n_a < n_max, n_a + 1, 0) + n_b, 0)
     raising = pair_exponential(f.f1, spec) * np.exp(f.f2 * number)[:, None, :]
     lowering = pair_exponential(f.f3, spec).swapaxes(1, 2).copy()
     whole = raising @ lowering
@@ -607,7 +610,11 @@ def test_compression_keeps_the_direct_guard():
     np.testing.assert_array_equal(block, fa.interior_block(fa.two_mode_squeeze_factored(1e16, spec), 12))
 
 
-@pytest.mark.parametrize("route", ROUTES)
+def interior_of_direct(nu, spec, *, level):
+    return fa.interior_block(fa.two_mode_squeeze_direct(nu, spec), level)
+
+
+@pytest.mark.parametrize("route", [*ROUTES, interior_of_direct])
 @pytest.mark.parametrize("level", [-1, 5, 100])
 def test_compression_level_outside_truncation_is_rejected(route, level):
     with pytest.raises(ValueError, match="outside"):
