@@ -76,10 +76,14 @@ UNUSED_FLAGS = {
 
 
 # Top-level keys of each subcommand's config.  density and verify read one
-# format (configs/fig*.json feed both), fock and entropy another.
+# format (configs/fig*.json feed both).
 _SCENARIO_KEYS = ("scenario", "grid", "times", "outputs", "v_source", "tolerances", "out_dir")
-_SQUEEZE_KEYS = ("nu_values", "n_max", "out_dir")
-CONFIG_KEYS = {"density": _SCENARIO_KEYS, "verify": _SCENARIO_KEYS, "fock": _SQUEEZE_KEYS, "entropy": _SQUEEZE_KEYS}
+CONFIG_KEYS = {
+    "density": _SCENARIO_KEYS,
+    "verify": _SCENARIO_KEYS,
+    "fock": ("nu_values", "n_max", "out_dir"),
+    "entropy": ("nu_values", "out_dir"),
+}
 
 
 class ConfigError(ValueError):

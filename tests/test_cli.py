@@ -700,6 +700,15 @@ def test_main_fock_and_entropy(tmp_path, capsys):
     assert "fock_report.json" in out and "entropy.csv" in out
 
 
+def test_entropy_config_rejects_n_max(tmp_path, capsys):
+    # entropy sums a fixed number of Schmidt terms: an n_max would be ignored
+    cfg = write_config(tmp_path, "e.json", {"nu_values": [0.5], "n_max": 60, "out_dir": str(tmp_path / "out")})
+    assert cli.main(["entropy", "--config", str(cfg)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'n_max'" in err and "entropy" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_rejects_bad_nu_values(tmp_path, capsys):
     cfg = write_config(tmp_path, "f.json", {"nu_values": "x", "out_dir": str(tmp_path)})
     assert cli.main(["entropy", "--config", str(cfg)]) == cli.EXIT_USAGE
