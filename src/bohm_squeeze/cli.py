@@ -66,15 +66,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-# Flags a subcommand has no use for: passing one is an error, not ignored.
-UNUSED_FLAGS = {
-    "density": ("tol",),
-    "verify": ("grid_n",),
-    "fock": ("grid_n",),
-    "entropy": ("grid_n", "tol"),
-}
-
-
 # Top-level keys of each subcommand's config.  density and verify read one
 # format (configs/fig*.json feed both).
 _SCENARIO_KEYS = ("scenario", "grid", "times", "outputs", "v_source", "tolerances", "out_dir")
@@ -187,8 +178,8 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunC
         raise ConfigError("'times' lists a time more than once")
 
     outputs = raw.get("outputs", ["density"])
-    if not isinstance(outputs, list) or not outputs:
-        raise ConfigError("'outputs' must be a non-empty list")
+    if not isinstance(outputs, list) or not outputs or not all(isinstance(name, str) for name in outputs):
+        raise ConfigError("'outputs' must be a non-empty list of field names")
     unknown_fields = set(outputs) - set(FIELD_SAMPLERS)
     if unknown_fields:
         raise ConfigError(
@@ -207,17 +198,26 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunC
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
     tolerances = {key: _positive_tolerance(value, f"tolerance '{key}'") for key, value in tolerances.items()}
 
-    out_dir = Path(out_override) if out_override else Path(raw.get("out_dir", "out"))
     return RunConfig(
         scenario=scenario,
         grid=grid,
         times=tuple(times),
-        out_dir=out_dir,
+        out_dir=_out_dir(raw, out_override),
         outputs=tuple(outputs),
         v_source=v_source,
         tolerances=tolerances,
         grid_n=grid_n,
     )
+
+
+def _out_dir(raw: dict, out_override: str | None) -> Path:
+    """``--out`` if given, else the config's ``out_dir``."""
+    if out_override:
+        return Path(out_override)
+    out_dir = raw.get("out_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"'out_dir' must be a path string, got {out_dir!r}")
+    return Path(out_dir)
 
 
 def _fmt(value: float) -> str:
@@ -461,18 +461,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bohm-squeeze",
         description="Sample and verify engineered two-mode squeezed vacuum-like states.",
     )
+    # each subcommand takes only the flags it honours; argparse rejects the rest
+    parser.set_defaults(grid_n=None, tol=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, tol_help in [
-        ("density", "write |psi|^2 grids as CSV", "not used by density (rejected)"),
-        ("verify", "write residual/normalization report", "override the stencil-residual tolerance (1e-4)"),
-        ("fock", "write truncated-space factorization report", "flag threshold for the interior distance (1e-8)"),
-        ("entropy", "write entanglement-entropy table", "not used by entropy (rejected)"),
+    for name, help_text, flags in [
+        ("density", "write |psi|^2 grids as CSV", [("--grid-n", int, "override grid sample count per axis")]),
+        (
+            "verify",
+            "write residual/normalization report",
+            [("--tol", float, "override the stencil-residual tolerance (1e-4)")],
+        ),
+        (
+            "fock",
+            "write truncated-space factorization report",
+            [("--tol", float, "flag threshold for the interior distance (1e-8)")],
+        ),
+        ("entropy", "write entanglement-entropy table", []),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--grid-n", type=int, default=None, help="override grid sample count per axis")
-        p.add_argument("--tol", type=float, default=None, help=tol_help)
+        for flag, kind, flag_help in flags:
+            p.add_argument(flag, type=kind, default=None, help=flag_help)
     return parser
 
 
@@ -483,11 +493,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        unused = [
-            f"--{flag.replace('_', '-')}" for flag in UNUSED_FLAGS[args.command] if getattr(args, flag) is not None
-        ]
-        if unused:
-            raise ConfigError(f"{' and '.join(unused)} does not apply to {args.command}")
         tol = None if args.tol is None else _positive_tolerance(args.tol, "--tol")
         raw = _read_json_object(args.config, args.command)
         if args.command in ("density", "verify"):
@@ -505,7 +510,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 print(line, file=sys.stderr)
             return EXIT_TOLERANCE if failures else EXIT_OK
 
-        out_dir = Path(args.out) if args.out else Path(raw.get("out_dir", "out"))
+        out_dir = _out_dir(raw, args.out)
         nu_values = _number_list(raw, "nu_values")
         if args.command == "fock":
             n_max = raw.get("n_max", 24)

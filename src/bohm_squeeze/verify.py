@@ -9,38 +9,25 @@ of the analytic fields, Laplacians by 5-point stencils.  Residuals are
 reported over an interior region excluding a 2-point boundary ring where
 one-sided stencils would degrade the order.
 
-Field sampling: every closed-form field is a function of the mode
-u = (x+y)/sqrt2 plus (or, for A and psi, times) a function of the mode
-v = (x-y)/sqrt2.  On a grid with one spacing on both axes, u and v at
-node (i, j) depend only on i + j and i - j, so each field is a Hankel
-view of a 1-D u-factor combined with a Toeplitz view of a 1-D v-factor
-(``_ModeLattice``): exponentials run on nx + ny - 1 points per factor,
-never on the nx * ny grid.  The stencils act on those sampled factors.
-A node's four neighbours differ from it by one in both indices, so the
-5-point Laplacian and the central differences of a product f(u) g(v) are
-short sums of products of a neighbour sum or difference of f with one of
-g.  Each stencil residual is then a sum of rank-one Hankel-times-Toeplitz
-products on the interior: five for the Schrodinger and the continuity
-residuals, and for the Bohm definition (sum f / f)(sum g / g) plus the
-closed form's two mode terms, each against an all-ones factor.  The
-residual checks therefore require hx == hy.
+Residual grids lie on the mode axes: a grid's first axis is
+u = (x+y)/sqrt2 and its second is v = (x-y)/sqrt2, each with its own
+spacing.  (Density grids, and the quadrature below, stay in x and y.)
+Every closed-form field is a function of u plus (or, for A and psi,
+times) a function of v, so psi = f(u) g(v) is sampled as two 1-D factors
+and no exponential runs on the grid.  The Laplacian is rotation-invariant,
+so the 5-point Laplacian on this grid is the 1-D second difference along
+each axis: lap psi = f'' g + f g''.  Each stencil residual is then a sum
+of at most four rank-one terms, formed by one matrix product F @ G.T of
+(n, 4) stacks of 1-D arrays; the Bohm-definition residual and the
+Hamilton-Jacobi closure are outer sums r_u[:, None] + r_v[None, :].
 
-Memory: the Hankel and Toeplitz views are read-only strided arrays over
-the stacked 1-D factors (no copy), and ``_ModeLattice.products`` adds the
-terms a block of rows at a time through one scratch of at most 64 KiB, so
-each stencil residual builds its field in exactly one grid-sized array (the
-report then takes |r| into one real array of the same shape).
-
-Grid-size guidance: the second-order stencil error scales with the fourth
-spatial derivatives of the fields, which for these Gaussian-times-quadratic
-forms can be computed exactly.  ``_stencil_error_law`` sets that error
-model up once per scenario and time: on a 33^2 lattice over the extent,
-every term is a polynomial in the squared half extent (times the
-amplitude), so one evaluation costs a few operations on 545 points.
-``residual_grid`` inverts the law to pick the largest square extent
-keeping the predicted stencil error at a target, so residual checks stay
-meaningful (error budget dominated by the identity under test, not by
-the stencil).
+Grid-size guidance: the second-order stencil error along each axis scales
+with that axis's fourth (and, for the continuity flux, third) derivatives
+of the factors, which for these Gaussian-times-quadratic forms are exact.
+``_stencil_error_law`` bounds it by one 1-D law per axis, and
+``residual_grid`` picks per axis the largest half extent keeping that
+bound at half the target, so residual checks stay meaningful (error
+budget dominated by the identity under test, not by the stencil).
 """
 
 from __future__ import annotations
@@ -53,7 +40,6 @@ from typing import Callable, Literal
 import numpy as np
 
 from .closedform import (
-    SQRT2,
     GridSpec2D,
     QuadForm,
     Scenario,
@@ -166,165 +152,72 @@ RING = 2
 # amplitudes below this make -(lap A)/(2 m A) meaningless
 AMPLITUDE_FLOOR = 1e-300
 
-# bytes of the row-block scratch through which _ModeLattice.products adds each term
-PRODUCT_SCRATCH_BYTES = 2**16
 
+def _factors(grid: GridSpec2D, log_amp: QuadForm, phase: QuadForm | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """1-D factors f(u), g(v) of exp(log_amp + i phase) on the grid's two axes.
 
-def _windows(a: np.ndarray, width: int, step: int) -> np.ndarray:
-    """Read-only windows of ``width`` along a's last axis, one per row.
-
-    Row r starts at element r (step 1), or at the last window's start
-    minus r (step -1).  A strided view of a's memory, which must be
-    contiguous: no copy.
+    The constant of ``log_amp`` is split evenly between the factors.
+    For an amplitude (c_u, c_v <= 0) each factor is then at most
+    e^(const/2), so wherever the product is above the underflow floor
+    1e-300 both factors are normal numbers, as long as const <= 35.
     """
-    rows = a.shape[-1] - width + 1
-    offset = 0 if step > 0 else (rows - 1) * a.itemsize
-    shape = (*a.shape[:-1], rows, width)
-    strides = (*a.strides[:-1], step * a.itemsize, a.itemsize)
-    view = np.ndarray(shape, a.dtype, a, offset, strides)
-    view.flags.writeable = False
-    return view
+    u, v = grid.xs(), grid.ys()
+    fu = log_amp.c_u * u * u + 0.5 * log_amp.const
+    fv = log_amp.c_v * v * v + 0.5 * log_amp.const
+    if phase is not None:
+        fu = fu + 1j * (phase.c_u * u * u + phase.const)
+        fv = fv + 1j * (phase.c_v * v * v)
+    return np.exp(fu), np.exp(fv)
 
 
-class _ModeLattice:
-    """Closed-form fields on a grid of one spacing, from 1-D mode factors.
-
-    Node (i, j) has x + y at index s = i + j and x - y at k = nx - 1 - i + j
-    of nx + ny - 1 values each, so a field f(u) + g(v) (or f(u) g(v)) is a
-    Hankel view of f plus (times) a Toeplitz view of g.  Both are read-only
-    strided ``np.ndarray`` views of the factors' own memory: a Hankel row
-    steps one element forward, a Toeplitz row one back.  The ring-RING
-    interior takes the middle values s, k = 2 RING .. nx + ny - 2 - 2 RING.
-    A node's neighbours are (s +- 1, k -+ 1) and (s +- 1, k +- 1), so for
-    psi = f(u) g(v)
-
-        h^2 lap psi         = (f[s+1] + f[s-1]) (g[k+1] + g[k-1]) - 4 f[s] g[k]
-        2 h (psi_x + psi_y) =  (f[s+1] - f[s-1]) (g[k+1] + g[k-1])
-        2 h (psi_x - psi_y) = -(f[s+1] + f[s-1]) (g[k+1] - g[k-1])
-
-    ``products`` sums such rank-one terms into one grid-sized array, a block
-    of rows at a time through a scratch of at most PRODUCT_SCRATCH_BYTES, so
-    a residual allocates its result and nothing else of grid size.
-    """
-
-    def __init__(self, grid: GridSpec2D):
-        if not math.isclose(grid.hx, grid.hy, rel_tol=1e-12):
-            raise ValueError(
-                f"residual checks need one grid spacing on both axes, got hx = {grid.hx:.17g} "
-                f"and hy = {grid.hy:.17g}"
-            )
-        n = grid.nx + grid.ny - 1
-        self.nx, self.ny, self.h = grid.nx, grid.ny, grid.hx
-        # x + y at s, and x - y at k (descending, so each Toeplitz row is a
-        # contiguous window)
-        self.sums = np.linspace(grid.x_min + grid.y_min, grid.x_max + grid.y_max, n)
-        self.diffs = np.linspace(grid.x_max - grid.y_min, grid.x_min - grid.y_max, n)
-        self.u = self.sums / SQRT2
-        self.v = self.diffs / SQRT2
-
-    def views(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views f[s] and g[k] on the whole grid or on its ring-RING interior.
-
-        The factors' last axis says which: the window width minus the row
-        count is ny - nx for both.  Leading axes (a stack of factors) carry
-        over to the views.
-        """
-        width = (f.shape[-1] + 1 + self.ny - self.nx) // 2
-        return _windows(f, width, 1), _windows(g, width, -1)
-
-    def form(self, q: QuadForm) -> np.ndarray:
-        """q(x, y) on the grid."""
-        f, g = self.views(q.c_u * self.u * self.u + q.const, q.c_v * self.v * self.v)
-        return f + g
-
-    def factors(self, log_amp: QuadForm, phase: QuadForm | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """1-D factors f(u), g(v) of exp(log_amp + i phase): one exponential per mode.
-
-        The constant of ``log_amp`` is split evenly between the factors.
-        For an amplitude (c_u, c_v <= 0) each factor is then at most
-        e^(const/2), so wherever the product is above the underflow floor
-        1e-300 both factors are normal numbers, as long as const <= 35.
-        """
-        fu = log_amp.c_u * self.u * self.u + 0.5 * log_amp.const
-        fv = log_amp.c_v * self.v * self.v + 0.5 * log_amp.const
-        if phase is not None:
-            fu = fu + 1j * (phase.c_u * self.u * self.u + phase.const)
-            fv = fv + 1j * (phase.c_v * self.v * self.v)
-        return np.exp(fu), np.exp(fv)
-
-    def inner(self, f: np.ndarray) -> np.ndarray:
-        """f at the interior's s (or k) values."""
-        return f[2 * RING : f.size - 2 * RING]
-
-    def stencil(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """f[s], f[s+1] + f[s-1] and f[s+1] - f[s-1] at the interior's s values."""
-        up = f[2 * RING + 1 : f.size - 2 * RING + 1]
-        down = f[2 * RING - 1 : f.size - 2 * RING - 1]
-        return self.inner(f), up + down, up - down
-
-    def products(self, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Sum over the (f, g) terms of f[s] g[k] on the interior.
-
-        Every element is ((f0 g0 + f1 g1) + f2 g2) + ..., in term order, as
-        if each product were a grid of its own.
-        """
-        hankel, toeplitz = self.views(np.stack([f for f, _ in terms]), np.stack([g for _, g in terms]))
-        total = np.empty(hankel.shape[1:], np.result_type(hankel, toeplitz))
-        rows, width = total.shape
-        block = max(1, PRODUCT_SCRATCH_BYTES // (width * total.itemsize))
-        scratch = np.empty((min(block, rows), width), total.dtype)
-        for start in range(0, rows, block):
-            rows_in = slice(start, start + block)
-            out = total[rows_in]
-            part = scratch[: out.shape[0]]
-            h, t = hankel[:, rows_in], toeplitz[:, rows_in]
-            np.multiply(h[0], t[0], out)
-            for k in range(1, len(terms)):
-                np.multiply(h[k], t[k], part)
-                out += part
-        return total
-
-    def corner_min(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Smallest f[s] g[k] over the grid's four corners."""
-        n = f.size
-        corners = [(0, self.nx - 1), (self.nx - 1, 0), (self.ny - 1, n - 1), (n - 1, self.ny - 1)]
-        return min(float(f[s] * g[k]) for s, k in corners)
+def _inner(f: np.ndarray) -> np.ndarray:
+    """f on the interior nodes of its axis."""
+    return f[RING : f.size - RING]
 
 
-def _stencil_lattice(grid: GridSpec2D) -> _ModeLattice:
-    lattice = _ModeLattice(grid)
+def _stencil(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f, its central first difference and its second difference on the interior nodes."""
+    up, down = f[RING + 1 : f.size - RING + 1], f[RING - 1 : f.size - RING - 1]
+    return _inner(f), (up - down) / (2.0 * h), (up - 2.0 * _inner(f) + down) / (h * h)
+
+
+def _interior_axes(grid: GridSpec2D) -> tuple[np.ndarray, np.ndarray]:
+    """u and v at the interior nodes."""
     if min(grid.nx, grid.ny) < 2 * RING + 1:
         raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
-    return lattice
+    return _inner(grid.xs()), _inner(grid.ys())
+
+
+def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.ndarray:
+    """Sum over k of f_terms[k][:, None] * g_terms[k][None, :], as one matrix product."""
+    return np.stack(f_terms, axis=1) @ np.stack(g_terms, axis=1).T
 
 
 def _continuity_field(s: Scenario, t: float, grid: GridSpec2D, dt: float) -> np.ndarray:
     """Continuity residual on the interior, from rank-one products of mode factors."""
-    lattice = _stencil_lattice(grid)
-    f, g = lattice.factors(log_amplitude_coeffs(s, t))
-    f_next, g_next = lattice.factors(log_amplitude_coeffs(s, t + dt))
-    f_prev, g_prev = lattice.factors(log_amplitude_coeffs(s, t - dt))
-    f0, f_sum, f_diff = lattice.stencil(f)
-    g0, g_sum, g_diff = lattice.stencil(g)
+    u, v = _interior_axes(grid)
+    f_next, g_next = _factors(grid, log_amplitude_coeffs(s, t + dt))
+    f_prev, g_prev = _factors(grid, log_amplitude_coeffs(s, t - dt))
+    f, g = _factors(grid, log_amplitude_coeffs(s, t))
+    f0, f1, _ = _stencil(f, grid.hx)
+    g0, g1, _ = _stencil(g, grid.hy)
     sform = phase_coeffs(s, t)
     rate = 1.0 / (2.0 * dt)
-    # S_x = S_u + S_v and S_y = S_u - S_v with S_u = c_u (x + y), S_v = c_v (x - y),
-    # so S_x A_x + S_y A_y = S_u (A_x + A_y) + S_v (A_x - A_y)
-    flux = 1.0 / (2.0 * lattice.h * s.m)
-    return lattice.products(
-        (rate * lattice.inner(f_next), lattice.inner(g_next)),
-        (-rate * lattice.inner(f_prev), lattice.inner(g_prev)),
-        (flux * sform.c_u * lattice.inner(lattice.sums) * f_diff, g_sum),
-        (-f_sum, flux * sform.c_v * lattice.inner(lattice.diffs) * g_diff),
-        (sform.laplacian / (2.0 * s.m) * f0, g0),
+    # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v;
+    # lap S A / (2m) joins the u term
+    flux_u = (2.0 * sform.c_u * u * f1 + 0.5 * sform.laplacian * f0) / s.m
+    return _rank_one_sum(
+        [rate * _inner(f_next), -rate * _inner(f_prev), flux_u, f0],
+        [_inner(g_next), _inner(g_prev), g0, 2.0 * sform.c_v * v * g1 / s.m],
     )
 
 
 def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-4) -> ResidualReport:
     """Residual of A_t + (S_x A_x + S_y A_y)/m + (S_xx + S_yy) A/(2m) = 0.
 
-    A_t by a central time difference of the closed-form amplitude; A_x, A_y
-    by central space differences; the phase derivatives analytically (S is
+    A_t by a central time difference of the closed-form amplitude; the
+    gradient term as S_u A_u + S_v A_v, with A_u, A_v by central differences
+    along the grid's axes and the phase derivatives analytically (S is
     quadratic, so S_x = m nud (r x + y) and S_xx = m nud r exactly).
     """
     if dt <= 0.0:
@@ -342,33 +235,31 @@ def hamilton_jacobi_residual(
     that source.
     """
     total = kinetic_coeffs(s, t) + bohm_coeffs(s, t) + external_quadform(s, t, v_source) + phase_rate_coeffs(s, t)
-    residual = _ModeLattice(grid).form(total)
+    u, v = grid.xs(), grid.ys()
+    residual = (total.c_u * u * u + total.const)[:, None] + (total.c_v * v * v)[None, :]
     return _report("hamilton_jacobi", t, residual, grid, dt=0.0)
 
 
 def _schrodinger_field(s: Scenario, t: float, grid: GridSpec2D, dt: float, v_source: VSource) -> np.ndarray:
     """Schrodinger residual on the interior, from rank-one products of mode factors."""
-    lattice = _stencil_lattice(grid)
+    u, v = _interior_axes(grid)
 
     def psi(at: float) -> tuple[np.ndarray, np.ndarray]:
-        return lattice.factors(log_amplitude_coeffs(s, at), phase_coeffs(s, at))
+        return _factors(grid, log_amplitude_coeffs(s, at), phase_coeffs(s, at))
 
-    f, g = psi(t)
     f_next, g_next = psi(t + dt)
     f_prev, g_prev = psi(t - dt)
-    f0, f_sum, _ = lattice.stencil(f)
-    g0, g_sum, _ = lattice.stencil(g)
+    f, g = psi(t)
+    f0, _, f2 = _stencil(f, grid.hx)
+    g0, _, g2 = _stencil(g, grid.hy)
     pot = external_quadform(s, t, v_source)
-    u, v = lattice.inner(lattice.u), lattice.inner(lattice.v)
     rate = 0.5j / dt
-    lap_weight = 1.0 / (2.0 * s.m * lattice.h**2)
-    # V = V_u(u) + V_v(v); the stencil's -4 psi joins V_u's term
-    return lattice.products(
-        (rate * lattice.inner(f_next), lattice.inner(g_next)),
-        (-rate * lattice.inner(f_prev), lattice.inner(g_prev)),
-        (lap_weight * f_sum, g_sum),
-        (-(pot.c_u * u * u + pot.const + 4.0 * lap_weight) * f0, g0),
-        (-f0, pot.c_v * v * v * g0),
+    # lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
+    r_u = f2 / (2.0 * s.m) - (pot.c_u * u * u + pot.const) * f0
+    r_v = g2 / (2.0 * s.m) - pot.c_v * v * v * g0
+    return _rank_one_sum(
+        [rate * _inner(f_next), -rate * _inner(f_prev), r_u, f0],
+        [_inner(g_next), _inner(g_prev), g0, r_v],
     )
 
 
@@ -392,28 +283,20 @@ def schrodinger_residual(
 def _bohm_definition_field(s: Scenario, t: float, grid: GridSpec2D) -> np.ndarray:
     """Stencil minus closed-form Bohm potential on the interior.
 
-    For A = f(u) g(v), h^2 lap A / A is
-    ((f[s+1] + f[s-1]) / f[s]) ((g[k+1] + g[k-1]) / g[k]) - 4: one product
-    on the grid.  ln A is concave, so A is smallest at a corner and the
-    underflow guard reads the corners.
+    For A = f(u) g(v), lap A / A = f''/f + g''/g: an outer sum of one
+    1-D residual per axis.  ln A is concave, so A is smallest at a corner
+    and the underflow guard reads the corners.
     """
-    lattice = _stencil_lattice(grid)
-    f, g = lattice.factors(log_amplitude_coeffs(s, t))
-    if lattice.corner_min(f, g) < AMPLITUDE_FLOOR:
+    u, v = _interior_axes(grid)
+    f, g = _factors(grid, log_amplitude_coeffs(s, t))
+    if min(f[0], f[-1]) * min(g[0], g[-1]) < AMPLITUDE_FLOOR:
         raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
-    f0, f_sum, _ = lattice.stencil(f)
-    g0, g_sum, _ = lattice.stencil(g)
+    f0, _, f2 = _stencil(f, grid.hx)
+    g0, _, g2 = _stencil(g, grid.hy)
     b = bohm_coeffs(s, t)
-    u, v = lattice.inner(lattice.u), lattice.inner(lattice.v)
-    lap_weight = 1.0 / (2.0 * s.m * lattice.h**2)
-    # -(lap A)/(2 m A) = -lap_weight (f ratio)(g ratio) + 4 lap_weight; the 4 joins
-    # B_u.  B_u and B_v enter against all-ones factors: x 1 is exact and a + (-b) is a - b
-    ones = np.ones_like(u)
-    return lattice.products(
-        (-lap_weight * f_sum / f0, g_sum / g0),
-        (-(b.c_u * u * u + b.const - 4.0 * lap_weight), ones),
-        (ones, -(b.c_v * v * v)),
-    )
+    r_u = -f2 / (2.0 * s.m * f0) - (b.c_u * u * u + b.const)
+    r_v = -g2 / (2.0 * s.m * g0) - b.c_v * v * v
+    return r_u[:, None] + r_v[None, :]
 
 
 def bohm_definition_residual(s: Scenario, t: float, grid: GridSpec2D) -> ResidualReport:
@@ -530,112 +413,103 @@ def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
 # stencil-error model and grid chooser
 
 
-# the error law samples the forms on the unit lattice linspace(-1, 1, LAW_POINTS)^2,
-# scaled by the half extent; its nodes are multiples of 1/16, exact in binary
-LAW_POINTS = 33
+Law = Callable[[float, int], float]
 
 
-def _stencil_error_law(s: Scenario, t: float) -> Callable[[float, int], float]:
-    """Predicted worst interior stencil error on [-half, half]^2 with n points, as law(half, n).
+def _stencil_error_law(s: Scenario, t: float) -> tuple[Law, Law]:
+    """Predicted worst stencil error along each mode axis, as (law_u, law_v) with law(half, n).
 
-    ln A and S are quadratic forms, so all derivatives of A and psi are
-    exact polynomials-times-Gaussian; the bound evaluates the exact
-    fourth-derivative coefficients on a LAW_POINTS^2 lattice over the
-    extent and applies the central-stencil error constants (h^2/12 for
-    second derivatives, h^2/6 for first).  Scaled by ``half``, each
-    gradient is ``half`` times its value on the unit lattice, so every term
-    is a polynomial in half^2 (times exp(half^2 q_0 + const)) whose
-    coefficients are set up here, once.  Every term is even under
-    (x, y) -> (-x, -y), which maps row-major node p to LAW_POINTS^2 - 1 - p,
-    so the first half of the nodes and the centre give the same maxima.
+    On n nodes over [-half, half], spacing h = 2 half / (n - 1), the second
+    difference of a factor e^q errs by h^2/12 |d^4 e^q / dw^4| and the
+    central first difference by h^2/6 |d^3 e^q / dw^3|.  Along an axis w,
+    q = c w^2 + const with q'' = 2 c = z, so with x = z w^2 these are
+    exactly |e^q| |z|^2 |x^2 + 6 x + 3| and |e^q| |z|^2 |w| |x + 3|.  The
+    Schrodinger error is that of psi's factor over 2m, the Bohm-definition
+    error that of A's factor divided by the factor, over 2m, and the
+    continuity error that of A's factor times |S_w| / m; the first and
+    last are taken at the other factor's peak e^(const/2).  Each law
+    evaluates them on the axis's own nodes and returns the largest.
     """
-    gform = log_amplitude_coeffs(s, t)
-    sform = phase_coeffs(s, t)
-    unit = np.linspace(-1.0, 1.0, LAW_POINTS)
-    x, y = (c.ravel()[: (LAW_POINTS * LAW_POINTS + 1) // 2] for c in np.meshgrid(unit, unit, indexing="ij"))
-    q0 = gform.c_u * ((x + y) ** 2 / 2.0) + gform.c_v * ((x - y) ** 2 / 2.0)
-    # rows: d/dx, d/dy
-    g1 = np.stack(gform.grad(x, y))
-    s1 = np.stack(sform.grad(x, y))
-    g2 = gform.laplacian / 2.0
-    w1 = g1 + 1j * s1
-    w2 = g2 + 1j * sform.laplacian / 2.0
-    # |d^4/dx^4 e^f| / |e^f| for quadratic f with f' = half w1 is
-    # |half^4 w1^4 + 6 half^2 w1^2 f'' + 3 f''^2|, and |S'| |d^3/dx^3 A| / A
-    # is half^2 |half^2 S' g1^3 + 3 S' g1 g2|: coefficients by powers of half^2
-    w1_sq, g1_sq = w1 * w1, g1 * g1
-    psi_terms = (w1_sq * w1_sq, 6.0 * w2 * w1_sq, 3.0 * w2 * w2)
-    bohm_terms = (g1_sq * g1_sq, 6.0 * g2 * g1_sq, 3.0 * g2 * g2)
-    flux_terms = (s1 * g1 * g1_sq, 3.0 * g2 * s1 * g1)
+    amp, phase = log_amplitude_coeffs(s, t), phase_coeffs(s, t)
 
-    def law(half: float, n: int) -> float:
-        h2 = half * half
-        amp = np.exp(h2 * q0 + gform.const)
-        c4, c2, c0 = psi_terms
-        psi4 = amp * np.abs((h2 * c4 + c2) * h2 + c0).sum(axis=0)
-        c4, c2, c0 = bohm_terms
-        p4 = np.abs((h2 * c4 + c2) * h2 + c0).sum(axis=0)
-        c2, c0 = flux_terms
-        a3 = amp * np.abs(h2 * c2 + c0).sum(axis=0)
-        h = 2.0 * half / (n - 1)
-        e_schrod = (h * h / 12.0) * float(psi4.max()) / (2.0 * s.m)
-        e_bohm = (h * h / 12.0) * float(p4.max()) / (2.0 * s.m)
-        e_cont = (h * h / 6.0) * h2 * float(a3.max()) / s.m
-        return max(e_schrod, e_bohm, e_cont)
+    def axis_law(c_amp: float, c_phase: float) -> Law:
+        z = 2.0 * complex(c_amp, c_phase)  # q'' of psi's factor; its real part is A's
 
-    return law
+        def law(half: float, n: int) -> float:
+            w_sq = np.linspace(-half, half, n) ** 2
+            x = z * w_sq
+            y = x.real
+            a = np.exp(c_amp * w_sq + amp.const)
+            psi4 = abs(z) ** 2 * float((a * np.abs((x + 6.0) * x + 3.0)).max())
+            p4 = z.real**2 * float(np.abs((y + 6.0) * y + 3.0).max())
+            a3 = abs(z.imag) * z.real**2 * float((a * w_sq * np.abs(y + 3.0)).max())
+            h = 2.0 * half / (n - 1)
+            return h * h * max(psi4 / 24.0, p4 / 24.0, a3 / 6.0) / s.m
+
+        return law
+
+    return axis_law(amp.c_u, phase.c_u), axis_law(amp.c_v, phase.c_v)
 
 
-# the grid chooser stops at the bracket width 48 bisection steps of [0.05, 6]
-# reach, and takes at most this many secant steps
-GRID_HALF_TOL = (6.0 - 0.05) / 2**48
+# each axis's half extent is searched in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma];
+# the search stops at the width GRID_BISECTIONS bisection steps of that bracket
+# reach, and takes at most GRID_SECANT_STEPS secant steps
+GRID_HALF_MIN = 1e-3
+GRID_BISECTIONS = 48
 GRID_SECANT_STEPS = 18
 
 
 def residual_grid(s: Scenario, t: float, n: int = 201, target: float = 2e-5) -> GridSpec2D:
-    """Largest square grid whose predicted stencil error stays at ``target``.
+    """Largest grid on the mode axes whose predicted stencil error stays at ``target``.
 
-    Searches the half extent in [0.05, 6] by regula falsi with the Illinois
-    modification: secant steps on ln(model / target) against ln(half),
-    where the model is close to a power law.  The model error grows
+    Each axis's law gets half the target, and its half extent is searched
+    in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma] (a bracket that would end
+    below GRID_HALF_MIN is that one point) by regula falsi with the
+    Illinois modification: secant steps on ln(law / target) against
+    ln(half), where the law is close to a power law.  The law grows
     monotonically with extent at fixed n (larger h and larger fourth
     derivatives), so the bracket always holds the largest feasible extent.
-    Each step lands at least GRID_HALF_TOL / 2 inside the bracket, so once
-    the secant has converged the next step closes the bracket to
-    GRID_HALF_TOL (about ten model calls in all).  The returned extent is
+    Each step lands at least half the tolerance inside the bracket, so once
+    the secant has converged the next step closes the bracket to the
+    tolerance (about ten law calls per axis).  The returned extent is
     always the feasible end of the bracket.
     """
     if not target > 0.0:
         raise ValueError(f"stencil-error target must be positive, got {target!r}")
-    lo, hi = 0.05, 6.0
 
-    law = _stencil_error_law(s, t)
+    def largest_half(law: Law, sigma: float, axis: str) -> float:
+        def excess(half: float) -> float:
+            return math.log(law(half, n) / (0.5 * target))
 
-    def excess(half: float) -> float:
-        return math.log(law(half, n) / target)
+        lo, hi = GRID_HALF_MIN, max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)
+        tol = (hi - lo) / 2**GRID_BISECTIONS
+        f_hi = excess(hi)
+        if f_hi <= 0.0:
+            return hi
+        f_lo = excess(lo)
+        if f_lo > 0.0:
+            raise ValueError(f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis; raise n or target")
+        kept = 0  # +1 after hi was kept, -1 after lo was kept
+        for _ in range(GRID_SECANT_STEPS):
+            if hi - lo <= tol:
+                break
+            x_lo, x_hi = math.log(lo), math.log(hi)
+            mid = math.exp(x_lo - f_lo * (x_hi - x_lo) / (f_hi - f_lo))
+            mid = min(max(mid, lo + tol / 2), hi - tol / 2)
+            f_mid = excess(mid)
+            if f_mid <= 0.0:
+                lo, f_lo = mid, f_mid
+                if kept == 1:
+                    f_hi *= 0.5
+                kept = 1
+            else:
+                hi, f_hi = mid, f_mid
+                if kept == -1:
+                    f_lo *= 0.5
+                kept = -1
+        return lo
 
-    f_hi = excess(hi)
-    if f_hi <= 0.0:
-        return GridSpec2D.square(hi, n)
-    f_lo = excess(lo)
-    if f_lo > 0.0:
-        raise ValueError(f"no feasible extent at n = {n} for t = {t:g}; raise n or target")
-    kept = 0  # +1 after hi was kept, -1 after lo was kept
-    for _ in range(GRID_SECANT_STEPS):
-        if hi - lo <= GRID_HALF_TOL:
-            break
-        x_lo, x_hi = math.log(lo), math.log(hi)
-        mid = math.exp(x_lo - f_lo * (x_hi - x_lo) / (f_hi - f_lo))
-        mid = min(max(mid, lo + GRID_HALF_TOL / 2), hi - GRID_HALF_TOL / 2)
-        f_mid = excess(mid)
-        if f_mid <= 0.0:
-            lo, f_lo = mid, f_mid
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = mid, f_mid
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-    return GridSpec2D.square(lo, n)
+    law_u, law_v = _stencil_error_law(s, t)
+    sigma_u, sigma_v = spread_sigmas(s, t)
+    a_u, a_v = largest_half(law_u, sigma_u, "u"), largest_half(law_v, sigma_v, "v")
+    return GridSpec2D(-a_u, a_u, -a_v, a_v, n, n)
