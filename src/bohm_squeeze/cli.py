@@ -247,7 +247,8 @@ def _write_field_csv(fh, field2d) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # one line: without indent, json's C encoder writes it
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +408,8 @@ def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: flo
     # both routes pad with the identity: the difference is zero off the block
     diff = fockalg.two_mode_squeeze_factored(nu, spec, level=half).entries
     diff -= direct.entries
-    distance = float(np.linalg.norm(diff)) / float(np.linalg.norm(fockalg.interior_block(direct, half)))
+    # in place, not a copy as large as the result; sector 0 has no padding
+    distance = float(np.linalg.norm(diff)) / float(np.linalg.norm(fockalg.zero_padding(direct)))
     col = fockalg.vacuum_column(direct)
     ns = np.arange(half + 1)
     with np.errstate(over="ignore"):  # cosh is inf past |nu| ~ 710, where the column tends to 0

@@ -24,7 +24,9 @@ every nu is computed once per truncation and cached read-only on the
 Compression: given a ``level``, both routes compute only the block on the
 states n_a, n_b <= level and return it as an operator on
 ``FockSpaceSpec(level)``, the identity on its padding (``_pad_identity``);
-``interior_block`` cuts the same block out of an operator.
+``interior_block`` cuts the same block out of an operator, with zeros on
+its padding, and ``zero_padding`` zeroes an operator's own padding in
+place.
 
 Limits: the squeeze takes |L, L> to occupation L cosh 2nu + sinh^2 nu, so
 the direct route's elements near n_max carry truncation error, and an
@@ -56,6 +58,7 @@ __all__ = [
     "two_mode_squeeze_direct",
     "two_mode_squeeze_factored",
     "interior_block",
+    "zero_padding",
     "vacuum_column",
     "ode_steps",
     "disentangle_ode_oracle",
@@ -208,14 +211,17 @@ def _compression_level(spec: FockSpaceSpec, level: int | None) -> int:
     return level
 
 
+def _fill_padding(out: np.ndarray, value: float | np.ndarray) -> np.ndarray:
+    """``out``, the sectors of a level, with ``value`` on their padding rows and columns (in place)."""
+    inside = _present(len(out) // 2)
+    np.copyto(out, value, where=~(inside[:, :, None] & inside[:, None, :]))
+    return out
+
+
 def _pad_identity(out: np.ndarray) -> FockOperator:
     """``out``, the sectors of a level, as an operator: the identity on their padding."""
     level = len(out) // 2
-    padding = ~_present(level)
-    eye = np.eye(level + 1)
-    np.copyto(out, eye, where=padding[:, :, None])
-    np.copyto(out, eye, where=padding[:, None, :])
-    return FockOperator(FockSpaceSpec(level), out)
+    return FockOperator(FockSpaceSpec(level), _fill_padding(out, np.eye(level + 1)))
 
 
 def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec, *, level: int | None = None) -> FockOperator:
@@ -400,9 +406,15 @@ def interior_block(op: FockOperator, level: int) -> np.ndarray:
     level = _compression_level(op.spec, level)
     n_max = op.spec.n_max
     # n_a, n_b <= level exactly at the states of the space truncated at level
-    inside = _present(level)
-    block = op.entries[n_max - level : n_max + level + 1, : level + 1, : level + 1]
-    return np.where(inside[:, :, None] & inside[:, None, :], block, 0.0)
+    return _fill_padding(op.entries[n_max - level : n_max + level + 1, : level + 1, : level + 1].copy(), 0.0)
+
+
+def zero_padding(op: FockOperator) -> np.ndarray:
+    """``op``'s entries with their padding zeroed in place: ``interior_block(op, op.spec.n_max)`` without a copy.
+
+    ``op`` then no longer holds the identity on its padding.
+    """
+    return _fill_padding(op.entries, 0.0)
 
 
 def vacuum_column(op: FockOperator) -> np.ndarray:

@@ -19,7 +19,10 @@ so the 5-point Laplacian on this grid is the 1-D second difference along
 each axis: lap psi = f'' g + f g''.  Each stencil residual is then a sum
 of at most four rank-one terms, formed by one matrix product F @ G.T of
 (n, 4) stacks of 1-D arrays; the Bohm-definition residual and the
-Hamilton-Jacobi closure are outer sums r_u[:, None] + r_v[None, :].
+Hamilton-Jacobi closure are outer sums r_u[:, None] + r_v[None, :].  An
+outer sum's largest absolute value comes from the 1-D parts (rounding is
+monotone, so its extreme elements are fl(max r_u + max r_v) and
+fl(min r_u + min r_v)); only its rms reads the grid.
 
 Grid-size guidance: the second-order stencil error along each axis scales
 with that axis's fourth (and, for the continuity flux, third) derivatives
@@ -115,18 +118,29 @@ class ResidualReport:
         }
 
 
-def _report(equation: Equation, t: float, residual: np.ndarray, grid: GridSpec2D, dt: float) -> ResidualReport:
-    flat = np.abs(residual).ravel()
-    max_abs = float(flat.max())
-    flat *= flat  # in place: a product would be a second grid-sized temporary
-    return ResidualReport(
-        equation=equation,
-        t=t,
-        max_abs_residual=max_abs,
-        rms_residual=float(np.sqrt(np.mean(flat))),
-        grid=grid,
-        dt=dt,
-    )
+def _report(
+    equation: Equation, t: float, residual: np.ndarray, grid: GridSpec2D, dt: float, max_abs: float | None = None
+) -> ResidualReport:
+    """Statistics of a residual field that the report may overwrite.
+
+    ``max_abs``, if given, is the field's largest absolute value; then only
+    the rms reads the field.
+    """
+    flat = residual.ravel()
+    if max_abs is None:
+        # a real field takes its abs in place; a complex one needs a real array
+        flat = np.abs(flat, out=flat if flat.dtype.kind == "f" else None)
+        max_abs = flat.max()
+    flat *= flat
+    return ResidualReport(equation, t, float(max_abs), float(np.sqrt(flat.sum() / flat.size)), grid, dt)
+
+
+def _outer_sum_report(
+    equation: Equation, t: float, r_u: np.ndarray, r_v: np.ndarray, grid: GridSpec2D
+) -> ResidualReport:
+    """Statistics of the field r_u[:, None] + r_v[None, :], its extreme elements from the 1-D parts."""
+    top, bottom = r_u.max() + r_v.max(), r_u.min() + r_v.min()
+    return _report(equation, t, r_u[:, None] + r_v[None, :], grid, 0.0, max(abs(top), abs(bottom)))
 
 
 def external_quadform(s: Scenario, t: float, v_source: VSource = "hj_closure") -> QuadForm:
@@ -153,15 +167,16 @@ RING = 2
 AMPLITUDE_FLOOR = 1e-300
 
 
-def _factors(grid: GridSpec2D, log_amp: QuadForm, phase: QuadForm | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """1-D factors f(u), g(v) of exp(log_amp + i phase) on the grid's two axes.
+def _factors(
+    u: np.ndarray, v: np.ndarray, log_amp: QuadForm, phase: QuadForm | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """1-D factors f(u), g(v) of exp(log_amp + i phase) on a grid's two axes.
 
     The constant of ``log_amp`` is split evenly between the factors.
     For an amplitude (c_u, c_v <= 0) each factor is then at most
     e^(const/2), so wherever the product is above the underflow floor
     1e-300 both factors are normal numbers, as long as const <= 35.
     """
-    u, v = grid.xs(), grid.ys()
     fu = log_amp.c_u * u * u + 0.5 * log_amp.const
     fv = log_amp.c_v * v * v + 0.5 * log_amp.const
     if phase is not None:
@@ -181,11 +196,11 @@ def _stencil(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _inner(f), (up - down) / (2.0 * h), (up - 2.0 * _inner(f) + down) / (h * h)
 
 
-def _interior_axes(grid: GridSpec2D) -> tuple[np.ndarray, np.ndarray]:
-    """u and v at the interior nodes."""
+def _axes(grid: GridSpec2D) -> tuple[np.ndarray, np.ndarray]:
+    """u and v at every node of a grid with an interior."""
     if min(grid.nx, grid.ny) < 2 * RING + 1:
         raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
-    return _inner(grid.xs()), _inner(grid.ys())
+    return grid.xs(), grid.ys()
 
 
 def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.ndarray:
@@ -195,20 +210,20 @@ def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.nd
 
 def _continuity_field(s: Scenario, t: float, grid: GridSpec2D, dt: float) -> np.ndarray:
     """Continuity residual on the interior, from rank-one products of mode factors."""
-    u, v = _interior_axes(grid)
-    f_next, g_next = _factors(grid, log_amplitude_coeffs(s, t + dt))
-    f_prev, g_prev = _factors(grid, log_amplitude_coeffs(s, t - dt))
-    f, g = _factors(grid, log_amplitude_coeffs(s, t))
+    u, v = _axes(grid)
+    f_next, g_next = _factors(u, v, log_amplitude_coeffs(s, t + dt))
+    f_prev, g_prev = _factors(u, v, log_amplitude_coeffs(s, t - dt))
+    f, g = _factors(u, v, log_amplitude_coeffs(s, t))
     f0, f1, _ = _stencil(f, grid.hx)
     g0, g1, _ = _stencil(g, grid.hy)
     sform = phase_coeffs(s, t)
     rate = 1.0 / (2.0 * dt)
     # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v;
     # lap S A / (2m) joins the u term
-    flux_u = (2.0 * sform.c_u * u * f1 + 0.5 * sform.laplacian * f0) / s.m
+    flux_u = (2.0 * sform.c_u * _inner(u) * f1 + 0.5 * sform.laplacian * f0) / s.m
     return _rank_one_sum(
         [rate * _inner(f_next), -rate * _inner(f_prev), flux_u, f0],
-        [_inner(g_next), _inner(g_prev), g0, 2.0 * sform.c_v * v * g1 / s.m],
+        [_inner(g_next), _inner(g_prev), g0, 2.0 * sform.c_v * _inner(v) * g1 / s.m],
     )
 
 
@@ -236,16 +251,15 @@ def hamilton_jacobi_residual(
     """
     total = kinetic_coeffs(s, t) + bohm_coeffs(s, t) + external_quadform(s, t, v_source) + phase_rate_coeffs(s, t)
     u, v = grid.xs(), grid.ys()
-    residual = (total.c_u * u * u + total.const)[:, None] + (total.c_v * v * v)[None, :]
-    return _report("hamilton_jacobi", t, residual, grid, dt=0.0)
+    return _outer_sum_report("hamilton_jacobi", t, total.c_u * u * u + total.const, total.c_v * v * v, grid)
 
 
 def _schrodinger_field(s: Scenario, t: float, grid: GridSpec2D, dt: float, v_source: VSource) -> np.ndarray:
     """Schrodinger residual on the interior, from rank-one products of mode factors."""
-    u, v = _interior_axes(grid)
+    u, v = _axes(grid)
 
     def psi(at: float) -> tuple[np.ndarray, np.ndarray]:
-        return _factors(grid, log_amplitude_coeffs(s, at), phase_coeffs(s, at))
+        return _factors(u, v, log_amplitude_coeffs(s, at), phase_coeffs(s, at))
 
     f_next, g_next = psi(t + dt)
     f_prev, g_prev = psi(t - dt)
@@ -255,6 +269,7 @@ def _schrodinger_field(s: Scenario, t: float, grid: GridSpec2D, dt: float, v_sou
     pot = external_quadform(s, t, v_source)
     rate = 0.5j / dt
     # lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
+    u, v = _inner(u), _inner(v)
     r_u = f2 / (2.0 * s.m) - (pot.c_u * u * u + pot.const) * f0
     r_v = g2 / (2.0 * s.m) - pot.c_v * v * v * g0
     return _rank_one_sum(
@@ -280,28 +295,30 @@ def schrodinger_residual(
     return _report("schrodinger", t, _schrodinger_field(s, t, grid, dt, v_source), grid, dt)
 
 
-def _bohm_definition_field(s: Scenario, t: float, grid: GridSpec2D) -> np.ndarray:
-    """Stencil minus closed-form Bohm potential on the interior.
+def _bohm_definition_parts(s: Scenario, t: float, grid: GridSpec2D) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil minus closed-form Bohm potential on the interior, as its parts (r_u, r_v).
 
-    For A = f(u) g(v), lap A / A = f''/f + g''/g: an outer sum of one
-    1-D residual per axis.  ln A is concave, so A is smallest at a corner
-    and the underflow guard reads the corners.
+    For A = f(u) g(v), lap A / A = f''/f + g''/g: the residual is the
+    outer sum r_u[:, None] + r_v[None, :] of one 1-D residual per axis.
+    ln A is concave, so A is smallest at a corner and the underflow guard
+    reads the corners.
     """
-    u, v = _interior_axes(grid)
-    f, g = _factors(grid, log_amplitude_coeffs(s, t))
+    u, v = _axes(grid)
+    f, g = _factors(u, v, log_amplitude_coeffs(s, t))
     if min(f[0], f[-1]) * min(g[0], g[-1]) < AMPLITUDE_FLOOR:
         raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
     f0, _, f2 = _stencil(f, grid.hx)
     g0, _, g2 = _stencil(g, grid.hy)
     b = bohm_coeffs(s, t)
+    u, v = _inner(u), _inner(v)
     r_u = -f2 / (2.0 * s.m * f0) - (b.c_u * u * u + b.const)
     r_v = -g2 / (2.0 * s.m * g0) - b.c_v * v * v
-    return r_u[:, None] + r_v[None, :]
+    return r_u, r_v
 
 
 def bohm_definition_residual(s: Scenario, t: float, grid: GridSpec2D) -> ResidualReport:
     """Deviation of the stencil Bohm potential from the closed form."""
-    return _report("bohm_definition", t, _bohm_definition_field(s, t, grid), grid, dt=0.0)
+    return _outer_sum_report("bohm_definition", t, *_bohm_definition_parts(s, t, grid), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +453,18 @@ def _stencil_error_law(s: Scenario, t: float) -> tuple[Law, Law]:
         z = 2.0 * complex(c_amp, c_phase)  # q'' of psi's factor; its real part is A's
 
         def law(half: float, n: int) -> float:
-            w_sq = np.linspace(-half, half, n) ** 2
+            h = 2.0 * half / (n - 1)
+            # np.linspace(-half, half, n) bit for bit, without its set-up
+            w_sq = np.arange(n) * h - half
+            w_sq[-1] = half
+            w_sq *= w_sq
             x = z * w_sq
-            y = x.real
+            y = z.real * w_sq  # x.real up to the sign of a zero, but contiguous
             a = np.exp(c_amp * w_sq + amp.const)
             psi4 = abs(z) ** 2 * float((a * np.abs((x + 6.0) * x + 3.0)).max())
             p4 = z.real**2 * float(np.abs((y + 6.0) * y + 3.0).max())
-            a3 = abs(z.imag) * z.real**2 * float((a * w_sq * np.abs(y + 3.0)).max())
-            h = 2.0 * half / (n - 1)
+            a *= w_sq
+            a3 = abs(z.imag) * z.real**2 * float((a * np.abs(y + 3.0)).max())
             return h * h * max(psi4 / 24.0, p4 / 24.0, a3 / 6.0) / s.m
 
         return law

@@ -508,6 +508,74 @@ def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):
     assert peak < 2 * interior + 2 * fockalg.DIRECT_CHUNK_BYTES + 0.1 * full
 
 
+def test_fock_interior_norm_makes_no_copy_of_the_result():
+    # at n_max = 160 (level 80) each route's result is 161 x 81^2 doubles,
+    # 8.4 MB; the interior norm zeroes the direct result's padding in place,
+    # where a copy of the block would raise the peak to three results
+    spec = fockalg.FockSpaceSpec(160)
+    spec._pair_table, spec._spectrum
+    cli._fock_measurements(0.5, spec, 80, 1e-8)
+    tracemalloc.start()
+    try:
+        entry = cli._fock_measurements(0.5, spec, 80, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = 8 * 161 * 81**2
+    assert peak < 2.5 * result
+    # the same array contents as the zero-padded copy, so the same bits
+    direct = fockalg.two_mode_squeeze_direct(0.5, spec, level=80)
+    factored = fockalg.two_mode_squeeze_factored(0.5, spec, level=80)
+    interior = fockalg.interior_block(direct, 80)
+    expected = np.linalg.norm(fockalg.interior_block(factored, 80) - interior) / np.linalg.norm(interior)
+    assert entry["factorization_interior_rel"] == expected
+
+
+def test_zero_padding_is_the_interior_block_in_place():
+    spec = fockalg.FockSpaceSpec(6)
+    op = fockalg.two_mode_squeeze_direct(0.7, spec)
+    block = fockalg.interior_block(op, 6)
+    entries = op.entries
+    assert fockalg.zero_padding(op) is entries
+    assert np.array_equal(entries, block)
+    assert not np.array_equal(entries, fockalg.two_mode_squeeze_direct(0.7, spec).entries)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    payload=st.recursive(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]),
+            st.text(),
+        ),
+        lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+        max_leaves=20,
+    )
+)
+def test_write_json_writes_one_line_of_strict_json(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("json") / "report.json"
+    cli._write_json(path, {"payload": payload})
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    loaded = json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+
+    def same(a, b):
+        # float for float, by bits: 0.0 and -0.0 apart
+        if isinstance(a, float):
+            return isinstance(b, float) and a.hex() == b.hex()
+        if isinstance(a, dict):
+            return isinstance(b, dict) and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+        if isinstance(a, list):
+            return isinstance(b, list) and len(a) == len(b) and all(map(same, a, b))
+        return type(a) is type(b) and a == b
+
+    assert same(loaded, {"payload": payload})
+
+
 def test_entropy_table(tmp_path):
     out = cli.run_entropy([0.0, 0.5, 1.0, 1.5], tmp_path)
     rows = out.read_text().strip().splitlines()

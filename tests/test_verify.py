@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bohm_squeeze import GridSpec2D, ScalarField2D, Scenario, TimePolynomial
 from bohm_squeeze import closedform as cf
@@ -265,10 +266,10 @@ def test_mode_lattice_matches_meshgrid(grid, case):
         warnings.simplefilter("ignore", RuntimeWarning)
         ref_amp, ref_psi = cf.amplitude_A(s, x, y, t), cf.wavefunction_psi(s, x, y, t)
         exponent = amp.modes(u, v)
-    f, g = verify._factors(grid, amp)
+    f, g = verify._factors(grid.xs(), grid.ys(), amp)
     assert f.shape == (grid.nx,) and g.shape == (grid.ny,)
     assert _close_exp(f[:, None] * g[None, :], ref_amp, exponent, amp_scale)
-    f, g = verify._factors(grid, amp, phase)
+    f, g = verify._factors(grid.xs(), grid.ys(), amp, phase)
     assert _close_exp(f[:, None] * g[None, :], ref_psi, exponent, max(amp_scale, phase_scale))
 
 
@@ -300,7 +301,7 @@ def test_mode_lattice_views_are_read_only(monkeypatch):
     # to it: with read-only factors every residual field is unchanged
     s, t, dt = example2(), 0.5, 1e-4
     grid = GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11)
-    f, _ = verify._factors(grid, cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t))
+    f, _ = verify._factors(grid.xs(), grid.ys(), cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t))
     f.setflags(write=False)
     for view in (verify._inner(f), verify._stencil(f, grid.hx)[0]):
         assert np.shares_memory(view, f) and not view.flags.writeable
@@ -311,7 +312,7 @@ def test_mode_lattice_views_are_read_only(monkeypatch):
         return [
             verify._schrodinger_field(s, t, grid, dt, "hj_closure"),
             verify._continuity_field(s, t, grid, dt),
-            verify._bohm_definition_field(s, t, grid),
+            np.add.outer(*verify._bohm_definition_parts(s, t, grid)),
         ]
 
     writable = fields()
@@ -427,7 +428,7 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
     assert np.all(np.abs(ours - schrod) <= schrod_tol)
     assert np.all(np.abs(verify._continuity_field(s, t, grid, dt) - cont) <= cont_tol)
     try:
-        ours = verify._bohm_definition_field(s, t, grid)
+        ours = np.add.outer(*verify._bohm_definition_parts(s, t, grid))
     except ValueError as exc:
         assert "underflow" in str(exc) and (bohm is None or near_floor)
     else:
@@ -442,6 +443,83 @@ def test_stencil_residuals_need_an_interior(residual):
     residual(s, 0.5, GridSpec2D(-1.0, 1.0, -1.0, 1.0, 5, 5))
     with pytest.raises(ValueError, match="at least 5 samples"):
         residual(s, 0.5, GridSpec2D(-1.0, 1.0, -0.375, 0.375, 9, 4))
+
+
+# finite 1-D residual parts: mixed signs, signed zeros, subnormals and
+# magnitudes near 1e+-300, where the grid's sums and squares overflow
+outer_sum_parts = hnp.arrays(
+    np.float64,
+    st.integers(3, 12),
+    elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e3, 1e3),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]),
+        st.floats(1e299, 1e301).flatmap(lambda x: st.sampled_from([x, -x])),
+    ),
+)
+
+
+def grid_statistics(r_u, r_v):
+    # reference: the statistics of the whole outer-sum grid, as _report took
+    # them before the 1-D reduction
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = np.abs(r_u[:, None] + r_v[None, :]).ravel()
+        return float(flat.max()), float(np.sqrt(np.mean(flat * flat)))
+
+
+def outer_sum_report(r_u, r_v):
+    grid = GridSpec2D(-1.0, 1.0, -1.0, 1.0, r_u.size, r_v.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return verify._outer_sum_report("bohm_definition", 0.5, r_u, r_v, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_u=outer_sum_parts, r_v=outer_sum_parts)
+def test_outer_sum_report_matches_grid_statistics(r_u, r_v):
+    # rounding is monotone, so the grid's extreme elements are the rounded
+    # sums of the parts' extremes: the 1-D reduction is exact, bit for bit
+    max_abs, rms = grid_statistics(r_u, r_v)
+    if not (math.isfinite(max_abs) and math.isfinite(rms)):
+        with pytest.raises(ValueError, match="finite"):
+            outer_sum_report(r_u, r_v)
+        return
+    rep = outer_sum_report(r_u, r_v)
+    assert rep.max_abs_residual.hex() == max_abs.hex()
+    assert rep.rms_residual.hex() == rms.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r_u=outer_sum_parts,
+    r_v=outer_sum_parts,
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    in_u=st.booleans(),
+    at=st.integers(0, 11),
+)
+def test_outer_sum_report_rejects_non_finite_parts(r_u, r_v, bad, in_u, at):
+    part = r_u if in_u else r_v
+    part[at % part.size] = bad
+    with pytest.raises(ValueError, match="finite"):
+        outer_sum_report(r_u, r_v)
+
+
+@pytest.mark.parametrize(
+    "residual", [verify.continuity_residual, verify.hamilton_jacobi_residual, verify.bohm_definition_residual]
+)
+def test_real_residuals_build_one_grid_array(residual):
+    # the field and at most numpy's broadcasting buffers: the abs and the
+    # square are taken in place, and the outer sums take their largest value
+    # from the 1-D parts.  A second grid-sized array would reach 2
+    s = example1()
+    grid = verify.residual_grid(s, 0.5)
+    residual(s, 0.5, grid)
+    tracemalloc.start()
+    try:
+        residual(s, 0.5, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * grid.nx * grid.ny * 8
 
 
 @pytest.mark.parametrize("config", ["verify_example1.json", "verify_example2.json"])
@@ -802,6 +880,42 @@ def test_stencil_error_law_matches_lattice():
                 for n in [101, 201, 601]:
                     assert law_u(half, n) == pytest.approx(stencil_error_nodes(s, t, "u", half, n), rel=1e-13, abs=0)
                     assert law_v(half, n) == pytest.approx(stencil_error_nodes(s, t, "v", half, n), rel=1e-13, abs=0)
+
+
+def stencil_error_law_on_linspace(s, t, axis, half, n):
+    # reference: the law written out on np.linspace's nodes, one array
+    # expression per term, in the law's order of operations
+    amp, phase = cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t)
+    c_amp, c_phase = (amp.c_u, phase.c_u) if axis == "u" else (amp.c_v, phase.c_v)
+    z = 2.0 * complex(c_amp, c_phase)
+    w_sq = np.linspace(-half, half, n) ** 2
+    x = z * w_sq
+    y = x.real
+    a = np.exp(c_amp * w_sq + amp.const)
+    psi4 = abs(z) ** 2 * float((a * np.abs((x + 6.0) * x + 3.0)).max())
+    p4 = z.real**2 * float(np.abs((y + 6.0) * y + 3.0).max())
+    a3 = abs(z.imag) * z.real**2 * float((a * w_sq * np.abs(y + 3.0)).max())
+    h = 2.0 * half / (n - 1)
+    return h * h * max(psi4 / 24.0, p4 / 24.0, a3 / 6.0) / s.m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=scenarios_at(),
+    axis=st.sampled_from("uv"),
+    half=st.floats(verify.GRID_HALF_MIN, 50.0),
+    n=st.integers(2, 1001),
+)
+@example(case=(example1(), 3.0), axis="v", half=verify.GRID_HALF_MIN, n=201)
+@example(case=(example2(), 1.0), axis="u", half=6.0, n=2)
+def test_stencil_error_law_keeps_linspace_bits(case, axis, half, n):
+    # the law builds its nodes without np.linspace and works on contiguous
+    # real parts; every value, and so every chosen grid, keeps its bits
+    s, t = case
+    law = verify._stencil_error_law(s, t)["uv".index(axis)]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ours, ref = law(half, n), stencil_error_law_on_linspace(s, t, axis, half, n)
+    assert ours.hex() == ref.hex() or (math.isnan(ours) and math.isnan(ref))
 
 
 def test_stencil_error_law_bounds_measured_residual():
