@@ -297,8 +297,8 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
         if value > limit:
             failures.append(f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {limit:.3e}")
 
-    for t in cfg.times:
-        grid = cfg.grid if cfg.grid is not None else verify.residual_grid(s, t)
+    grids = [cfg.grid] * len(cfg.times) if cfg.grid is not None else verify.residual_grid(s, cfg.times)
+    for t, grid in zip(cfg.times, grids):
         reports = [
             verify.schrodinger_residual(s, t, grid, v_source=cfg.v_source),
             verify.continuity_residual(s, t, grid),

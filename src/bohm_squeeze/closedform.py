@@ -100,10 +100,11 @@ class Scenario:
 
         Both |nu| and |r nu| are bounded: the potentials carry factors up
         to exp(4|nu| + 4|r nu|) (and exp(10|r nu|) in the level-curve
-        discriminant), all finite in float64 under this limit.
+        discriminant), all finite in float64 under this limit.  A NaN
+        fails both bounds.
         """
         nu = self.nu.value(t)
-        if abs(nu) > NU_LIMIT or abs(self.r * nu) > NU_LIMIT:
+        if not (abs(nu) <= NU_LIMIT and abs(self.r * nu) <= NU_LIMIT):
             raise ValueError(
                 f"|nu(t)| = {abs(nu):g} (|r nu| = {abs(self.r * nu):g}) exceeds the "
                 f"supported range {NU_LIMIT:g} at t = {t:g}"

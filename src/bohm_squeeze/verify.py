@@ -19,10 +19,11 @@ so the 5-point Laplacian on this grid is the 1-D second difference along
 each axis: lap psi = f'' g + f g''.  Each stencil residual is then a sum
 of at most four rank-one terms, formed by one matrix product F @ G.T of
 (n, 4) stacks of 1-D arrays; the Bohm-definition residual and the
-Hamilton-Jacobi closure are outer sums r_u[:, None] + r_v[None, :].  An
-outer sum's largest absolute value comes from the 1-D parts (rounding is
-monotone, so its extreme elements are fl(max r_u + max r_v) and
-fl(min r_u + min r_v)); only its rms reads the grid.
+Hamilton-Jacobi closure are outer sums r_u[:, None] + r_v[None, :], formed
+as the rank-two product [r_u, 1] @ [1, r_v].  An outer sum's largest
+absolute value comes from the 1-D parts (rounding is monotone, so its
+extreme elements are fl(max r_u + max r_v) and fl(min r_u + min r_v));
+only its rms reads the grid.
 
 Grid-size guidance: the second-order stencil error along each axis scales
 with that axis's fourth (and, for the continuity flux, third) derivatives
@@ -30,15 +31,20 @@ of the factors, which for these Gaussian-times-quadratic forms are exact.
 ``_stencil_error_law`` bounds it by one 1-D law per axis, and
 ``residual_grid`` picks per axis the largest half extent keeping that
 bound at half the target, so residual checks stay meaningful (error
-budget dominated by the identity under test, not by the stencil).
+budget dominated by the identity under test, not by the stencil).  It
+chooses the grids of all of a run's times in one search: the Illinois
+searches of every (time, axis) pair advance in lockstep, one law
+evaluation on a (rows, n) array per round, and each keeps the extents it
+would try alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Generator, Literal, Sequence
 
 import numpy as np
 
@@ -138,9 +144,15 @@ def _report(
 def _outer_sum_report(
     equation: Equation, t: float, r_u: np.ndarray, r_v: np.ndarray, grid: GridSpec2D
 ) -> ResidualReport:
-    """Statistics of the field r_u[:, None] + r_v[None, :], its extreme elements from the 1-D parts."""
+    """Statistics of the field r_u[:, None] + r_v[None, :], its extreme elements from the 1-D parts.
+
+    The field is the rank-two product [r_u, 1] @ [1, r_v]: each element is
+    one rounded sum of two exact products, so it equals the broadcast sum
+    up to the sign of a zero, which neither statistic reads.
+    """
     top, bottom = r_u.max() + r_v.max(), r_u.min() + r_v.min()
-    return _report(equation, t, r_u[:, None] + r_v[None, :], grid, 0.0, max(abs(top), abs(bottom)))
+    field = _rank_one_sum([r_u, np.ones_like(r_u)], [np.ones_like(r_v), r_v])
+    return _report(equation, t, field, grid, 0.0, max(abs(top), abs(bottom)))
 
 
 def external_quadform(s: Scenario, t: float, v_source: VSource = "hj_closure") -> QuadForm:
@@ -430,11 +442,16 @@ def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
 # stencil-error model and grid chooser
 
 
-Law = Callable[[float, int], float]
+# law(rows, halves, n): the predicted error of each listed row at its half extent
+Law = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
 
 
-def _stencil_error_law(s: Scenario, t: float) -> tuple[Law, Law]:
-    """Predicted worst stencil error along each mode axis, as (law_u, law_v) with law(half, n).
+def _stencil_error_law(s: Scenario, times: Sequence[float]) -> Law:
+    """Predicted worst stencil error along the mode axes of each time, as one law over rows.
+
+    Row 2k is the u axis of ``times[k]`` and row 2k + 1 its v axis;
+    law(rows, halves, n) evaluates row rows[i] at half extent halves[i],
+    all of them in one pass over a (len(rows), n) array.
 
     On n nodes over [-half, half], spacing h = 2 half / (n - 1), the second
     difference of a factor e^q errs by h^2/12 |d^4 e^q / dw^4| and the
@@ -444,32 +461,44 @@ def _stencil_error_law(s: Scenario, t: float) -> tuple[Law, Law]:
     Schrodinger error is that of psi's factor over 2m, the Bohm-definition
     error that of A's factor divided by the factor, over 2m, and the
     continuity error that of A's factor times |S_w| / m; the first and
-    last are taken at the other factor's peak e^(const/2).  Each law
+    last are taken at the other factor's peak e^(const/2).  The law
     evaluates them on the axis's own nodes and returns the largest.
+
+    The law is leading-order in h: it has no eps / h^2 term for the
+    rounding of the second difference, so where a strongly squeezed axis
+    is sampled finely (fig1's scenario at t = 3 on 401 points and more)
+    the measured residual outgrows it.  At the default n = 201 it holds.
+
+    Each row's prefactors |z|^2, Re(z)^2 and |Im z| Re(z)^2 are taken in
+    Python: numpy's complex abs can differ from Python's in the last bit.
     """
-    amp, phase = log_amplitude_coeffs(s, t), phase_coeffs(s, t)
+    coeffs = []
+    for t in times:
+        amp, phase = log_amplitude_coeffs(s, t), phase_coeffs(s, t)
+        for c_amp, c_phase in ((amp.c_u, phase.c_u), (amp.c_v, phase.c_v)):
+            z = 2.0 * complex(c_amp, c_phase)  # q'' of psi's factor; its real part is A's
+            coeffs.append((z, c_amp, amp.const, abs(z) ** 2, z.real**2, abs(z.imag) * z.real**2))
+    # one complex table, so that a round takes its rows in one indexing
+    table = np.array(coeffs, dtype=complex).reshape(-1, 6)
 
-    def axis_law(c_amp: float, c_phase: float) -> Law:
-        z = 2.0 * complex(c_amp, c_phase)  # q'' of psi's factor; its real part is A's
+    def law(rows: np.ndarray, halves: np.ndarray, n: int) -> np.ndarray:
+        z, c_amp, const, k_psi4, k_p4, k_a3 = table[rows].T[:, :, None]
+        half = halves[:, None]
+        h = 2.0 * half / (n - 1)
+        # np.linspace(-half, half, n) bit for bit, without its set-up
+        w_sq = np.arange(n) * h - half
+        w_sq[:, -1] = halves
+        w_sq *= w_sq
+        x = z * w_sq
+        y = z.real * w_sq  # x.real up to the sign of a zero, but contiguous
+        a = np.exp(c_amp.real * w_sq + const.real)
+        psi4 = k_psi4.real * (a * np.abs((x + 6.0) * x + 3.0)).max(axis=1, keepdims=True)
+        p4 = k_p4.real * np.abs((y + 6.0) * y + 3.0).max(axis=1, keepdims=True)
+        a *= w_sq
+        a3 = k_a3.real * (a * np.abs(y + 3.0)).max(axis=1, keepdims=True)
+        return (h * h * np.maximum(np.maximum(psi4 / 24.0, p4 / 24.0), a3 / 6.0) / s.m)[:, 0]
 
-        def law(half: float, n: int) -> float:
-            h = 2.0 * half / (n - 1)
-            # np.linspace(-half, half, n) bit for bit, without its set-up
-            w_sq = np.arange(n) * h - half
-            w_sq[-1] = half
-            w_sq *= w_sq
-            x = z * w_sq
-            y = z.real * w_sq  # x.real up to the sign of a zero, but contiguous
-            a = np.exp(c_amp * w_sq + amp.const)
-            psi4 = abs(z) ** 2 * float((a * np.abs((x + 6.0) * x + 3.0)).max())
-            p4 = z.real**2 * float(np.abs((y + 6.0) * y + 3.0).max())
-            a *= w_sq
-            a3 = abs(z.imag) * z.real**2 * float((a * np.abs(y + 3.0)).max())
-            return h * h * max(psi4 / 24.0, p4 / 24.0, a3 / 6.0) / s.m
-
-        return law
-
-    return axis_law(amp.c_u, phase.c_u), axis_law(amp.c_v, phase.c_v)
+    return law
 
 
 # each axis's half extent is searched in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma];
@@ -480,57 +509,101 @@ GRID_BISECTIONS = 48
 GRID_SECANT_STEPS = 18
 
 
-def residual_grid(s: Scenario, t: float, n: int = 201, target: float = 2e-5) -> GridSpec2D:
+def _largest_half(lo: float, hi: float) -> Generator[float, float, float | None]:
+    """One axis's search of [lo, hi], as a generator.
+
+    It yields each half extent it tries and is sent that extent's excess
+    ln(law / (target / 2)); it returns the feasible end of its bracket, or
+    None when even ``lo`` is infeasible.
+    """
+    tol = (hi - lo) / 2**GRID_BISECTIONS
+    f_hi = yield hi
+    if f_hi <= 0.0:
+        return hi
+    f_lo = yield lo
+    if f_lo > 0.0:
+        return None
+    kept = 0  # +1 after hi was kept, -1 after lo was kept
+    for _ in range(GRID_SECANT_STEPS):
+        if hi - lo <= tol:
+            break
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        mid = math.exp(x_lo - f_lo * (x_hi - x_lo) / (f_hi - f_lo))
+        mid = min(max(mid, lo + tol / 2), hi - tol / 2)
+        f_mid = yield mid
+        if f_mid <= 0.0:
+            lo, f_lo = mid, f_mid
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = mid, f_mid
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return lo
+
+
+def residual_grid(
+    s: Scenario, t: float | Sequence[float], n: int = 201, target: float = 2e-5
+) -> GridSpec2D | list[GridSpec2D]:
     """Largest grid on the mode axes whose predicted stencil error stays at ``target``.
 
-    Each axis's law gets half the target, and its half extent is searched
-    in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma] (a bracket that would end
-    below GRID_HALF_MIN is that one point) by regula falsi with the
-    Illinois modification: secant steps on ln(law / target) against
-    ln(half), where the law is close to a power law.  The law grows
-    monotonically with extent at fixed n (larger h and larger fourth
-    derivatives), so the bracket always holds the largest feasible extent.
-    Each step lands at least half the tolerance inside the bracket, so once
-    the secant has converged the next step closes the bracket to the
-    tolerance (about ten law calls per axis).  The returned extent is
-    always the feasible end of the bracket.
+    ``t`` is one time, for one grid, or a sequence of times, for one grid
+    per time in order.  Each axis's law gets half the target, and its half
+    extent is searched in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma] (a
+    bracket that would end below GRID_HALF_MIN is that one point) by
+    regula falsi with the Illinois modification: secant steps on
+    ln(law / target) against ln(half), where the law is close to a power
+    law.  The law grows monotonically with extent at fixed n (larger h and
+    larger fourth derivatives), so the bracket always holds the largest
+    feasible extent.  Each step lands at least half the tolerance inside
+    the bracket, so once the secant has converged the next step closes the
+    bracket to the tolerance (about ten law calls per axis).  The returned
+    extent is always the feasible end of the bracket.
+
+    The searches of every time and both axes run in lockstep: each round
+    evaluates the law once, on one row per (time, axis) still searching,
+    and each row tries exactly the extents it would try alone.  A time
+    out of ``Scenario.nu_at``'s range raises its error only if no earlier
+    time has an axis without a feasible extent, as one search per time
+    in order would.
     """
-    if not target > 0.0:
-        raise ValueError(f"stencil-error target must be positive, got {target!r}")
+    if not (isinstance(n, numbers.Integral) and n >= 2 * RING + 1):
+        raise ValueError(f"residual grid needs an integer n >= {2 * RING + 1}, got {n!r}")
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"stencil-error target must be positive and finite, got {target!r}")
+    single = np.ndim(t) == 0
+    times = [t] if single else list(t)
+    searches, failure = [], None
+    for k, at in enumerate(times):
+        try:
+            sigmas = spread_sigmas(s, at)
+        except ValueError as exc:
+            failure, times = exc, times[:k]
+            break
+        searches += [_largest_half(GRID_HALF_MIN, max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)) for sigma in sigmas]
 
-    def largest_half(law: Law, sigma: float, axis: str) -> float:
-        def excess(half: float) -> float:
-            return math.log(law(half, n) / (0.5 * target))
+    law = _stencil_error_law(s, times)
+    points = [next(search) for search in searches]
+    halves: list[float | None] = [None] * len(searches)
+    active = list(range(len(searches)))
+    while active:
+        values = law(np.array(active), np.array([points[row] for row in active]), n)
+        searching = []
+        for row, value in zip(active, values.tolist()):
+            try:
+                points[row] = searches[row].send(math.log(value / (0.5 * target)))
+                searching.append(row)
+            except StopIteration as done:
+                halves[row] = done.value
+        active = searching
 
-        lo, hi = GRID_HALF_MIN, max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)
-        tol = (hi - lo) / 2**GRID_BISECTIONS
-        f_hi = excess(hi)
-        if f_hi <= 0.0:
-            return hi
-        f_lo = excess(lo)
-        if f_lo > 0.0:
-            raise ValueError(f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis; raise n or target")
-        kept = 0  # +1 after hi was kept, -1 after lo was kept
-        for _ in range(GRID_SECANT_STEPS):
-            if hi - lo <= tol:
-                break
-            x_lo, x_hi = math.log(lo), math.log(hi)
-            mid = math.exp(x_lo - f_lo * (x_hi - x_lo) / (f_hi - f_lo))
-            mid = min(max(mid, lo + tol / 2), hi - tol / 2)
-            f_mid = excess(mid)
-            if f_mid <= 0.0:
-                lo, f_lo = mid, f_mid
-                if kept == 1:
-                    f_hi *= 0.5
-                kept = 1
-            else:
-                hi, f_hi = mid, f_mid
-                if kept == -1:
-                    f_lo *= 0.5
-                kept = -1
-        return lo
-
-    law_u, law_v = _stencil_error_law(s, t)
-    sigma_u, sigma_v = spread_sigmas(s, t)
-    a_u, a_v = largest_half(law_u, sigma_u, "u"), largest_half(law_v, sigma_v, "v")
-    return GridSpec2D(-a_u, a_u, -a_v, a_v, n, n)
+    for row, half in enumerate(halves):
+        if half is None:
+            at, axis = times[row // 2], "uv"[row % 2]
+            raise ValueError(f"no feasible extent at n = {n} for t = {at:g} on the {axis} axis; raise n or target")
+    if failure is not None:
+        raise failure
+    grids = [GridSpec2D(-a_u, a_u, -a_v, a_v, n, n) for a_u, a_v in zip(halves[::2], halves[1::2])]
+    return grids[0] if single else grids

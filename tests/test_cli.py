@@ -290,6 +290,45 @@ def test_verify_without_feasible_grid_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([1.0, 4.0, 100.0], "no feasible extent at n = 201 for t = 4 on the v axis; raise n or target"),
+        ([1.0, 100.0, 4.0], "|nu(t)| = 100 (|r nu| = 0) exceeds the supported range 50 at t = 100"),
+    ],
+)
+def test_verify_reports_first_failing_time(tmp_path, capsys, times, message):
+    # every auto grid is chosen in one search, and the first failing time
+    # in config order still decides the error: t = 4 has no feasible
+    # extent, t = 100 is out of nu's range
+    cfg = small_density_config(tmp_path, times=times, grid="auto")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["auto", {"x_min": -3.0, "x_max": 3.0, "y_min": -3.0, "y_max": 3.0, "nx": 41, "ny": 41}])
+def test_run_verify_chooses_grids_in_one_call(tmp_path, monkeypatch, grid):
+    # one residual_grid call for all of an auto-grid config's times, through
+    # the module attribute; none for an explicit grid
+    calls = []
+    choose = verify.residual_grid
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return choose(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "residual_grid", counted)
+    cfg = cli.load_config(small_density_config(tmp_path, grid=grid, times=[0.25, 0.5, 1.0]))
+    out, _ = cli.run_verify(cfg)
+    if grid == "auto":
+        assert calls == [((cfg.scenario, cfg.times), {})]
+        reports = [e["reports"][0]["grid"] for e in json.loads(out.read_text())["results"]]
+        assert reports == [choose(cfg.scenario, t).to_json() for t in cfg.times]
+    else:
+        assert calls == []
+
 @pytest.mark.parametrize("config", ["fig1.json", "fig2.json"])
 def test_verify_figure_scenarios_pass_with_auto_grids(tmp_path, capsys, config):
     # every figure time, fig1's t = 2 and 3 included, has a feasible grid

@@ -123,6 +123,23 @@ def test_nu_range_error():
         cf.bohm_potential(s, 1.0, 1.0, 1.0)
 
 
+
+def test_nu_range_guard_edges():
+    # each bound is in range and the next float above it is not; a NaN nu
+    # fails both bounds (abs(nan) > NU_LIMIT alone would be False)
+    s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
+    assert s.nu_at(cf.NU_LIMIT) == s.nu_at(-cf.NU_LIMIT) * -1 == cf.NU_LIMIT
+    for t in (np.nextafter(cf.NU_LIMIT, math.inf), float("nan")):
+        with pytest.raises(ValueError, match="exceeds the supported range"):
+            s.nu_at(t)
+    # |r nu| reaches the bound first when |r| > 1
+    s = Scenario(m=1.0, r=2.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
+    assert s.nu_at(cf.NU_LIMIT / 2) == cf.NU_LIMIT / 2
+    with pytest.raises(ValueError, match=r"\(\|r nu\| = 50\) exceeds"):
+        s.nu_at(np.nextafter(cf.NU_LIMIT / 2, math.inf))
+    with pytest.raises(ValueError, match=r"\|nu\(t\)\| = nan"):
+        cf.spread_sigmas(s, float("nan"))
+
 def test_negative_squeeze_schedule():
     # nu < 0 squeezes the orthogonal diagonal: roles of u and v swap
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, -1]), mu=TimePolynomial([0]))

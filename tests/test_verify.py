@@ -759,6 +759,16 @@ def bracket(s, t):
     return [(lo, max(lo, verify.DIAGONAL_COVERAGE * sigma)) for sigma in cf.spread_sigmas(s, t)]
 
 
+def axis_laws(s, t):
+    """(law_u, law_v) of one time as functions law(half, n), each a batch of one row."""
+    law = verify._stencil_error_law(s, [t])
+
+    def row_law(row):
+        return lambda half, n: float(law(np.array([row]), np.array([half]), n)[0])
+
+    return row_law(0), row_law(1)
+
+
 def bisection_width(lo, hi):
     # the bracket width 48 bisection steps reach
     return (hi - lo) / 2**48
@@ -779,6 +789,59 @@ def residual_grid_bisection(law, lo, hi, n=201, target=1e-5):
     return lo
 
 
+def residual_grid_illinois(law, lo, hi, n=201, target=2e-5):
+    # reference: one axis's Illinois search on its own, one law call per
+    # extent; the lockstep chooser must try the same extents and return the
+    # same end.  None when even the bracket's lower end is infeasible
+    def excess(half):
+        return math.log(law(half, n) / (0.5 * target))
+
+    tol = (hi - lo) / 2**verify.GRID_BISECTIONS
+    f_hi = excess(hi)
+    if f_hi <= 0.0:
+        return hi
+    f_lo = excess(lo)
+    if f_lo > 0.0:
+        return None
+    kept = 0
+    for _ in range(verify.GRID_SECANT_STEPS):
+        if hi - lo <= tol:
+            break
+        x_lo, x_hi = math.log(lo), math.log(hi)
+        mid = math.exp(x_lo - f_lo * (x_hi - x_lo) / (f_hi - f_lo))
+        mid = min(max(mid, lo + tol / 2), hi - tol / 2)
+        f_mid = excess(mid)
+        if f_mid <= 0.0:
+            lo, f_lo = mid, f_mid
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = mid, f_mid
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    return lo
+
+
+def serial_halves(s, t, n, target):
+    """Each axis's half extent at time t by its own serial search (None where infeasible).
+
+    The search evaluates the law one extent at a time, written out on
+    np.linspace's nodes with Python's complex abs (see
+    ``stencil_error_law_on_linspace``), so that nothing in it is shared
+    with the row law or the lockstep search.
+    """
+    return [
+        residual_grid_illinois(lambda half, n: stencil_error_law_on_linspace(s, t, axis, half, n), lo, hi, n, target)
+        for axis, (lo, hi) in zip("uv", bracket(s, t))
+    ]
+
+
+def grid_bits(grid):
+    return grid.x_min.hex(), grid.x_max.hex(), grid.y_min.hex(), grid.y_max.hex(), grid.nx, grid.ny
+
+
 # fig1's and fig2's scenarios (examples 1 and 2) at the verify configs'
 # times and at the figures' own times
 @pytest.mark.parametrize("n", [101, 201])
@@ -788,29 +851,28 @@ def residual_grid_bisection(law, lo, hi, n=201, target=1e-5):
 )
 def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
     s = scenario_fn()
-    make_laws = verify._stencil_error_law
+    make_law = verify._stencil_error_law
     builds, calls = [], {"u": [], "v": []}
 
-    def counted_laws(*args):
+    def counted_law(*args):
         builds.append(args)
+        law = make_law(*args)
 
-        def counted(law, axis_calls):
-            def call(*point):
-                axis_calls.append(point)
-                return law(*point)
+        def call(rows, halves, n):
+            for row, half in zip(rows.tolist(), halves.tolist()):
+                calls["uv"[row % 2]].append((half, n))
+            return law(rows, halves, n)
 
-            return call
+        return call
 
-        law_u, law_v = make_laws(*args)
-        return counted(law_u, calls["u"]), counted(law_v, calls["v"])
-
-    monkeypatch.setattr(verify, "_stencil_error_law", counted_laws)
+    monkeypatch.setattr(verify, "_stencil_error_law", counted_law)
     grid = verify.residual_grid(s, t, n=n)
     monkeypatch.undo()
-    assert builds == [(s, t)]
+    # one law build, for the one time
+    assert builds == [(s, [t])]
     assert (grid.nx, grid.ny) == (n, n)
     assert (grid.x_min, grid.y_min) == (-grid.x_max, -grid.y_max)
-    for half, law, (lo, hi), axis in zip((grid.x_max, grid.y_max), make_laws(s, t), bracket(s, t), "uv"):
+    for half, law, (lo, hi), axis in zip((grid.x_max, grid.y_max), axis_laws(s, t), bracket(s, t), "uv"):
         assert len(calls[axis]) <= 20
         width = bisection_width(lo, hi)
         assert abs(half - residual_grid_bisection(law, lo, hi, n=n)) <= width
@@ -831,11 +893,12 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
 
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return power_law(*args)
+    def counted(rows, halves, n):
+        # both axes' rows on one count: the budget covers the whole search
+        calls.extend((half, n) for half in halves.tolist())
+        return np.array([power_law(half, n) for half in halves.tolist()])
 
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (counted, counted))
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, times: counted)
     grid = verify.residual_grid(example1(), 0.0)
     assert len(calls) <= 12
     (lo, hi), _ = bracket(example1(), 0.0)
@@ -875,7 +938,7 @@ def test_stencil_error_law_matches_lattice():
     # whole search range of extents, each axis's law against its own nodes
     for s in [example1(), example2()]:
         for t in [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]:
-            law_u, law_v = verify._stencil_error_law(s, t)
+            law_u, law_v = axis_laws(s, t)
             for half in np.geomspace(0.05, 6.0, 25):
                 for n in [101, 201, 601]:
                     assert law_u(half, n) == pytest.approx(stencil_error_nodes(s, t, "u", half, n), rel=1e-13, abs=0)
@@ -912,7 +975,7 @@ def test_stencil_error_law_keeps_linspace_bits(case, axis, half, n):
     # the law builds its nodes without np.linspace and works on contiguous
     # real parts; every value, and so every chosen grid, keeps its bits
     s, t = case
-    law = verify._stencil_error_law(s, t)["uv".index(axis)]
+    law = axis_laws(s, t)["uv".index(axis)]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         ours, ref = law(half, n), stencil_error_law_on_linspace(s, t, axis, half, n)
     assert ours.hex() == ref.hex() or (math.isnan(ours) and math.isnan(ref))
@@ -927,7 +990,7 @@ def test_stencil_error_law_bounds_measured_residual():
     # takes over on fig1's squeezed axis at t = 3
     for s in [example1(), example2()]:
         for t in [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]:
-            law_u, law_v = verify._stencil_error_law(s, t)
+            law_u, law_v = axis_laws(s, t)
             chosen = verify.residual_grid(s, t)
             for ku, kv in [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (2.0, 1.0), (1.0, 2.0)]:
                 a_u, a_v = ku * chosen.x_max, kv * chosen.y_max
@@ -945,7 +1008,7 @@ def test_stencil_error_law_bounds_measured_residual():
 def test_residual_grid_feasible_upper_end_is_exact():
     s = example1()
     (_, hi), _ = bracket(s, 0.0)  # both axes at t = 0
-    law_u, law_v = verify._stencil_error_law(s, 0.0)
+    law_u, law_v = axis_laws(s, 0.0)
     edge = 2.0 * max(law_u(hi, 201), law_v(hi, 201))
     grid = verify.residual_grid(s, 0.0, target=edge)
     assert grid.x_max == grid.y_max == hi
@@ -962,7 +1025,7 @@ def test_residual_grid_infeasible_lower_end_raises():
     with pytest.raises(ValueError, match="no feasible extent at n = 201 for t = 4 on the v axis"):
         verify.residual_grid(s, 4.0)
     lo = verify.GRID_HALF_MIN
-    edge = verify._stencil_error_law(s, 4.0)[1](lo, 201)
+    edge = axis_laws(s, 4.0)[1](lo, 201)
     (_, _), (_, hi) = bracket(s, 4.0)
     grid = verify.residual_grid(s, 4.0, target=2.0 * edge)
     assert grid.y_max == pytest.approx(lo, rel=0, abs=bisection_width(lo, hi))
@@ -975,3 +1038,122 @@ def test_residual_grid_rejects_non_positive_target(target):
     # the search works on ln(model / target)
     with pytest.raises(ValueError, match="target must be positive"):
         verify.residual_grid(example1(), 0.5, target=target)
+
+
+SWEEP_TIMES = [round(0.1 * k, 1) for k in range(31)]
+
+
+@pytest.mark.parametrize("target", [2e-5, 1e-3])
+@pytest.mark.parametrize("n", [101, 201, 401])
+@pytest.mark.parametrize("scenario_fn", [example1, example2])
+def test_lockstep_grids_match_serial_search(scenario_fn, n, target):
+    # fig1's and fig2's scenarios (examples 1 and 2) at t = 0, 0.1, ..., 3:
+    # one lockstep call over every feasible time returns, per time, the bits
+    # of one serial search per axis; over every time it raises the first
+    # infeasible time's error
+    s = scenario_fn()
+    expected = {t: serial_halves(s, t, n, target) for t in SWEEP_TIMES}
+    feasible = [t for t in SWEEP_TIMES if None not in expected[t]]
+    grids = verify.residual_grid(s, feasible, n=n, target=target)
+    assert [grid_bits(g) for g in grids] == [
+        grid_bits(GridSpec2D(-a_u, a_u, -a_v, a_v, n, n)) for a_u, a_v in (expected[t] for t in feasible)
+    ]
+    infeasible = [t for t in SWEEP_TIMES if t not in feasible]
+    assert infeasible or feasible == SWEEP_TIMES
+    if infeasible:
+        t = infeasible[0]
+        axis = "uv"[expected[t].index(None)]
+        with pytest.raises(ValueError, match=f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis"):
+            verify.residual_grid(s, SWEEP_TIMES, n=n, target=target)
+
+
+def test_lockstep_grid_keeps_bits_where_complex_abs_rounds_differently():
+    # example 1 at t = 1.5: on the u axis z = -0.0498 + 1j, where numpy's
+    # complex abs can give |z| one unit in the last place below Python's
+    # (1.0012386090121905 against ...908).  The law takes its prefactors in
+    # Python, so the grid keeps the serial search's bits, alone and in a batch
+    s = example1()
+    for n in (101, 201, 401):
+        a_u, a_v = serial_halves(s, 1.5, n, 2e-5)
+        expected = grid_bits(GridSpec2D(-a_u, a_u, -a_v, a_v, n, n))
+        assert grid_bits(verify.residual_grid(s, 1.5, n=n)) == expected
+        assert grid_bits(verify.residual_grid(s, [0.5, 1.5, 2.5], n=n)[1]) == expected
+
+
+def test_residual_grid_one_grid_per_time_in_order():
+    s = example2()
+    times = [1.0, 0.25, 3.0, 0.5]
+    grids = verify.residual_grid(s, times)
+    assert isinstance(grids, list) and len(grids) == len(times)
+    assert grids == [verify.residual_grid(s, t) for t in times]
+    assert verify.residual_grid(s, (0.5,)) == [verify.residual_grid(s, 0.5)]
+    assert verify.residual_grid(s, []) == []
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([1.0, 4.0, 100.0], "no feasible extent at n = 201 for t = 4 on the v axis; raise n or target"),
+        ([1.0, 100.0, 4.0], "|nu(t)| = 100 (|r nu| = 0) exceeds the supported range 50 at t = 100"),
+    ],
+)
+def test_residual_grid_raises_first_failing_time(times, message):
+    # fig1's scenario: t = 4 has no feasible extent, t = 100 is out of
+    # nu's range; whichever comes first in the list decides the error
+    with pytest.raises(ValueError) as info:
+        verify.residual_grid(example1(), times)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 0, -5, 3, 4, 201.0, True])
+def test_residual_grid_rejects_bad_sample_count(n):
+    # n = 1 divides by zero, n <= 0 indexes nothing, n = 3 or 4 leaves no
+    # interior, and a float n makes a float count
+    with pytest.raises(ValueError, match=r"integer n >= 5, got"):
+        verify.residual_grid(example1(), 0.5, n=n)
+
+
+def test_residual_grid_smallest_sample_count():
+    s = example1()
+    grid = verify.residual_grid(s, 0.5, n=np.int64(5))
+    assert (grid.nx, grid.ny) == (5, 5)
+    rep = verify.schrodinger_residual(s, 0.5, grid)
+    assert rep.max_abs_residual < 1e-4
+
+
+def test_residual_grid_rejects_infinite_target():
+    # ln(law / inf) is -inf, and the secant step then takes the log of a NaN
+    with pytest.raises(ValueError, match="target must be positive and finite, got inf"):
+        verify.residual_grid(example1(), 0.5, target=float("inf"))
+
+
+def test_residual_grid_rejects_nan_time():
+    # nu(nan) is NaN, which Scenario.nu_at rejects
+    with pytest.raises(ValueError, match="exceeds the supported range 50 at t = nan"):
+        verify.residual_grid(example1(), float("nan"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=scenarios_at(),
+    frac=st.floats(0.0, 1.0),
+    rows=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    halves=st.lists(st.floats(verify.GRID_HALF_MIN, 50.0), min_size=6, max_size=6),
+    n=st.integers(2, 401),
+)
+def test_stencil_error_law_rows_keep_their_bits(case, frac, rows, halves, n):
+    # one law call over several rows, two times and both axes, in any order
+    # and with repeats: each row keeps the bits of its own evaluation
+    s, t = case
+    times = [t, frac * t]
+    nu = s.nu.value(times[1])
+    assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
+    halves = halves[: len(rows)]
+    law = verify._stencil_error_law(s, times)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ours = law(np.array(rows), np.array(halves), n).tolist()
+        refs = [
+            stencil_error_law_on_linspace(s, times[row // 2], "uv"[row % 2], half, n) for row, half in zip(rows, halves)
+        ]
+    for value, ref in zip(ours, refs):
+        assert value.hex() == ref.hex() or (math.isnan(value) and math.isnan(ref))
