@@ -7,9 +7,16 @@ verify    residual/normalization/variance report            -> residuals.json
 fock      factorization and vacuum-column diagnostics       -> fock_report.json
 entropy   summed vs closed-form entanglement entropy        -> entropy.csv
 
-Exit codes: 0 success, 1 usage/config error, 2 tolerance violation,
-3 I/O failure.  Output is deterministic: fixed float formatting, sorted
-JSON keys, no timestamps.
+Both formats are this module's: it parses every config and writes every
+report.  Each subcommand's config takes its own top-level keys
+(``CONFIG_KEYS``), and each object nested in it (``scenario``, its ``nu``
+and ``mu``, ``grid``, ``tolerances``) takes its own; one check refuses an
+unknown key at every level.  A report writes a record (a ``Scenario``, a
+``verify.ResidualReport``) as its dataclass fields.
+
+Exit codes: 0 success, 1 usage/config error (a grid too large for memory
+included), 2 tolerance violation, 3 I/O failure.  Output is deterministic:
+fixed float formatting, sorted JSON keys, no timestamps.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .closedform import (
     sample_external,
 )
 from .fockalg import N_MAX_LIMIT, ConvergenceError, FockSpaceSpec
-from .timefns import finite_number
+from .timefns import TimePolynomial
 from .verify import V_SOURCES, VSource
 
 __all__ = [
@@ -62,16 +69,14 @@ DEFAULT_TOLERANCES = {
     "normalization": 1e-6,
     "variance": 1e-8,           # var(v) against exp(2(r-1) nu)/2, relative
     "variance_product": 1e-8,   # var(u) var(v) against exp(4 r nu)/4, relative
-    "fock_interior": 1e-8,      # factorization distance flag threshold
 }
+FOCK_TOLERANCE = 1e-8  # fock's flag threshold for the factorization distance
 
-
-# Top-level keys of each subcommand's config.  density and verify read one
-# format (configs/fig*.json feed both).
-_SCENARIO_KEYS = ("scenario", "grid", "times", "outputs", "v_source", "tolerances", "out_dir")
+# Top-level keys of each subcommand's config.  configs/fig*.json hold only
+# keys that density and verify share, so they feed both.
 CONFIG_KEYS = {
-    "density": _SCENARIO_KEYS,
-    "verify": _SCENARIO_KEYS,
+    "density": ("scenario", "grid", "times", "outputs", "out_dir"),
+    "verify": ("scenario", "grid", "times", "v_source", "tolerances", "out_dir"),
     "fock": ("nu_values", "n_max", "out_dir"),
     "entropy": ("nu_values", "out_dir"),
 }
@@ -112,6 +117,18 @@ class RunConfig:
         return g
 
 
+def _object(raw: object, what: str, keys: Sequence[str]) -> dict:
+    """``raw``, a JSON object holding only ``keys``; ``what`` names it in errors."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    for key in raw:
+        if key not in keys:
+            fock_tol = (what, key) == ("fock config", "tolerances")
+            hint = "set its flag threshold with --tol" if fock_tol else f"it takes {', '.join(keys)}"
+            raise ConfigError(f"{what} has unknown key {key!r}; {hint}")
+    return raw
+
+
 def _read_json_object(path: str | Path, command: str) -> dict:
     """The JSON object in ``path``, holding only keys that ``command``'s config takes."""
     try:
@@ -120,21 +137,23 @@ def _read_json_object(path: str | Path, command: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    for key in raw:
-        if key not in CONFIG_KEYS[command]:
-            fock_tol = (command, key) == ("fock", "tolerances")
-            hint = "set its flag threshold with --tol" if fock_tol else f"it takes {', '.join(CONFIG_KEYS[command])}"
-            raise ConfigError(f"{command} config has unknown key {key!r}; {hint}")
-    return raw
+    return _object(raw, f"{command} config", CONFIG_KEYS[command])
+
+
+def _number(value: object, what: str) -> float:
+    """A JSON number as a float; refuses true/false, strings and non-finite values."""
+    try:
+        # JSON true/false load as bool, a subclass of int
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _positive_tolerance(value: object, what: str) -> float:
-    try:
-        tol = finite_number(value, what)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    tol = _number(value, what)
     if tol <= 0.0:
         raise ConfigError(f"{what} must be positive, got {value!r}")
     return tol
@@ -145,20 +164,57 @@ def _number_list(raw: dict, key: str) -> list[float]:
     values = raw.get(key)
     if not isinstance(values, list) or not values:
         raise ConfigError(f"config must list finite numbers in '{key}'")
+    return [_number(v, f"'{key}' entry") for v in values]
+
+
+def _polynomial(raw: object, what: str) -> TimePolynomial:
+    """A ``{"coeffs": [c0, c1, ...]}`` object as a polynomial."""
+    coeffs = _object(raw, what, ("coeffs",)).get("coeffs")
+    if not isinstance(coeffs, list):
+        raise ConfigError(f"{what} must be given as {{'coeffs': [c0, c1, ...]}}")
+    return TimePolynomial([_number(c, f"{what} coefficient") for c in coeffs])
+
+
+def _scenario(raw: object) -> Scenario:
+    """A scenario object; ``mu`` defaults to zero."""
+    raw = _object(raw, "scenario", ("m", "r", "nu", "mu"))
     try:
-        return [finite_number(v, f"'{key}' entry") for v in values]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        return Scenario(
+            m=_number(raw["m"], "m"),
+            r=_number(raw["r"], "r"),
+            nu=_polynomial(raw["nu"], "nu"),
+            mu=_polynomial(raw.get("mu", {"coeffs": [0.0]}), "mu"),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"scenario is missing required key {exc}") from None
+
+
+def _grid(raw: object) -> GridSpec2D:
+    """An explicit grid object: four finite extents and two integer counts."""
+    extents = ("x_min", "x_max", "y_min", "y_max")
+    raw = _object(raw, "grid", (*extents, "nx", "ny"))
+
+    def count(key: str) -> int:
+        n = _number(raw[key], key)
+        if n != int(n):
+            raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
+        return int(n)
+
+    try:
+        return GridSpec2D(*(_number(raw[key], key) for key in extents), nx=count("nx"), ny=count("ny"))
+    except KeyError as exc:
+        raise ConfigError(f"grid is missing required key {exc}") from None
 
 
 def load_config(path: str | Path, *, out_override: str | None = None, grid_n: int | None = None) -> RunConfig:
-    """Parse and validate a JSON density/verify configuration."""
+    """Parse and validate a JSON density configuration."""
     return _run_config(_read_json_object(path, "density"), out_override, grid_n)
 
 
 def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunConfig:
+    """A density or verify config whose top-level keys are already checked."""
     try:
-        scenario = Scenario.from_json(raw.get("scenario", {}))
+        scenario = _scenario(raw.get("scenario", {}))
     except ValueError as exc:
         raise ConfigError(f"bad scenario: {exc}") from exc
 
@@ -167,7 +223,7 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunC
         grid = None
     else:
         try:
-            grid = GridSpec2D.from_json(grid_raw)
+            grid = _grid(grid_raw)
         except ValueError as exc:
             raise ConfigError(f"bad grid: {exc}") from exc
     if grid_n is not None and (grid_n < 3 or grid_n % 2 == 0):
@@ -190,12 +246,7 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunC
     if v_source not in V_SOURCES:
         raise ConfigError(f"v_source must be one of {V_SOURCES}, got {v_source!r}")
 
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("'tolerances' must be an object")
-    unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
+    tolerances = _object(raw.get("tolerances", {}), "tolerances", tuple(DEFAULT_TOLERANCES))
     tolerances = {key: _positive_tolerance(value, f"tolerance '{key}'") for key, value in tolerances.items()}
 
     return RunConfig(
@@ -211,12 +262,10 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunC
 
 
 def _out_dir(raw: dict, out_override: str | None) -> Path:
-    """``--out`` if given, else the config's ``out_dir``."""
-    if out_override:
-        return Path(out_override)
-    out_dir = raw.get("out_dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"'out_dir' must be a path string, got {out_dir!r}")
+    """``--out`` if given, else the config's ``out_dir``; either must be a non-empty path."""
+    what, out_dir = ("'out_dir'", raw.get("out_dir", "out")) if out_override is None else ("--out", out_override)
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"{what} must be a non-empty path string, got {out_dir!r}")
     return Path(out_dir)
 
 
@@ -247,8 +296,9 @@ def _write_field_csv(fh, field2d) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    # one line: without indent, json's C encoder writes it
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    # one line: without indent, json's C encoder writes it.  A record (a
+    # dataclass) is written as its fields: its __dict__ holds exactly those
+    path.write_text(json.dumps(payload, sort_keys=True, default=vars) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +373,7 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
         entries.append(
             {
                 "t": t,
-                "reports": [r.to_json() for r in reports],
+                "reports": reports,
                 "normalization": norm,
                 "var_plus": var_plus,
                 "var_minus": var_minus,
@@ -333,7 +383,7 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
         )
 
     payload = {
-        "scenario": s.to_json(),
+        "scenario": s,
         "v_source": cfg.v_source,
         "tolerances": {k: cfg.tolerance(k) for k in DEFAULT_TOLERANCES},
         "results": entries,
@@ -350,7 +400,7 @@ def run_fock(
     n_max: int,
     out_dir: Path,
     *,
-    tolerance: float = DEFAULT_TOLERANCES["fock_interior"],
+    tolerance: float = FOCK_TOLERANCE,
 ) -> Path:
     """Factorization distances, vacuum-column errors and function-system
     deviations per squeeze value, on the interior block of level n_max // 2.
@@ -518,7 +568,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             n_max = raw.get("n_max", 24)
             if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= N_MAX_LIMIT:
                 raise ConfigError(f"'n_max' must be an integer from 1 to {N_MAX_LIMIT}")
-            print(run_fock(nu_values, n_max, out_dir, tolerance=tol or DEFAULT_TOLERANCES["fock_interior"]))
+            print(run_fock(nu_values, n_max, out_dir, tolerance=tol or FOCK_TOLERANCE))
         else:
             print(run_entropy(nu_values, out_dir))
         return EXIT_OK
@@ -527,6 +577,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a grid too large to sample: nothing is written
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

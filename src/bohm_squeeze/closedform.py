@@ -21,6 +21,10 @@ Every coefficient is one exponential per mode, computed straight from nu:
 nothing cancels, however strong the squeeze.  Working with coefficients
 keeps the Hamilton-Jacobi closure exact and makes level-curve
 classification a two-liner.
+
+``Scenario`` and ``GridSpec2D`` check their own invariants (a positive
+mass, nu(0) = 0, ordered grid extents); reading them from a config and
+writing them into a report is ``cli``'s business.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .timefns import TimePolynomial, finite_number
+from .timefns import TimePolynomial
 
 __all__ = [
     "NU_LIMIT",
@@ -111,27 +115,6 @@ class Scenario:
             )
         return nu
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "r": self.r,
-            "nu": self.nu.to_json(),
-            "mu": self.mu.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Scenario":
-        if not isinstance(obj, dict):
-            raise ValueError("scenario must be a JSON object")
-        try:
-            m = finite_number(obj["m"], "m")
-            r = finite_number(obj["r"], "r")
-            nu = TimePolynomial.from_json(obj["nu"])
-            mu = TimePolynomial.from_json(obj.get("mu", {"coeffs": [0.0]}))
-        except KeyError as exc:
-            raise ValueError(f"scenario is missing required key {exc}") from exc
-        return cls(m=m, r=r, nu=nu, mu=mu)
-
 
 @dataclass(frozen=True)
 class GridSpec2D:
@@ -167,33 +150,6 @@ class GridSpec2D:
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid with shape (nx, ny); index [ix, iy]."""
         return np.meshgrid(self.xs(), self.ys(), indexing="ij")
-
-    def to_json(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "nx": self.nx,
-            "ny": self.ny,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridSpec2D":
-        def count(key: str) -> int:
-            n = finite_number(obj[key], key)
-            if n != int(n):
-                raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
-            return int(n)
-
-        try:
-            return cls(
-                *(finite_number(obj[key], key) for key in ("x_min", "x_max", "y_min", "y_max")),
-                nx=count("nx"),
-                ny=count("ny"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"invalid grid definition: {exc}") from exc
 
     @classmethod
     def square(cls, half_extent: float, n: int) -> "GridSpec2D":

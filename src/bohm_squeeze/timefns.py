@@ -3,28 +3,17 @@
 The wavefunction engineering is parameterized by two scalar functions of
 time: the squeeze schedule ``nu(t)`` and the global phase offset ``mu(t)``.
 Only polynomials are supported, so first and second derivatives are exact
-(no numerical differentiation enters the closed-form layer).
+(no numerical differentiation enters the closed-form layer).  Configs
+and reports spell a polynomial ``{"coeffs": [c0, c1, ...]}``; that format
+is ``cli``'s, which parses and writes it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["TimePolynomial", "finite_number"]
-
-
-def finite_number(value: object, what: str) -> float:
-    """A JSON number as a float; refuses true/false, strings and non-finite values."""
-    try:
-        # JSON true/false load as bool, a subclass of int
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an integer literal beyond the float range
-        ok = False
-    if not ok:
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+__all__ = ["TimePolynomial"]
 
 
 @dataclass(frozen=True)
@@ -74,15 +63,3 @@ class TimePolynomial:
     def starts_at_zero(self) -> bool:
         """True when the constant coefficient vanishes (required of nu)."""
         return self.coeffs[0] == 0.0
-
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TimePolynomial":
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise ValueError("time polynomial must be given as {'coeffs': [c0, c1, ...]}")
-        coeffs = obj["coeffs"]
-        if not isinstance(coeffs, (list, tuple)):
-            raise ValueError("polynomial coefficients must be a list of numbers")
-        return cls([finite_number(c, "polynomial coefficient") for c in coeffs])

@@ -113,16 +113,6 @@ class ResidualReport:
         ):
             raise ValueError("residual statistics must be finite and non-negative")
 
-    def to_json(self) -> dict:
-        return {
-            "equation": self.equation,
-            "t": self.t,
-            "max_abs_residual": self.max_abs_residual,
-            "rms_residual": self.rms_residual,
-            "grid": self.grid.to_json(),
-            "dt": self.dt,
-        }
-
 
 def _report(
     equation: Equation, t: float, residual: np.ndarray, grid: GridSpec2D, dt: float, max_abs: float | None = None

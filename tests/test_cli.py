@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bohm_squeeze import cli, fockalg, verify
+from bohm_squeeze import Scenario, TimePolynomial
 from bohm_squeeze.closedform import GridSpec2D, ScalarField2D
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -36,6 +38,11 @@ def small_density_config(tmp_path: Path, **overrides) -> Path:
     }
     payload.update(overrides)
     return write_config(tmp_path, "cfg.json", payload)
+
+
+def load_verify_config(path: Path) -> cli.RunConfig:
+    """A verify config, read as ``main`` reads it."""
+    return cli._run_config(cli._read_json_object(path, "verify"), None, None)
 
 
 def read_field_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,10 +75,10 @@ def test_config_errors(tmp_path):
         cli.load_config(small_density_config(tmp_path, times=[]))
     with pytest.raises(cli.ConfigError, match="scenario"):
         cli.load_config(small_density_config(tmp_path, scenario={"m": -1}))
-    with pytest.raises(cli.ConfigError, match="v_source"):
-        cli.load_config(small_density_config(tmp_path, v_source="bogus"))
-    with pytest.raises(cli.ConfigError, match="tolerance"):
-        cli.load_config(small_density_config(tmp_path, tolerances={"nope": 1.0}))
+    with pytest.raises(cli.ConfigError, match="v_source must be one of"):
+        load_verify_config(small_density_config(tmp_path, v_source="bogus"))
+    with pytest.raises(cli.ConfigError, match="tolerances has unknown key 'nope'"):
+        load_verify_config(small_density_config(tmp_path, tolerances={"nope": 1.0}))
     with pytest.raises(cli.ConfigError, match="out_dir"):
         cli.load_config(small_density_config(tmp_path, out_dir=5))
     with pytest.raises(cli.ConfigError, match="outputs"):
@@ -201,7 +208,7 @@ def test_verify_example2_config():
 
 
 def test_verify_flags_variant_source(tmp_path):
-    cfg = cli.load_config(small_density_config(tmp_path, grid="auto", times=[0.5], v_source="variant"))
+    cfg = load_verify_config(small_density_config(tmp_path, grid="auto", times=[0.5], v_source="variant"))
     out, failures = cli.run_verify(cfg)
     assert failures
     payload = json.loads(out.read_text())
@@ -325,7 +332,7 @@ def test_run_verify_chooses_grids_in_one_call(tmp_path, monkeypatch, grid):
     if grid == "auto":
         assert calls == [((cfg.scenario, cfg.times), {})]
         reports = [e["reports"][0]["grid"] for e in json.loads(out.read_text())["results"]]
-        assert reports == [choose(cfg.scenario, t).to_json() for t in cfg.times]
+        assert reports == [vars(choose(cfg.scenario, t)) for t in cfg.times]
     else:
         assert calls == []
 
@@ -857,7 +864,7 @@ def test_main_rejects_non_string_out_dir(tmp_path, capsys, monkeypatch, command,
     monkeypatch.chdir(tmp_path)
     assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert err == f"config error: 'out_dir' must be a path string, got {out_dir!r}\n"
+    assert err == f"config error: 'out_dir' must be a non-empty path string, got {out_dir!r}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -872,6 +879,7 @@ def test_main_rejects_non_string_out_dir(tmp_path, capsys, monkeypatch, command,
         ("grid", "ny", "5"),
         ("out_dir", None, 5),
         ("outputs", None, [["density"]]),
+        ("scenario", "mu", {"coeffs": [float("nan")]}),
     ],
 )
 def test_main_rejects_non_numbers_in_density_config(tmp_path, capsys, section, key, value):
@@ -979,3 +987,146 @@ def test_main_rejects_unknown_config_keys(tmp_path_factory, command, data):
     assert code == cli.EXIT_USAGE and out.getvalue() == ""
     assert err.count("\n") == 1 and repr(key) in err and command in err and "Traceback" not in err
     assert not (tmp / "out").exists() and not (tmp / "config_out").exists()
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["density", "verify"])
+@pytest.mark.parametrize(
+    "path, key, named",
+    [
+        (["scenario"], "mass", "bad scenario: scenario has unknown key 'mass'"),
+        (["scenario", "nu"], "coefs", "bad scenario: nu has unknown key 'coefs'"),
+        (["scenario", "mu"], "coefs", "bad scenario: mu has unknown key 'coefs'"),
+        (["grid"], "nz", "bad grid: grid has unknown key 'nz'"),
+    ],
+)
+def test_main_rejects_unknown_nested_keys(tmp_path, command, path, key, named):
+    # each nested object takes only its own keys, by the check the top level uses
+    payload = json.loads(small_density_config(tmp_path).read_text())
+    obj = payload
+    for name in path:
+        obj = obj[name]
+    obj[key] = 1.0
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    code, out, err = run_main([command, "--config", str(cfg)])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith(f"config error: {named}; it takes ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("density", {"v_source": "variant"}, "density config has unknown key 'v_source'"),
+        ("density", {"tolerances": {}}, "density config has unknown key 'tolerances'"),
+        ("verify", {"outputs": ["density"]}, "verify config has unknown key 'outputs'"),
+        (
+            "verify",
+            {"tolerances": {"fock_interior": 123}},
+            "tolerances has unknown key 'fock_interior'; "
+            "it takes residual_max, hj_max, normalization, variance, variance_product",
+        ),
+    ],
+)
+def test_each_scenario_subcommand_takes_its_own_keys(tmp_path, command, extra, message):
+    # density and verify share scenario, grid, times and out_dir only
+    cfg = small_density_config(tmp_path, grid="auto", times=[0.5], **extra)
+    code, out, err = run_main([command, "--config", str(cfg)])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(SHIPPED_CONFIGS))
+@pytest.mark.parametrize("where", ["--out", "out_dir"])
+def test_main_rejects_empty_output_paths(tmp_path, monkeypatch, command, where):
+    # an empty --out used to fall back to the config's out_dir, and an empty
+    # out_dir to the working directory
+    payload = json.loads((CONFIG_DIR / SHIPPED_CONFIGS[command]).read_text())
+    payload["out_dir"] = "" if where == "out_dir" else str(tmp_path / "config_out")
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main([command, "--config", str(cfg), *(["--out", ""] if where == "--out" else [])])
+    what = "--out" if where == "--out" else "'out_dir'"
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"config error: {what} must be a non-empty path string, got ''\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["density", "verify"])
+def test_main_reports_a_grid_too_large_for_memory(tmp_path, monkeypatch, command):
+    # numpy raises MemoryError (its _ArrayMemoryError) for a grid of 10^6
+    # points per axis; the sampler and the residual stand in for it here
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000001, 1000001)")
+
+    monkeypatch.setitem(cli.FIELD_SAMPLERS, "density", too_large)
+    monkeypatch.setattr(verify, "schrodinger_residual", too_large)
+    code, out, err = run_main([command, "--config", str(small_density_config(tmp_path))])
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "out of memory: Unable to allocate 7.28 TiB for an array with shape (1000001, 1000001)\n"
+    assert not (tmp_path / "out").exists()
+
+
+GRID = {"x_min": -1.0, "x_max": 1.0, "y_min": -2.0, "y_max": 2.0, "nx": 5, "ny": 7}
+
+
+@pytest.mark.parametrize(
+    "record, written",
+    [
+        (GridSpec2D(**GRID), GRID),
+        (TimePolynomial([0, 1.5, -2.25]), {"coeffs": [0.0, 1.5, -2.25]}),
+        (
+            Scenario(m=2.0, r=0.5, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0.25])),
+            {"m": 2.0, "r": 0.5, "nu": {"coeffs": [0.0, 1.0]}, "mu": {"coeffs": [0.25]}},
+        ),
+        (
+            verify.ResidualReport("continuity", 0.5, 1e-6, 2e-7, GridSpec2D(**GRID), 1e-4),
+            {"equation": "continuity", "t": 0.5, "max_abs_residual": 1e-6, "rms_residual": 2e-7, "grid": GRID, "dt": 1e-4},
+        ),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_reports_write_a_records_fields(tmp_path, record, written):
+    # _write_json writes a record as vars(record): its __dict__ must hold
+    # exactly its dataclass fields, so that a cached property or other
+    # attribute cannot leak into a report
+    assert list(vars(record)) == [f.name for f in dataclasses.fields(record)]
+    cli._write_json(tmp_path / "r.json", {"record": record})
+    assert json.loads((tmp_path / "r.json").read_text()) == {"record": written}
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    m=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    r=finite,
+    nu=st.lists(finite, max_size=5).map(lambda cs: [0.0, *cs]),
+    mu=st.lists(finite, max_size=5),
+)
+def test_scenario_round_trips_through_the_report(tmp_path_factory, m, r, nu, mu):
+    # the scenario a report writes parses back through the config parser
+    s = cli._scenario({"m": m, "r": r, "nu": {"coeffs": nu}, "mu": {"coeffs": mu}})
+    path = tmp_path_factory.mktemp("scenario") / "residuals.json"
+    cli._write_json(path, {"scenario": s})
+    written = json.loads(path.read_text())["scenario"]
+    assert written["nu"]["coeffs"] == list(s.nu.coeffs)
+    assert cli._scenario(written) == s
+
+
+def test_shipped_verify_reports_round_trip_their_scenario(tmp_path):
+    for name in ("verify_example1", "verify_example2"):
+        code, _, _ = run_main(["verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / name)])
+        assert code == cli.EXIT_OK
+        written = json.loads((tmp_path / name / "residuals.json").read_text())
+        config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        assert written["scenario"] == config["scenario"]
+        assert cli._scenario(written["scenario"]) == cli._scenario(config["scenario"])
+        assert sorted(written["tolerances"]) == ["hj_max", "normalization", "residual_max", "variance", "variance_product"]

@@ -401,6 +401,45 @@ def test_auto_grid_raises_when_infeasible():
         cf.auto_grid(example2(), 2.0)  # nu = 4: cartesian grid would need ~10^5 points/axis
 
 
+def _edge_times(holds, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats lo < hi with ``holds(lo)`` and not ``holds(hi)``, by bisection."""
+    assert holds(lo) and not holds(hi)
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo, hi
+
+
+def test_auto_grid_cap_edge():
+    # example 1's count grows with t: the last time accepted lands on the
+    # cap, and the next float needs the next odd count, refused by name
+    s = example1()
+
+    def fits(t: float) -> bool:
+        try:
+            cf.auto_grid(s, t)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = _edge_times(fits, 1.0, 5.0)
+    assert cf.auto_grid(s, lo).nx == cf.AUTO_N_CAP == 1401
+    with pytest.raises(ValueError, match=r"needs 1403 points per axis \(cap 1401\)"):
+        cf.auto_grid(s, hi)
+
+
+def test_auto_grid_floor_edge():
+    # at t = 0 the spacing rule alone asks 31 points (15 spacings of
+    # sigma/2 each side of 7.5 sigma); the floor holds the count at 61
+    # until the rule needs more, then the count moves on to 63
+    s = example1()
+    g0 = cf.auto_grid(s, 0.0)
+    assert g0.nx == cf.AUTO_N_MIN == 61
+    assert round(2.0 * g0.x_max / (math.sqrt(0.5) / cf.AUTO_POINTS_PER_SIGMA)) + 1 == 31
+    lo, hi = _edge_times(lambda t: cf.auto_grid(s, t).nx == 61, 0.0, 1.0)
+    assert cf.auto_grid(s, hi).nx == 63
+
+
 def test_sample_density_shape_and_value():
     s = example1()
     g = GridSpec2D.square(3.0, 11)

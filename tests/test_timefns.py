@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,12 +79,3 @@ def test_scenario_rejects_bad_mass():
 def test_mu_may_have_constant_term():
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0.7]))
     assert s.mu.value(0.0) == 0.7
-
-
-def test_json_round_trip():
-    poly = TimePolynomial([0, 1.5, -2.25])
-    assert TimePolynomial.from_json(poly.to_json()) == poly
-    with pytest.raises(ValueError):
-        TimePolynomial.from_json({"coeffs": [np.nan]})
-    with pytest.raises(ValueError):
-        TimePolynomial.from_json({"c": [1]})

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from bohm_squeeze import GridSpec2D, ScalarField2D, Scenario, TimePolynomial
 from bohm_squeeze import closedform as cf
-from bohm_squeeze import verify
+from bohm_squeeze import cli, verify
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -171,10 +171,11 @@ def test_unknown_v_source():
         verify.external_quadform(example1(), 0.0, "nonsense")  # type: ignore[arg-type]
 
 
-def test_residual_reports_serialize():
+def test_residual_reports_serialize(tmp_path):
     s = example1()
     rep = verify.continuity_residual(s, 0.5, GridSpec2D.square(1.0, 21))
-    obj = rep.to_json()
+    cli._write_json(tmp_path / "report.json", {"report": rep})
+    obj = json.loads((tmp_path / "report.json").read_text())["report"]
     assert obj["equation"] == "continuity"
     assert set(obj) == {"equation", "t", "max_abs_residual", "rms_residual", "grid", "dt"}
     assert obj["grid"]["nx"] == 21
@@ -525,7 +526,7 @@ def test_real_residuals_build_one_grid_array(residual):
 @pytest.mark.parametrize("config", ["verify_example1.json", "verify_example2.json"])
 def test_variant_fails_at_every_example_time(config):
     payload = json.loads((CONFIG_DIR / config).read_text())
-    s = Scenario.from_json(payload["scenario"])
+    s = cli._scenario(payload["scenario"])
     for t in payload["times"]:
         grid = verify.residual_grid(s, t)
         good = verify.schrodinger_residual(s, t, grid)
