@@ -169,7 +169,7 @@ class ScalarField2D:
         if v.shape != (self.grid.nx, self.grid.ny):
             raise ValueError(f"field shape {v.shape} does not match grid ({self.grid.nx}, {self.grid.ny})")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
+            raise ValueError(f"field at t = {self.t:g} contains non-finite values")
         object.__setattr__(self, "values", v)
 
 
@@ -283,7 +283,7 @@ def kinetic_coeffs(s: Scenario, t: float) -> QuadForm:
     """Quadratic form of |grad S|^2 / (2m)."""
     nud = s.nu.d1(t)
     k = s.m * nud * nud / 2.0
-    return QuadForm(c_u=k * (s.r + 1.0) ** 2, c_v=k * (s.r - 1.0) ** 2, const=0.0)
+    return QuadForm(c_u=k * (s.r + 1.0) * (s.r + 1.0), c_v=k * (s.r - 1.0) * (s.r - 1.0), const=0.0)
 
 
 def _flow(s: Scenario, t: float, w: float) -> float:

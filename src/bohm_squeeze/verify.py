@@ -28,14 +28,16 @@ only its rms reads the grid.
 Grid-size guidance: the second-order stencil error along each axis scales
 with that axis's fourth (and, for the continuity flux, third) derivatives
 of the factors, which for these Gaussian-times-quadratic forms are exact.
-``_stencil_error_law`` bounds it by one 1-D law per axis, and
+``_stencil_error_law`` bounds it by one 1-D law per axis, in closed form:
+each of its three terms is a function of y = Re(z) w^2 (z = q'' of psi's
+factor along the axis), and the law is their supremum over the extent,
+reached at its end or at an interior maximum (y = -3 for the Bohm
+definition, y = -1 and -6 for continuity, the real roots of one quartic
+for Schrodinger, all quartics solved by one batched eigvals).
 ``residual_grid`` picks per axis the largest half extent keeping that
 bound at half the target, so residual checks stay meaningful (error
-budget dominated by the identity under test, not by the stencil).  It
-chooses the grids of all of a run's times in one search: the Illinois
-searches of every (time, axis) pair advance in lockstep, one law
-evaluation on a (rows, n) array per round, and each keeps the extents it
-would try alone.
+budget dominated by the identity under test, not by the stencil): one
+scalar search per axis, time by time.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Generator, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -111,7 +113,7 @@ class ResidualReport:
             and self.max_abs_residual >= 0.0
             and self.rms_residual >= 0.0
         ):
-            raise ValueError("residual statistics must be finite and non-negative")
+            raise ValueError(f"{self.equation} residual at t = {self.t:g} must be finite and non-negative")
 
 
 def _report(
@@ -432,16 +434,18 @@ def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
 # stencil-error model and grid chooser
 
 
-# law(rows, halves, n): the predicted error of each listed row at its half extent
-Law = Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+# law(half, n): one axis's predicted stencil error on n nodes over [-half, half]
+AxisLaw = Callable[[float, int], float]
+
+# relative margin on every law value: its terms take exp and |p| from Python's
+# math library, the node law from numpy's, and the two differ by a few ulps
+LAW_MARGIN = 1.0 + 2.0**-46
 
 
-def _stencil_error_law(s: Scenario, times: Sequence[float]) -> Law:
-    """Predicted worst stencil error along the mode axes of each time, as one law over rows.
+def _stencil_error_law(s: Scenario, times: Sequence[float]) -> list[AxisLaw]:
+    """Predicted worst stencil error along the mode axes of each time, one law per axis.
 
-    Row 2k is the u axis of ``times[k]`` and row 2k + 1 its v axis;
-    law(rows, halves, n) evaluates row rows[i] at half extent halves[i],
-    all of them in one pass over a (len(rows), n) array.
+    laws[2k] is the u axis of ``times[k]`` and laws[2k + 1] its v axis.
 
     On n nodes over [-half, half], spacing h = 2 half / (n - 1), the second
     difference of a factor e^q errs by h^2/12 |d^4 e^q / dw^4| and the
@@ -451,42 +455,72 @@ def _stencil_error_law(s: Scenario, times: Sequence[float]) -> Law:
     Schrodinger error is that of psi's factor over 2m, the Bohm-definition
     error that of A's factor divided by the factor, over 2m, and the
     continuity error that of A's factor times |S_w| / m; the first and
-    last are taken at the other factor's peak e^(const/2).  The law
-    evaluates them on the axis's own nodes and returns the largest.
+    last are taken at the other factor's peak e^(const/2).
+
+    Each term is a function of y = Re(z) w^2 on [Re(z) half^2, 0] (Re z < 0),
+    and the law takes the largest value each reaches there, nodes or not:
+
+    - Bohm definition: Re(z)^2 |y^2 + 6 y + 3|, extremal inside at y = -3;
+    - continuity: a multiple of e^(y/2) |y (y + 3)|, at y = -1 and y = -6;
+    - Schrodinger: |z|^2 e^(y/2 + const) sqrt(Q), at the real roots of the
+      quartic Q + Q' (d/dy e^y Q = e^y (Q + Q')).  With tau = Im z / Re z,
+      x = y (1 + i tau), so Q = |x^2 + 6 x + 3|^2
+      = (A y^2 + 6 y + 3)^2 + tau^2 (2 y^2 + 6 y)^2 with A = 1 - tau^2, and
+      Q + Q' has leading coefficient (1 + tau^2)^2.
+
+    One batched eigvals of the quartics' companion matrices gives every
+    axis's roots.  A root's real part is a candidate whatever its imaginary
+    part: any point of the interval reads at most the supremum, so an extra
+    candidate is harmless, while a real root with a rounded imaginary part
+    would be lost.  A law call then evaluates the terms at the interval's
+    end and takes the largest candidate inside: O(1) per extent.  The
+    supremum bounds every node, so a grid within the law is within the
+    law on its nodes; the two differ where an interior maximum falls
+    between nodes.
 
     The law is leading-order in h: it has no eps / h^2 term for the
     rounding of the second difference, so where a strongly squeezed axis
     is sampled finely (fig1's scenario at t = 3 on 401 points and more)
     the measured residual outgrows it.  At the default n = 201 it holds.
-
-    Each row's prefactors |z|^2, Re(z)^2 and |Im z| Re(z)^2 are taken in
-    Python: numpy's complex abs can differ from Python's in the last bit.
     """
-    coeffs = []
-    for t in times:
-        amp, phase = log_amplitude_coeffs(s, t), phase_coeffs(s, t)
-        for c_amp, c_phase in ((amp.c_u, phase.c_u), (amp.c_v, phase.c_v)):
-            z = 2.0 * complex(c_amp, c_phase)  # q'' of psi's factor; its real part is A's
-            coeffs.append((z, c_amp, amp.const, abs(z) ** 2, z.real**2, abs(z.imag) * z.real**2))
-    # one complex table, so that a round takes its rows in one indexing
-    table = np.array(coeffs, dtype=complex).reshape(-1, 6)
+    forms = [(log_amplitude_coeffs(s, t), phase_coeffs(s, t)) for t in times]
+    axes = [axis for a, p in forms for axis in ((a.c_u, p.c_u, a.const), (a.c_v, p.c_v, a.const))]
+    # Q + Q' over its leading coefficient, in g = 1 / (1 + tau^2) = Re(z)^2 / |z|^2,
+    # which is 0 where |z| is not finite (such an axis has no feasible extent)
+    gs = [a * a / (a * a + b * b) if math.isfinite(b) else 0.0 for a, b, _ in axes]
+    companion = np.eye(4, k=-1)[None].repeat(len(axes), 0)
+    top_rows = [[4.0 * (1.0 + 3.0 * g), (66.0 + 12.0 * g) * g, 60.0 * (1.0 + g) * g, 45.0 * g * g] for g in gs]
+    companion[:, 0] = -np.reshape(top_rows, (-1, 4))
+    roots = np.linalg.eigvals(companion).real.tolist()
+    return [_axis_law(s.m, *axis, candidates) for axis, candidates in zip(axes, roots)]
 
-    def law(rows: np.ndarray, halves: np.ndarray, n: int) -> np.ndarray:
-        z, c_amp, const, k_psi4, k_p4, k_a3 = table[rows].T[:, :, None]
-        half = halves[:, None]
+
+def _axis_law(m: float, c_amp: float, c_phase: float, const: float, roots: list[float]) -> AxisLaw:
+    """One axis's law, from its ln A and phase coefficients and the real parts of its quartic's roots."""
+    z = 2.0 * complex(c_amp, c_phase)  # q'' of psi's factor; its real part is A's
+    rho = z.real
+    k_psi, k_p, k_a = abs(z) * abs(z), rho * rho, abs(z.imag) * rho * rho
+    if not math.isfinite(k_psi):  # a phase curvature past 1e154: no extent is feasible
+        return lambda half, n: math.inf
+
+    def terms(w_sq: float) -> float:
+        # the three errors at w^2 = w_sq, over h^2 / m, in the node law's order of operations
+        x, y = z * w_sq, rho * w_sq
+        a = math.exp(c_amp * w_sq + const)
+        p = (x + 6.0) * x + 3.0
+        return max(
+            k_psi * (a * math.hypot(p.real, p.imag)) / 24.0,
+            k_p * abs((y + 6.0) * y + 3.0) / 24.0,
+            k_a * (a * w_sq * abs(y + 3.0)) / 6.0,
+        )
+
+    peaks = [(y, terms(y / rho)) for y in {0.0, -1.0, -3.0, -6.0, *roots} if y <= 0.0]
+
+    def law(half: float, n: int) -> float:
+        w_sq = half * half
+        end = rho * w_sq
         h = 2.0 * half / (n - 1)
-        # np.linspace(-half, half, n) bit for bit, without its set-up
-        w_sq = np.arange(n) * h - half
-        w_sq[:, -1] = halves
-        w_sq *= w_sq
-        x = z * w_sq
-        y = z.real * w_sq  # x.real up to the sign of a zero, but contiguous
-        a = np.exp(c_amp.real * w_sq + const.real)
-        psi4 = k_psi4.real * (a * np.abs((x + 6.0) * x + 3.0)).max(axis=1, keepdims=True)
-        p4 = k_p4.real * np.abs((y + 6.0) * y + 3.0).max(axis=1, keepdims=True)
-        a *= w_sq
-        a3 = k_a3.real * (a * np.abs(y + 3.0)).max(axis=1, keepdims=True)
-        return (h * h * np.maximum(np.maximum(psi4 / 24.0, p4 / 24.0), a3 / 6.0) / s.m)[:, 0]
+        return h * h * max([terms(w_sq)] + [value for y, value in peaks if y >= end]) / m * LAW_MARGIN
 
     return law
 
@@ -499,18 +533,17 @@ GRID_BISECTIONS = 48
 GRID_SECANT_STEPS = 18
 
 
-def _largest_half(lo: float, hi: float) -> Generator[float, float, float | None]:
-    """One axis's search of [lo, hi], as a generator.
+def _largest_half(excess: Callable[[float], float], lo: float, hi: float) -> float | None:
+    """The feasible end of one axis's bracket [lo, hi] once the search closes it.
 
-    It yields each half extent it tries and is sent that extent's excess
-    ln(law / (target / 2)); it returns the feasible end of its bracket, or
-    None when even ``lo`` is infeasible.
+    ``excess(half)`` is ln(law / (target / 2)) at that half extent; the
+    result is None when even ``lo`` is infeasible.
     """
     tol = (hi - lo) / 2**GRID_BISECTIONS
-    f_hi = yield hi
+    f_hi = excess(hi)
     if f_hi <= 0.0:
         return hi
-    f_lo = yield lo
+    f_lo = excess(lo)
     if f_lo > 0.0:
         return None
     kept = 0  # +1 after hi was kept, -1 after lo was kept
@@ -520,7 +553,7 @@ def _largest_half(lo: float, hi: float) -> Generator[float, float, float | None]
         x_lo, x_hi = math.log(lo), math.log(hi)
         mid = math.exp(x_lo - f_lo * (x_hi - x_lo) / (f_hi - f_lo))
         mid = min(max(mid, lo + tol / 2), hi - tol / 2)
-        f_mid = yield mid
+        f_mid = excess(mid)
         if f_mid <= 0.0:
             lo, f_lo = mid, f_mid
             if kept == 1:
@@ -552,12 +585,10 @@ def residual_grid(
     bracket to the tolerance (about ten law calls per axis).  The returned
     extent is always the feasible end of the bracket.
 
-    The searches of every time and both axes run in lockstep: each round
-    evaluates the law once, on one row per (time, axis) still searching,
-    and each row tries exactly the extents it would try alone.  A time
-    out of ``Scenario.nu_at``'s range raises its error only if no earlier
-    time has an axis without a feasible extent, as one search per time
-    in order would.
+    Each axis runs its own search, time by time in order, so the first
+    time that fails (out of ``Scenario.nu_at``'s range, or with an axis
+    without a feasible extent) raises its error.  One batched root search
+    serves the laws of every time before it.
     """
     if not (isinstance(n, numbers.Integral) and n >= 2 * RING + 1):
         raise ValueError(f"residual grid needs an integer n >= {2 * RING + 1}, got {n!r}")
@@ -565,34 +596,22 @@ def residual_grid(
         raise ValueError(f"stencil-error target must be positive and finite, got {target!r}")
     single = np.ndim(t) == 0
     times = [t] if single else list(t)
-    searches, failure = [], None
-    for k, at in enumerate(times):
+    brackets, failure = [], None
+    for at in times:
         try:
             sigmas = spread_sigmas(s, at)
-        except ValueError as exc:
-            failure, times = exc, times[:k]
+        except ValueError as exc:  # raised once the times before it have their grids
+            failure = exc
             break
-        searches += [_largest_half(GRID_HALF_MIN, max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)) for sigma in sigmas]
+        brackets += [(GRID_HALF_MIN, max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)) for sigma in sigmas]
 
-    law = _stencil_error_law(s, times)
-    points = [next(search) for search in searches]
-    halves: list[float | None] = [None] * len(searches)
-    active = list(range(len(searches)))
-    while active:
-        values = law(np.array(active), np.array([points[row] for row in active]), n)
-        searching = []
-        for row, value in zip(active, values.tolist()):
-            try:
-                points[row] = searches[row].send(math.log(value / (0.5 * target)))
-                searching.append(row)
-            except StopIteration as done:
-                halves[row] = done.value
-        active = searching
-
-    for row, half in enumerate(halves):
+    halves, budget = [], 0.5 * target
+    for k, (law, (lo, hi)) in enumerate(zip(_stencil_error_law(s, times[: len(brackets) // 2]), brackets)):
+        half = _largest_half(lambda half: math.log(law(half, n) / budget), lo, hi)
         if half is None:
-            at, axis = times[row // 2], "uv"[row % 2]
+            at, axis = times[k // 2], "uv"[k % 2]
             raise ValueError(f"no feasible extent at n = {n} for t = {at:g} on the {axis} axis; raise n or target")
+        halves.append(half)
     if failure is not None:
         raise failure
     grids = [GridSpec2D(-a_u, a_u, -a_v, a_v, n, n) for a_u, a_v in zip(halves[::2], halves[1::2])]

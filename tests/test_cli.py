@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bohm_squeeze import cli, fockalg, verify
+from bohm_squeeze import closedform as cf
 from bohm_squeeze import Scenario, TimePolynomial
 from bohm_squeeze.closedform import GridSpec2D, ScalarField2D
 
@@ -1073,6 +1074,44 @@ def test_main_reports_a_grid_too_large_for_memory(tmp_path, monkeypatch, command
     assert not (tmp_path / "out").exists()
 
 
+HUGE_GRID = {"x_min": -1e300, "x_max": 1e300, "y_min": -1e300, "y_max": 1e300, "nx": 5, "ny": 5}
+
+
+@pytest.mark.parametrize(
+    "command, config, outputs, message",
+    [
+        ("density", "fig1", ["density"], None),
+        ("density", "fig1", ["density", "bohm_potential"], "field at t = 0.5 contains non-finite values"),
+        ("density", "fig1", ["external_potential"], "field at t = 0.5 contains non-finite values"),
+        ("verify", "verify_example1", None, "schrodinger residual at t = 0.5 must be finite and non-negative"),
+    ],
+    ids=["density", "bohm_potential", "external_potential", "verify"],
+)
+def test_main_on_a_huge_grid_extent(tmp_path, command, config, outputs, message):
+    # on x, y = +-1e300 the fields' exponents overflow: the amplitude to its
+    # exact limit 0, so density writes it; a potential or a residual is not
+    # finite, and the run exits 1 with one line and no output.  No numpy
+    # warning reaches stderr (warnings raise here)
+    payload = {**json.loads((CONFIG_DIR / f"{config}.json").read_text()), "grid": HUGE_GRID, "times": [0.5]}
+    if outputs is not None:
+        payload["outputs"] = outputs
+    cfg = write_config(tmp_path, "cfg.json", {**payload, "out_dir": str(tmp_path / "out")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main([command, "--config", str(cfg)])
+    if message is not None:
+        assert (code, out, err) == (cli.EXIT_USAGE, "", f"invalid input: {message}\n")
+        assert not (tmp_path / "out").exists()
+        return
+    assert (code, err) == (cli.EXIT_OK, "")
+    xs, ys, values = read_field_csv(tmp_path / "out" / "density_t0.5.csv")
+    assert list(xs) == list(ys) == [-1e300, -5e299, 0.0, 5e299, 1e300]
+    s = cli._scenario(payload["scenario"])
+    expected = np.zeros((5, 5))
+    expected[2, 2] = cf.amplitude_A(s, 0.0, 0.0, 0.5) ** 2
+    assert np.array_equal(values, expected)
+
+
 GRID = {"x_min": -1.0, "x_max": 1.0, "y_min": -2.0, "y_max": 2.0, "nx": 5, "ny": 7}
 
 
@@ -1130,3 +1169,81 @@ def test_shipped_verify_reports_round_trip_their_scenario(tmp_path):
         assert written["scenario"] == config["scenario"]
         assert cli._scenario(written["scenario"]) == cli._scenario(config["scenario"])
         assert sorted(written["tolerances"]) == ["hj_max", "normalization", "residual_max", "variance", "variance_product"]
+
+
+# ---------------------------------------------------------------------------
+# mutated configs
+
+
+# small and huge values next to ordinary ones: coefficients whose derivatives
+# overflow, masses at the float range's ends, extents up to 1e300
+coefficient = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, -1.0, 1e3, -1e3, 1e300, -1e300, 1e-300]))
+extent = st.sampled_from([1e-3, 0.5, 3.0, 6.0, 1e3, 1e150, 1e300])
+
+
+@st.composite
+def mutated_configs(draw):
+    """A density or verify command on a shipped scenario config with some of its values replaced."""
+    command = draw(st.sampled_from(["density", "verify"]))
+    name = draw(st.sampled_from(["fig1", "fig2", "verify_example1", "verify_example2"]))
+    config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    scenario = config["scenario"]
+    if draw(st.booleans()):
+        scenario["m"] = draw(st.sampled_from([0.1, 1.0, 3.0, 1e-300, 1e300]))
+    if draw(st.booleans()):
+        scenario["r"] = draw(coefficient)
+    for key in ("nu", "mu"):
+        if draw(st.booleans()):
+            scenario[key] = {"coeffs": draw(st.lists(coefficient, min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        config["times"] = draw(
+            st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0, 1e300])), min_size=1, max_size=3)
+        )
+    # grids of at most 9 points per axis keep density's CSV small; verify
+    # may also choose its own
+    if command == "verify" and draw(st.booleans()):
+        config["grid"] = "auto"
+    else:
+        x_max, y_max = draw(extent), draw(extent)
+        x_min, y_min = -draw(st.sampled_from([x_max, 0.5 * x_max])), -draw(st.sampled_from([y_max, 0.5 * y_max]))
+        nx, ny = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+        config["grid"] = {"x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max, "nx": nx, "ny": ny}
+    if command == "density":
+        fields = st.sampled_from(sorted(cli.FIELD_SAMPLERS))
+        config["outputs"] = draw(st.lists(fields, min_size=1, max_size=3, unique=True))
+    else:
+        config["v_source"] = draw(st.sampled_from(verify.V_SOURCES))
+    return command, config
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=mutated_configs())
+@example(
+    # the phase coefficient m nu' (r + 1) / 2 is inf * 0 = NaN at t = 0
+    case=(
+        "verify",
+        {"scenario": {"m": 1e300, "r": -1.0, "nu": {"coeffs": [0.0, 1e300]}}, "grid": "auto", "times": [0.0]},
+    )
+)
+def test_mutated_configs_end_cleanly(tmp_path_factory, case):
+    # every run exits 0 with nothing on stderr, exits 1 with one line and no
+    # output, or exits 2 naming only tolerance violations; no warning
+    # reaches stderr, and every report is strict JSON
+    command, config = case
+    tmp = tmp_path_factory.mktemp("mutated")
+    out_dir = tmp / "out"
+    path = write_config(tmp, "cfg.json", {**config, "out_dir": str(out_dir)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_main([command, "--config", str(path)])
+    lines = err.splitlines()
+    assert "Traceback" not in err and "Warning" not in err
+    if code == cli.EXIT_OK:
+        assert err == ""
+    elif code == cli.EXIT_USAGE:
+        assert len(lines) == 1 and not out_dir.exists()
+    else:
+        assert code == cli.EXIT_TOLERANCE and lines
+        assert all(line.startswith("tolerance violation: ") for line in lines)
+    for report in out_dir.glob("*.json"):
+        json.loads(report.read_text(), parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))

@@ -761,13 +761,8 @@ def bracket(s, t):
 
 
 def axis_laws(s, t):
-    """(law_u, law_v) of one time as functions law(half, n), each a batch of one row."""
-    law = verify._stencil_error_law(s, [t])
-
-    def row_law(row):
-        return lambda half, n: float(law(np.array([row]), np.array([half]), n)[0])
-
-    return row_law(0), row_law(1)
+    """(law_u, law_v) of one time as functions law(half, n)."""
+    return tuple(verify._stencil_error_law(s, [t]))
 
 
 def bisection_width(lo, hi):
@@ -791,9 +786,8 @@ def residual_grid_bisection(law, lo, hi, n=201, target=1e-5):
 
 
 def residual_grid_illinois(law, lo, hi, n=201, target=2e-5):
-    # reference: one axis's Illinois search on its own, one law call per
-    # extent; the lockstep chooser must try the same extents and return the
-    # same end.  None when even the bracket's lower end is infeasible
+    # reference: one axis's Illinois search, written out apart from the
+    # chooser's.  None when even the bracket's lower end is infeasible
     def excess(half):
         return math.log(law(half, n) / (0.5 * target))
 
@@ -828,19 +822,14 @@ def residual_grid_illinois(law, lo, hi, n=201, target=2e-5):
 def serial_halves(s, t, n, target):
     """Each axis's half extent at time t by its own serial search (None where infeasible).
 
-    The search evaluates the law one extent at a time, written out on
-    np.linspace's nodes with Python's complex abs (see
-    ``stencil_error_law_on_linspace``), so that nothing in it is shared
-    with the row law or the lockstep search.
+    The search evaluates the node law: the error terms on np.linspace's
+    nodes only (see ``stencil_error_law_on_linspace``), so that nothing in
+    it is shared with the closed-form law or the chooser's search.
     """
     return [
         residual_grid_illinois(lambda half, n: stencil_error_law_on_linspace(s, t, axis, half, n), lo, hi, n, target)
         for axis, (lo, hi) in zip("uv", bracket(s, t))
     ]
-
-
-def grid_bits(grid):
-    return grid.x_min.hex(), grid.x_max.hex(), grid.y_min.hex(), grid.y_max.hex(), grid.nx, grid.ny
 
 
 # fig1's and fig2's scenarios (examples 1 and 2) at the verify configs'
@@ -852,21 +841,22 @@ def grid_bits(grid):
 )
 def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
     s = scenario_fn()
-    make_law = verify._stencil_error_law
+    make_laws = verify._stencil_error_law
     builds, calls = [], {"u": [], "v": []}
 
-    def counted_law(*args):
+    def counted_laws(*args):
         builds.append(args)
-        law = make_law(*args)
 
-        def call(rows, halves, n):
-            for row, half in zip(rows.tolist(), halves.tolist()):
-                calls["uv"[row % 2]].append((half, n))
-            return law(rows, halves, n)
+        def counted(axis, law):
+            def call(half, n):
+                calls[axis].append((half, n))
+                return law(half, n)
 
-        return call
+            return call
 
-    monkeypatch.setattr(verify, "_stencil_error_law", counted_law)
+        return [counted(axis, law) for axis, law in zip("uv", make_laws(*args))]
+
+    monkeypatch.setattr(verify, "_stencil_error_law", counted_laws)
     grid = verify.residual_grid(s, t, n=n)
     monkeypatch.undo()
     # one law build, for the one time
@@ -894,12 +884,12 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
 
     calls = []
 
-    def counted(rows, halves, n):
-        # both axes' rows on one count: the budget covers the whole search
-        calls.extend((half, n) for half in halves.tolist())
-        return np.array([power_law(half, n) for half in halves.tolist()])
+    def counted(half, n):
+        # both axes on one count: the budget covers the whole search
+        calls.append((half, n))
+        return power_law(half, n)
 
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, times: counted)
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, times: [counted, counted])
     grid = verify.residual_grid(example1(), 0.0)
     assert len(calls) <= 12
     (lo, hi), _ = bracket(example1(), 0.0)
@@ -936,19 +926,23 @@ def stencil_error_nodes(s, t, axis, half, n):
 
 def test_stencil_error_law_matches_lattice():
     # shipped scenarios (fig1 and fig2 share them), every shipped time, the
-    # whole search range of extents, each axis's law against its own nodes
+    # whole search range of extents: each axis's law bounds the error on its
+    # own nodes, and it is the error's supremum over the extent, which 20001
+    # nodes reach to within 1e-5
+    fine = 20001
     for s in [example1(), example2()]:
         for t in [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]:
-            law_u, law_v = axis_laws(s, t)
-            for half in np.geomspace(0.05, 6.0, 25):
-                for n in [101, 201, 601]:
-                    assert law_u(half, n) == pytest.approx(stencil_error_nodes(s, t, "u", half, n), rel=1e-13, abs=0)
-                    assert law_v(half, n) == pytest.approx(stencil_error_nodes(s, t, "v", half, n), rel=1e-13, abs=0)
+            for axis, law in zip("uv", axis_laws(s, t)):
+                for half in np.geomspace(0.05, 6.0, 25):
+                    for n in [101, 201, 601]:
+                        assert stencil_error_nodes(s, t, axis, half, n) <= law(half, n)
+                    supremum = stencil_error_nodes(s, t, axis, half, fine) * ((fine - 1) / 200) ** 2
+                    assert law(half, 201) == pytest.approx(supremum, rel=1e-5, abs=0)
 
 
 def stencil_error_law_on_linspace(s, t, axis, half, n):
-    # reference: the law written out on np.linspace's nodes, one array
-    # expression per term, in the law's order of operations
+    # reference: the node law, the law's three terms on np.linspace's nodes
+    # only, one array expression per term
     amp, phase = cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t)
     c_amp, c_phase = (amp.c_u, phase.c_u) if axis == "u" else (amp.c_v, phase.c_v)
     z = 2.0 * complex(c_amp, c_phase)
@@ -968,18 +962,16 @@ def stencil_error_law_on_linspace(s, t, axis, half, n):
     case=scenarios_at(),
     axis=st.sampled_from("uv"),
     half=st.floats(verify.GRID_HALF_MIN, 50.0),
-    n=st.integers(2, 1001),
+    n=st.integers(2, 200).map(lambda k: 2 * k + 1),
 )
 @example(case=(example1(), 3.0), axis="v", half=verify.GRID_HALF_MIN, n=201)
-@example(case=(example2(), 1.0), axis="u", half=6.0, n=2)
-def test_stencil_error_law_keeps_linspace_bits(case, axis, half, n):
-    # the law builds its nodes without np.linspace and works on contiguous
-    # real parts; every value, and so every chosen grid, keeps its bits
+@example(case=(example2(), 1.0), axis="u", half=6.0, n=5)
+def test_stencil_error_law_bounds_node_law(case, axis, half, n):
+    # the law is the error's supremum over the extent, so no node reads more
     s, t = case
     law = axis_laws(s, t)["uv".index(axis)]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ours, ref = law(half, n), stencil_error_law_on_linspace(s, t, axis, half, n)
-    assert ours.hex() == ref.hex() or (math.isnan(ours) and math.isnan(ref))
+        assert law(half, n) >= stencil_error_law_on_linspace(s, t, axis, half, n)
 
 
 def test_stencil_error_law_bounds_measured_residual():
@@ -1049,16 +1041,20 @@ SWEEP_TIMES = [round(0.1 * k, 1) for k in range(31)]
 @pytest.mark.parametrize("scenario_fn", [example1, example2])
 def test_lockstep_grids_match_serial_search(scenario_fn, n, target):
     # fig1's and fig2's scenarios (examples 1 and 2) at t = 0, 0.1, ..., 3:
-    # one lockstep call over every feasible time returns, per time, the bits
-    # of one serial search per axis; over every time it raises the first
-    # infeasible time's error
+    # one call over every feasible time (one batched root search) returns,
+    # per time, extents within 1e-3 of each axis's node-law search (1.5e-4
+    # measured, where an interior maximum falls between nodes) that meet
+    # the node law; over every time it raises the first infeasible time's
+    # error
     s = scenario_fn()
     expected = {t: serial_halves(s, t, n, target) for t in SWEEP_TIMES}
     feasible = [t for t in SWEEP_TIMES if None not in expected[t]]
     grids = verify.residual_grid(s, feasible, n=n, target=target)
-    assert [grid_bits(g) for g in grids] == [
-        grid_bits(GridSpec2D(-a_u, a_u, -a_v, a_v, n, n)) for a_u, a_v in (expected[t] for t in feasible)
-    ]
+    for t, grid in zip(feasible, grids):
+        assert (grid.nx, grid.ny, grid.x_min, grid.y_min) == (n, n, -grid.x_max, -grid.y_max)
+        for axis, half, ref in zip("uv", (grid.x_max, grid.y_max), expected[t]):
+            assert half == pytest.approx(ref, rel=1e-3, abs=0)
+            assert stencil_error_law_on_linspace(s, t, axis, half, n) <= target / 2
     infeasible = [t for t in SWEEP_TIMES if t not in feasible]
     assert infeasible or feasible == SWEEP_TIMES
     if infeasible:
@@ -1068,17 +1064,43 @@ def test_lockstep_grids_match_serial_search(scenario_fn, n, target):
             verify.residual_grid(s, SWEEP_TIMES, n=n, target=target)
 
 
-def test_lockstep_grid_keeps_bits_where_complex_abs_rounds_differently():
-    # example 1 at t = 1.5: on the u axis z = -0.0498 + 1j, where numpy's
-    # complex abs can give |z| one unit in the last place below Python's
-    # (1.0012386090121905 against ...908).  The law takes its prefactors in
-    # Python, so the grid keeps the serial search's bits, alone and in a batch
-    s = example1()
-    for n in (101, 201, 401):
-        a_u, a_v = serial_halves(s, 1.5, n, 2e-5)
-        expected = grid_bits(GridSpec2D(-a_u, a_u, -a_v, a_v, n, n))
-        assert grid_bits(verify.residual_grid(s, 1.5, n=n)) == expected
-        assert grid_bits(verify.residual_grid(s, [0.5, 1.5, 2.5], n=n)[1]) == expected
+@pytest.mark.parametrize("config", ["verify_example1", "verify_example2", "fig1", "fig2"])
+def test_shipped_grids_match_serial_search(config):
+    # the grids verify chooses for the shipped configs' scenarios and times
+    # (fig1's and fig2's on "grid": "auto"): within 1e-9 of the node-law search
+    raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    s = cli._scenario(raw["scenario"])
+    for t, grid in zip(raw["times"], verify.residual_grid(s, raw["times"])):
+        assert [grid.x_max, grid.y_max] == pytest.approx(serial_halves(s, t, 201, 2e-5), rel=1e-9, abs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scenarios_at(), n=st.sampled_from([101, 201, 401]), target=st.sampled_from([2e-5, 1e-3]))
+def test_residual_grid_agrees_with_serial_search(case, n, target):
+    # any scenario: the feasibility of the node-law search, and extents
+    # within 1e-3 of it
+    s, t = case
+    expected = serial_halves(s, t, n, target)
+    if None in expected:
+        with pytest.raises(ValueError, match="no feasible extent"):
+            verify.residual_grid(s, t, n=n, target=target)
+    else:
+        grid = verify.residual_grid(s, t, n=n, target=target)
+        assert [grid.x_max, grid.y_max] == pytest.approx(expected, rel=1e-3, abs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scenarios_at(), n=st.integers(2, 200).map(lambda k: 2 * k + 1), target=st.floats(1e-7, 0.1))
+def test_residual_grid_meets_node_law(case, n, target):
+    # every extent the chooser returns keeps the error on its nodes within
+    # half the target
+    s, t = case
+    try:
+        grid = verify.residual_grid(s, t, n=n, target=target)
+    except ValueError:
+        assume(False)
+    for axis, half in zip("uv", (grid.x_max, grid.y_max)):
+        assert stencil_error_law_on_linspace(s, t, axis, half, n) <= target / 2
 
 
 def test_residual_grid_one_grid_per_time_in_order():
@@ -1132,29 +1154,3 @@ def test_residual_grid_rejects_nan_time():
     # nu(nan) is NaN, which Scenario.nu_at rejects
     with pytest.raises(ValueError, match="exceeds the supported range 50 at t = nan"):
         verify.residual_grid(example1(), float("nan"))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    case=scenarios_at(),
-    frac=st.floats(0.0, 1.0),
-    rows=st.lists(st.integers(0, 3), min_size=1, max_size=6),
-    halves=st.lists(st.floats(verify.GRID_HALF_MIN, 50.0), min_size=6, max_size=6),
-    n=st.integers(2, 401),
-)
-def test_stencil_error_law_rows_keep_their_bits(case, frac, rows, halves, n):
-    # one law call over several rows, two times and both axes, in any order
-    # and with repeats: each row keeps the bits of its own evaluation
-    s, t = case
-    times = [t, frac * t]
-    nu = s.nu.value(times[1])
-    assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
-    halves = halves[: len(rows)]
-    law = verify._stencil_error_law(s, times)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ours = law(np.array(rows), np.array(halves), n).tolist()
-        refs = [
-            stencil_error_law_on_linspace(s, times[row // 2], "uv"[row % 2], half, n) for row, half in zip(rows, halves)
-        ]
-    for value, ref in zip(ours, refs):
-        assert value.hex() == ref.hex() or (math.isnan(value) and math.isnan(ref))
