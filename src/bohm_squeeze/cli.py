@@ -104,11 +104,8 @@ class RunConfig:
     out_dir: Path
     outputs: tuple[str, ...] = ("density",)
     v_source: VSource = "hj_closure"
-    tolerances: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))  # every key, defaults filled in
     grid_n: int | None = None  # overrides sample count, keeps extent
-
-    def tolerance(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
     def grid_for(self, t: float) -> GridSpec2D:
         g = self.grid if self.grid is not None else auto_grid(self.scenario, t)
@@ -256,7 +253,7 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunC
         out_dir=_out_dir(raw, out_override),
         outputs=tuple(outputs),
         v_source=v_source,
-        tolerances=tolerances,
+        tolerances={**DEFAULT_TOLERANCES, **tolerances},
         grid_n=grid_n,
     )
 
@@ -336,19 +333,10 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     Each line names the check, the time, the value and its limit; the
     list is empty when every check passes.
     """
-    s = cfg.scenario
-    res_tol = cfg.tolerance("residual_max")
-    hj_tol = cfg.tolerance("hj_max")
-
-    entries = []
-    failures = []
-
-    def check(name: str, t: float, value: float, limit: float) -> None:
-        if value > limit:
-            failures.append(f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {limit:.3e}")
-
-    grids = [cfg.grid] * len(cfg.times) if cfg.grid is not None else verify.residual_grid(s, cfg.times)
-    for t, grid in zip(cfg.times, grids):
+    s, tol = cfg.scenario, cfg.tolerances
+    entries, failures = [], []
+    for t in cfg.times:
+        grid = cfg.grid if cfg.grid is not None else verify.residual_grid(s, t)
         reports = [
             verify.schrodinger_residual(s, t, grid, v_source=cfg.v_source),
             verify.continuity_residual(s, t, grid),
@@ -359,17 +347,21 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
         nu = s.nu_at(t)
         var_minus_expected = math.exp(2.0 * (s.r - 1.0) * nu) / 2.0
         product_expected = math.exp(4.0 * s.r * nu) / 4.0
-        for rep in reports:
-            limit = hj_tol if rep.equation == "hamilton_jacobi" else res_tol
-            check(rep.equation, t, rep.max_abs_residual, limit)
-        check("normalization", t, abs(norm - 1.0), cfg.tolerance("normalization"))
-        check("variance", t, abs(var_minus - var_minus_expected) / var_minus_expected, cfg.tolerance("variance"))
-        check(
-            "variance_product",
-            t,
-            abs(var_plus * var_minus - product_expected) / product_expected,
-            cfg.tolerance("variance_product"),
-        )
+        # (check, value, tolerance key), in report order
+        checks = [
+            (rep.equation, rep.max_abs_residual, "hj_max" if rep.equation == "hamilton_jacobi" else "residual_max")
+            for rep in reports
+        ]
+        checks += [
+            ("normalization", abs(norm - 1.0), "normalization"),
+            ("variance", abs(var_minus - var_minus_expected) / var_minus_expected, "variance"),
+            ("variance_product", abs(var_plus * var_minus - product_expected) / product_expected, "variance_product"),
+        ]
+        failures += [
+            f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {tol[key]:.3e}"
+            for name, value, key in checks
+            if value > tol[key]
+        ]
         entries.append(
             {
                 "t": t,
@@ -385,7 +377,7 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     payload = {
         "scenario": s,
         "v_source": cfg.v_source,
-        "tolerances": {k: cfg.tolerance(k) for k in DEFAULT_TOLERANCES},
+        "tolerances": tol,
         "results": entries,
         "pass": not failures,
     }

@@ -33,11 +33,11 @@ each of its three terms is a function of y = Re(z) w^2 (z = q'' of psi's
 factor along the axis), and the law is their supremum over the extent,
 reached at its end or at an interior maximum (y = -3 for the Bohm
 definition, y = -1 and -6 for continuity, the real roots of one quartic
-for Schrodinger, all quartics solved by one batched eigvals).
+for Schrodinger, both axes' quartics solved by one eigvals call).
 ``residual_grid`` picks per axis the largest half extent keeping that
 bound at half the target, so residual checks stay meaningful (error
 budget dominated by the identity under test, not by the stencil): one
-scalar search per axis, time by time.
+scalar search per axis, for one time.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -441,11 +441,13 @@ AxisLaw = Callable[[float, int], float]
 # math library, the node law from numpy's, and the two differ by a few ulps
 LAW_MARGIN = 1.0 + 2.0**-46
 
+# smallest law / budget the search takes the log of: a law that underflows
+# to 0 is feasible, and ln 0 would make the secant step NaN
+LAW_FLOOR = math.ulp(0.0)
 
-def _stencil_error_law(s: Scenario, times: Sequence[float]) -> list[AxisLaw]:
-    """Predicted worst stencil error along the mode axes of each time, one law per axis.
 
-    laws[2k] is the u axis of ``times[k]`` and laws[2k + 1] its v axis.
+def _stencil_error_law(s: Scenario, t: float) -> tuple[AxisLaw, AxisLaw]:
+    """Predicted worst stencil error along the u and v mode axes at time t, one law per axis.
 
     On n nodes over [-half, half], spacing h = 2 half / (n - 1), the second
     difference of a factor e^q errs by h^2/12 |d^4 e^q / dw^4| and the
@@ -468,8 +470,8 @@ def _stencil_error_law(s: Scenario, times: Sequence[float]) -> list[AxisLaw]:
       = (A y^2 + 6 y + 3)^2 + tau^2 (2 y^2 + 6 y)^2 with A = 1 - tau^2, and
       Q + Q' has leading coefficient (1 + tau^2)^2.
 
-    One batched eigvals of the quartics' companion matrices gives every
-    axis's roots.  A root's real part is a candidate whatever its imaginary
+    One eigvals of the two axes' companion matrices gives their quartics'
+    roots.  A root's real part is a candidate whatever its imaginary
     part: any point of the interval reads at most the supremum, so an extra
     candidate is harmless, while a real root with a rounded imaginary part
     would be lost.  A law call then evaluates the terms at the interval's
@@ -483,16 +485,17 @@ def _stencil_error_law(s: Scenario, times: Sequence[float]) -> list[AxisLaw]:
     is sampled finely (fig1's scenario at t = 3 on 401 points and more)
     the measured residual outgrows it.  At the default n = 201 it holds.
     """
-    forms = [(log_amplitude_coeffs(s, t), phase_coeffs(s, t)) for t in times]
-    axes = [axis for a, p in forms for axis in ((a.c_u, p.c_u, a.const), (a.c_v, p.c_v, a.const))]
+    amp, phase = log_amplitude_coeffs(s, t), phase_coeffs(s, t)
+    axes = [(amp.c_u, phase.c_u, amp.const), (amp.c_v, phase.c_v, amp.const)]
     # Q + Q' over its leading coefficient, in g = 1 / (1 + tau^2) = Re(z)^2 / |z|^2,
     # which is 0 where |z| is not finite (such an axis has no feasible extent)
     gs = [a * a / (a * a + b * b) if math.isfinite(b) else 0.0 for a, b, _ in axes]
-    companion = np.eye(4, k=-1)[None].repeat(len(axes), 0)
+    companion = np.eye(4, k=-1)[None].repeat(2, 0)
     top_rows = [[4.0 * (1.0 + 3.0 * g), (66.0 + 12.0 * g) * g, 60.0 * (1.0 + g) * g, 45.0 * g * g] for g in gs]
-    companion[:, 0] = -np.reshape(top_rows, (-1, 4))
+    companion[:, 0] = -np.array(top_rows)
     roots = np.linalg.eigvals(companion).real.tolist()
-    return [_axis_law(s.m, *axis, candidates) for axis, candidates in zip(axes, roots)]
+    law_u, law_v = (_axis_law(s.m, *axis, candidates) for axis, candidates in zip(axes, roots))
+    return law_u, law_v
 
 
 def _axis_law(m: float, c_amp: float, c_phase: float, const: float, roots: list[float]) -> AxisLaw:
@@ -567,52 +570,34 @@ def _largest_half(excess: Callable[[float], float], lo: float, hi: float) -> flo
     return lo
 
 
-def residual_grid(
-    s: Scenario, t: float | Sequence[float], n: int = 201, target: float = 2e-5
-) -> GridSpec2D | list[GridSpec2D]:
-    """Largest grid on the mode axes whose predicted stencil error stays at ``target``.
+def residual_grid(s: Scenario, t: float, n: int = 201, target: float = 2e-5) -> GridSpec2D:
+    """Largest grid on the mode axes at time t whose predicted stencil error stays at ``target``.
 
-    ``t`` is one time, for one grid, or a sequence of times, for one grid
-    per time in order.  Each axis's law gets half the target, and its half
-    extent is searched in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma] (a
-    bracket that would end below GRID_HALF_MIN is that one point) by
-    regula falsi with the Illinois modification: secant steps on
-    ln(law / target) against ln(half), where the law is close to a power
-    law.  The law grows monotonically with extent at fixed n (larger h and
-    larger fourth derivatives), so the bracket always holds the largest
-    feasible extent.  Each step lands at least half the tolerance inside
-    the bracket, so once the secant has converged the next step closes the
-    bracket to the tolerance (about ten law calls per axis).  The returned
-    extent is always the feasible end of the bracket.
-
-    Each axis runs its own search, time by time in order, so the first
-    time that fails (out of ``Scenario.nu_at``'s range, or with an axis
-    without a feasible extent) raises its error.  One batched root search
-    serves the laws of every time before it.
+    Each axis's law gets half the target, and its half extent is searched
+    in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma] (a bracket that would end
+    below GRID_HALF_MIN is that one point) by regula falsi with the
+    Illinois modification: secant steps on ln(law / target) against
+    ln(half), where the law is close to a power law.  The law grows
+    monotonically with extent at fixed n (larger h and larger fourth
+    derivatives), so the bracket always holds the largest feasible extent.
+    Each step lands at least half the tolerance inside the bracket, so
+    once the secant has converged the next step closes the bracket to the
+    tolerance (about ten law calls per axis).  The returned extent is
+    always the feasible end of the bracket.  A law that underflows to 0
+    is feasible (see LAW_FLOOR).
     """
     if not (isinstance(n, numbers.Integral) and n >= 2 * RING + 1):
         raise ValueError(f"residual grid needs an integer n >= {2 * RING + 1}, got {n!r}")
     if not 0.0 < target < math.inf:
         raise ValueError(f"stencil-error target must be positive and finite, got {target!r}")
-    single = np.ndim(t) == 0
-    times = [t] if single else list(t)
-    brackets, failure = [], None
-    for at in times:
-        try:
-            sigmas = spread_sigmas(s, at)
-        except ValueError as exc:  # raised once the times before it have their grids
-            failure = exc
-            break
-        brackets += [(GRID_HALF_MIN, max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)) for sigma in sigmas]
-
-    halves, budget = [], 0.5 * target
-    for k, (law, (lo, hi)) in enumerate(zip(_stencil_error_law(s, times[: len(brackets) // 2]), brackets)):
-        half = _largest_half(lambda half: math.log(law(half, n) / budget), lo, hi)
+    sigmas = spread_sigmas(s, t)
+    budget = 0.5 * target
+    halves = []
+    for axis, law, sigma in zip("uv", _stencil_error_law(s, t), sigmas):
+        hi = max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)
+        half = _largest_half(lambda half: math.log(max(law(half, n) / budget, LAW_FLOOR)), GRID_HALF_MIN, hi)
         if half is None:
-            at, axis = times[k // 2], "uv"[k % 2]
-            raise ValueError(f"no feasible extent at n = {n} for t = {at:g} on the {axis} axis; raise n or target")
+            raise ValueError(f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis; raise n or target")
         halves.append(half)
-    if failure is not None:
-        raise failure
-    grids = [GridSpec2D(-a_u, a_u, -a_v, a_v, n, n) for a_u, a_v in zip(halves[::2], halves[1::2])]
-    return grids[0] if single else grids
+    a_u, a_v = halves
+    return GridSpec2D(-a_u, a_u, -a_v, a_v, n, n)

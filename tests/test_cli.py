@@ -307,8 +307,8 @@ def test_verify_without_feasible_grid_is_usage_error(tmp_path, capsys):
     ],
 )
 def test_verify_reports_first_failing_time(tmp_path, capsys, times, message):
-    # every auto grid is chosen in one search, and the first failing time
-    # in config order still decides the error: t = 4 has no feasible
+    # each auto grid is chosen with its time's checks, so the first failing
+    # time in config order decides the error: t = 4 has no feasible
     # extent, t = 100 is out of nu's range
     cfg = small_density_config(tmp_path, times=times, grid="auto")
     assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
@@ -316,10 +316,37 @@ def test_verify_reports_first_failing_time(tmp_path, capsys, times, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_checks_a_time_before_choosing_the_next_grid(tmp_path, capsys, monkeypatch):
+    # t = 0.5 fails inside its checks and t = 4 has no feasible extent:
+    # the earlier time decides the error
+    def failing(s, t, grid, **kwargs):
+        raise ValueError(f"schrodinger residual at t = {t:g} must be finite and non-negative")
+
+    monkeypatch.setattr(verify, "schrodinger_residual", failing)
+    cfg = small_density_config(tmp_path, times=[0.5, 4.0], grid="auto")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "invalid input: schrodinger residual at t = 0.5 must be finite and non-negative\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_takes_an_underflowing_stencil_law_as_feasible(tmp_path, capsys):
+    # m = 1e300 and nu'(1) = 0: the u axis's stencil-error law underflows
+    # to 0 at every extent, which the grid chooser takes as feasible
+    # instead of failing on ln 0 ("math domain error").  The chosen u
+    # window is 8 sigma_u ~ 1.5e44 wide, where V psi overflows, so the
+    # run still exits 1 with one line
+    scenario = {"m": 1e300, "r": 1.0, "nu": {"coeffs": [0.0, 100.0, -50.0]}}
+    cfg = small_density_config(tmp_path, scenario=scenario, times=[1.0], grid="auto")
+    code, out, err = run_main(["verify", "--config", str(cfg)])
+    assert code == cli.EXIT_USAGE and out == "" and err.count("\n") == 1
+    assert "math domain error" not in err and err.startswith("invalid input: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("grid", ["auto", {"x_min": -3.0, "x_max": 3.0, "y_min": -3.0, "y_max": 3.0, "nx": 41, "ny": 41}])
-def test_run_verify_chooses_grids_in_one_call(tmp_path, monkeypatch, grid):
-    # one residual_grid call for all of an auto-grid config's times, through
-    # the module attribute; none for an explicit grid
+def test_run_verify_chooses_one_grid_per_time(tmp_path, monkeypatch, grid):
+    # one residual_grid call per time of an auto-grid config, in config
+    # order, through the module attribute; none for an explicit grid
     calls = []
     choose = verify.residual_grid
 
@@ -331,7 +358,7 @@ def test_run_verify_chooses_grids_in_one_call(tmp_path, monkeypatch, grid):
     cfg = cli.load_config(small_density_config(tmp_path, grid=grid, times=[0.25, 0.5, 1.0]))
     out, _ = cli.run_verify(cfg)
     if grid == "auto":
-        assert calls == [((cfg.scenario, cfg.times), {})]
+        assert calls == [((cfg.scenario, t), {}) for t in cfg.times]
         reports = [e["reports"][0]["grid"] for e in json.loads(out.read_text())["results"]]
         assert reports == [vars(choose(cfg.scenario, t)) for t in cfg.times]
     else:
@@ -804,6 +831,56 @@ def test_main_io_failure_via_file_collision(tmp_path, capsys):
     assert "i/o failure" in capsys.readouterr().err
 
 
+def io_configs(tmp_path: Path, out_dir: Path) -> dict[str, Path]:
+    """A small config of each subcommand, writing to ``out_dir``."""
+    scenario = json.loads(small_density_config(tmp_path, times=[0.5]).read_text())
+    payloads = {
+        "density": scenario,
+        "verify": {**scenario, "grid": "auto"},
+        "fock": {"nu_values": [0.1], "n_max": 8},
+        "entropy": {"nu_values": [0.0, 1.0]},
+    }
+    return {
+        command: write_config(tmp_path, f"{command}.json", {**payload, "out_dir": str(out_dir)})
+        for command, payload in payloads.items()
+    }
+
+
+@pytest.mark.parametrize("command", ["verify", "entropy"])
+def test_main_io_failure_on_an_occupied_output_path(tmp_path, command):
+    # out_dir is an existing regular file: one i/o failure line, and the
+    # file is left as it was
+    occupied = tmp_path / "occupied"
+    occupied.write_text("kept\n")
+    code, out, err = run_main([command, "--config", str(io_configs(tmp_path, occupied)[command])])
+    assert code == cli.EXIT_IO and out == ""
+    assert err.count("\n") == 1 and err.startswith("i/o failure: ")
+    assert occupied.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["density", "verify", "fock", "entropy"])
+def test_main_io_failure_on_a_refused_write(tmp_path, monkeypatch, command):
+    # every report write raises PermissionError, whatever the uid: one i/o
+    # failure line, and no report is left behind
+    config = io_configs(tmp_path, tmp_path / "out")[command]
+    real_open = Path.open
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    def open_for_reading(path, mode="r", *args, **kwargs):
+        if "r" not in mode:
+            refuse(path)
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_for_reading)
+    monkeypatch.setattr(Path, "write_text", refuse)
+    code, out, err = run_main([command, "--config", str(config)])
+    assert code == cli.EXIT_IO and out == ""
+    assert err.count("\n") == 1 and err.startswith("i/o failure: ") and "Permission denied" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_density_write_failure_removes_written_files(tmp_path, capsys):
     # the second time's output path is a directory: the first file is
     # written, the second open fails, and the run leaves no file behind
@@ -1246,4 +1323,47 @@ def test_mutated_configs_end_cleanly(tmp_path_factory, case):
         assert code == cli.EXIT_TOLERANCE and lines
         assert all(line.startswith("tolerance violation: ") for line in lines)
     for report in out_dir.glob("*.json"):
+        json.loads(report.read_text(), parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+
+
+# squeeze values next to ordinary ones: past entropy's tail-mass limit
+# (|nu| ~ 2.24), past cosh's range (|nu| ~ 710) and at the float range's end
+squeeze = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 2.5, -50.0, 700.0, 1e3, 1e300, -1e300]))
+
+
+@st.composite
+def mutated_spectrum_configs(draw):
+    """A fock or entropy command on its shipped config with some of its values replaced."""
+    command = draw(st.sampled_from(["fock", "entropy"]))
+    config = json.loads((CONFIG_DIR / f"{command}.json").read_text())
+    if draw(st.booleans()):
+        config["nu_values"] = draw(st.lists(squeeze, max_size=4))
+    # valid truncations of at most 12 keep each run short; the others are refused
+    if command == "fock":
+        config["n_max"] = draw(st.one_of(st.integers(1, 12), st.sampled_from([0, 161, True, 2.5, "8"])))
+    # one draw in four adds an unknown key, and one in four a bad out_dir
+    if draw(st.integers(0, 3)) == 0:
+        config[draw(st.sampled_from(["n_max", "tolerances", "grid", "nu"]))] = 8
+    bad_out_dir = draw(st.integers(0, 3)) == 0
+    return command, config, draw(st.sampled_from(["", 3, ["out"]])) if bad_out_dir else None
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=mutated_spectrum_configs())
+def test_mutated_spectrum_configs_end_cleanly(tmp_path_factory, case):
+    # every run exits 0 with nothing on stderr or exits 1 with one line and
+    # no output; no warning reaches stderr, and every report is strict JSON
+    command, config, out_dir = case
+    tmp = tmp_path_factory.mktemp("mutated")
+    out = tmp / "out"
+    path = write_config(tmp, "cfg.json", {**config, "out_dir": str(out) if out_dir is None else out_dir})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_main([command, "--config", str(path)])
+    assert "Traceback" not in err and "Warning" not in err
+    if code == cli.EXIT_OK:
+        assert err == ""
+    else:
+        assert code == cli.EXIT_USAGE and err.count("\n") == 1 and not out.exists()
+    for report in out.glob("*.json"):
         json.loads(report.read_text(), parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))

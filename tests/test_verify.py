@@ -762,7 +762,7 @@ def bracket(s, t):
 
 def axis_laws(s, t):
     """(law_u, law_v) of one time as functions law(half, n)."""
-    return tuple(verify._stencil_error_law(s, [t]))
+    return verify._stencil_error_law(s, t)
 
 
 def bisection_width(lo, hi):
@@ -854,13 +854,13 @@ def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
 
             return call
 
-        return [counted(axis, law) for axis, law in zip("uv", make_laws(*args))]
+        return tuple(counted(axis, law) for axis, law in zip("uv", make_laws(*args)))
 
     monkeypatch.setattr(verify, "_stencil_error_law", counted_laws)
     grid = verify.residual_grid(s, t, n=n)
     monkeypatch.undo()
     # one law build, for the one time
-    assert builds == [(s, [t])]
+    assert builds == [(s, t)]
     assert (grid.nx, grid.ny) == (n, n)
     assert (grid.x_min, grid.y_min) == (-grid.x_max, -grid.y_max)
     for half, law, (lo, hi), axis in zip((grid.x_max, grid.y_max), axis_laws(s, t), bracket(s, t), "uv"):
@@ -889,7 +889,7 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
         calls.append((half, n))
         return power_law(half, n)
 
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, times: [counted, counted])
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (counted, counted))
     grid = verify.residual_grid(example1(), 0.0)
     assert len(calls) <= 12
     (lo, hi), _ = bracket(example1(), 0.0)
@@ -897,6 +897,37 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
     for half in (grid.x_max, grid.y_max):
         assert power_law(half, None) <= 1e-5 < power_law(half + width, None)
         assert abs(half - root) <= width
+
+
+def test_residual_grid_takes_a_zero_law_as_feasible(monkeypatch):
+    # a law that underflows to 0 at every extent (a huge mass) meets any
+    # target: each axis gets its bracket's upper end
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (lambda half, n: 0.0,) * 2)
+    grid = verify.residual_grid(example1(), 0.0)
+    (_, hi_u), (_, hi_v) = bracket(example1(), 0.0)
+    assert (grid.x_max, grid.y_max) == (hi_u, hi_v)
+
+
+@pytest.mark.parametrize("root", [0.002, 0.3, 1.2345, 5.0])
+def test_residual_grid_closes_bracket_above_a_zero_lower_end(monkeypatch, root):
+    # a law that underflows to 0 only at the bracket's lower end: every
+    # secant step is a finite extent, and the bracket still closes
+    def law(half, n):
+        return 0.0 if half == verify.GRID_HALF_MIN else 1e-5 * (half / root) ** 4
+
+    calls = []
+
+    def counted(half, n):
+        calls.append(half)
+        return law(half, n)
+
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (counted, counted))
+    grid = verify.residual_grid(example1(), 0.0)
+    assert all(math.isfinite(half) for half in calls) and len(calls) <= 40
+    (lo, hi), _ = bracket(example1(), 0.0)
+    width = bisection_width(lo, hi)
+    for half in (grid.x_max, grid.y_max):
+        assert law(half, None) <= 1e-5 < law(half + width, None)
 
 
 def stencil_error_nodes(s, t, axis, half, n):
@@ -1040,28 +1071,24 @@ SWEEP_TIMES = [round(0.1 * k, 1) for k in range(31)]
 @pytest.mark.parametrize("n", [101, 201, 401])
 @pytest.mark.parametrize("scenario_fn", [example1, example2])
 def test_lockstep_grids_match_serial_search(scenario_fn, n, target):
-    # fig1's and fig2's scenarios (examples 1 and 2) at t = 0, 0.1, ..., 3:
-    # one call over every feasible time (one batched root search) returns,
-    # per time, extents within 1e-3 of each axis's node-law search (1.5e-4
-    # measured, where an interior maximum falls between nodes) that meet
-    # the node law; over every time it raises the first infeasible time's
-    # error
+    # fig1's and fig2's scenarios (examples 1 and 2) at t = 0, 0.1, ..., 3,
+    # one time per call: where each axis's node-law search is feasible, the
+    # extents are within 1e-3 of it (1.5e-4 measured, where an interior
+    # maximum falls between nodes) and meet the node law; elsewhere the
+    # call names the time and the first infeasible axis
     s = scenario_fn()
-    expected = {t: serial_halves(s, t, n, target) for t in SWEEP_TIMES}
-    feasible = [t for t in SWEEP_TIMES if None not in expected[t]]
-    grids = verify.residual_grid(s, feasible, n=n, target=target)
-    for t, grid in zip(feasible, grids):
+    for t in SWEEP_TIMES:
+        expected = serial_halves(s, t, n, target)
+        if None in expected:
+            axis = "uv"[expected.index(None)]
+            with pytest.raises(ValueError, match=f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis"):
+                verify.residual_grid(s, t, n=n, target=target)
+            continue
+        grid = verify.residual_grid(s, t, n=n, target=target)
         assert (grid.nx, grid.ny, grid.x_min, grid.y_min) == (n, n, -grid.x_max, -grid.y_max)
-        for axis, half, ref in zip("uv", (grid.x_max, grid.y_max), expected[t]):
+        for axis, half, ref in zip("uv", (grid.x_max, grid.y_max), expected):
             assert half == pytest.approx(ref, rel=1e-3, abs=0)
             assert stencil_error_law_on_linspace(s, t, axis, half, n) <= target / 2
-    infeasible = [t for t in SWEEP_TIMES if t not in feasible]
-    assert infeasible or feasible == SWEEP_TIMES
-    if infeasible:
-        t = infeasible[0]
-        axis = "uv"[expected[t].index(None)]
-        with pytest.raises(ValueError, match=f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis"):
-            verify.residual_grid(s, SWEEP_TIMES, n=n, target=target)
 
 
 @pytest.mark.parametrize("config", ["verify_example1", "verify_example2", "fig1", "fig2"])
@@ -1070,7 +1097,8 @@ def test_shipped_grids_match_serial_search(config):
     # (fig1's and fig2's on "grid": "auto"): within 1e-9 of the node-law search
     raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
     s = cli._scenario(raw["scenario"])
-    for t, grid in zip(raw["times"], verify.residual_grid(s, raw["times"])):
+    for t in raw["times"]:
+        grid = verify.residual_grid(s, t)
         assert [grid.x_max, grid.y_max] == pytest.approx(serial_halves(s, t, 201, 2e-5), rel=1e-9, abs=0)
 
 
@@ -1101,31 +1129,6 @@ def test_residual_grid_meets_node_law(case, n, target):
         assume(False)
     for axis, half in zip("uv", (grid.x_max, grid.y_max)):
         assert stencil_error_law_on_linspace(s, t, axis, half, n) <= target / 2
-
-
-def test_residual_grid_one_grid_per_time_in_order():
-    s = example2()
-    times = [1.0, 0.25, 3.0, 0.5]
-    grids = verify.residual_grid(s, times)
-    assert isinstance(grids, list) and len(grids) == len(times)
-    assert grids == [verify.residual_grid(s, t) for t in times]
-    assert verify.residual_grid(s, (0.5,)) == [verify.residual_grid(s, 0.5)]
-    assert verify.residual_grid(s, []) == []
-
-
-@pytest.mark.parametrize(
-    "times, message",
-    [
-        ([1.0, 4.0, 100.0], "no feasible extent at n = 201 for t = 4 on the v axis; raise n or target"),
-        ([1.0, 100.0, 4.0], "|nu(t)| = 100 (|r nu| = 0) exceeds the supported range 50 at t = 100"),
-    ],
-)
-def test_residual_grid_raises_first_failing_time(times, message):
-    # fig1's scenario: t = 4 has no feasible extent, t = 100 is out of
-    # nu's range; whichever comes first in the list decides the error
-    with pytest.raises(ValueError) as info:
-        verify.residual_grid(example1(), times)
-    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n", [1, 0, -5, 3, 4, 201.0, True])
