@@ -62,6 +62,7 @@ EXIT_TOLERANCE = 2
 EXIT_IO = 3
 
 ENTROPY_TERMS = 600  # Schmidt eigenvalues summed per entropy value
+ENTROPY_TAIL = 1e-12  # the largest tail mass, tanh^(2 ENTROPY_TERMS) nu, they may leave
 
 DEFAULT_TOLERANCES = {
     "residual_max": 1e-4,       # stencil residuals (schrodinger, continuity, bohm)
@@ -233,6 +234,8 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunC
     outputs = raw.get("outputs", ["density"])
     if not isinstance(outputs, list) or not outputs or not all(isinstance(name, str) for name in outputs):
         raise ConfigError("'outputs' must be a non-empty list of field names")
+    if len(set(outputs)) != len(outputs):
+        raise ConfigError("'outputs' lists a field more than once")
     unknown_fields = set(outputs) - set(FIELD_SAMPLERS)
     if unknown_fields:
         raise ConfigError(
@@ -405,33 +408,23 @@ def run_fock(
     failed: at fixed truncation the distance is dominated by reflection off
     the truncation edge and grows steeply with nu (see fockalg docstring).
     A squeeze value whose exponentials do not converge gets an ``error``
-    message instead of their measurements; one whose ODE oracle does not
-    converge gets an ``ode_error`` message instead of ``ode_max_dev``.
-    Squeeze values that share an oracle step are integrated in one call
-    (see ``fockalg.disentangle_ode_oracle``).
+    message instead of their measurements.  One call of
+    ``fockalg.disentangle_ode_oracle`` integrates every squeeze value, each
+    entry bitwise what a run of its value alone gives; a value the oracle
+    does not reach within its step budget gets an ``ode_error`` message
+    instead of ``ode_max_dev``.
     """
     spec = FockSpaceSpec(n_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     half = n_max // 2
 
-    steps = [fockalg.ode_steps(nu) for nu in nu_values]
-    groups: dict[str, list[int]] = {}
-    for i, nu in enumerate(nu_values):
-        groups.setdefault((nu / steps[i]).hex(), []).append(i)
-    odes = {}
-    for members in groups.values():
-        longest = max(members, key=steps.__getitem__)
-        results = fockalg.disentangle_ode_oracle(nu_values[longest], [steps[i] for i in members])
-        odes.update(zip(members, results))
-
     entries = []
-    for i, nu in enumerate(nu_values):
+    for nu, ode in zip(nu_values, fockalg.disentangle_ode_oracle(nu_values)):
         entry: dict = {"nu": nu, "interior_level": half}
         try:
             entry.update(_fock_measurements(nu, spec, half, tolerance))
         except ConvergenceError as exc:
             entry["error"] = str(exc)
-        ode = odes[i]
         if isinstance(ode, ConvergenceError):
             entry["ode_error"] = str(ode)
         else:
@@ -472,8 +465,11 @@ def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
     rows = ["nu,entropy_sum,entropy_closed,schmidt_lambda0\n"]
     for nu in nu_values:
         spec = spectral.schmidt_spectrum(nu, ENTROPY_TERMS)
+        if spec.tail_mass >= ENTROPY_TAIL:
+            reach = math.atanh(ENTROPY_TAIL ** (0.5 / ENTROPY_TERMS))
+            raise ValueError(f"{ENTROPY_TERMS} Schmidt terms reach a {ENTROPY_TAIL:g} tail at |nu| <= {reach:.3g} only")
         rows.append(
-            f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
+            f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec, tail_tol=ENTROPY_TAIL))},"
             f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"
         )
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,8 @@ by two routes that share no algorithm: ``two_mode_squeeze_direct``
 exponentiates the generator from each sector's Jacobi spectrum, and
 ``two_mode_squeeze_factored`` multiplies factors built from closed-form
 elements.  ``disentangle_ode_oracle`` integrates the function system that
-defines (f1, f2, f3), in ``ode_steps`` steps.
+defines (f1, f2, f3): one pass with step-size control serves every nu, each
+nu branching off it to land on its own value.
 
 Sector layout: every generator here changes n_a and n_b together or not at
 all, so it conserves d = n_a - n_b.  On the space n_a, n_b <= n_max an
@@ -41,7 +42,6 @@ direct route's rounding grows with |nu| until its guard raises
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,7 +60,6 @@ __all__ = [
     "interior_block",
     "zero_padding",
     "vacuum_column",
-    "ode_steps",
     "disentangle_ode_oracle",
     "disentangle_closed_form",
 ]
@@ -76,25 +75,15 @@ DIRECT_DEFECT_BOUND = 1e-10
 # Largest temporary, in bytes, the direct route forms Z Z^T in.
 DIRECT_CHUNK_BYTES = 1 << 20
 
-# The ODE oracle's step-size bound and step-count range (see ``ode_steps``).
-ODE_MAX_STEP = 5e-3
-ODE_MIN_STEPS = 20
-ODE_MAX_STEPS = 2000
-
-# Dormand & Prince (1980) 5(4) pair: row i holds the coefficients a_(i+2, j)
-# of stage i + 2 (the system is autonomous, so the nodes c_i are not
-# needed); the last row is the 5th-order weights b_j, so the last stage
-# sits at the step's result.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-# b_j - b*_j, the 5th- minus the embedded 4th-order weights of all 7 stages
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# The ODE oracle's error tolerance, absolute and relative alike; its step
+# budget, the step attempts, rejected ones included, that the path to one nu
+# may take; and its largest step.  Once tanh saturates, f1' = 1 - f1^2 has
+# the Jacobian -2, and the pair is stable for steps up to 3.307 / 2 = 1.653
+# there, so the cap sits just inside the step the controller holds anyway
+# (see ``disentangle_ode_oracle``).
+ODE_TOL = 1e-14
+ODE_BUDGET = 10_000
+ODE_STEP_CAP = 1.6
 
 
 class ConvergenceError(RuntimeError):
@@ -445,29 +434,98 @@ def disentangle_closed_form(nu: float) -> DisentangleFunctions:
     return DisentangleFunctions(math.tanh(nu), -log_cosh, -math.tanh(nu))
 
 
-def ode_steps(nu_end: float) -> int:
-    """Step count for ``disentangle_ode_oracle`` from the step-size bound.
+def _dp_step(f1: float, f2: float, f3: float, k1: float, m1: float, h: float) -> tuple[float, ...]:
+    """One Dormand & Prince (1980) 5(4) step of size h from (f1, f2, f3).
 
-    min(2000, max(20, ceil(|nu_end| / 5e-3))): steps of at most 5e-3, where
-    the oracle's global error, at most about 5e-4 h^5, is below rounding; at
-    least the oracle's 20 steps; and never more than 2000.  20 at nu = 0.1,
-    200 at nu = 1, 2000 from |nu| = 10 on.  At the cap the local check
-    holds up to |nu_end| ~ 106.67 (the result is then off the closed forms
-    by 1.8e-10 at 106) and fails past it.  A NaN nu_end raises
-    ``ValueError``.
+    The system f1' = 1 - f1^2, f2' = -f1, f3' = -e^{2 f2} is autonomous,
+    so the nodes c_i are not needed; the coefficients a_ij, b_j and
+    b_j - b*_j stand in the sums as literals, which Python folds into
+    constants.  Stage i has the point (y_i, z_i) of (f1, f2) and the slopes
+    (k_i, -y_i, m_i); no slope depends on f3, so its stage points are never
+    formed.  The pair is first-same-as-last: (k1, m1) are the slopes at
+    (f1, f2), and the last stage sits at the 5th-order result, so its
+    slopes (k7, m7) serve the next step and a step costs 6 evaluations of
+    (1 - f1^2, -e^{2 f2}).  Returns (y7, z7, g7, k7, m7, dz, d1, d2, d3):
+    the result, its slopes, f2's decrement dz (z7 = f2 - dz) and the
+    magnitude of the difference to the embedded 4th-order result in each
+    component.  A stage exponential past the float range raises
+    ``OverflowError``.
     """
-    if math.isnan(nu_end):
-        raise ValueError(f"nu must be a number, got {nu_end}")
-    span = abs(nu_end) / ODE_MAX_STEP
-    if span >= ODE_MAX_STEPS:  # also where span overflows to inf
-        return ODE_MAX_STEPS
-    return max(ODE_MIN_STEPS, math.ceil(span))
+    y2 = f1 + h * (1 / 5 * k1)
+    z2 = f2 - h * (1 / 5 * f1)
+    k2, m2 = 1.0 - y2 * y2, -math.exp(2.0 * z2)
+    y3 = f1 + h * (3 / 40 * k1 + 9 / 40 * k2)
+    z3 = f2 - h * (3 / 40 * f1 + 9 / 40 * y2)
+    k3, m3 = 1.0 - y3 * y3, -math.exp(2.0 * z3)
+    y4 = f1 + h * (44 / 45 * k1 + -56 / 15 * k2 + 32 / 9 * k3)
+    z4 = f2 - h * (44 / 45 * f1 + -56 / 15 * y2 + 32 / 9 * y3)
+    k4, m4 = 1.0 - y4 * y4, -math.exp(2.0 * z4)
+    y5 = f1 + h * (19372 / 6561 * k1 + -25360 / 2187 * k2 + 64448 / 6561 * k3 + -212 / 729 * k4)
+    z5 = f2 - h * (19372 / 6561 * f1 + -25360 / 2187 * y2 + 64448 / 6561 * y3 + -212 / 729 * y4)
+    k5, m5 = 1.0 - y5 * y5, -math.exp(2.0 * z5)
+    y6 = f1 + h * (9017 / 3168 * k1 + -355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4 + -5103 / 18656 * k5)
+    z6 = f2 - h * (9017 / 3168 * f1 + -355 / 33 * y2 + 46732 / 5247 * y3 + 49 / 176 * y4 + -5103 / 18656 * y5)
+    k6, m6 = 1.0 - y6 * y6, -math.exp(2.0 * z6)
+    # the 5th-order weights b_j, b2 = 0
+    y7 = f1 + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 + -2187 / 6784 * k5 + 11 / 84 * k6)
+    dz = h * (35 / 384 * f1 + 500 / 1113 * y3 + 125 / 192 * y4 + -2187 / 6784 * y5 + 11 / 84 * y6)
+    z7 = f2 - dz
+    g7 = f3 + h * (35 / 384 * m1 + 500 / 1113 * m3 + 125 / 192 * m4 + -2187 / 6784 * m5 + 11 / 84 * m6)
+    k7, m7 = 1.0 - y7 * y7, -math.exp(2.0 * z7)
+    # b_j - b*_j, e2 = 0
+    d1 = h * (71 / 57600 * k1 + -71 / 16695 * k3 + 71 / 1920 * k4 + -17253 / 339200 * k5 + 22 / 525 * k6 + -1 / 40 * k7)
+    d2 = h * (71 / 57600 * f1 + -71 / 16695 * y3 + 71 / 1920 * y4 + -17253 / 339200 * y5 + 22 / 525 * y6 + -1 / 40 * y7)
+    d3 = h * (71 / 57600 * m1 + -71 / 16695 * m3 + 71 / 1920 * m4 + -17253 / 339200 * m5 + 22 / 525 * m6 + -1 / 40 * m7)
+    return y7, z7, g7, k7, m7, dz, abs(d1), abs(d2), abs(d3)
+
+
+def _walk(walk: list, target: float, land: bool) -> None:
+    """Controlled steps of ``walk`` toward |nu| = ``target``, in place.
+
+    ``walk`` is [x, f1, f2, c2, f3, k1, m1, h, attempts]: the point x
+    reached and the state there, f2 + c2 being f2 with its rounding summed
+    apart, the next step h to try and the step attempts spent.  Without
+    ``land`` the walk stops before the first step that would reach target;
+    with it, that step is cut to land on target, where x becomes target
+    exactly, and a step cut short is retried like any other.  Either way it
+    stops once the attempts left, even at steps of ``ODE_STEP_CAP``, cannot
+    cover the distance to target: at once for a target that far, else when
+    ``ODE_BUDGET`` attempts are spent.
+    """
+    x, f1, f2, c2, f3, k1, m1, h, attempts = walk
+    while 0.0 < target - x <= (ODE_BUDGET - attempts) * ODE_STEP_CAP:
+        h = (x + h) - x  # x + h is then exact: x sums the steps taken without rounding
+        cut = x + h >= target
+        if cut:
+            if not land:
+                break
+            h = target - x
+        attempts += 1
+        try:
+            y, z, g, k, m, dz, d1, d2, d3 = _dp_step(f1, f2, f3, k1, m1, h)
+            # root mean square over the components of the error in units of
+            # atol + rtol |new|: NaN or inf where a stage blew up
+            err = math.hypot(d1 / (1.0 + abs(y)), d2 / (1.0 + abs(z)), d3 / (1.0 + abs(g))) / (3**0.5 * ODE_TOL)
+        except OverflowError:
+            err = math.inf
+        if err <= 1.0:
+            # the rounding of f2 - dz, kept (Kahan's compensated summation:
+            # exact once f2 outgrows the step's dz)
+            c2 += (f2 - z) - dz
+            x, f1, f2, f3, k1, m1 = target if cut else x + h, y, z, g, k, m
+            # Hairer, Norsett & Wanner, Solving ODEs I, II.4: safety 0.9,
+            # the step changed by a factor from 0.2 to 5
+            fac = min(5.0, 0.9 * err**-0.2) if err else 5.0
+        else:
+            fac = max(0.2, 0.9 * err**-0.2)  # NaN and inf give 0.2
+        h = min(h * fac, ODE_STEP_CAP)
+    walk[:] = x, f1, f2, c2, f3, k1, m1, h, attempts
 
 
 def disentangle_ode_oracle(
-    nu_end: float, steps: int | Sequence[int], *, local_tol: float = 1e-9
+    nu_end: float | Sequence[float], steps: int | None = None, *, local_tol: float = 1e-9
 ) -> DisentangleFunctions | list[DisentangleFunctions | ConvergenceError]:
-    """Integrate the factorization system from (0, 0, 0) to nu_end.
+    """Integrate the factorization system from (0, 0, 0) to each nu.
 
     The defining relations
         1 = f1' - 2 f1 f2' + f1^2 f3' e^{-2 f2}
@@ -475,89 +533,68 @@ def disentangle_ode_oracle(
        -1 = f3' e^{-2 f2}
     are triangular in the derivatives; solving them once gives the explicit
     system f3' = -e^{2 f2}, f2' = -f1, f1' = 1 - f1^2 integrated here with
-    the Dormand-Prince 5(4) pair (``_DP_A``) in ``steps`` equal steps,
-    keeping the 5th-order solution.  The pair is first-same-as-last: its
-    last stage is the right-hand side at the step's result, and serves as
-    the next step's first stage, so a step costs 6 evaluations of
-    (1 - f1^2, -e^{2 f2}); f2' needs none, its slope at each stage being
-    minus that stage's f1 point.  Each step is checked: the difference to
-    the embedded 4th-order solution (``_DP_E``) must be at most
-    ``local_tol`` in every component.  ``ode_steps`` gives the step count
-    that keeps the global error at rounding.
+    the Dormand-Prince 5(4) pair (``_dp_step``), keeping the 5th-order
+    solution.
 
-    A stage exponential that overflows, an estimate that is not a number
-    and a result that is not finite all raise ``ConvergenceError``: steps
-    that long cannot be checked (from |nu_end| ~ 9.1e3 at 2000 steps).
+    With ``steps``, ``nu_end`` is one nu, reached in that many equal steps.
+    Each step is checked: the difference to the embedded 4th-order
+    solution must be at most ``local_tol`` in every component.  A stage
+    exponential that overflows, an estimate that is not a number and a
+    result that is not finite all raise ``ConvergenceError``.
 
-    ``steps`` may also be a sequence of step counts.  Then one pass of
-    max(steps) steps h = nu_end / max(steps) is integrated, and the list
-    returned holds, for each count in order, the state after that many
-    steps, or the ``ConvergenceError`` that count meets: the error of a
-    step at or before it, or its own state's finiteness check.  The steps
-    depend only on the bits of h, so each entry is bitwise what a call
-    with (count h, count) gives when count h / count is h again.
+    Without ``steps``, ``nu_end`` is a sequence of nu, and the list returned
+    holds each one's (f1, f2, f3) or the ``ConvergenceError`` it meets.  One
+    pass in |nu| with the standard step-size controller (``_walk``, tolerance
+    ``ODE_TOL``) serves every nu: it starts from the step ODE_TOL^(1/5), and
+    where its next step would reach or pass a |nu| it branches off, with
+    that step cut to land on |nu|, and goes on from the branch point.  The
+    pass does not depend on the nu it serves, so each entry is bitwise what
+    a call with that nu alone gives.  The system is symmetric, f1 and f3
+    odd and f2 even in nu, and so is the arithmetic: a negative nu takes
+    the mirror of |nu|'s result, which is bitwise what a pass with negative
+    steps gives.  f2 grows like -|nu|, and its sum is compensated, so it
+    stays within an ulp or so of the closed form out to the pass's reach.
+
+    The path to one nu, the pass's attempts up to the branch and the
+    landing's, rejected ones included, may take ``ODE_BUDGET`` attempts;
+    a nu it does not reach gets an error that names the budget.  Steps are
+    at most ``ODE_STEP_CAP``, where the saturated f1 holds them anyway, so
+    the budget reaches |nu| of about 1.5e4, and a nu that not even steps of
+    the cap could reach fails without an attempt.  A NaN nu raises
+    ``ValueError``.
     """
-    single = isinstance(steps, numbers.Integral)
-    counts = [steps] if single else list(steps)
-    if min(counts) < ODE_MIN_STEPS:
-        raise ValueError(f"need at least {ODE_MIN_STEPS} integration steps")
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65), b = _DP_A
-    b1, _, b3, b4, b5, b6 = b
-    e1, _, e3, e4, e5, e6, e7 = _DP_E
-    h = nu_end / max(counts)
-    f1 = f2 = f3 = 0.0
-    states, done, error = {}, 0, None
-    try:
-        # stage i has the point (y_i, z_i) of (f1, f2) and the slopes
-        # (k_i, -y_i, m_i) of (f1, f2, f3); no slope depends on f3, so its
-        # stage points are never formed
-        k1, m1 = 1.0 - f1 * f1, -math.exp(2.0 * f2)
-        for stop in sorted(set(counts)):
-            for _ in range(stop - done):
-                y2 = f1 + h * (a21 * k1)
-                z2 = f2 - h * (a21 * f1)
-                k2, m2 = 1.0 - y2 * y2, -math.exp(2.0 * z2)
-                y3 = f1 + h * (a31 * k1 + a32 * k2)
-                z3 = f2 - h * (a31 * f1 + a32 * y2)
-                k3, m3 = 1.0 - y3 * y3, -math.exp(2.0 * z3)
-                y4 = f1 + h * (a41 * k1 + a42 * k2 + a43 * k3)
-                z4 = f2 - h * (a41 * f1 + a42 * y2 + a43 * y3)
-                k4, m4 = 1.0 - y4 * y4, -math.exp(2.0 * z4)
-                y5 = f1 + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-                z5 = f2 - h * (a51 * f1 + a52 * y2 + a53 * y3 + a54 * y4)
-                k5, m5 = 1.0 - y5 * y5, -math.exp(2.0 * z5)
-                y6 = f1 + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-                z6 = f2 - h * (a61 * f1 + a62 * y2 + a63 * y3 + a64 * y4 + a65 * y5)
-                k6, m6 = 1.0 - y6 * y6, -math.exp(2.0 * z6)
-                # the 5th-order result is the last stage's point (b2 = 0)
-                y7 = f1 + h * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-                z7 = f2 - h * (b1 * f1 + b3 * y3 + b4 * y4 + b5 * y5 + b6 * y6)
-                g7 = f3 + h * (b1 * m1 + b3 * m3 + b4 * m4 + b5 * m5 + b6 * m6)
-                k7, m7 = 1.0 - y7 * y7, -math.exp(2.0 * z7)
-                d1 = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7))
-                d2 = abs(h * (e1 * f1 + e3 * y3 + e4 * y4 + e5 * y5 + e6 * y6 + e7 * y7))
-                d3 = abs(h * (e1 * m1 + e3 * m3 + e4 * m4 + e5 * m5 + e6 * m6 + e7 * m7))
-                # compared one by one: max() drops a NaN that is not its first argument
+    if steps is not None:
+        if steps < 1:
+            raise ValueError("need at least one integration step")
+        h = nu_end / steps
+        f1, f2, f3, k1, m1 = 0.0, 0.0, 0.0, 1.0, -1.0
+        try:
+            for _ in range(steps):
+                f1, f2, f3, k1, m1, _, d1, d2, d3 = _dp_step(f1, f2, f3, k1, m1, h)
                 if not (d1 <= local_tol and d2 <= local_tol and d3 <= local_tol):
+                    # compared one by one: max() drops a NaN that is not its first argument
                     err = math.nan if math.isnan(d1 + d2 + d3) else max(d1, d2, d3)
-                    raise ConvergenceError(
-                        f"local error estimate {err:.3e} exceeds {local_tol:.0e}; increase steps"
-                    )
-                f1, f2, f3, k1, m1 = y7, z7, g7, k7, m7
-            done = stop
-            states[stop] = (
-                DisentangleFunctions(f1, f2, f3)
-                if math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)
-                else ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
-            )
-    except OverflowError:
-        error = ConvergenceError(f"stage exponential overflows with step size {h:.3e}; increase steps")
-    except ConvergenceError as exc:
-        error = exc
-    results = [states.get(count, error) for count in counts]
-    if not single:
-        return results
-    (result,) = results
-    if isinstance(result, ConvergenceError):
-        raise result
-    return result
+                    raise ConvergenceError(f"local error estimate {err:.3e} exceeds {local_tol:.0e}; increase steps")
+        except OverflowError:
+            raise ConvergenceError(f"stage exponential overflows with step size {h:.3e}; increase steps") from None
+        if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
+            raise ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
+        return DisentangleFunctions(f1, f2, f3)
+
+    if any(math.isnan(nu) for nu in nu_end):
+        raise ValueError("nu must be a number")
+    main = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, ODE_TOL**0.2, 0]
+    reached = {}
+    for target in sorted({abs(nu) for nu in nu_end}):
+        _walk(main, target, land=False)
+        branch = list(main)
+        _walk(branch, target, land=True)
+        if branch[0] == target:
+            _, f1, f2, c2, f3, *_ = branch
+            # the mirror first: at 0, nu = 0.0 and -0.0 share the key
+            reached[-target] = DisentangleFunctions(-f1, f2 + c2, -f3)
+            reached[target] = DisentangleFunctions(f1, f2 + c2, f3)
+        else:
+            error = ConvergenceError(f"|nu| = {target:.6g} lies past the step budget of {ODE_BUDGET} attempts")
+            reached[target] = reached[-target] = error
+    return [reached[nu] for nu in nu_end]

@@ -432,38 +432,38 @@ EXPONENTIAL_FIELDS = {"factorization_interior_rel", "vacuum_column_max_err", "va
 
 
 def test_fock_large_squeeze_reports_errors(tmp_path, capsys):
-    # nu = 800 overflowed cosh; its ODE oracle does not converge but its
-    # exponentials do, and the 1e200 exponential does not: the report
-    # records each failure per entry and keeps what was measured
+    # nu = 800 overflowed cosh, and both its routes and its ODE oracle hold;
+    # the 1e200 exponential does not converge and its oracle runs out of
+    # steps: the report records each failure per entry and keeps what was
+    # measured
     cfg = write_config(tmp_path, "f.json", {"nu_values": [0.5, 800, 1e200], "n_max": 4, "out_dir": str(tmp_path)})
     assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
     assert capsys.readouterr().err == ""
     entries = json.loads((tmp_path / "fock_report.json").read_text())["entries"]
     assert "error" not in entries[0] and "ode_error" not in entries[0]
     assert "error" not in entries[1] and EXPONENTIAL_FIELDS <= entries[1].keys()
-    assert "local error" in entries[1]["ode_error"] and "ode_max_dev" not in entries[1]
+    assert entries[1]["ode_max_dev"] <= 1e-12
     assert "1-norm" in entries[2]["error"] and not EXPONENTIAL_FIELDS & entries[2].keys()
+    assert "step budget" in entries[2]["ode_error"]
 
 
-@pytest.mark.parametrize("nu", [2e4, 1e5])
-def test_fock_overflowing_ode_stage_reports_error(tmp_path, capsys, nu):
-    # an oracle stage exponential overflows past |nu| ~ 9.1e3 (math.exp raised
-    # OverflowError and the run exited 1 with a traceback); the exponentials'
-    # measurements stay in the entry
-    cfg = write_config(tmp_path, "f.json", {"nu_values": [nu], "n_max": 4, "out_dir": str(tmp_path)})
-    assert cli.main(["fock", "--config", str(cfg)]) == cli.EXIT_OK
-    assert capsys.readouterr().err == ""
-    (entry,) = json.loads((tmp_path / "fock_report.json").read_text())["entries"]
-    assert "overflows" in entry["ode_error"]
-    assert "error" not in entry and EXPONENTIAL_FIELDS <= entry.keys()
+def test_fock_ode_reaches_large_squeeze_within_rounding(tmp_path):
+    # the 2000-step cap gave every entry from |nu| ~ 106.67 an ode_error that
+    # asked for more steps, which no config can set; the controlled oracle
+    # reaches |nu| of about 1.5e4 within its step budget, and past it says so
+    nu_values = [150.0, 800.0, 1e4, -800.0, 1e300]
+    entries = json.loads(cli.run_fock(nu_values, 4, tmp_path).read_text())["entries"]
+    assert [entry["ode_max_dev"] <= 1e-12 for entry in entries[:4]] == [True] * 4
+    assert f"step budget of {fockalg.ODE_BUDGET} attempts" in entries[4]["ode_error"]
+    assert "increase steps" not in entries[4]["ode_error"]
 
 
 def test_fock_ode_failure_keeps_factorization_distance(tmp_path):
-    # 2000 steps of 0.075 miss the oracle's local bound at nu = 150 (the
-    # capped step count holds it up to |nu| ~ 106.67); the direct/factored
-    # comparison does not depend on the oracle and stays
-    (entry,) = json.loads(cli.run_fock([150.0], 4, tmp_path).read_text())["entries"]
-    assert "local error" in entry["ode_error"]
+    # the oracle's step budget ends near |nu| = 1.5e4, and the routes' guard
+    # only near 4.5e9 at n_max = 4: at 1e5 the direct/factored comparison
+    # does not depend on the oracle and stays
+    (entry,) = json.loads(cli.run_fock([1e5], 4, tmp_path).read_text())["entries"]
+    assert "step budget" in entry["ode_error"]
     assert "error" not in entry and "ode_max_dev" not in entry
     assert EXPONENTIAL_FIELDS <= entry.keys()
     assert entry["vacuum_offdiag_max"] == 0.0
@@ -510,8 +510,8 @@ def test_fock_report_is_strict_json(tmp_path_factory, nu):
 )
 def test_fock_entry_does_not_depend_on_other_nu(tmp_path_factory, n_max, nu_values):
     # the direct route's spectrum is computed once per truncation and reused
-    # at every nu, and the ODE oracle integrates once per distinct step: each
-    # entry equals the entry of a run of its nu alone, and each run makes one
+    # at every nu, and one ODE oracle call integrates every nu: each entry
+    # equals the entry of a run of its nu alone, and each run makes one
     # eigendecomposition, also when the guard refuses every nu
     eigh, oracle = np.linalg.eigh, fockalg.disentangle_ode_oracle
     calls, oracle_calls = [], []
@@ -520,49 +520,53 @@ def test_fock_entry_does_not_depend_on_other_nu(tmp_path_factory, n_max, nu_valu
         calls.append(a.shape)
         return eigh(a)
 
-    def counting_oracle(nu_end, steps, **kwargs):
-        oracle_calls.append(nu_end)
-        return oracle(nu_end, steps, **kwargs)
+    def counting_oracle(nu_values):
+        oracle_calls.append(list(nu_values))
+        return oracle(nu_values)
 
-    # 0.0 and -0.0, and steps of opposite sign, are different steps
-    distinct_steps = {(nu / fockalg.ode_steps(nu)).hex() for nu in nu_values}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "eigh", counting_eigh)
         mp.setattr(fockalg, "disentangle_ode_oracle", counting_oracle)
         out = cli.run_fock(nu_values, n_max, tmp_path_factory.mktemp("fock"))
         assert len(calls) == 1
-        assert len(oracle_calls) == len(distinct_steps)
+        assert oracle_calls == [nu_values]
         entries = json.loads(out.read_text())["entries"]
         for k, (nu, entry) in enumerate(zip(nu_values, entries, strict=True)):
             (alone,) = json.loads(cli.run_fock([nu], n_max, tmp_path_factory.mktemp("fock")).read_text())["entries"]
             assert entry == alone
             assert len(calls) == k + 2
-            assert len(oracle_calls) == len(distinct_steps) + k + 1
+            assert len(oracle_calls) == k + 2
 
 
 def test_fock_config_integrates_one_shared_pass(tmp_path, monkeypatch):
-    # the five nu of configs/fock.json share the step 5e-3: one oracle call
-    # of 200 steps, 1 + 6 * 200 stage exponentials, where one call per nu
-    # took 520 steps (3,125 exponentials)
+    # the five nu of configs/fock.json take one oracle call: one controlled
+    # pass and a landing per nu, 149 step attempts of 6 stage exponentials
+    # each, where the retired step law took 200 steps (1 + 6 * 200
+    # exponentials) and one call per nu 520; every entry stays at rounding
     config = json.loads((CONFIG_DIR / "fock.json").read_text())
-    oracle, exp = fockalg.disentangle_ode_oracle, math.exp
-    calls, exponentials = [], []
+    oracle, step, exp = fockalg.disentangle_ode_oracle, fockalg._dp_step, math.exp
+    calls, attempts, exponentials = [], [], []
 
-    def counting_oracle(nu_end, steps, **kwargs):
-        calls.append((nu_end, list(steps)))
-        return oracle(nu_end, steps, **kwargs)
+    def counting_oracle(nu_values):
+        calls.append(list(nu_values))
+        return oracle(nu_values)
+
+    def counting_step(*args):
+        attempts.append(args)
+        return step(*args)
 
     def counting_exp(x):
         exponentials.append(x)
         return exp(x)
 
     monkeypatch.setattr(fockalg, "disentangle_ode_oracle", counting_oracle)
+    monkeypatch.setattr(fockalg, "_dp_step", counting_step)
     monkeypatch.setattr(math, "exp", counting_exp)
     out = cli.run_fock(config["nu_values"], config["n_max"], tmp_path)
     monkeypatch.undo()
-    assert calls == [(1.0, [20, 50, 100, 150, 200])]
-    assert len(exponentials) == 1 + 6 * 200
-    assert all("ode_max_dev" in entry for entry in json.loads(out.read_text())["entries"])
+    assert calls == [config["nu_values"]]
+    assert len(attempts) <= 200 and len(exponentials) == 6 * len(attempts)
+    assert all(entry["ode_max_dev"] <= 1e-14 for entry in json.loads(out.read_text())["entries"])
 
 
 def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):
@@ -658,6 +662,21 @@ def test_entropy_table(tmp_path):
     assert table[0, 1] == 0.0 and table[0, 2] == 0.0 and table[0, 3] == 1.0
     np.testing.assert_allclose(table[:, 1], table[:, 2], atol=1e-9)
     assert np.all(np.diff(table[:, 1]) > 0)
+
+
+def test_entropy_names_its_term_limit(tmp_path, capsys):
+    # entropy sums a fixed 600 Schmidt terms, whose tail mass tanh^1200 nu
+    # reaches 1e-12 at |nu| ~ 2.23: past it the message names that limit,
+    # not an eigenvalue count that no config can raise
+    cfg = write_config(tmp_path, "e.json", {"nu_values": [0.5, 2.5], "out_dir": str(tmp_path / "out")})
+    assert cli.main(["entropy", "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "invalid input: 600 Schmidt terms reach a 1e-12 tail at |nu| <= 2.23 only\n"
+    assert not (tmp_path / "out").exists()
+    limit = math.atanh(1e-12 ** (1 / 1200))
+    cli.run_entropy([limit * (1 - 1e-9), -limit * (1 - 1e-9)], tmp_path / "inside")
+    for nu in (limit * (1 + 1e-9), -limit * (1 + 1e-9)):
+        with pytest.raises(ValueError, match="600 Schmidt terms"):
+            cli.run_entropy([nu], tmp_path / "outside")
 
 
 def test_fock_overflowing_squeeze_reports_error(tmp_path, capsys):
@@ -991,6 +1010,15 @@ def test_time_tags_are_distinct_per_time(tmp_path, capsys):
     assert not (tmp_path / "rep").exists()
 
 
+def test_repeated_output_is_refused(tmp_path, capsys):
+    # a field listed twice wrote its file twice and printed its path twice
+    cfg = small_density_config(tmp_path, times=[0.5], outputs=["density", "bohm_potential", "density"])
+    assert cli.main(["density", "--config", str(cfg)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "config error: 'outputs' lists a field more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [
@@ -1287,7 +1315,7 @@ def mutated_configs(draw):
         config["grid"] = {"x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max, "nx": nx, "ny": ny}
     if command == "density":
         fields = st.sampled_from(sorted(cli.FIELD_SAMPLERS))
-        config["outputs"] = draw(st.lists(fields, min_size=1, max_size=3, unique=True))
+        config["outputs"] = draw(st.lists(fields, min_size=1, max_size=3))
     else:
         config["v_source"] = draw(st.sampled_from(verify.V_SOURCES))
     return command, config

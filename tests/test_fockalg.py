@@ -717,14 +717,75 @@ def test_ode_fifth_order():
 
 
 def test_ode_step_count_validation():
-    with pytest.raises(ValueError, match="20"):
-        fa.disentangle_ode_oracle(1.0, steps=19)
+    with pytest.raises(ValueError, match="at least one"):
+        fa.disentangle_ode_oracle(1.0, steps=0)
 
 
 def test_ode_step_size_failure():
     # 100 coarse steps over a long interval cannot hold a 1e-14 local bound
     with pytest.raises(fa.ConvergenceError, match="local error"):
         fa.disentangle_ode_oracle(2.0, steps=100, local_tol=1e-14)
+
+
+DP_E = [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]  # b_j - b*_j
+
+
+def reference_ode_pass(nu_end: float, h: float = fa.ODE_TOL**0.2) -> tuple[float, float, float] | None:
+    """The controlled pass to one nu from a first trial step h, one right-hand-side call per stage.
+
+    It steps in nu_end's own direction, where the oracle mirrors |nu_end|,
+    with Hairer, Norsett & Wanner's controller as the oracle documents it:
+    the root-mean-square error in units of ODE_TOL (1 + |new|), safety 0.9,
+    factors within [0.2, 5], steps of at most ODE_STEP_CAP, the last step
+    cut to land on nu_end, f2's rounding summed apart.  None once the step
+    budget is spent.
+    """
+
+    def rhs(f):
+        return 1.0 - f[0] * f[0], -f[0], -math.exp(2.0 * f[1])
+
+    def combine(h, weights, k, i):
+        total = weights[0] * k[0][i]
+        for w, kj in zip(weights[1:], k[1:]):
+            total += w * kj[i]
+        return h * total
+
+    sign, target = math.copysign(1.0, nu_end), abs(nu_end)
+    x, f, c2 = 0.0, (0.0, 0.0, 0.0), 0.0
+    for _ in range(fa.ODE_BUDGET):
+        h = (x + h) - x
+        cut = x + h >= target
+        if cut:
+            h = target - x
+        k = [rhs(f)]
+        try:
+            for row in DP_A[1:]:
+                k.append(rhs(tuple(f[i] + combine(sign * h, row, k, i) for i in range(3))))
+            increments = [combine(sign * h, DP_B[:6], k, i) for i in range(3)]
+            new = tuple(f[i] + increments[i] for i in range(3))
+            k.append(rhs(new))
+            scaled = [abs(combine(sign * h, DP_E, k, i)) / (1.0 + abs(new[i])) for i in range(3)]
+            err = math.hypot(*scaled) / (3**0.5 * fa.ODE_TOL)
+        except OverflowError:
+            err = math.inf
+        if err <= 1.0:
+            c2 += (f[1] - new[1]) + increments[1]
+            x, f = x + h, new
+            if cut:
+                return f[0], f[1] + c2, f[2]
+            fac = min(5.0, 0.9 * err**-0.2) if err else 5.0
+        else:
+            fac = max(0.2, 0.9 * err**-0.2)
+        h = min(h * fac, fa.ODE_STEP_CAP)
+    return None
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.1, 0.5, -0.8, 1.0, 2.9, -3.0])
+def test_ode_pass_matches_per_stage_reference(nu):
+    # the inlined stages, their mirror for negative nu and the landing are
+    # bitwise a pass in nu's own direction
+    (f,) = fa.disentangle_ode_oracle([nu])
+    assert (f.f1, f.f2, f.f3) == reference_ode_pass(nu)
 
 
 @pytest.mark.parametrize(
@@ -742,23 +803,36 @@ def test_ode_step_size_failure():
         (1e308, 2000),
     ],
 )
-def test_ode_step_law(nu, steps):
-    # min(2000, max(20, ceil(|nu| / 5e-3))); the five nu of configs/fock.json
-    # take 520 in all, and share the step 5e-3, so ``fock`` integrates 200
-    assert fa.ode_steps(nu) == steps
+def test_ode_step_law(monkeypatch, nu, steps):
+    # the retired law min(2000, max(20, ceil(|nu| / 5e-3))) took these steps:
+    # the controlled pass takes fewer attempts and lands within rounding of
+    # the closed forms (the law's 2000 steps were 1.8e-14 off at -12, past
+    # its 5e-3 step bound); where the law's steps failed, at 1e308, the pass
+    # fails without an attempt: its budget's steps of at most ODE_STEP_CAP
+    # cannot get there
+    attempts = []
+    step = fa._dp_step
+    monkeypatch.setattr(fa, "_dp_step", lambda *args: attempts.append(args) or step(*args))
+    (f,) = fa.disentangle_ode_oracle([nu])
+    if nu > fa.ODE_BUDGET * fa.ODE_STEP_CAP:
+        assert isinstance(f, fa.ConvergenceError) and attempts == []
+        return
+    c = fa.disentangle_closed_form(nu)
+    assert len(attempts) < steps
+    assert max(abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3)) <= 1e-14
 
 
 def test_ode_step_law_rejects_nan():
     with pytest.raises(ValueError, match="nu"):
-        fa.ode_steps(math.nan)
+        fa.disentangle_ode_oracle([0.5, math.nan])
 
 
 def test_ode_step_law_holds_rounding_floor():
-    # the global error is at most about 5e-4 h^5, below rounding at
-    # h <= 5e-3; 2.2e-15 at worst here
+    # the controller's steps keep the global error at rounding: 6.1e-15 at
+    # worst on [-2, 2]
+    nus = np.linspace(-2.0, 2.0, 141)
     worst = 0.0
-    for nu in np.linspace(-2.0, 2.0, 141):
-        f = fa.disentangle_ode_oracle(nu, fa.ode_steps(nu))
+    for nu, f in zip(nus, fa.disentangle_ode_oracle(list(nus)), strict=True):
         c = fa.disentangle_closed_form(nu)
         worst = max(worst, abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3))
     assert worst <= 1e-14
@@ -766,46 +840,83 @@ def test_ode_step_law_holds_rounding_floor():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_ode_step_cap_edge(sign):
-    # at the 2000-step cap the local check holds up to |nu| ~ 106.67: the
-    # largest estimate is 9.7e-10 at 106, and at 107.5 the check fails, as
-    # the reference's difference of its two solutions does
-    nu = sign * 106.0
-    f = fa.disentangle_ode_oracle(nu, fa.ode_steps(nu))
-    assert (f.f1, f.f2, f.f3) == reference_ode_oracle(nu, 2000)
-    c = fa.disentangle_closed_form(nu)
-    assert max(abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3)) < 1e-9
-    assert fa.ode_steps(sign * 107.5) == 2000
-    for oracle in (fa.disentangle_ode_oracle, reference_ode_oracle):
-        with pytest.raises(fa.ConvergenceError, match="local error"):
-            oracle(sign * 107.5, 2000)
+    # the retired 2000-step cap held the local check up to |nu| ~ 106.67:
+    # the pass has no cap there, and lands within rounding of the closed
+    # forms on both sides; the fixed-step mode keeps its failure at 107.5
+    for f, nu in zip(fa.disentangle_ode_oracle([sign * 106.0, sign * 107.5]), [106.0, 107.5]):
+        c = fa.disentangle_closed_form(sign * nu)
+        assert max(abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3)) <= 1e-13
+    with pytest.raises(fa.ConvergenceError, match="local error"):
+        fa.disentangle_ode_oracle(sign * 107.5, 2000)
 
 
 @pytest.mark.parametrize(
     "nu_end, steps, local_tol, failing",
     [
-        # the check first fails at step 28 of h = 0.02 under 3e-12, and at
-        # step 19 of h = 107.5 / 2000 under the default bound
+        # the fixed-step check first fails at step 28 of h = 0.02 under
+        # 3e-12, and at step 19 of h = 107.5 / 2000 under the default bound
         (4.0, 200, 3e-12, 28),
         (107.5, 2000, 1e-9, 19),
     ],
 )
 def test_ode_shared_pass_matches_lone_calls(nu_end, steps, local_tol, failing):
-    # one pass of h = nu_end / steps serves every count: a count that reaches
-    # the failing step gets the error a lone call raises, an earlier count
-    # the lone call's bits, whatever the order of the counts
+    # the nu count * h of the grid h = nu_end / steps, in any order and with
+    # repeats, mirrors, 0.0, -0.0 and a nu past the step budget: one pass
+    # serves them all, each entry bitwise a call of its nu alone, and the nu
+    # past the budget gets the error a lone call gets; a lone fixed-step call
+    # of a count gets through before the failing step and raises from it on
     h = nu_end / steps
-    counts = [c for c in (steps, 20, failing - 1, failing, 20) if c >= fa.ODE_MIN_STEPS]
-    results = fa.disentangle_ode_oracle(nu_end, counts, local_tol=local_tol)
-    for count, result in zip(counts, results, strict=True):
-        assert (count * h) / count == h  # the lone call takes the same step
-        if count < failing:
-            alone = fa.disentangle_ode_oracle(count * h, count, local_tol=local_tol)
-            assert (result.f1, result.f2, result.f3) == (alone.f1, alone.f2, alone.f3)
+    counts = [steps, 20, failing - 1, failing, 20]
+    nus = [count * h for count in counts] + [0.0, -0.8, -0.0, 1e300, -nu_end]
+    for nu, shared in zip(nus, fa.disentangle_ode_oracle(nus), strict=True):
+        (alone,) = fa.disentangle_ode_oracle([nu])
+        if isinstance(alone, fa.ConvergenceError):
+            assert str(shared) == str(alone) and "step budget" in str(alone)
         else:
-            with pytest.raises(fa.ConvergenceError) as info:
+            bits = [[v.hex() for v in (f.f1, f.f2, f.f3)] for f in (shared, alone)]
+            assert bits[0] == bits[1]
+    for count in counts:
+        assert (count * h) / count == h  # the lone call takes the grid's step
+        if count < failing:
+            f = fa.disentangle_ode_oracle(count * h, count, local_tol=local_tol)
+            assert isinstance(f, fa.DisentangleFunctions)
+        else:
+            with pytest.raises(fa.ConvergenceError, match="local error"):
                 fa.disentangle_ode_oracle(count * h, count, local_tol=local_tol)
-            assert isinstance(result, fa.ConvergenceError)
-            assert str(result) == str(info.value)
+
+
+@pytest.mark.parametrize("nu", [1.0, -2.5])
+def test_ode_budget_edge(monkeypatch, nu):
+    # the budget counts the attempts of each nu's own path: at exactly that
+    # many nu lands, beside a nu past the budget and after one whose landing
+    # took attempts of its own; one fewer and it gets an error naming the budget
+    attempts = []
+    step = fa._dp_step
+    monkeypatch.setattr(fa, "_dp_step", lambda *args: attempts.append(args) or step(*args))
+    (alone,) = fa.disentangle_ode_oracle([nu])
+    need = len(attempts)
+    monkeypatch.setattr(fa, "ODE_BUDGET", need)
+    shared = fa.disentangle_ode_oracle([2.0 * nu, nu, 0.5 * nu])
+    assert shared[1] == alone and isinstance(shared[2], fa.DisentangleFunctions)
+    assert isinstance(shared[0], fa.ConvergenceError)
+    monkeypatch.setattr(fa, "ODE_BUDGET", need - 1)
+    (short,) = fa.disentangle_ode_oracle([nu])
+    assert isinstance(short, fa.ConvergenceError) and f"step budget of {need - 1} attempts" in str(short)
+
+
+def test_ode_overflowing_stage_is_a_rejected_step():
+    # a trial step of 1e3 from the origin overflows a stage exponential
+    # (math.exp raises OverflowError, and a traceback once ended the run):
+    # the walk rejects it as a step whose error is inf, shrinks the step as
+    # the reference does, and still lands within rounding of the closed forms
+    with pytest.raises(OverflowError):
+        fa._dp_step(0.0, 0.0, 0.0, 1.0, -1.0, 1e3)
+    walk = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1e3, 0]
+    fa._walk(walk, 2000.0, land=True)
+    x, f1, f2, c2, f3, *_ = walk
+    assert x == 2000.0 and (f1, f2 + c2, f3) == reference_ode_pass(2000.0, 1e3)
+    c = fa.disentangle_closed_form(2000.0)
+    assert max(abs(f1 - c.f1), abs(f2 + c2 - c.f2), abs(f3 - c.f3)) <= 1e-13
 
 
 @pytest.mark.parametrize("nu", [1e19, 1e100, -1e100])
@@ -817,13 +928,10 @@ def test_ode_non_finite_steps_raise(nu):
 
 
 @settings(deadline=None, max_examples=60)
-@given(nu=st.floats(allow_nan=False, allow_infinity=False))
-def test_ode_oracle_finite_or_convergence_error(nu):
-    try:
-        f = fa.disentangle_ode_oracle(nu, fa.ode_steps(nu))
-    except fa.ConvergenceError:
-        return
-    assert all(math.isfinite(v) for v in (f.f1, f.f2, f.f3))
+@given(nus=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
+def test_ode_oracle_finite_or_convergence_error(nus):
+    for f in fa.disentangle_ode_oracle(nus):
+        assert isinstance(f, fa.ConvergenceError) or all(math.isfinite(v) for v in (f.f1, f.f2, f.f3))
 
 
 def test_closed_form_at_large_squeeze():

@@ -245,6 +245,27 @@ def _close_exp(ours: np.ndarray, ref: np.ndarray, exponent: np.ndarray, scale: f
     return bool(np.all(np.abs(ours - ref) <= bound))
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=scenarios_at(), grid=mode_grids(), v_source=st.sampled_from(["hj_closure", "closed_form"]))
+def test_hj_closure_and_unit_norm_hold_for_random_scenarios(case, grid, v_source):
+    # the Hamilton-Jacobi sum cancels to rounding: each coefficient of the
+    # total sums four forms (hj_closure rounds V's three once more), and the
+    # field adds c_u u^2 + c_v v^2 + const, so the residual stays within a
+    # few eps of the largest coefficient times 1 + u^2 + v^2 (1.4 at most in
+    # 3000 draws); and the moments' norm is 1 within the normalization
+    # tolerance (2e-13 at most in those draws)
+    s, t = case
+    external = verify.external_quadform(s, t, v_source)
+    forms = [cf.kinetic_coeffs(s, t), cf.bohm_coeffs(s, t), external, cf.phase_rate_coeffs(s, t)]
+    largest = max(max(abs(f.c_u), abs(f.c_v), abs(f.const)) for f in forms)
+    u, v = grid.xs(), grid.ys()
+    reach = 1.0 + float((u * u).max()) + float((v * v).max())
+    report = verify.hamilton_jacobi_residual(s, t, grid, v_source=v_source)
+    assert report.max_abs_residual <= 8.0 * np.finfo(float).eps * largest * reach
+    norm, _, _ = verify.diagonal_moments(s, t)
+    assert abs(norm - 1.0) <= cli.DEFAULT_TOLERANCES["normalization"]
+
+
 @settings(max_examples=150, deadline=None)
 @given(grid=mode_grids(), case=scenarios_at())
 @example(
