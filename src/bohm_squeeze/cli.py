@@ -26,7 +26,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -62,7 +62,6 @@ EXIT_TOLERANCE = 2
 EXIT_IO = 3
 
 ENTROPY_TERMS = 600  # Schmidt eigenvalues summed per entropy value
-ENTROPY_TAIL = 1e-12  # the largest tail mass, tanh^(2 ENTROPY_TERMS) nu, they may leave
 
 DEFAULT_TOLERANCES = {
     "residual_max": 1e-4,       # stencil residuals (schrodinger, continuity, bohm)
@@ -95,18 +94,18 @@ FIELD_SAMPLERS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """One batch run: scenario, grid choice, times, outputs, tolerances."""
+    """One batch run, as ``_run_config`` parses it: scenario, grid choice, times, outputs, tolerances."""
 
     scenario: Scenario
     grid: GridSpec2D | None  # None = adaptive per-time grid
     times: tuple[float, ...]
     out_dir: Path
-    outputs: tuple[str, ...] = ("density",)
-    v_source: VSource = "hj_closure"
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))  # every key, defaults filled in
-    grid_n: int | None = None  # overrides sample count, keeps extent
+    outputs: tuple[str, ...]
+    v_source: VSource
+    tolerances: dict  # every key, defaults and --tol filled in
+    grid_n: int | None  # overrides sample count, keeps extent
 
     def grid_for(self, t: float) -> GridSpec2D:
         g = self.grid if self.grid is not None else auto_grid(self.scenario, t)
@@ -206,11 +205,11 @@ def _grid(raw: object) -> GridSpec2D:
 
 def load_config(path: str | Path, *, out_override: str | None = None, grid_n: int | None = None) -> RunConfig:
     """Parse and validate a JSON density configuration."""
-    return _run_config(_read_json_object(path, "density"), out_override, grid_n)
+    return _run_config(_read_json_object(path, "density"), out_override, grid_n, None)
 
 
-def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunConfig:
-    """A density or verify config whose top-level keys are already checked."""
+def _run_config(raw: dict, out_override: str | None, grid_n: int | None, tol: float | None) -> RunConfig:
+    """A density or verify config whose top-level keys are already checked; ``tol`` is ``--tol``'s residual_max."""
     try:
         scenario = _scenario(raw.get("scenario", {}))
     except ValueError as exc:
@@ -248,6 +247,8 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None) -> RunC
 
     tolerances = _object(raw.get("tolerances", {}), "tolerances", tuple(DEFAULT_TOLERANCES))
     tolerances = {key: _positive_tolerance(value, f"tolerance '{key}'") for key, value in tolerances.items()}
+    if tol is not None:
+        tolerances["residual_max"] = tol
 
     return RunConfig(
         scenario=scenario,
@@ -339,7 +340,7 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     s, tol = cfg.scenario, cfg.tolerances
     entries, failures = [], []
     for t in cfg.times:
-        grid = cfg.grid if cfg.grid is not None else verify.residual_grid(s, t)
+        grid = cfg.grid if cfg.grid is not None else verify.residual_grid(s, t, tol["residual_max"])
         reports = [
             verify.schrodinger_residual(s, t, grid, v_source=cfg.v_source),
             verify.continuity_residual(s, t, grid),
@@ -440,11 +441,13 @@ def run_fock(
 def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: float) -> dict:
     """One entry's measurements, from both routes compressed to the interior of level ``half``."""
     direct = fockalg.two_mode_squeeze_direct(nu, spec, level=half)
+    # the block's copy is gone before the factored result is made, so no
+    # more than two operators of the block's size live at once
+    scale = float(np.linalg.norm(fockalg.interior_block(direct, half)))
     # both routes pad with the identity: the difference is zero off the block
     diff = fockalg.two_mode_squeeze_factored(nu, spec, level=half).entries
     diff -= direct.entries
-    # in place, not a copy as large as the result; sector 0 has no padding
-    distance = float(np.linalg.norm(diff)) / float(np.linalg.norm(fockalg.zero_padding(direct)))
+    distance = float(np.linalg.norm(diff)) / scale
     col = fockalg.vacuum_column(direct)
     ns = np.arange(half + 1)
     with np.errstate(over="ignore"):  # cosh is inf past |nu| ~ 710, where the column tends to 0
@@ -461,15 +464,17 @@ def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: flo
 
 
 def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
-    """entropy.csv with summed and closed-form entropies per squeeze value; no file if one fails."""
+    """entropy.csv with summed and closed-form entropies per squeeze value; no file if one fails.
+
+    ``spectral.entanglement_entropy`` refuses a squeeze value whose tail
+    past ENTROPY_TERMS terms is not negligible, naming the reach of that
+    many terms.
+    """
     rows = ["nu,entropy_sum,entropy_closed,schmidt_lambda0\n"]
     for nu in nu_values:
         spec = spectral.schmidt_spectrum(nu, ENTROPY_TERMS)
-        if spec.tail_mass >= ENTROPY_TAIL:
-            reach = math.atanh(ENTROPY_TAIL ** (0.5 / ENTROPY_TERMS))
-            raise ValueError(f"{ENTROPY_TERMS} Schmidt terms reach a {ENTROPY_TAIL:g} tail at |nu| <= {reach:.3g} only")
         rows.append(
-            f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec, tail_tol=ENTROPY_TAIL))},"
+            f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
             f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"
         )
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -509,12 +514,12 @@ def _build_parser() -> argparse.ArgumentParser:
         (
             "verify",
             "write residual/normalization report",
-            [("--tol", float, "override the stencil-residual tolerance (1e-4)")],
+            [("--tol", float, f"override the stencil-residual tolerance ({DEFAULT_TOLERANCES['residual_max']:g})")],
         ),
         (
             "fock",
             "write truncated-space factorization report",
-            [("--tol", float, "flag threshold for the interior distance (1e-8)")],
+            [("--tol", float, f"flag threshold for the interior distance ({FOCK_TOLERANCE:g})")],
         ),
         ("entropy", "write entanglement-entropy table", []),
     ]:
@@ -536,9 +541,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         tol = None if args.tol is None else _positive_tolerance(args.tol, "--tol")
         raw = _read_json_object(args.config, args.command)
         if args.command in ("density", "verify"):
-            cfg = _run_config(raw, args.out, args.grid_n)
-            if tol is not None:
-                cfg.tolerances["residual_max"] = tol
+            cfg = _run_config(raw, args.out, args.grid_n, tol)
             # on a huge extent a field overflows: the amplitude to its limit 0,
             # a potential or residual to inf or NaN, which their checks refuse
             with np.errstate(over="ignore", invalid="ignore"):

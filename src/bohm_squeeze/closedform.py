@@ -55,7 +55,6 @@ __all__ = [
     "wavefunction_psi",
     "bohm_potential",
     "external_potential",
-    "external_potential_variant",
     "classify_level_curves_bohm",
     "classify_level_curves_external",
     "spread_sigmas",
@@ -206,9 +205,6 @@ class QuadForm:
     def __sub__(self, other: "QuadForm") -> "QuadForm":
         return QuadForm(self.c_u - other.c_u, self.c_v - other.c_v, self.const - other.const)
 
-    def scaled(self, f: float) -> "QuadForm":
-        return QuadForm(f * self.c_u, f * self.c_v, f * self.const)
-
 
 Classification = Literal["ellipse", "parabola-degenerate", "hyperbola", "degenerate-lines"]
 
@@ -353,11 +349,6 @@ def bohm_potential(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> ArrayLi
 def external_potential(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:
     """External potential V(x, y, t) from the Hamilton-Jacobi closure."""
     return external_coeffs(s, t)(x, y)
-
-
-def external_potential_variant(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:
-    """Sign-variant external potential (fails the Hamilton-Jacobi identity)."""
-    return external_variant_coeffs(s, t)(x, y)
 
 
 def classify_level_curves_bohm(s: Scenario, t: float) -> ConicClass:

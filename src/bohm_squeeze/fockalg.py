@@ -26,8 +26,7 @@ Compression: given a ``level``, both routes compute only the block on the
 states n_a, n_b <= level and return it as an operator on
 ``FockSpaceSpec(level)``, the identity on its padding (``_pad_identity``);
 ``interior_block`` cuts the same block out of an operator, with zeros on
-its padding, and ``zero_padding`` zeroes an operator's own padding in
-place.
+its padding.
 
 Limits: the squeeze takes |L, L> to occupation L cosh 2nu + sinh^2 nu, so
 the direct route's elements near n_max carry truncation error, and an
@@ -42,6 +41,7 @@ direct route's rounding grows with |nu| until its guard raises
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,7 +58,6 @@ __all__ = [
     "two_mode_squeeze_direct",
     "two_mode_squeeze_factored",
     "interior_block",
-    "zero_padding",
     "vacuum_column",
     "disentangle_ode_oracle",
     "disentangle_closed_form",
@@ -75,13 +74,15 @@ DIRECT_DEFECT_BOUND = 1e-10
 # Largest temporary, in bytes, the direct route forms Z Z^T in.
 DIRECT_CHUNK_BYTES = 1 << 20
 
-# The ODE oracle's error tolerance, absolute and relative alike; its step
+# The ODE oracle's error tolerance, absolute and relative alike; the bound
+# on each component's local error estimate in its fixed-step mode; its step
 # budget, the step attempts, rejected ones included, that the path to one nu
 # may take; and its largest step.  Once tanh saturates, f1' = 1 - f1^2 has
 # the Jacobian -2, and the pair is stable for steps up to 3.307 / 2 = 1.653
 # there, so the cap sits just inside the step the controller holds anyway
 # (see ``disentangle_ode_oracle``).
 ODE_TOL = 1e-14
+ODE_FIXED_STEP_TOL = 1e-9
 ODE_BUDGET = 10_000
 ODE_STEP_CAP = 1.6
 
@@ -398,14 +399,6 @@ def interior_block(op: FockOperator, level: int) -> np.ndarray:
     return _fill_padding(op.entries[n_max - level : n_max + level + 1, : level + 1, : level + 1].copy(), 0.0)
 
 
-def zero_padding(op: FockOperator) -> np.ndarray:
-    """``op``'s entries with their padding zeroed in place: ``interior_block(op, op.spec.n_max)`` without a copy.
-
-    ``op`` then no longer holds the identity on its padding.
-    """
-    return _fill_padding(op.entries, 0.0)
-
-
 def vacuum_column(op: FockOperator) -> np.ndarray:
     """<n_a, n_b| op |0, 0> as an (n_max+1, n_max+1) array.
 
@@ -523,7 +516,7 @@ def _walk(walk: list, target: float, land: bool) -> None:
 
 
 def disentangle_ode_oracle(
-    nu_end: float | Sequence[float], steps: int | None = None, *, local_tol: float = 1e-9
+    nu_end: float | Sequence[float], steps: int | None = None
 ) -> DisentangleFunctions | list[DisentangleFunctions | ConvergenceError]:
     """Integrate the factorization system from (0, 0, 0) to each nu.
 
@@ -538,9 +531,9 @@ def disentangle_ode_oracle(
 
     With ``steps``, ``nu_end`` is one nu, reached in that many equal steps.
     Each step is checked: the difference to the embedded 4th-order
-    solution must be at most ``local_tol`` in every component.  A stage
-    exponential that overflows, an estimate that is not a number and a
-    result that is not finite all raise ``ConvergenceError``.
+    solution must be at most ``ODE_FIXED_STEP_TOL`` in every component.
+    A stage exponential that overflows, an estimate that is not a number
+    and a result that is not finite all raise ``ConvergenceError``.
 
     Without ``steps``, ``nu_end`` is a sequence of nu, and the list returned
     holds each one's (f1, f2, f3) or the ``ConvergenceError`` it meets.  One
@@ -560,10 +553,18 @@ def disentangle_ode_oracle(
     a nu it does not reach gets an error that names the budget.  Steps are
     at most ``ODE_STEP_CAP``, where the saturated f1 holds them anyway, so
     the budget reaches |nu| of about 1.5e4, and a nu that not even steps of
-    the cap could reach fails without an attempt.  A NaN nu raises
+    the cap could reach fails without an attempt.
+
+    A NaN nu, a sequence with ``steps`` and one number without them raise
     ``ValueError``.
     """
-    if steps is not None:
+    one = isinstance(nu_end, numbers.Real)
+    if one != (steps is not None):
+        need = "without steps, nu_end must be a sequence of nu" if one else "with steps, nu_end must be one nu"
+        raise ValueError(f"{need}, got {nu_end!r}")
+    if any(math.isnan(nu) for nu in ([nu_end] if one else nu_end)):
+        raise ValueError("nu must be a number")
+    if one:
         if steps < 1:
             raise ValueError("need at least one integration step")
         h = nu_end / steps
@@ -571,18 +572,17 @@ def disentangle_ode_oracle(
         try:
             for _ in range(steps):
                 f1, f2, f3, k1, m1, _, d1, d2, d3 = _dp_step(f1, f2, f3, k1, m1, h)
-                if not (d1 <= local_tol and d2 <= local_tol and d3 <= local_tol):
+                if not (d1 <= ODE_FIXED_STEP_TOL and d2 <= ODE_FIXED_STEP_TOL and d3 <= ODE_FIXED_STEP_TOL):
                     # compared one by one: max() drops a NaN that is not its first argument
                     err = math.nan if math.isnan(d1 + d2 + d3) else max(d1, d2, d3)
-                    raise ConvergenceError(f"local error estimate {err:.3e} exceeds {local_tol:.0e}; increase steps")
+                    message = f"local error estimate {err:.3e} exceeds {ODE_FIXED_STEP_TOL:.0e}; increase steps"
+                    raise ConvergenceError(message)
         except OverflowError:
             raise ConvergenceError(f"stage exponential overflows with step size {h:.3e}; increase steps") from None
         if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
             raise ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
         return DisentangleFunctions(f1, f2, f3)
 
-    if any(math.isnan(nu) for nu in nu_end):
-        raise ValueError("nu must be a number")
     main = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, ODE_TOL**0.2, 0]
     reached = {}
     for target in sorted({abs(nu) for nu in nu_end}):

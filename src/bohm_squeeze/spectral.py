@@ -115,13 +115,18 @@ def schmidt_spectrum(nu: float, N: int) -> SchmidtSpectrum:
 def entanglement_entropy(spec: SchmidtSpectrum, *, tail_tol: float = 1e-12) -> float:
     """Von Neumann entropy -sum lambda_n ln lambda_n, in nats.
 
-    Requires the truncated tail to be negligible; raises otherwise since
-    the summed entropy would silently miss the tail contribution.
+    Requires the tail mass past the retained terms, tanh^(2N) nu for N
+    terms, to stay below ``tail_tol``; raises otherwise, since the summed
+    entropy would silently miss the tail contribution.  The message names
+    the reach of N terms, atanh(tail_tol^(1/2N)) in |nu|, which is
+    finite for 0 < tail_tol < 1 only.
     """
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie between 0 and 1, got {tail_tol!r}")
     if spec.tail_mass >= tail_tol:
-        raise ValueError(
-            f"tail mass {spec.tail_mass:.3e} >= {tail_tol:.0e}; retain more eigenvalues"
-        )
+        terms = len(spec.lambdas)
+        reach = math.atanh(tail_tol ** (0.5 / terms))
+        raise ValueError(f"{terms} Schmidt terms reach a {tail_tol:g} tail at |nu| <= {reach:.3g} only")
     lams = spec.lambdas[spec.lambdas > 0.0]
     return float(-np.sum(lams * np.log(lams))) + 0.0  # +0.0 folds -0.0 away
 

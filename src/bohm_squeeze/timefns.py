@@ -52,13 +52,6 @@ class TimePolynomial:
             acc = acc * t + k * (k - 1) * self.coeffs[k]
         return acc
 
-    def __call__(self, t: float) -> float:
-        return self.value(t)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     @property
     def starts_at_zero(self) -> bool:
         """True when the constant coefficient vanishes (required of nu)."""

@@ -35,7 +35,8 @@ reached at its end or at an interior maximum (y = -3 for the Bohm
 definition, y = -1 and -6 for continuity, the real roots of one quartic
 for Schrodinger, both axes' quartics solved by one eigvals call).
 ``residual_grid`` picks per axis the largest half extent keeping that
-bound at half the target, so residual checks stay meaningful (error
+bound at half the stencil budget, a fifth of the ``residual_max`` the
+residuals are judged against, so residual checks stay meaningful (error
 budget dominated by the identity under test, not by the stencil): one
 scalar search per axis, for one time.
 """
@@ -530,10 +531,12 @@ def _axis_law(m: float, c_amp: float, c_phase: float, const: float, roots: list[
 
 # each axis's half extent is searched in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma];
 # the search stops at the width GRID_BISECTIONS bisection steps of that bracket
-# reach, and takes at most GRID_SECANT_STEPS secant steps
+# reach, and takes at most GRID_SECANT_STEPS secant steps.  The stencil error
+# may take residual_max / GRID_BUDGET_DIVISOR, half of it per axis
 GRID_HALF_MIN = 1e-3
 GRID_BISECTIONS = 48
 GRID_SECANT_STEPS = 18
+GRID_BUDGET_DIVISOR = 5
 
 
 def _largest_half(excess: Callable[[float], float], lo: float, hi: float) -> float | None:
@@ -570,13 +573,14 @@ def _largest_half(excess: Callable[[float], float], lo: float, hi: float) -> flo
     return lo
 
 
-def residual_grid(s: Scenario, t: float, n: int = 201, target: float = 2e-5) -> GridSpec2D:
-    """Largest grid on the mode axes at time t whose predicted stencil error stays at ``target``.
+def residual_grid(s: Scenario, t: float, residual_max: float, n: int = 201) -> GridSpec2D:
+    """Largest grid on the mode axes at time t whose predicted stencil error fits ``residual_max``'s budget.
 
-    Each axis's law gets half the target, and its half extent is searched
-    in [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma] (a bracket that would end
+    The stencil budget is residual_max / GRID_BUDGET_DIVISOR, and each
+    axis's law gets half of it.  Its half extent is searched in
+    [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma] (a bracket that would end
     below GRID_HALF_MIN is that one point) by regula falsi with the
-    Illinois modification: secant steps on ln(law / target) against
+    Illinois modification: secant steps on ln(law / budget) against
     ln(half), where the law is close to a power law.  The law grows
     monotonically with extent at fixed n (larger h and larger fourth
     derivatives), so the bracket always holds the largest feasible extent.
@@ -584,20 +588,22 @@ def residual_grid(s: Scenario, t: float, n: int = 201, target: float = 2e-5) -> 
     once the secant has converged the next step closes the bracket to the
     tolerance (about ten law calls per axis).  The returned extent is
     always the feasible end of the bracket.  A law that underflows to 0
-    is feasible (see LAW_FLOOR).
+    is feasible (see LAW_FLOOR).  Where even GRID_HALF_MIN misses the
+    budget, the ``ValueError`` names residual_max, the time and the axis.
     """
     if not (isinstance(n, numbers.Integral) and n >= 2 * RING + 1):
         raise ValueError(f"residual grid needs an integer n >= {2 * RING + 1}, got {n!r}")
-    if not 0.0 < target < math.inf:
-        raise ValueError(f"stencil-error target must be positive and finite, got {target!r}")
+    if not 0.0 < residual_max < math.inf:
+        raise ValueError(f"residual_max must be positive and finite, got {residual_max!r}")
     sigmas = spread_sigmas(s, t)
-    budget = 0.5 * target
+    budget = 0.5 * (residual_max / GRID_BUDGET_DIVISOR)
     halves = []
     for axis, law, sigma in zip("uv", _stencil_error_law(s, t), sigmas):
         hi = max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)
         half = _largest_half(lambda half: math.log(max(law(half, n) / budget, LAW_FLOOR)), GRID_HALF_MIN, hi)
         if half is None:
-            raise ValueError(f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis; raise n or target")
+            where = f"at n = {n} for t = {t:g} on the {axis} axis"
+            raise ValueError(f"no feasible extent {where} under residual_max = {residual_max:g}")
         halves.append(half)
     a_u, a_v = halves
     return GridSpec2D(-a_u, a_u, -a_v, a_v, n, n)

@@ -157,7 +157,7 @@ def test_criterion_5_pde_residuals_with_convergence():
     hj_worst = 0.0
     for s in [example1(), example2()]:
         for t in [0.25, 0.5, 1.0]:
-            coarse = verify.residual_grid(s, t, n=201)
+            coarse = verify.residual_grid(s, t, 1e-4, n=201)
             fine = cf.GridSpec2D(coarse.x_min, coarse.x_max, coarse.y_min, coarse.y_max, 401, 401)
             # analytic closure residual: no stencil, no ratio
             hj_worst = max(hj_worst, verify.hamilton_jacobi_residual(s, t, coarse).max_abs_residual)

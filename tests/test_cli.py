@@ -41,9 +41,9 @@ def small_density_config(tmp_path: Path, **overrides) -> Path:
     return write_config(tmp_path, "cfg.json", payload)
 
 
-def load_verify_config(path: Path) -> cli.RunConfig:
-    """A verify config, read as ``main`` reads it."""
-    return cli._run_config(cli._read_json_object(path, "verify"), None, None)
+def load_verify_config(path: Path, tol: float | None = None) -> cli.RunConfig:
+    """A verify config, read as ``main`` reads it with ``--tol tol``."""
+    return cli._run_config(cli._read_json_object(path, "verify"), None, None, tol)
 
 
 def read_field_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,7 +302,7 @@ def test_verify_without_feasible_grid_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "times, message",
     [
-        ([1.0, 4.0, 100.0], "no feasible extent at n = 201 for t = 4 on the v axis; raise n or target"),
+        ([1.0, 4.0, 100.0], "no feasible extent at n = 201 for t = 4 on the v axis under residual_max = 0.0001"),
         ([1.0, 100.0, 4.0], "|nu(t)| = 100 (|r nu| = 0) exceeds the supported range 50 at t = 100"),
     ],
 )
@@ -358,11 +358,71 @@ def test_run_verify_chooses_one_grid_per_time(tmp_path, monkeypatch, grid):
     cfg = cli.load_config(small_density_config(tmp_path, grid=grid, times=[0.25, 0.5, 1.0]))
     out, _ = cli.run_verify(cfg)
     if grid == "auto":
-        assert calls == [((cfg.scenario, t), {}) for t in cfg.times]
+        assert calls == [((cfg.scenario, t, 1e-4), {}) for t in cfg.times]
         reports = [e["reports"][0]["grid"] for e in json.loads(out.read_text())["results"]]
-        assert reports == [vars(choose(cfg.scenario, t)) for t in cfg.times]
+        assert reports == [vars(choose(cfg.scenario, t, 1e-4)) for t in cfg.times]
     else:
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "tolerances, tol", [({"residual_max": 1e-6}, None), ({"residual_max": 1e-6}, 2e-5), ({}, 2e-5)]
+)
+def test_run_verify_sizes_auto_grids_from_residual_max(tmp_path, tolerances, tol):
+    # the config's residual_max, or --tol's in its place, is the one an auto
+    # grid is sized for and the stencil residuals are judged against: a
+    # smaller one gives a smaller grid that meets it
+    cfg = load_verify_config(small_density_config(tmp_path, grid="auto", tolerances=tolerances, times=[0.5, 1.0]), tol)
+    residual_max = tol or tolerances["residual_max"]
+    assert cfg.tolerances["residual_max"] == residual_max
+    out, failures = cli.run_verify(cfg)
+    report = json.loads(out.read_text())
+    assert failures == [] and report["tolerances"]["residual_max"] == residual_max
+    for t, entry in zip(cfg.times, report["results"], strict=True):
+        grid = verify.residual_grid(cfg.scenario, t, residual_max)
+        assert grid != verify.residual_grid(cfg.scenario, t, 1e-4)
+        assert all(rep["grid"] == vars(grid) for rep in entry["reports"])
+        assert max(rep["max_abs_residual"] for rep in entry["reports"]) <= residual_max
+
+
+@pytest.mark.parametrize("config", ["verify_example1.json", "verify_example2.json"])
+@pytest.mark.parametrize("tol", ["0.05", "1e-5", "1e-6", "1e-7"])
+def test_verify_tol_sizes_the_grid_it_judges(tmp_path, config, tol):
+    # --tol is the residual_max each auto grid's stencil budget is a fifth
+    # of, so the example configs pass under it down to 1e-7
+    code, out, err = run_main(["verify", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path), "--tol", tol])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads((tmp_path / "residuals.json").read_text())["tolerances"]["residual_max"] == float(tol)
+
+
+@pytest.mark.parametrize(
+    "config, tol, named",
+    [
+        ("verify_example1.json", "1e-9", "t = 1 on the v axis under residual_max = 1e-09"),
+        ("verify_example1.json", "1e-10", "t = 0.25 on the v axis under residual_max = 1e-10"),
+        ("verify_example2.json", "1e-10", "t = 0.25 on the u axis under residual_max = 1e-10"),
+    ],
+)
+def test_verify_tol_without_feasible_grid_is_usage_error(tmp_path, config, tol, named):
+    # a --tol whose stencil budget no 201-point grid meets: exit 1 with one
+    # line naming residual_max, the time and the axis, and no report
+    argv = ["verify", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path / "out"), "--tol", tol]
+    code, out, err = run_main(argv)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"invalid input: no feasible extent at n = 201 for {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_tol_above_the_feasibility_edge_is_a_tolerance_failure(tmp_path):
+    # example 1's grids exist at --tol 1e-8, one decade above the 1e-9 that
+    # exits 1, but its stencil residuals fail there: the law has no rounding
+    # term.  Exit 2 with a report, not exit 1
+    argv = ["verify", "--config", str(CONFIG_DIR / "verify_example1.json"), "--out", str(tmp_path), "--tol", "1e-8"]
+    code, _, err = run_main(argv)
+    assert code == cli.EXIT_TOLERANCE and "no feasible extent" not in err
+    assert "tolerance violation: schrodinger at t = 0.25: 5.345e-08 > 1.000e-08" in err
+    assert json.loads((tmp_path / "residuals.json").read_text())["pass"] is False
+
 
 @pytest.mark.parametrize("config", ["fig1.json", "fig2.json"])
 def test_verify_figure_scenarios_pass_with_auto_grids(tmp_path, capsys, config):
@@ -588,8 +648,9 @@ def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):
 
 def test_fock_interior_norm_makes_no_copy_of_the_result():
     # at n_max = 160 (level 80) each route's result is 161 x 81^2 doubles,
-    # 8.4 MB; the interior norm zeroes the direct result's padding in place,
-    # where a copy of the block would raise the peak to three results
+    # 8.4 MB; the interior norm's copy of the direct result is freed before
+    # the factored route runs, where holding it beside both results would
+    # raise the peak to three
     spec = fockalg.FockSpaceSpec(160)
     spec._pair_table, spec._spectrum
     cli._fock_measurements(0.5, spec, 80, 1e-8)
@@ -607,16 +668,6 @@ def test_fock_interior_norm_makes_no_copy_of_the_result():
     interior = fockalg.interior_block(direct, 80)
     expected = np.linalg.norm(fockalg.interior_block(factored, 80) - interior) / np.linalg.norm(interior)
     assert entry["factorization_interior_rel"] == expected
-
-
-def test_zero_padding_is_the_interior_block_in_place():
-    spec = fockalg.FockSpaceSpec(6)
-    op = fockalg.two_mode_squeeze_direct(0.7, spec)
-    block = fockalg.interior_block(op, 6)
-    entries = op.entries
-    assert fockalg.zero_padding(op) is entries
-    assert np.array_equal(entries, block)
-    assert not np.array_equal(entries, fockalg.two_mode_squeeze_direct(0.7, spec).entries)
 
 
 @settings(deadline=None, max_examples=100)
@@ -666,8 +717,8 @@ def test_entropy_table(tmp_path):
 
 def test_entropy_names_its_term_limit(tmp_path, capsys):
     # entropy sums a fixed 600 Schmidt terms, whose tail mass tanh^1200 nu
-    # reaches 1e-12 at |nu| ~ 2.23: past it the message names that limit,
-    # not an eigenvalue count that no config can raise
+    # reaches spectral's default 1e-12 at |nu| ~ 2.23: past it the message
+    # names that limit, not an eigenvalue count that no config can raise
     cfg = write_config(tmp_path, "e.json", {"nu_values": [0.5, 2.5], "out_dir": str(tmp_path / "out")})
     assert cli.main(["entropy", "--config", str(cfg)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == "invalid input: 600 Schmidt terms reach a 1e-12 tail at |nu| <= 2.23 only\n"

@@ -274,7 +274,7 @@ def test_external_example2_printed_form():
 def test_variant_point_value():
     # the sign-variant transcription at (1, 0), t = 0 for example 1:
     # (1/2)(-1 - 2 cosh 0) + 2 cosh 0 = 1/2
-    assert cf.external_potential_variant(example1(), 1.0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+    assert cf.external_variant_coeffs(example1(), 0.0)(1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_variant_differs_from_closure_by_bohm_multiple():
@@ -282,10 +282,10 @@ def test_variant_differs_from_closure_by_bohm_multiple():
     for s in [example1(), example2(), generic()]:
         for t in [0.0, 0.4, 1.3]:
             diff = cf.external_variant_coeffs(s, t) - cf.external_coeffs(s, t)
-            vb = cf.bohm_coeffs(s, t).scaled(2 * s.m + 1)
-            assert diff.c_u == pytest.approx(vb.c_u, rel=1e-12)
-            assert diff.c_v == pytest.approx(vb.c_v, rel=1e-12, abs=1e-15)
-            assert diff.const == pytest.approx(vb.const, rel=1e-12)
+            vb, k = cf.bohm_coeffs(s, t), 2 * s.m + 1
+            assert diff.c_u == pytest.approx(k * vb.c_u, rel=1e-12)
+            assert diff.c_v == pytest.approx(k * vb.c_v, rel=1e-12, abs=1e-15)
+            assert diff.const == pytest.approx(k * vb.const, rel=1e-12)
 
 
 def test_external_value_at_origin():

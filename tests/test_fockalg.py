@@ -722,9 +722,26 @@ def test_ode_step_count_validation():
 
 
 def test_ode_step_size_failure():
-    # 100 coarse steps over a long interval cannot hold a 1e-14 local bound
-    with pytest.raises(fa.ConvergenceError, match="local error"):
-        fa.disentangle_ode_oracle(2.0, steps=100, local_tol=1e-14)
+    # 10 steps of 0.1 cannot hold the 1e-9 local bound: the first one errs
+    # by 2.8e-9
+    with pytest.raises(fa.ConvergenceError, match="local error estimate 2.828e-09 exceeds 1e-09; increase steps"):
+        fa.disentangle_ode_oracle(1.0, steps=10)
+
+
+@pytest.mark.parametrize(
+    "nu_end, steps, message",
+    [
+        (1.0, None, "without steps, nu_end must be a sequence of nu, got 1.0"),
+        ([1.0], 10, r"with steps, nu_end must be one nu, got \[1.0\]"),
+        (math.nan, 10, "nu must be a number"),
+        ([0.5, math.nan], None, "nu must be a number"),
+    ],
+)
+def test_ode_oracle_refuses_inputs_it_cannot_integrate(nu_end, steps, message):
+    # one nu goes with a step count, a sequence without one; a NaN nu has no
+    # step count that could reach it
+    with pytest.raises(ValueError, match=message):
+        fa.disentangle_ode_oracle(nu_end, steps)
 
 
 DP_E = [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]  # b_j - b*_j
@@ -859,7 +876,7 @@ def test_ode_step_cap_edge(sign):
         (107.5, 2000, 1e-9, 19),
     ],
 )
-def test_ode_shared_pass_matches_lone_calls(nu_end, steps, local_tol, failing):
+def test_ode_shared_pass_matches_lone_calls(monkeypatch, nu_end, steps, local_tol, failing):
     # the nu count * h of the grid h = nu_end / steps, in any order and with
     # repeats, mirrors, 0.0, -0.0 and a nu past the step budget: one pass
     # serves them all, each entry bitwise a call of its nu alone, and the nu
@@ -875,14 +892,15 @@ def test_ode_shared_pass_matches_lone_calls(nu_end, steps, local_tol, failing):
         else:
             bits = [[v.hex() for v in (f.f1, f.f2, f.f3)] for f in (shared, alone)]
             assert bits[0] == bits[1]
+    monkeypatch.setattr(fa, "ODE_FIXED_STEP_TOL", local_tol)
     for count in counts:
         assert (count * h) / count == h  # the lone call takes the grid's step
         if count < failing:
-            f = fa.disentangle_ode_oracle(count * h, count, local_tol=local_tol)
+            f = fa.disentangle_ode_oracle(count * h, count)
             assert isinstance(f, fa.DisentangleFunctions)
         else:
             with pytest.raises(fa.ConvergenceError, match="local error"):
-                fa.disentangle_ode_oracle(count * h, count, local_tol=local_tol)
+                fa.disentangle_ode_oracle(count * h, count)
 
 
 @pytest.mark.parametrize("nu", [1.0, -2.5])

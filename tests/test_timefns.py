@@ -61,7 +61,7 @@ def test_d2_matches_second_difference(coeffs, t):
 
 def test_empty_coefficients_become_zero_polynomial():
     poly = TimePolynomial([])
-    assert poly.value(3.0) == 0.0 and poly.degree == 0
+    assert poly.value(3.0) == 0.0 and poly.coeffs == (0.0,)
 
 
 def test_scenario_rejects_nonzero_initial_squeeze():

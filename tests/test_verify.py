@@ -15,6 +15,9 @@ from bohm_squeeze import cli, verify
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
+# verify's default stencil-residual tolerance, which auto grids are sized for
+RESIDUAL_MAX = cli.DEFAULT_TOLERANCES["residual_max"]
+
 def example1():
     return Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
 
@@ -61,7 +64,7 @@ def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
 def test_bohm_from_amplitude_ground_state():
     # exact check against the Gaussian identity V_B = 1 - (x^2+y^2)/2 at t=0
     s = example1()
-    grid = verify.residual_grid(s, 0.0)
+    grid = verify.residual_grid(s, 0.0, RESIDUAL_MAX)
     fd = bohm_from_amplitude(sample_amplitude(s, grid, 0.0), s.m)
     x, y = fd.grid.mesh()
     exact = 1.0 - (x * x + y * y) / 2.0
@@ -73,7 +76,7 @@ def test_bohm_from_amplitude_ground_state():
 
 def test_bohm_from_amplitude_matches_closed_form():
     s = example1()
-    grid = verify.residual_grid(s, 1.0)
+    grid = verify.residual_grid(s, 1.0, RESIDUAL_MAX)
     rep = verify.bohm_definition_residual(s, 1.0, grid)
     assert rep.max_abs_residual < 1e-4
     assert rep.equation == "bohm_definition"
@@ -81,7 +84,7 @@ def test_bohm_from_amplitude_matches_closed_form():
 
 def test_bohm_from_amplitude_second_order():
     s = example1()
-    g1 = verify.residual_grid(s, 0.5, n=101)
+    g1 = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=101)
     g2 = GridSpec2D(g1.x_min, g1.x_max, g1.y_min, g1.y_max, 201, 201)
     r1 = verify.bohm_definition_residual(s, 0.5, g1)
     r2 = verify.bohm_definition_residual(s, 0.5, g2)
@@ -116,7 +119,7 @@ def test_bohm_from_amplitude_interior_grid():
 @pytest.mark.parametrize("scenario_fn,t", [(example1, 0.5), (example1, 1.0), (example2, 0.5), (example2, 1.0)])
 def test_continuity_residual_small(scenario_fn, t):
     s = scenario_fn()
-    rep = verify.continuity_residual(s, t, verify.residual_grid(s, t))
+    rep = verify.continuity_residual(s, t, verify.residual_grid(s, t, RESIDUAL_MAX))
     assert rep.max_abs_residual < 1e-4
     assert rep.rms_residual <= rep.max_abs_residual
 
@@ -124,13 +127,13 @@ def test_continuity_residual_small(scenario_fn, t):
 @pytest.mark.parametrize("scenario_fn,t", [(example1, 0.5), (example2, 1.0)])
 def test_schrodinger_residual_small(scenario_fn, t):
     s = scenario_fn()
-    rep = verify.schrodinger_residual(s, t, verify.residual_grid(s, t))
+    rep = verify.schrodinger_residual(s, t, verify.residual_grid(s, t, RESIDUAL_MAX))
     assert rep.max_abs_residual < 1e-4
 
 
 def test_schrodinger_residual_second_order():
     s = example1()
-    g1 = verify.residual_grid(s, 0.5, n=101)
+    g1 = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=101)
     g2 = GridSpec2D(g1.x_min, g1.x_max, g1.y_min, g1.y_max, 201, 201)
     r1 = verify.schrodinger_residual(s, 0.5, g1, dt=2e-4)
     r2 = verify.schrodinger_residual(s, 0.5, g2, dt=1e-4)
@@ -160,7 +163,7 @@ def test_hamilton_jacobi_residual_exposes_variant():
 
 def test_schrodinger_residual_exposes_variant():
     s = example1()
-    grid = verify.residual_grid(s, 0.5)
+    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
     good = verify.schrodinger_residual(s, 0.5, grid, v_source="hj_closure")
     bad = verify.schrodinger_residual(s, 0.5, grid, v_source="variant")
     assert bad.max_abs_residual > 1e3 * good.max_abs_residual
@@ -533,7 +536,7 @@ def test_real_residuals_build_one_grid_array(residual):
     # square are taken in place, and the outer sums take their largest value
     # from the 1-D parts.  A second grid-sized array would reach 2
     s = example1()
-    grid = verify.residual_grid(s, 0.5)
+    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
     residual(s, 0.5, grid)
     tracemalloc.start()
     try:
@@ -549,7 +552,7 @@ def test_variant_fails_at_every_example_time(config):
     payload = json.loads((CONFIG_DIR / config).read_text())
     s = cli._scenario(payload["scenario"])
     for t in payload["times"]:
-        grid = verify.residual_grid(s, t)
+        grid = verify.residual_grid(s, t, RESIDUAL_MAX)
         good = verify.schrodinger_residual(s, t, grid)
         bad = verify.schrodinger_residual(s, t, grid, v_source="variant")
         assert good.max_abs_residual < 1e-4 < bad.max_abs_residual
@@ -719,7 +722,7 @@ def test_schrodinger_residual_builds_one_grid_array():
     # the result of the one matrix product and |r| (half of it); a grid-sized
     # temporary per term would reach 2
     s = example1()
-    grid = verify.residual_grid(s, 0.5)
+    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
     assert (grid.nx, grid.ny) == (201, 201)
     verify.schrodinger_residual(s, 0.5, grid)
     tracemalloc.start()
@@ -754,7 +757,7 @@ def test_variance_product_law_with_mix():
 
 def test_residual_grid_meets_target():
     for s, t in [(example1(), 0.25), (example1(), 1.0), (example2(), 1.0)]:
-        grid = verify.residual_grid(s, t)
+        grid = verify.residual_grid(s, t, RESIDUAL_MAX)
         assert grid.nx == 201
         for rep in [
             verify.schrodinger_residual(s, t, grid),
@@ -769,9 +772,9 @@ def test_residual_grid_caps_extent():
     # at DIAGONAL_COVERAGE sigma per axis
     s = example1()
     caps = tuple(verify.DIAGONAL_COVERAGE * sigma for sigma in cf.spread_sigmas(s, 1e-3))
-    grid = verify.residual_grid(s, 1e-3, n=401, target=1e-3)
+    grid = verify.residual_grid(s, 1e-3, 5e-3, n=401)
     assert grid.x_max <= caps[0] and grid.y_max <= caps[1]
-    grid = verify.residual_grid(s, 1e-3, n=401, target=1.0)
+    grid = verify.residual_grid(s, 1e-3, 5.0, n=401)
     assert (grid.x_max, grid.y_max) == caps
 
 
@@ -840,13 +843,29 @@ def residual_grid_illinois(law, lo, hi, n=201, target=2e-5):
     return lo
 
 
-def serial_halves(s, t, n, target):
+def stencil_budget(residual_max):
+    """The stencil-error target an auto grid is sized for: a fifth of residual_max, half of it per axis."""
+    return residual_max / verify.GRID_BUDGET_DIVISOR
+
+
+def edge_residual_max(law_value):
+    """The smallest residual_max whose per-axis stencil budget reaches ``law_value``."""
+    residual_max = 2.0 * verify.GRID_BUDGET_DIVISOR * law_value
+    while 0.5 * stencil_budget(residual_max) < law_value:
+        residual_max = np.nextafter(residual_max, math.inf)
+    while 0.5 * stencil_budget(np.nextafter(residual_max, 0.0)) >= law_value:
+        residual_max = np.nextafter(residual_max, 0.0)
+    return float(residual_max)
+
+
+def serial_halves(s, t, n, residual_max):
     """Each axis's half extent at time t by its own serial search (None where infeasible).
 
     The search evaluates the node law: the error terms on np.linspace's
     nodes only (see ``stencil_error_law_on_linspace``), so that nothing in
     it is shared with the closed-form law or the chooser's search.
     """
+    target = stencil_budget(residual_max)
     return [
         residual_grid_illinois(lambda half, n: stencil_error_law_on_linspace(s, t, axis, half, n), lo, hi, n, target)
         for axis, (lo, hi) in zip("uv", bracket(s, t))
@@ -878,7 +897,7 @@ def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
         return tuple(counted(axis, law) for axis, law in zip("uv", make_laws(*args)))
 
     monkeypatch.setattr(verify, "_stencil_error_law", counted_laws)
-    grid = verify.residual_grid(s, t, n=n)
+    grid = verify.residual_grid(s, t, RESIDUAL_MAX, n=n)
     monkeypatch.undo()
     # one law build, for the one time
     assert builds == [(s, t)]
@@ -911,7 +930,7 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
         return power_law(half, n)
 
     monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (counted, counted))
-    grid = verify.residual_grid(example1(), 0.0)
+    grid = verify.residual_grid(example1(), 0.0, RESIDUAL_MAX)
     assert len(calls) <= 12
     (lo, hi), _ = bracket(example1(), 0.0)
     width = bisection_width(lo, hi)
@@ -924,7 +943,7 @@ def test_residual_grid_takes_a_zero_law_as_feasible(monkeypatch):
     # a law that underflows to 0 at every extent (a huge mass) meets any
     # target: each axis gets its bracket's upper end
     monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (lambda half, n: 0.0,) * 2)
-    grid = verify.residual_grid(example1(), 0.0)
+    grid = verify.residual_grid(example1(), 0.0, RESIDUAL_MAX)
     (_, hi_u), (_, hi_v) = bracket(example1(), 0.0)
     assert (grid.x_max, grid.y_max) == (hi_u, hi_v)
 
@@ -943,7 +962,7 @@ def test_residual_grid_closes_bracket_above_a_zero_lower_end(monkeypatch, root):
         return law(half, n)
 
     monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (counted, counted))
-    grid = verify.residual_grid(example1(), 0.0)
+    grid = verify.residual_grid(example1(), 0.0, RESIDUAL_MAX)
     assert all(math.isfinite(half) for half in calls) and len(calls) <= 40
     (lo, hi), _ = bracket(example1(), 0.0)
     width = bisection_width(lo, hi)
@@ -1036,7 +1055,7 @@ def test_stencil_error_law_bounds_measured_residual():
     for s in [example1(), example2()]:
         for t in [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]:
             law_u, law_v = axis_laws(s, t)
-            chosen = verify.residual_grid(s, t)
+            chosen = verify.residual_grid(s, t, RESIDUAL_MAX)
             for ku, kv in [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (2.0, 1.0), (1.0, 2.0)]:
                 a_u, a_v = ku * chosen.x_max, kv * chosen.y_max
                 for n in [101, 201]:
@@ -1054,35 +1073,39 @@ def test_residual_grid_feasible_upper_end_is_exact():
     s = example1()
     (_, hi), _ = bracket(s, 0.0)  # both axes at t = 0
     law_u, law_v = axis_laws(s, 0.0)
-    edge = 2.0 * max(law_u(hi, 201), law_v(hi, 201))
-    grid = verify.residual_grid(s, 0.0, target=edge)
+    edge = edge_residual_max(max(law_u(hi, 201), law_v(hi, 201)))
+    grid = verify.residual_grid(s, 0.0, edge)
     assert grid.x_max == grid.y_max == hi
-    grid = verify.residual_grid(s, 0.0, target=np.nextafter(edge, 0.0))
+    below = np.nextafter(edge, 0.0)
+    grid = verify.residual_grid(s, 0.0, below)
     assert grid.x_max < hi and grid.y_max < hi
-    assert law_u(grid.x_max, 201) <= np.nextafter(edge, 0.0) / 2.0
-    assert law_v(grid.y_max, 201) <= np.nextafter(edge, 0.0) / 2.0
+    assert law_u(grid.x_max, 201) <= 0.5 * stencil_budget(below)
+    assert law_v(grid.y_max, 201) <= 0.5 * stencil_budget(below)
 
 
 def test_residual_grid_infeasible_lower_end_raises():
     # fig1's scenario at t = 4: even the smallest extent of the squeezed
-    # axis misses half the stencil-error target on 201 points
+    # axis misses half the stencil budget of residual_max 1e-4 on 201
+    # points.  The smallest residual_max whose budget that extent meets
+    # gets a grid, the next float below it the error
     s = example1()
-    with pytest.raises(ValueError, match="no feasible extent at n = 201 for t = 4 on the v axis"):
-        verify.residual_grid(s, 4.0)
+    message = "no feasible extent at n = 201 for t = 4 on the v axis under residual_max = 0.0001"
+    with pytest.raises(ValueError, match=message):
+        verify.residual_grid(s, 4.0, RESIDUAL_MAX)
     lo = verify.GRID_HALF_MIN
-    edge = axis_laws(s, 4.0)[1](lo, 201)
+    edge = edge_residual_max(axis_laws(s, 4.0)[1](lo, 201))
     (_, _), (_, hi) = bracket(s, 4.0)
-    grid = verify.residual_grid(s, 4.0, target=2.0 * edge)
+    grid = verify.residual_grid(s, 4.0, edge)
     assert grid.y_max == pytest.approx(lo, rel=0, abs=bisection_width(lo, hi))
-    with pytest.raises(ValueError, match="no feasible extent"):
-        verify.residual_grid(s, 4.0, target=np.nextafter(2.0 * edge, 0.0))
+    with pytest.raises(ValueError, match="on the v axis under residual_max"):
+        verify.residual_grid(s, 4.0, np.nextafter(edge, 0.0))
 
 
-@pytest.mark.parametrize("target", [0.0, -1e-5, float("nan")])
-def test_residual_grid_rejects_non_positive_target(target):
-    # the search works on ln(model / target)
-    with pytest.raises(ValueError, match="target must be positive"):
-        verify.residual_grid(example1(), 0.5, target=target)
+@pytest.mark.parametrize("residual_max", [0.0, -1e-5, float("nan")])
+def test_residual_grid_rejects_non_positive_target(residual_max):
+    # the search works on ln(law / budget)
+    with pytest.raises(ValueError, match="residual_max must be positive"):
+        verify.residual_grid(example1(), 0.5, residual_max)
 
 
 SWEEP_TIMES = [round(0.1 * k, 1) for k in range(31)]
@@ -1093,23 +1116,25 @@ SWEEP_TIMES = [round(0.1 * k, 1) for k in range(31)]
 @pytest.mark.parametrize("scenario_fn", [example1, example2])
 def test_lockstep_grids_match_serial_search(scenario_fn, n, target):
     # fig1's and fig2's scenarios (examples 1 and 2) at t = 0, 0.1, ..., 3,
-    # one time per call: where each axis's node-law search is feasible, the
-    # extents are within 1e-3 of it (1.5e-4 measured, where an interior
-    # maximum falls between nodes) and meet the node law; elsewhere the
-    # call names the time and the first infeasible axis
+    # one time per call, each axis's budget half of ``target``: where each
+    # axis's node-law search is feasible, the extents are within 1e-3 of it
+    # (1.5e-4 measured, where an interior maximum falls between nodes) and
+    # meet the node law; elsewhere the call names the time and the first
+    # infeasible axis
     s = scenario_fn()
+    residual_max = target * verify.GRID_BUDGET_DIVISOR
     for t in SWEEP_TIMES:
-        expected = serial_halves(s, t, n, target)
+        expected = serial_halves(s, t, n, residual_max)
         if None in expected:
             axis = "uv"[expected.index(None)]
             with pytest.raises(ValueError, match=f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis"):
-                verify.residual_grid(s, t, n=n, target=target)
+                verify.residual_grid(s, t, residual_max, n=n)
             continue
-        grid = verify.residual_grid(s, t, n=n, target=target)
+        grid = verify.residual_grid(s, t, residual_max, n=n)
         assert (grid.nx, grid.ny, grid.x_min, grid.y_min) == (n, n, -grid.x_max, -grid.y_max)
         for axis, half, ref in zip("uv", (grid.x_max, grid.y_max), expected):
             assert half == pytest.approx(ref, rel=1e-3, abs=0)
-            assert stencil_error_law_on_linspace(s, t, axis, half, n) <= target / 2
+            assert stencil_error_law_on_linspace(s, t, axis, half, n) <= stencil_budget(residual_max) / 2
 
 
 @pytest.mark.parametrize("config", ["verify_example1", "verify_example2", "fig1", "fig2"])
@@ -1119,37 +1144,37 @@ def test_shipped_grids_match_serial_search(config):
     raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
     s = cli._scenario(raw["scenario"])
     for t in raw["times"]:
-        grid = verify.residual_grid(s, t)
-        assert [grid.x_max, grid.y_max] == pytest.approx(serial_halves(s, t, 201, 2e-5), rel=1e-9, abs=0)
+        grid = verify.residual_grid(s, t, RESIDUAL_MAX)
+        assert [grid.x_max, grid.y_max] == pytest.approx(serial_halves(s, t, 201, RESIDUAL_MAX), rel=1e-9, abs=0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=scenarios_at(), n=st.sampled_from([101, 201, 401]), target=st.sampled_from([2e-5, 1e-3]))
-def test_residual_grid_agrees_with_serial_search(case, n, target):
+@given(case=scenarios_at(), n=st.sampled_from([101, 201, 401]), residual_max=st.sampled_from([1e-4, 5e-3]))
+def test_residual_grid_agrees_with_serial_search(case, n, residual_max):
     # any scenario: the feasibility of the node-law search, and extents
     # within 1e-3 of it
     s, t = case
-    expected = serial_halves(s, t, n, target)
+    expected = serial_halves(s, t, n, residual_max)
     if None in expected:
         with pytest.raises(ValueError, match="no feasible extent"):
-            verify.residual_grid(s, t, n=n, target=target)
+            verify.residual_grid(s, t, residual_max, n=n)
     else:
-        grid = verify.residual_grid(s, t, n=n, target=target)
+        grid = verify.residual_grid(s, t, residual_max, n=n)
         assert [grid.x_max, grid.y_max] == pytest.approx(expected, rel=1e-3, abs=0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=scenarios_at(), n=st.integers(2, 200).map(lambda k: 2 * k + 1), target=st.floats(1e-7, 0.1))
-def test_residual_grid_meets_node_law(case, n, target):
+@given(case=scenarios_at(), n=st.integers(2, 200).map(lambda k: 2 * k + 1), residual_max=st.floats(5e-7, 0.5))
+def test_residual_grid_meets_node_law(case, n, residual_max):
     # every extent the chooser returns keeps the error on its nodes within
-    # half the target
+    # half the stencil budget
     s, t = case
     try:
-        grid = verify.residual_grid(s, t, n=n, target=target)
+        grid = verify.residual_grid(s, t, residual_max, n=n)
     except ValueError:
         assume(False)
     for axis, half in zip("uv", (grid.x_max, grid.y_max)):
-        assert stencil_error_law_on_linspace(s, t, axis, half, n) <= target / 2
+        assert stencil_error_law_on_linspace(s, t, axis, half, n) <= stencil_budget(residual_max) / 2
 
 
 @pytest.mark.parametrize("n", [1, 0, -5, 3, 4, 201.0, True])
@@ -1157,12 +1182,12 @@ def test_residual_grid_rejects_bad_sample_count(n):
     # n = 1 divides by zero, n <= 0 indexes nothing, n = 3 or 4 leaves no
     # interior, and a float n makes a float count
     with pytest.raises(ValueError, match=r"integer n >= 5, got"):
-        verify.residual_grid(example1(), 0.5, n=n)
+        verify.residual_grid(example1(), 0.5, RESIDUAL_MAX, n=n)
 
 
 def test_residual_grid_smallest_sample_count():
     s = example1()
-    grid = verify.residual_grid(s, 0.5, n=np.int64(5))
+    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=np.int64(5))
     assert (grid.nx, grid.ny) == (5, 5)
     rep = verify.schrodinger_residual(s, 0.5, grid)
     assert rep.max_abs_residual < 1e-4
@@ -1170,11 +1195,11 @@ def test_residual_grid_smallest_sample_count():
 
 def test_residual_grid_rejects_infinite_target():
     # ln(law / inf) is -inf, and the secant step then takes the log of a NaN
-    with pytest.raises(ValueError, match="target must be positive and finite, got inf"):
-        verify.residual_grid(example1(), 0.5, target=float("inf"))
+    with pytest.raises(ValueError, match="residual_max must be positive and finite, got inf"):
+        verify.residual_grid(example1(), 0.5, float("inf"))
 
 
 def test_residual_grid_rejects_nan_time():
     # nu(nan) is NaN, which Scenario.nu_at rejects
     with pytest.raises(ValueError, match="exceeds the supported range 50 at t = nan"):
-        verify.residual_grid(example1(), float("nan"))
+        verify.residual_grid(example1(), float("nan"), RESIDUAL_MAX)
