@@ -542,8 +542,9 @@ GRID_BUDGET_DIVISOR = 5
 def _largest_half(excess: Callable[[float], float], lo: float, hi: float) -> float | None:
     """The feasible end of one axis's bracket [lo, hi] once the search closes it.
 
-    ``excess(half)`` is ln(law / (target / 2)) at that half extent; the
-    result is None when even ``lo`` is infeasible.
+    ``excess(half)`` is ln(law / budget) at that half extent, the budget
+    being the axis's half of the stencil budget; the result is None when
+    even ``lo`` is infeasible.
     """
     tol = (hi - lo) / 2**GRID_BISECTIONS
     f_hi = excess(hi)
