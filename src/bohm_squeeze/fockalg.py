@@ -10,7 +10,8 @@ exponentiates the generator from each sector's Jacobi spectrum, and
 ``two_mode_squeeze_factored`` multiplies factors built from closed-form
 elements.  ``disentangle_ode_oracle`` integrates the function system that
 defines (f1, f2, f3): one pass with step-size control serves every nu, each
-nu branching off it to land on its own value.
+nu branching off it to land on its own value.  ``disentangle_ode_fixed``
+integrates it to one nu in equal, checked steps.
 
 Sector layout: every generator here changes n_a and n_b together or not at
 all, so it conserves d = n_a - n_b.  On the space n_a, n_b <= n_max an
@@ -60,6 +61,7 @@ __all__ = [
     "interior_block",
     "vacuum_column",
     "disentangle_ode_oracle",
+    "disentangle_ode_fixed",
     "disentangle_closed_form",
 ]
 
@@ -75,12 +77,12 @@ DIRECT_DEFECT_BOUND = 1e-10
 DIRECT_CHUNK_BYTES = 1 << 20
 
 # The ODE oracle's error tolerance, absolute and relative alike; the bound
-# on each component's local error estimate in its fixed-step mode; its step
-# budget, the step attempts, rejected ones included, that the path to one nu
-# may take; and its largest step.  Once tanh saturates, f1' = 1 - f1^2 has
-# the Jacobian -2, and the pair is stable for steps up to 3.307 / 2 = 1.653
-# there, so the cap sits just inside the step the controller holds anyway
-# (see ``disentangle_ode_oracle``).
+# on each component's local error estimate in ``disentangle_ode_fixed``;
+# the oracle's step budget, the step attempts, rejected ones included, that
+# the path to one nu may take; and its largest step.  Once tanh saturates,
+# f1' = 1 - f1^2 has the Jacobian -2, and the pair is stable for steps up
+# to 3.307 / 2 = 1.653 there, so the cap sits just inside the step the
+# controller holds anyway (see ``disentangle_ode_oracle``).
 ODE_TOL = 1e-14
 ODE_FIXED_STEP_TOL = 1e-9
 ODE_BUDGET = 10_000
@@ -515,9 +517,7 @@ def _walk(walk: list, target: float, land: bool) -> None:
     walk[:] = x, f1, f2, c2, f3, k1, m1, h, attempts
 
 
-def disentangle_ode_oracle(
-    nu_end: float | Sequence[float], steps: int | None = None
-) -> DisentangleFunctions | list[DisentangleFunctions | ConvergenceError]:
+def disentangle_ode_oracle(nu_values: Sequence[float]) -> list[DisentangleFunctions | ConvergenceError]:
     """Integrate the factorization system from (0, 0, 0) to each nu.
 
     The defining relations
@@ -529,63 +529,32 @@ def disentangle_ode_oracle(
     the Dormand-Prince 5(4) pair (``_dp_step``), keeping the 5th-order
     solution.
 
-    With ``steps``, ``nu_end`` is one nu, reached in that many equal steps.
-    Each step is checked: the difference to the embedded 4th-order
-    solution must be at most ``ODE_FIXED_STEP_TOL`` in every component.
-    A stage exponential that overflows, an estimate that is not a number
-    and a result that is not finite all raise ``ConvergenceError``.
-
-    Without ``steps``, ``nu_end`` is a sequence of nu, and the list returned
-    holds each one's (f1, f2, f3) or the ``ConvergenceError`` it meets.  One
-    pass in |nu| with the standard step-size controller (``_walk``, tolerance
-    ``ODE_TOL``) serves every nu: it starts from the step ODE_TOL^(1/5), and
-    where its next step would reach or pass a |nu| it branches off, with
-    that step cut to land on |nu|, and goes on from the branch point.  The
-    pass does not depend on the nu it serves, so each entry is bitwise what
-    a call with that nu alone gives.  The system is symmetric, f1 and f3
-    odd and f2 even in nu, and so is the arithmetic: a negative nu takes
-    the mirror of |nu|'s result, which is bitwise what a pass with negative
-    steps gives.  f2 grows like -|nu|, and its sum is compensated, so it
-    stays within an ulp or so of the closed form out to the pass's reach.
+    The list returned holds each nu's (f1, f2, f3) or the
+    ``ConvergenceError`` it meets.  One pass in |nu| with the standard
+    step-size controller (``_walk``, tolerance ``ODE_TOL``) serves every
+    nu: it starts from the step ODE_TOL^(1/5), and where its next step
+    would reach or pass a |nu| it branches off, with that step cut to land
+    on |nu|, and goes on from the branch point.  The pass does not depend
+    on the nu it serves, so each entry is bitwise what a call with that nu
+    alone gives.  The system is symmetric, f1 and f3 odd and f2 even in nu,
+    and so is the arithmetic: a negative nu takes the mirror of |nu|'s
+    result, which is bitwise what a pass with negative steps gives.  f2
+    grows like -|nu|, and its sum is compensated, so it stays within an ulp
+    or so of the closed form out to the pass's reach.
 
     The path to one nu, the pass's attempts up to the branch and the
     landing's, rejected ones included, may take ``ODE_BUDGET`` attempts;
     a nu it does not reach gets an error that names the budget.  Steps are
     at most ``ODE_STEP_CAP``, where the saturated f1 holds them anyway, so
     the budget reaches |nu| of about 1.5e4, and a nu that not even steps of
-    the cap could reach fails without an attempt.
-
-    A NaN nu, a sequence with ``steps`` and one number without them raise
+    the cap could reach fails without an attempt.  A NaN nu raises
     ``ValueError``.
     """
-    one = isinstance(nu_end, numbers.Real)
-    if one != (steps is not None):
-        need = "without steps, nu_end must be a sequence of nu" if one else "with steps, nu_end must be one nu"
-        raise ValueError(f"{need}, got {nu_end!r}")
-    if any(math.isnan(nu) for nu in ([nu_end] if one else nu_end)):
+    if any(math.isnan(nu) for nu in nu_values):
         raise ValueError("nu must be a number")
-    if one:
-        if steps < 1:
-            raise ValueError("need at least one integration step")
-        h = nu_end / steps
-        f1, f2, f3, k1, m1 = 0.0, 0.0, 0.0, 1.0, -1.0
-        try:
-            for _ in range(steps):
-                f1, f2, f3, k1, m1, _, d1, d2, d3 = _dp_step(f1, f2, f3, k1, m1, h)
-                if not (d1 <= ODE_FIXED_STEP_TOL and d2 <= ODE_FIXED_STEP_TOL and d3 <= ODE_FIXED_STEP_TOL):
-                    # compared one by one: max() drops a NaN that is not its first argument
-                    err = math.nan if math.isnan(d1 + d2 + d3) else max(d1, d2, d3)
-                    message = f"local error estimate {err:.3e} exceeds {ODE_FIXED_STEP_TOL:.0e}; increase steps"
-                    raise ConvergenceError(message)
-        except OverflowError:
-            raise ConvergenceError(f"stage exponential overflows with step size {h:.3e}; increase steps") from None
-        if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
-            raise ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
-        return DisentangleFunctions(f1, f2, f3)
-
     main = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, -1.0, ODE_TOL**0.2, 0]
     reached = {}
-    for target in sorted({abs(nu) for nu in nu_end}):
+    for target in sorted({abs(nu) for nu in nu_values}):
         _walk(main, target, land=False)
         branch = list(main)
         _walk(branch, target, land=True)
@@ -597,4 +566,35 @@ def disentangle_ode_oracle(
         else:
             error = ConvergenceError(f"|nu| = {target:.6g} lies past the step budget of {ODE_BUDGET} attempts")
             reached[target] = reached[-target] = error
-    return [reached[nu] for nu in nu_end]
+    return [reached[nu] for nu in nu_values]
+
+
+def disentangle_ode_fixed(nu: float, steps: int) -> DisentangleFunctions:
+    """Integrate the system of ``disentangle_ode_oracle`` to nu in ``steps`` equal steps.
+
+    Each step is checked: the difference to the embedded 4th-order
+    solution must be at most ``ODE_FIXED_STEP_TOL`` in every component.
+    A stage exponential that overflows, an estimate that is not a number
+    and a result that is not finite all raise ``ConvergenceError``; a NaN
+    nu and a step count that is not an integer of at least one raise
+    ``ValueError``.
+    """
+    if math.isnan(nu):
+        raise ValueError("nu must be a number")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError(f"need an integer count of at least one integration step, got {steps!r}")
+    h = nu / steps
+    f1, f2, f3, k1, m1 = 0.0, 0.0, 0.0, 1.0, -1.0
+    try:
+        for _ in range(steps):
+            f1, f2, f3, k1, m1, _, d1, d2, d3 = _dp_step(f1, f2, f3, k1, m1, h)
+            if not (d1 <= ODE_FIXED_STEP_TOL and d2 <= ODE_FIXED_STEP_TOL and d3 <= ODE_FIXED_STEP_TOL):
+                # compared one by one: max() drops a NaN that is not its first argument
+                err = math.nan if math.isnan(d1 + d2 + d3) else max(d1, d2, d3)
+                message = f"local error estimate {err:.3e} exceeds {ODE_FIXED_STEP_TOL:.0e}; increase steps"
+                raise ConvergenceError(message)
+    except OverflowError:
+        raise ConvergenceError(f"stage exponential overflows with step size {h:.3e}; increase steps") from None
+    if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
+        raise ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
+    return DisentangleFunctions(f1, f2, f3)

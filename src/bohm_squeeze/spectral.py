@@ -24,6 +24,11 @@ __all__ = [
     "entropy_closed_form",
 ]
 
+# Largest tail mass, past the retained Schmidt terms, that
+# ``entanglement_entropy`` leaves out of its sum.
+ENTROPY_TAIL_TOL = 1e-12
+
+
 def hermite_phi_table(n: int, eta) -> np.ndarray:
     """phi_0 .. phi_n at eta, stacked along axis 0.
 
@@ -112,21 +117,18 @@ def schmidt_spectrum(nu: float, N: int) -> SchmidtSpectrum:
     return SchmidtSpectrum(nu=float(nu), lambdas=lambdas, tail_mass=q**N)
 
 
-def entanglement_entropy(spec: SchmidtSpectrum, *, tail_tol: float = 1e-12) -> float:
+def entanglement_entropy(spec: SchmidtSpectrum) -> float:
     """Von Neumann entropy -sum lambda_n ln lambda_n, in nats.
 
     Requires the tail mass past the retained terms, tanh^(2N) nu for N
-    terms, to stay below ``tail_tol``; raises otherwise, since the summed
-    entropy would silently miss the tail contribution.  The message names
-    the reach of N terms, atanh(tail_tol^(1/2N)) in |nu|, which is
-    finite for 0 < tail_tol < 1 only.
+    terms, to stay below ``ENTROPY_TAIL_TOL``; raises otherwise, since the
+    summed entropy would silently miss the tail contribution.  The message
+    names the reach of N terms, atanh(ENTROPY_TAIL_TOL^(1/2N)) in |nu|.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie between 0 and 1, got {tail_tol!r}")
-    if spec.tail_mass >= tail_tol:
+    if spec.tail_mass >= ENTROPY_TAIL_TOL:
         terms = len(spec.lambdas)
-        reach = math.atanh(tail_tol ** (0.5 / terms))
-        raise ValueError(f"{terms} Schmidt terms reach a {tail_tol:g} tail at |nu| <= {reach:.3g} only")
+        reach = math.atanh(ENTROPY_TAIL_TOL ** (0.5 / terms))
+        raise ValueError(f"{terms} Schmidt terms reach a {ENTROPY_TAIL_TOL:g} tail at |nu| <= {reach:.3g} only")
     lams = spec.lambdas[spec.lambdas > 0.0]
     return float(-np.sum(lams * np.log(lams))) + 0.0  # +0.0 folds -0.0 away
 

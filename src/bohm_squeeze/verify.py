@@ -590,14 +590,17 @@ def residual_grid(s: Scenario, t: float, residual_max: float, n: int = 201) -> G
     tolerance (about ten law calls per axis).  The returned extent is
     always the feasible end of the bracket.  A law that underflows to 0
     is feasible (see LAW_FLOOR).  Where even GRID_HALF_MIN misses the
-    budget, the ``ValueError`` names residual_max, the time and the axis.
+    budget, the ``ValueError`` names residual_max, the time and the axis;
+    a residual_max whose budget is not positive and finite (from NaN,
+    0 or inf to values so small that the budget rounds to 0) is refused
+    before any law is divided by it.
     """
     if not (isinstance(n, numbers.Integral) and n >= 2 * RING + 1):
         raise ValueError(f"residual grid needs an integer n >= {2 * RING + 1}, got {n!r}")
-    if not 0.0 < residual_max < math.inf:
-        raise ValueError(f"residual_max must be positive and finite, got {residual_max!r}")
-    sigmas = spread_sigmas(s, t)
     budget = 0.5 * (residual_max / GRID_BUDGET_DIVISOR)
+    if not 0.0 < budget < math.inf:
+        raise ValueError(f"residual_max must leave a positive, finite stencil budget, got {residual_max!r}")
+    sigmas = spread_sigmas(s, t)
     halves = []
     for axis, law, sigma in zip("uv", _stencil_error_law(s, t), sigmas):
         hi = max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)

@@ -100,7 +100,7 @@ def test_criterion_2_ode_oracle_matches_closed_forms():
     start = time.perf_counter()
     worst = 0.0
     for nu in np.linspace(0.0, 2.0, 20):
-        got = fa.disentangle_ode_oracle(float(nu), steps=2000)
+        got = fa.disentangle_ode_fixed(float(nu), steps=2000)
         ref = fa.disentangle_closed_form(float(nu))
         worst = max(worst, abs(got.f1 - ref.f1), abs(got.f2 - ref.f2), abs(got.f3 - ref.f3))
     elapsed = time.perf_counter() - start

@@ -413,6 +413,22 @@ def test_verify_tol_without_feasible_grid_is_usage_error(tmp_path, config, tol, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        ("1e-323", "residual_max must leave a positive, finite stencil budget, got 1e-323"),
+        ("5e-323", "no feasible extent at n = 201 for t = 0.25 on the u axis under residual_max = 4.94066e-323"),
+    ],
+)
+def test_verify_tol_without_stencil_budget_is_usage_error(tmp_path, tol, message):
+    # a tenth of 1e-323 rounds to 0, which the law would be divided by; from
+    # 5e-323 the budget is the smallest subnormal, which no grid meets
+    argv = ["verify", "--config", str(CONFIG_DIR / "verify_example1.json"), "--out", str(tmp_path / "out"), "--tol", tol]
+    code, out, err = run_main(argv)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"invalid input: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_tol_above_the_feasibility_edge_is_a_tolerance_failure(tmp_path):
     # example 1's grids exist at --tol 1e-8, one decade above the 1e-9 that
     # exits 1, but its stencil residuals fail there: the law has no rounding

@@ -626,12 +626,12 @@ def test_compression_level_outside_truncation_is_rejected(route, level):
 
 
 def test_ode_initial_conditions():
-    f = fa.disentangle_ode_oracle(0.0, steps=100)
+    f = fa.disentangle_ode_fixed(0.0, 100)
     assert (f.f1, f.f2, f.f3) == (0.0, 0.0, 0.0)
 
 
 def test_ode_matches_closed_forms():
-    f = fa.disentangle_ode_oracle(1.0, steps=1000)
+    f = fa.disentangle_ode_fixed(1.0, 1000)
     assert f.f1 == pytest.approx(math.tanh(1.0), abs=1e-9)
     assert f.f2 == pytest.approx(-math.log(math.cosh(1.0)), abs=1e-9)
     assert f.f3 == pytest.approx(-math.tanh(1.0), abs=1e-9)
@@ -639,12 +639,12 @@ def test_ode_matches_closed_forms():
 
 def test_ode_antisymmetry_of_f1_f3():
     for nu_end in [0.25, 0.5, 1.5]:
-        f = fa.disentangle_ode_oracle(nu_end, steps=800)
+        f = fa.disentangle_ode_fixed(nu_end, 800)
         assert f.f1 == pytest.approx(-f.f3, abs=1e-11)
 
 
 def test_ode_negative_direction():
-    f = fa.disentangle_ode_oracle(-0.8, steps=500)
+    f = fa.disentangle_ode_fixed(-0.8, 500)
     assert f.f1 == pytest.approx(math.tanh(-0.8), abs=1e-9)
     assert f.f2 == pytest.approx(-math.log(math.cosh(0.8)), abs=1e-9)
 
@@ -697,7 +697,7 @@ def reference_ode_oracle(nu_end: float, steps: int, local_tol: float = 1e-9) -> 
 @pytest.mark.parametrize("steps", [2000, 500])
 @pytest.mark.parametrize("nu", [0.1, 0.25, 0.5, 0.75, 1.0, -0.8])
 def test_ode_bits_match_per_stage_reference(nu, steps):
-    f = fa.disentangle_ode_oracle(nu, steps=steps)
+    f = fa.disentangle_ode_fixed(nu, steps)
     assert (f.f1, f.f2, f.f3) == reference_ode_oracle(nu, steps)
 
 
@@ -707,7 +707,7 @@ def test_ode_fifth_order():
     c = fa.disentangle_closed_form(1.0)
 
     def error(steps):
-        f = fa.disentangle_ode_oracle(1.0, steps)
+        f = fa.disentangle_ode_fixed(1.0, steps)
         return max(abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3))
 
     errors = [error(steps) for steps in (20, 40, 80)]
@@ -717,31 +717,25 @@ def test_ode_fifth_order():
 
 
 def test_ode_step_count_validation():
-    with pytest.raises(ValueError, match="at least one"):
-        fa.disentangle_ode_oracle(1.0, steps=0)
+    # a count below one or one that is not an integer: range() would take
+    # no step or raise a TypeError
+    for steps in (0, -3, 2.5, 10.0, None):
+        with pytest.raises(ValueError, match="integer count of at least one integration step"):
+            fa.disentangle_ode_fixed(1.0, steps)
 
 
 def test_ode_step_size_failure():
     # 10 steps of 0.1 cannot hold the 1e-9 local bound: the first one errs
     # by 2.8e-9
     with pytest.raises(fa.ConvergenceError, match="local error estimate 2.828e-09 exceeds 1e-09; increase steps"):
-        fa.disentangle_ode_oracle(1.0, steps=10)
+        fa.disentangle_ode_fixed(1.0, 10)
 
 
-@pytest.mark.parametrize(
-    "nu_end, steps, message",
-    [
-        (1.0, None, "without steps, nu_end must be a sequence of nu, got 1.0"),
-        ([1.0], 10, r"with steps, nu_end must be one nu, got \[1.0\]"),
-        (math.nan, 10, "nu must be a number"),
-        ([0.5, math.nan], None, "nu must be a number"),
-    ],
-)
-def test_ode_oracle_refuses_inputs_it_cannot_integrate(nu_end, steps, message):
-    # one nu goes with a step count, a sequence without one; a NaN nu has no
-    # step count that could reach it
-    with pytest.raises(ValueError, match=message):
-        fa.disentangle_ode_oracle(nu_end, steps)
+def test_ode_fixed_refuses_a_nan_nu():
+    # no step count could reach it: the pass's own refusal, not a
+    # ConvergenceError asking for more steps
+    with pytest.raises(ValueError, match="nu must be a number"):
+        fa.disentangle_ode_fixed(math.nan, 10)
 
 
 DP_E = [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]  # b_j - b*_j
@@ -859,12 +853,12 @@ def test_ode_step_law_holds_rounding_floor():
 def test_ode_step_cap_edge(sign):
     # the retired 2000-step cap held the local check up to |nu| ~ 106.67:
     # the pass has no cap there, and lands within rounding of the closed
-    # forms on both sides; the fixed-step mode keeps its failure at 107.5
+    # forms on both sides; disentangle_ode_fixed keeps its failure at 107.5
     for f, nu in zip(fa.disentangle_ode_oracle([sign * 106.0, sign * 107.5]), [106.0, 107.5]):
         c = fa.disentangle_closed_form(sign * nu)
         assert max(abs(f.f1 - c.f1), abs(f.f2 - c.f2), abs(f.f3 - c.f3)) <= 1e-13
     with pytest.raises(fa.ConvergenceError, match="local error"):
-        fa.disentangle_ode_oracle(sign * 107.5, 2000)
+        fa.disentangle_ode_fixed(sign * 107.5, 2000)
 
 
 @pytest.mark.parametrize(
@@ -896,11 +890,11 @@ def test_ode_shared_pass_matches_lone_calls(monkeypatch, nu_end, steps, local_to
     for count in counts:
         assert (count * h) / count == h  # the lone call takes the grid's step
         if count < failing:
-            f = fa.disentangle_ode_oracle(count * h, count)
+            f = fa.disentangle_ode_fixed(count * h, count)
             assert isinstance(f, fa.DisentangleFunctions)
         else:
             with pytest.raises(fa.ConvergenceError, match="local error"):
-                fa.disentangle_ode_oracle(count * h, count)
+                fa.disentangle_ode_fixed(count * h, count)
 
 
 @pytest.mark.parametrize("nu", [1.0, -2.5])
@@ -942,7 +936,7 @@ def test_ode_non_finite_steps_raise(nu):
     # at 1e100 the estimate is NaN and the result was (-inf, inf, -inf);
     # at 1e19 a stage exponential overflows
     with pytest.raises(fa.ConvergenceError):
-        fa.disentangle_ode_oracle(nu, 2000)
+        fa.disentangle_ode_fixed(nu, 2000)
 
 
 @settings(deadline=None, max_examples=60)

@@ -191,17 +191,15 @@ def test_entropy_strictly_increasing():
     assert np.all(np.diff(summed) > 0.0)
 
 
-def test_entropy_requires_small_tail():
+def test_entropy_requires_small_tail(monkeypatch):
     spec = sp.schmidt_spectrum(2.0, 20)  # tail ~ tanh(2)^40 ~ 0.22
     with pytest.raises(ValueError, match=r"20 Schmidt terms reach a 1e-12 tail at \|nu\| <= 0.551 only"):
         sp.entanglement_entropy(spec)
-    # the reach atanh(tail_tol^(1/2N)) is the edge, for any term count and tail_tol
+    # the reach atanh(ENTROPY_TAIL_TOL^(1/2N)) is the edge, for any term
+    # count and tail bound
     for terms, tail_tol in [(20, 1e-12), (600, 1e-12), (50, 1e-3)]:
+        monkeypatch.setattr(sp, "ENTROPY_TAIL_TOL", tail_tol)
         reach = math.atanh(tail_tol ** (0.5 / terms))
-        sp.entanglement_entropy(sp.schmidt_spectrum(reach * (1 - 1e-9), terms), tail_tol=tail_tol)
+        sp.entanglement_entropy(sp.schmidt_spectrum(reach * (1 - 1e-9), terms))
         with pytest.raises(ValueError, match=f"{terms} Schmidt terms reach a {tail_tol:g} tail"):
-            sp.entanglement_entropy(sp.schmidt_spectrum(reach * (1 + 1e-9), terms), tail_tol=tail_tol)
-    # outside (0, 1) no finite |nu| is the reach of a tail_tol
-    for tail_tol in (1.0, 0.0, -1e-12, math.nan):
-        with pytest.raises(ValueError, match="tail_tol must lie between 0 and 1"):
-            sp.entanglement_entropy(sp.schmidt_spectrum(30.0, 10), tail_tol=tail_tol)
+            sp.entanglement_entropy(sp.schmidt_spectrum(reach * (1 + 1e-9), terms))

@@ -1101,10 +1101,11 @@ def test_residual_grid_infeasible_lower_end_raises():
         verify.residual_grid(s, 4.0, np.nextafter(edge, 0.0))
 
 
-@pytest.mark.parametrize("residual_max", [0.0, -1e-5, float("nan")])
+@pytest.mark.parametrize("residual_max", [0.0, -1e-5, float("nan"), 2.5e-323, 1e-323])
 def test_residual_grid_rejects_non_positive_target(residual_max):
-    # the search works on ln(law / budget)
-    with pytest.raises(ValueError, match="residual_max must be positive"):
+    # the search works on ln(law / budget); a positive residual_max whose
+    # budget, a tenth of it, rounds to 0 would divide by zero
+    with pytest.raises(ValueError, match=f"residual_max must leave a positive, finite stencil budget, got {residual_max!r}"):
         verify.residual_grid(example1(), 0.5, residual_max)
 
 
@@ -1195,7 +1196,7 @@ def test_residual_grid_smallest_sample_count():
 
 def test_residual_grid_rejects_infinite_target():
     # ln(law / inf) is -inf, and the secant step then takes the log of a NaN
-    with pytest.raises(ValueError, match="residual_max must be positive and finite, got inf"):
+    with pytest.raises(ValueError, match="residual_max must leave a positive, finite stencil budget, got inf"):
         verify.residual_grid(example1(), 0.5, float("inf"))
 
 
