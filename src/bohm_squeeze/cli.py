@@ -28,11 +28,10 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import fockalg, spectral, verify
 from .closedform import (
     GridSpec2D,
     Scenario,
@@ -41,9 +40,13 @@ from .closedform import (
     sample_density,
     sample_external,
 )
-from .fockalg import N_MAX_LIMIT, ConvergenceError, FockSpaceSpec
 from .timefns import TimePolynomial
-from .verify import V_SOURCES, VSource
+
+# Each subcommand imports the layer it runs (verify, fockalg, spectral)
+# when it runs, so a fresh process neither compiles nor executes the others.
+if TYPE_CHECKING:
+    from .fockalg import FockSpaceSpec
+    from .verify import VSource
 
 __all__ = [
     "ConfigError",
@@ -242,8 +245,11 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None, tol: fl
         )
 
     v_source = raw.get("v_source", "hj_closure")
-    if v_source not in V_SOURCES:
-        raise ConfigError(f"v_source must be one of {V_SOURCES}, got {v_source!r}")
+    if "v_source" in raw:  # only a verify config takes one
+        from . import verify
+
+        if v_source not in verify.V_SOURCES:
+            raise ConfigError(f"v_source must be one of {verify.V_SOURCES}, got {v_source!r}")
 
     tolerances = _object(raw.get("tolerances", {}), "tolerances", tuple(DEFAULT_TOLERANCES))
     tolerances = {key: _positive_tolerance(value, f"tolerance '{key}'") for key, value in tolerances.items()}
@@ -337,6 +343,8 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     Each line names the check, the time, the value and its limit; the
     list is empty when every check passes.
     """
+    from . import verify
+
     s, tol = cfg.scenario, cfg.tolerances
     entries, failures = [], []
     for t in cfg.times:
@@ -415,7 +423,9 @@ def run_fock(
     does not reach within its step budget gets an ``ode_error`` message
     instead of ``ode_max_dev``.
     """
-    spec = FockSpaceSpec(n_max)
+    from . import fockalg
+
+    spec = fockalg.FockSpaceSpec(n_max)
     out_dir.mkdir(parents=True, exist_ok=True)
     half = n_max // 2
 
@@ -424,9 +434,9 @@ def run_fock(
         entry: dict = {"nu": nu, "interior_level": half}
         try:
             entry.update(_fock_measurements(nu, spec, half, tolerance))
-        except ConvergenceError as exc:
+        except fockalg.ConvergenceError as exc:
             entry["error"] = str(exc)
-        if isinstance(ode, ConvergenceError):
+        if isinstance(ode, fockalg.ConvergenceError):
             entry["ode_error"] = str(ode)
         else:
             closed = fockalg.disentangle_closed_form(nu)
@@ -440,6 +450,8 @@ def run_fock(
 
 def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: float) -> dict:
     """One entry's measurements, from both routes compressed to the interior of level ``half``."""
+    from . import fockalg
+
     direct = fockalg.two_mode_squeeze_direct(nu, spec, level=half)
     # the block's copy is gone before the factored result is made, so no
     # more than two operators of the block's size live at once
@@ -470,6 +482,8 @@ def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
     past ENTROPY_TERMS terms is not negligible, naming the reach of that
     many terms.
     """
+    from . import spectral
+
     rows = ["nu,entropy_sum,entropy_closed,schmidt_lambda0\n"]
     for nu in nu_values:
         spec = spectral.schmidt_spectrum(nu, ENTROPY_TERMS)
@@ -558,9 +572,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_dir = _out_dir(raw, args.out)
         nu_values = _number_list(raw, "nu_values")
         if args.command == "fock":
+            from . import fockalg
+
             n_max = raw.get("n_max", 24)
-            if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= N_MAX_LIMIT:
-                raise ConfigError(f"'n_max' must be an integer from 1 to {N_MAX_LIMIT}")
+            if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= fockalg.N_MAX_LIMIT:
+                raise ConfigError(f"'n_max' must be an integer from 1 to {fockalg.N_MAX_LIMIT}")
             print(run_fock(nu_values, n_max, out_dir, tolerance=tol or FOCK_TOLERANCE))
         else:
             print(run_entropy(nu_values, out_dir))

@@ -134,9 +134,18 @@ def entanglement_entropy(spec: SchmidtSpectrum) -> float:
 
 
 def entropy_closed_form(nu: float) -> float:
-    """Analytic entropy cosh^2 nu ln cosh^2 nu - sinh^2 nu ln sinh^2 nu."""
-    c2 = math.cosh(nu) ** 2
+    """Analytic entropy cosh^2 nu ln cosh^2 nu - sinh^2 nu ln sinh^2 nu.
+
+    With s = sinh^2 nu this equals ln(1 + s) + s ln(1 + 1/s), a sum of two
+    positive terms; the difference of the two products loses every digit
+    as nu grows.  For s < 1, ln(1 + 1/s) is taken as ln(1 + s) - ln s, so
+    that 1/s cannot overflow.
+    """
+    # sinh^2 overflows past |nu| ~ 355; from |nu| = 20 on, the entropy equals
+    # 2|nu| - 2 ln 2 + 1 to double precision (the error is O(e^(-4|nu|)))
+    if abs(nu) > 20.0:
+        return 2.0 * abs(nu) - 2.0 * math.log(2.0) + 1.0
     s2 = math.sinh(nu) ** 2
     if s2 == 0.0:
         return 0.0
-    return c2 * math.log(c2) - s2 * math.log(s2)
+    return math.log1p(s2) + s2 * (math.log1p(1.0 / s2) if s2 >= 1.0 else math.log1p(s2) - math.log(s2))

@@ -651,7 +651,9 @@ def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):
     # never an operator of the whole truncation (161 x 81^2 doubles, 8.4 MB)
     spec = fockalg.FockSpaceSpec(80)
     spec._pair_table, spec._spectrum
-    monkeypatch.setattr(cli, "FockSpaceSpec", lambda n_max: spec)
+    # run_fock's spec is this one; fockalg's own specs of level 40 stay fresh
+    real = fockalg.FockSpaceSpec
+    monkeypatch.setattr(fockalg, "FockSpaceSpec", lambda n_max: spec if n_max == 80 else real(n_max))
     tracemalloc.start()
     try:
         cli.run_fock([0.25, 0.5, 1.0], 80, tmp_path)
@@ -775,6 +777,42 @@ def test_fock_imports_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "fock_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, layer",
+    [
+        (None, "fig1.json", None),
+        ("density", "fig1.json", None),
+        ("verify", "verify_example1.json", "verify"),
+        ("fock", "fock.json", "fockalg"),
+        ("entropy", "entropy.json", "spectral"),
+    ],
+)
+def test_each_subcommand_loads_only_its_layer(tmp_path, command, config, layer):
+    # a fresh process compiles and runs the modules it imports: loading a
+    # config (command None) and density need no layer, and each other
+    # subcommand needs only its own
+    config = str(CONFIG_DIR / config)
+    if command is None:
+        call = f"cli.load_config({config!r})"
+    else:
+        argv = [command, "--config", config, "--out", str(tmp_path), *(["--grid-n", "61"] if command == "density" else [])]
+        call = f"assert cli.main({argv!r}) == 0"
+    script = (
+        "import json, sys\n"
+        "from bohm_squeeze import cli\n"
+        f"{call}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'bohm_squeeze')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    expected = {"bohm_squeeze", "bohm_squeeze.cli", "bohm_squeeze.closedform", "bohm_squeeze.timefns"}
+    if layer is not None:
+        expected.add(f"bohm_squeeze.{layer}")
+    assert json.loads(result.stdout.splitlines()[-1]) == sorted(expected)
 
 
 # ---------------------------------------------------------------------------

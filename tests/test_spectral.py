@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -175,6 +176,18 @@ def test_schmidt_normalization(nu, n):
 def test_entropy_zero_at_zero_squeeze():
     assert sp.entanglement_entropy(sp.schmidt_spectrum(0.0, 5)) == 0.0
     assert sp.entropy_closed_form(0.0) == 0.0
+
+
+@pytest.mark.parametrize("nu", [0.0, 1e-8, -1e-8, 0.25, 1.0, 2.0, 3.0, 6.0, 10.0, 19.0, 20.0, 25.0, 400.0, 1e300])
+def test_entropy_closed_form_to_two_ulps(nu):
+    # cosh^2 ln cosh^2 - sinh^2 ln sinh^2 at 50 digits, as ln(1 + s) + s ln(1 + 1/s)
+    # with s = sinh^2 nu so that it holds past the float range.  The
+    # difference of the two products in floats lost 1.5e-4 of the value at
+    # nu = 15 and overflowed from 356 on
+    with mpmath.workdps(50):
+        s = mpmath.sinh(mpmath.mpf(nu)) ** 2
+        exact = float(mpmath.log1p(s) + s * mpmath.log1p(1 / s)) if s else 0.0
+    assert abs(sp.entropy_closed_form(nu) - exact) <= 2 * math.ulp(exact)
 
 
 def test_entropy_sum_matches_closed_form():
