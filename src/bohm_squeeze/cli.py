@@ -152,6 +152,14 @@ def _number(value: object, what: str) -> float:
     return float(value)
 
 
+def _integer(value: object, what: str) -> int:
+    """A JSON number with an integral value (``24`` or ``24.0``) as an int; refuses 2.5, true and strings."""
+    n = _number(value, what)
+    if n != int(n):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(n)
+
+
 def _positive_tolerance(value: object, what: str) -> float:
     tol = _number(value, what)
     if tol <= 0.0:
@@ -193,15 +201,10 @@ def _grid(raw: object) -> GridSpec2D:
     """An explicit grid object: four finite extents and two integer counts."""
     extents = ("x_min", "x_max", "y_min", "y_max")
     raw = _object(raw, "grid", (*extents, "nx", "ny"))
-
-    def count(key: str) -> int:
-        n = _number(raw[key], key)
-        if n != int(n):
-            raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
-        return int(n)
-
     try:
-        return GridSpec2D(*(_number(raw[key], key) for key in extents), nx=count("nx"), ny=count("ny"))
+        return GridSpec2D(
+            *(_number(raw[key], key) for key in extents), nx=_integer(raw["nx"], "nx"), ny=_integer(raw["ny"], "ny")
+        )
     except KeyError as exc:
         raise ConfigError(f"grid is missing required key {exc}") from None
 
@@ -302,10 +305,17 @@ def _write_field_csv(fh, field2d) -> None:
         fh.write("".join([x + y + v for x, v in zip(xs, col)]))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_report(path: Path, text: str) -> Path:
+    """Write a whole report to ``path``, creating its directory; lines end in \\n on every platform."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="\n")
+    return path
+
+
+def _write_json(path: Path, payload: dict) -> Path:
     # one line: without indent, json's C encoder writes it.  A record (a
     # dataclass) is written as its fields: its __dict__ holds exactly those
-    path.write_text(json.dumps(payload, sort_keys=True, default=vars) + "\n")
+    return _write_report(path, json.dumps(payload, sort_keys=True, default=vars) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +403,7 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
         "results": entries,
         "pass": not failures,
     }
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out = cfg.out_dir / "residuals.json"
-    _write_json(out, payload)
-    return out, failures
+    return _write_json(cfg.out_dir / "residuals.json", payload), failures
 
 
 def run_fock(
@@ -426,7 +433,6 @@ def run_fock(
     from . import fockalg
 
     spec = fockalg.FockSpaceSpec(n_max)
-    out_dir.mkdir(parents=True, exist_ok=True)
     half = n_max // 2
 
     entries = []
@@ -443,9 +449,7 @@ def run_fock(
             entry["ode_max_dev"] = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
         entries.append(entry)
 
-    out = out_dir / "fock_report.json"
-    _write_json(out, {"n_max": n_max, "tolerance": tolerance, "entries": entries})
-    return out
+    return _write_json(out_dir / "fock_report.json", {"n_max": n_max, "tolerance": tolerance, "entries": entries})
 
 
 def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: float) -> dict:
@@ -491,11 +495,7 @@ def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
             f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
             f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "entropy.csv"
-    with out.open("w", newline="\n") as fh:
-        fh.write("".join(rows))
-    return out
+    return _write_report(out_dir / "entropy.csv", "".join(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +574,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "fock":
             from . import fockalg
 
-            n_max = raw.get("n_max", 24)
-            if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= fockalg.N_MAX_LIMIT:
+            n_max = _integer(raw.get("n_max", 24), "'n_max'")
+            if not 1 <= n_max <= fockalg.N_MAX_LIMIT:
                 raise ConfigError(f"'n_max' must be an integer from 1 to {fockalg.N_MAX_LIMIT}")
             print(run_fock(nu_values, n_max, out_dir, tolerance=tol or FOCK_TOLERANCE))
         else:

@@ -124,6 +124,11 @@ def entanglement_entropy(spec: SchmidtSpectrum) -> float:
     terms, to stay below ``ENTROPY_TAIL_TOL``; raises otherwise, since the
     summed entropy would silently miss the tail contribution.  The message
     names the reach of N terms, atanh(ENTROPY_TAIL_TOL^(1/2N)) in |nu|.
+
+    Within the reach the sum still leaves out the tail's entropy: with
+    q = tanh^2 nu it reads q^N [-ln(1 - q) - ln q (N + q/(1 - q))] below
+    the closed form, about 32 times the tail mass near the reach of 600
+    terms (5.3e-12, 1.3e-12 of the value, at nu = 2.2; 2.8e-11 at 2.23).
     """
     if spec.tail_mass >= ENTROPY_TAIL_TOL:
         terms = len(spec.lambdas)

@@ -10,6 +10,7 @@ is ``cli``'s, which parses and writes it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,26 +32,24 @@ class TimePolynomial:
             cs = (0.0,)
         object.__setattr__(self, "coeffs", cs)
 
+    def _derivative(self, t: float, order: int) -> float:
+        """The ``order``-th derivative at ``t`` by Horner's rule, as that of t^k is perm(k, order) t^(k - order)."""
+        acc = 0.0
+        for k in range(len(self.coeffs) - 1, order - 1, -1):
+            acc = acc * t + math.perm(k, order) * self.coeffs[k]
+        return acc
+
     def value(self, t: float) -> float:
         """Evaluate the polynomial at ``t`` (Horner)."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return self._derivative(t, 0)
 
     def d1(self, t: float) -> float:
         """First derivative at ``t``."""
-        acc = 0.0
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * t + k * self.coeffs[k]
-        return acc
+        return self._derivative(t, 1)
 
     def d2(self, t: float) -> float:
         """Second derivative at ``t``."""
-        acc = 0.0
-        for k in range(len(self.coeffs) - 1, 1, -1):
-            acc = acc * t + k * (k - 1) * self.coeffs[k]
-        return acc
+        return self._derivative(t, 2)
 
     @property
     def starts_at_zero(self) -> bool:

@@ -213,23 +213,38 @@ def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.nd
     return np.stack(f_terms, axis=1) @ np.stack(g_terms, axis=1).T
 
 
-def _continuity_field(s: Scenario, t: float, grid: GridSpec2D, dt: float) -> np.ndarray:
-    """Continuity residual on the interior, from rank-one products of mode factors."""
+def _time_difference_field(
+    t: float, grid: GridSpec2D, dt: float, forms: Callable, numerator: complex, space: Callable
+) -> np.ndarray:
+    """numerator (phi(t + dt) - phi(t - dt)) / dt plus space terms, on the interior, as one matrix product.
+
+    phi = f(u) g(v) is exp(log_amp + i phase) for the forms ``forms(at)``
+    returns at time ``at``: (log_amp,) for A, (log_amp, phase) for psi.
+    ``space(u, v, f0, f1, f2, g0, g1, g2)`` returns the space terms' u and
+    v factors, from the interior axes and the ``_stencil`` of f and g at t.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     u, v = _axes(grid)
-    f_next, g_next = _factors(u, v, log_amplitude_coeffs(s, t + dt))
-    f_prev, g_prev = _factors(u, v, log_amplitude_coeffs(s, t - dt))
-    f, g = _factors(u, v, log_amplitude_coeffs(s, t))
-    f0, f1, _ = _stencil(f, grid.hx)
-    g0, g1, _ = _stencil(g, grid.hy)
-    sform = phase_coeffs(s, t)
-    rate = 1.0 / (2.0 * dt)
-    # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v;
-    # lap S A / (2m) joins the u term
-    flux_u = (2.0 * sform.c_u * _inner(u) * f1 + 0.5 * sform.laplacian * f0) / s.m
+    (f_next, g_next), (f_prev, g_prev), (f, g) = (_factors(u, v, *forms(at)) for at in (t + dt, t - dt, t))
+    rate = numerator / dt
+    f_terms, g_terms = space(_inner(u), _inner(v), *_stencil(f, grid.hx), *_stencil(g, grid.hy))
     return _rank_one_sum(
-        [rate * _inner(f_next), -rate * _inner(f_prev), flux_u, f0],
-        [_inner(g_next), _inner(g_prev), g0, 2.0 * sform.c_v * _inner(v) * g1 / s.m],
+        [rate * _inner(f_next), -rate * _inner(f_prev), *f_terms], [_inner(g_next), _inner(g_prev), *g_terms]
     )
+
+
+def _continuity_field(s: Scenario, t: float, grid: GridSpec2D, dt: float) -> np.ndarray:
+    """Continuity residual on the interior, from rank-one products of A's mode factors."""
+
+    def flux(u, v, f0, f1, f2, g0, g1, g2) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        sform = phase_coeffs(s, t)
+        # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v;
+        # lap S A / (2m) joins the u term
+        flux_u = (2.0 * sform.c_u * u * f1 + 0.5 * sform.laplacian * f0) / s.m
+        return [flux_u, f0], [g0, 2.0 * sform.c_v * v * g1 / s.m]
+
+    return _time_difference_field(t, grid, dt, lambda at: (log_amplitude_coeffs(s, at),), 0.5, flux)
 
 
 def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-4) -> ResidualReport:
@@ -240,8 +255,6 @@ def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-
     along the grid's axes and the phase derivatives analytically (S is
     quadratic, so S_x = m nud (r x + y) and S_xx = m nud r exactly).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     return _report("continuity", t, _continuity_field(s, t, grid, dt), grid, dt)
 
 
@@ -260,26 +273,17 @@ def hamilton_jacobi_residual(
 
 
 def _schrodinger_field(s: Scenario, t: float, grid: GridSpec2D, dt: float, v_source: VSource) -> np.ndarray:
-    """Schrodinger residual on the interior, from rank-one products of mode factors."""
-    u, v = _axes(grid)
+    """Schrodinger residual on the interior, from rank-one products of psi's mode factors."""
 
-    def psi(at: float) -> tuple[np.ndarray, np.ndarray]:
-        return _factors(u, v, log_amplitude_coeffs(s, at), phase_coeffs(s, at))
+    def hamiltonian(u, v, f0, f1, f2, g0, g1, g2) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        pot = external_quadform(s, t, v_source)
+        # lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
+        r_u = f2 / (2.0 * s.m) - (pot.c_u * u * u + pot.const) * f0
+        r_v = g2 / (2.0 * s.m) - pot.c_v * v * v * g0
+        return [r_u, f0], [g0, r_v]
 
-    f_next, g_next = psi(t + dt)
-    f_prev, g_prev = psi(t - dt)
-    f, g = psi(t)
-    f0, _, f2 = _stencil(f, grid.hx)
-    g0, _, g2 = _stencil(g, grid.hy)
-    pot = external_quadform(s, t, v_source)
-    rate = 0.5j / dt
-    # lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
-    u, v = _inner(u), _inner(v)
-    r_u = f2 / (2.0 * s.m) - (pot.c_u * u * u + pot.const) * f0
-    r_v = g2 / (2.0 * s.m) - pot.c_v * v * v * g0
-    return _rank_one_sum(
-        [rate * _inner(f_next), -rate * _inner(f_prev), r_u, f0],
-        [_inner(g_next), _inner(g_prev), g0, r_v],
+    return _time_difference_field(
+        t, grid, dt, lambda at: (log_amplitude_coeffs(s, at), phase_coeffs(s, at)), 0.5j, hamiltonian
     )
 
 
@@ -295,8 +299,6 @@ def schrodinger_residual(
     psi_t by central time difference of the closed-form wavefunction, the
     Laplacian by the 5-point stencil, V from the selected source.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     return _report("schrodinger", t, _schrodinger_field(s, t, grid, dt, v_source), grid, dt)
 
 

@@ -495,8 +495,8 @@ def test_fock_n_max_limit_edge(tmp_path, capsys):
     assert cli.main(["fock", "--config", str(over)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(limit) in err
-    # at the bound the config is accepted; the run then stops at an output
-    # path that is a regular file, before any exponential is computed
+    # at the bound the config is accepted; the run then computes its entry
+    # and stops at an output path that is a regular file
     occupied = tmp_path / "occupied"
     occupied.write_text("")
     at = write_config(tmp_path, "at.json", {"nu_values": [0.5], "n_max": limit, "out_dir": str(occupied)})
@@ -1052,6 +1052,37 @@ def test_main_rejects_booleans_as_numbers(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "f.json", {**payload, "out_dir": str(tmp_path / "out")})
     assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def count_config(tmp_path: Path, command: str, value) -> tuple[Path, str]:
+    """``command``'s config with its count (nx, or fock's n_max) set to ``value``, and that count's key."""
+    if command == "fock":
+        payload = {"nu_values": [0.5], "n_max": value, "out_dir": str(tmp_path / "out")}
+        return write_config(tmp_path, "cfg.json", payload), "'n_max'"
+    grid = {"x_min": -3.0, "x_max": 3.0, "y_min": -3.0, "y_max": 3.0, "nx": value, "ny": 41}
+    return small_density_config(tmp_path, grid=grid), "nx"
+
+
+@pytest.mark.parametrize("command, count", [("density", 41), ("verify", 41), ("fock", 4)])
+def test_counts_take_integral_numbers(tmp_path, command, count):
+    # 41.0 is the count 41: the run ends as with 41 and writes the same bytes
+    runs = []
+    for value in (count, float(count)):
+        run_dir = tmp_path / repr(value)
+        run_dir.mkdir()
+        path, _ = count_config(run_dir, command, value)
+        code, _, _ = run_main([command, "--config", str(path)])
+        runs.append((code, {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}))
+    assert runs[0] == runs[1] and runs[0][0] in (cli.EXIT_OK, cli.EXIT_TOLERANCE)
+
+
+@pytest.mark.parametrize("command", ["density", "verify", "fock"])
+@pytest.mark.parametrize("value", [2.5, True, "8"])
+def test_counts_refuse_non_integers_naming_their_key(tmp_path, command, value):
+    path, key = count_config(tmp_path, command, value)
+    code, _, err = run_main([command, "--config", str(path)])
+    assert code == cli.EXIT_USAGE and err.count("\n") == 1 and key in err
     assert not (tmp_path / "out").exists()
 
 

@@ -196,6 +196,20 @@ def test_entropy_sum_matches_closed_form():
         assert sp.entanglement_entropy(spec) == pytest.approx(sp.entropy_closed_form(nu), abs=1e-9)
 
 
+@pytest.mark.parametrize("nu", [2.2, 2.23])
+def test_entropy_sum_omits_its_tail_entropy(nu):
+    # the terms past N leave out q^N [-ln(1-q) - ln q (N + q/(1-q))], about
+    # 32 times the tail mass q^N (q = tanh^2 nu): 5.3e-12 at nu = 2.2, more
+    # than 1e-12 of the value, and 2.8e-11 at 2.23, the edge of 600 terms'
+    # reach.  The closed form is within 2 ulps, the pairwise sum of 600
+    # positive terms within a few more
+    spec = sp.schmidt_spectrum(nu, 600)
+    closed, q, n = sp.entropy_closed_form(nu), math.tanh(nu) ** 2, len(spec.lambdas)
+    omitted = spec.tail_mass * (-math.log1p(-q) - math.log(q) * (n + q / (1.0 - q)))
+    assert omitted > 1e-12 * closed
+    assert abs(closed - sp.entanglement_entropy(spec) - omitted) <= 16 * math.ulp(closed)
+
+
 def test_entropy_strictly_increasing():
     nus = np.linspace(0.0, 2.0, 41)
     values = [sp.entropy_closed_form(float(n)) for n in nus]

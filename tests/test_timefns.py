@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,6 +59,35 @@ def test_d2_matches_second_difference(coeffs, t):
     fd = (poly.value(t + h) - 2 * poly.value(t) + poly.value(t - h)) / h**2
     scale = 1.0 + max(abs(c) for c in coeffs)
     assert abs(fd - poly.d2(t)) < 1e-4 * scale
+
+
+def reference_loops(coeffs, t):
+    """value, d1 and d2 as three separate Horner loops, one per derivative."""
+    value = d1 = d2 = 0.0
+    for c in reversed(coeffs):
+        value = value * t + c
+    for k in range(len(coeffs) - 1, 0, -1):
+        d1 = d1 * t + k * coeffs[k]
+    for k in range(len(coeffs) - 1, 1, -1):
+        d2 = d2 * t + k * (k - 1) * coeffs[k]
+    return value, d1, d2
+
+
+# signed zeros, subnormals and magnitudes up to 1e+-300; sums may overflow to
+# inf and inf - inf give NaN, which both sides must give alike
+wide_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 290)),
+)
+
+
+@given(st.lists(wide_floats, min_size=1, max_size=8), wide_floats)
+def test_derivatives_match_reference_loops_bit_for_bit(coeffs, t):
+    # reports print these values with 17 digits, so they must not move by a bit
+    poly = TimePolynomial(coeffs)
+    got = (poly.value(t), poly.d1(t), poly.d2(t))
+    assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in reference_loops(poly.coeffs, t)]
 
 
 def test_empty_coefficients_become_zero_polynomial():
