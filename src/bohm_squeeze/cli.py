@@ -64,7 +64,7 @@ EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_IO = 3
 
-ENTROPY_TERMS = 600  # Schmidt eigenvalues summed per entropy value
+ENTROPY_TERMS = 600  # fewest Schmidt eigenvalues summed per entropy value
 
 DEFAULT_TOLERANCES = {
     "residual_max": 1e-4,       # stencil residuals (schrodinger, continuity, bohm)
@@ -359,11 +359,12 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     entries, failures = [], []
     for t in cfg.times:
         grid = cfg.grid if cfg.grid is not None else verify.residual_grid(s, t, tol["residual_max"])
+        at = verify.TimeSamples(s, t, grid)
         reports = [
-            verify.schrodinger_residual(s, t, grid, v_source=cfg.v_source),
-            verify.continuity_residual(s, t, grid),
-            verify.hamilton_jacobi_residual(s, t, grid, v_source=cfg.v_source),
-            verify.bohm_definition_residual(s, t, grid),
+            verify.schrodinger_residual(at, v_source=cfg.v_source),
+            verify.continuity_residual(at),
+            verify.hamilton_jacobi_residual(at, v_source=cfg.v_source),
+            verify.bohm_definition_residual(at),
         ]
         norm, var_plus, var_minus = verify.diagonal_moments(s, t)
         nu = s.nu_at(t)
@@ -482,15 +483,16 @@ def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: flo
 def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
     """entropy.csv with summed and closed-form entropies per squeeze value; no file if one fails.
 
-    ``spectral.entanglement_entropy`` refuses a squeeze value whose tail
-    past ENTROPY_TERMS terms is not negligible, naming the reach of that
-    many terms.
+    Each value sums ENTROPY_TERMS Schmidt terms, or more where
+    ``spectral.entropy_terms`` needs more to hold the entropy they leave
+    out to its tolerance; past its cap it refuses the value, naming the
+    cap's reach.
     """
     from . import spectral
 
     rows = ["nu,entropy_sum,entropy_closed,schmidt_lambda0\n"]
     for nu in nu_values:
-        spec = spectral.schmidt_spectrum(nu, ENTROPY_TERMS)
+        spec = spectral.schmidt_spectrum(nu, max(ENTROPY_TERMS, spectral.entropy_terms(nu)))
         rows.append(
             f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
             f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"

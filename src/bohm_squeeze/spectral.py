@@ -21,12 +21,18 @@ __all__ = [
     "mehler_closed",
     "schmidt_spectrum",
     "entanglement_entropy",
+    "entropy_terms",
     "entropy_closed_form",
 ]
 
-# Largest tail mass, past the retained Schmidt terms, that
-# ``entanglement_entropy`` leaves out of its sum.
-ENTROPY_TAIL_TOL = 1e-12
+# Largest share of the entropy that the Schmidt terms past the summed ones
+# may carry: half of the 1e-12 the sum is held to, the other half left for
+# the rounding of the sum and of tanh^2 nu
+ENTROPY_OMITTED_TOL = 5e-13
+
+# Most Schmidt terms ``entropy_terms`` asks for (0.8 MB of eigenvalues);
+# they reach |nu| <= 4.75
+ENTROPY_TERMS_MAX = 100_000
 
 
 def hermite_phi_table(n: int, eta) -> np.ndarray:
@@ -117,23 +123,85 @@ def schmidt_spectrum(nu: float, N: int) -> SchmidtSpectrum:
     return SchmidtSpectrum(nu=float(nu), lambdas=lambdas, tail_mass=q**N)
 
 
+def _omitted_entropy(q: float, terms: int) -> float:
+    """Entropy of the Schmidt terms past the first N = ``terms``: q^N [-ln(1 - q) - ln q (N + q/(1 - q))].
+
+    q = tanh^2 nu, with 0 < q < 1; the value falls as N grows.
+    """
+    return q**terms * (-math.log1p(-q) - math.log(q) * (terms + q / (1.0 - q)))
+
+
+def _omits_little(nu: float, terms: int) -> bool:
+    """Whether the Schmidt terms past the first ``terms`` carry at most ENTROPY_OMITTED_TOL of the entropy.
+
+    Where tanh^2 nu rounds to 1 (|nu| past about 19) no term count is enough.
+    """
+    q = math.tanh(nu) ** 2
+    if q == 0.0:
+        return True
+    return q < 1.0 and _omitted_entropy(q, terms) <= ENTROPY_OMITTED_TOL * entropy_closed_form(nu)
+
+
+def _reach(terms: int) -> float:
+    """The largest |nu| whose entropy ``terms`` Schmidt terms hold to ENTROPY_OMITTED_TOL, by bisection."""
+    lo, hi = 0.0, 20.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _omits_little(mid, terms) else (lo, mid)
+    return lo
+
+
+def entropy_terms(nu: float) -> int:
+    """The least Schmidt term count whose omitted entropy is at most ENTROPY_OMITTED_TOL of the entropy.
+
+    With b = -ln q and a = -ln(1 - q) + b q/(1 - q) the omitted entropy is
+    q^N (a + b N), and it equals the allowed share E where x = a + b N
+    solves x = a - ln E + ln x.  Four steps of that iteration, each
+    gaining a factor of about x (30 or more), and a step of N either way
+    for rounding find N in O(1): 621 terms at nu = 2.2 (606 for a 1e-12
+    share).  Where even ENTROPY_TERMS_MAX terms omit more, raises, naming
+    their reach in |nu|.
+    """
+    q = math.tanh(nu) ** 2
+    if q == 0.0:
+        return 1
+    entropy = entropy_closed_form(nu)
+    allowed = ENTROPY_OMITTED_TOL * entropy
+    if not (q < 1.0 and _omitted_entropy(q, ENTROPY_TERMS_MAX) <= allowed):
+        reach = _reach(ENTROPY_TERMS_MAX)
+        raise ValueError(
+            f"|nu| = {abs(nu):g} needs more than {ENTROPY_TERMS_MAX} Schmidt terms, which reach |nu| <= {reach:.3g}"
+        )
+    b = -math.log(q)
+    a = -math.log1p(-q) + b * q / (1.0 - q)
+    c = a - math.log(ENTROPY_OMITTED_TOL) - math.log(entropy)  # allowed may underflow to 0
+    x = c
+    for _ in range(4):
+        x = c + math.log(x)
+    terms = min(max(math.ceil((x - a) / b), 1), ENTROPY_TERMS_MAX)
+    while _omitted_entropy(q, terms) > allowed:
+        terms += 1
+    while terms > 1 and _omitted_entropy(q, terms - 1) <= allowed:
+        terms -= 1
+    return terms
+
+
 def entanglement_entropy(spec: SchmidtSpectrum) -> float:
     """Von Neumann entropy -sum lambda_n ln lambda_n, in nats.
 
-    Requires the tail mass past the retained terms, tanh^(2N) nu for N
-    terms, to stay below ``ENTROPY_TAIL_TOL``; raises otherwise, since the
-    summed entropy would silently miss the tail contribution.  The message
-    names the reach of N terms, atanh(ENTROPY_TAIL_TOL^(1/2N)) in |nu|.
-
-    Within the reach the sum still leaves out the tail's entropy: with
-    q = tanh^2 nu it reads q^N [-ln(1 - q) - ln q (N + q/(1 - q))] below
-    the closed form, about 32 times the tail mass near the reach of 600
-    terms (5.3e-12, 1.3e-12 of the value, at nu = 2.2; 2.8e-11 at 2.23).
+    Requires the entropy of the terms past the retained N,
+    q^N [-ln(1 - q) - ln q (N + q/(1 - q))] with q = tanh^2 nu, to be at
+    most ENTROPY_OMITTED_TOL of the whole; raises otherwise, since the sum
+    would silently miss it, naming the reach of N terms in |nu|.
+    ``entropy_terms`` gives the least such N.  The tail mass q^N alone
+    understates what is left out, by about 32 times near 600 terms' reach.
     """
-    if spec.tail_mass >= ENTROPY_TAIL_TOL:
-        terms = len(spec.lambdas)
-        reach = math.atanh(ENTROPY_TAIL_TOL ** (0.5 / terms))
-        raise ValueError(f"{terms} Schmidt terms reach a {ENTROPY_TAIL_TOL:g} tail at |nu| <= {reach:.3g} only")
+    terms = len(spec.lambdas)
+    if not _omits_little(spec.nu, terms):
+        reach = _reach(terms)
+        raise ValueError(
+            f"{terms} Schmidt terms hold the entropy to {ENTROPY_OMITTED_TOL:g} at |nu| <= {reach:.3g} only"
+        )
     lams = spec.lambdas[spec.lambdas > 0.0]
     return float(-np.sum(lams * np.log(lams))) + 0.0  # +0.0 folds -0.0 away
 

@@ -25,6 +25,16 @@ absolute value comes from the 1-D parts (rounding is monotone, so its
 extreme elements are fl(max r_u + max r_v) and fl(min r_u + min r_v));
 only its rms reads the grid.
 
+The four checks at one time read one ``TimeSamples`` record instead of
+sampling for themselves: the grid's axes are spaced once, ln A's and the
+phase's forms are evaluated once at each of t - dt, t and t + dt, A's and
+psi's factors at those three times take one exp per axis, and A's
+stencils at t serve both the continuity and the Bohm-definition check.
+The record computes each of these when a check first reads it, so which
+check runs first changes no bit of any report.  It keeps only 1-D arrays:
+each check frees its grid-sized field before it returns, so a pass of
+all four peaks at its largest check.
+
 Grid-size guidance: the second-order stencil error along each axis scales
 with that axis's fourth (and, for the continuity flux, third) derivatives
 of the factors, which for these Gaussian-times-quadratic forms are exact.
@@ -47,6 +57,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
@@ -69,6 +80,7 @@ from .closedform import (
 __all__ = [
     "V_SOURCES",
     "ResidualReport",
+    "TimeSamples",
     "external_quadform",
     "bohm_definition_residual",
     "continuity_residual",
@@ -172,27 +184,16 @@ RING = 2
 AMPLITUDE_FLOOR = 1e-300
 
 
-def _factors(
-    u: np.ndarray, v: np.ndarray, log_amp: QuadForm, phase: QuadForm | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """1-D factors f(u), g(v) of exp(log_amp + i phase) on a grid's two axes.
-
-    The constant of ``log_amp`` is split evenly between the factors.
-    For an amplitude (c_u, c_v <= 0) each factor is then at most
-    e^(const/2), so wherever the product is above the underflow floor
-    1e-300 both factors are normal numbers, as long as const <= 35.
-    """
-    fu = log_amp.c_u * u * u + 0.5 * log_amp.const
-    fv = log_amp.c_v * v * v + 0.5 * log_amp.const
-    if phase is not None:
-        fu = fu + 1j * (phase.c_u * u * u + phase.const)
-        fv = fv + 1j * (phase.c_v * v * v)
-    return np.exp(fu), np.exp(fv)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _inner(f: np.ndarray) -> np.ndarray:
-    """f on the interior nodes of its axis."""
-    return f[RING : f.size - RING]
+    """f on the interior nodes of its (last) axis."""
+    return f[..., RING : f.shape[-1] - RING]
 
 
 def _stencil(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,11 +202,77 @@ def _stencil(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _inner(f), (up - down) / (2.0 * h), (up - 2.0 * _inner(f) + down) / (h * h)
 
 
-def _axes(grid: GridSpec2D) -> tuple[np.ndarray, np.ndarray]:
-    """u and v at every node of a grid with an interior."""
-    if min(grid.nx, grid.ny) < 2 * RING + 1:
-        raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
-    return grid.xs(), grid.ys()
+def _columns(forms: tuple[QuadForm, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forms' c_u, c_v and const, each a column with one row per form."""
+    return tuple(np.array([[form.c_u, form.c_v, form.const] for form in forms]).T[:, :, None])
+
+
+class TimeSamples:
+    """The samples the four residual checks share at one time on one grid.
+
+    Rows 0, 1 and 2 of every stack are the ``times`` t + dt, t - dt and t.
+    Each attribute is computed when a check first reads it; every array is
+    read-only, and none is grid-sized.
+    """
+
+    def __init__(self, s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-4):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        self.s, self.t, self.grid, self.dt = s, t, grid, dt
+        self.times = (t + dt, t - dt, t)
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """u and v at every node."""
+        return _read_only(self.grid.xs(), self.grid.ys())
+
+    @cached_property
+    def interior(self) -> tuple[np.ndarray, np.ndarray]:
+        """u and v on the interior nodes; a grid without an interior is refused."""
+        if min(self.grid.nx, self.grid.ny) < 2 * RING + 1:
+            raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
+        u, v = self.axes
+        return _inner(u), _inner(v)
+
+    @cached_property
+    def log_amplitudes(self) -> tuple[QuadForm, QuadForm, QuadForm]:
+        """ln A's forms at the three times."""
+        return tuple(log_amplitude_coeffs(self.s, at) for at in self.times)
+
+    @cached_property
+    def phases(self) -> tuple[QuadForm, QuadForm, QuadForm]:
+        """The phase's forms at the three times."""
+        return tuple(phase_coeffs(self.s, at) for at in self.times)
+
+    @cached_property
+    def exponents(self) -> tuple[np.ndarray, np.ndarray]:
+        """ln A's u and v parts at the three times, ln A's constant split evenly between them.
+
+        For an amplitude (c_u, c_v <= 0) each factor is then at most
+        e^(const/2), so wherever A is above the underflow floor 1e-300 both
+        factors are normal numbers, as long as const <= 35.
+        """
+        c_u, c_v, const = _columns(self.log_amplitudes)
+        u, v = self.axes
+        return _read_only(c_u * u * u + 0.5 * const, c_v * v * v + 0.5 * const)
+
+    @cached_property
+    def amplitude(self) -> tuple[np.ndarray, np.ndarray]:
+        """A's factors f(u), g(v) at the three times."""
+        return _read_only(*(np.exp(exponent) for exponent in self.exponents))
+
+    @cached_property
+    def wavefunction(self) -> tuple[np.ndarray, np.ndarray]:
+        """psi's factors f(u), g(v) at the three times; the phase's constant goes to f."""
+        c_u, c_v, const = _columns(self.phases)
+        (u, v), (fu, fv) = self.axes, self.exponents
+        return _read_only(np.exp(fu + 1j * (c_u * u * u + const)), np.exp(fv + 1j * (c_v * v * v)))
+
+    @cached_property
+    def amplitude_stencils(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """``_stencil`` of A's factors at t along u and along v."""
+        f, g = self.amplitude
+        return _read_only(*_stencil(f[2], self.grid.hx)), _read_only(*_stencil(g[2], self.grid.hy))
 
 
 def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.ndarray:
@@ -214,40 +281,30 @@ def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.nd
 
 
 def _time_difference_field(
-    t: float, grid: GridSpec2D, dt: float, forms: Callable, numerator: complex, space: Callable
+    at: TimeSamples, factors: tuple[np.ndarray, np.ndarray], numerator: complex, f_terms: list, g_terms: list
 ) -> np.ndarray:
     """numerator (phi(t + dt) - phi(t - dt)) / dt plus space terms, on the interior, as one matrix product.
 
-    phi = f(u) g(v) is exp(log_amp + i phase) for the forms ``forms(at)``
-    returns at time ``at``: (log_amp,) for A, (log_amp, phase) for psi.
-    ``space(u, v, f0, f1, f2, g0, g1, g2)`` returns the space terms' u and
-    v factors, from the interior axes and the ``_stencil`` of f and g at t.
+    ``factors`` are phi's stacked u and v factors (A's or psi's, from
+    ``at``); ``f_terms`` and ``g_terms`` are the space terms' u and v
+    factors on the interior.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    u, v = _axes(grid)
-    (f_next, g_next), (f_prev, g_prev), (f, g) = (_factors(u, v, *forms(at)) for at in (t + dt, t - dt, t))
-    rate = numerator / dt
-    f_terms, g_terms = space(_inner(u), _inner(v), *_stencil(f, grid.hx), *_stencil(g, grid.hy))
-    return _rank_one_sum(
-        [rate * _inner(f_next), -rate * _inner(f_prev), *f_terms], [_inner(g_next), _inner(g_prev), *g_terms]
-    )
+    (f_next, f_prev, _), (g_next, g_prev, _) = (_inner(f) for f in factors)
+    rate = numerator / at.dt
+    return _rank_one_sum([rate * f_next, -rate * f_prev, *f_terms], [g_next, g_prev, *g_terms])
 
 
-def _continuity_field(s: Scenario, t: float, grid: GridSpec2D, dt: float) -> np.ndarray:
+def _continuity_field(at: TimeSamples) -> np.ndarray:
     """Continuity residual on the interior, from rank-one products of A's mode factors."""
-
-    def flux(u, v, f0, f1, f2, g0, g1, g2) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        sform = phase_coeffs(s, t)
-        # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v;
-        # lap S A / (2m) joins the u term
-        flux_u = (2.0 * sform.c_u * u * f1 + 0.5 * sform.laplacian * f0) / s.m
-        return [flux_u, f0], [g0, 2.0 * sform.c_v * v * g1 / s.m]
-
-    return _time_difference_field(t, grid, dt, lambda at: (log_amplitude_coeffs(s, at),), 0.5, flux)
+    (u, v), sform, m = at.interior, at.phases[2], at.s.m
+    (f0, f1, _), (g0, g1, _) = at.amplitude_stencils
+    # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v;
+    # lap S A / (2m) joins the u term
+    flux_u = (2.0 * sform.c_u * u * f1 + 0.5 * sform.laplacian * f0) / m
+    return _time_difference_field(at, at.amplitude, 0.5, [flux_u, f0], [g0, 2.0 * sform.c_v * v * g1 / m])
 
 
-def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-4) -> ResidualReport:
+def continuity_residual(at: TimeSamples) -> ResidualReport:
     """Residual of A_t + (S_x A_x + S_y A_y)/m + (S_xx + S_yy) A/(2m) = 0.
 
     A_t by a central time difference of the closed-form amplitude; the
@@ -255,54 +312,45 @@ def continuity_residual(s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-
     along the grid's axes and the phase derivatives analytically (S is
     quadratic, so S_x = m nud (r x + y) and S_xx = m nud r exactly).
     """
-    return _report("continuity", t, _continuity_field(s, t, grid, dt), grid, dt)
+    return _report("continuity", at.t, _continuity_field(at), at.grid, at.dt)
 
 
-def hamilton_jacobi_residual(
-    s: Scenario, t: float, grid: GridSpec2D, v_source: VSource = "closed_form"
-) -> ResidualReport:
+def hamilton_jacobi_residual(at: TimeSamples, v_source: VSource = "closed_form") -> ResidualReport:
     """Residual of |grad S|^2/(2m) + V_B + V + S_t = 0, all terms analytic.
 
     With ``closed_form`` (or ``hj_closure``) this cancels to rounding noise;
     with ``variant`` it leaves exactly (2m + 1) V_B, which is the point of
     that source.
     """
+    s, t = at.s, at.t
     total = kinetic_coeffs(s, t) + bohm_coeffs(s, t) + external_quadform(s, t, v_source) + phase_rate_coeffs(s, t)
-    u, v = grid.xs(), grid.ys()
-    return _outer_sum_report("hamilton_jacobi", t, total.c_u * u * u + total.const, total.c_v * v * v, grid)
+    u, v = at.axes
+    return _outer_sum_report("hamilton_jacobi", t, total.c_u * u * u + total.const, total.c_v * v * v, at.grid)
 
 
-def _schrodinger_field(s: Scenario, t: float, grid: GridSpec2D, dt: float, v_source: VSource) -> np.ndarray:
+def _schrodinger_field(at: TimeSamples, v_source: VSource) -> np.ndarray:
     """Schrodinger residual on the interior, from rank-one products of psi's mode factors."""
-
-    def hamiltonian(u, v, f0, f1, f2, g0, g1, g2) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        pot = external_quadform(s, t, v_source)
-        # lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
-        r_u = f2 / (2.0 * s.m) - (pot.c_u * u * u + pot.const) * f0
-        r_v = g2 / (2.0 * s.m) - pot.c_v * v * v * g0
-        return [r_u, f0], [g0, r_v]
-
-    return _time_difference_field(
-        t, grid, dt, lambda at: (log_amplitude_coeffs(s, at), phase_coeffs(s, at)), 0.5j, hamiltonian
-    )
+    (u, v), m = at.interior, at.s.m
+    f, g = at.wavefunction
+    f0, _, f2 = _stencil(f[2], at.grid.hx)
+    g0, _, g2 = _stencil(g[2], at.grid.hy)
+    pot = external_quadform(at.s, at.t, v_source)
+    # lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
+    r_u = f2 / (2.0 * m) - (pot.c_u * u * u + pot.const) * f0
+    r_v = g2 / (2.0 * m) - pot.c_v * v * v * g0
+    return _time_difference_field(at, (f, g), 0.5j, [r_u, f0], [g0, r_v])
 
 
-def schrodinger_residual(
-    s: Scenario,
-    t: float,
-    grid: GridSpec2D,
-    dt: float = 1e-4,
-    v_source: VSource = "hj_closure",
-) -> ResidualReport:
+def schrodinger_residual(at: TimeSamples, v_source: VSource = "hj_closure") -> ResidualReport:
     """Residual of i psi_t + lap(psi)/(2m) - V psi = 0.
 
     psi_t by central time difference of the closed-form wavefunction, the
     Laplacian by the 5-point stencil, V from the selected source.
     """
-    return _report("schrodinger", t, _schrodinger_field(s, t, grid, dt, v_source), grid, dt)
+    return _report("schrodinger", at.t, _schrodinger_field(at, v_source), at.grid, at.dt)
 
 
-def _bohm_definition_parts(s: Scenario, t: float, grid: GridSpec2D) -> tuple[np.ndarray, np.ndarray]:
+def _bohm_definition_parts(at: TimeSamples) -> tuple[np.ndarray, np.ndarray]:
     """Stencil minus closed-form Bohm potential on the interior, as its parts (r_u, r_v).
 
     For A = f(u) g(v), lap A / A = f''/f + g''/g: the residual is the
@@ -310,22 +358,20 @@ def _bohm_definition_parts(s: Scenario, t: float, grid: GridSpec2D) -> tuple[np.
     ln A is concave, so A is smallest at a corner and the underflow guard
     reads the corners.
     """
-    u, v = _axes(grid)
-    f, g = _factors(u, v, log_amplitude_coeffs(s, t))
+    (u, v), m = at.interior, at.s.m
+    f, g = (factor[2] for factor in at.amplitude)
     if min(f[0], f[-1]) * min(g[0], g[-1]) < AMPLITUDE_FLOOR:
         raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
-    f0, _, f2 = _stencil(f, grid.hx)
-    g0, _, g2 = _stencil(g, grid.hy)
-    b = bohm_coeffs(s, t)
-    u, v = _inner(u), _inner(v)
-    r_u = -f2 / (2.0 * s.m * f0) - (b.c_u * u * u + b.const)
-    r_v = -g2 / (2.0 * s.m * g0) - b.c_v * v * v
+    (f0, _, f2), (g0, _, g2) = at.amplitude_stencils
+    b = bohm_coeffs(at.s, at.t)
+    r_u = -f2 / (2.0 * m * f0) - (b.c_u * u * u + b.const)
+    r_v = -g2 / (2.0 * m * g0) - b.c_v * v * v
     return r_u, r_v
 
 
-def bohm_definition_residual(s: Scenario, t: float, grid: GridSpec2D) -> ResidualReport:
+def bohm_definition_residual(at: TimeSamples) -> ResidualReport:
     """Deviation of the stencil Bohm potential from the closed form."""
-    return _outer_sum_report("bohm_definition", t, *_bohm_definition_parts(s, t, grid), grid)
+    return _outer_sum_report("bohm_definition", at.t, *_bohm_definition_parts(at), at.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -159,21 +159,14 @@ def test_criterion_5_pde_residuals_with_convergence():
         for t in [0.25, 0.5, 1.0]:
             coarse = verify.residual_grid(s, t, 1e-4, n=201)
             fine = cf.GridSpec2D(coarse.x_min, coarse.x_max, coarse.y_min, coarse.y_max, 401, 401)
+            coarse_at = verify.TimeSamples(s, t, coarse, dt=dt)
+            fine_at = verify.TimeSamples(s, t, fine, dt=dt / 2)
             # analytic closure residual: no stencil, no ratio
-            hj_worst = max(hj_worst, verify.hamilton_jacobi_residual(s, t, coarse).max_abs_residual)
+            hj_worst = max(hj_worst, verify.hamilton_jacobi_residual(coarse_at).max_abs_residual)
             pairs = [
-                (
-                    verify.schrodinger_residual(s, t, coarse, dt=dt),
-                    verify.schrodinger_residual(s, t, fine, dt=dt / 2),
-                ),
-                (
-                    verify.continuity_residual(s, t, coarse, dt=dt),
-                    verify.continuity_residual(s, t, fine, dt=dt / 2),
-                ),
-                (
-                    verify.bohm_definition_residual(s, t, coarse),
-                    verify.bohm_definition_residual(s, t, fine),
-                ),
+                (verify.schrodinger_residual(coarse_at), verify.schrodinger_residual(fine_at)),
+                (verify.continuity_residual(coarse_at), verify.continuity_residual(fine_at)),
+                (verify.bohm_definition_residual(coarse_at), verify.bohm_definition_residual(fine_at)),
             ]
             for rep_c, rep_f in pairs:
                 worst_res = max(worst_res, rep_c.max_abs_residual)

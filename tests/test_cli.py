@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bohm_squeeze import cli, fockalg, verify
+from bohm_squeeze import cli, fockalg, spectral, verify
 from bohm_squeeze import closedform as cf
 from bohm_squeeze import Scenario, TimePolynomial
 from bohm_squeeze.closedform import GridSpec2D, ScalarField2D
@@ -274,7 +274,7 @@ def test_main_rejects_non_positive_tolerances(tmp_path, capsys, command, flags, 
     [
         ("density", {"times": [1.0, 100.0]}),
         ("verify", {"times": [0.5, 100.0], "grid": "auto"}),
-        ("entropy", {"nu_values": [0.5, 3.0]}),
+        ("entropy", {"nu_values": [0.5, 5.0]}),
     ],
 )
 def test_failed_run_leaves_no_output(tmp_path, capsys, command, payload):
@@ -319,8 +319,8 @@ def test_verify_reports_first_failing_time(tmp_path, capsys, times, message):
 def test_verify_checks_a_time_before_choosing_the_next_grid(tmp_path, capsys, monkeypatch):
     # t = 0.5 fails inside its checks and t = 4 has no feasible extent:
     # the earlier time decides the error
-    def failing(s, t, grid, **kwargs):
-        raise ValueError(f"schrodinger residual at t = {t:g} must be finite and non-negative")
+    def failing(at, **kwargs):
+        raise ValueError(f"schrodinger residual at t = {at.t:g} must be finite and non-negative")
 
     monkeypatch.setattr(verify, "schrodinger_residual", failing)
     cfg = small_density_config(tmp_path, times=[0.5, 4.0], grid="auto")
@@ -734,18 +734,29 @@ def test_entropy_table(tmp_path):
 
 
 def test_entropy_names_its_term_limit(tmp_path, capsys):
-    # entropy sums a fixed 600 Schmidt terms, whose tail mass tanh^1200 nu
-    # reaches spectral's default 1e-12 at |nu| ~ 2.23: past it the message
-    # names that limit, not an eigenvalue count that no config can raise
-    cfg = write_config(tmp_path, "e.json", {"nu_values": [0.5, 2.5], "out_dir": str(tmp_path / "out")})
+    # entropy sums as many Schmidt terms as the entropy they leave out
+    # needs, up to spectral's cap: past the cap's reach the message names
+    # that reach, not an eigenvalue count that no config can raise
+    cfg = write_config(tmp_path, "e.json", {"nu_values": [0.5, 5.0], "out_dir": str(tmp_path / "out")})
     assert cli.main(["entropy", "--config", str(cfg)]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err == "invalid input: 600 Schmidt terms reach a 1e-12 tail at |nu| <= 2.23 only\n"
+    assert capsys.readouterr().err == (
+        "invalid input: |nu| = 5 needs more than 100000 Schmidt terms, which reach |nu| <= 4.75\n"
+    )
     assert not (tmp_path / "out").exists()
-    limit = math.atanh(1e-12 ** (1 / 1200))
-    cli.run_entropy([limit * (1 - 1e-9), -limit * (1 - 1e-9)], tmp_path / "inside")
+    limit = spectral._reach(spectral.ENTROPY_TERMS_MAX)
+    cli.run_entropy([limit, -limit], tmp_path / "inside")
     for nu in (limit * (1 + 1e-9), -limit * (1 + 1e-9)):
-        with pytest.raises(ValueError, match="600 Schmidt terms"):
+        with pytest.raises(ValueError, match="needs more than 100000 Schmidt terms"):
             cli.run_entropy([nu], tmp_path / "outside")
+
+
+def test_entropy_rows_match_the_closed_form_past_600_terms(tmp_path):
+    # 600 terms leave out 1.3e-12 of the entropy at nu = 2.2 and cannot
+    # reach 2.5; the counts that hold the omitted entropy to spectral's
+    # tolerance (621, 1127 and 3044 terms) keep every row within 1e-12
+    out = cli.run_entropy([2.2, 2.5, 3.0], tmp_path)
+    table = np.loadtxt(out.read_text().splitlines()[1:], delimiter=",")
+    np.testing.assert_allclose(table[:, 1], table[:, 2], rtol=1e-12, atol=0)
 
 
 def test_fock_overflowing_squeeze_reports_error(tmp_path, capsys):

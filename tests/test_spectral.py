@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.special import eval_hermite
 
 from bohm_squeeze import Scenario, TimePolynomial, amplitude_A
@@ -196,18 +196,66 @@ def test_entropy_sum_matches_closed_form():
         assert sp.entanglement_entropy(spec) == pytest.approx(sp.entropy_closed_form(nu), abs=1e-9)
 
 
+def omitted_entropy(nu: float, terms: int) -> mpmath.mpf:
+    """q^N [-ln(1-q) - ln q (N + q/(1-q))] with q = tanh^2 nu and N = terms, at 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.tanh(mpmath.mpf(nu)) ** 2
+        return q**terms * (-mpmath.log1p(-q) - mpmath.log(q) * (terms + q / (1 - q)))
+
+
 @pytest.mark.parametrize("nu", [2.2, 2.23])
 def test_entropy_sum_omits_its_tail_entropy(nu):
     # the terms past N leave out q^N [-ln(1-q) - ln q (N + q/(1-q))], about
     # 32 times the tail mass q^N (q = tanh^2 nu): 5.3e-12 at nu = 2.2, more
-    # than 1e-12 of the value, and 2.8e-11 at 2.23, the edge of 600 terms'
-    # reach.  The closed form is within 2 ulps, the pairwise sum of 600
-    # positive terms within a few more
+    # than 1e-12 of the value, and 2.8e-11 at 2.23.  The closed form is
+    # within 2 ulps, the pairwise sum of 600 positive terms within a few
+    # more; entanglement_entropy refuses those 600 terms
     spec = sp.schmidt_spectrum(nu, 600)
-    closed, q, n = sp.entropy_closed_form(nu), math.tanh(nu) ** 2, len(spec.lambdas)
-    omitted = spec.tail_mass * (-math.log1p(-q) - math.log(q) * (n + q / (1.0 - q)))
+    closed, lams = sp.entropy_closed_form(nu), spec.lambdas
+    omitted = float(omitted_entropy(nu, 600))
     assert omitted > 1e-12 * closed
-    assert abs(closed - sp.entanglement_entropy(spec) - omitted) <= 16 * math.ulp(closed)
+    assert abs(closed - float(-np.sum(lams * np.log(lams))) - omitted) <= 16 * math.ulp(closed)
+    with pytest.raises(ValueError, match="600 Schmidt terms hold the entropy to 5e-13 at "):
+        sp.entanglement_entropy(spec)
+
+
+@pytest.mark.parametrize("nu, terms", [(2.2, 621), (2.5, 1127), (3.0, 3044), (-3.0, 3044)])
+def test_entropy_terms_are_the_least_that_hold_the_omitted_entropy(nu, terms):
+    # the least count whose omitted entropy, at 30 digits, is at most
+    # ENTROPY_OMITTED_TOL of the entropy; with it the sum is within 1e-12
+    # of the closed form
+    with mpmath.workdps(30):
+        s = mpmath.sinh(mpmath.mpf(nu)) ** 2
+        allowed = sp.ENTROPY_OMITTED_TOL * (mpmath.log1p(s) + s * mpmath.log1p(1 / s))
+    assert sp.entropy_terms(nu) == terms
+    assert omitted_entropy(nu, terms) <= allowed < omitted_entropy(nu, terms - 1)
+    summed = sp.entanglement_entropy(sp.schmidt_spectrum(nu, terms))
+    assert summed == pytest.approx(sp.entropy_closed_form(nu), rel=1e-12, abs=0)
+
+
+@given(st.floats(min_value=-4.75, max_value=4.75, allow_nan=False))
+@example(4.391211703632974e-160)  # tanh^2 nu is subnormal and the allowed share underflows to 0
+def test_entropy_terms_are_the_least_count(nu):
+    # the direct solve lands on the count a search over term counts finds:
+    # the least whose omitted entropy is within the tolerance
+    terms = sp.entropy_terms(nu)
+    assert sp._omits_little(nu, terms)
+    assert terms == 1 or not sp._omits_little(nu, terms - 1)
+
+
+def test_entropy_terms_refuse_past_their_cap():
+    # ENTROPY_TERMS_MAX terms reach |nu| = 4.75; past it, and where tanh^2 nu
+    # rounds to 1, the message names that reach
+    reach = sp._reach(sp.ENTROPY_TERMS_MAX)
+    assert f"{reach:.3g}" == "4.75"
+    for nu in (reach, -reach):
+        terms = sp.entropy_terms(nu)
+        assert 0.99 * sp.ENTROPY_TERMS_MAX < terms <= sp.ENTROPY_TERMS_MAX
+        summed = sp.entanglement_entropy(sp.schmidt_spectrum(nu, terms))
+        assert summed == pytest.approx(sp.entropy_closed_form(nu), rel=1e-12, abs=0)
+    for nu in (reach * (1 + 1e-9), -reach * (1 + 1e-9), 19.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"needs more than 100000 Schmidt terms, which reach \|nu\| <= 4.75$"):
+            sp.entropy_terms(nu)
 
 
 def test_entropy_strictly_increasing():
@@ -220,13 +268,14 @@ def test_entropy_strictly_increasing():
 
 def test_entropy_requires_small_tail(monkeypatch):
     spec = sp.schmidt_spectrum(2.0, 20)  # tail ~ tanh(2)^40 ~ 0.22
-    with pytest.raises(ValueError, match=r"20 Schmidt terms reach a 1e-12 tail at \|nu\| <= 0.551 only"):
+    with pytest.raises(ValueError, match=r"20 Schmidt terms hold the entropy to 5e-13 at \|nu\| <= 0.\d+ only"):
         sp.entanglement_entropy(spec)
-    # the reach atanh(ENTROPY_TAIL_TOL^(1/2N)) is the edge, for any term
-    # count and tail bound
-    for terms, tail_tol in [(20, 1e-12), (600, 1e-12), (50, 1e-3)]:
-        monkeypatch.setattr(sp, "ENTROPY_TAIL_TOL", tail_tol)
-        reach = math.atanh(tail_tol ** (0.5 / terms))
+    # the reach is the edge, for any term count and tolerance: there the
+    # omitted entropy, at 30 digits, is the tolerance's share of the entropy
+    for terms, tol in [(20, 5e-13), (600, 5e-13), (50, 1e-3)]:
+        monkeypatch.setattr(sp, "ENTROPY_OMITTED_TOL", tol)
+        reach = sp._reach(terms)
+        assert float(omitted_entropy(reach, terms)) == pytest.approx(tol * sp.entropy_closed_form(reach), rel=1e-6)
         sp.entanglement_entropy(sp.schmidt_spectrum(reach * (1 - 1e-9), terms))
-        with pytest.raises(ValueError, match=f"{terms} Schmidt terms reach a {tail_tol:g} tail"):
+        with pytest.raises(ValueError, match=f"{terms} Schmidt terms hold the entropy to {tol:g} at "):
             sp.entanglement_entropy(sp.schmidt_spectrum(reach * (1 + 1e-9), terms))

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import math
 import tracemalloc
@@ -77,7 +79,7 @@ def test_bohm_from_amplitude_ground_state():
 def test_bohm_from_amplitude_matches_closed_form():
     s = example1()
     grid = verify.residual_grid(s, 1.0, RESIDUAL_MAX)
-    rep = verify.bohm_definition_residual(s, 1.0, grid)
+    rep = verify.bohm_definition_residual(verify.TimeSamples(s, 1.0, grid))
     assert rep.max_abs_residual < 1e-4
     assert rep.equation == "bohm_definition"
 
@@ -86,8 +88,8 @@ def test_bohm_from_amplitude_second_order():
     s = example1()
     g1 = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=101)
     g2 = GridSpec2D(g1.x_min, g1.x_max, g1.y_min, g1.y_max, 201, 201)
-    r1 = verify.bohm_definition_residual(s, 0.5, g1)
-    r2 = verify.bohm_definition_residual(s, 0.5, g2)
+    r1 = verify.bohm_definition_residual(verify.TimeSamples(s, 0.5, g1))
+    r2 = verify.bohm_definition_residual(verify.TimeSamples(s, 0.5, g2))
     assert 3.5 < r1.max_abs_residual / r2.max_abs_residual < 4.5
 
 
@@ -119,7 +121,7 @@ def test_bohm_from_amplitude_interior_grid():
 @pytest.mark.parametrize("scenario_fn,t", [(example1, 0.5), (example1, 1.0), (example2, 0.5), (example2, 1.0)])
 def test_continuity_residual_small(scenario_fn, t):
     s = scenario_fn()
-    rep = verify.continuity_residual(s, t, verify.residual_grid(s, t, RESIDUAL_MAX))
+    rep = verify.continuity_residual(verify.TimeSamples(s, t, verify.residual_grid(s, t, RESIDUAL_MAX)))
     assert rep.max_abs_residual < 1e-4
     assert rep.rms_residual <= rep.max_abs_residual
 
@@ -127,7 +129,7 @@ def test_continuity_residual_small(scenario_fn, t):
 @pytest.mark.parametrize("scenario_fn,t", [(example1, 0.5), (example2, 1.0)])
 def test_schrodinger_residual_small(scenario_fn, t):
     s = scenario_fn()
-    rep = verify.schrodinger_residual(s, t, verify.residual_grid(s, t, RESIDUAL_MAX))
+    rep = verify.schrodinger_residual(verify.TimeSamples(s, t, verify.residual_grid(s, t, RESIDUAL_MAX)))
     assert rep.max_abs_residual < 1e-4
 
 
@@ -135,8 +137,8 @@ def test_schrodinger_residual_second_order():
     s = example1()
     g1 = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=101)
     g2 = GridSpec2D(g1.x_min, g1.x_max, g1.y_min, g1.y_max, 201, 201)
-    r1 = verify.schrodinger_residual(s, 0.5, g1, dt=2e-4)
-    r2 = verify.schrodinger_residual(s, 0.5, g2, dt=1e-4)
+    r1 = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, g1, dt=2e-4))
+    r2 = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, g2, dt=1e-4))
     assert 3.5 < r1.max_abs_residual / r2.max_abs_residual < 4.5
 
 
@@ -145,7 +147,7 @@ def test_hamilton_jacobi_residual_closed_form_sources():
     for s in [example1(), example2()]:
         for t in [0.0, 0.7, 1.5]:
             for source in ("closed_form", "hj_closure"):
-                rep = verify.hamilton_jacobi_residual(s, t, grid, v_source=source)
+                rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s, t, grid), v_source=source)
                 assert rep.max_abs_residual < 1e-9
 
 
@@ -153,7 +155,7 @@ def test_hamilton_jacobi_residual_exposes_variant():
     # the variant source leaves exactly (2m + 1) V_B as residual
     s = example1()
     grid = GridSpec2D.square(4.0, 41)
-    rep = verify.hamilton_jacobi_residual(s, 0.5, grid, v_source="variant")
+    rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s, 0.5, grid), v_source="variant")
     u, v = grid.mesh()  # the grid's axes are the modes
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
     expected = np.abs((2 * s.m + 1) * cf.bohm_potential(s, x, y, 0.5)).max()
@@ -164,8 +166,8 @@ def test_hamilton_jacobi_residual_exposes_variant():
 def test_schrodinger_residual_exposes_variant():
     s = example1()
     grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
-    good = verify.schrodinger_residual(s, 0.5, grid, v_source="hj_closure")
-    bad = verify.schrodinger_residual(s, 0.5, grid, v_source="variant")
+    good = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, grid), v_source="hj_closure")
+    bad = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, grid), v_source="variant")
     assert bad.max_abs_residual > 1e3 * good.max_abs_residual
 
 
@@ -176,7 +178,7 @@ def test_unknown_v_source():
 
 def test_residual_reports_serialize(tmp_path):
     s = example1()
-    rep = verify.continuity_residual(s, 0.5, GridSpec2D.square(1.0, 21))
+    rep = verify.continuity_residual(verify.TimeSamples(s, 0.5, GridSpec2D.square(1.0, 21)))
     cli._write_json(tmp_path / "report.json", {"report": rep})
     obj = json.loads((tmp_path / "report.json").read_text())["report"]
     assert obj["equation"] == "continuity"
@@ -188,9 +190,9 @@ def test_dt_validation():
     s = example1()
     grid = GridSpec2D.square(1.0, 21)
     with pytest.raises(ValueError, match="dt"):
-        verify.continuity_residual(s, 0.5, grid, dt=0.0)
+        verify.continuity_residual(verify.TimeSamples(s, 0.5, grid, dt=0.0))
     with pytest.raises(ValueError, match="dt"):
-        verify.schrodinger_residual(s, 0.5, grid, dt=-1e-4)
+        verify.schrodinger_residual(verify.TimeSamples(s, 0.5, grid, dt=-1e-4))
 
 
 RESIDUALS = [
@@ -263,7 +265,7 @@ def test_hj_closure_and_unit_norm_hold_for_random_scenarios(case, grid, v_source
     largest = max(max(abs(f.c_u), abs(f.c_v), abs(f.const)) for f in forms)
     u, v = grid.xs(), grid.ys()
     reach = 1.0 + float((u * u).max()) + float((v * v).max())
-    report = verify.hamilton_jacobi_residual(s, t, grid, v_source=v_source)
+    report = verify.hamilton_jacobi_residual(verify.TimeSamples(s, t, grid), v_source=v_source)
     assert report.max_abs_residual <= 8.0 * np.finfo(float).eps * largest * reach
     norm, _, _ = verify.diagonal_moments(s, t)
     assert abs(norm - 1.0) <= cli.DEFAULT_TOLERANCES["normalization"]
@@ -278,24 +280,30 @@ def test_hj_closure_and_unit_norm_hold_for_random_scenarios(case, grid, v_source
     case=(Scenario(m=1.0, r=0.0, nu=TimePolynomial([0.0, 0.0, 5.0]), mu=TimePolynomial([0.0, 0.0])), 3.0),
 )
 def test_mode_lattice_matches_meshgrid(grid, case):
-    # the outer product of the 1-D factors on the (u, v) lattice against
-    # closedform's pointwise A and psi on the meshgrid, at x = (u+v)/sqrt2
-    # and y = (u-v)/sqrt2
+    # the outer product of the record's 1-D factors on the (u, v) lattice,
+    # at each of its three times, against closedform's pointwise A and psi
+    # on the meshgrid, at x = (u+v)/sqrt2 and y = (u-v)/sqrt2
     s, t = case
+    dt = 1e-4
+    for when in (t - dt, t + dt):
+        nu = s.nu.value(when)
+        assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
+    samples = verify.TimeSamples(s, t, grid, dt)
     u, v = grid.mesh()
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
-    amp, phase = cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t)
-    amp_scale, phase_scale = _scale(amp, x, y), _scale(phase, x, y)
-    with warnings.catch_warnings():
-        # the 2-D samples may underflow where the factors do not
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ref_amp, ref_psi = cf.amplitude_A(s, x, y, t), cf.wavefunction_psi(s, x, y, t)
-        exponent = amp.modes(u, v)
-    f, g = verify._factors(grid.xs(), grid.ys(), amp)
-    assert f.shape == (grid.nx,) and g.shape == (grid.ny,)
-    assert _close_exp(f[:, None] * g[None, :], ref_amp, exponent, amp_scale)
-    f, g = verify._factors(grid.xs(), grid.ys(), amp, phase)
-    assert _close_exp(f[:, None] * g[None, :], ref_psi, exponent, max(amp_scale, phase_scale))
+    for row, when in enumerate(samples.times):
+        amp, phase = cf.log_amplitude_coeffs(s, when), cf.phase_coeffs(s, when)
+        amp_scale, phase_scale = _scale(amp, x, y), _scale(phase, x, y)
+        with warnings.catch_warnings():
+            # the 2-D samples may underflow where the factors do not
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref_amp, ref_psi = cf.amplitude_A(s, x, y, when), cf.wavefunction_psi(s, x, y, when)
+            exponent = amp.modes(u, v)
+        f, g = (factor[row] for factor in samples.amplitude)
+        assert f.shape == (grid.nx,) and g.shape == (grid.ny,)
+        assert _close_exp(f[:, None] * g[None, :], ref_amp, exponent, amp_scale)
+        f, g = (factor[row] for factor in samples.wavefunction)
+        assert _close_exp(f[:, None] * g[None, :], ref_psi, exponent, max(amp_scale, phase_scale))
 
 
 def test_mode_lattice_runs_no_2d_exponential(monkeypatch):
@@ -309,10 +317,12 @@ def test_mode_lattice_runs_no_2d_exponential(monkeypatch):
         return real_exp(arg, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counting_exp)
+    at = verify.TimeSamples(s, 0.5, grid)
     for residual in RESIDUALS:
-        residual(s, 0.5, grid)
-    # one exponential per factor, on its own axis's nodes
-    assert sizes and set(sizes) == {grid.nx, grid.ny}
+        residual(at)
+    # one exponential per axis for A and one for psi, each on its own axis's
+    # nodes at the record's three times
+    assert sorted(sizes) == sorted(2 * [3 * grid.nx, 3 * grid.ny])
 
 
 def bitwise_equal(a, b):
@@ -323,35 +333,87 @@ def bitwise_equal(a, b):
 
 def test_mode_lattice_views_are_read_only(monkeypatch):
     # the stencils read each 1-D factor through views of it and never write
-    # to it: with read-only factors every residual field is unchanged
+    # to it: with the record's read-only factors every residual field is
+    # the one writable factors give
     s, t, dt = example2(), 0.5, 1e-4
     grid = GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11)
-    f, _ = verify._factors(grid.xs(), grid.ys(), cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t))
-    f.setflags(write=False)
-    for view in (verify._inner(f), verify._stencil(f, grid.hx)[0]):
+    at = verify.TimeSamples(s, t, grid, dt)
+    f, _ = at.wavefunction
+    for view in (verify._inner(f), verify._stencil(f[2], grid.hx)[0]):
         assert np.shares_memory(view, f) and not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = 0.0
 
-    def fields():
+    def fields(at):
         return [
-            verify._schrodinger_field(s, t, grid, dt, "hj_closure"),
-            verify._continuity_field(s, t, grid, dt),
-            np.add.outer(*verify._bohm_definition_parts(s, t, grid)),
+            verify._schrodinger_field(at, "hj_closure"),
+            verify._continuity_field(at),
+            np.add.outer(*verify._bohm_definition_parts(at)),
         ]
 
-    writable = fields()
-    real_factors = verify._factors
-
-    def read_only_factors(*args):
-        factors = real_factors(*args)
-        for factor in factors:
-            factor.setflags(write=False)
-        return factors
-
-    monkeypatch.setattr(verify, "_factors", read_only_factors)
-    for ours, ref in zip(fields(), writable):
+    read_only = fields(at)
+    monkeypatch.setattr(verify, "_read_only", lambda *arrays: arrays)
+    writable = verify.TimeSamples(s, t, grid, dt)
+    assert writable.wavefunction[0].flags.writeable
+    for ours, ref in zip(read_only, fields(writable)):
         assert bitwise_equal(ours, ref)
+
+
+def record_arrays(at):
+    """Every array the record hands out, its forms excepted."""
+    parts = [at.axes, at.interior, at.exponents, at.amplitude, at.wavefunction, *at.amplitude_stencils]
+    return [array for part in parts for array in part]
+
+
+def test_record_arrays_are_read_only():
+    at = verify.TimeSamples(example2(), 0.5, GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11))
+    arrays = record_arrays(at)
+    assert len(arrays) == 16 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+
+
+def report_bits(report):
+    return report.equation, report.t, report.max_abs_residual.hex(), report.rms_residual.hex(), report.grid, report.dt
+
+
+@pytest.mark.parametrize("v_source", verify.V_SOURCES)
+def test_checks_in_any_order_give_the_same_reports(v_source):
+    # the record computes each array when a check first reads it: which
+    # check that is changes no bit of any report
+    s, t = example2(), 0.5
+    grid = GridSpec2D(-2.0, 2.0, -0.5, 0.5, 41, 31)
+    checks = {
+        "schrodinger": lambda at: verify.schrodinger_residual(at, v_source=v_source),
+        "continuity": verify.continuity_residual,
+        "hamilton_jacobi": lambda at: verify.hamilton_jacobi_residual(at, v_source=v_source),
+        "bohm_definition": verify.bohm_definition_residual,
+    }
+    alone = {name: report_bits(check(verify.TimeSamples(s, t, grid))) for name, check in checks.items()}
+    for order in itertools.permutations(checks):
+        at = verify.TimeSamples(s, t, grid)
+        assert {name: report_bits(checks[name](at)) for name in order} == alone
+
+
+def test_record_takes_each_form_once_per_time(monkeypatch):
+    s, t, dt = example1(), 0.5, 1e-4
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(scenario, when):
+            calls[fn.__name__, when] += 1
+            return fn(scenario, when)
+
+        return wrapper
+
+    for name in ("log_amplitude_coeffs", "phase_coeffs"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    at = verify.TimeSamples(s, t, verify.residual_grid(s, t, RESIDUAL_MAX), dt)
+    calls.clear()  # residual_grid's own calls
+    for _ in range(2):
+        for residual in RESIDUALS:
+            residual(at)
+        record_arrays(at)
+    expected = {(name, when): 1 for name in ("log_amplitude_coeffs", "phase_coeffs") for when in (t + dt, t - dt, t)}
+    assert calls == collections.Counter(expected)
 
 
 def stencil_fields_2d(s, t, grid, dt, v_source):
@@ -448,12 +510,13 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
         (schrod, schrod_tol), (cont, cont_tol), (bohm, bohm_tol, near_floor) = stencil_fields_2d(
             s, t, grid, dt, v_source
         )
-    ours = verify._schrodinger_field(s, t, grid, dt, v_source)
+    at = verify.TimeSamples(s, t, grid, dt)
+    ours = verify._schrodinger_field(at, v_source)
     assert ours.shape == schrod.shape == (grid.nx - 4, grid.ny - 4)
     assert np.all(np.abs(ours - schrod) <= schrod_tol)
-    assert np.all(np.abs(verify._continuity_field(s, t, grid, dt) - cont) <= cont_tol)
+    assert np.all(np.abs(verify._continuity_field(at) - cont) <= cont_tol)
     try:
-        ours = np.add.outer(*verify._bohm_definition_parts(s, t, grid))
+        ours = np.add.outer(*verify._bohm_definition_parts(at))
     except ValueError as exc:
         assert "underflow" in str(exc) and (bohm is None or near_floor)
     else:
@@ -465,9 +528,9 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
 @pytest.mark.parametrize("residual", [verify.schrodinger_residual, verify.continuity_residual, verify.bohm_definition_residual])
 def test_stencil_residuals_need_an_interior(residual):
     s = example1()
-    residual(s, 0.5, GridSpec2D(-1.0, 1.0, -1.0, 1.0, 5, 5))
+    residual(verify.TimeSamples(s, 0.5, GridSpec2D(-1.0, 1.0, -1.0, 1.0, 5, 5)))
     with pytest.raises(ValueError, match="at least 5 samples"):
-        residual(s, 0.5, GridSpec2D(-1.0, 1.0, -0.375, 0.375, 9, 4))
+        residual(verify.TimeSamples(s, 0.5, GridSpec2D(-1.0, 1.0, -0.375, 0.375, 9, 4)))
 
 
 # finite 1-D residual parts: mixed signs, signed zeros, subnormals and
@@ -528,23 +591,47 @@ def test_outer_sum_report_rejects_non_finite_parts(r_u, r_v, bad, in_u, at):
         outer_sum_report(r_u, r_v)
 
 
-@pytest.mark.parametrize(
-    "residual", [verify.continuity_residual, verify.hamilton_jacobi_residual, verify.bohm_definition_residual]
-)
-def test_real_residuals_build_one_grid_array(residual):
-    # the field and at most numpy's broadcasting buffers: the abs and the
-    # square are taken in place, and the outer sums take their largest value
-    # from the 1-D parts.  A second grid-sized array would reach 2
-    s = example1()
-    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
-    residual(s, 0.5, grid)
+def peak_bytes(run) -> int:
+    """Peak of the memory ``run()`` allocates, after one call that warms numpy up."""
+    run()
     tracemalloc.start()
     try:
-        residual(s, 0.5, grid)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * grid.nx * grid.ny * 8
+
+
+@pytest.mark.parametrize("residual", [*RESIDUALS, pytest.param(None, id="per_time_pass")])
+def test_real_residuals_build_one_grid_array(residual):
+    # the field and at most numpy's broadcasting buffers: the abs and the
+    # square of a real field are taken in place, a complex field's |r| is
+    # half its size, and the outer sums take their largest value from the
+    # 1-D parts.  A second grid-sized array would reach 2
+    s = example1()
+    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
+    if residual is not None:
+        peak = peak_bytes(lambda: residual(verify.TimeSamples(s, 0.5, grid)))
+        itemsize = 16 if residual is verify.schrodinger_residual else 8
+        assert peak <= 1.5 * grid.nx * grid.ny * itemsize
+        return
+    # all four checks on one record, as verify runs them: each frees its
+    # field before it returns, so between checks the pass holds only the
+    # record's 1-D arrays (52 kB here, under a quarter of a real field), and
+    # it peaks at its largest check, up to a few Python objects
+    held = []
+
+    def run():
+        at = verify.TimeSamples(s, 0.5, grid)
+        held.clear()
+        for check in RESIDUALS:
+            check(at)
+            held.append(tracemalloc.get_traced_memory()[0])
+
+    peak = peak_bytes(run)
+    largest = max(peak_bytes(lambda: check(verify.TimeSamples(s, 0.5, grid))) for check in RESIDUALS)
+    assert peak <= largest + 2048
+    assert max(held) < 0.25 * grid.nx * grid.ny * 8
 
 
 @pytest.mark.parametrize("config", ["verify_example1.json", "verify_example2.json"])
@@ -553,8 +640,8 @@ def test_variant_fails_at_every_example_time(config):
     s = cli._scenario(payload["scenario"])
     for t in payload["times"]:
         grid = verify.residual_grid(s, t, RESIDUAL_MAX)
-        good = verify.schrodinger_residual(s, t, grid)
-        bad = verify.schrodinger_residual(s, t, grid, v_source="variant")
+        good = verify.schrodinger_residual(verify.TimeSamples(s, t, grid))
+        bad = verify.schrodinger_residual(verify.TimeSamples(s, t, grid), v_source="variant")
         assert good.max_abs_residual < 1e-4 < bad.max_abs_residual
         assert bad.max_abs_residual > 100.0 * good.max_abs_residual
 
@@ -718,22 +805,6 @@ def test_diagonal_moments_build_no_2d_array():
     assert peak < 2**20
 
 
-def test_schrodinger_residual_builds_one_grid_array():
-    # the result of the one matrix product and |r| (half of it); a grid-sized
-    # temporary per term would reach 2
-    s = example1()
-    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
-    assert (grid.nx, grid.ny) == (201, 201)
-    verify.schrodinger_residual(s, 0.5, grid)
-    tracemalloc.start()
-    try:
-        verify.schrodinger_residual(s, 0.5, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.75 * (grid.nx - 4) * (grid.ny - 4) * 16
-
-
 def test_variance_law_negative_squeeze():
     # with nu < 0 the anti-diagonal mode is the squeezed one
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, -1]), mu=TimePolynomial([0]))
@@ -759,12 +830,9 @@ def test_residual_grid_meets_target():
     for s, t in [(example1(), 0.25), (example1(), 1.0), (example2(), 1.0)]:
         grid = verify.residual_grid(s, t, RESIDUAL_MAX)
         assert grid.nx == 201
-        for rep in [
-            verify.schrodinger_residual(s, t, grid),
-            verify.continuity_residual(s, t, grid),
-            verify.bohm_definition_residual(s, t, grid),
-        ]:
-            assert rep.max_abs_residual < 1e-4
+        at = verify.TimeSamples(s, t, grid)
+        for residual in (verify.schrodinger_residual, verify.continuity_residual, verify.bohm_definition_residual):
+            assert residual(at).max_abs_residual < 1e-4
 
 
 def test_residual_grid_caps_extent():
@@ -1059,11 +1127,11 @@ def test_stencil_error_law_bounds_measured_residual():
             for ku, kv in [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (2.0, 1.0), (1.0, 2.0)]:
                 a_u, a_v = ku * chosen.x_max, kv * chosen.y_max
                 for n in [101, 201]:
-                    grid = GridSpec2D(-a_u, a_u, -a_v, a_v, n, n)
+                    at = verify.TimeSamples(s, t, GridSpec2D(-a_u, a_u, -a_v, a_v, n, n))
                     measured = max(
-                        verify.schrodinger_residual(s, t, grid).max_abs_residual,
-                        verify.continuity_residual(s, t, grid).max_abs_residual,
-                        verify.bohm_definition_residual(s, t, grid).max_abs_residual,
+                        verify.schrodinger_residual(at).max_abs_residual,
+                        verify.continuity_residual(at).max_abs_residual,
+                        verify.bohm_definition_residual(at).max_abs_residual,
                     )
                     predicted = law_u(a_u, n), law_v(a_v, n)
                     assert 0.5 * max(predicted) <= measured <= 1.01 * sum(predicted)
@@ -1190,7 +1258,7 @@ def test_residual_grid_smallest_sample_count():
     s = example1()
     grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=np.int64(5))
     assert (grid.nx, grid.ny) == (5, 5)
-    rep = verify.schrodinger_residual(s, 0.5, grid)
+    rep = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, grid))
     assert rep.max_abs_residual < 1e-4
 
 
