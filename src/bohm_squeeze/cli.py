@@ -358,18 +358,18 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     s, tol = cfg.scenario, cfg.tolerances
     entries, failures = [], []
     for t in cfg.times:
-        grid = cfg.grid if cfg.grid is not None else verify.residual_grid(s, t, tol["residual_max"])
-        at = verify.TimeSamples(s, t, grid)
+        now = s.at(t)
+        grid = cfg.grid if cfg.grid is not None else verify.residual_grid(now, tol["residual_max"])
+        at = verify.TimeSamples(now, grid)
         reports = [
             verify.schrodinger_residual(at, v_source=cfg.v_source),
             verify.continuity_residual(at),
             verify.hamilton_jacobi_residual(at, v_source=cfg.v_source),
             verify.bohm_definition_residual(at),
         ]
-        norm, var_plus, var_minus = verify.diagonal_moments(s, t)
-        nu = s.nu_at(t)
-        var_minus_expected = math.exp(2.0 * (s.r - 1.0) * nu) / 2.0
-        product_expected = math.exp(4.0 * s.r * nu) / 4.0
+        norm, var_plus, var_minus = verify.diagonal_moments(now)
+        var_minus_expected = math.exp(2.0 * (s.r - 1.0) * now.nu) / 2.0
+        product_expected = math.exp(4.0 * s.r * now.nu) / 4.0
         # (check, value, tolerance key), in report order
         checks = [
             (rep.equation, rep.max_abs_residual, "hj_max" if rep.equation == "hamilton_jacobi" else "residual_max")

@@ -22,6 +22,17 @@ nothing cancels, however strong the squeeze.  Working with coefficients
 keeps the Hamilton-Jacobi closure exact and makes level-curve
 classification a two-liner.
 
+The coefficients depend on the time only through nu, nu', nu'', mu and
+mu' and the two mode decays, so ``Scenario.at(t)`` evaluates those once
+into a ``Schedules`` record, for a float or an array of times, and every
+coefficient form takes that record: ``phase_coeffs(s.at(t))``.  A form
+over an array of times is a ``QuadForm`` of arrays of the times' shape,
+one entry per time; the formulas are the same numpy expressions for one
+time or many, so each entry is the form at that time.
+The pointwise functions (``phase_S``, ``amplitude_A``, ...) and the
+samplers keep their ``(s, ..., t)`` signatures and build the record
+themselves.
+
 ``Scenario`` and ``GridSpec2D`` check their own invariants (a positive
 mass, nu(0) = 0, ordered grid extents); reading them from a config and
 writing them into a report is ``cli``'s business.
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal, NamedTuple, Union
 
 import numpy as np
 
@@ -40,6 +51,7 @@ from .timefns import TimePolynomial
 __all__ = [
     "NU_LIMIT",
     "Scenario",
+    "Schedules",
     "GridSpec2D",
     "ScalarField2D",
     "QuadForm",
@@ -98,21 +110,49 @@ class Scenario:
                 f"got constant coefficient {self.nu.coeffs[0]}"
             )
 
-    def nu_at(self, t: float) -> float:
-        """nu(t), range-checked against the hyperbolic overflow limit.
+    def at(self, t: ArrayLike) -> Schedules:
+        """The schedules at ``t``, a float or an array of times, range-checked against the hyperbolic overflow limit.
 
         Both |nu| and |r nu| are bounded: the potentials carry factors up
         to exp(4|nu| + 4|r nu|) (and exp(10|r nu|) in the level-curve
         discriminant), all finite in float64 under this limit.  A NaN
-        fails both bounds.
+        fails both bounds.  The message names the first time that breaks
+        them.
         """
         nu = self.nu.value(t)
-        if not (abs(nu) <= NU_LIMIT and abs(self.r * nu) <= NU_LIMIT):
+        # max(1, |r|) |nu| rounds to the larger of |nu| and |r nu|: one comparison checks both
+        ok = np.abs(nu) * max(1.0, abs(self.r)) <= NU_LIMIT
+        if not ok.all():
+            t_bad, nu_bad = (np.ravel(x)[np.argmin(ok)] for x in (t, nu))
             raise ValueError(
-                f"|nu(t)| = {abs(nu):g} (|r nu| = {abs(self.r * nu):g}) exceeds the "
-                f"supported range {NU_LIMIT:g} at t = {t:g}"
+                f"|nu(t)| = {abs(nu_bad):g} (|r nu| = {abs(self.r * nu_bad):g}) exceeds the "
+                f"supported range {NU_LIMIT:g} at t = {t_bad:g}"
             )
-        return nu
+        e_u, e_v = np.exp(-2.0 * (self.r + 1.0) * nu), np.exp(-2.0 * (self.r - 1.0) * nu)
+        return Schedules(self, t, nu, self.nu.d1(t), self.nu.d2(t), self.mu.value(t), self.mu.d1(t), e_u, e_v)
+
+
+class Schedules(NamedTuple):
+    """A scenario's schedules at ``t``, a float or an array of times, each evaluated once.
+
+    Built by ``Scenario.at(t)``.  ``nu``, ``nud``, ``nudd``, ``mu`` and
+    ``mud`` are nu, nu', nu'', mu and mu' at t, and ``e_u``, ``e_v`` the
+    mode decays e+- = exp(-2 (r +- 1) nu) = (1/(2 var u), 1/(2 var v)); for
+    an array of times each is an array of its shape.  Every coefficient
+    form reads them from here.  A named tuple: immutable, and cheaper to
+    define and to build than a frozen dataclass (a verify run builds two
+    per time).
+    """
+
+    s: Scenario
+    t: ArrayLike
+    nu: ArrayLike
+    nud: ArrayLike
+    nudd: ArrayLike
+    mu: ArrayLike
+    mud: ArrayLike
+    e_u: ArrayLike
+    e_v: ArrayLike
 
 
 @dataclass(frozen=True)
@@ -179,9 +219,9 @@ class QuadForm:
     u = (x+y)/sqrt2 and v = (x-y)/sqrt2; calls in (x, y) rotate first.
     """
 
-    c_u: float
-    c_v: float
-    const: float
+    c_u: ArrayLike
+    c_v: ArrayLike
+    const: ArrayLike
 
     def modes(self, u: ArrayLike, v: ArrayLike) -> ArrayLike:
         return self.c_u * u * u + self.c_v * v * v + self.const
@@ -196,7 +236,7 @@ class QuadForm:
         return du + dv, du - dv
 
     @property
-    def laplacian(self) -> float:
+    def laplacian(self) -> ArrayLike:
         return 2.0 * (self.c_u + self.c_v)
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
@@ -245,66 +285,53 @@ def conic_of_level_curve(form: QuadForm, level: float) -> ConicClass:
 # coefficient layer
 
 
-def _mode_decays(s: Scenario, nu: float) -> tuple[float, float]:
-    """(e+, e-) = exp(-2 (r +- 1) nu) = (1/(2 var u), 1/(2 var v))."""
-    return math.exp(-2.0 * (s.r + 1.0) * nu), math.exp(-2.0 * (s.r - 1.0) * nu)
+def phase_coeffs(now: Schedules) -> QuadForm:
+    """Quadratic form of the phase S."""
+    k = now.s.m * now.nud / 2.0
+    return QuadForm(c_u=k * (now.s.r + 1.0), c_v=k * (now.s.r - 1.0), const=now.mu)
 
 
-def phase_coeffs(s: Scenario, t: float) -> QuadForm:
-    """Quadratic form of the phase S at time t."""
-    k = s.m * s.nu.d1(t) / 2.0
-    return QuadForm(c_u=k * (s.r + 1.0), c_v=k * (s.r - 1.0), const=s.mu.value(t))
+def phase_rate_coeffs(now: Schedules) -> QuadForm:
+    """Quadratic form of dS/dt."""
+    k = now.s.m * now.nudd / 2.0
+    return QuadForm(c_u=k * (now.s.r + 1.0), c_v=k * (now.s.r - 1.0), const=now.mud)
 
 
-def phase_rate_coeffs(s: Scenario, t: float) -> QuadForm:
-    """Quadratic form of dS/dt at time t."""
-    k = s.m * s.nu.d2(t) / 2.0
-    return QuadForm(c_u=k * (s.r + 1.0), c_v=k * (s.r - 1.0), const=s.mu.d1(t))
+def log_amplitude_coeffs(now: Schedules) -> QuadForm:
+    """Quadratic form of ln A (see module docstring)."""
+    return QuadForm(c_u=-now.e_u / 2.0, c_v=-now.e_v / 2.0, const=-now.s.r * now.nu - math.log(SQRT_PI))
 
 
-def log_amplitude_coeffs(s: Scenario, t: float) -> QuadForm:
-    """Quadratic form of ln A at time t (see module docstring)."""
-    nu = s.nu_at(t)
-    e_u, e_v = _mode_decays(s, nu)
-    return QuadForm(c_u=-e_u / 2.0, c_v=-e_v / 2.0, const=-s.r * nu - math.log(SQRT_PI))
-
-
-def bohm_coeffs(s: Scenario, t: float) -> QuadForm:
+def bohm_coeffs(now: Schedules) -> QuadForm:
     """Quadratic form of the Bohm potential -(lap A)/(2 m A)."""
-    e_u, e_v = _mode_decays(s, s.nu_at(t))
-    return QuadForm(c_u=-e_u * e_u / (2.0 * s.m), c_v=-e_v * e_v / (2.0 * s.m), const=(e_u + e_v) / (2.0 * s.m))
+    e_u, e_v, two_m = now.e_u, now.e_v, 2.0 * now.s.m
+    return QuadForm(c_u=-e_u * e_u / two_m, c_v=-e_v * e_v / two_m, const=(e_u + e_v) / two_m)
 
 
-def kinetic_coeffs(s: Scenario, t: float) -> QuadForm:
+def kinetic_coeffs(now: Schedules) -> QuadForm:
     """Quadratic form of |grad S|^2 / (2m)."""
-    nud = s.nu.d1(t)
-    k = s.m * nud * nud / 2.0
-    return QuadForm(c_u=k * (s.r + 1.0) * (s.r + 1.0), c_v=k * (s.r - 1.0) * (s.r - 1.0), const=0.0)
+    k = now.s.m * now.nud * now.nud / 2.0
+    return QuadForm(c_u=k * (now.s.r + 1.0) * (now.s.r + 1.0), c_v=k * (now.s.r - 1.0) * (now.s.r - 1.0), const=0.0)
 
 
-def _flow(s: Scenario, t: float, w: float) -> float:
+def _flow(now: Schedules, w: float) -> ArrayLike:
     """-S_t - |grad S|^2/(2m) on the mode of weight w = r +- 1."""
-    nud = s.nu.d1(t)
-    return -s.m * w * w * nud * nud / 2.0 - s.m * w * s.nu.d2(t) / 2.0
+    return -now.s.m * w * w * now.nud * now.nud / 2.0 - now.s.m * w * now.nudd / 2.0
 
 
-def external_coeffs(s: Scenario, t: float) -> QuadForm:
+def external_coeffs(now: Schedules) -> QuadForm:
     """External potential making the engineered state an exact solution.
 
     Obtained by clearing V from the Hamilton-Jacobi identity
     V = -S_t - |grad S|^2/(2m) - V_B; all three parts are quadratic forms,
-    so the closure residual vanishes identically (see tests).
+    so the closure residual vanishes identically (see tests).  V_B's part
+    is ``bohm_coeffs``'s form.
     """
-    e_u, e_v = _mode_decays(s, s.nu_at(t))
-    two_m = 2.0 * s.m
-    return QuadForm(
-        c_u=_flow(s, t, s.r + 1.0) + e_u * e_u / two_m,
-        c_v=_flow(s, t, s.r - 1.0) + e_v * e_v / two_m,
-        const=-(e_u + e_v) / two_m - s.mu.d1(t),
-    )
+    b = bohm_coeffs(now)
+    return QuadForm(_flow(now, now.s.r + 1.0) - b.c_u, _flow(now, now.s.r - 1.0) - b.c_v, -b.const - now.mud)
 
 
-def external_variant_coeffs(s: Scenario, t: float) -> QuadForm:
+def external_variant_coeffs(now: Schedules) -> QuadForm:
     """Sign-variant transcription of the external potential.
 
     Identical to :func:`external_coeffs` except that the Bohm terms enter
@@ -314,11 +341,11 @@ def external_variant_coeffs(s: Scenario, t: float) -> QuadForm:
     deliberately wrong source for the residual diagnostics (see ``verify``
     and the ``v_source`` config option).
     """
-    e_u, e_v = _mode_decays(s, s.nu_at(t))
+    e_u, e_v = now.e_u, now.e_v
     return QuadForm(
-        c_u=_flow(s, t, s.r + 1.0) - e_u * e_u,
-        c_v=_flow(s, t, s.r - 1.0) - e_v * e_v,
-        const=e_u + e_v - s.mu.d1(t),
+        c_u=_flow(now, now.s.r + 1.0) - e_u * e_u,
+        c_v=_flow(now, now.s.r - 1.0) - e_v * e_v,
+        const=e_u + e_v - now.mud,
     )
 
 
@@ -328,12 +355,12 @@ def external_variant_coeffs(s: Scenario, t: float) -> QuadForm:
 
 def phase_S(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:
     """Phase S(x, y, t) of the engineered wavefunction."""
-    return phase_coeffs(s, t)(x, y)
+    return phase_coeffs(s.at(t))(x, y)
 
 
 def amplitude_A(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:
     """Amplitude A(x, y, t); strictly positive Gaussian."""
-    return np.exp(log_amplitude_coeffs(s, t)(x, y))
+    return np.exp(log_amplitude_coeffs(s.at(t))(x, y))
 
 
 def wavefunction_psi(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:
@@ -343,12 +370,12 @@ def wavefunction_psi(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> Array
 
 def bohm_potential(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:
     """Bohm potential V_B(x, y, t)."""
-    return bohm_coeffs(s, t)(x, y)
+    return bohm_coeffs(s.at(t))(x, y)
 
 
 def external_potential(s: Scenario, x: ArrayLike, y: ArrayLike, t: float) -> ArrayLike:
     """External potential V(x, y, t) from the Hamilton-Jacobi closure."""
-    return external_coeffs(s, t)(x, y)
+    return external_coeffs(s.at(t))(x, y)
 
 
 def classify_level_curves_bohm(s: Scenario, t: float) -> ConicClass:
@@ -358,7 +385,7 @@ def classify_level_curves_bohm(s: Scenario, t: float) -> ConicClass:
     -(e+ + e-) minor33/(2m) < 0 for every scenario and time, so the
     classification is always "ellipse".
     """
-    return conic_of_level_curve(bohm_coeffs(s, t), level=0.0)
+    return conic_of_level_curve(bohm_coeffs(s.at(t)), level=0.0)
 
 
 def classify_level_curves_external(s: Scenario, t: float, level: float = 0.0) -> ConicClass:
@@ -367,21 +394,20 @@ def classify_level_curves_external(s: Scenario, t: float, level: float = 0.0) ->
     Unlike the Bohm potential, any type can occur here, including
     degenerate ones.
     """
-    return conic_of_level_curve(external_coeffs(s, t), level=level)
+    return conic_of_level_curve(external_coeffs(s.at(t)), level=level)
 
 
 # ---------------------------------------------------------------------------
 # grid helpers
 
 
-def spread_sigmas(s: Scenario, t: float) -> tuple[float, float]:
-    """Standard deviations of the diagonal modes u=(x+y)/sqrt2, v=(x-y)/sqrt2.
+def spread_sigmas(now: Schedules) -> tuple[float, float]:
+    """Standard deviations of the diagonal modes u=(x+y)/sqrt2, v=(x-y)/sqrt2, at one time.
 
     |psi|^2 factorizes exactly into Gaussians in u and v with
     var(u) = exp(2(r+1) nu)/2 and var(v) = exp(2(r-1) nu)/2.
     """
-    nu = s.nu_at(t)
-    return math.exp((s.r + 1.0) * nu) / SQRT2, math.exp((s.r - 1.0) * nu) / SQRT2
+    return math.exp((now.s.r + 1.0) * now.nu) / SQRT2, math.exp((now.s.r - 1.0) * now.nu) / SQRT2
 
 
 # auto_grid: half width in marginal sigmas, samples per sigma of the
@@ -406,7 +432,7 @@ def auto_grid(s: Scenario, t: float) -> GridSpec2D:
     cartesian grid, and an explicit grid (or the rotated-frame moments in
     ``verify``) must be used instead.
     """
-    sigma_u, sigma_v = spread_sigmas(s, t)
+    sigma_u, sigma_v = spread_sigmas(s.at(t))
     half = AUTO_COVERAGE * math.sqrt((sigma_u**2 + sigma_v**2) / 2.0)
     h = min(sigma_u, sigma_v, 1.0 / SQRT2) / AUTO_POINTS_PER_SIGMA
     n = int(math.ceil(2.0 * half / h)) + 1

@@ -25,15 +25,21 @@ absolute value comes from the 1-D parts (rounding is monotone, so its
 extreme elements are fl(max r_u + max r_v) and fl(min r_u + min r_v));
 only its rms reads the grid.
 
-The four checks at one time read one ``TimeSamples`` record instead of
-sampling for themselves: the grid's axes are spaced once, ln A's and the
-phase's forms are evaluated once at each of t - dt, t and t + dt, A's and
-psi's factors at those three times take one exp per axis, and A's
-stencils at t serve both the continuity and the Bohm-definition check.
-The record computes each of these when a check first reads it, so which
-check runs first changes no bit of any report.  It keeps only 1-D arrays:
-each check frees its grid-sized field before it returns, so a pass of
-all four peaks at its largest check.
+Every check at a time t reads the scenario's schedules there from one
+``closedform.Schedules`` record, ``s.at(t)``: ``residual_grid``,
+``diagonal_moments`` and ``external_quadform`` take it in place of
+(s, t), and ``TimeSamples`` holds it for the four residual checks.  The
+four checks at one time read one ``TimeSamples`` record instead of
+sampling for themselves: the grid's axes are spaced once, the schedules
+at t + dt, t - dt and t are one record over a column of those times, so
+ln A's and the phase's forms are each evaluated once, as columns that
+broadcast against either axis, A's and psi's factors at those three
+times take one exp per axis, and A's stencils at t serve both the
+continuity and the Bohm-definition check.  Past the schedules, the
+record computes each of these when a check first reads it, so which
+check runs first changes no bit of any report.  It keeps no grid-sized
+array: each check frees its grid-sized field before it returns, so a
+pass of all four peaks at its largest check.
 
 Grid-size guidance: the second-order stencil error along each axis scales
 with that axis's fourth (and, for the continuity flux, third) derivatives
@@ -66,6 +72,7 @@ from .closedform import (
     GridSpec2D,
     QuadForm,
     Scenario,
+    Schedules,
     amplitude_A,
     bohm_coeffs,
     external_coeffs,
@@ -160,15 +167,14 @@ def _outer_sum_report(
     return _report(equation, t, field, grid, 0.0, max(abs(top), abs(bottom)))
 
 
-def external_quadform(s: Scenario, t: float, v_source: VSource = "hj_closure") -> QuadForm:
+def external_quadform(now: Schedules, v_source: VSource = "hj_closure") -> QuadForm:
     """External-potential quadratic form from the selected source."""
     if v_source == "closed_form":
-        return external_coeffs(s, t)
+        return external_coeffs(now)
     if v_source == "variant":
-        return external_variant_coeffs(s, t)
+        return external_variant_coeffs(now)
     if v_source == "hj_closure":
-        zero = QuadForm(0.0, 0.0, 0.0)
-        return zero - phase_rate_coeffs(s, t) - kinetic_coeffs(s, t) - bohm_coeffs(s, t)
+        return QuadForm(0.0, 0.0, 0.0) - phase_rate_coeffs(now) - kinetic_coeffs(now) - bohm_coeffs(now)
     raise ValueError(f"unknown v_source {v_source!r}; expected one of {V_SOURCES}")
 
 
@@ -202,24 +208,23 @@ def _stencil(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _inner(f), (up - down) / (2.0 * h), (up - 2.0 * _inner(f) + down) / (h * h)
 
 
-def _columns(forms: tuple[QuadForm, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The forms' c_u, c_v and const, each a column with one row per form."""
-    return tuple(np.array([[form.c_u, form.c_v, form.const] for form in forms]).T[:, :, None])
-
-
 class TimeSamples:
     """The samples the four residual checks share at one time on one grid.
 
-    Rows 0, 1 and 2 of every stack are the ``times`` t + dt, t - dt and t.
-    Each attribute is computed when a check first reads it; every array is
-    read-only, and none is grid-sized.
+    ``now`` is the scenario's record at the time t.  Rows 0, 1 and 2 of
+    every stack are the ``times`` t + dt, t - dt and t, whose schedules
+    are one record over that array (``schedules``, evaluated and
+    range-checked when the samples are built).  Each other attribute is
+    computed when a check first reads it; every array is read-only, and
+    none is grid-sized.
     """
 
-    def __init__(self, s: Scenario, t: float, grid: GridSpec2D, dt: float = 1e-4):
+    def __init__(self, now: Schedules, grid: GridSpec2D, dt: float = 1e-4):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.s, self.t, self.grid, self.dt = s, t, grid, dt
-        self.times = (t + dt, t - dt, t)
+        self.now, self.s, self.t, self.grid, self.dt = now, now.s, now.t, grid, dt
+        self.times = np.array([self.t + dt, self.t - dt, self.t])
+        self.schedules = self.s.at(self.times[:, None])  # a column: its forms broadcast against an axis
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -235,14 +240,9 @@ class TimeSamples:
         return _inner(u), _inner(v)
 
     @cached_property
-    def log_amplitudes(self) -> tuple[QuadForm, QuadForm, QuadForm]:
-        """ln A's forms at the three times."""
-        return tuple(log_amplitude_coeffs(self.s, at) for at in self.times)
-
-    @cached_property
-    def phases(self) -> tuple[QuadForm, QuadForm, QuadForm]:
-        """The phase's forms at the three times."""
-        return tuple(phase_coeffs(self.s, at) for at in self.times)
+    def phases(self) -> QuadForm:
+        """The phase's form at the three times."""
+        return phase_coeffs(self.schedules)
 
     @cached_property
     def exponents(self) -> tuple[np.ndarray, np.ndarray]:
@@ -252,9 +252,8 @@ class TimeSamples:
         e^(const/2), so wherever A is above the underflow floor 1e-300 both
         factors are normal numbers, as long as const <= 35.
         """
-        c_u, c_v, const = _columns(self.log_amplitudes)
-        u, v = self.axes
-        return _read_only(c_u * u * u + 0.5 * const, c_v * v * v + 0.5 * const)
+        form, (u, v) = log_amplitude_coeffs(self.schedules), self.axes
+        return _read_only(form.c_u * u * u + 0.5 * form.const, form.c_v * v * v + 0.5 * form.const)
 
     @cached_property
     def amplitude(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +263,8 @@ class TimeSamples:
     @cached_property
     def wavefunction(self) -> tuple[np.ndarray, np.ndarray]:
         """psi's factors f(u), g(v) at the three times; the phase's constant goes to f."""
-        c_u, c_v, const = _columns(self.phases)
-        (u, v), (fu, fv) = self.axes, self.exponents
-        return _read_only(np.exp(fu + 1j * (c_u * u * u + const)), np.exp(fv + 1j * (c_v * v * v)))
+        form, (u, v), (fu, fv) = self.phases, self.axes, self.exponents
+        return _read_only(np.exp(fu + 1j * (form.c_u * u * u + form.const)), np.exp(fv + 1j * (form.c_v * v * v)))
 
     @cached_property
     def amplitude_stencils(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -296,12 +294,12 @@ def _time_difference_field(
 
 def _continuity_field(at: TimeSamples) -> np.ndarray:
     """Continuity residual on the interior, from rank-one products of A's mode factors."""
-    (u, v), sform, m = at.interior, at.phases[2], at.s.m
+    (u, v), sform, m = at.interior, at.phases, at.s.m
     (f0, f1, _), (g0, g1, _) = at.amplitude_stencils
-    # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v;
-    # lap S A / (2m) joins the u term
-    flux_u = (2.0 * sform.c_u * u * f1 + 0.5 * sform.laplacian * f0) / m
-    return _time_difference_field(at, at.amplitude, 0.5, [flux_u, f0], [g0, 2.0 * sform.c_v * v * g1 / m])
+    # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v,
+    # the phase's form at t in row 2; lap S A / (2m) joins the u term
+    flux_u = (2.0 * sform.c_u.item(2) * u * f1 + 0.5 * sform.laplacian.item(2) * f0) / m
+    return _time_difference_field(at, at.amplitude, 0.5, [flux_u, f0], [g0, 2.0 * sform.c_v.item(2) * v * g1 / m])
 
 
 def continuity_residual(at: TimeSamples) -> ResidualReport:
@@ -322,10 +320,10 @@ def hamilton_jacobi_residual(at: TimeSamples, v_source: VSource = "closed_form")
     with ``variant`` it leaves exactly (2m + 1) V_B, which is the point of
     that source.
     """
-    s, t = at.s, at.t
-    total = kinetic_coeffs(s, t) + bohm_coeffs(s, t) + external_quadform(s, t, v_source) + phase_rate_coeffs(s, t)
+    now = at.now
+    total = kinetic_coeffs(now) + bohm_coeffs(now) + external_quadform(now, v_source) + phase_rate_coeffs(now)
     u, v = at.axes
-    return _outer_sum_report("hamilton_jacobi", t, total.c_u * u * u + total.const, total.c_v * v * v, at.grid)
+    return _outer_sum_report("hamilton_jacobi", at.t, total.c_u * u * u + total.const, total.c_v * v * v, at.grid)
 
 
 def _schrodinger_field(at: TimeSamples, v_source: VSource) -> np.ndarray:
@@ -334,7 +332,7 @@ def _schrodinger_field(at: TimeSamples, v_source: VSource) -> np.ndarray:
     f, g = at.wavefunction
     f0, _, f2 = _stencil(f[2], at.grid.hx)
     g0, _, g2 = _stencil(g[2], at.grid.hy)
-    pot = external_quadform(at.s, at.t, v_source)
+    pot = external_quadform(at.now, v_source)
     # lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
     r_u = f2 / (2.0 * m) - (pot.c_u * u * u + pot.const) * f0
     r_v = g2 / (2.0 * m) - pot.c_v * v * v * g0
@@ -363,7 +361,7 @@ def _bohm_definition_parts(at: TimeSamples) -> tuple[np.ndarray, np.ndarray]:
     if min(f[0], f[-1]) * min(g[0], g[-1]) < AMPLITUDE_FLOOR:
         raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
     (f0, _, f2), (g0, _, g2) = at.amplitude_stencils
-    b = bohm_coeffs(at.s, at.t)
+    b = bohm_coeffs(at.now)
     r_u = -f2 / (2.0 * m * f0) - (b.c_u * u * u + b.const)
     r_v = -g2 / (2.0 * m * g0) - b.c_v * v * v
     return r_u, r_v
@@ -458,7 +456,7 @@ def _mode_moments(c: float, sigma: float) -> tuple[float, float]:
     return float(m0), float(m2)
 
 
-def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
+def diagonal_moments(now: Schedules) -> tuple[float, float, float]:
     """(norm, var_plus, var_minus) by Simpson in rotated coordinates.
 
     Integrates over the (u, v) = ((x+y)/sqrt2, (x-y)/sqrt2) frame, where
@@ -472,8 +470,8 @@ def diagonal_moments(s: Scenario, t: float) -> tuple[float, float, float]:
     Simpson weights are products, so each 2-D Simpson sum on the
     DIAGONAL_POINTS^2 nodes is exactly a product of two 1-D sums: O(n) work.
     """
-    form = log_amplitude_coeffs(s, t)
-    sigma_u, sigma_v = spread_sigmas(s, t)
+    form = log_amplitude_coeffs(now)
+    sigma_u, sigma_v = spread_sigmas(now)
     u0, u2 = _mode_moments(form.c_u, sigma_u)
     v0, v2 = _mode_moments(form.c_v, sigma_v)
     return u0 * v0 * math.exp(2.0 * form.const), u2 / u0, v2 / v0
@@ -495,8 +493,8 @@ LAW_MARGIN = 1.0 + 2.0**-46
 LAW_FLOOR = math.ulp(0.0)
 
 
-def _stencil_error_law(s: Scenario, t: float) -> tuple[AxisLaw, AxisLaw]:
-    """Predicted worst stencil error along the u and v mode axes at time t, one law per axis.
+def _stencil_error_law(now: Schedules) -> tuple[AxisLaw, AxisLaw]:
+    """Predicted worst stencil error along the u and v mode axes at one time, one law per axis.
 
     On n nodes over [-half, half], spacing h = 2 half / (n - 1), the second
     difference of a factor e^q errs by h^2/12 |d^4 e^q / dw^4| and the
@@ -534,8 +532,9 @@ def _stencil_error_law(s: Scenario, t: float) -> tuple[AxisLaw, AxisLaw]:
     is sampled finely (fig1's scenario at t = 3 on 401 points and more)
     the measured residual outgrows it.  At the default n = 201 it holds.
     """
-    amp, phase = log_amplitude_coeffs(s, t), phase_coeffs(s, t)
-    axes = [(amp.c_u, phase.c_u, amp.const), (amp.c_v, phase.c_v, amp.const)]
+    # the law's search runs on Python floats, not numpy scalars
+    amp, phase = log_amplitude_coeffs(now), phase_coeffs(now)
+    axes = [tuple(map(float, axis)) for axis in [(amp.c_u, phase.c_u, amp.const), (amp.c_v, phase.c_v, amp.const)]]
     # Q + Q' over its leading coefficient, in g = 1 / (1 + tau^2) = Re(z)^2 / |z|^2,
     # which is 0 where |z| is not finite (such an axis has no feasible extent)
     gs = [a * a / (a * a + b * b) if math.isfinite(b) else 0.0 for a, b, _ in axes]
@@ -543,7 +542,7 @@ def _stencil_error_law(s: Scenario, t: float) -> tuple[AxisLaw, AxisLaw]:
     top_rows = [[4.0 * (1.0 + 3.0 * g), (66.0 + 12.0 * g) * g, 60.0 * (1.0 + g) * g, 45.0 * g * g] for g in gs]
     companion[:, 0] = -np.array(top_rows)
     roots = np.linalg.eigvals(companion).real.tolist()
-    law_u, law_v = (_axis_law(s.m, *axis, candidates) for axis, candidates in zip(axes, roots))
+    law_u, law_v = (_axis_law(now.s.m, *axis, candidates) for axis, candidates in zip(axes, roots))
     return law_u, law_v
 
 
@@ -622,8 +621,8 @@ def _largest_half(excess: Callable[[float], float], lo: float, hi: float) -> flo
     return lo
 
 
-def residual_grid(s: Scenario, t: float, residual_max: float, n: int = 201) -> GridSpec2D:
-    """Largest grid on the mode axes at time t whose predicted stencil error fits ``residual_max``'s budget.
+def residual_grid(now: Schedules, residual_max: float, n: int = 201) -> GridSpec2D:
+    """Largest grid on the mode axes at ``now``'s time whose predicted stencil error fits ``residual_max``'s budget.
 
     The stencil budget is residual_max / GRID_BUDGET_DIVISOR, and each
     axis's law gets half of it.  Its half extent is searched in
@@ -648,13 +647,13 @@ def residual_grid(s: Scenario, t: float, residual_max: float, n: int = 201) -> G
     budget = 0.5 * (residual_max / GRID_BUDGET_DIVISOR)
     if not 0.0 < budget < math.inf:
         raise ValueError(f"residual_max must leave a positive, finite stencil budget, got {residual_max!r}")
-    sigmas = spread_sigmas(s, t)
+    sigmas = spread_sigmas(now)
     halves = []
-    for axis, law, sigma in zip("uv", _stencil_error_law(s, t), sigmas):
+    for axis, law, sigma in zip("uv", _stencil_error_law(now), sigmas):
         hi = max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)
         half = _largest_half(lambda half: math.log(max(law(half, n) / budget, LAW_FLOOR)), GRID_HALF_MIN, hi)
         if half is None:
-            where = f"at n = {n} for t = {t:g} on the {axis} axis"
+            where = f"at n = {n} for t = {now.t:g} on the {axis} axis"
             raise ValueError(f"no feasible extent {where} under residual_max = {residual_max:g}")
         halves.append(half)
     a_u, a_v = halves

@@ -157,10 +157,10 @@ def test_criterion_5_pde_residuals_with_convergence():
     hj_worst = 0.0
     for s in [example1(), example2()]:
         for t in [0.25, 0.5, 1.0]:
-            coarse = verify.residual_grid(s, t, 1e-4, n=201)
+            coarse = verify.residual_grid(s.at(t), 1e-4, n=201)
             fine = cf.GridSpec2D(coarse.x_min, coarse.x_max, coarse.y_min, coarse.y_max, 401, 401)
-            coarse_at = verify.TimeSamples(s, t, coarse, dt=dt)
-            fine_at = verify.TimeSamples(s, t, fine, dt=dt / 2)
+            coarse_at = verify.TimeSamples(s.at(t), coarse, dt=dt)
+            fine_at = verify.TimeSamples(s.at(t), fine, dt=dt / 2)
             # analytic closure residual: no stencil, no ratio
             hj_worst = max(hj_worst, verify.hamilton_jacobi_residual(coarse_at).max_abs_residual)
             pairs = [
@@ -198,7 +198,7 @@ def test_criterion_6_norm_conservation_and_squeezing_law():
     # at t = 2 example 2 needs sigma_u/sigma_v = e^8 dynamic range: cartesian
     # Simpson is infeasible, the rotated-frame Simpson evaluates the same
     # integral (unit-Jacobian change of variables)
-    norm_rot, _, _ = verify.diagonal_moments(s2, 2.0)
+    norm_rot, _, _ = verify.diagonal_moments(s2.at(2.0))
     norm_worst = max(norm_worst, abs(norm_rot - 1.0))
 
     var_worst = 0.0

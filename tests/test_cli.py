@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import io
@@ -299,6 +300,27 @@ def test_verify_without_feasible_grid_is_usage_error(tmp_path, capsys):
 
 
 
+def test_verify_evaluates_each_schedule_once_per_record(tmp_path, monkeypatch):
+    # per time, run_verify builds one record at t and TimeSamples one over
+    # t + dt, t - dt and t; each evaluates nu, nu', nu'', mu and mu' once,
+    # an array call counting once.  Over both shipped verify examples that
+    # is 60 TimePolynomial calls, where evaluating the forms one by one
+    # took 174
+    calls = collections.Counter()
+    for name in ("value", "d1", "d2"):
+
+        def counted(self, t, _method=getattr(TimePolynomial, name), _name=name):
+            calls[_name] += 1
+            return _method(self, t)
+
+        monkeypatch.setattr(TimePolynomial, name, counted)
+    for example in ("verify_example1", "verify_example2"):
+        cfg = cli.load_config(CONFIG_DIR / f"{example}.json", out_override=str(tmp_path / example))
+        _, failures = cli.run_verify(cfg)
+        assert failures == []
+    assert sum(calls.values()) <= 60
+
+
 @pytest.mark.parametrize(
     "times, message",
     [
@@ -358,9 +380,9 @@ def test_run_verify_chooses_one_grid_per_time(tmp_path, monkeypatch, grid):
     cfg = cli.load_config(small_density_config(tmp_path, grid=grid, times=[0.25, 0.5, 1.0]))
     out, _ = cli.run_verify(cfg)
     if grid == "auto":
-        assert calls == [((cfg.scenario, t, 1e-4), {}) for t in cfg.times]
+        assert calls == [((cfg.scenario.at(t), 1e-4), {}) for t in cfg.times]
         reports = [e["reports"][0]["grid"] for e in json.loads(out.read_text())["results"]]
-        assert reports == [vars(choose(cfg.scenario, t, 1e-4)) for t in cfg.times]
+        assert reports == [vars(choose(cfg.scenario.at(t), 1e-4)) for t in cfg.times]
     else:
         assert calls == []
 
@@ -379,8 +401,8 @@ def test_run_verify_sizes_auto_grids_from_residual_max(tmp_path, tolerances, tol
     report = json.loads(out.read_text())
     assert failures == [] and report["tolerances"]["residual_max"] == residual_max
     for t, entry in zip(cfg.times, report["results"], strict=True):
-        grid = verify.residual_grid(cfg.scenario, t, residual_max)
-        assert grid != verify.residual_grid(cfg.scenario, t, 1e-4)
+        grid = verify.residual_grid(cfg.scenario.at(t), residual_max)
+        assert grid != verify.residual_grid(cfg.scenario.at(t), 1e-4)
         assert all(rep["grid"] == vars(grid) for rep in entry["reports"])
         assert max(rep["max_abs_residual"] for rep in entry["reports"]) <= residual_max
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bohm_squeeze import GridSpec2D, Scenario, TimePolynomial
 from bohm_squeeze import closedform as cf
@@ -125,25 +125,47 @@ def test_nu_range_error():
 
 
 def test_nu_range_guard_edges():
-    # each bound is in range and the next float above it is not; a NaN nu
+    # each bound is in range and the next float past it is not; a NaN nu
     # fails both bounds (abs(nan) > NU_LIMIT alone would be False)
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
-    assert s.nu_at(cf.NU_LIMIT) == s.nu_at(-cf.NU_LIMIT) * -1 == cf.NU_LIMIT
-    for t in (np.nextafter(cf.NU_LIMIT, math.inf), float("nan")):
+    assert s.at(cf.NU_LIMIT).nu == s.at(-cf.NU_LIMIT).nu * -1 == cf.NU_LIMIT
+    for t in (np.nextafter(cf.NU_LIMIT, math.inf), np.nextafter(-cf.NU_LIMIT, -math.inf), float("nan")):
         with pytest.raises(ValueError, match="exceeds the supported range"):
-            s.nu_at(t)
+            s.at(t)
     # |r nu| reaches the bound first when |r| > 1
     s = Scenario(m=1.0, r=2.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
-    assert s.nu_at(cf.NU_LIMIT / 2) == cf.NU_LIMIT / 2
-    with pytest.raises(ValueError, match=r"\(\|r nu\| = 50\) exceeds"):
-        s.nu_at(np.nextafter(cf.NU_LIMIT / 2, math.inf))
+    assert s.at(cf.NU_LIMIT / 2).nu == s.at(-cf.NU_LIMIT / 2).nu * -1 == cf.NU_LIMIT / 2
+    for t in (np.nextafter(cf.NU_LIMIT / 2, math.inf), np.nextafter(-cf.NU_LIMIT / 2, -math.inf)):
+        with pytest.raises(ValueError, match=r"\(\|r nu\| = 50\) exceeds"):
+            s.at(t)
     with pytest.raises(ValueError, match=r"\|nu\(t\)\| = nan"):
-        cf.spread_sigmas(s, float("nan"))
+        cf.spread_sigmas(s.at(float("nan")))
+    # over an array of times, the message names the first time out of range
+    ts = np.array([0.0, -cf.NU_LIMIT / 2, 30.0, float("nan"), 40.0])
+    with pytest.raises(ValueError, match=r"^\|nu\(t\)\| = 30 \(\|r nu\| = 60\) exceeds the supported range 50 at t = 30$"):
+        s.at(ts)
+    np.testing.assert_array_equal(s.at(ts[:2]).nu, ts[:2])
+
+
+@given(st.floats(-4.0, 4.0), st.floats(-80.0, 80.0))
+@example(2.0, np.nextafter(cf.NU_LIMIT / 2, math.inf))
+@example(-0.5, np.nextafter(cf.NU_LIMIT, math.inf))
+@example(-1.0, cf.NU_LIMIT)
+def test_nu_range_guard_is_both_bounds(r, t):
+    # Scenario.at checks |nu| and |r nu| by one product; it refuses exactly
+    # the times where either bound fails
+    s = Scenario(m=1.0, r=r, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
+    if _in_range(s, t):
+        assert s.at(t).nu == t
+    else:
+        with pytest.raises(ValueError, match="exceeds the supported range"):
+            s.at(t)
+
 
 def test_negative_squeeze_schedule():
     # nu < 0 squeezes the orthogonal diagonal: roles of u and v swap
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, -1]), mu=TimePolynomial([0]))
-    sigma_u, sigma_v = cf.spread_sigmas(s, 1.0)
+    sigma_u, sigma_v = cf.spread_sigmas(s.at(1.0))
     assert sigma_u == pytest.approx(math.exp(-1.0) / math.sqrt(2.0), rel=1e-14)
     assert sigma_v == pytest.approx(math.exp(1.0) / math.sqrt(2.0), rel=1e-14)
     # amplitude concentrates along x = -y now
@@ -221,12 +243,12 @@ def test_hamilton_jacobi_closure_is_exact():
     for s in [example1(), example2(), generic()]:
         for t in [0.0, 0.3, 1.0, 2.0]:
             total = (
-                cf.kinetic_coeffs(s, t)
-                + cf.bohm_coeffs(s, t)
-                + cf.external_coeffs(s, t)
-                + cf.phase_rate_coeffs(s, t)
+                cf.kinetic_coeffs(s.at(t))
+                + cf.bohm_coeffs(s.at(t))
+                + cf.external_coeffs(s.at(t))
+                + cf.phase_rate_coeffs(s.at(t))
             )
-            bohm = cf.bohm_coeffs(s, t)
+            bohm = cf.bohm_coeffs(s.at(t))
             scale = max(abs(c) for c in ((bohm.c_u + bohm.c_v) / 2, bohm.const, 1.0))
             assert abs(total.c_u) < 1e-12 * scale
             assert abs(total.c_v) < 1e-12 * scale
@@ -238,13 +260,13 @@ def test_closure_residual_below_1e9_on_lattice():
     x, y = np.meshgrid(xs, xs, indexing="ij")
     for s in [example1(), example2(), generic()]:
         for t in [0.0, 0.5, 1.25]:
-            sform = cf.phase_coeffs(s, t)
+            sform = cf.phase_coeffs(s.at(t))
             s_x, s_y = sform.grad(x, y)
             residual = (
                 (s_x**2 + s_y**2) / (2 * s.m)
                 + cf.bohm_potential(s, x, y, t)
                 + cf.external_potential(s, x, y, t)
-                + cf.phase_rate_coeffs(s, t)(x, y)
+                + cf.phase_rate_coeffs(s.at(t))(x, y)
             )
             assert np.abs(residual).max() < 1e-9
 
@@ -274,15 +296,15 @@ def test_external_example2_printed_form():
 def test_variant_point_value():
     # the sign-variant transcription at (1, 0), t = 0 for example 1:
     # (1/2)(-1 - 2 cosh 0) + 2 cosh 0 = 1/2
-    assert cf.external_variant_coeffs(example1(), 0.0)(1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+    assert cf.external_variant_coeffs(example1().at(0.0))(1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_variant_differs_from_closure_by_bohm_multiple():
     # variant - consistent = (2m + 1) V_B identically
     for s in [example1(), example2(), generic()]:
         for t in [0.0, 0.4, 1.3]:
-            diff = cf.external_variant_coeffs(s, t) - cf.external_coeffs(s, t)
-            vb, k = cf.bohm_coeffs(s, t), 2 * s.m + 1
+            diff = cf.external_variant_coeffs(s.at(t)) - cf.external_coeffs(s.at(t))
+            vb, k = cf.bohm_coeffs(s.at(t)), 2 * s.m + 1
             assert diff.c_u == pytest.approx(k * vb.c_u, rel=1e-12)
             assert diff.c_v == pytest.approx(k * vb.c_v, rel=1e-12, abs=1e-15)
             assert diff.const == pytest.approx(k * vb.const, rel=1e-12)
@@ -301,9 +323,58 @@ def test_quadform_is_held_by_mode_coefficients():
     # ln A is one exponential per mode: -exp(-2 (r +- 1) nu)/2
     s = generic()
     nu = s.nu.value(1.1)
-    form = cf.log_amplitude_coeffs(s, 1.1)
+    form = cf.log_amplitude_coeffs(s.at(1.1))
     assert form.c_u == pytest.approx(-math.exp(-2 * (s.r + 1) * nu) / 2, rel=1e-15)
     assert form.c_v == pytest.approx(-math.exp(-2 * (s.r - 1) * nu) / 2, rel=1e-15)
+
+
+FORMS = (
+    cf.phase_coeffs,
+    cf.phase_rate_coeffs,
+    cf.log_amplitude_coeffs,
+    cf.bohm_coeffs,
+    cf.kinetic_coeffs,
+    cf.external_coeffs,
+    cf.external_variant_coeffs,
+)
+
+
+@st.composite
+def scenario_times(draw):
+    """A scenario of any degree up to 3 and a 1-D array of times with |nu| and |r nu| within NU_LIMIT."""
+    coeffs = st.lists(st.floats(-5.0, 5.0), max_size=3)
+    s = Scenario(
+        m=draw(st.floats(0.1, 10.0)),
+        r=draw(st.floats(-3.0, 3.0)),
+        nu=TimePolynomial([0.0, *draw(coeffs)]),
+        mu=TimePolynomial(draw(coeffs)),
+    )
+    ts = [t for t in draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20)) if _in_range(s, t)]
+    assume(ts)
+    return s, np.array(ts)
+
+
+def _in_range(s: Scenario, t: float) -> bool:
+    nu = s.nu.value(t)
+    return abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_times())
+def test_forms_over_times_are_the_forms_at_each_time(case):
+    # one record over an array of times against a loop of one record per
+    # time: each schedule has the times' shape, and every form's
+    # coefficients are the scalar calls' within 1 ulp, entry by entry
+    s, ts = case
+    over, each = s.at(ts), [s.at(float(t)) for t in ts]
+    for name in ("nu", "nud", "nudd", "mu", "mud", "e_u", "e_v"):
+        assert getattr(over, name).shape == ts.shape
+        np.testing.assert_array_max_ulp(getattr(over, name), [getattr(at, name) for at in each], maxulp=1)
+    for form in FORMS:
+        forms = form(over), [form(at) for at in each]
+        for name in ("c_u", "c_v", "const"):
+            got = np.broadcast_to(getattr(forms[0], name), ts.shape)
+            np.testing.assert_array_max_ulp(got, [getattr(f, name) for f in forms[1]], maxulp=1)
 
 
 def test_quadform_cartesian_calls_rotate_to_modes():
@@ -370,7 +441,7 @@ def test_external_conic_degenerate_at_t0_example1():
 def test_external_conic_point_degenerate_level():
     # a level equal to the vertex value collapses the ellipse/hyperbola
     s = example1()
-    form = cf.external_coeffs(s, 2.0)
+    form = cf.external_coeffs(s.at(2.0))
     c = cf.classify_level_curves_external(s, 2.0, level=form.const)
     assert c.discriminant == 0.0
     assert c.classification == "degenerate-lines"
@@ -390,7 +461,7 @@ def test_grid_validation():
 def test_auto_grid_covers_and_resolves():
     s = example1()
     g = cf.auto_grid(s, 1.0)
-    sigma_u, sigma_v = cf.spread_sigmas(s, 1.0)
+    sigma_u, sigma_v = cf.spread_sigmas(s.at(1.0))
     assert g.x_max >= 7.5 * sigma_u / math.sqrt(2) - 1e-12
     assert g.hx <= sigma_v / 2 + 1e-12
     assert g.nx % 2 == 1

@@ -196,6 +196,25 @@ def test_entropy_sum_matches_closed_form():
         assert sp.entanglement_entropy(spec) == pytest.approx(sp.entropy_closed_form(nu), abs=1e-9)
 
 
+@pytest.mark.parametrize("nu", [1e-8, 1e-6, 1e-4, -1e-6])
+def test_entropy_sum_holds_at_small_squeeze(nu):
+    # lambda_0 = 1 - tanh^2 nu rounds to within an ulp of 1, and ln of the
+    # rounded value put -lambda_0 ln lambda_0 off by about 1e-17: 0.29% of
+    # the entropy at nu = 1e-8, 7.7e-7 at 1e-6 and 3.0e-11 at 1e-4.  The
+    # sum takes ln lambda_n = ln(1 - q) + n ln q instead
+    terms = max(600, sp.entropy_terms(nu))
+    summed = sp.entanglement_entropy(sp.schmidt_spectrum(nu, terms))
+    assert summed == pytest.approx(sp.entropy_closed_form(nu), rel=1e-12, abs=0)
+
+
+def test_entropy_sum_keeps_underflowed_terms_finite():
+    # past about 1e-308 the Schmidt terms underflow to 0; their logs stay
+    # finite, so each adds 0 and the sum is no NaN
+    spec = sp.schmidt_spectrum(0.5, 2000)
+    assert spec.lambdas[-1] == 0.0
+    assert sp.entanglement_entropy(spec) == pytest.approx(sp.entropy_closed_form(0.5), rel=1e-12, abs=0)
+
+
 def omitted_entropy(nu: float, terms: int) -> mpmath.mpf:
     """q^N [-ln(1-q) - ln q (N + q/(1-q))] with q = tanh^2 nu and N = terms, at 30 digits."""
     with mpmath.workdps(30):

@@ -66,7 +66,7 @@ def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
 def test_bohm_from_amplitude_ground_state():
     # exact check against the Gaussian identity V_B = 1 - (x^2+y^2)/2 at t=0
     s = example1()
-    grid = verify.residual_grid(s, 0.0, RESIDUAL_MAX)
+    grid = verify.residual_grid(s.at(0.0), RESIDUAL_MAX)
     fd = bohm_from_amplitude(sample_amplitude(s, grid, 0.0), s.m)
     x, y = fd.grid.mesh()
     exact = 1.0 - (x * x + y * y) / 2.0
@@ -78,18 +78,18 @@ def test_bohm_from_amplitude_ground_state():
 
 def test_bohm_from_amplitude_matches_closed_form():
     s = example1()
-    grid = verify.residual_grid(s, 1.0, RESIDUAL_MAX)
-    rep = verify.bohm_definition_residual(verify.TimeSamples(s, 1.0, grid))
+    grid = verify.residual_grid(s.at(1.0), RESIDUAL_MAX)
+    rep = verify.bohm_definition_residual(verify.TimeSamples(s.at(1.0), grid))
     assert rep.max_abs_residual < 1e-4
     assert rep.equation == "bohm_definition"
 
 
 def test_bohm_from_amplitude_second_order():
     s = example1()
-    g1 = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=101)
+    g1 = verify.residual_grid(s.at(0.5), RESIDUAL_MAX, n=101)
     g2 = GridSpec2D(g1.x_min, g1.x_max, g1.y_min, g1.y_max, 201, 201)
-    r1 = verify.bohm_definition_residual(verify.TimeSamples(s, 0.5, g1))
-    r2 = verify.bohm_definition_residual(verify.TimeSamples(s, 0.5, g2))
+    r1 = verify.bohm_definition_residual(verify.TimeSamples(s.at(0.5), g1))
+    r2 = verify.bohm_definition_residual(verify.TimeSamples(s.at(0.5), g2))
     assert 3.5 < r1.max_abs_residual / r2.max_abs_residual < 4.5
 
 
@@ -121,7 +121,7 @@ def test_bohm_from_amplitude_interior_grid():
 @pytest.mark.parametrize("scenario_fn,t", [(example1, 0.5), (example1, 1.0), (example2, 0.5), (example2, 1.0)])
 def test_continuity_residual_small(scenario_fn, t):
     s = scenario_fn()
-    rep = verify.continuity_residual(verify.TimeSamples(s, t, verify.residual_grid(s, t, RESIDUAL_MAX)))
+    rep = verify.continuity_residual(verify.TimeSamples(s.at(t), verify.residual_grid(s.at(t), RESIDUAL_MAX)))
     assert rep.max_abs_residual < 1e-4
     assert rep.rms_residual <= rep.max_abs_residual
 
@@ -129,16 +129,16 @@ def test_continuity_residual_small(scenario_fn, t):
 @pytest.mark.parametrize("scenario_fn,t", [(example1, 0.5), (example2, 1.0)])
 def test_schrodinger_residual_small(scenario_fn, t):
     s = scenario_fn()
-    rep = verify.schrodinger_residual(verify.TimeSamples(s, t, verify.residual_grid(s, t, RESIDUAL_MAX)))
+    rep = verify.schrodinger_residual(verify.TimeSamples(s.at(t), verify.residual_grid(s.at(t), RESIDUAL_MAX)))
     assert rep.max_abs_residual < 1e-4
 
 
 def test_schrodinger_residual_second_order():
     s = example1()
-    g1 = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=101)
+    g1 = verify.residual_grid(s.at(0.5), RESIDUAL_MAX, n=101)
     g2 = GridSpec2D(g1.x_min, g1.x_max, g1.y_min, g1.y_max, 201, 201)
-    r1 = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, g1, dt=2e-4))
-    r2 = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, g2, dt=1e-4))
+    r1 = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), g1, dt=2e-4))
+    r2 = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), g2, dt=1e-4))
     assert 3.5 < r1.max_abs_residual / r2.max_abs_residual < 4.5
 
 
@@ -147,7 +147,7 @@ def test_hamilton_jacobi_residual_closed_form_sources():
     for s in [example1(), example2()]:
         for t in [0.0, 0.7, 1.5]:
             for source in ("closed_form", "hj_closure"):
-                rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s, t, grid), v_source=source)
+                rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid), v_source=source)
                 assert rep.max_abs_residual < 1e-9
 
 
@@ -155,7 +155,7 @@ def test_hamilton_jacobi_residual_exposes_variant():
     # the variant source leaves exactly (2m + 1) V_B as residual
     s = example1()
     grid = GridSpec2D.square(4.0, 41)
-    rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s, 0.5, grid), v_source="variant")
+    rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(0.5), grid), v_source="variant")
     u, v = grid.mesh()  # the grid's axes are the modes
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
     expected = np.abs((2 * s.m + 1) * cf.bohm_potential(s, x, y, 0.5)).max()
@@ -165,20 +165,20 @@ def test_hamilton_jacobi_residual_exposes_variant():
 
 def test_schrodinger_residual_exposes_variant():
     s = example1()
-    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
-    good = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, grid), v_source="hj_closure")
-    bad = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, grid), v_source="variant")
+    grid = verify.residual_grid(s.at(0.5), RESIDUAL_MAX)
+    good = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid), v_source="hj_closure")
+    bad = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid), v_source="variant")
     assert bad.max_abs_residual > 1e3 * good.max_abs_residual
 
 
 def test_unknown_v_source():
     with pytest.raises(ValueError, match="v_source"):
-        verify.external_quadform(example1(), 0.0, "nonsense")  # type: ignore[arg-type]
+        verify.external_quadform(example1().at(0.0), "nonsense")  # type: ignore[arg-type]
 
 
 def test_residual_reports_serialize(tmp_path):
     s = example1()
-    rep = verify.continuity_residual(verify.TimeSamples(s, 0.5, GridSpec2D.square(1.0, 21)))
+    rep = verify.continuity_residual(verify.TimeSamples(s.at(0.5), GridSpec2D.square(1.0, 21)))
     cli._write_json(tmp_path / "report.json", {"report": rep})
     obj = json.loads((tmp_path / "report.json").read_text())["report"]
     assert obj["equation"] == "continuity"
@@ -190,9 +190,9 @@ def test_dt_validation():
     s = example1()
     grid = GridSpec2D.square(1.0, 21)
     with pytest.raises(ValueError, match="dt"):
-        verify.continuity_residual(verify.TimeSamples(s, 0.5, grid, dt=0.0))
+        verify.continuity_residual(verify.TimeSamples(s.at(0.5), grid, dt=0.0))
     with pytest.raises(ValueError, match="dt"):
-        verify.schrodinger_residual(verify.TimeSamples(s, 0.5, grid, dt=-1e-4))
+        verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid, dt=-1e-4))
 
 
 RESIDUALS = [
@@ -260,14 +260,14 @@ def test_hj_closure_and_unit_norm_hold_for_random_scenarios(case, grid, v_source
     # 3000 draws); and the moments' norm is 1 within the normalization
     # tolerance (2e-13 at most in those draws)
     s, t = case
-    external = verify.external_quadform(s, t, v_source)
-    forms = [cf.kinetic_coeffs(s, t), cf.bohm_coeffs(s, t), external, cf.phase_rate_coeffs(s, t)]
+    external = verify.external_quadform(s.at(t), v_source)
+    forms = [cf.kinetic_coeffs(s.at(t)), cf.bohm_coeffs(s.at(t)), external, cf.phase_rate_coeffs(s.at(t))]
     largest = max(max(abs(f.c_u), abs(f.c_v), abs(f.const)) for f in forms)
     u, v = grid.xs(), grid.ys()
     reach = 1.0 + float((u * u).max()) + float((v * v).max())
-    report = verify.hamilton_jacobi_residual(verify.TimeSamples(s, t, grid), v_source=v_source)
+    report = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid), v_source=v_source)
     assert report.max_abs_residual <= 8.0 * np.finfo(float).eps * largest * reach
-    norm, _, _ = verify.diagonal_moments(s, t)
+    norm, _, _ = verify.diagonal_moments(s.at(t))
     assert abs(norm - 1.0) <= cli.DEFAULT_TOLERANCES["normalization"]
 
 
@@ -288,11 +288,11 @@ def test_mode_lattice_matches_meshgrid(grid, case):
     for when in (t - dt, t + dt):
         nu = s.nu.value(when)
         assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
-    samples = verify.TimeSamples(s, t, grid, dt)
+    samples = verify.TimeSamples(s.at(t), grid, dt)
     u, v = grid.mesh()
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
     for row, when in enumerate(samples.times):
-        amp, phase = cf.log_amplitude_coeffs(s, when), cf.phase_coeffs(s, when)
+        amp, phase = cf.log_amplitude_coeffs(s.at(when)), cf.phase_coeffs(s.at(when))
         amp_scale, phase_scale = _scale(amp, x, y), _scale(phase, x, y)
         with warnings.catch_warnings():
             # the 2-D samples may underflow where the factors do not
@@ -316,13 +316,14 @@ def test_mode_lattice_runs_no_2d_exponential(monkeypatch):
         sizes.append(np.size(arg))
         return real_exp(arg, *args, **kwargs)
 
+    now = s.at(0.5)
     monkeypatch.setattr(np, "exp", counting_exp)
-    at = verify.TimeSamples(s, 0.5, grid)
+    at = verify.TimeSamples(now, grid)
     for residual in RESIDUALS:
         residual(at)
     # one exponential per axis for A and one for psi, each on its own axis's
-    # nodes at the record's three times
-    assert sorted(sizes) == sorted(2 * [3 * grid.nx, 3 * grid.ny])
+    # nodes at the record's three times, and the two mode decays at those times
+    assert sorted(sizes) == sorted(2 * [3 * grid.nx, 3 * grid.ny] + 2 * [3])
 
 
 def bitwise_equal(a, b):
@@ -337,7 +338,7 @@ def test_mode_lattice_views_are_read_only(monkeypatch):
     # the one writable factors give
     s, t, dt = example2(), 0.5, 1e-4
     grid = GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11)
-    at = verify.TimeSamples(s, t, grid, dt)
+    at = verify.TimeSamples(s.at(t), grid, dt)
     f, _ = at.wavefunction
     for view in (verify._inner(f), verify._stencil(f[2], grid.hx)[0]):
         assert np.shares_memory(view, f) and not view.flags.writeable
@@ -353,7 +354,7 @@ def test_mode_lattice_views_are_read_only(monkeypatch):
 
     read_only = fields(at)
     monkeypatch.setattr(verify, "_read_only", lambda *arrays: arrays)
-    writable = verify.TimeSamples(s, t, grid, dt)
+    writable = verify.TimeSamples(s.at(t), grid, dt)
     assert writable.wavefunction[0].flags.writeable
     for ours, ref in zip(read_only, fields(writable)):
         assert bitwise_equal(ours, ref)
@@ -366,7 +367,7 @@ def record_arrays(at):
 
 
 def test_record_arrays_are_read_only():
-    at = verify.TimeSamples(example2(), 0.5, GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11))
+    at = verify.TimeSamples(example2().at(0.5), GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11))
     arrays = record_arrays(at)
     assert len(arrays) == 16 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
 
@@ -387,9 +388,9 @@ def test_checks_in_any_order_give_the_same_reports(v_source):
         "hamilton_jacobi": lambda at: verify.hamilton_jacobi_residual(at, v_source=v_source),
         "bohm_definition": verify.bohm_definition_residual,
     }
-    alone = {name: report_bits(check(verify.TimeSamples(s, t, grid))) for name, check in checks.items()}
+    alone = {name: report_bits(check(verify.TimeSamples(s.at(t), grid))) for name, check in checks.items()}
     for order in itertools.permutations(checks):
-        at = verify.TimeSamples(s, t, grid)
+        at = verify.TimeSamples(s.at(t), grid)
         assert {name: report_bits(checks[name](at)) for name in order} == alone
 
 
@@ -398,21 +399,21 @@ def test_record_takes_each_form_once_per_time(monkeypatch):
     calls = collections.Counter()
 
     def counted(fn):
-        def wrapper(scenario, when):
-            calls[fn.__name__, when] += 1
-            return fn(scenario, when)
+        def wrapper(now):
+            calls[fn.__name__, tuple(np.ravel(now.t))] += 1
+            return fn(now)
 
         return wrapper
 
     for name in ("log_amplitude_coeffs", "phase_coeffs"):
         monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
-    at = verify.TimeSamples(s, t, verify.residual_grid(s, t, RESIDUAL_MAX), dt)
+    at = verify.TimeSamples(s.at(t), verify.residual_grid(s.at(t), RESIDUAL_MAX), dt)
     calls.clear()  # residual_grid's own calls
     for _ in range(2):
         for residual in RESIDUALS:
             residual(at)
         record_arrays(at)
-    expected = {(name, when): 1 for name in ("log_amplitude_coeffs", "phase_coeffs") for when in (t + dt, t - dt, t)}
+    expected = {(name, (t + dt, t - dt, t)): 1 for name in ("log_amplitude_coeffs", "phase_coeffs")}
     assert calls == collections.Counter(expected)
 
 
@@ -427,10 +428,10 @@ def stencil_fields_2d(s, t, grid, dt, v_source):
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
     inner = (slice(2, -2), slice(2, -2))
     times = (t - dt, t, t + dt)
-    amps = [cf.log_amplitude_coeffs(s, at) for at in times]
-    phases = [cf.phase_coeffs(s, at) for at in times]
-    pot = verify.external_quadform(s, t, v_source)
-    b = cf.bohm_coeffs(s, t)
+    amps = [cf.log_amplitude_coeffs(s.at(at)) for at in times]
+    phases = [cf.phase_coeffs(s.at(at)) for at in times]
+    pot = verify.external_quadform(s.at(t), v_source)
+    b = cf.bohm_coeffs(s.at(t))
     scale = max(_scale(form, x, y) for form in [*amps, *phases, pot, b])
     scale = max(scale, (abs(phases[1].c_u) + abs(phases[1].c_v)) * float((np.abs(x) + np.abs(y)).max()))
     # both routes compute each exponent within delta of the exact one, so a
@@ -510,7 +511,7 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
         (schrod, schrod_tol), (cont, cont_tol), (bohm, bohm_tol, near_floor) = stencil_fields_2d(
             s, t, grid, dt, v_source
         )
-    at = verify.TimeSamples(s, t, grid, dt)
+    at = verify.TimeSamples(s.at(t), grid, dt)
     ours = verify._schrodinger_field(at, v_source)
     assert ours.shape == schrod.shape == (grid.nx - 4, grid.ny - 4)
     assert np.all(np.abs(ours - schrod) <= schrod_tol)
@@ -528,9 +529,9 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
 @pytest.mark.parametrize("residual", [verify.schrodinger_residual, verify.continuity_residual, verify.bohm_definition_residual])
 def test_stencil_residuals_need_an_interior(residual):
     s = example1()
-    residual(verify.TimeSamples(s, 0.5, GridSpec2D(-1.0, 1.0, -1.0, 1.0, 5, 5)))
+    residual(verify.TimeSamples(s.at(0.5), GridSpec2D(-1.0, 1.0, -1.0, 1.0, 5, 5)))
     with pytest.raises(ValueError, match="at least 5 samples"):
-        residual(verify.TimeSamples(s, 0.5, GridSpec2D(-1.0, 1.0, -0.375, 0.375, 9, 4)))
+        residual(verify.TimeSamples(s.at(0.5), GridSpec2D(-1.0, 1.0, -0.375, 0.375, 9, 4)))
 
 
 # finite 1-D residual parts: mixed signs, signed zeros, subnormals and
@@ -609,9 +610,9 @@ def test_real_residuals_build_one_grid_array(residual):
     # half its size, and the outer sums take their largest value from the
     # 1-D parts.  A second grid-sized array would reach 2
     s = example1()
-    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX)
+    grid = verify.residual_grid(s.at(0.5), RESIDUAL_MAX)
     if residual is not None:
-        peak = peak_bytes(lambda: residual(verify.TimeSamples(s, 0.5, grid)))
+        peak = peak_bytes(lambda: residual(verify.TimeSamples(s.at(0.5), grid)))
         itemsize = 16 if residual is verify.schrodinger_residual else 8
         assert peak <= 1.5 * grid.nx * grid.ny * itemsize
         return
@@ -622,14 +623,14 @@ def test_real_residuals_build_one_grid_array(residual):
     held = []
 
     def run():
-        at = verify.TimeSamples(s, 0.5, grid)
+        at = verify.TimeSamples(s.at(0.5), grid)
         held.clear()
         for check in RESIDUALS:
             check(at)
             held.append(tracemalloc.get_traced_memory()[0])
 
     peak = peak_bytes(run)
-    largest = max(peak_bytes(lambda: check(verify.TimeSamples(s, 0.5, grid))) for check in RESIDUALS)
+    largest = max(peak_bytes(lambda: check(verify.TimeSamples(s.at(0.5), grid))) for check in RESIDUALS)
     assert peak <= largest + 2048
     assert max(held) < 0.25 * grid.nx * grid.ny * 8
 
@@ -639,9 +640,9 @@ def test_variant_fails_at_every_example_time(config):
     payload = json.loads((CONFIG_DIR / config).read_text())
     s = cli._scenario(payload["scenario"])
     for t in payload["times"]:
-        grid = verify.residual_grid(s, t, RESIDUAL_MAX)
-        good = verify.schrodinger_residual(verify.TimeSamples(s, t, grid))
-        bad = verify.schrodinger_residual(verify.TimeSamples(s, t, grid), v_source="variant")
+        grid = verify.residual_grid(s.at(t), RESIDUAL_MAX)
+        good = verify.schrodinger_residual(verify.TimeSamples(s.at(t), grid))
+        bad = verify.schrodinger_residual(verify.TimeSamples(s.at(t), grid), v_source="variant")
         assert good.max_abs_residual < 1e-4 < bad.max_abs_residual
         assert bad.max_abs_residual > 100.0 * good.max_abs_residual
 
@@ -723,7 +724,7 @@ def test_quadrature_variances_cancellation_bound():
     # nu = 2 that stays far below the 1e-5 check and matches the rotated frame
     s = example1()
     _, vm = verify.quadrature_variances(s, 2.0, cf.auto_grid(s, 2.0))
-    _, _, vm_rotated = verify.diagonal_moments(s, 2.0)
+    _, _, vm_rotated = verify.diagonal_moments(s.at(2.0))
     assert vm == pytest.approx(vm_rotated, rel=100 * np.finfo(float).eps * math.exp(8.0))
 
 
@@ -733,7 +734,7 @@ def test_normalization_example1_late_time_rotated():
     s = example1()
     with pytest.raises(ValueError, match="auto grid"):
         cf.auto_grid(s, 3.0)
-    norm, _, vm = verify.diagonal_moments(s, 3.0)
+    norm, _, vm = verify.diagonal_moments(s.at(3.0))
     assert norm == pytest.approx(1.0, abs=1e-6)
     assert vm == pytest.approx(math.exp(-6.0) / 2.0, rel=1e-6)
 
@@ -742,7 +743,7 @@ def test_diagonal_moments_handles_extreme_squeeze():
     # nu = 4 with r = 1: cartesian grids are hopeless (sigma_u/sigma_v = e^8),
     # the rotated frame integrates it exactly
     s = example2()
-    norm, vp, vm = verify.diagonal_moments(s, 2.0)
+    norm, vp, vm = verify.diagonal_moments(s.at(2.0))
     assert norm == pytest.approx(1.0, abs=1e-6)
     assert vm == pytest.approx(0.5, abs=1e-6)
     assert vp == pytest.approx(math.exp(16.0) / 2.0, rel=1e-6)
@@ -752,7 +753,7 @@ def test_diagonal_moments_match_cartesian_route():
     s = example1()
     grid = cf.auto_grid(s, 1.0)
     vp_c, vm_c = verify.quadrature_variances(s, 1.0, grid)
-    norm, vp_r, vm_r = verify.diagonal_moments(s, 1.0)
+    norm, vp_r, vm_r = verify.diagonal_moments(s.at(1.0))
     assert norm == pytest.approx(verify.normalization(s, 1.0, grid), abs=1e-8)
     assert vp_r == pytest.approx(vp_c, rel=1e-7)
     assert vm_r == pytest.approx(vm_c, rel=1e-7)
@@ -766,7 +767,7 @@ def test_diagonal_moments_exact_to_half_nu_limit(r):
         s = Scenario(m=1.0, r=r, nu=TimePolynomial([0, float(nu)]), mu=TimePolynomial([0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            norm, vp, vm = verify.diagonal_moments(s, 1.0)
+            norm, vp, vm = verify.diagonal_moments(s.at(1.0))
         assert norm == pytest.approx(1.0, rel=1e-12, abs=0)
         assert vp == pytest.approx(math.exp(2 * (r + 1) * nu) / 2, rel=1e-12, abs=0)
         assert vm == pytest.approx(math.exp(2 * (r - 1) * nu) / 2, rel=1e-12, abs=0)
@@ -775,11 +776,11 @@ def test_diagonal_moments_exact_to_half_nu_limit(r):
 def diagonal_moments_2d(s, t):
     # reference: the 2-D Simpson sums over the full DIAGONAL_POINTS^2 density
     # on the same nodes, which the mode-factored routine replaces
-    sigma_u, sigma_v = cf.spread_sigmas(s, t)
+    sigma_u, sigma_v = cf.spread_sigmas(s.at(t))
     c, n = verify.DIAGONAL_COVERAGE, verify.DIAGONAL_POINTS
     us = np.linspace(-c * sigma_u, c * sigma_u, n)
     vs = np.linspace(-c * sigma_v, c * sigma_v, n)
-    rho = np.exp(2.0 * cf.log_amplitude_coeffs(s, t).modes(us[:, None], vs[None, :]))
+    rho = np.exp(2.0 * cf.log_amplitude_coeffs(s.at(t)).modes(us[:, None], vs[None, :]))
     total, uu, vv, _ = verify._simpson_moments(rho, us, vs)
     return total, uu / total, vv / total
 
@@ -788,17 +789,17 @@ def diagonal_moments_2d(s, t):
 @pytest.mark.parametrize("r", [0.0, 1.0])
 def test_diagonal_moments_equal_2d_simpson_sums(r, nu):
     s = Scenario(m=1.0, r=r, nu=TimePolynomial([0, nu]), mu=TimePolynomial([0]))
-    for got, ref in zip(verify.diagonal_moments(s, 1.0), diagonal_moments_2d(s, 1.0)):
+    for got, ref in zip(verify.diagonal_moments(s.at(1.0)), diagonal_moments_2d(s, 1.0)):
         assert got == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_diagonal_moments_build_no_2d_array():
     # the 2001^2 density the factored sums replace took 32 MB
     s = example2()
-    verify.diagonal_moments(s, 1.0)
+    verify.diagonal_moments(s.at(1.0))
     tracemalloc.start()
     try:
-        verify.diagonal_moments(s, 1.0)
+        verify.diagonal_moments(s.at(1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -808,7 +809,7 @@ def test_diagonal_moments_build_no_2d_array():
 def test_variance_law_negative_squeeze():
     # with nu < 0 the anti-diagonal mode is the squeezed one
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, -1]), mu=TimePolynomial([0]))
-    norm, vp, vm = verify.diagonal_moments(s, 1.0)
+    norm, vp, vm = verify.diagonal_moments(s.at(1.0))
     assert norm == pytest.approx(1.0, abs=1e-7)
     assert vp == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-6)
     assert vm == pytest.approx(math.exp(2.0) / 2.0, rel=1e-6)
@@ -817,7 +818,7 @@ def test_variance_law_negative_squeeze():
 def test_variance_product_law_with_mix():
     # var(u) var(v) = exp(4 r nu)/4 for any r
     s = Scenario(m=1.0, r=0.5, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
-    norm, vp, vm = verify.diagonal_moments(s, 1.0)
+    norm, vp, vm = verify.diagonal_moments(s.at(1.0))
     assert norm == pytest.approx(1.0, abs=1e-7)
     assert vp * vm == pytest.approx(math.exp(2.0) / 4.0, rel=1e-6)
 
@@ -828,9 +829,9 @@ def test_variance_product_law_with_mix():
 
 def test_residual_grid_meets_target():
     for s, t in [(example1(), 0.25), (example1(), 1.0), (example2(), 1.0)]:
-        grid = verify.residual_grid(s, t, RESIDUAL_MAX)
+        grid = verify.residual_grid(s.at(t), RESIDUAL_MAX)
         assert grid.nx == 201
-        at = verify.TimeSamples(s, t, grid)
+        at = verify.TimeSamples(s.at(t), grid)
         for residual in (verify.schrodinger_residual, verify.continuity_residual, verify.bohm_definition_residual):
             assert residual(at).max_abs_residual < 1e-4
 
@@ -839,22 +840,22 @@ def test_residual_grid_caps_extent():
     # at t ~ 0 the state is a unit Gaussian and the allowed extent is capped
     # at DIAGONAL_COVERAGE sigma per axis
     s = example1()
-    caps = tuple(verify.DIAGONAL_COVERAGE * sigma for sigma in cf.spread_sigmas(s, 1e-3))
-    grid = verify.residual_grid(s, 1e-3, 5e-3, n=401)
+    caps = tuple(verify.DIAGONAL_COVERAGE * sigma for sigma in cf.spread_sigmas(s.at(1e-3)))
+    grid = verify.residual_grid(s.at(1e-3), 5e-3, n=401)
     assert grid.x_max <= caps[0] and grid.y_max <= caps[1]
-    grid = verify.residual_grid(s, 1e-3, 5.0, n=401)
+    grid = verify.residual_grid(s.at(1e-3), 5.0, n=401)
     assert (grid.x_max, grid.y_max) == caps
 
 
 def bracket(s, t):
     """Each axis's search bracket: from GRID_HALF_MIN to DIAGONAL_COVERAGE sigma."""
     lo = verify.GRID_HALF_MIN
-    return [(lo, max(lo, verify.DIAGONAL_COVERAGE * sigma)) for sigma in cf.spread_sigmas(s, t)]
+    return [(lo, max(lo, verify.DIAGONAL_COVERAGE * sigma)) for sigma in cf.spread_sigmas(s.at(t))]
 
 
 def axis_laws(s, t):
     """(law_u, law_v) of one time as functions law(half, n)."""
-    return verify._stencil_error_law(s, t)
+    return verify._stencil_error_law(s.at(t))
 
 
 def bisection_width(lo, hi):
@@ -965,10 +966,10 @@ def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
         return tuple(counted(axis, law) for axis, law in zip("uv", make_laws(*args)))
 
     monkeypatch.setattr(verify, "_stencil_error_law", counted_laws)
-    grid = verify.residual_grid(s, t, RESIDUAL_MAX, n=n)
+    grid = verify.residual_grid(s.at(t), RESIDUAL_MAX, n=n)
     monkeypatch.undo()
     # one law build, for the one time
-    assert builds == [(s, t)]
+    assert builds == [(s.at(t),)]
     assert (grid.nx, grid.ny) == (n, n)
     assert (grid.x_min, grid.y_min) == (-grid.x_max, -grid.y_max)
     for half, law, (lo, hi), axis in zip((grid.x_max, grid.y_max), axis_laws(s, t), bracket(s, t), "uv"):
@@ -997,8 +998,8 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
         calls.append((half, n))
         return power_law(half, n)
 
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (counted, counted))
-    grid = verify.residual_grid(example1(), 0.0, RESIDUAL_MAX)
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda now: (counted, counted))
+    grid = verify.residual_grid(example1().at(0.0), RESIDUAL_MAX)
     assert len(calls) <= 12
     (lo, hi), _ = bracket(example1(), 0.0)
     width = bisection_width(lo, hi)
@@ -1010,8 +1011,8 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
 def test_residual_grid_takes_a_zero_law_as_feasible(monkeypatch):
     # a law that underflows to 0 at every extent (a huge mass) meets any
     # target: each axis gets its bracket's upper end
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (lambda half, n: 0.0,) * 2)
-    grid = verify.residual_grid(example1(), 0.0, RESIDUAL_MAX)
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda now: (lambda half, n: 0.0,) * 2)
+    grid = verify.residual_grid(example1().at(0.0), RESIDUAL_MAX)
     (_, hi_u), (_, hi_v) = bracket(example1(), 0.0)
     assert (grid.x_max, grid.y_max) == (hi_u, hi_v)
 
@@ -1029,8 +1030,8 @@ def test_residual_grid_closes_bracket_above_a_zero_lower_end(monkeypatch, root):
         calls.append(half)
         return law(half, n)
 
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda s, t: (counted, counted))
-    grid = verify.residual_grid(example1(), 0.0, RESIDUAL_MAX)
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda now: (counted, counted))
+    grid = verify.residual_grid(example1().at(0.0), RESIDUAL_MAX)
     assert all(math.isfinite(half) for half in calls) and len(calls) <= 40
     (lo, hi), _ = bracket(example1(), 0.0)
     width = bisection_width(lo, hi)
@@ -1044,7 +1045,7 @@ def stencil_error_nodes(s, t, axis, half, n):
     # (q = c w^2 + const); the other factor sits at its peak e^(const/2)
     h = 2.0 * half / (n - 1)
     w = np.linspace(-half, half, n)
-    gform, sform = cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t)
+    gform, sform = cf.log_amplitude_coeffs(s.at(t)), cf.phase_coeffs(s.at(t))
     c_amp, c_phase = (gform.c_u, sform.c_u) if axis == "u" else (gform.c_v, sform.c_v)
     g_w, g_ww = 2.0 * c_amp * w, 2.0 * c_amp
     s_w, s_ww = 2.0 * c_phase * w, 2.0 * c_phase
@@ -1082,7 +1083,7 @@ def test_stencil_error_law_matches_lattice():
 def stencil_error_law_on_linspace(s, t, axis, half, n):
     # reference: the node law, the law's three terms on np.linspace's nodes
     # only, one array expression per term
-    amp, phase = cf.log_amplitude_coeffs(s, t), cf.phase_coeffs(s, t)
+    amp, phase = cf.log_amplitude_coeffs(s.at(t)), cf.phase_coeffs(s.at(t))
     c_amp, c_phase = (amp.c_u, phase.c_u) if axis == "u" else (amp.c_v, phase.c_v)
     z = 2.0 * complex(c_amp, c_phase)
     w_sq = np.linspace(-half, half, n) ** 2
@@ -1123,11 +1124,11 @@ def test_stencil_error_law_bounds_measured_residual():
     for s in [example1(), example2()]:
         for t in [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]:
             law_u, law_v = axis_laws(s, t)
-            chosen = verify.residual_grid(s, t, RESIDUAL_MAX)
+            chosen = verify.residual_grid(s.at(t), RESIDUAL_MAX)
             for ku, kv in [(1.0, 1.0), (0.5, 1.0), (1.0, 0.5), (2.0, 1.0), (1.0, 2.0)]:
                 a_u, a_v = ku * chosen.x_max, kv * chosen.y_max
                 for n in [101, 201]:
-                    at = verify.TimeSamples(s, t, GridSpec2D(-a_u, a_u, -a_v, a_v, n, n))
+                    at = verify.TimeSamples(s.at(t), GridSpec2D(-a_u, a_u, -a_v, a_v, n, n))
                     measured = max(
                         verify.schrodinger_residual(at).max_abs_residual,
                         verify.continuity_residual(at).max_abs_residual,
@@ -1142,10 +1143,10 @@ def test_residual_grid_feasible_upper_end_is_exact():
     (_, hi), _ = bracket(s, 0.0)  # both axes at t = 0
     law_u, law_v = axis_laws(s, 0.0)
     edge = edge_residual_max(max(law_u(hi, 201), law_v(hi, 201)))
-    grid = verify.residual_grid(s, 0.0, edge)
+    grid = verify.residual_grid(s.at(0.0), edge)
     assert grid.x_max == grid.y_max == hi
     below = np.nextafter(edge, 0.0)
-    grid = verify.residual_grid(s, 0.0, below)
+    grid = verify.residual_grid(s.at(0.0), below)
     assert grid.x_max < hi and grid.y_max < hi
     assert law_u(grid.x_max, 201) <= 0.5 * stencil_budget(below)
     assert law_v(grid.y_max, 201) <= 0.5 * stencil_budget(below)
@@ -1159,14 +1160,14 @@ def test_residual_grid_infeasible_lower_end_raises():
     s = example1()
     message = "no feasible extent at n = 201 for t = 4 on the v axis under residual_max = 0.0001"
     with pytest.raises(ValueError, match=message):
-        verify.residual_grid(s, 4.0, RESIDUAL_MAX)
+        verify.residual_grid(s.at(4.0), RESIDUAL_MAX)
     lo = verify.GRID_HALF_MIN
     edge = edge_residual_max(axis_laws(s, 4.0)[1](lo, 201))
     (_, _), (_, hi) = bracket(s, 4.0)
-    grid = verify.residual_grid(s, 4.0, edge)
+    grid = verify.residual_grid(s.at(4.0), edge)
     assert grid.y_max == pytest.approx(lo, rel=0, abs=bisection_width(lo, hi))
     with pytest.raises(ValueError, match="on the v axis under residual_max"):
-        verify.residual_grid(s, 4.0, np.nextafter(edge, 0.0))
+        verify.residual_grid(s.at(4.0), np.nextafter(edge, 0.0))
 
 
 @pytest.mark.parametrize("residual_max", [0.0, -1e-5, float("nan"), 2.5e-323, 1e-323])
@@ -1174,7 +1175,7 @@ def test_residual_grid_rejects_non_positive_target(residual_max):
     # the search works on ln(law / budget); a positive residual_max whose
     # budget, a tenth of it, rounds to 0 would divide by zero
     with pytest.raises(ValueError, match=f"residual_max must leave a positive, finite stencil budget, got {residual_max!r}"):
-        verify.residual_grid(example1(), 0.5, residual_max)
+        verify.residual_grid(example1().at(0.5), residual_max)
 
 
 SWEEP_TIMES = [round(0.1 * k, 1) for k in range(31)]
@@ -1197,9 +1198,9 @@ def test_lockstep_grids_match_serial_search(scenario_fn, n, target):
         if None in expected:
             axis = "uv"[expected.index(None)]
             with pytest.raises(ValueError, match=f"no feasible extent at n = {n} for t = {t:g} on the {axis} axis"):
-                verify.residual_grid(s, t, residual_max, n=n)
+                verify.residual_grid(s.at(t), residual_max, n=n)
             continue
-        grid = verify.residual_grid(s, t, residual_max, n=n)
+        grid = verify.residual_grid(s.at(t), residual_max, n=n)
         assert (grid.nx, grid.ny, grid.x_min, grid.y_min) == (n, n, -grid.x_max, -grid.y_max)
         for axis, half, ref in zip("uv", (grid.x_max, grid.y_max), expected):
             assert half == pytest.approx(ref, rel=1e-3, abs=0)
@@ -1213,7 +1214,7 @@ def test_shipped_grids_match_serial_search(config):
     raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
     s = cli._scenario(raw["scenario"])
     for t in raw["times"]:
-        grid = verify.residual_grid(s, t, RESIDUAL_MAX)
+        grid = verify.residual_grid(s.at(t), RESIDUAL_MAX)
         assert [grid.x_max, grid.y_max] == pytest.approx(serial_halves(s, t, 201, RESIDUAL_MAX), rel=1e-9, abs=0)
 
 
@@ -1226,9 +1227,9 @@ def test_residual_grid_agrees_with_serial_search(case, n, residual_max):
     expected = serial_halves(s, t, n, residual_max)
     if None in expected:
         with pytest.raises(ValueError, match="no feasible extent"):
-            verify.residual_grid(s, t, residual_max, n=n)
+            verify.residual_grid(s.at(t), residual_max, n=n)
     else:
-        grid = verify.residual_grid(s, t, residual_max, n=n)
+        grid = verify.residual_grid(s.at(t), residual_max, n=n)
         assert [grid.x_max, grid.y_max] == pytest.approx(expected, rel=1e-3, abs=0)
 
 
@@ -1239,7 +1240,7 @@ def test_residual_grid_meets_node_law(case, n, residual_max):
     # half the stencil budget
     s, t = case
     try:
-        grid = verify.residual_grid(s, t, residual_max, n=n)
+        grid = verify.residual_grid(s.at(t), residual_max, n=n)
     except ValueError:
         assume(False)
     for axis, half in zip("uv", (grid.x_max, grid.y_max)):
@@ -1251,24 +1252,24 @@ def test_residual_grid_rejects_bad_sample_count(n):
     # n = 1 divides by zero, n <= 0 indexes nothing, n = 3 or 4 leaves no
     # interior, and a float n makes a float count
     with pytest.raises(ValueError, match=r"integer n >= 5, got"):
-        verify.residual_grid(example1(), 0.5, RESIDUAL_MAX, n=n)
+        verify.residual_grid(example1().at(0.5), RESIDUAL_MAX, n=n)
 
 
 def test_residual_grid_smallest_sample_count():
     s = example1()
-    grid = verify.residual_grid(s, 0.5, RESIDUAL_MAX, n=np.int64(5))
+    grid = verify.residual_grid(s.at(0.5), RESIDUAL_MAX, n=np.int64(5))
     assert (grid.nx, grid.ny) == (5, 5)
-    rep = verify.schrodinger_residual(verify.TimeSamples(s, 0.5, grid))
+    rep = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid))
     assert rep.max_abs_residual < 1e-4
 
 
 def test_residual_grid_rejects_infinite_target():
     # ln(law / inf) is -inf, and the secant step then takes the log of a NaN
     with pytest.raises(ValueError, match="residual_max must leave a positive, finite stencil budget, got inf"):
-        verify.residual_grid(example1(), 0.5, float("inf"))
+        verify.residual_grid(example1().at(0.5), float("inf"))
 
 
 def test_residual_grid_rejects_nan_time():
-    # nu(nan) is NaN, which Scenario.nu_at rejects
+    # nu(nan) is NaN, which Scenario.at rejects
     with pytest.raises(ValueError, match="exceeds the supported range 50 at t = nan"):
-        verify.residual_grid(example1(), float("nan"), RESIDUAL_MAX)
+        verify.residual_grid(example1().at(float("nan")), RESIDUAL_MAX)
