@@ -12,7 +12,10 @@ report.  Each subcommand's config takes its own top-level keys
 (``CONFIG_KEYS``), and each object nested in it (``scenario``, its ``nu``
 and ``mu``, ``grid``, ``tolerances``) takes its own; one check refuses an
 unknown key at every level.  A report writes a record (a ``Scenario``, a
-``verify.ResidualReport``) as its dataclass fields.
+``verify.ResidualReport``) as its dataclass fields.  The checks are
+``verify``'s (``verify.check_time`` runs one time's); ``run_verify`` picks
+each time's grid, holds the rows to the config's tolerances and writes the
+report.
 
 Exit codes: 0 success, 1 usage/config error (a grid too large for memory
 included), 2 tolerance violation, 3 I/O failure.  Output is deterministic:
@@ -130,12 +133,16 @@ def _object(raw: object, what: str, keys: Sequence[str]) -> dict:
 
 
 def _read_json_object(path: str | Path, command: str) -> dict:
-    """The JSON object in ``path``, holding only keys that ``command``'s config takes."""
+    """The JSON object in ``path``, holding only keys that ``command``'s config takes.
+
+    The file is read as UTF-8; bytes that do not decode, malformed JSON and
+    arrays or objects nested past the parser's recursion limit are refused.
+    """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return _object(raw, f"{command} config", CONFIG_KEYS[command])
 
@@ -272,10 +279,12 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None, tol: fl
 
 
 def _out_dir(raw: dict, out_override: str | None) -> Path:
-    """``--out`` if given, else the config's ``out_dir``; either must be a non-empty path."""
+    """``--out`` if given, else the config's ``out_dir``; either must be a non-empty path with no NUL character."""
     what, out_dir = ("'out_dir'", raw.get("out_dir", "out")) if out_override is None else ("--out", out_override)
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"{what} must be a non-empty path string, got {out_dir!r}")
+    if "\0" in out_dir:  # no file system takes one; refused before anything runs
+        raise ConfigError(f"{what} holds a NUL character: {out_dir!r}")
     return Path(out_dir)
 
 
@@ -351,54 +360,27 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     """Residual, normalization and relative variance report, and one line per failing check.
 
     Each line names the check, the time, the value and its limit; the
-    list is empty when every check passes.
+    list is empty when every check passes.  ``verify.check_time`` runs a
+    time's checks on the config's grid, or on the grid
+    ``verify.residual_grid`` sizes for residual_max at that time.
     """
     from . import verify
 
-    s, tol = cfg.scenario, cfg.tolerances
+    tol = cfg.tolerances
     entries, failures = [], []
     for t in cfg.times:
-        now = s.at(t)
+        now = cfg.scenario.at(t)
         grid = cfg.grid if cfg.grid is not None else verify.residual_grid(now, tol["residual_max"])
-        at = verify.TimeSamples(now, grid)
-        reports = [
-            verify.schrodinger_residual(at, v_source=cfg.v_source),
-            verify.continuity_residual(at),
-            verify.hamilton_jacobi_residual(at, v_source=cfg.v_source),
-            verify.bohm_definition_residual(at),
-        ]
-        norm, var_plus, var_minus = verify.diagonal_moments(now)
-        var_minus_expected = math.exp(2.0 * (s.r - 1.0) * now.nu) / 2.0
-        product_expected = math.exp(4.0 * s.r * now.nu) / 4.0
-        # (check, value, tolerance key), in report order
-        checks = [
-            (rep.equation, rep.max_abs_residual, "hj_max" if rep.equation == "hamilton_jacobi" else "residual_max")
-            for rep in reports
-        ]
-        checks += [
-            ("normalization", abs(norm - 1.0), "normalization"),
-            ("variance", abs(var_minus - var_minus_expected) / var_minus_expected, "variance"),
-            ("variance_product", abs(var_plus * var_minus - product_expected) / product_expected, "variance_product"),
-        ]
+        entry, rows = verify.check_time(now, grid, cfg.v_source)
+        entries.append(entry)
         failures += [
             f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {tol[key]:.3e}"
-            for name, value, key in checks
+            for name, value, key in rows
             if value > tol[key]
         ]
-        entries.append(
-            {
-                "t": t,
-                "reports": reports,
-                "normalization": norm,
-                "var_plus": var_plus,
-                "var_minus": var_minus,
-                "var_minus_expected": var_minus_expected,
-                "variance_product_expected": product_expected,
-            }
-        )
 
     payload = {
-        "scenario": s,
+        "scenario": cfg.scenario,
         "v_source": cfg.v_source,
         "tolerances": tol,
         "results": entries,

@@ -447,18 +447,19 @@ def auto_grid(s: Scenario, t: float) -> GridSpec2D:
     return GridSpec2D.square(half, n)
 
 
+# The samplers broadcast the grid's x column against its y row: the first
+# grid-sized arrays are the modes u and v, and no meshgrid is built.
+
+
 def sample_density(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:
     """|psi|^2 = A^2 on the grid."""
-    x, y = grid.mesh()
-    a = amplitude_A(s, x, y, t)
+    a = amplitude_A(s, grid.xs()[:, None], grid.ys()[None, :], t)
     return ScalarField2D(grid=grid, t=t, values=a * a)
 
 
 def sample_bohm(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:
-    x, y = grid.mesh()
-    return ScalarField2D(grid=grid, t=t, values=bohm_potential(s, x, y, t))
+    return ScalarField2D(grid=grid, t=t, values=bohm_potential(s, grid.xs()[:, None], grid.ys()[None, :], t))
 
 
 def sample_external(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:
-    x, y = grid.mesh()
-    return ScalarField2D(grid=grid, t=t, values=external_potential(s, x, y, t))
+    return ScalarField2D(grid=grid, t=t, values=external_potential(s, grid.xs()[:, None], grid.ys()[None, :], t))

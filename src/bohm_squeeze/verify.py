@@ -11,7 +11,8 @@ one-sided stencils would degrade the order.
 
 Residual grids lie on the mode axes: a grid's first axis is
 u = (x+y)/sqrt2 and its second is v = (x-y)/sqrt2, each with its own
-spacing.  (Density grids, and the quadrature below, stay in x and y.)
+spacing.  (Density grids stay in x and y, and so does the quadrature
+below, which integrates ``closedform.sample_density``'s samples.)
 Every closed-form field is a function of u plus (or, for A and psi,
 times) a function of v, so psi = f(u) g(v) is sampled as two 1-D factors
 and no exponential runs on the grid.  The Laplacian is rotation-invariant,
@@ -40,6 +41,13 @@ record computes each of these when a check first reads it, so which
 check runs first changes no bit of any report.  It keeps no grid-sized
 array: each check frees its grid-sized field before it returns, so a
 pass of all four peaks at its largest check.
+
+``check_time`` is the whole pass at one time on one grid: it builds the
+``TimeSamples``, runs the four residual checks and ``diagonal_moments``,
+holds the moments to the squeezing law, and returns the time's report
+entry with one (check, value, tolerance key) row per check, in report
+order.  Choosing the grid, judging the rows against a run's tolerances
+and writing the report are ``cli``'s.
 
 Grid-size guidance: the second-order stencil error along each axis scales
 with that axis's fourth (and, for the continuity flux, third) derivatives
@@ -73,7 +81,6 @@ from .closedform import (
     QuadForm,
     Scenario,
     Schedules,
-    amplitude_A,
     bohm_coeffs,
     external_coeffs,
     external_variant_coeffs,
@@ -81,6 +88,7 @@ from .closedform import (
     log_amplitude_coeffs,
     phase_coeffs,
     phase_rate_coeffs,
+    sample_density,
     spread_sigmas,
 )
 
@@ -88,6 +96,7 @@ __all__ = [
     "V_SOURCES",
     "ResidualReport",
     "TimeSamples",
+    "check_time",
     "external_quadform",
     "bohm_definition_residual",
     "continuity_residual",
@@ -401,11 +410,6 @@ def _simpson_moments(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[flo
     return float(m[0, 0]), float(m[2, 0]), float(m[0, 2]), float(m[1, 1])
 
 
-def _grid_density(s: Scenario, t: float, grid: GridSpec2D) -> np.ndarray:
-    a = amplitude_A(s, grid.xs()[:, None], grid.ys()[None, :], t)
-    return a * a
-
-
 def simpson2d(values: np.ndarray, grid: GridSpec2D) -> float:
     """2-D composite Simpson of samples on the grid."""
     return _simpson_moments(values, grid.xs(), grid.ys())[0]
@@ -419,7 +423,7 @@ def normalization(s: Scenario, t: float, grid: GridSpec2D) -> float:
     owns the grid: extent must cover the stretched diagonal direction and
     spacing must resolve the squeezed one (see ``auto_grid``).
     """
-    rho = _grid_density(s, t, grid)
+    rho = sample_density(s, grid, t).values
     edge = float(max(rho[0, :].max(), rho[-1, :].max(), rho[:, 0].max(), rho[:, -1].max()))
     if edge > 1e-10:
         warnings.warn(f"density reaches {edge:.2e} at the grid boundary; extent too small for t = {t:g}", stacklevel=2)
@@ -439,7 +443,7 @@ def quadrature_variances(s: Scenario, t: float, grid: GridSpec2D) -> tuple[float
     CLI's variance checks (relative 1e-8) use :func:`diagonal_moments`,
     which does not cancel.
     """
-    total, xx, yy, xy = _simpson_moments(_grid_density(s, t, grid), grid.xs(), grid.ys())
+    total, xx, yy, xy = _simpson_moments(sample_density(s, grid, t).values, grid.xs(), grid.ys())
     return ((xx + yy) / 2.0 + xy) / total, ((xx + yy) / 2.0 - xy) / total
 
 
@@ -475,6 +479,56 @@ def diagonal_moments(now: Schedules) -> tuple[float, float, float]:
     u0, u2 = _mode_moments(form.c_u, sigma_u)
     v0, v2 = _mode_moments(form.c_v, sigma_v)
     return u0 * v0 * math.exp(2.0 * form.const), u2 / u0, v2 / v0
+
+
+# ---------------------------------------------------------------------------
+# one time's checks
+
+
+# (check, value, tolerance key): the value is judged against the tolerance
+# under that key of the run's tolerances
+CheckRow = tuple[str, float, str]
+
+
+def check_time(now: Schedules, grid: GridSpec2D, v_source: VSource = "hj_closure") -> tuple[dict, list[CheckRow]]:
+    """Every check at ``now``'s time: its report entry and its rows, in report order.
+
+    The four residual checks read one ``TimeSamples`` on ``grid``; the
+    norm and the mode variances come from ``diagonal_moments`` and are
+    held to the squeezing law var(v) = exp(2(r-1) nu)/2 and
+    var(u) var(v) = exp(4 r nu)/4, each relative to its law's value.
+    The Hamilton-Jacobi closure is analytic and has a tolerance of its own
+    (``hj_max``); the three stencil residuals share ``residual_max``.
+    """
+    at = TimeSamples(now, grid)
+    reports = [
+        schrodinger_residual(at, v_source=v_source),
+        continuity_residual(at),
+        hamilton_jacobi_residual(at, v_source=v_source),
+        bohm_definition_residual(at),
+    ]
+    norm, var_plus, var_minus = diagonal_moments(now)
+    var_minus_expected = math.exp(2.0 * (now.s.r - 1.0) * now.nu) / 2.0
+    product_expected = math.exp(4.0 * now.s.r * now.nu) / 4.0
+    rows = [
+        (rep.equation, rep.max_abs_residual, "hj_max" if rep.equation == "hamilton_jacobi" else "residual_max")
+        for rep in reports
+    ]
+    rows += [
+        ("normalization", abs(norm - 1.0), "normalization"),
+        ("variance", abs(var_minus - var_minus_expected) / var_minus_expected, "variance"),
+        ("variance_product", abs(var_plus * var_minus - product_expected) / product_expected, "variance_product"),
+    ]
+    entry = {
+        "t": now.t,
+        "reports": reports,
+        "normalization": norm,
+        "var_plus": var_plus,
+        "var_minus": var_minus,
+        "var_minus_expected": var_minus_expected,
+        "variance_product_expected": product_expected,
+    }
+    return entry, rows
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -484,6 +485,68 @@ def test_verify_accepts_rectangular_grid_of_one_spacing(tmp_path):
     assert cli.main(["verify", "--config", str(cfg), "--tol", "0.05"]) == cli.EXIT_OK
     report = json.loads((tmp_path / "out" / "residuals.json").read_text())
     assert report["pass"] and report["results"][0]["reports"][0]["grid"] == grid
+
+
+def _scaled(c_u: float = 1.0, const: float = 0.0, sign: float = 1.0):
+    """A defect that takes a form to sign (c_u scaled by ``c_u``, c_v, const + ``const``)."""
+    return lambda q: cf.QuadForm(sign * q.c_u * c_u, sign * q.c_v, sign * (q.const + const))
+
+
+BOTH_SOURCES = ("hj_closure", "closed_form")
+
+# Seeded defects: a coefficient form that verify reads, the defect applied
+# to what it returns, and, per v_source, the checks whose failure lines the
+# defect must produce on both verify examples.  The checks name where a
+# defect shows, not what it is: ln A's c_u moves var(u), so its smallest
+# defect shows in variance_product, not in var(v)'s variance check.  The
+# phase's c_u x (1 + 1e-4) passes every check on both examples
+SEEDED_DEFECTS = {
+    "phase_sign_flip": ("phase_coeffs", _scaled(sign=-1.0), dict.fromkeys(BOTH_SOURCES, {"continuity", "schrodinger"})),
+    "phase_c_u_1e-3": ("phase_coeffs", _scaled(c_u=1.001), dict.fromkeys(BOTH_SOURCES, {"continuity", "schrodinger"})),
+    "ln_A_const_1e-3": ("log_amplitude_coeffs", _scaled(const=1e-3), dict.fromkeys(BOTH_SOURCES, {"normalization"})),
+    "ln_A_c_u_1e-3": (
+        "log_amplitude_coeffs",
+        _scaled(c_u=1.001),
+        dict.fromkeys(BOTH_SOURCES, {"bohm_definition", "normalization", "schrodinger", "variance_product"}),
+    ),
+    "ln_A_c_u_1e-6": ("log_amplitude_coeffs", _scaled(c_u=1.0 + 1e-6), dict.fromkeys(BOTH_SOURCES, {"variance_product"})),
+    "bohm_c_u_1e-3": (
+        "bohm_coeffs",
+        _scaled(c_u=1.001),
+        {"hj_closure": {"bohm_definition"}, "closed_form": {"bohm_definition", "hamilton_jacobi"}},
+    ),
+    "bohm_const_1e-3": (
+        "bohm_coeffs",
+        _scaled(const=1e-3),
+        {"hj_closure": {"bohm_definition", "schrodinger"}, "closed_form": {"bohm_definition", "hamilton_jacobi"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SEEDED_DEFECTS))
+def test_seeded_defects_fail_the_checks_they_reach(tmp_path, monkeypatch, defect):
+    # verify's checks read the forms through its module attributes, so a
+    # wrapped form reaches every check that reads it.  A defect must first
+    # change the form at every example time (the phase's c_v is 0 at r = 1,
+    # where scaling it would change nothing); then verify exits 2 on both
+    # examples under both sources, naming at least the listed checks
+    name, perturb, failing = SEEDED_DEFECTS[defect]
+    clean = getattr(verify, name)
+    examples = [json.loads((CONFIG_DIR / f"verify_example{k}.json").read_text()) for k in (1, 2)]
+    for payload in examples:
+        s = cli._scenario(payload["scenario"])
+        for t in payload["times"]:
+            before, after = clean(s.at(t)), perturb(clean(s.at(t)))
+            assert (after.c_u, after.c_v, after.const) != (before.c_u, before.c_v, before.const)
+    monkeypatch.setattr(verify, name, lambda now: perturb(clean(now)))
+    for k, payload in enumerate(examples, start=1):
+        for v_source in BOTH_SOURCES:
+            out = tmp_path / f"{k}_{v_source}"
+            cfg = write_config(tmp_path, "cfg.json", {**payload, "v_source": v_source, "out_dir": str(out)})
+            code, _, err = run_main(["verify", "--config", str(cfg)])
+            named = set(re.findall(r"^tolerance violation: (\w+) at t = ", err, flags=re.M))
+            assert code == cli.EXIT_TOLERANCE and named >= failing[v_source], (k, v_source, err)
+            assert json.loads((out / "residuals.json").read_text())["pass"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -1330,6 +1393,43 @@ def test_main_rejects_empty_output_paths(tmp_path, monkeypatch, command, where):
     code, out, err = run_main([command, "--config", str(cfg), *(["--out", ""] if where == "--out" else [])])
     what = "--out" if where == "--out" else "'out_dir'"
     assert (code, out, err) == (cli.EXIT_USAGE, "", f"config error: {what} must be a non-empty path string, got ''\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+MALFORMED_CONFIGS = {
+    "nested": "config {cfg} is not valid JSON: maximum recursion depth exceeded",
+    "not_utf8": "config {cfg} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0",
+    "nul_out_dir": "config error: 'out_dir' holds a NUL character: ",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHIPPED_CONFIGS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_main_refuses_malformed_config_files(tmp_path, monkeypatch, command, case):
+    # a parser recursion, undecodable bytes and a path no file system takes
+    # are config errors naming the file or the key: exit 1, one line, no
+    # traceback and no output.  The NUL is refused before the run computes
+    def never(*args, **kwargs):
+        raise AssertionError("a refused config ran")
+
+    for name in ("check_time", "residual_grid"):
+        monkeypatch.setattr(verify, name, never)
+    for name in cli.FIELD_SAMPLERS:
+        monkeypatch.setitem(cli.FIELD_SAMPLERS, name, never)
+    monkeypatch.setattr(fockalg, "disentangle_ode_oracle", never)
+    monkeypatch.setattr(spectral, "schmidt_spectrum", never)
+    cfg = tmp_path / "cfg.json"
+    if case == "nested":
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+    elif case == "not_utf8":
+        cfg.write_bytes(b"\xff\xfe{")
+    else:
+        payload = json.loads((CONFIG_DIR / SHIPPED_CONFIGS[command]).read_text())
+        write_config(tmp_path, "cfg.json", {**payload, "out_dir": "out\0dir"})
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main([command, "--config", str(cfg)])
+    assert (code, out) == (cli.EXIT_USAGE, "") and err.count("\n") == 1
+    assert MALFORMED_CONFIGS[case].format(cfg=cfg) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,6 +519,22 @@ def test_sample_density_shape_and_value():
     assert f.values.shape == (11, 11)
     x, y = g.mesh()
     np.testing.assert_allclose(f.values, np.exp(-(x**2 + y**2)) / math.pi, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sampler", [cf.sample_density, cf.sample_bohm, cf.sample_external])
+def test_samplers_hold_at_most_four_and_a_half_grid_arrays(sampler):
+    # on fig1's 601^2 grid: the samplers broadcast the x column against the
+    # y row, so the modes u and v are the first grid-sized arrays and the
+    # form's two products the only others (4 arrays); a meshgrid adds 2
+    s, grid = example1(), GridSpec2D.square(6.0, 601)
+    sampler(s, grid, 1.0)
+    tracemalloc.start()
+    try:
+        field = sampler(s, grid, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * field.values.nbytes
 
 
 def test_field_rejects_nonfinite():

@@ -635,6 +635,42 @@ def test_real_residuals_build_one_grid_array(residual):
     assert max(held) < 0.25 * grid.nx * grid.ny * 8
 
 
+REPORT_ENTRY_KEYS = {"t", "reports", "normalization", "var_plus", "var_minus", "var_minus_expected", "variance_product_expected"}
+
+
+@pytest.mark.parametrize("scenario_fn", [example1, example2])
+@pytest.mark.parametrize("v_source", verify.V_SOURCES)
+def test_check_time_rows_follow_the_report(scenario_fn, v_source):
+    # the seven checks in report order, each keyed by the tolerance that
+    # judges it; the residual rows are the entry's reports, and the moment
+    # rows are relative to the squeezing law the entry records
+    now = scenario_fn().at(0.5)
+    grid = verify.residual_grid(now, RESIDUAL_MAX)
+    entry, rows = verify.check_time(now, grid, v_source)
+    names = [name for name, _, _ in rows]
+    assert names == [
+        "schrodinger",
+        "continuity",
+        "hamilton_jacobi",
+        "bohm_definition",
+        "normalization",
+        "variance",
+        "variance_product",
+    ]
+    assert all(key in cli.DEFAULT_TOLERANCES for _, _, key in rows)
+    assert set(entry) == REPORT_ENTRY_KEYS and entry["t"] == 0.5
+    reports = entry["reports"]
+    assert [rep.equation for rep in reports] == names[:4] and all(rep.grid == grid for rep in reports)
+    assert [value for _, value, _ in rows[:4]] == [rep.max_abs_residual for rep in reports]
+    assert rows[4][1] == abs(entry["normalization"] - 1.0)
+    assert rows[5][1] == abs(entry["var_minus"] - entry["var_minus_expected"]) / entry["var_minus_expected"]
+    assert entry["var_minus_expected"] == pytest.approx(math.exp(2.0 * (now.s.r - 1.0) * now.nu) / 2.0, rel=1e-15)
+    assert entry["variance_product_expected"] == pytest.approx(math.exp(4.0 * now.s.r * now.nu) / 4.0, rel=1e-15)
+    assert [key for _, _, key in rows[:4]] == ["residual_max", "residual_max", "hj_max", "residual_max"]
+    # only the variant source breaks the analytic closure
+    assert (rows[2][1] > cli.DEFAULT_TOLERANCES["hj_max"]) == (v_source == "variant")
+
+
 @pytest.mark.parametrize("config", ["verify_example1.json", "verify_example2.json"])
 def test_variant_fails_at_every_example_time(config):
     payload = json.loads((CONFIG_DIR / config).read_text())
