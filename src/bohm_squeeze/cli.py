@@ -12,10 +12,13 @@ report.  Each subcommand's config takes its own top-level keys
 (``CONFIG_KEYS``), and each object nested in it (``scenario``, its ``nu``
 and ``mu``, ``grid``, ``tolerances``) takes its own; one check refuses an
 unknown key at every level.  A report writes a record (a ``Scenario``, a
-``verify.ResidualReport``) as its dataclass fields.  The checks are
-``verify``'s (``verify.check_time`` runs one time's); ``run_verify`` picks
-each time's grid, holds the rows to the config's tolerances and writes the
-report.
+``verify.ResidualReport``) as its dataclass fields.  The checks are the
+layers': ``verify.check_time`` runs one time's and
+``fockalg.check_squeezes`` every squeeze value's, each giving report
+entries and (check, value, tolerance key) rows.  One rule here,
+``_exceeding``, holds rows to a tolerance table: ``run_verify`` picks each
+time's grid and turns the rows that exceed theirs into failure lines,
+``run_fock`` into each entry's flag.
 
 Exit codes: 0 success, 1 usage/config error (a grid too large for memory
 included), 2 tolerance violation, 3 I/O failure.  Output is deterministic:
@@ -48,7 +51,6 @@ from .timefns import TimePolynomial
 # Each subcommand imports the layer it runs (verify, fockalg, spectral)
 # when it runs, so a fresh process neither compiles nor executes the others.
 if TYPE_CHECKING:
-    from .fockalg import FockSpaceSpec
     from .verify import VSource
 
 __all__ = [
@@ -67,8 +69,6 @@ EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_IO = 3
 
-ENTROPY_TERMS = 600  # fewest Schmidt eigenvalues summed per entropy value
-
 DEFAULT_TOLERANCES = {
     "residual_max": 1e-4,       # stencil residuals (schrodinger, continuity, bohm)
     "hj_max": 1e-9,             # analytic Hamilton-Jacobi closure
@@ -76,7 +76,7 @@ DEFAULT_TOLERANCES = {
     "variance": 1e-8,           # var(v) against exp(2(r-1) nu)/2, relative
     "variance_product": 1e-8,   # var(u) var(v) against exp(4 r nu)/4, relative
 }
-FOCK_TOLERANCE = 1e-8  # fock's flag threshold for the factorization distance
+FOCK_TOLERANCE = 1e-8  # fock's flag threshold for either measurement of an entry
 
 # Top-level keys of each subcommand's config.  configs/fig*.json hold only
 # keys that density and verify share, so they feed both.
@@ -327,6 +327,11 @@ def _write_json(path: Path, payload: dict) -> Path:
     return _write_report(path, json.dumps(payload, sort_keys=True, default=vars) + "\n")
 
 
+def _exceeding(rows: Sequence[tuple[str, float, str]], tolerances: dict) -> list[tuple[str, float, float]]:
+    """(check, value, tolerance) of each (check, value, tolerance key) row whose value exceeds its tolerance."""
+    return [(name, value, tolerances[key]) for name, value, key in rows if value > tolerances[key]]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -374,9 +379,8 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
         entry, rows = verify.check_time(now, grid, cfg.v_source)
         entries.append(entry)
         failures += [
-            f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {tol[key]:.3e}"
-            for name, value, key in rows
-            if value > tol[key]
+            f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {limit:.3e}"
+            for name, value, limit in _exceeding(rows, tol)
         ]
 
     payload = {
@@ -396,76 +400,28 @@ def run_fock(
     *,
     tolerance: float = FOCK_TOLERANCE,
 ) -> Path:
-    """Factorization distances, vacuum-column errors and function-system
-    deviations per squeeze value, on the interior block of level n_max // 2.
+    """Each squeeze value's ``fockalg.check_squeezes`` entry, flagged where a row exceeds ``tolerance``.
 
-    Both Fock routes compute only that block of the truncation's operator
-    (their ``level``), so no array the size of a whole operator is built
-    per squeeze value.
-
-    Entries whose interior distance exceeds ``tolerance`` are flagged, not
-    failed: at fixed truncation the distance is dominated by reflection off
-    the truncation edge and grows steeply with nu (see fockalg docstring).
-    A squeeze value whose exponentials do not converge gets an ``error``
-    message instead of their measurements.  One call of
-    ``fockalg.disentangle_ode_oracle`` integrates every squeeze value, each
-    entry bitwise what a run of its value alone gives; a value the oracle
-    does not reach within its step budget gets an ``ode_error`` message
-    instead of ``ode_max_dev``.
+    An entry is flagged, not failed, where its interior distance or its
+    vacuum-column error exceeds ``tolerance``: at fixed truncation the
+    distance is dominated by reflection off the truncation edge and grows
+    steeply with nu (see fockalg docstring).  An entry whose routes did
+    not converge has no rows and no flag.
     """
     from . import fockalg
 
-    spec = fockalg.FockSpaceSpec(n_max)
-    half = n_max // 2
-
-    entries = []
-    for nu, ode in zip(nu_values, fockalg.disentangle_ode_oracle(nu_values)):
-        entry: dict = {"nu": nu, "interior_level": half}
-        try:
-            entry.update(_fock_measurements(nu, spec, half, tolerance))
-        except fockalg.ConvergenceError as exc:
-            entry["error"] = str(exc)
-        if isinstance(ode, fockalg.ConvergenceError):
-            entry["ode_error"] = str(ode)
-        else:
-            closed = fockalg.disentangle_closed_form(nu)
-            entry["ode_max_dev"] = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
-        entries.append(entry)
-
-    return _write_json(out_dir / "fock_report.json", {"n_max": n_max, "tolerance": tolerance, "entries": entries})
-
-
-def _fock_measurements(nu: float, spec: FockSpaceSpec, half: int, tolerance: float) -> dict:
-    """One entry's measurements, from both routes compressed to the interior of level ``half``."""
-    from . import fockalg
-
-    direct = fockalg.two_mode_squeeze_direct(nu, spec, level=half)
-    # the block's copy is gone before the factored result is made, so no
-    # more than two operators of the block's size live at once
-    scale = float(np.linalg.norm(fockalg.interior_block(direct, half)))
-    # both routes pad with the identity: the difference is zero off the block
-    diff = fockalg.two_mode_squeeze_factored(nu, spec, level=half).entries
-    diff -= direct.entries
-    distance = float(np.linalg.norm(diff)) / scale
-    col = fockalg.vacuum_column(direct)
-    ns = np.arange(half + 1)
-    with np.errstate(over="ignore"):  # cosh is inf past |nu| ~ 710, where the column tends to 0
-        exact = np.tanh(nu) ** ns / np.cosh(nu)
-    vac_err = float(np.max(np.abs(col[ns, ns] - exact)))
-    off = col.copy()
-    off[ns, ns] = 0.0
-    return {
-        "factorization_interior_rel": distance,
-        "vacuum_column_max_err": vac_err,
-        "vacuum_offdiag_max": float(np.abs(off).max()),
-        "flagged": bool(distance > tolerance or vac_err > tolerance),
-    }
+    checks = fockalg.check_squeezes(nu_values, n_max)
+    for entry, rows in checks:
+        if rows:
+            entry["flagged"] = bool(_exceeding(rows, {"tolerance": tolerance}))
+    payload = {"n_max": n_max, "tolerance": tolerance, "entries": [entry for entry, _ in checks]}
+    return _write_json(out_dir / "fock_report.json", payload)
 
 
 def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
     """entropy.csv with summed and closed-form entropies per squeeze value; no file if one fails.
 
-    Each value sums ENTROPY_TERMS Schmidt terms, or more where
+    Each value sums ``spectral.ENTROPY_TERMS`` Schmidt terms, or more where
     ``spectral.entropy_terms`` needs more to hold the entropy they leave
     out to its tolerance; past its cap it refuses the value, naming the
     cap's reach.
@@ -474,7 +430,7 @@ def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
 
     rows = ["nu,entropy_sum,entropy_closed,schmidt_lambda0\n"]
     for nu in nu_values:
-        spec = spectral.schmidt_spectrum(nu, max(ENTROPY_TERMS, spectral.entropy_terms(nu)))
+        spec = spectral.schmidt_spectrum(nu, max(spectral.ENTROPY_TERMS, spectral.entropy_terms(nu)))
         rows.append(
             f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
             f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"
@@ -517,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
         (
             "fock",
             "write truncated-space factorization report",
-            [("--tol", float, f"flag threshold for the interior distance ({FOCK_TOLERANCE:g})")],
+            [("--tol", float, f"flag threshold for either measurement, distance or vacuum error ({FOCK_TOLERANCE:g})")],
         ),
         ("entropy", "write entanglement-entropy table", []),
     ]:

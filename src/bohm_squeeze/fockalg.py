@@ -37,6 +37,13 @@ elements are alternating sums whose terms outgrow the result at high
 levels, so cancellation limits it (``two_mode_squeeze_factored``).  The
 direct route's rounding grows with |nu| until its guard raises
 ``ConvergenceError`` (``two_mode_squeeze_direct``).
+
+``check_squeezes`` is the whole pass over a run's squeeze values: both
+routes on the interior block of level n_max // 2, the vacuum column
+against its closed form and the ODE oracle against
+``disentangle_closed_form``, giving each nu's report entry with one
+(check, value, tolerance key) row per measurement.  Judging the rows
+against a tolerance and writing the report are ``cli``'s.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ __all__ = [
     "disentangle_ode_oracle",
     "disentangle_ode_fixed",
     "disentangle_closed_form",
+    "check_squeezes",
 ]
 
 # Largest n_max whose sector storage, (2 n_max + 1)(n_max + 1)^2 doubles,
@@ -407,8 +415,9 @@ def vacuum_column(op: FockOperator) -> np.ndarray:
     |0, 0> lies in sector 0, so only the diagonal n_a = n_b can be nonzero.
     The array is built with ``np.diag`` from sector 0's column, so its
     off-diagonal elements are zero by construction: the sector layout
-    stores no element that could put weight there, and ``fock``'s
-    ``vacuum_offdiag_max`` reads 0 whatever the routes compute.
+    stores no element that could put weight there.  ``check_squeezes``
+    reads sector 0's column itself and reports ``vacuum_offdiag_max`` as
+    the 0.0 this makes it.
     """
     return np.diag(op.entries[op.spec.n_max, :, 0])
 
@@ -598,3 +607,66 @@ def disentangle_ode_fixed(nu: float, steps: int) -> DisentangleFunctions:
     if not (math.isfinite(f1) and math.isfinite(f2) and math.isfinite(f3)):
         raise ConvergenceError(f"result ({f1}, {f2}, {f3}) is not finite; increase steps")
     return DisentangleFunctions(f1, f2, f3)
+
+
+# ---------------------------------------------------------------------------
+# one run's checks
+
+
+def _squeeze_rows(nu: float, spec: FockSpaceSpec) -> list[tuple[str, float, str]]:
+    """The two rows of ``check_squeezes`` at nu, from both routes compressed to the interior.
+
+    A function of its own, so that neither route's result outlives its nu.
+    """
+    half = spec.n_max // 2
+    direct = two_mode_squeeze_direct(nu, spec, level=half)
+    # the block's copy is gone before the factored result is made, so no
+    # more than two operators of the block's size live at once
+    scale = float(np.linalg.norm(interior_block(direct, half)))
+    # both routes pad with the identity: the difference is zero off the block
+    diff = two_mode_squeeze_factored(nu, spec, level=half).entries
+    diff -= direct.entries
+    distance = float(np.linalg.norm(diff)) / scale
+    with np.errstate(over="ignore"):  # cosh is inf past |nu| ~ 710, where the column tends to 0
+        exact = np.tanh(nu) ** np.arange(half + 1) / np.cosh(nu)
+    vac_err = float(np.max(np.abs(direct.entries[half, :, 0] - exact)))  # sector 0's column 0
+    return [("factorization_interior_rel", distance, "tolerance"), ("vacuum_column_max_err", vac_err, "tolerance")]
+
+
+def check_squeezes(nu_values: Sequence[float], n_max: int) -> list[tuple[dict, list[tuple[str, float, str]]]]:
+    """Every check at each nu: its report entry and its (check, value, tolerance key) rows.
+
+    The rows compare both routes on the interior block of level
+    n_max // 2, which is all either route computes (its ``level``), so no
+    array the size of a whole operator is built per nu:
+    ``factorization_interior_rel``, the Frobenius norm of factored minus
+    direct relative to the direct block's, and ``vacuum_column_max_err``,
+    the direct vacuum column's largest error against tanh^n nu / cosh nu.
+    Both are judged against the run's ``tolerance``.  The entry holds
+    them, and ``vacuum_offdiag_max``, 0.0 by the sector layout
+    (``vacuum_column``); a nu whose route raises ``ConvergenceError`` gets
+    an ``error`` message instead, and no rows.
+
+    One ``disentangle_ode_oracle`` call integrates every nu, each entry
+    bitwise what a run of its nu alone gives.  ``ode_max_dev`` is the
+    largest deviation of (f1, f2, f3) from ``disentangle_closed_form``; a
+    nu the oracle does not reach within its step budget gets an
+    ``ode_error`` message instead.
+    """
+    spec = FockSpaceSpec(n_max)
+    checks = []
+    for nu, ode in zip(nu_values, disentangle_ode_oracle(nu_values)):
+        entry: dict = {"nu": nu, "interior_level": n_max // 2}
+        try:
+            rows = _squeeze_rows(nu, spec)
+            entry.update({name: value for name, value, _ in rows}, vacuum_offdiag_max=0.0)
+        except ConvergenceError as exc:
+            rows = []
+            entry["error"] = str(exc)
+        if isinstance(ode, ConvergenceError):
+            entry["ode_error"] = str(ode)
+        else:
+            closed = disentangle_closed_form(nu)
+            entry["ode_max_dev"] = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
+        checks.append((entry, rows))
+    return checks

@@ -25,6 +25,10 @@ __all__ = [
     "entropy_closed_form",
 ]
 
+# Fewest Schmidt terms ``entropy`` sums per value; it sums more where
+# ``entropy_terms`` asks for more
+ENTROPY_TERMS = 600
+
 # Largest share of the entropy that the Schmidt terms past the summed ones
 # may carry: half of the 1e-12 the sum is held to, the other half left for
 # the rounding of the sum and of tanh^2 nu

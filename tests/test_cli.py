@@ -749,17 +749,20 @@ def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):
     assert peak < 2 * interior + 2 * fockalg.DIRECT_CHUNK_BYTES + 0.1 * full
 
 
-def test_fock_interior_norm_makes_no_copy_of_the_result():
+def test_fock_interior_norm_makes_no_copy_of_the_result(monkeypatch):
     # at n_max = 160 (level 80) each route's result is 161 x 81^2 doubles,
     # 8.4 MB; the interior norm's copy of the direct result is freed before
     # the factored route runs, where holding it beside both results would
     # raise the peak to three
     spec = fockalg.FockSpaceSpec(160)
     spec._pair_table, spec._spectrum
-    cli._fock_measurements(0.5, spec, 80, 1e-8)
+    # the pass's spec is this one, its cached arrays built
+    real = fockalg.FockSpaceSpec
+    monkeypatch.setattr(fockalg, "FockSpaceSpec", lambda n_max: spec if n_max == 160 else real(n_max))
+    fockalg.check_squeezes([0.5], 160)
     tracemalloc.start()
     try:
-        entry = cli._fock_measurements(0.5, spec, 80, 1e-8)
+        ((entry, _),) = fockalg.check_squeezes([0.5], 160)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -771,6 +774,61 @@ def test_fock_interior_norm_makes_no_copy_of_the_result():
     interior = fockalg.interior_block(direct, 80)
     expected = np.linalg.norm(fockalg.interior_block(factored, 80) - interior) / np.linalg.norm(interior)
     assert entry["factorization_interior_rel"] == expected
+
+
+def test_check_squeezes_rows_follow_the_report(tmp_path):
+    # two rows per nu in report order, each judged against the run's one
+    # tolerance and equal to the entry's measurement; a nu whose routes do
+    # not converge has an error entry and no rows, and the report gives it
+    # no flag
+    nu_values = [0.1, 1e16, 2.0]
+    checks = fockalg.check_squeezes(nu_values, 8)
+    assert [entry["nu"] for entry, _ in checks] == nu_values
+    for entry, rows in (checks[0], checks[2]):
+        assert [name for name, _, _ in rows] == ["factorization_interior_rel", "vacuum_column_max_err"]
+        assert all(key == "tolerance" and entry[name] == value for name, value, key in rows)
+        assert entry["interior_level"] == 4 and entry["vacuum_offdiag_max"] == 0.0
+        assert not {"error", "flagged"} & entry.keys()
+    # the vacuum row is the error of vacuum_column's diagonal
+    col = np.diag(fockalg.vacuum_column(fockalg.two_mode_squeeze_direct(0.1, fockalg.FockSpaceSpec(8), level=4)))
+    assert checks[0][1][1][1] == float(np.max(np.abs(col - np.tanh(0.1) ** np.arange(5) / np.cosh(0.1))))
+    entry, rows = checks[1]
+    assert "1-norm" in entry["error"] and rows == []
+    assert not (EXPONENTIAL_FIELDS | {"flagged"}) & entry.keys()
+    report = json.loads(cli.run_fock(nu_values, 8, tmp_path).read_text())["entries"]
+    assert report[1] == entry
+    assert [report[k]["flagged"] for k in (0, 2)] == [False, True]
+    assert all(report[k] == {**checks[k][0], "flagged": report[k]["flagged"]} for k in (0, 2))
+
+
+@pytest.mark.parametrize("over", [False, True])
+@pytest.mark.parametrize(
+    "layer, check",
+    [("verify", "normalization"), ("fock", "factorization_interior_rel"), ("fock", "vacuum_column_max_err")],
+)
+def test_a_row_at_its_tolerance_passes_and_the_next_float_up_does_not(tmp_path, monkeypatch, layer, check, over):
+    # one rule holds every layer's rows to their tolerances: a value equal
+    # to its tolerance passes, and the next float up fails verify, or flags
+    # a fock entry through either of its two measurements
+    tol = cli.DEFAULT_TOLERANCES[check] if layer == "verify" else 1e-3
+    value = float(np.nextafter(tol, math.inf)) if over else tol
+    out = tmp_path / "out"
+    if layer == "verify":
+        monkeypatch.setattr(verify, "check_time", lambda now, grid, v_source: ({"t": now.t}, [(check, value, check)]))
+        payload = json.loads((CONFIG_DIR / "verify_example1.json").read_text())
+        cfg = write_config(tmp_path, "v.json", {**payload, "times": [0.5], "out_dir": str(out)})
+        code, _, err = run_main(["verify", "--config", str(cfg)])
+        line = f"tolerance violation: {check} at t = 0.5: {value:.3e} > {tol:.3e}\n"
+        assert (code, err) == ((cli.EXIT_TOLERANCE, line) if over else (cli.EXIT_OK, ""))
+        assert json.loads((out / "residuals.json").read_text())["pass"] is not over
+    else:
+        ((_, rows),) = fockalg.check_squeezes([0.0], 1)
+        canned = [({"nu": 0.0}, [(name, value if name == check else 0.0, key) for name, _, key in rows])]
+        monkeypatch.setattr(fockalg, "check_squeezes", lambda nu_values, n_max: canned)
+        cfg = write_config(tmp_path, "f.json", {"nu_values": [0.0], "n_max": 1, "out_dir": str(out)})
+        assert run_main(["fock", "--config", str(cfg), "--tol", repr(tol)]) == (cli.EXIT_OK, f"{out / 'fock_report.json'}\n", "")
+        (entry,) = json.loads((out / "fock_report.json").read_text())["entries"]
+        assert entry["flagged"] is over
 
 
 @settings(deadline=None, max_examples=100)
