@@ -34,13 +34,21 @@ four checks at one time read one ``TimeSamples`` record instead of
 sampling for themselves: the grid's axes are spaced once, the schedules
 at t + dt, t - dt and t are one record over a column of those times, so
 ln A's and the phase's forms are each evaluated once, as columns that
-broadcast against either axis, A's and psi's factors at those three
-times take one exp per axis, and A's stencils at t serve both the
-continuity and the Bohm-definition check.  Past the schedules, the
-record computes each of these when a check first reads it, so which
-check runs first changes no bit of any report.  It keeps no grid-sized
-array: each check frees its grid-sized field before it returns, so a
-pass of all four peaks at its largest check.
+broadcast against either axis, and A's and psi's factors at those three
+times take one exp per axis.  Past the schedules, the record computes
+each of these when a check first reads it, so which check runs first
+changes no bit of any report.  It keeps no grid-sized array: each check
+frees its grid-sized field before it returns, so a pass of all four
+peaks at its largest check.
+
+The Bohm-definition check reads ln A's samples, not A's: for a factor
+f = e^q, the second difference over the centre is
+f''/f = (expm1(q(w+h) - q(w)) + expm1(q(w-h) - q(w))) / h^2, the same
+second difference in exact arithmetic.  It never forms f, so no factor
+can underflow however far the grid reaches into A's tails, and ln A's
+constant cancels.  Only a neighbour-to-centre ratio past the float range
+(|q(w+-h) - q(w)| > 709) can break it: its part is then infinite, and
+the report refuses it as it refuses any non-finite residual.
 
 ``check_time`` is the whole pass at one time on one grid: it builds the
 ``TimeSamples``, runs the four residual checks and ``diagonal_moments``,
@@ -195,9 +203,6 @@ def external_quadform(now: Schedules, v_source: VSource = "hj_closure") -> QuadF
 # degrade the order there
 RING = 2
 
-# amplitudes below this make -(lap A)/(2 m A) meaningless
-AMPLITUDE_FLOOR = 1e-300
-
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays, made read-only."""
@@ -215,6 +220,16 @@ def _stencil(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """f, its central first difference and its second difference on the interior nodes."""
     up, down = f[RING + 1 : f.size - RING + 1], f[RING - 1 : f.size - RING - 1]
     return _inner(f), (up - down) / (2.0 * h), (up - 2.0 * _inner(f) + down) / (h * h)
+
+
+def _relative_second_difference(q: np.ndarray, h: float) -> np.ndarray:
+    """The second difference of e^q over e^q on the interior nodes, from q alone.
+
+    (f(w+h) - 2 f(w) + f(w-h)) / f(w) for f = e^q, from the same views as
+    ``_stencil``: each neighbour over the centre is e^(q(w+-h) - q(w)).
+    """
+    up, down = q[RING + 1 : q.size - RING + 1], q[RING - 1 : q.size - RING - 1]
+    return (np.expm1(up - _inner(q)) + np.expm1(down - _inner(q))) / (h * h)
 
 
 class TimeSamples:
@@ -255,12 +270,7 @@ class TimeSamples:
 
     @cached_property
     def exponents(self) -> tuple[np.ndarray, np.ndarray]:
-        """ln A's u and v parts at the three times, ln A's constant split evenly between them.
-
-        For an amplitude (c_u, c_v <= 0) each factor is then at most
-        e^(const/2), so wherever A is above the underflow floor 1e-300 both
-        factors are normal numbers, as long as const <= 35.
-        """
+        """ln A's u and v parts at the three times, ln A's constant split evenly between them."""
         form, (u, v) = log_amplitude_coeffs(self.schedules), self.axes
         return _read_only(form.c_u * u * u + 0.5 * form.const, form.c_v * v * v + 0.5 * form.const)
 
@@ -274,12 +284,6 @@ class TimeSamples:
         """psi's factors f(u), g(v) at the three times; the phase's constant goes to f."""
         form, (u, v), (fu, fv) = self.phases, self.axes, self.exponents
         return _read_only(np.exp(fu + 1j * (form.c_u * u * u + form.const)), np.exp(fv + 1j * (form.c_v * v * v)))
-
-    @cached_property
-    def amplitude_stencils(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """``_stencil`` of A's factors at t along u and along v."""
-        f, g = self.amplitude
-        return _read_only(*_stencil(f[2], self.grid.hx)), _read_only(*_stencil(g[2], self.grid.hy))
 
 
 def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.ndarray:
@@ -304,11 +308,13 @@ def _time_difference_field(
 def _continuity_field(at: TimeSamples) -> np.ndarray:
     """Continuity residual on the interior, from rank-one products of A's mode factors."""
     (u, v), sform, m = at.interior, at.phases, at.s.m
-    (f0, f1, _), (g0, g1, _) = at.amplitude_stencils
+    f, g = at.amplitude
+    f0, f1, _ = _stencil(f[2], at.grid.hx)
+    g0, g1, _ = _stencil(g[2], at.grid.hy)
     # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v,
     # the phase's form at t in row 2; lap S A / (2m) joins the u term
     flux_u = (2.0 * sform.c_u.item(2) * u * f1 + 0.5 * sform.laplacian.item(2) * f0) / m
-    return _time_difference_field(at, at.amplitude, 0.5, [flux_u, f0], [g0, 2.0 * sform.c_v.item(2) * v * g1 / m])
+    return _time_difference_field(at, (f, g), 0.5, [flux_u, f0], [g0, 2.0 * sform.c_v.item(2) * v * g1 / m])
 
 
 def continuity_residual(at: TimeSamples) -> ResidualReport:
@@ -361,18 +367,14 @@ def _bohm_definition_parts(at: TimeSamples) -> tuple[np.ndarray, np.ndarray]:
     """Stencil minus closed-form Bohm potential on the interior, as its parts (r_u, r_v).
 
     For A = f(u) g(v), lap A / A = f''/f + g''/g: the residual is the
-    outer sum r_u[:, None] + r_v[None, :] of one 1-D residual per axis.
-    ln A is concave, so A is smallest at a corner and the underflow guard
-    reads the corners.
+    outer sum r_u[:, None] + r_v[None, :] of one 1-D residual per axis,
+    each ratio taken from ln A's samples at t.
     """
     (u, v), m = at.interior, at.s.m
-    f, g = (factor[2] for factor in at.amplitude)
-    if min(f[0], f[-1]) * min(g[0], g[-1]) < AMPLITUDE_FLOOR:
-        raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
-    (f0, _, f2), (g0, _, g2) = at.amplitude_stencils
+    p, q = (exponent[2] for exponent in at.exponents)
     b = bohm_coeffs(at.now)
-    r_u = -f2 / (2.0 * m * f0) - (b.c_u * u * u + b.const)
-    r_v = -g2 / (2.0 * m * g0) - b.c_v * v * v
+    r_u = -_relative_second_difference(p, at.grid.hx) / (2.0 * m) - (b.c_u * u * u + b.const)
+    r_v = -_relative_second_difference(q, at.grid.hy) / (2.0 * m) - b.c_v * v * v
     return r_u, r_v
 
 
@@ -583,8 +585,13 @@ def _stencil_error_law(now: Schedules) -> tuple[AxisLaw, AxisLaw]:
 
     The law is leading-order in h: it has no eps / h^2 term for the
     rounding of the second difference, so where a strongly squeezed axis
-    is sampled finely (fig1's scenario at t = 3 on 401 points and more)
-    the measured residual outgrows it.  At the default n = 201 it holds.
+    is sampled finely the measured residual outgrows it.  At the default
+    n = 201 it holds.  On fig1's scenario at t = 3, on the chosen grid
+    with the v half extent halved and 401 nodes per axis, the law is
+    3.1e-6: the Bohm-definition residual, taken from ln A, is 2.1e-6, and
+    the Schrodinger residual is 5.9e-6.  With both extents halved, 201
+    nodes on u and 801 on v, the law is 1.7e-6 and the two residuals are
+    7.0e-6 and 1.9e-5: the missing rounding term is psi's stencil's.
     """
     # the law's search runs on Python floats, not numpy scalars
     amp, phase = log_amplitude_coeffs(now), phase_coeffs(now)

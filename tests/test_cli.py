@@ -476,6 +476,48 @@ def test_verify_figure_scenarios_pass_with_auto_grids(tmp_path, capsys, config):
     assert report["pass"] is True and [e["t"] for e in report["results"]] == payload["times"]
 
 
+FIGURE_GRID_FAILURES = {
+    # fig1's v axis is squeezed to sigma ~ 0.035 at t = 3 on h = 0.02: every
+    # Bohm-definition line and the later stencil lines are stencil error
+    "fig1.json": [
+        "bohm_definition at t = 0: 3.507e-02",
+        "schrodinger at t = 1: 1.539e-03",
+        "continuity at t = 1: 3.366e-04",
+        "bohm_definition at t = 1: 6.281e+01",
+        "schrodinger at t = 2: 8.379e-02",
+        "continuity at t = 2: 2.476e-03",
+        "bohm_definition at t = 2: 7.737e+05",
+        "schrodinger at t = 3: 4.470e+00",
+        "continuity at t = 3: 1.628e-02",
+        "bohm_definition at t = 3: 8.842e+23",
+    ],
+    "fig2.json": [
+        "bohm_definition at t = 0: 3.507e-02",
+        "schrodinger at t = 1: 8.016e-01",
+        "bohm_definition at t = 1: 1.753e-02",
+        "schrodinger at t = 2: 8.637e-01",
+        "bohm_definition at t = 2: 1.753e-02",
+        "schrodinger at t = 3: 2.837e-02",
+        "bohm_definition at t = 3: 1.753e-02",
+    ],
+}
+
+
+@pytest.mark.parametrize("config", sorted(FIGURE_GRID_FAILURES))
+def test_verify_figure_configs_report_on_their_explicit_grids(tmp_path, config):
+    # the figures' 601^2 grids are sized for the density plots, not by the
+    # stencil law: verify reports each check that fails there and exits 2.
+    # fig1's amplitude underflows at the grid's corners from t = 2, which
+    # the Bohm-definition stencil, reading ln A, does not see
+    argv = ["verify", "--config", str(CONFIG_DIR / config), "--out", str(tmp_path)]
+    code, _, err = run_main(argv)
+    assert code == cli.EXIT_TOLERANCE
+    expected = [f"tolerance violation: {line} > 1.000e-04" for line in FIGURE_GRID_FAILURES[config]]
+    assert err.splitlines() == expected
+    report = json.loads((tmp_path / "residuals.json").read_text())
+    assert report["pass"] is False and [e["t"] for e in report["results"]] == [0.0, 1.0, 2.0, 3.0]
+
+
 def test_verify_accepts_rectangular_grid_of_one_spacing(tmp_path):
     grid = {"x_min": -6.0, "x_max": 6.0, "y_min": -3.0, "y_max": 3.0, "nx": 601, "ny": 301}
     cfg = small_density_config(tmp_path, times=[0.0], grid=grid)

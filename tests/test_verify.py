@@ -32,6 +32,10 @@ def example2():
 # Bohm potential from the sampled amplitude
 
 
+# amplitudes below this make the 2-D reference's division by A meaningless
+AMPLITUDE_FLOOR = 1e-300
+
+
 def sample_amplitude(s: Scenario, grid: GridSpec2D, t: float) -> ScalarField2D:
     x, y = grid.mesh()
     return ScalarField2D(grid=grid, t=t, values=cf.amplitude_A(s, x, y, t))
@@ -51,7 +55,7 @@ def bohm_from_amplitude(field_a: ScalarField2D, mass: float) -> ScalarField2D:
     if g.nx < 5 or g.ny < 5:
         raise ValueError("need at least 5 samples per axis for an interior Laplacian")
     a = field_a.values
-    if float(np.min(a)) < verify.AMPLITUDE_FLOOR:
+    if float(np.min(a)) < AMPLITUDE_FLOOR:
         raise ValueError("amplitude reaches the underflow floor; shrink the grid extent")
     lap = (
         (a[2:, 1:-1] - 2.0 * a[1:-1, 1:-1] + a[:-2, 1:-1]) / g.hx**2
@@ -103,6 +107,32 @@ def test_bohm_from_amplitude_guards():
     wide = GridSpec2D.square(60.0, 9)
     with pytest.raises(ValueError, match="underflow"):
         bohm_from_amplitude(sample_amplitude(s, wide, 0.0), s.m)
+
+
+@pytest.mark.parametrize("grid", [GridSpec2D.square(40.0, 41), GridSpec2D.square(60.0, 9)])
+def test_bohm_definition_takes_no_amplitude_floor(grid):
+    # example 1's amplitude at these grids' corners is e^-1600 and e^-3600,
+    # far below the floor the 2-D reference divides by; the stencil reads
+    # ln A, so its residual is finite: the stencil error of a coarse grid
+    # on the Gaussian's tails (6.3e29 and 1.7e144), not a failed identity
+    s = example1()
+    with pytest.raises(ValueError, match="underflow"):
+        bohm_from_amplitude(sample_amplitude(s, grid, 0.0), s.m)
+    rep = verify.bohm_definition_residual(verify.TimeSamples(s.at(0.0), grid))
+    assert math.isfinite(rep.max_abs_residual) and rep.max_abs_residual > 1e29
+
+
+def test_bohm_definition_past_the_float_range_is_refused():
+    # c_v = -6e38 at t = 3: along v, ln A falls by more than 709 from one
+    # node to the next, so the neighbour-to-centre ratio overflows and the
+    # report refuses the residual as it refuses any non-finite one
+    s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0.0, 0.0, 5.0]), mu=TimePolynomial([0.0, 0.0]))
+    at = verify.TimeSamples(s.at(3.0), GridSpec2D(1.0, 4.241714080680985, 1.0, 5.862571121021479, 9, 13))
+    with np.errstate(over="ignore"):
+        r_u, r_v = verify._bohm_definition_parts(at)
+        assert np.isfinite(r_u).all() and not np.isfinite(r_v).any()
+        with pytest.raises(ValueError, match="bohm_definition residual at t = 3 must be finite"):
+            verify.bohm_definition_residual(at)
 
 
 def test_bohm_from_amplitude_interior_grid():
@@ -362,14 +392,14 @@ def test_mode_lattice_views_are_read_only(monkeypatch):
 
 def record_arrays(at):
     """Every array the record hands out, its forms excepted."""
-    parts = [at.axes, at.interior, at.exponents, at.amplitude, at.wavefunction, *at.amplitude_stencils]
+    parts = [at.axes, at.interior, at.exponents, at.amplitude, at.wavefunction]
     return [array for part in parts for array in part]
 
 
 def test_record_arrays_are_read_only():
     at = verify.TimeSamples(example2().at(0.5), GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11))
     arrays = record_arrays(at)
-    assert len(arrays) == 16 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+    assert len(arrays) == 10 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
 
 
 def report_bits(report):
@@ -473,10 +503,6 @@ def stencil_fields_2d(s, t, grid, dt, v_source):
     slope = (np.abs(s_u) + np.abs(s_v))[inner]
     cont_tol = 4.0 * rel * big * (1.0 / dt + slope / (s.m * h) + abs(phases[1].laplacian) / s.m + 1.0)
 
-    # the routes may disagree on refusing only where the smallest sample
-    # is within rounding of the underflow floor
-    low = float(a.min())
-    near_floor = verify.AMPLITUDE_FLOOR * np.exp(-2.0 * delta) <= low <= verify.AMPLITUDE_FLOOR * np.exp(2.0 * delta)
     try:
         fd = bohm_from_amplitude(ScalarField2D(grid=grid, t=t, values=a), s.m).values
     except ValueError:
@@ -486,15 +512,16 @@ def stencil_fields_2d(s, t, grid, dt, v_source):
         # neighbours over the centre: -(lap A)/(2 m A) is a sum of such ratios
         ratio = (a[3:-1, 2:-2] + a[1:-3, 2:-2] + a[2:-2, 3:-1] + a[2:-2, 1:-3]) / a[inner]
         bohm_tol = 4.0 * rel * ((ratio + 4.0) / (s.m * h * h) + np.abs(b(x, y)[inner]) + 1.0)
-    return (schrod[inner], schrod_tol), (cont[inner], cont_tol), (bohm, bohm_tol, near_floor)
+    return (schrod[inner], schrod_tol), (cont[inner], cont_tol), (bohm, bohm_tol)
 
 
 @settings(max_examples=100, deadline=None)
 @given(grid=mode_grids(), case=scenarios_at(), v_source=st.sampled_from(verify.V_SOURCES))
 @example(
     # c_v = -6e38 at t = 3, where the x-y lattice's route and a meshgrid
-    # rounded x - y apart: on this grid (v >= 1) the amplitude underflows
-    # at every node on both routes
+    # rounded x - y apart: on this grid (v >= 1) the 2-D reference's
+    # amplitude underflows at every node, and ln A's neighbour-to-centre
+    # ratios along v pass the float range, so the report refuses our parts
     grid=GridSpec2D(1.0, 4.241714080680985, 1.0, 5.862571121021479, 9, 13),
     case=(Scenario(m=1.0, r=0.0, nu=TimePolynomial([0.0, 0.0, 5.0]), mu=TimePolynomial([0.0, 0.0])), 3.0),
     v_source="hj_closure",
@@ -508,7 +535,7 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
     with warnings.catch_warnings():
         # the 2-D samples may underflow where the factors do not
         warnings.simplefilter("ignore", RuntimeWarning)
-        (schrod, schrod_tol), (cont, cont_tol), (bohm, bohm_tol, near_floor) = stencil_fields_2d(
+        (schrod, schrod_tol), (cont, cont_tol), (bohm, bohm_tol) = stencil_fields_2d(
             s, t, grid, dt, v_source
         )
     at = verify.TimeSamples(s.at(t), grid, dt)
@@ -516,14 +543,15 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
     assert ours.shape == schrod.shape == (grid.nx - 4, grid.ny - 4)
     assert np.all(np.abs(ours - schrod) <= schrod_tol)
     assert np.all(np.abs(verify._continuity_field(at) - cont) <= cont_tol)
-    try:
-        ours = np.add.outer(*verify._bohm_definition_parts(at))
-    except ValueError as exc:
-        assert "underflow" in str(exc) and (bohm is None or near_floor)
-    else:
-        assert bohm is not None or near_floor
+    # ours takes no floor: it matches the reference wherever the reference
+    # exists, and parts past the float range are refused by the report
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = verify._bohm_definition_parts(at)
         if bohm is not None:
-            assert np.all(np.abs(ours - bohm) <= bohm_tol)
+            assert np.all(np.abs(np.add.outer(*parts) - bohm) <= bohm_tol)
+        if not all(np.isfinite(part).all() for part in parts):
+            with pytest.raises(ValueError, match="must be finite"):
+                verify.bohm_definition_residual(at)
 
 
 @pytest.mark.parametrize("residual", [verify.schrodinger_residual, verify.continuity_residual, verify.bohm_definition_residual])
