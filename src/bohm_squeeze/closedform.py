@@ -170,7 +170,7 @@ class GridSpec2D:
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid extents must satisfy x_max > x_min and y_max > y_min")
         if self.nx < 3 or self.ny < 3:
-            raise ValueError("grids need at least 3 samples per axis for interior stencils")
+            raise ValueError("grids need at least 3 samples per axis")
 
     @property
     def hx(self) -> float:

@@ -30,16 +30,16 @@ Every check at a time t reads the scenario's schedules there from one
 ``closedform.Schedules`` record, ``s.at(t)``: ``residual_grid``,
 ``diagonal_moments`` and ``external_quadform`` take it in place of
 (s, t), and ``TimeSamples`` holds it for the four residual checks.  The
-four checks at one time read one ``TimeSamples`` record instead of
-sampling for themselves: the grid's axes are spaced once, the schedules
-at t + dt, t - dt and t are one record over a column of those times, so
-ln A's and the phase's forms are each evaluated once, as columns that
-broadcast against either axis, and A's and psi's factors at those three
-times take one exp per axis.  Past the schedules, the record computes
-each of these when a check first reads it, so which check runs first
-changes no bit of any report.  It keeps no grid-sized array: each check
-frees its grid-sized field before it returns, so a pass of all four
-peaks at its largest check.
+four checks at one time read one ``TimeSamples`` record, built whole
+when it is made, which holds what two or more of them read: the grid's
+axes, spaced once, and the schedules at t + dt, t - dt and t, one record
+over a column of those times, so ln A's and the phase's forms are each
+evaluated once, as columns that broadcast against either axis.  Each
+check forms its own factors from the record: continuity takes A's, and
+Schrodinger psi's, at those three times by one exp per axis.  The record
+keeps no grid-sized array: each check frees its factors and its
+grid-sized field before it returns, so a pass of all four peaks at its
+largest check.
 
 The Bohm-definition check reads ln A's samples, not A's: for a factor
 f = e^q, the second difference over the centre is
@@ -79,7 +79,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
@@ -233,14 +232,17 @@ def _relative_second_difference(q: np.ndarray, h: float) -> np.ndarray:
 
 
 class TimeSamples:
-    """The samples the four residual checks share at one time on one grid.
+    """What two or more of the four residual checks read at one time on one grid.
 
     ``now`` is the scenario's record at the time t.  Rows 0, 1 and 2 of
     every stack are the ``times`` t + dt, t - dt and t, whose schedules
-    are one record over that array (``schedules``, evaluated and
-    range-checked when the samples are built).  Each other attribute is
-    computed when a check first reads it; every array is read-only, and
-    none is grid-sized.
+    are one record over that array (``schedules``).  ``axes`` holds u and
+    v at every node and ``interior`` on the interior nodes (a grid with
+    fewer than 2 RING + 1 nodes on an axis has none and is refused);
+    ``phases`` is the phase's form at the three times and ``exponents``
+    ln A's u and v parts there, ln A's constant split evenly between them.
+    Everything is computed here; every array is read-only, and none is
+    grid-sized.
     """
 
     def __init__(self, now: Schedules, grid: GridSpec2D, dt: float = 1e-4):
@@ -249,41 +251,13 @@ class TimeSamples:
         self.now, self.s, self.t, self.grid, self.dt = now, now.s, now.t, grid, dt
         self.times = np.array([self.t + dt, self.t - dt, self.t])
         self.schedules = self.s.at(self.times[:, None])  # a column: its forms broadcast against an axis
-
-    @cached_property
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        """u and v at every node."""
-        return _read_only(self.grid.xs(), self.grid.ys())
-
-    @cached_property
-    def interior(self) -> tuple[np.ndarray, np.ndarray]:
-        """u and v on the interior nodes; a grid without an interior is refused."""
-        if min(self.grid.nx, self.grid.ny) < 2 * RING + 1:
+        if min(grid.nx, grid.ny) < 2 * RING + 1:
             raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
-        u, v = self.axes
-        return _inner(u), _inner(v)
-
-    @cached_property
-    def phases(self) -> QuadForm:
-        """The phase's form at the three times."""
-        return phase_coeffs(self.schedules)
-
-    @cached_property
-    def exponents(self) -> tuple[np.ndarray, np.ndarray]:
-        """ln A's u and v parts at the three times, ln A's constant split evenly between them."""
-        form, (u, v) = log_amplitude_coeffs(self.schedules), self.axes
-        return _read_only(form.c_u * u * u + 0.5 * form.const, form.c_v * v * v + 0.5 * form.const)
-
-    @cached_property
-    def amplitude(self) -> tuple[np.ndarray, np.ndarray]:
-        """A's factors f(u), g(v) at the three times."""
-        return _read_only(*(np.exp(exponent) for exponent in self.exponents))
-
-    @cached_property
-    def wavefunction(self) -> tuple[np.ndarray, np.ndarray]:
-        """psi's factors f(u), g(v) at the three times; the phase's constant goes to f."""
-        form, (u, v), (fu, fv) = self.phases, self.axes, self.exponents
-        return _read_only(np.exp(fu + 1j * (form.c_u * u * u + form.const)), np.exp(fv + 1j * (form.c_v * v * v)))
+        u, v = self.axes = _read_only(grid.xs(), grid.ys())
+        self.interior = _inner(u), _inner(v)
+        self.phases = phase_coeffs(self.schedules)
+        form = log_amplitude_coeffs(self.schedules)
+        self.exponents = _read_only(form.c_u * u * u + 0.5 * form.const, form.c_v * v * v + 0.5 * form.const)
 
 
 def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.ndarray:
@@ -296,9 +270,9 @@ def _time_difference_field(
 ) -> np.ndarray:
     """numerator (phi(t + dt) - phi(t - dt)) / dt plus space terms, on the interior, as one matrix product.
 
-    ``factors`` are phi's stacked u and v factors (A's or psi's, from
-    ``at``); ``f_terms`` and ``g_terms`` are the space terms' u and v
-    factors on the interior.
+    ``factors`` are phi's stacked u and v factors (A's or psi's, which
+    the check forms from ``at``); ``f_terms`` and ``g_terms`` are the
+    space terms' u and v factors on the interior.
     """
     (f_next, f_prev, _), (g_next, g_prev, _) = (_inner(f) for f in factors)
     rate = numerator / at.dt
@@ -308,7 +282,7 @@ def _time_difference_field(
 def _continuity_field(at: TimeSamples) -> np.ndarray:
     """Continuity residual on the interior, from rank-one products of A's mode factors."""
     (u, v), sform, m = at.interior, at.phases, at.s.m
-    f, g = at.amplitude
+    f, g = (np.exp(exponent) for exponent in at.exponents)
     f0, f1, _ = _stencil(f[2], at.grid.hx)
     g0, g1, _ = _stencil(g[2], at.grid.hy)
     # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v,
@@ -344,7 +318,9 @@ def hamilton_jacobi_residual(at: TimeSamples, v_source: VSource = "closed_form")
 def _schrodinger_field(at: TimeSamples, v_source: VSource) -> np.ndarray:
     """Schrodinger residual on the interior, from rank-one products of psi's mode factors."""
     (u, v), m = at.interior, at.s.m
-    f, g = at.wavefunction
+    # psi's factors at the three times, on every node; the phase's constant goes to f
+    form, (u_all, v_all), (fu, fv) = at.phases, at.axes, at.exponents
+    f, g = np.exp(fu + 1j * (form.c_u * u_all * u_all + form.const)), np.exp(fv + 1j * (form.c_v * v_all * v_all))
     f0, _, f2 = _stencil(f[2], at.grid.hx)
     g0, _, g2 = _stencil(g[2], at.grid.hy)
     pot = external_quadform(at.now, v_source)

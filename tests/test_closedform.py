@@ -455,7 +455,7 @@ def test_external_conic_point_degenerate_level():
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec2D(1.0, -1.0, -1.0, 1.0, 11, 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^grids need at least 3 samples per axis$"):
         GridSpec2D(-1.0, 1.0, -1.0, 1.0, 2, 11)
 
 

@@ -319,6 +319,14 @@ def test_mode_lattice_matches_meshgrid(grid, case):
         nu = s.nu.value(when)
         assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
     samples = verify.TimeSamples(s.at(t), grid, dt)
+    # A's and psi's factors as the checks form them from the record; the
+    # phase's constant goes to psi's f
+    (p, q), form, (u_axis, v_axis) = samples.exponents, samples.phases, samples.axes
+    amplitude = np.exp(p), np.exp(q)
+    wavefunction = (
+        np.exp(p + 1j * (form.c_u * u_axis * u_axis + form.const)),
+        np.exp(q + 1j * (form.c_v * v_axis * v_axis)),
+    )
     u, v = grid.mesh()
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
     for row, when in enumerate(samples.times):
@@ -329,10 +337,10 @@ def test_mode_lattice_matches_meshgrid(grid, case):
             warnings.simplefilter("ignore", RuntimeWarning)
             ref_amp, ref_psi = cf.amplitude_A(s, x, y, when), cf.wavefunction_psi(s, x, y, when)
             exponent = amp.modes(u, v)
-        f, g = (factor[row] for factor in samples.amplitude)
+        f, g = (factor[row] for factor in amplitude)
         assert f.shape == (grid.nx,) and g.shape == (grid.ny,)
         assert _close_exp(f[:, None] * g[None, :], ref_amp, exponent, amp_scale)
-        f, g = (factor[row] for factor in samples.wavefunction)
+        f, g = (factor[row] for factor in wavefunction)
         assert _close_exp(f[:, None] * g[None, :], ref_psi, exponent, max(amp_scale, phase_scale))
 
 
@@ -369,9 +377,9 @@ def test_mode_lattice_views_are_read_only(monkeypatch):
     s, t, dt = example2(), 0.5, 1e-4
     grid = GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11)
     at = verify.TimeSamples(s.at(t), grid, dt)
-    f, _ = at.wavefunction
-    for view in (verify._inner(f), verify._stencil(f[2], grid.hx)[0]):
-        assert np.shares_memory(view, f) and not view.flags.writeable
+    p, _ = at.exponents
+    for view in (verify._inner(p), verify._stencil(p[2], grid.hx)[0]):
+        assert np.shares_memory(view, p) and not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = 0.0
 
@@ -385,21 +393,21 @@ def test_mode_lattice_views_are_read_only(monkeypatch):
     read_only = fields(at)
     monkeypatch.setattr(verify, "_read_only", lambda *arrays: arrays)
     writable = verify.TimeSamples(s.at(t), grid, dt)
-    assert writable.wavefunction[0].flags.writeable
+    assert writable.exponents[0].flags.writeable
     for ours, ref in zip(read_only, fields(writable)):
         assert bitwise_equal(ours, ref)
 
 
 def record_arrays(at):
     """Every array the record hands out, its forms excepted."""
-    parts = [at.axes, at.interior, at.exponents, at.amplitude, at.wavefunction]
+    parts = [at.axes, at.interior, at.exponents]
     return [array for part in parts for array in part]
 
 
 def test_record_arrays_are_read_only():
     at = verify.TimeSamples(example2().at(0.5), GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11))
     arrays = record_arrays(at)
-    assert len(arrays) == 10 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+    assert len(arrays) == 6 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
 
 
 def report_bits(report):
@@ -408,8 +416,9 @@ def report_bits(report):
 
 @pytest.mark.parametrize("v_source", verify.V_SOURCES)
 def test_checks_in_any_order_give_the_same_reports(v_source):
-    # the record computes each array when a check first reads it: which
-    # check that is changes no bit of any report
+    # the record is built whole before any check reads it, and each check
+    # forms its own factors: the order the checks run in changes no bit of
+    # any report
     s, t = example2(), 0.5
     grid = GridSpec2D(-2.0, 2.0, -0.5, 0.5, 41, 31)
     checks = {
@@ -437,8 +446,9 @@ def test_record_takes_each_form_once_per_time(monkeypatch):
 
     for name in ("log_amplitude_coeffs", "phase_coeffs"):
         monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
-    at = verify.TimeSamples(s.at(t), verify.residual_grid(s.at(t), RESIDUAL_MAX), dt)
+    grid = verify.residual_grid(s.at(t), RESIDUAL_MAX)
     calls.clear()  # residual_grid's own calls
+    at = verify.TimeSamples(s.at(t), grid, dt)
     for _ in range(2):
         for residual in RESIDUALS:
             residual(at)
@@ -554,12 +564,14 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
                 verify.bohm_definition_residual(at)
 
 
-@pytest.mark.parametrize("residual", [verify.schrodinger_residual, verify.continuity_residual, verify.bohm_definition_residual])
+@pytest.mark.parametrize("residual", RESIDUALS)
 def test_stencil_residuals_need_an_interior(residual):
+    # every check runs on the smallest grid with an interior; a grid without
+    # one is refused when its record is built, before any check reads it
     s = example1()
     residual(verify.TimeSamples(s.at(0.5), GridSpec2D(-1.0, 1.0, -1.0, 1.0, 5, 5)))
-    with pytest.raises(ValueError, match="at least 5 samples"):
-        residual(verify.TimeSamples(s.at(0.5), GridSpec2D(-1.0, 1.0, -0.375, 0.375, 9, 4)))
+    with pytest.raises(ValueError, match="need at least 5 samples"):
+        verify.TimeSamples(s.at(0.5), GridSpec2D(-1.0, 1.0, -0.375, 0.375, 9, 4))
 
 
 # finite 1-D residual parts: mixed signs, signed zeros, subnormals and
@@ -898,6 +910,22 @@ def test_residual_grid_meets_target():
         at = verify.TimeSamples(s.at(t), grid)
         for residual in (verify.schrodinger_residual, verify.continuity_residual, verify.bohm_definition_residual):
             assert residual(at).max_abs_residual < 1e-4
+
+
+def test_residual_grid_stops_at_the_half_extent_floor():
+    # example 1's squeezed v axis narrows with t until its feasible half
+    # extent meets GRID_HALF_MIN, between t = 3.398 and 3.399: at t = 3.39
+    # the v half extent is 1.016e-3 and every check passes, at t = 3.41 no
+    # extent is feasible.  The floor ends the auto grids, not the checks:
+    # with it lowered to 1e-9 the largest stencil row still passes up to
+    # t = 4.5 (7.2e-5) and fails at t = 5 (schrodinger, 4.6e-4)
+    s = example1()
+    grid = verify.residual_grid(s.at(3.39), RESIDUAL_MAX)
+    assert verify.GRID_HALF_MIN < grid.y_max < 1.02e-3
+    _, rows = verify.check_time(s.at(3.39), grid)
+    assert all(value <= cli.DEFAULT_TOLERANCES[key] for _, value, key in rows)
+    with pytest.raises(ValueError, match="no feasible extent at n = 201 for t = 3.41 on the v axis"):
+        verify.residual_grid(s.at(3.41), RESIDUAL_MAX)
 
 
 def test_residual_grid_caps_extent():
