@@ -13,7 +13,7 @@ report.  Each subcommand's config takes its own top-level keys
 and ``mu``, ``grid``, ``tolerances``) takes its own; one check refuses an
 unknown key at every level.  A report writes a record (a ``Scenario``, a
 ``verify.ResidualReport``) as its dataclass fields.  The checks are the
-layers': ``verify.check_time`` runs one time's and
+layers': ``verify.check_times`` runs a run's times and
 ``fockalg.check_squeezes`` every squeeze value's, each giving report
 entries and (check, value, tolerance key) rows.  One rule here,
 ``_exceeding``, holds rows to a tolerance table: ``run_verify`` picks each
@@ -365,18 +365,30 @@ def run_verify(cfg: RunConfig) -> tuple[Path, list[str]]:
     """Residual, normalization and relative variance report, and one line per failing check.
 
     Each line names the check, the time, the value and its limit; the
-    list is empty when every check passes.  ``verify.check_time`` runs a
-    time's checks on the config's grid, or on the grid
-    ``verify.residual_grid`` sizes for residual_max at that time.
+    list is empty when every check passes.  The run is one record of the
+    config's times: one ``verify.residual_grid`` call sizes every time's
+    grid for residual_max (an explicit grid serves every time), and one
+    ``verify.check_times`` call runs every check.  A run that fails does
+    so at its first failing time in config order: the times are then run
+    one at a time, and the first that fails alone names the error.
     """
     from . import verify
 
     tol = cfg.tolerances
+
+    def check(times: Sequence[float]) -> list:
+        now = cfg.scenario.at(np.array(times))
+        grids = cfg.grid if cfg.grid is not None else verify.residual_grid(now, tol["residual_max"])
+        return verify.check_times(now, grids, cfg.v_source)
+
+    try:
+        checked = check(cfg.times)
+    except ValueError:
+        for t in cfg.times:
+            check([t])
+        raise
     entries, failures = [], []
-    for t in cfg.times:
-        now = cfg.scenario.at(t)
-        grid = cfg.grid if cfg.grid is not None else verify.residual_grid(now, tol["residual_max"])
-        entry, rows = verify.check_time(now, grid, cfg.v_source)
+    for t, (entry, rows) in zip(cfg.times, checked):
         entries.append(entry)
         failures += [
             f"tolerance violation: {name} at t = {_time_tag(t)}: {value:.3e} > {limit:.3e}"

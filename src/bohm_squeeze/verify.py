@@ -20,26 +20,22 @@ so the 5-point Laplacian on this grid is the 1-D second difference along
 each axis: lap psi = f'' g + f g''.  Each stencil residual is then a sum
 of at most four rank-one terms, formed by one matrix product F @ G.T of
 (n, 4) stacks of 1-D arrays; the Bohm-definition residual and the
-Hamilton-Jacobi closure are outer sums r_u[:, None] + r_v[None, :], formed
-as the rank-two product [r_u, 1] @ [1, r_v].  An outer sum's largest
-absolute value comes from the 1-D parts (rounding is monotone, so its
-extreme elements are fl(max r_u + max r_v) and fl(min r_u + min r_v));
-only its rms reads the grid.
+Hamilton-Jacobi closure are outer sums r_u[:, None] + r_v[None, :], and
+neither statistic reads the grid: both come from the 1-D parts
+(``_outer_sum_report``).
 
-Every check at a time t reads the scenario's schedules there from one
-``closedform.Schedules`` record, ``s.at(t)``: ``residual_grid``,
-``diagonal_moments`` and ``external_quadform`` take it in place of
-(s, t), and ``TimeSamples`` holds it for the four residual checks.  The
-four checks at one time read one ``TimeSamples`` record, built whole
-when it is made, which holds what two or more of them read: the grid's
-axes, spaced once, and the schedules at t + dt, t - dt and t, one record
-over a column of those times, so ln A's and the phase's forms are each
-evaluated once, as columns that broadcast against either axis.  Each
-check forms its own factors from the record: continuity takes A's, and
-Schrodinger psi's, at those three times by one exp per axis.  The record
-keeps no grid-sized array: each check frees its factors and its
-grid-sized field before it returns, so a pass of all four peaks at its
-largest check.
+The checks read the scenario's schedules from ``closedform.Schedules``
+records: ``residual_grid``, ``diagonal_moments`` and ``check_times`` take
+the record of a run's times, ``s.at(times)``, in place of (s, t), and a
+record at a float time is a run of one time.  ``TimeSamples`` is the
+record the four residual checks read, over a run's times: one
+``Scenario.at`` call over the (T, 3) array of times t + dt, t - dt and t,
+from which ln A's and the phase's forms, A's and psi's factors, their
+stencils and every 1-D term of the four checks are each formed once, as
+(T, ...) arrays.  Each check reads its time's row and does only its grid
+work: a stencil check forms its field by one matrix product and reduces
+it in place, so a pass of all four peaks at its largest field beside the
+record's 1-D arrays.
 
 The Bohm-definition check reads ln A's samples, not A's: for a factor
 f = e^q, the second difference over the centre is
@@ -50,12 +46,15 @@ constant cancels.  Only a neighbour-to-centre ratio past the float range
 (|q(w+-h) - q(w)| > 709) can break it: its part is then infinite, and
 the report refuses it as it refuses any non-finite residual.
 
-``check_time`` is the whole pass at one time on one grid: it builds the
-``TimeSamples``, runs the four residual checks and ``diagonal_moments``,
-holds the moments to the squeezing law, and returns the time's report
-entry with one (check, value, tolerance key) row per check, in report
-order.  Choosing the grid, judging the rows against a run's tolerances
-and writing the report are ``cli``'s.
+``check_times`` is the whole pass over a run's times: a chunk of times
+at a time, within RECORD_CHUNK_BYTES, it builds the chunk's
+``TimeSamples``, makes one ``diagonal_moments`` call, runs the four
+residual checks at each time, holds the moments to the squeezing law,
+and returns each time's report entry with one (check, value, tolerance
+key) row per check, in report order.  A time's entry and rows are those
+of a run of that time alone, bit for bit.  Choosing the grids, judging
+the rows against a run's tolerances and writing the report are
+``cli``'s.
 
 Grid-size guidance: the second-order stencil error along each axis scales
 with that axis's fourth (and, for the continuity flux, third) derivatives
@@ -65,12 +64,12 @@ each of its three terms is a function of y = Re(z) w^2 (z = q'' of psi's
 factor along the axis), and the law is their supremum over the extent,
 reached at its end or at an interior maximum (y = -3 for the Bohm
 definition, y = -1 and -6 for continuity, the real roots of one quartic
-for Schrodinger, both axes' quartics solved by one eigvals call).
-``residual_grid`` picks per axis the largest half extent keeping that
-bound at half the stencil budget, a fifth of the ``residual_max`` the
-residuals are judged against, so residual checks stay meaningful (error
-budget dominated by the identity under test, not by the stencil): one
-scalar search per axis, for one time.
+for Schrodinger, every axis's quartic of a run solved by one eigvals
+call).  ``residual_grid`` picks per axis the largest half extent keeping
+that bound at half the stencil budget, a fifth of the ``residual_max``
+the residuals are judged against, so residual checks stay meaningful
+(error budget dominated by the identity under test, not by the stencil):
+one scalar search per axis and time.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -103,7 +102,7 @@ __all__ = [
     "V_SOURCES",
     "ResidualReport",
     "TimeSamples",
-    "check_time",
+    "check_times",
     "external_quadform",
     "bohm_definition_residual",
     "continuity_residual",
@@ -152,35 +151,61 @@ class ResidualReport:
             raise ValueError(f"{self.equation} residual at t = {self.t:g} must be finite and non-negative")
 
 
-def _report(
-    equation: Equation, t: float, residual: np.ndarray, grid: GridSpec2D, dt: float, max_abs: float | None = None
-) -> ResidualReport:
-    """Statistics of a residual field that the report may overwrite.
+def _report(equation: Equation, t: float, field: np.ndarray, grid: GridSpec2D, dt: float) -> ResidualReport:
+    """Statistics of a residual field, taken in place: the field is overwritten.
 
-    ``max_abs``, if given, is the field's largest absolute value; then only
-    the rms reads the field.
+    A real field takes its abs and its square in place.  A complex field
+    squares its real and imaginary views and sums them into the real view,
+    so neither makes a second grid-sized array.
     """
-    flat = residual.ravel()
-    if max_abs is None:
-        # a real field takes its abs in place; a complex one needs a real array
-        flat = np.abs(flat, out=flat if flat.dtype.kind == "f" else None)
-        max_abs = flat.max()
-    flat *= flat
-    return ResidualReport(equation, t, float(max_abs), float(np.sqrt(flat.sum() / flat.size)), grid, dt)
+    flat = field.ravel()
+    if flat.dtype.kind == "c":
+        squares = flat.real
+        np.square(squares, out=squares)
+        squares += np.square(flat.imag, out=flat.imag)
+        max_abs = math.sqrt(squares.max())
+    else:
+        squares = np.abs(flat, out=flat)
+        max_abs = squares.max()
+        squares *= squares
+    return ResidualReport(equation, t, float(max_abs), float(np.sqrt(squares.sum() / squares.size)), grid, dt)
+
+
+# the least binary exponent an outer sum's parts are scaled by: 2^1000 stays finite
+OUTER_SUM_MIN_EXPONENT = -1000
 
 
 def _outer_sum_report(
     equation: Equation, t: float, r_u: np.ndarray, r_v: np.ndarray, grid: GridSpec2D
 ) -> ResidualReport:
-    """Statistics of the field r_u[:, None] + r_v[None, :], its extreme elements from the 1-D parts.
+    """Statistics of the field r_u[:, None] + r_v[None, :], both from the 1-D parts.
 
-    The field is the rank-two product [r_u, 1] @ [1, r_v]: each element is
-    one rounded sum of two exact products, so it equals the broadcast sum
-    up to the sign of a zero, which neither statistic reads.
+    Rounding is monotone, so the field's extreme elements are
+    fl(max r_u + max r_v) and fl(min r_u + min r_v).  Its mean square is
+    exactly, for the parts' computed means a and b, with d = r_u - a and
+    e = r_v - b,
+
+        mean (r_u[i] + r_v[j])^2 = var d + var e + (a + b + mean d + mean e)^2,
+
+    where mean d and mean e are the means' rounding.  With large opposite
+    offsets a + b cancels exactly (Sterbenz), and the rounding terms keep
+    the rms within a few ulps.  The parts are first scaled by a power of
+    two below 1, exactly, so no sum or square overflows or underflows.
     """
-    top, bottom = r_u.max() + r_v.max(), r_u.min() + r_v.min()
-    field = _rank_one_sum([r_u, np.ones_like(r_u)], [np.ones_like(r_v), r_v])
-    return _report(equation, t, field, grid, 0.0, max(abs(top), abs(bottom)))
+    top_u, bottom_u, top_v, bottom_v = r_u.max(), r_u.min(), r_v.max(), r_v.min()
+    top, bottom = top_u + top_v, bottom_u + bottom_v
+    rms = math.nan  # a part or an extreme element past the float range: the report refuses it
+    if math.isfinite(top) and math.isfinite(bottom):
+        exponent = math.frexp(max(top_u, -bottom_u, top_v, -bottom_v))[1]
+        scale = math.ldexp(1.0, -max(exponent, OUTER_SUM_MIN_EXPONENT))
+        a, b = r_u * scale, r_v * scale
+        mean_a, mean_b = a.sum() / a.size, b.sum() / b.size
+        d, e = a - mean_a, b - mean_b
+        mean_d, mean_e = d.sum() / d.size, e.sum() / e.size
+        square = (np.vecdot(d, d) / d.size - mean_d * mean_d) + (np.vecdot(e, e) / e.size - mean_e * mean_e)
+        square += ((mean_a + mean_b) + (mean_d + mean_e)) ** 2
+        rms = math.sqrt(max(square, 0.0)) / scale
+    return ResidualReport(equation, t, float(max(abs(top), abs(bottom))), rms, grid, 0.0)
 
 
 def external_quadform(now: Schedules, v_source: VSource = "hj_closure") -> QuadForm:
@@ -211,152 +236,202 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _inner(f: np.ndarray) -> np.ndarray:
-    """f on the interior nodes of its (last) axis."""
+    """f on the interior nodes of its last axis."""
     return f[..., RING : f.shape[-1] - RING]
 
 
-def _stencil(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f, its central first difference and its second difference on the interior nodes."""
-    up, down = f[RING + 1 : f.size - RING + 1], f[RING - 1 : f.size - RING - 1]
+def _neighbours(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f one node up and one node down from each interior node of its last axis."""
+    n = f.shape[-1]
+    return f[..., RING + 1 : n - RING + 1], f[..., RING - 1 : n - RING - 1]
+
+
+def _stencil(f: np.ndarray, h: np.ndarray | float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f, its central first difference and its second difference on the interior nodes of its last axis."""
+    up, down = _neighbours(f)
     return _inner(f), (up - down) / (2.0 * h), (up - 2.0 * _inner(f) + down) / (h * h)
 
 
-def _relative_second_difference(q: np.ndarray, h: float) -> np.ndarray:
-    """The second difference of e^q over e^q on the interior nodes, from q alone.
+def _relative_second_difference(q: np.ndarray, h: np.ndarray | float) -> np.ndarray:
+    """The second difference of e^q over e^q on the interior nodes of its last axis, from q alone.
 
     (f(w+h) - 2 f(w) + f(w-h)) / f(w) for f = e^q, from the same views as
     ``_stencil``: each neighbour over the centre is e^(q(w+-h) - q(w)).
     """
-    up, down = q[RING + 1 : q.size - RING + 1], q[RING - 1 : q.size - RING - 1]
+    up, down = _neighbours(q)
     return (np.expm1(up - _inner(q)) + np.expm1(down - _inner(q))) / (h * h)
 
 
-class TimeSamples:
-    """What two or more of the four residual checks read at one time on one grid.
+def _as_run(now: Schedules) -> Schedules:
+    """``now`` as a record over a 1-D array of times: a record at a float time is a run of one time."""
+    return Schedules(now.s, *(np.atleast_1d(field) for field in now[1:]))
 
-    ``now`` is the scenario's record at the time t.  Rows 0, 1 and 2 of
-    every stack are the ``times`` t + dt, t - dt and t, whose schedules
-    are one record over that array (``schedules``).  ``axes`` holds u and
-    v at every node and ``interior`` on the interior nodes (a grid with
-    fewer than 2 RING + 1 nodes on an axis has none and is refused);
-    ``phases`` is the phase's form at the three times and ``exponents``
-    ln A's u and v parts there, ln A's constant split evenly between them.
-    Everything is computed here; every array is read-only, and none is
-    grid-sized.
+
+def _run_grids(grids: GridSpec2D | Sequence[GridSpec2D], count: int) -> list[GridSpec2D]:
+    """One grid per time of a run of ``count`` times, all of one shape: one grid serves every time."""
+    grids = [grids] * count if isinstance(grids, GridSpec2D) else list(grids)
+    if len(grids) != count or len({(grid.nx, grid.ny) for grid in grids}) > 1:
+        raise ValueError(f"need one grid per time, all of one shape: got {len(grids)} grids for {count} times")
+    return grids
+
+
+def _mode_factors(amp: QuadForm, phase: QuadForm, u: np.ndarray, v: np.ndarray):
+    """ln A's u and v parts (p, q) and psi's u and v factors (f, g) on the nodes u and v.
+
+    ``amp`` and ``phase`` are ln A's and the phase's forms, which broadcast
+    against the nodes.  ln A's constant is split evenly between its parts,
+    and the phase's constant goes to psi's u factor.
+    """
+    p, q = amp.c_u * u * u + 0.5 * amp.const, amp.c_v * v * v + 0.5 * amp.const
+    return (p, q), (np.exp(p + 1j * (phase.c_u * u * u + phase.const)), np.exp(q + 1j * (phase.c_v * v * v)))
+
+
+def _time_difference_terms(
+    factors: tuple[np.ndarray, np.ndarray], rate: complex, f_terms: list, g_terms: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks F and G whose product F[k] @ G[k].T is rate (phi(t + dt) - phi(t - dt)) plus space terms.
+
+    ``factors`` are phi's u and v factors (A's or psi's), rows t + dt and
+    t - dt first on their second axis; ``f_terms`` and ``g_terms`` are the
+    space terms' u and v factors on the interior.  F is (T, n_u, k) and G
+    is (T, n_v, k), C-ordered, so each time's product is one matrix product
+    of an (n_u, k) and a transposed (n_v, k) array.
+    """
+    f, g = factors
+    stack_f = np.stack([rate * _inner(f[:, 0]), -rate * _inner(f[:, 1]), *f_terms], axis=-1)
+    return stack_f, np.stack([_inner(g[:, 0]), _inner(g[:, 1]), *g_terms], axis=-1)
+
+
+class TimeSamples:
+    """What the four residual checks read at each time of a run, each time on its own grid.
+
+    ``now`` is the scenario's record at the run's times (a record at a
+    float time is a run of one time) and ``grids`` one grid for every time
+    or one grid per time, all of one shape.  Row k of every array belongs
+    to the run's time ``t[k]``, checked on ``grids[k]``.  The record is one
+    ``Scenario.at`` call over the (T, 3) array of times t + dt, t - dt and
+    t, a column against an axis's nodes; from it ln A's and the phase's
+    forms, A's and psi's factors at the three times, their stencils and
+    every 1-D term of the four checks are each formed once, as (T, ...)
+    arrays.  It keeps only what the checks read, read-only:
+
+    - ``schrodinger_terms`` and ``continuity_terms``: each check's stacks
+      (F, G), whose product F[k] @ G[k].T is the time's residual field on
+      the interior (``_time_difference_terms``);
+    - ``hj_parts`` and ``bohm_parts``: (r_u, r_v), the parts of each outer
+      sum, the Hamilton-Jacobi closure's on every node and the Bohm
+      definition's on the interior.
+
+    ``v_source`` selects the external potential both Schrodinger and the
+    Hamilton-Jacobi closure read.  A grid with fewer than 2 RING + 1 nodes
+    on an axis has no interior and is refused.
     """
 
-    def __init__(self, now: Schedules, grid: GridSpec2D, dt: float = 1e-4):
+    def __init__(
+        self, now: Schedules, grids: GridSpec2D | Sequence[GridSpec2D], dt: float = 1e-4, v_source: VSource = "hj_closure"
+    ):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        self.now, self.s, self.t, self.grid, self.dt = now, now.s, now.t, grid, dt
-        self.times = np.array([self.t + dt, self.t - dt, self.t])
-        self.schedules = self.s.at(self.times[:, None])  # a column: its forms broadcast against an axis
-        if min(grid.nx, grid.ny) < 2 * RING + 1:
+        run = _as_run(now)
+        self.dt, self.t = dt, run.t.tolist()
+        self.grids = _run_grids(grids, len(self.t))
+        schedules = run.s.at(np.stack([run.t + dt, run.t - dt, run.t], axis=1)[:, :, None])
+        if min(self.grids[0].nx, self.grids[0].ny) < 2 * RING + 1:
             raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
-        u, v = self.axes = _read_only(grid.xs(), grid.ys())
-        self.interior = _inner(u), _inner(v)
-        self.phases = phase_coeffs(self.schedules)
-        form = log_amplitude_coeffs(self.schedules)
-        self.exponents = _read_only(form.c_u * u * u + 0.5 * form.const, form.c_v * v * v + 0.5 * form.const)
+        terms = _check_terms(schedules, self.grids, dt, v_source)
+        self.schrodinger_terms, self.continuity_terms, self.hj_parts, self.bohm_parts = terms
+        _read_only(*self.schrodinger_terms, *self.continuity_terms, *self.hj_parts, *self.bohm_parts)
 
 
-def _rank_one_sum(f_terms: list[np.ndarray], g_terms: list[np.ndarray]) -> np.ndarray:
-    """Sum over k of f_terms[k][:, None] * g_terms[k][None, :], as one matrix product."""
-    return np.stack(f_terms, axis=1) @ np.stack(g_terms, axis=1).T
+@np.errstate(over="ignore", invalid="ignore")
+def _check_terms(schedules: Schedules, grids: list[GridSpec2D], dt: float, v_source: VSource) -> tuple:
+    """Each check's terms at a record's times: the two stacks and the two pairs of outer-sum parts.
 
-
-def _time_difference_field(
-    at: TimeSamples, factors: tuple[np.ndarray, np.ndarray], numerator: complex, f_terms: list, g_terms: list
-) -> np.ndarray:
-    """numerator (phi(t + dt) - phi(t - dt)) / dt plus space terms, on the interior, as one matrix product.
-
-    ``factors`` are phi's stacked u and v factors (A's or psi's, which
-    the check forms from ``at``); ``f_terms`` and ``g_terms`` are the
-    space terms' u and v factors on the interior.
+    ``schedules`` is the record over the (T, 3, 1) times t + dt, t - dt
+    and t, and ``grids`` holds one grid per time, all of one shape.  A
+    term past the float range is left to the report of the check that
+    reads it, which refuses it, so forming it raises no warning.
     """
-    (f_next, f_prev, _), (g_next, g_prev, _) = (_inner(f) for f in factors)
-    rate = numerator / at.dt
-    return _rank_one_sum([rate * f_next, -rate * f_prev, *f_terms], [g_next, g_prev, *g_terms])
+    m, now = schedules.s.m, Schedules(schedules.s, *(field[:, 2] for field in schedules[1:]))  # at t: (T, 1)
+    # each time's axes on its rows, and their spacings as (T, 1) columns
+    u, v = np.stack([grid.xs() for grid in grids]), np.stack([grid.ys() for grid in grids])
+    hx, hy = np.array([[grid.hx] for grid in grids]), np.array([[grid.hy] for grid in grids])
+    phase = phase_coeffs(schedules)
+    (p, q), (f, g) = _mode_factors(log_amplitude_coeffs(schedules), phase, u[:, None], v[:, None])
+    u_in, v_in = _inner(u), _inner(v)
+
+    # Schrodinger: lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
+    (f0, _, f2), (g0, _, g2) = _stencil(f[:, 2], hx), _stencil(g[:, 2], hy)
+    pot = external_quadform(now, v_source)
+    r_u = f2 / (2.0 * m) - (pot.c_u * u_in * u_in + pot.const) * f0
+    r_v = g2 / (2.0 * m) - pot.c_v * v_in * v_in * g0
+    schrodinger = _time_difference_terms((f, g), 0.5j / dt, [r_u, f0], [g0, r_v])
+
+    # continuity: S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and
+    # S_v = 2 c_v v, the phase's form at t; lap S A / (2m) joins the u term
+    f, g = np.exp(p), np.exp(q)
+    (f0, f1, _), (g0, g1, _) = _stencil(f[:, 2], hx), _stencil(g[:, 2], hy)
+    flux_u = (2.0 * phase.c_u[:, 2] * u_in * f1 + 0.5 * phase.laplacian[:, 2] * f0) / m
+    flux_v = 2.0 * phase.c_v[:, 2] * v_in * g1 / m
+    continuity = _time_difference_terms((f, g), 0.5 / dt, [flux_u, f0], [g0, flux_v])
+
+    # the outer sums; for A = f(u) g(v), lap A / A = f''/f + g''/g, each from ln A at t
+    b = bohm_coeffs(now)
+    total = kinetic_coeffs(now) + b + pot + phase_rate_coeffs(now)
+    hamilton_jacobi = total.c_u * u * u + total.const, total.c_v * v * v
+    bohm_definition = (
+        -_relative_second_difference(p[:, 2], hx) / (2.0 * m) - (b.c_u * u_in * u_in + b.const),
+        -_relative_second_difference(q[:, 2], hy) / (2.0 * m) - b.c_v * v_in * v_in,
+    )
+    return schrodinger, continuity, hamilton_jacobi, bohm_definition
 
 
-def _continuity_field(at: TimeSamples) -> np.ndarray:
-    """Continuity residual on the interior, from rank-one products of A's mode factors."""
-    (u, v), sform, m = at.interior, at.phases, at.s.m
-    f, g = (np.exp(exponent) for exponent in at.exponents)
-    f0, f1, _ = _stencil(f[2], at.grid.hx)
-    g0, g1, _ = _stencil(g[2], at.grid.hy)
-    # S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and S_v = 2 c_v v,
-    # the phase's form at t in row 2; lap S A / (2m) joins the u term
-    flux_u = (2.0 * sform.c_u.item(2) * u * f1 + 0.5 * sform.laplacian.item(2) * f0) / m
-    return _time_difference_field(at, (f, g), 0.5, [flux_u, f0], [g0, 2.0 * sform.c_v.item(2) * v * g1 / m])
+def _field(terms: tuple[np.ndarray, np.ndarray], row: int) -> np.ndarray:
+    """A stencil check's residual field on the interior at the record's time ``row``, from its stacks: one matrix product."""
+    f, g = terms
+    return f[row] @ g[row].T
 
 
-def continuity_residual(at: TimeSamples) -> ResidualReport:
-    """Residual of A_t + (S_x A_x + S_y A_y)/m + (S_xx + S_yy) A/(2m) = 0.
+def schrodinger_residual(at: TimeSamples, row: int = 0) -> ResidualReport:
+    """Residual of i psi_t + lap(psi)/(2m) - V psi = 0 at the record's time ``row``.
+
+    psi_t by central time difference of the closed-form wavefunction, the
+    Laplacian by the 5-point stencil, V from the record's source.
+    """
+    return _report("schrodinger", at.t[row], _field(at.schrodinger_terms, row), at.grids[row], at.dt)
+
+
+def continuity_residual(at: TimeSamples, row: int = 0) -> ResidualReport:
+    """Residual of A_t + (S_x A_x + S_y A_y)/m + (S_xx + S_yy) A/(2m) = 0 at the record's time ``row``.
 
     A_t by a central time difference of the closed-form amplitude; the
     gradient term as S_u A_u + S_v A_v, with A_u, A_v by central differences
     along the grid's axes and the phase derivatives analytically (S is
     quadratic, so S_x = m nud (r x + y) and S_xx = m nud r exactly).
     """
-    return _report("continuity", at.t, _continuity_field(at), at.grid, at.dt)
+    return _report("continuity", at.t[row], _field(at.continuity_terms, row), at.grids[row], at.dt)
 
 
-def hamilton_jacobi_residual(at: TimeSamples, v_source: VSource = "closed_form") -> ResidualReport:
-    """Residual of |grad S|^2/(2m) + V_B + V + S_t = 0, all terms analytic.
+def hamilton_jacobi_residual(at: TimeSamples, row: int = 0) -> ResidualReport:
+    """Residual of |grad S|^2/(2m) + V_B + V + S_t = 0 at the record's time ``row``, all terms analytic.
 
     With ``closed_form`` (or ``hj_closure``) this cancels to rounding noise;
     with ``variant`` it leaves exactly (2m + 1) V_B, which is the point of
     that source.
     """
-    now = at.now
-    total = kinetic_coeffs(now) + bohm_coeffs(now) + external_quadform(now, v_source) + phase_rate_coeffs(now)
-    u, v = at.axes
-    return _outer_sum_report("hamilton_jacobi", at.t, total.c_u * u * u + total.const, total.c_v * v * v, at.grid)
+    r_u, r_v = at.hj_parts
+    return _outer_sum_report("hamilton_jacobi", at.t[row], r_u[row], r_v[row], at.grids[row])
 
 
-def _schrodinger_field(at: TimeSamples, v_source: VSource) -> np.ndarray:
-    """Schrodinger residual on the interior, from rank-one products of psi's mode factors."""
-    (u, v), m = at.interior, at.s.m
-    # psi's factors at the three times, on every node; the phase's constant goes to f
-    form, (u_all, v_all), (fu, fv) = at.phases, at.axes, at.exponents
-    f, g = np.exp(fu + 1j * (form.c_u * u_all * u_all + form.const)), np.exp(fv + 1j * (form.c_v * v_all * v_all))
-    f0, _, f2 = _stencil(f[2], at.grid.hx)
-    g0, _, g2 = _stencil(g[2], at.grid.hy)
-    pot = external_quadform(at.now, v_source)
-    # lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
-    r_u = f2 / (2.0 * m) - (pot.c_u * u * u + pot.const) * f0
-    r_v = g2 / (2.0 * m) - pot.c_v * v * v * g0
-    return _time_difference_field(at, (f, g), 0.5j, [r_u, f0], [g0, r_v])
-
-
-def schrodinger_residual(at: TimeSamples, v_source: VSource = "hj_closure") -> ResidualReport:
-    """Residual of i psi_t + lap(psi)/(2m) - V psi = 0.
-
-    psi_t by central time difference of the closed-form wavefunction, the
-    Laplacian by the 5-point stencil, V from the selected source.
-    """
-    return _report("schrodinger", at.t, _schrodinger_field(at, v_source), at.grid, at.dt)
-
-
-def _bohm_definition_parts(at: TimeSamples) -> tuple[np.ndarray, np.ndarray]:
-    """Stencil minus closed-form Bohm potential on the interior, as its parts (r_u, r_v).
+def bohm_definition_residual(at: TimeSamples, row: int = 0) -> ResidualReport:
+    """Deviation of the stencil Bohm potential from the closed form at the record's time ``row``.
 
     For A = f(u) g(v), lap A / A = f''/f + g''/g: the residual is the
     outer sum r_u[:, None] + r_v[None, :] of one 1-D residual per axis,
     each ratio taken from ln A's samples at t.
     """
-    (u, v), m = at.interior, at.s.m
-    p, q = (exponent[2] for exponent in at.exponents)
-    b = bohm_coeffs(at.now)
-    r_u = -_relative_second_difference(p, at.grid.hx) / (2.0 * m) - (b.c_u * u * u + b.const)
-    r_v = -_relative_second_difference(q, at.grid.hy) / (2.0 * m) - b.c_v * v * v
-    return r_u, r_v
-
-
-def bohm_definition_residual(at: TimeSamples) -> ResidualReport:
-    """Deviation of the stencil Bohm potential from the closed form."""
-    return _outer_sum_report("bohm_definition", at.t, *_bohm_definition_parts(at), at.grid)
+    r_u, r_v = at.bohm_parts
+    return _outer_sum_report("bohm_definition", at.t[row], r_u[row], r_v[row], at.grids[row])
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +505,13 @@ DIAGONAL_COVERAGE = 8.0
 DIAGONAL_POINTS = 2001
 
 
-def _mode_moments(c: float, sigma: float) -> tuple[float, float]:
-    """1-D Simpson integrals of exp(2 c w^2) and w^2 exp(2 c w^2) over +-coverage sigma."""
-    ws = np.linspace(-DIAGONAL_COVERAGE * sigma, DIAGONAL_COVERAGE * sigma, DIAGONAL_POINTS)
-    weights = simpson_weights(DIAGONAL_POINTS) * (ws[1] - ws[0])
-    m0, m2 = np.vecdot(np.stack([weights, weights * ws * ws]), np.exp(2.0 * c * ws * ws))
-    return float(m0), float(m2)
+def _run_sigmas(run: Schedules) -> list[tuple[float, float]]:
+    """(sigma_u, sigma_v) at each time of a run, as ``spread_sigmas`` takes them at that time alone."""
+    return [spread_sigmas(run._replace(nu=nu)) for nu in run.nu.tolist()]
 
 
-def diagonal_moments(now: Schedules) -> tuple[float, float, float]:
-    """(norm, var_plus, var_minus) by Simpson in rotated coordinates.
+def diagonal_moments(now: Schedules) -> tuple:
+    """(norm, var_plus, var_minus) by Simpson in rotated coordinates, at each time of ``now``.
 
     Integrates over the (u, v) = ((x+y)/sqrt2, (x-y)/sqrt2) frame, where
     the density is axis-aligned; the rotation has unit Jacobian, so this is
@@ -451,62 +523,106 @@ def diagonal_moments(now: Schedules) -> tuple[float, float, float]:
     The density is exp(2 c_u u^2) exp(2 c_v v^2) e^(2 const) and the tensor
     Simpson weights are products, so each 2-D Simpson sum on the
     DIAGONAL_POINTS^2 nodes is exactly a product of two 1-D sums: O(n) work.
+    Each mode of each time gets its own axis of DIAGONAL_POINTS nodes over
+    +-DIAGONAL_COVERAGE sigma, and every axis's integrals of exp(2 c w^2)
+    and w^2 exp(2 c w^2) come from one exp and one ``vecdot`` over all of
+    them.  A record at a float time gives one triple of floats; a run's
+    record gives a triple of lists, one entry per time.
     """
-    form = log_amplitude_coeffs(now)
-    sigma_u, sigma_v = spread_sigmas(now)
-    u0, u2 = _mode_moments(form.c_u, sigma_u)
-    v0, v2 = _mode_moments(form.c_v, sigma_v)
-    return u0 * v0 * math.exp(2.0 * form.const), u2 / u0, v2 / v0
+    run = _as_run(now)
+    form = log_amplitude_coeffs(run)
+    # np.linspace(-half, half, DIAGONAL_POINTS) on each mode's row, in linspace's arithmetic
+    half = DIAGONAL_COVERAGE * np.array(_run_sigmas(run))[..., None]
+    ws = np.arange(DIAGONAL_POINTS) * ((half + half) / (DIAGONAL_POINTS - 1)) - half  # (T, 2, points)
+    ws[..., -1:] = half
+    # the weights of both integrands, and the density exp(2 c w^2), each formed in place
+    weights = np.empty((2, *ws.shape))
+    np.multiply(simpson_weights(DIAGONAL_POINTS), ws[..., 1:2] - ws[..., :1], out=weights[0])
+    np.multiply(weights[0], ws, out=weights[1])
+    weights[1] *= ws
+    density = (2.0 * np.stack([form.c_u, form.c_v], axis=-1)[..., None]) * ws
+    density *= ws
+    m0, m2 = np.vecdot(weights, np.exp(density, out=density))
+    (u0, v0), (u2, v2) = m0.T.tolist(), m2.T.tolist()
+    norm = [a * b * math.exp(2.0 * const) for a, b, const in zip(u0, v0, form.const.tolist())]
+    moments = norm, [a / b for a, b in zip(u2, u0)], [a / b for a, b in zip(v2, v0)]
+    return moments if np.ndim(now.t) else tuple(values[0] for values in moments)
 
 
 # ---------------------------------------------------------------------------
-# one time's checks
+# a run's checks
 
 
 # (check, value, tolerance key): the value is judged against the tolerance
 # under that key of the run's tolerances
 CheckRow = tuple[str, float, str]
 
+# bytes one chunk of a run's times may take in ``check_times``: its record,
+# with the temporaries that build it, and its moment pass
+RECORD_CHUNK_BYTES = 1 << 21
 
-def check_time(now: Schedules, grid: GridSpec2D, v_source: VSource = "hj_closure") -> tuple[dict, list[CheckRow]]:
-    """Every check at ``now``'s time: its report entry and its rows, in report order.
 
-    The four residual checks read one ``TimeSamples`` on ``grid``; the
-    norm and the mode variances come from ``diagonal_moments`` and are
-    held to the squeezing law var(v) = exp(2(r-1) nu)/2 and
-    var(u) var(v) = exp(4 r nu)/4, each relative to its law's value.
-    The Hamilton-Jacobi closure is analytic and has a tolerance of its own
-    (``hj_max``); the three stencil residuals share ``residual_max``.
+def _time_bytes(grid: GridSpec2D) -> int:
+    """Bytes one time takes in a chunk: 256 per node of its axes, 128 per point of its moment pass."""
+    return 256 * (grid.nx + grid.ny) + 128 * DIAGONAL_POINTS
+
+
+def check_times(
+    now: Schedules, grids: GridSpec2D | Sequence[GridSpec2D], v_source: VSource = "hj_closure"
+) -> list[tuple[dict, list[CheckRow]]]:
+    """Every check at each time of ``now``: per time, its report entry and its rows, in report order.
+
+    ``now`` is the record of a run's times (a record at a float time is a
+    run of one) and ``grids`` one grid for every time or one per time, all
+    of one shape.  The run is checked a chunk of consecutive times at a
+    time, as many as RECORD_CHUNK_BYTES holds and one at least: each chunk
+    makes one ``diagonal_moments`` call and builds one ``TimeSamples``, and
+    the four residual checks read each time's row of the record.
+    A time's entry and rows are bit for bit those of a run of that time
+    alone.  The norm and the mode variances are held to the squeezing law
+    var(v) = exp(2(r-1) nu)/2 and var(u) var(v) = exp(4 r nu)/4, each
+    relative to its law's value.  The Hamilton-Jacobi closure is analytic
+    and has a tolerance of its own (``hj_max``); the three stencil
+    residuals share ``residual_max``.
     """
-    at = TimeSamples(now, grid)
-    reports = [
-        schrodinger_residual(at, v_source=v_source),
-        continuity_residual(at),
-        hamilton_jacobi_residual(at, v_source=v_source),
-        bohm_definition_residual(at),
-    ]
-    norm, var_plus, var_minus = diagonal_moments(now)
-    var_minus_expected = math.exp(2.0 * (now.s.r - 1.0) * now.nu) / 2.0
-    product_expected = math.exp(4.0 * now.s.r * now.nu) / 4.0
-    rows = [
-        (rep.equation, rep.max_abs_residual, "hj_max" if rep.equation == "hamilton_jacobi" else "residual_max")
-        for rep in reports
-    ]
-    rows += [
-        ("normalization", abs(norm - 1.0), "normalization"),
-        ("variance", abs(var_minus - var_minus_expected) / var_minus_expected, "variance"),
-        ("variance_product", abs(var_plus * var_minus - product_expected) / product_expected, "variance_product"),
-    ]
-    entry = {
-        "t": now.t,
-        "reports": reports,
-        "normalization": norm,
-        "var_plus": var_plus,
-        "var_minus": var_minus,
-        "var_minus_expected": var_minus_expected,
-        "variance_product_expected": product_expected,
-    }
-    return entry, rows
+    run = _as_run(now)
+    grids = _run_grids(grids, run.t.size)
+    size = max(1, RECORD_CHUNK_BYTES // _time_bytes(grids[0]))
+    results = []
+    for first in range(0, len(grids), size):
+        span = slice(first, first + size)
+        chunk = Schedules(run.s, *(field[span] for field in run[1:]))
+        moments = zip(*diagonal_moments(chunk))
+        at = TimeSamples(chunk, grids[span], v_source=v_source)
+        for row, (nu, (norm, var_plus, var_minus)) in enumerate(zip(chunk.nu.tolist(), moments)):
+            reports = [
+                schrodinger_residual(at, row),
+                continuity_residual(at, row),
+                hamilton_jacobi_residual(at, row),
+                bohm_definition_residual(at, row),
+            ]
+            var_minus_expected = math.exp(2.0 * (run.s.r - 1.0) * nu) / 2.0
+            product_expected = math.exp(4.0 * run.s.r * nu) / 4.0
+            rows = [
+                (rep.equation, rep.max_abs_residual, "hj_max" if rep.equation == "hamilton_jacobi" else "residual_max")
+                for rep in reports
+            ]
+            rows += [
+                ("normalization", abs(norm - 1.0), "normalization"),
+                ("variance", abs(var_minus - var_minus_expected) / var_minus_expected, "variance"),
+                ("variance_product", abs(var_plus * var_minus - product_expected) / product_expected, "variance_product"),
+            ]
+            entry = {
+                "t": at.t[row],
+                "reports": reports,
+                "normalization": norm,
+                "var_plus": var_plus,
+                "var_minus": var_minus,
+                "var_minus_expected": var_minus_expected,
+                "variance_product_expected": product_expected,
+            }
+            results.append((entry, rows))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +641,8 @@ LAW_MARGIN = 1.0 + 2.0**-46
 LAW_FLOOR = math.ulp(0.0)
 
 
-def _stencil_error_law(now: Schedules) -> tuple[AxisLaw, AxisLaw]:
-    """Predicted worst stencil error along the u and v mode axes at one time, one law per axis.
+def _stencil_error_law(run: Schedules) -> list[tuple[AxisLaw, AxisLaw]]:
+    """Predicted worst stencil error along the u and v mode axes at each time of a run, one law per axis.
 
     On n nodes over [-half, half], spacing h = 2 half / (n - 1), the second
     difference of a factor e^q errs by h^2/12 |d^4 e^q / dw^4| and the
@@ -549,11 +665,11 @@ def _stencil_error_law(now: Schedules) -> tuple[AxisLaw, AxisLaw]:
       = (A y^2 + 6 y + 3)^2 + tau^2 (2 y^2 + 6 y)^2 with A = 1 - tau^2, and
       Q + Q' has leading coefficient (1 + tau^2)^2.
 
-    One eigvals of the two axes' companion matrices gives their quartics'
-    roots.  A root's real part is a candidate whatever its imaginary
-    part: any point of the interval reads at most the supremum, so an extra
-    candidate is harmless, while a real root with a rounded imaginary part
-    would be lost.  A law call then evaluates the terms at the interval's
+    One eigvals of the run's companion matrices, two per time, gives their
+    quartics' roots.  A root's real part is a candidate whatever its
+    imaginary part: any point of the interval reads at most the supremum,
+    so an extra candidate is harmless, while a real root with a rounded
+    imaginary part would be lost.  A law call then evaluates the terms at the interval's
     end and takes the largest candidate inside: O(1) per extent.  The
     supremum bounds every node, so a grid within the law is within the
     law on its nodes; the two differ where an interior maximum falls
@@ -570,17 +686,19 @@ def _stencil_error_law(now: Schedules) -> tuple[AxisLaw, AxisLaw]:
     7.0e-6 and 1.9e-5: the missing rounding term is psi's stencil's.
     """
     # the law's search runs on Python floats, not numpy scalars
-    amp, phase = log_amplitude_coeffs(now), phase_coeffs(now)
-    axes = [tuple(map(float, axis)) for axis in [(amp.c_u, phase.c_u, amp.const), (amp.c_v, phase.c_v, amp.const)]]
+    amp, phase = log_amplitude_coeffs(run), phase_coeffs(run)
+    u_axes = zip(amp.c_u.tolist(), phase.c_u.tolist(), amp.const.tolist())
+    v_axes = zip(amp.c_v.tolist(), phase.c_v.tolist(), amp.const.tolist())
+    axes = [axis for pair in zip(u_axes, v_axes) for axis in pair]  # u then v for each time
     # Q + Q' over its leading coefficient, in g = 1 / (1 + tau^2) = Re(z)^2 / |z|^2,
     # which is 0 where |z| is not finite (such an axis has no feasible extent)
     gs = [a * a / (a * a + b * b) if math.isfinite(b) else 0.0 for a, b, _ in axes]
-    companion = np.eye(4, k=-1)[None].repeat(2, 0)
+    companion = np.eye(4, k=-1)[None].repeat(len(axes), 0)
     top_rows = [[4.0 * (1.0 + 3.0 * g), (66.0 + 12.0 * g) * g, 60.0 * (1.0 + g) * g, 45.0 * g * g] for g in gs]
     companion[:, 0] = -np.array(top_rows)
     roots = np.linalg.eigvals(companion).real.tolist()
-    law_u, law_v = (_axis_law(now.s.m, *axis, candidates) for axis, candidates in zip(axes, roots))
-    return law_u, law_v
+    laws = [_axis_law(run.s.m, *axis, candidates) for axis, candidates in zip(axes, roots)]
+    return list(zip(laws[::2], laws[1::2]))
 
 
 def _axis_law(m: float, c_amp: float, c_phase: float, const: float, roots: list[float]) -> AxisLaw:
@@ -658,10 +776,12 @@ def _largest_half(excess: Callable[[float], float], lo: float, hi: float) -> flo
     return lo
 
 
-def residual_grid(now: Schedules, residual_max: float, n: int = 201) -> GridSpec2D:
-    """Largest grid on the mode axes at ``now``'s time whose predicted stencil error fits ``residual_max``'s budget.
+def residual_grid(now: Schedules, residual_max: float, n: int = 201) -> GridSpec2D | list[GridSpec2D]:
+    """Largest grid on the mode axes at each time of ``now`` whose predicted stencil error fits ``residual_max``'s budget.
 
-    The stencil budget is residual_max / GRID_BUDGET_DIVISOR, and each
+    A record at a float time gives one grid; a run's record gives one grid
+    per time, in its order, from one ``_stencil_error_law`` call.  The
+    stencil budget is residual_max / GRID_BUDGET_DIVISOR, and each
     axis's law gets half of it.  Its half extent is searched in
     [GRID_HALF_MIN, DIAGONAL_COVERAGE sigma] (a bracket that would end
     below GRID_HALF_MIN is that one point) by regula falsi with the
@@ -674,24 +794,27 @@ def residual_grid(now: Schedules, residual_max: float, n: int = 201) -> GridSpec
     tolerance (about ten law calls per axis).  The returned extent is
     always the feasible end of the bracket.  A law that underflows to 0
     is feasible (see LAW_FLOOR).  Where even GRID_HALF_MIN misses the
-    budget, the ``ValueError`` names residual_max, the time and the axis;
-    a residual_max whose budget is not positive and finite (from NaN,
-    0 or inf to values so small that the budget rounds to 0) is refused
-    before any law is divided by it.
+    budget, the ``ValueError`` names residual_max, the first such time and
+    the axis; a residual_max whose budget is not positive and finite (from
+    NaN, 0 or inf to values so small that the budget rounds to 0) is
+    refused before any law is divided by it.
     """
     if not (isinstance(n, numbers.Integral) and n >= 2 * RING + 1):
         raise ValueError(f"residual grid needs an integer n >= {2 * RING + 1}, got {n!r}")
     budget = 0.5 * (residual_max / GRID_BUDGET_DIVISOR)
     if not 0.0 < budget < math.inf:
         raise ValueError(f"residual_max must leave a positive, finite stencil budget, got {residual_max!r}")
-    sigmas = spread_sigmas(now)
-    halves = []
-    for axis, law, sigma in zip("uv", _stencil_error_law(now), sigmas):
-        hi = max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)
-        half = _largest_half(lambda half: math.log(max(law(half, n) / budget, LAW_FLOOR)), GRID_HALF_MIN, hi)
-        if half is None:
-            where = f"at n = {n} for t = {now.t:g} on the {axis} axis"
-            raise ValueError(f"no feasible extent {where} under residual_max = {residual_max:g}")
-        halves.append(half)
-    a_u, a_v = halves
-    return GridSpec2D(-a_u, a_u, -a_v, a_v, n, n)
+    run = _as_run(now)
+    grids = []
+    for t, laws, sigmas in zip(run.t.tolist(), _stencil_error_law(run), _run_sigmas(run)):
+        halves = []
+        for axis, law, sigma in zip("uv", laws, sigmas):
+            hi = max(GRID_HALF_MIN, DIAGONAL_COVERAGE * sigma)
+            half = _largest_half(lambda half: math.log(max(law(half, n) / budget, LAW_FLOOR)), GRID_HALF_MIN, hi)
+            if half is None:
+                where = f"at n = {n} for t = {t:g} on the {axis} axis"
+                raise ValueError(f"no feasible extent {where} under residual_max = {residual_max:g}")
+            halves.append(half)
+        a_u, a_v = halves
+        grids.append(GridSpec2D(-a_u, a_u, -a_v, a_v, n, n))
+    return grids if np.ndim(now.t) else grids[0]

@@ -302,11 +302,11 @@ def test_verify_without_feasible_grid_is_usage_error(tmp_path, capsys):
 
 
 def test_verify_evaluates_each_schedule_once_per_record(tmp_path, monkeypatch):
-    # per time, run_verify builds one record at t and TimeSamples one over
-    # t + dt, t - dt and t; each evaluates nu, nu', nu'', mu and mu' once,
-    # an array call counting once.  Over both shipped verify examples that
-    # is 60 TimePolynomial calls, where evaluating the forms one by one
-    # took 174
+    # per run, run_verify builds one record of its times and TimeSamples one
+    # over t + dt, t - dt and t of every time; each evaluates nu, nu', nu'',
+    # mu and mu' once, an array call counting once.  Over both shipped
+    # verify examples that is 20 TimePolynomial calls, where two records per
+    # time took 60 and evaluating the forms one by one 174
     calls = collections.Counter()
     for name in ("value", "d1", "d2"):
 
@@ -319,7 +319,7 @@ def test_verify_evaluates_each_schedule_once_per_record(tmp_path, monkeypatch):
         cfg = cli.load_config(CONFIG_DIR / f"{example}.json", out_override=str(tmp_path / example))
         _, failures = cli.run_verify(cfg)
         assert failures == []
-    assert sum(calls.values()) <= 60
+    assert sum(calls.values()) <= 20
 
 
 @pytest.mark.parametrize(
@@ -342,8 +342,8 @@ def test_verify_reports_first_failing_time(tmp_path, capsys, times, message):
 def test_verify_checks_a_time_before_choosing_the_next_grid(tmp_path, capsys, monkeypatch):
     # t = 0.5 fails inside its checks and t = 4 has no feasible extent:
     # the earlier time decides the error
-    def failing(at, **kwargs):
-        raise ValueError(f"schrodinger residual at t = {at.t:g} must be finite and non-negative")
+    def failing(at, row=0):
+        raise ValueError(f"schrodinger residual at t = {at.t[row]:g} must be finite and non-negative")
 
     monkeypatch.setattr(verify, "schrodinger_residual", failing)
     cfg = small_density_config(tmp_path, times=[0.5, 4.0], grid="auto")
@@ -368,8 +368,9 @@ def test_verify_takes_an_underflowing_stencil_law_as_feasible(tmp_path, capsys):
 
 @pytest.mark.parametrize("grid", ["auto", {"x_min": -3.0, "x_max": 3.0, "y_min": -3.0, "y_max": 3.0, "nx": 41, "ny": 41}])
 def test_run_verify_chooses_one_grid_per_time(tmp_path, monkeypatch, grid):
-    # one residual_grid call per time of an auto-grid config, in config
-    # order, through the module attribute; none for an explicit grid
+    # one residual_grid call per auto-grid config, on the record of its
+    # times in config order, through the module attribute, giving one grid
+    # per time; none for an explicit grid
     calls = []
     choose = verify.residual_grid
 
@@ -381,7 +382,7 @@ def test_run_verify_chooses_one_grid_per_time(tmp_path, monkeypatch, grid):
     cfg = cli.load_config(small_density_config(tmp_path, grid=grid, times=[0.25, 0.5, 1.0]))
     out, _ = cli.run_verify(cfg)
     if grid == "auto":
-        assert calls == [((cfg.scenario.at(t), 1e-4), {}) for t in cfg.times]
+        assert [(now.t.tolist(), rest, kwargs) for (now, *rest), kwargs in calls] == [(list(cfg.times), [1e-4], {})]
         reports = [e["reports"][0]["grid"] for e in json.loads(out.read_text())["results"]]
         assert reports == [vars(choose(cfg.scenario.at(t), 1e-4)) for t in cfg.times]
     else:
@@ -856,7 +857,8 @@ def test_a_row_at_its_tolerance_passes_and_the_next_float_up_does_not(tmp_path, 
     value = float(np.nextafter(tol, math.inf)) if over else tol
     out = tmp_path / "out"
     if layer == "verify":
-        monkeypatch.setattr(verify, "check_time", lambda now, grid, v_source: ({"t": now.t}, [(check, value, check)]))
+        canned = [(check, value, check)]
+        monkeypatch.setattr(verify, "check_times", lambda now, grids, v_source: [({"t": t}, canned) for t in now.t.tolist()])
         payload = json.loads((CONFIG_DIR / "verify_example1.json").read_text())
         cfg = write_config(tmp_path, "v.json", {**payload, "times": [0.5], "out_dir": str(out)})
         code, _, err = run_main(["verify", "--config", str(cfg)])
@@ -1512,7 +1514,7 @@ def test_main_refuses_malformed_config_files(tmp_path, monkeypatch, command, cas
     def never(*args, **kwargs):
         raise AssertionError("a refused config ran")
 
-    for name in ("check_time", "residual_grid"):
+    for name in ("check_times", "residual_grid"):
         monkeypatch.setattr(verify, name, never)
     for name in cli.FIELD_SAMPLERS:
         monkeypatch.setitem(cli.FIELD_SAMPLERS, name, never)

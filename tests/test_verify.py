@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +130,7 @@ def test_bohm_definition_past_the_float_range_is_refused():
     s = Scenario(m=1.0, r=0.0, nu=TimePolynomial([0.0, 0.0, 5.0]), mu=TimePolynomial([0.0, 0.0]))
     at = verify.TimeSamples(s.at(3.0), GridSpec2D(1.0, 4.241714080680985, 1.0, 5.862571121021479, 9, 13))
     with np.errstate(over="ignore"):
-        r_u, r_v = verify._bohm_definition_parts(at)
+        r_u, r_v = (part[0] for part in at.bohm_parts)
         assert np.isfinite(r_u).all() and not np.isfinite(r_v).any()
         with pytest.raises(ValueError, match="bohm_definition residual at t = 3 must be finite"):
             verify.bohm_definition_residual(at)
@@ -177,7 +178,7 @@ def test_hamilton_jacobi_residual_closed_form_sources():
     for s in [example1(), example2()]:
         for t in [0.0, 0.7, 1.5]:
             for source in ("closed_form", "hj_closure"):
-                rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid), v_source=source)
+                rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid, v_source=source))
                 assert rep.max_abs_residual < 1e-9
 
 
@@ -185,7 +186,7 @@ def test_hamilton_jacobi_residual_exposes_variant():
     # the variant source leaves exactly (2m + 1) V_B as residual
     s = example1()
     grid = GridSpec2D.square(4.0, 41)
-    rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(0.5), grid), v_source="variant")
+    rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(0.5), grid, v_source="variant"))
     u, v = grid.mesh()  # the grid's axes are the modes
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
     expected = np.abs((2 * s.m + 1) * cf.bohm_potential(s, x, y, 0.5)).max()
@@ -196,8 +197,8 @@ def test_hamilton_jacobi_residual_exposes_variant():
 def test_schrodinger_residual_exposes_variant():
     s = example1()
     grid = verify.residual_grid(s.at(0.5), RESIDUAL_MAX)
-    good = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid), v_source="hj_closure")
-    bad = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid), v_source="variant")
+    good = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid, v_source="hj_closure"))
+    bad = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid, v_source="variant"))
     assert bad.max_abs_residual > 1e3 * good.max_abs_residual
 
 
@@ -295,7 +296,7 @@ def test_hj_closure_and_unit_norm_hold_for_random_scenarios(case, grid, v_source
     largest = max(max(abs(f.c_u), abs(f.c_v), abs(f.const)) for f in forms)
     u, v = grid.xs(), grid.ys()
     reach = 1.0 + float((u * u).max()) + float((v * v).max())
-    report = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid), v_source=v_source)
+    report = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid, v_source=v_source))
     assert report.max_abs_residual <= 8.0 * np.finfo(float).eps * largest * reach
     norm, _, _ = verify.diagonal_moments(s.at(t))
     assert abs(norm - 1.0) <= cli.DEFAULT_TOLERANCES["normalization"]
@@ -318,18 +319,15 @@ def test_mode_lattice_matches_meshgrid(grid, case):
     for when in (t - dt, t + dt):
         nu = s.nu.value(when)
         assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
-    samples = verify.TimeSamples(s.at(t), grid, dt)
-    # A's and psi's factors as the checks form them from the record; the
-    # phase's constant goes to psi's f
-    (p, q), form, (u_axis, v_axis) = samples.exponents, samples.phases, samples.axes
+    # A's and psi's factors as the record forms them (the phase's constant
+    # goes to psi's f), at the record's rows t + dt, t - dt and t
+    times = np.array([t + dt, t - dt, t])
+    record = s.at(times[:, None])
+    (p, q), wavefunction = verify._mode_factors(cf.log_amplitude_coeffs(record), cf.phase_coeffs(record), grid.xs(), grid.ys())
     amplitude = np.exp(p), np.exp(q)
-    wavefunction = (
-        np.exp(p + 1j * (form.c_u * u_axis * u_axis + form.const)),
-        np.exp(q + 1j * (form.c_v * v_axis * v_axis)),
-    )
     u, v = grid.mesh()
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
-    for row, when in enumerate(samples.times):
+    for row, when in enumerate(times):
         amp, phase = cf.log_amplitude_coeffs(s.at(when)), cf.phase_coeffs(s.at(when))
         amp_scale, phase_scale = _scale(amp, x, y), _scale(phase, x, y)
         with warnings.catch_warnings():
@@ -372,42 +370,40 @@ def bitwise_equal(a, b):
 
 def test_mode_lattice_views_are_read_only(monkeypatch):
     # the stencils read each 1-D factor through views of it and never write
-    # to it: with the record's read-only factors every residual field is
-    # the one writable factors give
+    # to it, and the checks only read the record: with its arrays read-only
+    # every residual field is the one writable arrays give
     s, t, dt = example2(), 0.5, 1e-4
     grid = GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11)
-    at = verify.TimeSamples(s.at(t), grid, dt)
-    p, _ = at.exponents
-    for view in (verify._inner(p), verify._stencil(p[2], grid.hx)[0]):
+    record = s.at(np.array([t + dt, t - dt, t])[:, None])
+    (p, _), _ = verify._mode_factors(cf.log_amplitude_coeffs(record), cf.phase_coeffs(record), grid.xs(), grid.ys())
+    verify._read_only(p)
+    for view in (verify._inner(p), verify._stencil(p[2], grid.hx)[0], *verify._neighbours(p)):
         assert np.shares_memory(view, p) and not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = 0.0
+    at = verify.TimeSamples(s.at(t), grid, dt)
 
     def fields(at):
-        return [
-            verify._schrodinger_field(at, "hj_closure"),
-            verify._continuity_field(at),
-            np.add.outer(*verify._bohm_definition_parts(at)),
-        ]
+        parts = (part[0] for part in at.bohm_parts)
+        return [verify._field(at.schrodinger_terms, 0), verify._field(at.continuity_terms, 0), np.add.outer(*parts)]
 
     read_only = fields(at)
     monkeypatch.setattr(verify, "_read_only", lambda *arrays: arrays)
     writable = verify.TimeSamples(s.at(t), grid, dt)
-    assert writable.exponents[0].flags.writeable
+    assert all(array.flags.writeable for array in record_arrays(writable))
     for ours, ref in zip(read_only, fields(writable)):
         assert bitwise_equal(ours, ref)
 
 
 def record_arrays(at):
-    """Every array the record hands out, its forms excepted."""
-    parts = [at.axes, at.interior, at.exponents]
-    return [array for part in parts for array in part]
+    """Every array the record hands out."""
+    return [*at.schrodinger_terms, *at.continuity_terms, *at.hj_parts, *at.bohm_parts]
 
 
 def test_record_arrays_are_read_only():
     at = verify.TimeSamples(example2().at(0.5), GridSpec2D(-1.0, 1.0, -0.5, 0.5, 21, 11))
     arrays = record_arrays(at)
-    assert len(arrays) == 6 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
+    assert len(arrays) == 8 and all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
 
 
 def report_bits(report):
@@ -416,25 +412,29 @@ def report_bits(report):
 
 @pytest.mark.parametrize("v_source", verify.V_SOURCES)
 def test_checks_in_any_order_give_the_same_reports(v_source):
-    # the record is built whole before any check reads it, and each check
-    # forms its own factors: the order the checks run in changes no bit of
-    # any report
+    # the record is built whole before any check reads it, and no check
+    # writes to it: the order the checks run in changes no bit of any report
     s, t = example2(), 0.5
     grid = GridSpec2D(-2.0, 2.0, -0.5, 0.5, 41, 31)
     checks = {
-        "schrodinger": lambda at: verify.schrodinger_residual(at, v_source=v_source),
+        "schrodinger": verify.schrodinger_residual,
         "continuity": verify.continuity_residual,
-        "hamilton_jacobi": lambda at: verify.hamilton_jacobi_residual(at, v_source=v_source),
+        "hamilton_jacobi": verify.hamilton_jacobi_residual,
         "bohm_definition": verify.bohm_definition_residual,
     }
-    alone = {name: report_bits(check(verify.TimeSamples(s.at(t), grid))) for name, check in checks.items()}
+    alone = {
+        name: report_bits(check(verify.TimeSamples(s.at(t), grid, v_source=v_source))) for name, check in checks.items()
+    }
     for order in itertools.permutations(checks):
-        at = verify.TimeSamples(s.at(t), grid)
+        at = verify.TimeSamples(s.at(t), grid, v_source=v_source)
         assert {name: report_bits(checks[name](at)) for name in order} == alone
 
 
 def test_record_takes_each_form_once_per_time(monkeypatch):
-    s, t, dt = example1(), 0.5, 1e-4
+    # one Scenario.at over the run's times t + dt, t - dt and t: ln A's and
+    # the phase's forms are each taken once, over all of them, for a run of
+    # one time and for a run of three
+    s, dt = example1(), 1e-4
     calls = collections.Counter()
 
     def counted(fn):
@@ -446,15 +446,19 @@ def test_record_takes_each_form_once_per_time(monkeypatch):
 
     for name in ("log_amplitude_coeffs", "phase_coeffs"):
         monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
-    grid = verify.residual_grid(s.at(t), RESIDUAL_MAX)
-    calls.clear()  # residual_grid's own calls
-    at = verify.TimeSamples(s.at(t), grid, dt)
-    for _ in range(2):
-        for residual in RESIDUALS:
-            residual(at)
-        record_arrays(at)
-    expected = {(name, (t + dt, t - dt, t)): 1 for name in ("log_amplitude_coeffs", "phase_coeffs")}
-    assert calls == collections.Counter(expected)
+    for times in ([0.5], [0.25, 0.5, 1.0]):
+        now = s.at(np.array(times))
+        grids = verify.residual_grid(now, RESIDUAL_MAX)
+        calls.clear()  # residual_grid's own calls
+        at = verify.TimeSamples(now, grids, dt)
+        for _ in range(2):
+            for row in range(len(times)):
+                for residual in RESIDUALS:
+                    residual(at, row)
+            record_arrays(at)
+        record_times = tuple(when for t in times for when in (t + dt, t - dt, t))
+        expected = {(name, record_times): 1 for name in ("log_amplitude_coeffs", "phase_coeffs")}
+        assert calls == collections.Counter(expected)
 
 
 def stencil_fields_2d(s, t, grid, dt, v_source):
@@ -548,15 +552,15 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
         (schrod, schrod_tol), (cont, cont_tol), (bohm, bohm_tol) = stencil_fields_2d(
             s, t, grid, dt, v_source
         )
-    at = verify.TimeSamples(s.at(t), grid, dt)
-    ours = verify._schrodinger_field(at, v_source)
+    at = verify.TimeSamples(s.at(t), grid, dt, v_source)
+    ours = verify._field(at.schrodinger_terms, 0)
     assert ours.shape == schrod.shape == (grid.nx - 4, grid.ny - 4)
     assert np.all(np.abs(ours - schrod) <= schrod_tol)
-    assert np.all(np.abs(verify._continuity_field(at) - cont) <= cont_tol)
+    assert np.all(np.abs(verify._field(at.continuity_terms, 0) - cont) <= cont_tol)
     # ours takes no floor: it matches the reference wherever the reference
     # exists, and parts past the float range are refused by the report
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = verify._bohm_definition_parts(at)
+        parts = [part[0] for part in at.bohm_parts]
         if bohm is not None:
             assert np.all(np.abs(np.add.outer(*parts) - bohm) <= bohm_tol)
         if not all(np.isfinite(part).all() for part in parts):
@@ -588,12 +592,17 @@ outer_sum_parts = hnp.arrays(
 )
 
 
-def grid_statistics(r_u, r_v):
-    # reference: the statistics of the whole outer-sum grid, as _report took
-    # them before the 1-D reduction
+def grid_max(r_u, r_v):
+    # reference: the largest absolute element of the whole outer-sum grid
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = np.abs(r_u[:, None] + r_v[None, :]).ravel()
-        return float(flat.max()), float(np.sqrt(np.mean(flat * flat)))
+        return float(np.abs(r_u[:, None] + r_v[None, :]).max())
+
+
+def exact_mean_square(r_u, r_v):
+    # reference: the mean square of the grid's elements r_u[i] + r_v[j], in
+    # exact rationals, so no sum or square rounds, overflows or underflows
+    parts_u, parts_v = (list(map(Fraction, part.tolist())) for part in (r_u, r_v))
+    return sum((a + b) ** 2 for a in parts_u for b in parts_v) / (len(parts_u) * len(parts_v))
 
 
 def outer_sum_report(r_u, r_v):
@@ -602,19 +611,54 @@ def outer_sum_report(r_u, r_v):
         return verify._outer_sum_report("bohm_definition", 0.5, r_u, r_v, grid)
 
 
+# ulps of the rms the 1-D reduction may differ from the grid's exact rms by:
+# the parts' sums of squares round once per term (at most 12 terms here)
+OUTER_SUM_RMS_ULPS = 8
+
+
+def within_ulps(rms: float, mean_square: Fraction, ulps: int) -> bool:
+    """|rms - sqrt(mean_square)| <= ulps ulp(rms), decided in exact rationals."""
+    width = ulps * Fraction(math.ulp(rms))
+    return max(Fraction(rms) - width, Fraction(0)) ** 2 <= mean_square <= (Fraction(rms) + width) ** 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(r_u=outer_sum_parts, r_v=outer_sum_parts)
 def test_outer_sum_report_matches_grid_statistics(r_u, r_v):
     # rounding is monotone, so the grid's extreme elements are the rounded
-    # sums of the parts' extremes: the 1-D reduction is exact, bit for bit
-    max_abs, rms = grid_statistics(r_u, r_v)
-    if not (math.isfinite(max_abs) and math.isfinite(rms)):
+    # sums of the parts' extremes: the max is the grid's, bit for bit.  The
+    # rms comes from the parts' means and centred sums of squares, scaled
+    # by a power of two: within a few ulps of the grid's exact rms wherever
+    # that is a float, however the grid's own squares would overflow
+    max_abs, mean_square = grid_max(r_u, r_v), exact_mean_square(r_u, r_v)
+    largest = Fraction(np.finfo(float).max)
+    assume(not largest**2 * (1 - Fraction(1, 2**40)) <= mean_square <= largest**2 * (1 + Fraction(1, 2**40)))
+    if not math.isfinite(max_abs) or mean_square > largest**2:
         with pytest.raises(ValueError, match="finite"):
             outer_sum_report(r_u, r_v)
         return
     rep = outer_sum_report(r_u, r_v)
     assert rep.max_abs_residual.hex() == max_abs.hex()
-    assert rep.rms_residual.hex() == rms.hex()
+    assert within_ulps(rep.rms_residual, mean_square, OUTER_SUM_RMS_ULPS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    offset=st.floats(1.0, 1e12),
+    deltas=hnp.arrays(np.float64, st.integers(3, 40), elements=st.floats(-1.0, 1.0)),
+    epsilons=hnp.arrays(np.float64, st.integers(3, 40), elements=st.floats(-1.0, 1.0)),
+)
+def test_outer_sum_rms_survives_large_opposite_offsets(offset, deltas, epsilons):
+    # parts c + delta_i and -c + eps_j, as the Bohm definition's are (+-e_v
+    # / 2m): the grid's elements are small differences of large parts, and
+    # the rms from the parts stays within a few ulps of math.fsum over the
+    # grid's squares, with the max the grid's
+    r_u, r_v = offset + deltas, -offset + epsilons
+    elements = (r_u[:, None] + r_v[None, :]).ravel().tolist()
+    reference = math.sqrt(math.fsum(x * x for x in elements) / len(elements))
+    rep = outer_sum_report(r_u, r_v)
+    assert rep.max_abs_residual == max(map(abs, elements))
+    assert abs(rep.rms_residual - reference) <= 4 * math.ulp(reference)
 
 
 @settings(max_examples=100, deadline=None)
@@ -645,20 +689,25 @@ def peak_bytes(run) -> int:
 
 @pytest.mark.parametrize("residual", [*RESIDUALS, pytest.param(None, id="per_time_pass")])
 def test_real_residuals_build_one_grid_array(residual):
-    # the field and at most numpy's broadcasting buffers: the abs and the
-    # square of a real field are taken in place, a complex field's |r| is
-    # half its size, and the outer sums take their largest value from the
-    # 1-D parts.  A second grid-sized array would reach 2
+    # on a built record, a stencil check peaks at its field and at most
+    # numpy's buffers: a real field's abs and square are taken in place, and
+    # a complex field squares its real and imaginary views into its real
+    # view, so a second grid-sized array would reach 2.  The outer sums
+    # take both statistics from the 1-D parts and build no grid array
     s = example1()
     grid = verify.residual_grid(s.at(0.5), RESIDUAL_MAX)
+    real_grid = grid.nx * grid.ny * 8
     if residual is not None:
-        peak = peak_bytes(lambda: residual(verify.TimeSamples(s.at(0.5), grid)))
-        itemsize = 16 if residual is verify.schrodinger_residual else 8
-        assert peak <= 1.5 * grid.nx * grid.ny * itemsize
+        at = verify.TimeSamples(s.at(0.5), grid)
+        peak = peak_bytes(lambda: residual(at))
+        if residual in (verify.hamilton_jacobi_residual, verify.bohm_definition_residual):
+            assert peak < 0.25 * real_grid
+        else:
+            assert peak <= 1.25 * real_grid * (2 if residual is verify.schrodinger_residual else 1)
         return
     # all four checks on one record, as verify runs them: each frees its
     # field before it returns, so between checks the pass holds only the
-    # record's 1-D arrays (52 kB here, under a quarter of a real field), and
+    # record's 1-D arrays (44 kB here, under a quarter of a real field), and
     # it peaks at its largest check, up to a few Python objects
     held = []
 
@@ -672,7 +721,7 @@ def test_real_residuals_build_one_grid_array(residual):
     peak = peak_bytes(run)
     largest = max(peak_bytes(lambda: check(verify.TimeSamples(s.at(0.5), grid))) for check in RESIDUALS)
     assert peak <= largest + 2048
-    assert max(held) < 0.25 * grid.nx * grid.ny * 8
+    assert max(held) < 0.25 * real_grid
 
 
 REPORT_ENTRY_KEYS = {"t", "reports", "normalization", "var_plus", "var_minus", "var_minus_expected", "variance_product_expected"}
@@ -680,13 +729,13 @@ REPORT_ENTRY_KEYS = {"t", "reports", "normalization", "var_plus", "var_minus", "
 
 @pytest.mark.parametrize("scenario_fn", [example1, example2])
 @pytest.mark.parametrize("v_source", verify.V_SOURCES)
-def test_check_time_rows_follow_the_report(scenario_fn, v_source):
+def test_check_times_rows_follow_the_report(scenario_fn, v_source):
     # the seven checks in report order, each keyed by the tolerance that
     # judges it; the residual rows are the entry's reports, and the moment
     # rows are relative to the squeezing law the entry records
     now = scenario_fn().at(0.5)
     grid = verify.residual_grid(now, RESIDUAL_MAX)
-    entry, rows = verify.check_time(now, grid, v_source)
+    ((entry, rows),) = verify.check_times(now, grid, v_source)
     names = [name for name, _, _ in rows]
     assert names == [
         "schrodinger",
@@ -711,6 +760,115 @@ def test_check_time_rows_follow_the_report(scenario_fn, v_source):
     assert (rows[2][1] > cli.DEFAULT_TOLERANCES["hj_max"]) == (v_source == "variant")
 
 
+def entry_bits(entry, rows):
+    """A time's entry and rows with every float as its bits."""
+    bits = {key: float(value).hex() for key, value in entry.items() if key != "reports"}
+    bits["reports"] = [report_bits(rep) for rep in entry["reports"]]
+    return bits, [(name, float(value).hex(), key) for name, value, key in rows]
+
+
+def check_run(s, times, grid, v_source="hj_closure"):
+    """check_times on a run of ``times``, on auto grids or on one explicit grid."""
+    now = s.at(np.array(times))
+    return verify.check_times(now, verify.residual_grid(now, RESIDUAL_MAX) if grid == "auto" else grid, v_source)
+
+
+@pytest.mark.parametrize("scenario_fn", [example1, example2])
+@pytest.mark.parametrize("v_source", verify.V_SOURCES)
+@pytest.mark.parametrize("grid", ["auto", GridSpec2D(-3.0, 3.0, -1.5, 1.5, 41, 31)], ids=["auto", "explicit"])
+def test_a_times_entry_does_not_depend_on_its_run(scenario_fn, v_source, grid):
+    # each time of a run gives, bit for bit, the entry and rows of a run of
+    # that time alone, and of a record at that float time
+    s, times = scenario_fn(), [0.25, 0.5, 1.0]
+    run = check_run(s, times, grid, v_source)
+    assert len(run) == len(times)
+    for t, together in zip(times, run):
+        (alone,) = check_run(s, [t], grid, v_source)
+        one_grid = verify.residual_grid(s.at(t), RESIDUAL_MAX) if grid == "auto" else grid
+        (at_float,) = verify.check_times(s.at(t), one_grid, v_source)
+        assert entry_bits(*together) == entry_bits(*alone) == entry_bits(*at_float)
+        assert together[0]["t"] == t and type(together[0]["t"]) is float
+
+
+def test_a_run_across_chunks_gives_each_time_its_own_entry():
+    # a run longer than one chunk: twelve times on auto grids take three
+    # chunks of at most five, and each time still reads as it does alone
+    s, times = example2(), np.linspace(0.1, 1.2, 12).tolist()
+    grids = verify.residual_grid(s.at(np.array(times)), RESIDUAL_MAX)
+    assert verify.RECORD_CHUNK_BYTES // verify._time_bytes(grids[0]) == 5
+    for t, together in zip(times, check_run(s, times, "auto"), strict=True):
+        (alone,) = check_run(s, [t], "auto")
+        assert entry_bits(*together) == entry_bits(*alone)
+
+
+def test_a_run_takes_one_record_and_one_moment_pass_per_chunk(monkeypatch):
+    # check_times builds a record and takes the moments once per chunk: all
+    # three times of a shipped config in one, and one time per chunk where a
+    # time alone passes the budget
+    s, grid = example2(), GridSpec2D.square(2.0, 21)
+    calls = []
+
+    def counted(name):
+        fn = getattr(verify, name)
+
+        def call(now, *args, **kwargs):
+            calls.append((name, np.size(now.t)))
+            return fn(now, *args, **kwargs)
+
+        return call
+
+    for name in ("TimeSamples", "diagonal_moments"):
+        monkeypatch.setattr(verify, name, counted(name))
+    verify.check_times(s.at(np.array([0.25, 0.5, 1.0])), grid)
+    assert calls == [("diagonal_moments", 3), ("TimeSamples", 3)]
+    calls.clear()
+    monkeypatch.setattr(verify, "RECORD_CHUNK_BYTES", verify._time_bytes(grid) - 1)
+    verify.check_times(s.at(np.array([0.25, 0.5])), grid)
+    assert calls == [("diagonal_moments", 1), ("TimeSamples", 1)] * 2
+    # a run's grids share one shape, whatever its chunks
+    for grids in ([grid, GridSpec2D.square(2.0, 23)], [grid]):
+        with pytest.raises(ValueError, match="one grid per time, all of one shape"):
+            verify.check_times(s.at(np.array([0.25, 0.5])), grids)
+
+
+def test_a_long_run_holds_one_chunk_at_a_time():
+    # the run is checked a chunk at a time: 200 times peak at most one
+    # chunk's budget above a single time (their entries included)
+    s, grid = example1(), GridSpec2D.square(4.0, 201)
+    times = np.linspace(0.01, 2.0, 200)
+    one = peak_bytes(lambda: verify.check_times(s.at(times[:1]), grid))
+    many = peak_bytes(lambda: verify.check_times(s.at(times), grid))
+    assert many <= one + verify.RECORD_CHUNK_BYTES
+
+
+def test_residual_grid_takes_one_eigvals_call_per_run(monkeypatch):
+    # the laws of every time of a run come from one eigvals call over its
+    # 2T companion matrices, and each time's grid is the one it gets alone
+    s, times = example2(), [0.25, 0.5, 1.0]
+    alone = [verify.residual_grid(s.at(t), RESIDUAL_MAX) for t in times]
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert verify.residual_grid(s.at(np.array(times)), RESIDUAL_MAX) == alone
+    assert verify.residual_grid(s.at(0.5), RESIDUAL_MAX) == alone[1]
+    assert shapes == [(6, 4, 4), (2, 4, 4)]
+
+
+def test_diagonal_moments_of_a_run_are_each_times_own():
+    # one exp and one vecdot integrate both modes of every time; each time's
+    # triple is, bit for bit, the one a record at that float time gives
+    s, times = example2(), [0.0, 0.25, 0.5, 1.0, 2.0]
+    norm, var_plus, var_minus = verify.diagonal_moments(s.at(np.array(times)))
+    for k, t in enumerate(times):
+        assert (norm[k], var_plus[k], var_minus[k]) == verify.diagonal_moments(s.at(t))
+        assert all(type(value) is float for value in verify.diagonal_moments(s.at(t)))
+
+
 @pytest.mark.parametrize("config", ["verify_example1.json", "verify_example2.json"])
 def test_variant_fails_at_every_example_time(config):
     payload = json.loads((CONFIG_DIR / config).read_text())
@@ -718,7 +876,7 @@ def test_variant_fails_at_every_example_time(config):
     for t in payload["times"]:
         grid = verify.residual_grid(s.at(t), RESIDUAL_MAX)
         good = verify.schrodinger_residual(verify.TimeSamples(s.at(t), grid))
-        bad = verify.schrodinger_residual(verify.TimeSamples(s.at(t), grid), v_source="variant")
+        bad = verify.schrodinger_residual(verify.TimeSamples(s.at(t), grid, v_source="variant"))
         assert good.max_abs_residual < 1e-4 < bad.max_abs_residual
         assert bad.max_abs_residual > 100.0 * good.max_abs_residual
 
@@ -922,7 +1080,7 @@ def test_residual_grid_stops_at_the_half_extent_floor():
     s = example1()
     grid = verify.residual_grid(s.at(3.39), RESIDUAL_MAX)
     assert verify.GRID_HALF_MIN < grid.y_max < 1.02e-3
-    _, rows = verify.check_time(s.at(3.39), grid)
+    ((_, rows),) = verify.check_times(s.at(3.39), grid)
     assert all(value <= cli.DEFAULT_TOLERANCES[key] for _, value, key in rows)
     with pytest.raises(ValueError, match="no feasible extent at n = 201 for t = 3.41 on the v axis"):
         verify.residual_grid(s.at(3.41), RESIDUAL_MAX)
@@ -947,7 +1105,8 @@ def bracket(s, t):
 
 def axis_laws(s, t):
     """(law_u, law_v) of one time as functions law(half, n)."""
-    return verify._stencil_error_law(s.at(t))
+    (laws,) = verify._stencil_error_law(s.at(np.array([t])))
+    return laws
 
 
 def bisection_width(lo, hi):
@@ -1055,13 +1214,13 @@ def test_residual_grid_matches_bisection(monkeypatch, scenario_fn, t, n):
 
             return call
 
-        return tuple(counted(axis, law) for axis, law in zip("uv", make_laws(*args)))
+        return [tuple(counted(axis, law) for axis, law in zip("uv", laws)) for laws in make_laws(*args)]
 
     monkeypatch.setattr(verify, "_stencil_error_law", counted_laws)
     grid = verify.residual_grid(s.at(t), RESIDUAL_MAX, n=n)
     monkeypatch.undo()
     # one law build, for the one time
-    assert builds == [(s.at(t),)]
+    assert [run.t.tolist() for run, in builds] == [[t]]
     assert (grid.nx, grid.ny) == (n, n)
     assert (grid.x_min, grid.y_min) == (-grid.x_max, -grid.y_max)
     for half, law, (lo, hi), axis in zip((grid.x_max, grid.y_max), axis_laws(s, t), bracket(s, t), "uv"):
@@ -1090,7 +1249,7 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
         calls.append((half, n))
         return power_law(half, n)
 
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda now: (counted, counted))
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda run: [(counted, counted)])
     grid = verify.residual_grid(example1().at(0.0), RESIDUAL_MAX)
     assert len(calls) <= 12
     (lo, hi), _ = bracket(example1(), 0.0)
@@ -1103,7 +1262,7 @@ def test_residual_grid_closes_bracket_after_landing_on_root(monkeypatch, root):
 def test_residual_grid_takes_a_zero_law_as_feasible(monkeypatch):
     # a law that underflows to 0 at every extent (a huge mass) meets any
     # target: each axis gets its bracket's upper end
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda now: (lambda half, n: 0.0,) * 2)
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda run: [(lambda half, n: 0.0,) * 2])
     grid = verify.residual_grid(example1().at(0.0), RESIDUAL_MAX)
     (_, hi_u), (_, hi_v) = bracket(example1(), 0.0)
     assert (grid.x_max, grid.y_max) == (hi_u, hi_v)
@@ -1122,7 +1281,7 @@ def test_residual_grid_closes_bracket_above_a_zero_lower_end(monkeypatch, root):
         calls.append(half)
         return law(half, n)
 
-    monkeypatch.setattr(verify, "_stencil_error_law", lambda now: (counted, counted))
+    monkeypatch.setattr(verify, "_stencil_error_law", lambda run: [(counted, counted)])
     grid = verify.residual_grid(example1().at(0.0), RESIDUAL_MAX)
     assert all(math.isfinite(half) for half in calls) and len(calls) <= 40
     (lo, hi), _ = bracket(example1(), 0.0)
