@@ -328,7 +328,11 @@ class TimeSamples:
     """
 
     def __init__(
-        self, now: Schedules, grids: GridSpec2D | Sequence[GridSpec2D], dt: float = 1e-4, v_source: VSource = "hj_closure"
+        self,
+        now: Schedules,
+        grids: GridSpec2D | Sequence[GridSpec2D],
+        dt: float = 1e-4,
+        v_source: VSource = "hj_closure",
     ):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -387,7 +391,7 @@ def _check_terms(schedules: Schedules, grids: list[GridSpec2D], dt: float, v_sou
 
 
 def _field(terms: tuple[np.ndarray, np.ndarray], row: int) -> np.ndarray:
-    """A stencil check's residual field on the interior at the record's time ``row``, from its stacks: one matrix product."""
+    """A stencil check's field on the interior at the record's time ``row``: one product of its stacks."""
     f, g = terms
     return f[row] @ g[row].T
 
@@ -532,7 +536,7 @@ def diagonal_moments(now: Schedules) -> tuple:
     run = _as_run(now)
     form = log_amplitude_coeffs(run)
     # np.linspace(-half, half, DIAGONAL_POINTS) on each mode's row, in linspace's arithmetic
-    half = DIAGONAL_COVERAGE * np.array(_run_sigmas(run))[..., None]
+    half = DIAGONAL_COVERAGE * np.reshape(_run_sigmas(run), (-1, 2, 1))
     ws = np.arange(DIAGONAL_POINTS) * ((half + half) / (DIAGONAL_POINTS - 1)) - half  # (T, 2, points)
     ws[..., -1:] = half
     # the weights of both integrands, and the density exp(2 c w^2), each formed in place
@@ -587,7 +591,7 @@ def check_times(
     """
     run = _as_run(now)
     grids = _run_grids(grids, run.t.size)
-    size = max(1, RECORD_CHUNK_BYTES // _time_bytes(grids[0]))
+    size = max(1, RECORD_CHUNK_BYTES // _time_bytes(grids[0])) if grids else 1
     results = []
     for first in range(0, len(grids), size):
         span = slice(first, first + size)
@@ -610,7 +614,11 @@ def check_times(
             rows += [
                 ("normalization", abs(norm - 1.0), "normalization"),
                 ("variance", abs(var_minus - var_minus_expected) / var_minus_expected, "variance"),
-                ("variance_product", abs(var_plus * var_minus - product_expected) / product_expected, "variance_product"),
+                (
+                    "variance_product",
+                    abs(var_plus * var_minus - product_expected) / product_expected,
+                    "variance_product",
+                ),
             ]
             entry = {
                 "t": at.t[row],
@@ -695,7 +703,7 @@ def _stencil_error_law(run: Schedules) -> list[tuple[AxisLaw, AxisLaw]]:
     gs = [a * a / (a * a + b * b) if math.isfinite(b) else 0.0 for a, b, _ in axes]
     companion = np.eye(4, k=-1)[None].repeat(len(axes), 0)
     top_rows = [[4.0 * (1.0 + 3.0 * g), (66.0 + 12.0 * g) * g, 60.0 * (1.0 + g) * g, 45.0 * g * g] for g in gs]
-    companion[:, 0] = -np.array(top_rows)
+    companion[:, 0] = -np.reshape(top_rows, (-1, 4))
     roots = np.linalg.eigvals(companion).real.tolist()
     laws = [_axis_law(run.s.m, *axis, candidates) for axis, candidates in zip(axes, roots)]
     return list(zip(laws[::2], laws[1::2]))
@@ -777,7 +785,7 @@ def _largest_half(excess: Callable[[float], float], lo: float, hi: float) -> flo
 
 
 def residual_grid(now: Schedules, residual_max: float, n: int = 201) -> GridSpec2D | list[GridSpec2D]:
-    """Largest grid on the mode axes at each time of ``now`` whose predicted stencil error fits ``residual_max``'s budget.
+    """Largest grid on the mode axes at each time of ``now`` whose predicted stencil error fits its budget.
 
     A record at a float time gives one grid; a run's record gives one grid
     per time, in its order, from one ``_stencil_error_law`` call.  The

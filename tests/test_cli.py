@@ -857,8 +857,10 @@ def test_a_row_at_its_tolerance_passes_and_the_next_float_up_does_not(tmp_path, 
     value = float(np.nextafter(tol, math.inf)) if over else tol
     out = tmp_path / "out"
     if layer == "verify":
-        canned = [(check, value, check)]
-        monkeypatch.setattr(verify, "check_times", lambda now, grids, v_source: [({"t": t}, canned) for t in now.t.tolist()])
+        def checked(now, grids, v_source):
+            return [({"t": t}, [(check, value, check)]) for t in now.t.tolist()]
+
+        monkeypatch.setattr(verify, "check_times", checked)
         payload = json.loads((CONFIG_DIR / "verify_example1.json").read_text())
         cfg = write_config(tmp_path, "v.json", {**payload, "times": [0.5], "out_dir": str(out)})
         code, _, err = run_main(["verify", "--config", str(cfg)])

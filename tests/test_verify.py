@@ -323,7 +323,8 @@ def test_mode_lattice_matches_meshgrid(grid, case):
     # goes to psi's f), at the record's rows t + dt, t - dt and t
     times = np.array([t + dt, t - dt, t])
     record = s.at(times[:, None])
-    (p, q), wavefunction = verify._mode_factors(cf.log_amplitude_coeffs(record), cf.phase_coeffs(record), grid.xs(), grid.ys())
+    forms = cf.log_amplitude_coeffs(record), cf.phase_coeffs(record)
+    (p, q), wavefunction = verify._mode_factors(*forms, grid.xs(), grid.ys())
     amplitude = np.exp(p), np.exp(q)
     u, v = grid.mesh()
     x, y = (u + v) / cf.SQRT2, (u - v) / cf.SQRT2
@@ -729,7 +730,7 @@ REPORT_ENTRY_KEYS = {"t", "reports", "normalization", "var_plus", "var_minus", "
 
 @pytest.mark.parametrize("scenario_fn", [example1, example2])
 @pytest.mark.parametrize("v_source", verify.V_SOURCES)
-def test_check_times_rows_follow_the_report(scenario_fn, v_source):
+def test_check_time_rows_follow_the_report(scenario_fn, v_source):
     # the seven checks in report order, each keyed by the tolerance that
     # judges it; the residual rows are the entry's reports, and the moment
     # rows are relative to the squeezing law the entry records
@@ -867,6 +868,13 @@ def test_diagonal_moments_of_a_run_are_each_times_own():
     for k, t in enumerate(times):
         assert (norm[k], var_plus[k], var_minus[k]) == verify.diagonal_moments(s.at(t))
         assert all(type(value) is float for value in verify.diagonal_moments(s.at(t)))
+
+
+def test_an_empty_run_checks_nothing():
+    empty = example2().at(np.array([]))
+    assert verify.check_times(empty, []) == []
+    assert verify.residual_grid(empty, RESIDUAL_MAX) == []
+    assert verify.diagonal_moments(empty) == ([], [], [])
 
 
 @pytest.mark.parametrize("config", ["verify_example1.json", "verify_example2.json"])
