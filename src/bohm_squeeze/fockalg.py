@@ -127,21 +127,17 @@ class FockSpaceSpec:
         at the column's (n_a, n_b) = (j + d, j).  With row r = j + k that is
         sqrt(C(r + d, j + d) C(r, j)): a binomial block shifted down the
         diagonal by d, times one block shared by every sector, both zero
-        above the diagonal.  The binomials are exact integers from Pascal's
-        triangle, each rounded once, then one product and one square root,
-        so every element is within 1.25 eps of exact, whatever k.  Padding
-        holds the identity.  Sector -d equals sector d, the elements being
-        symmetric in n_a and n_b.  Half an operator.
+        above the diagonal.  The binomials are exact integers from
+        ``math.comb``, each rounded once, then one product and one square
+        root, so every element is within 1.25 eps of exact, whatever k.
+        Padding holds the identity.  Sector -d equals sector d, the
+        elements being symmetric in n_a and n_b.  Half an operator.
         """
         n_max, n = self.n_max, self.n_max + 1
-        rows, row = [], [1]
-        for _ in range(n):
-            rows.append(row + [0] * (n - len(row)))
-            row = [a + b for a, b in zip([0, *row], [*row, 0])]
         # C(m, k) for m, k <= n_max, zero up to 2 n_max: a row past n_max
         # is a padding row of the sector that reads it
         binomial = np.zeros((2 * n_max + 1, 2 * n_max + 1))
-        binomial[:n, :n] = rows
+        binomial[:n, :n] = [[math.comb(m, k) for k in range(n)] for m in range(n)]
         # windows[i, j, r, c] = binomial[i + r, j + c]; its diagonal i = j = d
         # is the block C(r + d, c + d) of sector d
         shifted = np.moveaxis(np.diagonal(sliding_window_view(binomial, (n, n))), -1, 0)

@@ -9,6 +9,7 @@ single-mode state together with its entanglement entropy.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -158,36 +159,23 @@ def _reach(terms: int) -> float:
 def entropy_terms(nu: float) -> int:
     """The least Schmidt term count whose omitted entropy is at most ENTROPY_OMITTED_TOL of the entropy.
 
-    With b = -ln q and a = -ln(1 - q) + b q/(1 - q) the omitted entropy is
-    q^N (a + b N), and it equals the allowed share E where x = a + b N
-    solves x = a - ln E + ln x.  Four steps of that iteration, each
-    gaining a factor of about x (30 or more), and a step of N either way
-    for rounding find N in O(1): 621 terms at nu = 2.2 (606 for a 1e-12
-    share).  Where even ENTROPY_TERMS_MAX terms omit more, raises, naming
-    their reach in |nu|.
+    The omitted entropy falls as the count grows, so a binary search
+    (``bisect``) over the counts 1 .. ENTROPY_TERMS_MAX finds the least
+    that meets the allowed share, in 17 evaluations: 621 terms at nu = 2.2
+    (606 for a 1e-12 share).  Where even ENTROPY_TERMS_MAX terms omit
+    more, raises, naming their reach in |nu|.
     """
     q = math.tanh(nu) ** 2
     if q == 0.0:
         return 1
-    entropy = entropy_closed_form(nu)
-    allowed = ENTROPY_OMITTED_TOL * entropy
+    allowed = ENTROPY_OMITTED_TOL * entropy_closed_form(nu)
     if not (q < 1.0 and _omitted_entropy(q, ENTROPY_TERMS_MAX) <= allowed):
         reach = _reach(ENTROPY_TERMS_MAX)
         raise ValueError(
             f"|nu| = {abs(nu):g} needs more than {ENTROPY_TERMS_MAX} Schmidt terms, which reach |nu| <= {reach:.3g}"
         )
-    b = -math.log(q)
-    a = -math.log1p(-q) + b * q / (1.0 - q)
-    c = a - math.log(ENTROPY_OMITTED_TOL) - math.log(entropy)  # allowed may underflow to 0
-    x = c
-    for _ in range(4):
-        x = c + math.log(x)
-    terms = min(max(math.ceil((x - a) / b), 1), ENTROPY_TERMS_MAX)
-    while _omitted_entropy(q, terms) > allowed:
-        terms += 1
-    while terms > 1 and _omitted_entropy(q, terms - 1) <= allowed:
-        terms -= 1
-    return terms
+    # a count's index in 0 .. ENTROPY_TERMS_MAX is the count; the search starts at 1
+    return bisect.bisect_left(range(ENTROPY_TERMS_MAX + 1), True, lo=1, key=lambda n: _omitted_entropy(q, n) <= allowed)
 
 
 def entanglement_entropy(spec: SchmidtSpectrum) -> float:

@@ -83,6 +83,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .closedform import (
+    NU_LIMIT,
     GridSpec2D,
     QuadForm,
     Scenario,
@@ -154,21 +155,19 @@ class ResidualReport:
 def _report(equation: Equation, t: float, field: np.ndarray, grid: GridSpec2D, dt: float) -> ResidualReport:
     """Statistics of a residual field, taken in place: the field is overwritten.
 
-    A real field takes its abs and its square in place.  A complex field
-    squares its real and imaginary views and sums them into the real view,
-    so neither makes a second grid-sized array.
+    One rule serves real and complex fields: the field's float64 view is
+    squared in place, and a complex field adds its imaginary squares into
+    its real ones, so no second grid-sized array is made.  The max is the
+    square root of the largest square, which is |x| exactly for every
+    |x| >= 2^-511; a real field whose every element lies below that reads
+    its max through the same underflowing square as its rms.
     """
-    flat = field.ravel()
-    if flat.dtype.kind == "c":
-        squares = flat.real
-        np.square(squares, out=squares)
-        squares += np.square(flat.imag, out=flat.imag)
-        max_abs = math.sqrt(squares.max())
-    else:
-        squares = np.abs(flat, out=flat)
-        max_abs = squares.max()
-        squares *= squares
-    return ResidualReport(equation, t, float(max_abs), float(np.sqrt(squares.sum() / squares.size)), grid, dt)
+    squares = field.view(np.float64).ravel()
+    squares *= squares
+    if field.dtype.kind == "c":
+        squares, imag = squares[0::2], squares[1::2]
+        squares += imag
+    return ResidualReport(equation, t, math.sqrt(squares.max()), float(np.sqrt(squares.sum() / squares.size)), grid, dt)
 
 
 # the least binary exponent an outer sum's parts are scaled by: 2^1000 stays finite
@@ -324,7 +323,9 @@ class TimeSamples:
 
     ``v_source`` selects the external potential both Schrodinger and the
     Hamilton-Jacobi closure read.  A grid with fewer than 2 RING + 1 nodes
-    on an axis has no interior and is refused.
+    on an axis has no interior and is refused, and so is a time whose
+    difference reads nu past NU_LIMIT at t + dt or t - dt: the message
+    names the run's first such t and the step dt.
     """
 
     def __init__(
@@ -339,7 +340,15 @@ class TimeSamples:
         run = _as_run(now)
         self.dt, self.t = dt, run.t.tolist()
         self.grids = _run_grids(grids, len(self.t))
-        schedules = run.s.at(np.stack([run.t + dt, run.t - dt, run.t], axis=1)[:, :, None])
+        times = np.stack([run.t + dt, run.t - dt, run.t], axis=1)
+        try:
+            schedules = run.s.at(times[:, :, None])
+        except ValueError:
+            # ``now`` holds each t in range, so t + dt or t - dt lies past it, by Scenario.at's rule
+            t = self.t[np.argmax(np.abs(run.s.nu.value(times)).max(axis=1) * max(1.0, abs(run.s.r)) > NU_LIMIT)]
+            raise ValueError(
+                f"at t = {t:g} the time difference's step dt = {dt:g} reaches past the supported range {NU_LIMIT:g}"
+            ) from None
         if min(self.grids[0].nx, self.grids[0].ny) < 2 * RING + 1:
             raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
         terms = _check_terms(schedules, self.grids, dt, v_source)

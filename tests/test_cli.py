@@ -352,6 +352,21 @@ def test_verify_checks_a_time_before_choosing_the_next_grid(tmp_path, capsys, mo
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t", [50.0, -50.0])
+def test_verify_at_the_nu_limit_names_the_config_time(tmp_path, capsys, t):
+    # |nu(t)| = 50 is inside the range, so density samples the time; the
+    # time difference reads nu at t +- dt, past it: the refusal names the
+    # config's t and the step dt, not the time t + dt the difference read
+    grid = {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0, "nx": 21, "ny": 21}
+    cfg = small_density_config(tmp_path, times=[t], grid=grid)
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"t = {t:g} " in err and "dt" in err and "50.0001" not in err
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["density", "--config", str(cfg)]) == cli.EXIT_OK
+    assert (tmp_path / "out" / f"density_t{t:g}.csv").exists()
+
+
 def test_verify_takes_an_underflowing_stencil_law_as_feasible(tmp_path, capsys):
     # m = 1e300 and nu'(1) = 0: the u axis's stencil-error law underflows
     # to 0 at every extent, which the grid chooser takes as feasible

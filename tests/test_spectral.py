@@ -255,8 +255,8 @@ def test_entropy_terms_are_the_least_that_hold_the_omitted_entropy(nu, terms):
 @given(st.floats(min_value=-4.75, max_value=4.75, allow_nan=False))
 @example(4.391211703632974e-160)  # tanh^2 nu is subnormal and the allowed share underflows to 0
 def test_entropy_terms_are_the_least_count(nu):
-    # the direct solve lands on the count a search over term counts finds:
-    # the least whose omitted entropy is within the tolerance
+    # the binary search over term counts finds the least count whose
+    # omitted entropy is within the tolerance
     terms = sp.entropy_terms(nu)
     assert sp._omits_little(nu, terms)
     assert terms == 1 or not sp._omits_little(nu, terms - 1)

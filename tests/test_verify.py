@@ -226,6 +226,14 @@ def test_dt_validation():
         verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid, dt=-1e-4))
 
 
+def test_time_difference_past_the_nu_limit_names_its_time():
+    # |nu| = 50 is in range, but the time difference reads nu at t +- dt:
+    # the refusal names the run's first such time and the step, not t + dt
+    now = example1().at(np.array([1.0, 50.0, -50.0]))
+    with pytest.raises(ValueError, match=r"^at t = 50 the time difference's step dt = 0.0001 reaches past"):
+        verify.TimeSamples(now, GridSpec2D.square(1.0, 21))
+
+
 RESIDUALS = [
     verify.schrodinger_residual,
     verify.continuity_residual,
@@ -677,6 +685,68 @@ def test_outer_sum_report_rejects_non_finite_parts(r_u, r_v, bad, in_u, at):
         outer_sum_report(r_u, r_v)
 
 
+# a residual field's elements: +-0 and every |x| in [2^-511, 2^511), where
+# sqrt(fl(x^2)) is |x| exactly and no square overflows
+report_elements = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(2.0**-511, 2.0**511, exclude_max=True),
+    st.floats(-(2.0**511), -(2.0**-511), exclude_min=True),
+)
+
+
+@st.composite
+def residual_fields(draw):
+    """A real or a complex field of 3-12 x 3-12 elements."""
+    shape = draw(st.tuples(st.integers(3, 12), st.integers(3, 12)))
+    real = draw(hnp.arrays(np.float64, shape, elements=report_elements))
+    if draw(st.booleans()):
+        return real
+    field = np.empty(shape, complex)
+    field.real, field.imag = real, draw(hnp.arrays(np.float64, shape, elements=report_elements))
+    return field
+
+
+def two_branch_report(field):
+    # reference: the report's arithmetic when real and complex fields took
+    # two branches, a real field's max read from its abs
+    flat = field.copy().ravel()
+    if flat.dtype.kind == "c":
+        squares = flat.real
+        np.square(squares, out=squares)
+        squares += np.square(flat.imag, out=flat.imag)
+        max_abs = math.sqrt(squares.max())
+    else:
+        squares = np.abs(flat, out=flat)
+        max_abs = float(squares.max())
+        squares *= squares
+    return max_abs, float(np.sqrt(squares.sum() / squares.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=residual_fields())
+@example(field=np.full((3, 3), 1e-160))
+def test_report_reduces_every_field_by_one_rule(field):
+    # one in-place rule serves both kinds, bit for bit the two-branch
+    # arithmetic wherever some |x| >= 2^-511; a sum of squares past the
+    # float range is refused by both
+    grid = GridSpec2D(-1.0, 1.0, -1.0, 1.0, *field.shape)
+    with np.errstate(over="ignore"):
+        max_abs, rms = two_branch_report(field)
+        if not math.isfinite(rms):
+            with pytest.raises(ValueError, match="finite"):
+                verify._report("schrodinger", 0.5, field.copy(), grid, 1e-4)
+            return
+        rep = verify._report("schrodinger", 0.5, field.copy(), grid, 1e-4)
+    if 0.0 < np.abs(field).max() < 2.0**-511:
+        # the example: each square underflows, and the max reads through the
+        # same rounded square as the rms, no longer |x| itself
+        assert field.dtype.kind == "f" and max_abs == 1e-160
+        max_abs = math.sqrt(float(np.square(field).max()))
+        assert max_abs != 1e-160
+    assert rep.max_abs_residual.hex() == max_abs.hex()
+    assert rep.rms_residual.hex() == rms.hex()
+
+
 def peak_bytes(run) -> int:
     """Peak of the memory ``run()`` allocates, after one call that warms numpy up."""
     run()
@@ -691,9 +761,9 @@ def peak_bytes(run) -> int:
 @pytest.mark.parametrize("residual", [*RESIDUALS, pytest.param(None, id="per_time_pass")])
 def test_real_residuals_build_one_grid_array(residual):
     # on a built record, a stencil check peaks at its field and at most
-    # numpy's buffers: a real field's abs and square are taken in place, and
-    # a complex field squares its real and imaginary views into its real
-    # view, so a second grid-sized array would reach 2.  The outer sums
+    # numpy's buffers: the field's float64 view is squared in place, and a
+    # complex field adds its imaginary squares into its real ones, so a
+    # second grid-sized array would reach 2.  The outer sums
     # take both statistics from the 1-D parts and build no grid array
     s = example1()
     grid = verify.residual_grid(s.at(0.5), RESIDUAL_MAX)
