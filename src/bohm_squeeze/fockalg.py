@@ -6,11 +6,13 @@ An oracle for the operator identity behind the engineered amplitude,
     f1 = tanh nu, f2 = -ln cosh nu, f3 = -tanh nu,
 
 by two routes that share no algorithm: ``two_mode_squeeze_direct``
-exponentiates the generator from each sector's Jacobi spectrum, and
-``two_mode_squeeze_factored`` multiplies factors built from closed-form
-elements.  ``disentangle_ode_oracle`` integrates the function system that
-defines (f1, f2, f3): one pass with step-size control serves every nu, each
-nu branching off it to land on its own value.  ``disentangle_ode_fixed``
+exponentiates the generator from the singular value decomposition of each
+sector's odd-by-even block, and ``two_mode_squeeze_factored`` multiplies
+factors built from closed-form elements.  Both take a float nu or a run of
+them, each operator of a run bitwise what its nu alone gives.
+``disentangle_ode_oracle`` integrates the function system that defines
+(f1, f2, f3): one pass with step-size control serves every nu, each nu
+branching off it to land on its own value.  ``disentangle_ode_fixed``
 integrates it to one nu in equal, checked steps.
 
 Sector layout: every generator here changes n_a and n_b together or not at
@@ -39,11 +41,14 @@ direct route's rounding grows with |nu| until its guard raises
 ``ConvergenceError`` (``two_mode_squeeze_direct``).
 
 ``check_squeezes`` is the whole pass over a run's squeeze values: both
-routes on the interior block of level n_max // 2, the vacuum column
-against its closed form and the ODE oracle against
-``disentangle_closed_form``, giving each nu's report entry with one
-(check, value, tolerance key) row per measurement.  Judging the rows
-against a tolerance and writing the report are ``cli``'s.
+routes on the interior block of level n_max // 2, for as many nu per call
+as one chunk holds, the vacuum column against its closed form and the ODE
+oracle against ``disentangle_closed_form``, giving each nu's report entry
+with one (check, value, tolerance key) row per measurement.  Its norms are
+reductions that call no BLAS, and the direct route's products are half a
+sector's size, so no report depends on the BLAS thread count (checked at
+one and two threads up to n_max = 160).  Judging the rows against a
+tolerance and writing the report are ``cli``'s.
 """
 
 from __future__ import annotations
@@ -81,7 +86,9 @@ N_MAX_LIMIT = 160
 # for its own result (see ``two_mode_squeeze_direct``).
 DIRECT_DEFECT_BOUND = 1e-10
 
-# Largest temporary, in bytes, the direct route forms Z Z^T in.
+# Largest chunk, in bytes, of the scaled singular vectors the direct route
+# forms at once, and of one factor of the factored route; ``check_squeezes``
+# gives each route as many nu a call as a result of this size holds.
 DIRECT_CHUNK_BYTES = 1 << 20
 
 # The ODE oracle's error tolerance, absolute and relative alike; the bound
@@ -148,40 +155,46 @@ class FockSpaceSpec:
         return table
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-        """(lam, W, column_sum, re, im): the nu-independent half of the direct route.
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(sigma, U, V, column_sum): the nu-independent half of the direct route.
 
-        J = W diag(lam) W^T for the Jacobi matrix J = B + B^T of each sector
-        d = 0 .. n_max - 1, B the a+ b+ sub-diagonal; column_sum is J's
-        largest column sum, and (re, im) are Re and Im of i^(k - j) by
-        (k - j) mod 4.  One batched eigendecomposition; W holds n_max
-        (n_max + 1)^2 doubles, half an operator.
+        K = U diag(sigma) V^T for the odd-by-even block K = G[odd, even] of
+        the generator G = B - B^T of each sector d = 0 .. n_max - 1, B the
+        a+ b+ sub-diagonal: rows are the odd positions 1, 3, .. and columns
+        the even ones 0, 2, .., shape (n_max + 1) // 2 by n_max // 2 + 1.
+        Padding positions have no coupling, so K holds exact zeros there.
+        column_sum is the largest column sum of J = B + B^T, |G|.  One
+        batched SVD; U and V hold about n_max (n_max + 1)^2 / 2 doubles, a
+        quarter of an operator.
         """
         n_max, n = self.n_max, self.n_max + 1
         # <j| a+ b+ |j - 1> = sqrt(n_a n_b) at (n_a, n_b) = (j + d, j), 0 on padding
         d, j = np.arange(n_max)[:, None], np.arange(1, n)
         coupling = np.where(_present(n_max)[n_max:-1, 1:], np.sqrt((j + d) * j), 0.0)
-        jacobi = np.zeros((n_max, n * n))
-        jacobi[:, n :: n + 1] = coupling  # sub-diagonal
-        jacobi[:, 1 :: n + 1] = coupling  # super-diagonal
-        jacobi = jacobi.reshape(n_max, n, n)
-        column_sum = float(jacobi.sum(axis=-2).max(initial=0.0))
-        lam, w = np.linalg.eigh(jacobi)
-        j = np.arange(n)
-        masks = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])[:, (j - j[:, None]) % 4]
-        for a in (lam, w, masks):
+        # column j of J holds c_j above and c_(j + 1) below the diagonal, c_0 = c_n = 0
+        ends = np.pad(coupling, ((0, 0), (1, 1)))
+        column_sum = float((ends[:, :-1] + ends[:, 1:]).max(initial=0.0))
+        # G[2i + 1, 2i] = c_(2i + 1) and G[2i + 1, 2i + 2] = -c_(2i + 2)
+        odd, even = n // 2, (n + 1) // 2
+        block = np.zeros((n_max, odd * even))
+        block[:, :: even + 1] = coupling[:, ::2]
+        block[:, 1 :: even + 1] = -coupling[:, 1::2]
+        u, sigma, vt = np.linalg.svd(block.reshape(n_max, odd, even), full_matrices=False)
+        v = np.ascontiguousarray(vt.swapaxes(1, 2))  # rows by position, like U's
+        for a in (sigma, u, v):
             a.flags.writeable = False
-        return lam, w, column_sum, masks[0], masks[1]
+        return sigma, u, v, column_sum
 
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Operator conserving n_a - n_b on the truncated two-mode space.
+    """Operator conserving n_a - n_b on the truncated two-mode space, or a run of them.
 
     ``entries[d + n_max, i, j]`` is <state i| op |state j> in sector
     d = n_a - n_b, states numbered by min(n_a, n_b).  Sector d has
     n_max + 1 - |d| states; the rows and columns padding it to n_max + 1
-    are not states and hold the identity.
+    are not states and hold the identity.  A route called with a sequence
+    of nu gives one operator per nu, stacked on a leading axis.
     """
 
     spec: FockSpaceSpec
@@ -189,7 +202,7 @@ class FockOperator:
 
     def __post_init__(self):
         e = np.asarray(self.entries)
-        if e.shape != self.spec.sector_shape:
+        if e.ndim not in (3, 4) or e.shape[-3:] != self.spec.sector_shape:
             raise ValueError(f"operator shape {e.shape} does not match sectors {self.spec.sector_shape}")
         object.__setattr__(self, "entries", e)
 
@@ -209,58 +222,40 @@ def _compression_level(spec: FockSpaceSpec, level: int | None) -> int:
 
 def _fill_padding(out: np.ndarray, value: float | np.ndarray) -> np.ndarray:
     """``out``, the sectors of a level, with ``value`` on their padding rows and columns (in place)."""
-    inside = _present(len(out) // 2)
+    inside = _present(out.shape[-3] // 2)
     np.copyto(out, value, where=~(inside[:, :, None] & inside[:, None, :]))
     return out
 
 
 def _pad_identity(out: np.ndarray) -> FockOperator:
     """``out``, the sectors of a level, as an operator: the identity on their padding."""
-    level = len(out) // 2
+    level = out.shape[-3] // 2
     return FockOperator(FockSpaceSpec(level), _fill_padding(out, np.eye(level + 1)))
 
 
-def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec, *, level: int | None = None) -> FockOperator:
-    """exp[nu (a+ b+ - a b)] on the truncated space, from each sector's Jacobi spectrum.
+def _squeeze_values(nu: float | Sequence[float]) -> np.ndarray:
+    """``nu`` as a 1-D array: a float is a run of one."""
+    return np.atleast_1d(np.asarray(nu, dtype=float))
 
-    The generator is real antisymmetric, so the result is real orthogonal;
-    interior elements converge to the untruncated values as n_max grows,
-    while elements near the truncation edge carry reflection error.  In
-    sector d the generator is G = B - B^T with B = a+ b+ sub-diagonal,
-    <n_a+1, n_b+1| a+ b+ |n_a, n_b> = sqrt((n_a+1)(n_b+1)); P = diag(i^j)
-    gives P G P^-1 = i J with J = B + B^T, and with J = W diag(lam) W^T
 
-        exp(nu G)_jk = Re(i^(k-j)) C_jk - Im(i^(k-j)) S_jk,
-        C = I - Z Z^T,  Z = W diag(sqrt 2 sin(nu lam / 2)),
-        S = W diag(sin(nu lam)) W^T.
+def _chunks(count: int, sectors: int, pair_bytes: int):
+    """(nu slice, sector slice) blocks over ``count`` nu and ``sectors`` sectors.
 
-    nu = 0 gives the identity exactly, and so do the padding rows and
-    columns, whose eigenvalues are exactly 0.  Sector d = n_max holds one
-    state and a zero generator, so its block is the identity.  G's blocks
-    for d and -d are equal, sqrt((n_a+1)(n_b+1)) being symmetric in the
-    two modes, so the sectors d < 0 are copies of d > 0.
-
-    ``level`` (default n_max) compresses the result: element (j, k) needs
-    only rows j and k of W, so a level takes rows <= level of W on the
-    sectors 0 .. level.  The block agrees with the full operator's to a
-    few eps (3.1 eps of the largest element at most at n_max = 24 and
-    60), not bitwise.
-
-    lam and W come from ``FockSpaceSpec._spectrum``.  The products are
-    formed a few sectors at a time, each chunk of scaled rows of W taking
-    at most ``DIRECT_CHUNK_BYTES``, so a call peaks at its result and
-    about 3 MiB beside W.
-
-    Raises ``ConvergenceError`` once 2 (norm 2^-52)^2 passes
-    ``DIRECT_DEFECT_BOUND``, norm being the generator's 1-norm, |nu| times
-    its largest column sum: the phases nu lam carry |nu| times the
-    eigenvalues' rounding, so the result drifts off orthogonal, max
-    |U^T U - I| growing as (norm 2^-52)^2.  The guard trips from |nu|
-    about 4.5e9 at n_max = 4 and 6.8e8 at n_max = 24.
+    A block holds as many (nu, sector) pairs as ``DIRECT_CHUNK_BYTES``
+    takes at ``pair_bytes`` each, and at least one: every sector of
+    several nu, or some sectors of one nu.
     """
-    level = _compression_level(spec, level)
-    n_max, n = spec.n_max, level + 1
-    lam, w, column_sum, re, im = spec._spectrum
+    if not sectors:
+        return
+    pairs = max(1, DIRECT_CHUNK_BYTES // pair_bytes)
+    nu_step, sector_step = max(1, pairs // sectors), min(pairs, sectors)
+    for k in range(0, count, nu_step):
+        for s in range(0, sectors, sector_step):
+            yield slice(k, k + nu_step), slice(s, s + sector_step)
+
+
+def _check_direct(nu: float, column_sum: float) -> None:
+    """Raise ``ConvergenceError`` where the direct route's predicted orthogonality defect at nu passes its bound."""
     norm = abs(nu) * column_sum  # a Python float: inf, not a warning, past 1e308
     drift = norm * 2.0**-52
     defect = 2.0 * drift * drift
@@ -269,44 +264,107 @@ def two_mode_squeeze_direct(nu: float, spec: FockSpaceSpec, *, level: int | None
             f"generator 1-norm {norm:.3e} predicts an orthogonality defect {defect:.1e} "
             f"above {DIRECT_DEFECT_BOUND:.0e}"
         )
+
+
+def two_mode_squeeze_direct(
+    nu: float | Sequence[float], spec: FockSpaceSpec, *, level: int | None = None
+) -> FockOperator:
+    """exp[nu (a+ b+ - a b)] on the truncated space, from the SVD of each sector's odd-by-even generator block.
+
+    The generator is real antisymmetric, so the result is real orthogonal;
+    interior elements converge to the untruncated values as n_max grows,
+    while elements near the truncation edge carry reflection error.  In
+    sector d the generator is G = B - B^T with B = a+ b+ sub-diagonal,
+    <n_a+1, n_b+1| a+ b+ |n_a, n_b> = sqrt((n_a+1)(n_b+1)).  G moves the
+    position by one, so it couples even positions only to odd ones, and
+    with K = G[odd, even] = U diag(sigma) V^T (the Jordan-Wielandt
+    pairing; Golub & Kahan 1965) the parity blocks of exp(nu G) are
+
+        EE = I - Z_E Z_E^T,  Z_E = V diag(sqrt 2 sin(nu sigma / 2)),
+        OO = I - Z_O Z_O^T,  Z_O = U diag(sqrt 2 sin(nu sigma / 2)),
+        OE = U diag(sin(nu sigma)) V^T,  EO = -OE^T,
+
+    products of half the size of the sector's.  The route is independent
+    of the factored one: it shares neither its closed-form elements nor
+    its products, only the generator's couplings.  nu = 0 gives the
+    identity exactly.  Padding positions are uncoupled, so their rows and
+    columns of K are exact zeros and add no phase; ``_pad_identity``
+    writes the identity there.  Sector d = n_max holds one state and a
+    zero generator, so its block is the identity.  G's blocks for d and -d
+    are equal, sqrt((n_a+1)(n_b+1)) being symmetric in the two modes, so
+    the sectors d < 0 are copies of d > 0.  Against scipy's expm the
+    result agrees within 2.9e-14 on the dense space at n_max <= 8, 1.7e-13
+    per sector at n_max = 24 and 60, and 3.8e-14 on the level-80 block at
+    n_max = 160.
+
+    ``nu`` is a float or a 1-D sequence; for a sequence the entries carry a
+    leading nu axis, and each slice is bitwise the result of a call with
+    its nu alone.
+
+    ``level`` (default n_max) compresses the result: element (j, k) needs
+    only rows j and k of U and V, so a level takes the rows of positions
+    <= level on the sectors 0 .. level.  The block agrees with the full
+    operator's to a few eps (3.1 eps of the largest element at most at
+    n_max = 24 and 60), not bitwise.
+
+    sigma, U and V come from ``FockSpaceSpec._spectrum``.  The products
+    are formed for a few (nu, sector) pairs at a time, each chunk of
+    scaled rows of U and V taking at most ``DIRECT_CHUNK_BYTES``, so a call
+    peaks at its result and a few MiB beside U and V.
+
+    Raises ``ConvergenceError`` for the first nu at which 2 (norm 2^-52)^2
+    passes ``DIRECT_DEFECT_BOUND``, norm being the generator's 1-norm,
+    |nu| times its largest column sum: the phases nu sigma carry |nu|
+    times the singular values' rounding, so the result X drifts off
+    orthogonal, max |X^T X - I| growing as (norm 2^-52)^2.  The guard trips
+    from |nu| about 4.5e9 at n_max = 4 and 6.8e8 at n_max = 24.
+    """
+    level = _compression_level(spec, level)
+    values = _squeeze_values(nu)
+    n_max, n = spec.n_max, level + 1
+    sigma, u, v, column_sum = spec._spectrum
+    for x in values.tolist():
+        _check_direct(x, column_sum)
     sectors = min(n, n_max)  # d = 0 .. level, less the one-state sector d = n_max
-    w = w[:sectors, :n]
-    re, im = re[:n, :n], im[:n, :n]
-    phase = nu * lam[:sectors]
-    sin_phase = np.sin(phase)[:, None, :]
-    half_sin = math.sqrt(2.0) * np.sin(0.5 * phase)[:, None, :]
+    # the rows of the odd positions 1, 3, .. <= level and of the even ones 0, 2, ..
+    sigma, u, v = sigma[:sectors], u[:sectors, : n // 2], v[:sectors, : (n + 1) // 2]
+    eye_odd, eye_even = np.eye(n // 2), np.eye((n + 1) // 2)
 
-    out = np.empty((2 * level + 1, n, n))
-    upper = out[level : level + sectors]
-    chunk = max(1, DIRECT_CHUNK_BYTES // (8 * n * (n_max + 1)))
-    for s in range(0, sectors, chunk):
-        rows, block = w[s : s + chunk], upper[s : s + chunk]
-        np.matmul(rows * sin_phase[s : s + chunk], rows.swapaxes(1, 2), out=block)  # S
-        block *= -im
-        z = rows * half_sin[s : s + chunk]
-        zzt = z @ z.swapaxes(1, 2)  # I - C
-        zzt *= re
-        block -= zzt
-    upper.reshape(sectors, n * n)[:, :: n + 1] += 1.0
-    out[level + sectors :] = np.eye(n)
-    out[:level] = out[:level:-1]
-    return _pad_identity(out)
+    out = np.empty((len(values), 2 * level + 1, n, n))
+    upper = out[:, level : level + sectors]
+    for ks, ss in _chunks(len(values), sectors, 8 * n * sigma.shape[-1]):
+        phase = values[ks, None, None] * sigma[ss]
+        sin_phase = np.sin(phase)[..., None, :]
+        half_sin = math.sqrt(2.0) * np.sin(0.5 * phase)[..., None, :]
+        block, rows_odd, rows_even = upper[ks, ss], u[ss], v[ss]
+        z = rows_even * half_sin
+        np.subtract(eye_even, z @ z.swapaxes(-1, -2), out=block[..., ::2, ::2])
+        z = rows_odd * half_sin
+        np.subtract(eye_odd, z @ z.swapaxes(-1, -2), out=block[..., 1::2, 1::2])
+        odd_even = (rows_odd * sin_phase) @ rows_even.swapaxes(-1, -2)
+        block[..., 1::2, ::2] = odd_even
+        np.negative(odd_even.swapaxes(-1, -2), out=block[..., ::2, 1::2])
+        del z, odd_even  # before the next chunk's
+    out[:, level + sectors :] = np.eye(n)
+    out[:, :level] = out[:, :level:-1]
+    return _pad_identity(out if np.ndim(nu) else out[0])
 
 
-def _pair_powers(f: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_powers(f: float | np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(m^k, e k) at row i and column j of an n x n block, k = max(i - j, 0), f = m 2^e.
 
-    f^k = m^k 2^(e k) with the mantissa and exponent of ``math.frexp``.
+    f^k = m^k 2^(e k) with the mantissa and exponent of ``np.frexp``.
     |m| >= 1/2 keeps m^k a normal number for k <= N_MAX_LIMIT, so an
     element whose f^k would underflow (past k ~ 102 at f = 1e-3) but whose
-    table value lifts it back keeps its digits.
+    table value lifts it back keeps its digits.  An array of f gives a
+    block per f, on a leading axis.
     """
-    mantissa, exponent = math.frexp(f)
+    mantissa, exponent = np.frexp(f)
     k = np.arange(n, dtype=np.int32)[:, None] - np.arange(n, dtype=np.int32)
     np.maximum(k, 0, out=k)
     # n powers, not n^2: pow of a negative base takes ten times as long;
     # int32, since np.ldexp is several times slower on int64
-    return (mantissa ** np.arange(n))[k], exponent * k
+    return (mantissa[..., None] ** np.arange(n))[..., k], exponent[..., None, None] * k
 
 
 def _scale_pair_table(table: np.ndarray, powers: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -331,7 +389,9 @@ def _scale_pair_table(table: np.ndarray, powers: tuple[np.ndarray, np.ndarray]) 
     return np.ldexp(table, exponent, out=table)
 
 
-def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec, *, level: int | None = None) -> FockOperator:
+def two_mode_squeeze_factored(
+    nu: float | Sequence[float], spec: FockSpaceSpec, *, level: int | None = None
+) -> FockOperator:
     """Factored form exp(f1 a+ b+) exp(f2 (a a+ + b+ b)) exp(f3 a b).
 
     Every factor is built from closed-form elements, with no matrix
@@ -351,10 +411,15 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec, *, level: int | No
     position, so element (j, k) sums over positions i <= min(j, k) only,
     and at n_max <= 24 the block is bitwise the full operator's.
 
-    The factors and their batched product are formed a few sectors at a
-    time, straight into the result; a chunk of one factor takes at most
-    ``DIRECT_CHUNK_BYTES``, so a call peaks at the result plus one chunk of
-    each factor beside the table.
+    ``nu`` is a float or a 1-D sequence, as for
+    ``two_mode_squeeze_direct``: the closed forms, powers and middle
+    factors of a run are formed at once, and each slice is bitwise the
+    result of a call with its nu alone.  The factors and their batched
+    product are formed one nu and a few sectors at a time, straight into
+    the result; a chunk of one factor takes at most ``DIRECT_CHUNK_BYTES``,
+    so a call peaks at the result plus one chunk of each factor beside the
+    table.  A chunk of several nu would hold an operator per nu in each
+    factor, and at n_max = 24 read slower than one nu a chunk.
 
     The product is free of truncation error on interior blocks, not of
     rounding: sector 0's element (L, L) is the alternating sum over k of
@@ -364,7 +429,8 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec, *, level: int | No
     -1520 against 0.035.
     """
     level = _compression_level(spec, level)
-    f = disentangle_closed_form(nu)
+    values = _squeeze_values(nu)
+    f1, f2, f3 = np.array([(f.f1, f.f2, f.f3) for f in map(disentangle_closed_form, values.tolist())]).reshape(-1, 3).T
     n_max, n = spec.n_max, level + 1
     mirror = np.abs(np.arange(-level, n))  # |d|, the table sector of each sector
     # a a+ + b+ b = n_a + n_b + 1 = |d| + 2 j + 1 at position j of sector d
@@ -373,26 +439,27 @@ def two_mode_squeeze_factored(nu: float, spec: FockSpaceSpec, *, level: int | No
         d = np.arange(n)
         number[level + d, n_max - d] -= n
     with np.errstate(over="ignore"):  # f2 * number is -inf near |nu| ~ 1e308, where the factor tends to 0
-        middle = np.exp(f.f2 * number)
+        middle = np.exp(f2[:, None, None] * number)
     table = spec._pair_table
-    raising_powers = _pair_powers(f.f1, n)
-    lowering_powers = [a.T.copy() for a in _pair_powers(f.f3, n)]
-    out = np.empty((2 * level + 1, n, n))
+    raising = _pair_powers(f1, n)
+    lowering = [a.swapaxes(-1, -2).copy() for a in _pair_powers(f3, n)]
+    out = np.empty((len(values), 2 * level + 1, n, n))
     chunk = max(1, DIRECT_CHUNK_BYTES // (8 * n * n))
-    for s in range(0, 2 * level + 1, chunk):
-        factor = table[mirror[s : s + chunk], :n, :n]
-        # both factors row-major: numpy's batched product takes 2.5 times
-        # as long with a transposed operand (n_max = 24)
-        lower = _scale_pair_table(factor.swapaxes(1, 2).copy(), lowering_powers)
-        _scale_pair_table(factor, raising_powers)
-        factor *= middle[s : s + chunk, None, :]
-        np.matmul(factor, lower, out=out[s : s + chunk])
-        del factor, lower  # before the next chunk's: one chunk of each at a time
-    return _pad_identity(out)
+    for k in range(len(values)):
+        for s in range(0, 2 * level + 1, chunk):
+            factor = table[mirror[s : s + chunk], :n, :n]
+            # both factors row-major: numpy's batched product takes 2.5 times
+            # as long with a transposed operand (n_max = 24)
+            lower = _scale_pair_table(factor.swapaxes(1, 2).copy(), [a[k] for a in lowering])
+            _scale_pair_table(factor, [a[k] for a in raising])
+            factor *= middle[k, s : s + chunk, None, :]
+            np.matmul(factor, lower, out=out[k, s : s + chunk])
+            del factor, lower  # before the next chunk's: one chunk of each at a time
+    return _pad_identity(out if np.ndim(nu) else out[0])
 
 
 def interior_block(op: FockOperator, level: int) -> np.ndarray:
-    """Block over basis states with n_a <= level and n_b <= level, by sector.
+    """Block over basis states with n_a <= level and n_b <= level, by sector, for the operator of one nu.
 
     Shape (2 level + 1, level + 1, level + 1), laid out like
     ``FockOperator.entries`` for sectors |d| <= level and zero off the
@@ -406,7 +473,7 @@ def interior_block(op: FockOperator, level: int) -> np.ndarray:
 
 
 def vacuum_column(op: FockOperator) -> np.ndarray:
-    """<n_a, n_b| op |0, 0> as an (n_max+1, n_max+1) array.
+    """<n_a, n_b| op |0, 0> as an (n_max+1, n_max+1) array, for the operator of one nu.
 
     |0, 0> lies in sector 0, so only the diagonal n_a = n_b can be nonzero.
     The array is built with ``np.diag`` from sector 0's column, so its
@@ -609,24 +676,40 @@ def disentangle_ode_fixed(nu: float, steps: int) -> DisentangleFunctions:
 # one run's checks
 
 
-def _squeeze_rows(nu: float, spec: FockSpaceSpec) -> list[tuple[str, float, str]]:
-    """The two rows of ``check_squeezes`` at nu, from both routes compressed to the interior.
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of a contiguous array, by a reduction with no BLAS call and no temporary of its size.
 
-    A function of its own, so that neither route's result outlives its nu.
+    A BLAS dot product's sum, as in ``np.linalg.norm``, takes an order
+    that depends on the BLAS thread count.
+    """
+    flat = x.reshape(-1)
+    return math.sqrt(float(np.einsum("i,i->", flat, flat)))
+
+
+def _squeeze_rows(nu_values: Sequence[float], spec: FockSpaceSpec) -> list[list[tuple[str, float, str]]]:
+    """The two rows of ``check_squeezes`` at each nu, from both routes compressed to the interior.
+
+    A function of its own, so that neither route's result outlives its
+    run of nu.
     """
     half = spec.n_max // 2
-    direct = two_mode_squeeze_direct(nu, spec, level=half)
-    # the block's copy is gone before the factored result is made, so no
-    # more than two operators of the block's size live at once
-    scale = float(np.linalg.norm(interior_block(direct, half)))
+    direct = two_mode_squeeze_direct(nu_values, spec, level=half).entries
     # both routes pad with the identity: the difference is zero off the block
-    diff = two_mode_squeeze_factored(nu, spec, level=half).entries
-    diff -= direct.entries
-    distance = float(np.linalg.norm(diff)) / scale
-    with np.errstate(over="ignore"):  # cosh is inf past |nu| ~ 710, where the column tends to 0
-        exact = np.tanh(nu) ** np.arange(half + 1) / np.cosh(nu)
-    vac_err = float(np.max(np.abs(direct.entries[half, :, 0] - exact)))  # sector 0's column 0
-    return [("factorization_interior_rel", distance, "tolerance"), ("vacuum_column_max_err", vac_err, "tolerance")]
+    diffs = two_mode_squeeze_factored(nu_values, spec, level=half).entries
+    diffs -= direct
+    # the direct result is the block, zero off it, once its padding is cleared:
+    # no copy of it is made
+    _fill_padding(direct, 0.0)
+    rows = []
+    for nu, block, diff in zip(nu_values, direct, diffs):
+        with np.errstate(over="ignore"):  # cosh is inf past |nu| ~ 710, where the column tends to 0
+            exact = np.tanh(nu) ** np.arange(half + 1) / np.cosh(nu)
+        vac_err = float(np.max(np.abs(block[half, :, 0] - exact)))  # sector 0's column 0
+        distance = _frobenius(diff) / _frobenius(block)
+        rows.append(
+            [("factorization_interior_rel", distance, "tolerance"), ("vacuum_column_max_err", vac_err, "tolerance")]
+        )
+    return rows
 
 
 def check_squeezes(nu_values: Sequence[float], n_max: int) -> list[tuple[dict, list[tuple[str, float, str]]]]:
@@ -640,8 +723,16 @@ def check_squeezes(nu_values: Sequence[float], n_max: int) -> list[tuple[dict, l
     the direct vacuum column's largest error against tanh^n nu / cosh nu.
     Both are judged against the run's ``tolerance``.  The entry holds
     them, and ``vacuum_offdiag_max``, 0.0 by the sector layout
-    (``vacuum_column``); a nu whose route raises ``ConvergenceError`` gets
-    an ``error`` message instead, and no rows.
+    (``vacuum_column``); a nu the direct route's guard refuses gets an
+    ``error`` message instead, and no rows.
+
+    The guard is judged per nu first, from the direct route's spectrum,
+    which is built once per run, also when the guard refuses every nu.
+    The other nu go to the routes in
+    runs of as many as ``DIRECT_CHUNK_BYTES`` of one route's result holds,
+    and at least one: up to 31 nu a call at n_max = 24, one at a time from
+    n_max = 80 on.  Each entry is bitwise what a run of its nu alone gives,
+    each route's slices being so and each norm taken per nu.
 
     One ``disentangle_ode_oracle`` call integrates every nu, each entry
     bitwise what a run of its nu alone gives.  ``ode_max_dev`` is the
@@ -649,20 +740,27 @@ def check_squeezes(nu_values: Sequence[float], n_max: int) -> list[tuple[dict, l
     nu the oracle does not reach within its step budget gets an
     ``ode_error`` message instead.
     """
-    spec = FockSpaceSpec(n_max)
-    checks = []
-    for nu, ode in zip(nu_values, disentangle_ode_oracle(nu_values)):
-        entry: dict = {"nu": nu, "interior_level": n_max // 2}
+    spec, half = FockSpaceSpec(n_max), n_max // 2
+    column_sum = spec._spectrum[-1]
+    entries: list[dict] = [{"nu": nu, "interior_level": half} for nu in nu_values]
+    rows: list[list[tuple[str, float, str]]] = [[] for _ in nu_values]
+    passed = []
+    for k, nu in enumerate(nu_values):
         try:
-            rows = _squeeze_rows(nu, spec)
-            entry.update({name: value for name, value, _ in rows}, vacuum_offdiag_max=0.0)
+            _check_direct(nu, column_sum)
+            passed.append(k)
         except ConvergenceError as exc:
-            rows = []
-            entry["error"] = str(exc)
+            entries[k]["error"] = str(exc)
+    per_call = max(1, DIRECT_CHUNK_BYTES // (8 * (2 * half + 1) * (half + 1) ** 2))
+    for s in range(0, len(passed), per_call):
+        run = passed[s : s + per_call]
+        for k, measured in zip(run, _squeeze_rows([nu_values[k] for k in run], spec)):
+            rows[k] = measured
+            entries[k].update({name: value for name, value, _ in measured}, vacuum_offdiag_max=0.0)
+    for nu, entry, ode in zip(nu_values, entries, disentangle_ode_oracle(nu_values)):
         if isinstance(ode, ConvergenceError):
             entry["ode_error"] = str(ode)
         else:
             closed = disentangle_closed_form(nu)
             entry["ode_max_dev"] = max(abs(ode.f1 - closed.f1), abs(ode.f2 - closed.f2), abs(ode.f3 - closed.f3))
-        checks.append((entry, rows))
-    return checks
+    return list(zip(entries, rows))

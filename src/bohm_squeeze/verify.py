@@ -466,8 +466,9 @@ def _simpson_moments(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[flo
 
     ``rho[i, j]`` is sampled at (a[i], b[j]) on uniform axes of odd length.
     The weights are separable, so each moment is row-by-row dot products
-    with 1-D weight vectors (``vecdot``: unlike a BLAS matrix product, its
-    last bits do not depend on the BLAS thread count).
+    with 1-D weight vectors (``vecdot``: on rows this short, unlike a BLAS
+    matrix product, its bits do not depend on the BLAS thread count; on a
+    row of a million elements they do).
     """
     wa = simpson_weights(a.size) * (a[1] - a[0])
     wb = simpson_weights(b.size) * (b[1] - b[0])

@@ -731,20 +731,20 @@ def test_fock_entry_does_not_depend_on_other_nu(tmp_path_factory, n_max, nu_valu
     # the direct route's spectrum is computed once per truncation and reused
     # at every nu, and one ODE oracle call integrates every nu: each entry
     # equals the entry of a run of its nu alone, and each run makes one
-    # eigendecomposition, also when the guard refuses every nu
-    eigh, oracle = np.linalg.eigh, fockalg.disentangle_ode_oracle
+    # singular value decomposition, also when the guard refuses every nu
+    svd, oracle = np.linalg.svd, fockalg.disentangle_ode_oracle
     calls, oracle_calls = [], []
 
-    def counting_eigh(a):
+    def counting_svd(a, **kwargs):
         calls.append(a.shape)
-        return eigh(a)
+        return svd(a, **kwargs)
 
     def counting_oracle(nu_values):
         oracle_calls.append(list(nu_values))
         return oracle(nu_values)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "eigh", counting_eigh)
+        mp.setattr(np.linalg, "svd", counting_svd)
         mp.setattr(fockalg, "disentangle_ode_oracle", counting_oracle)
         out = cli.run_fock(nu_values, n_max, tmp_path_factory.mktemp("fock"))
         assert len(calls) == 1
@@ -826,12 +826,37 @@ def test_fock_interior_norm_makes_no_copy_of_the_result(monkeypatch):
         tracemalloc.stop()
     result = 8 * 161 * 81**2
     assert peak < 2.5 * result
-    # the same array contents as the zero-padded copy, so the same bits
+    # the same array contents as the zero-padded copy, and each norm the
+    # same reduction, so the same bits
     direct = fockalg.two_mode_squeeze_direct(0.5, spec, level=80)
     factored = fockalg.two_mode_squeeze_factored(0.5, spec, level=80)
-    interior = fockalg.interior_block(direct, 80)
-    expected = np.linalg.norm(fockalg.interior_block(factored, 80) - interior) / np.linalg.norm(interior)
+    interior = fockalg.interior_block(direct, 80).ravel()
+    diff = fockalg.interior_block(factored, 80).ravel() - interior
+    expected = math.sqrt(np.einsum("i,i->", diff, diff)) / math.sqrt(np.einsum("i,i->", interior, interior))
     assert entry["factorization_interior_rel"] == expected
+
+
+@pytest.mark.parametrize("n_max, runs", [(24, [[0.1, -0.5, 0.0]]), (80, [[0.1], [-0.5], [0.0]])])
+def test_check_squeezes_runs_as_many_nu_as_a_chunk_holds(monkeypatch, n_max, runs):
+    # one route's level-12 result at n_max = 24 is 25 x 13^2 doubles
+    # (33.8 kB), so one call of each route takes every nu the guard passes;
+    # at n_max = 80 one result (81 x 41^2 doubles, 1.09 MB) is past
+    # DIRECT_CHUNK_BYTES, so each nu takes a call of its own.  The guard
+    # refuses 1e16 before any run is formed, and its entry alone has an error
+    calls = []
+    routes = ["two_mode_squeeze_direct", "two_mode_squeeze_factored"]
+    for name in routes:
+        route = getattr(fockalg, name)
+
+        def counting(nu, spec, *, level=None, route=route, name=name):
+            calls.append((name, list(nu)))
+            return route(nu, spec, level=level)
+
+        monkeypatch.setattr(fockalg, name, counting)
+    checks = fockalg.check_squeezes([0.1, 1e16, -0.5, 0.0], n_max)
+    assert calls == [(name, run) for run in runs for name in routes]
+    assert ["error" in entry for entry, _ in checks] == [False, True, False, False]
+    assert [len(rows) for _, rows in checks] == [2, 0, 2, 2]
 
 
 def test_check_squeezes_rows_follow_the_report(tmp_path):

@@ -190,10 +190,11 @@ def test_factored_route_needs_no_matrix_exponential(monkeypatch):
     spec = fa.FockSpaceSpec(24)
     expected = fa.two_mode_squeeze_factored(0.5, spec).entries
 
-    def refuse(m):
-        raise AssertionError("the factored route called np.linalg.eigh")
+    def refuse(m, **kwargs):
+        raise AssertionError("the factored route called a decomposition")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     np.testing.assert_array_equal(fa.two_mode_squeeze_factored(0.5, spec).entries, expected)
     np.testing.assert_array_equal(fa.two_mode_squeeze_factored(0.5, fa.FockSpaceSpec(24)).entries, expected)
 
@@ -312,8 +313,8 @@ def test_direct_route_holds_four_operators_at_most():
 
 
 def test_direct_route_reuses_its_spectrum_memory():
-    # a second nu on the same spec computes no eigendecomposition, so it
-    # peaks below the first by at least the eigenvectors it reuses
+    # a second nu on the same spec computes no decomposition, so it peaks
+    # below the first by at least the singular vectors it reuses
     spec = fa.FockSpaceSpec(40)
     peaks = []
     for nu in [0.5, 0.75]:
@@ -323,8 +324,48 @@ def test_direct_route_reuses_its_spectrum_memory():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    _, w, *_ = spec._spectrum
-    assert peaks[1] + w.nbytes <= peaks[0]
+    _, u, v, _ = spec._spectrum
+    assert peaks[1] + u.nbytes + v.nbytes <= peaks[0]
+
+
+# 0.0 and -0.0 give the identity; -1.3 is a negative squeeze
+RUN_NU = [0.5, 0.0, -0.0, -1.3, 0.25]
+
+
+@pytest.mark.parametrize("n_max", [24, 60])
+@pytest.mark.parametrize("route", [fa.two_mode_squeeze_direct, fa.two_mode_squeeze_factored])
+def test_run_of_nu_is_bitwise_the_single_calls(monkeypatch, n_max, route):
+    # a sequence of nu gives one operator with a leading nu axis, each slice
+    # bitwise what a call with that nu alone gives (-0.0 included), with
+    # every nu of the run in one chunk of the direct route, two a chunk (a
+    # remainder of one) and three sectors of one nu a chunk
+    spec = fa.FockSpaceSpec(n_max)
+    for level in [n_max, n_max // 2]:
+        alone = np.stack([route(nu, spec, level=level).entries for nu in RUN_NU])
+        assert alone.shape == (len(RUN_NU), *fa.FockSpaceSpec(level).sector_shape)
+        sectors, pair_bytes = min(level + 1, n_max), 8 * (level + 1) * ((n_max + 1) // 2)
+        for chunk_bytes in [len(RUN_NU) * sectors * pair_bytes, 2 * sectors * pair_bytes, 3 * pair_bytes]:
+            monkeypatch.setattr(fa, "DIRECT_CHUNK_BYTES", chunk_bytes)
+            run = route(RUN_NU, spec, level=level)
+            assert run.spec == fa.FockSpaceSpec(level)
+            assert run.entries.tobytes() == alone.tobytes()
+        monkeypatch.undo()
+
+
+def test_direct_matches_scipy_on_the_interior_at_the_storage_bound():
+    # the parity route on the level-80 block at n_max = 160, against scipy's
+    # expm of each sector's generator: within 1e-13 (3.8e-14 at most
+    # measured for nu = 0.25, 0.5, 1 and -0.75), and the whole operator
+    # orthogonal within 1e-13 (7.8e-15 measured)
+    spec = fa.FockSpaceSpec(160)
+    for nu in [0.5, -0.75]:
+        block = fa.two_mode_squeeze_direct(nu, spec, level=80).entries
+        for d in range(81):
+            size = 81 - d
+            ref = scipy_expm(sector_generator(nu, 160, d))[:size, :size]
+            assert np.abs(block[80 + d, :size, :size] - ref).max() <= 1e-13, (nu, d)
+        entries = fa.two_mode_squeeze_direct(nu, spec).entries
+        assert np.abs(entries.swapaxes(1, 2) @ entries - np.eye(161)).max() <= 1e-13
 
 
 CONFIG_NU = json.loads((Path(__file__).resolve().parents[1] / "configs" / "fock.json").read_text())["nu_values"]
@@ -342,7 +383,7 @@ def test_spec_reused_across_nu_is_bitwise_fresh(n_max, nu_values, route):
 def test_cached_sector_structure_is_read_only():
     spec = fa.FockSpaceSpec(6)
     cached = [spec._pair_table, *(a for a in spec._spectrum if isinstance(a, np.ndarray))]
-    assert len(cached) == 5
+    assert len(cached) == 4
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
@@ -608,6 +649,17 @@ def test_compression_keeps_the_direct_guard():
     # full operator's block
     block = fa.interior_block(fa.two_mode_squeeze_factored(1e16, spec, level=12), 12)
     np.testing.assert_array_equal(block, fa.interior_block(fa.two_mode_squeeze_factored(1e16, spec), 12))
+
+
+def test_direct_run_holding_a_refused_nu_raises_its_guard():
+    # the guard is judged per nu: a run that holds a refused nu among nu
+    # within the guard raises what that nu raises alone
+    spec = fa.FockSpaceSpec(24)
+    with pytest.raises(fa.ConvergenceError, match="1-norm") as alone:
+        fa.two_mode_squeeze_direct(1e16, spec)
+    with pytest.raises(fa.ConvergenceError, match="1-norm") as run:
+        fa.two_mode_squeeze_direct([0.5, 1e16, -1.0], spec, level=12)
+    assert str(run.value) == str(alone.value)
 
 
 def interior_of_direct(nu, spec, *, level):
