@@ -21,24 +21,26 @@ operator is block-diagonal in the 2 n_max + 1 sectors d = -n_max .. n_max.
 Position j of sector d is the state |j + max(d, 0), j + max(-d, 0)> when
 j <= n_max - |d| (``_present``) and padding otherwise.  ``FockOperator``
 stores the blocks, never the (n_max + 1)^2-square matrix, and
-``N_MAX_LIMIT`` keeps one operator within 64 MiB.  What a route needs at
-every nu is computed once per truncation and cached read-only on the
-``FockSpaceSpec``.
+``N_MAX_LIMIT`` keeps one operator within 64 MiB.  Every generator's
+elements are symmetric in n_a and n_b, so sector -d equals sector d: both
+routes form the sectors d >= 0 only, and ``_finish`` mirrors them to
+d < 0.  What a route needs at every nu is computed once per truncation and
+cached read-only on the ``FockSpaceSpec``.
 
 Compression: given a ``level``, both routes compute only the block on the
 states n_a, n_b <= level and return it as an operator on
-``FockSpaceSpec(level)``, the identity on its padding (``_pad_identity``);
+``FockSpaceSpec(level)``, the identity on its padding (``_finish``);
 ``interior_block`` cuts the same block out of an operator, with zeros on
 its padding.
 
 Limits: the squeeze takes |L, L> to occupation L cosh 2nu + sinh^2 nu, so
 the direct route's elements near n_max carry truncation error, and an
 interior level L is safe while that occupation stays within n_max / 2.
-The factored route has no truncation error on interior blocks, but its
+The factored route has no truncation error on any state, but its
 elements are alternating sums whose terms outgrow the result at high
 levels, so cancellation limits it (``two_mode_squeeze_factored``).  The
 direct route's rounding grows with |nu| until its guard raises
-``ConvergenceError`` (``two_mode_squeeze_direct``).
+``ConvergenceError`` (``_check_direct``).
 
 ``check_squeezes`` is the whole pass over a run's squeeze values: both
 routes on the interior block of level n_max // 2, for as many nu per call
@@ -155,35 +157,32 @@ class FockSpaceSpec:
         return table
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """(sigma, U, V, column_sum): the nu-independent half of the direct route.
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sigma, U, V): the nu-independent half of the direct route.
 
         K = U diag(sigma) V^T for the odd-by-even block K = G[odd, even] of
-        the generator G = B - B^T of each sector d = 0 .. n_max - 1, B the
+        the generator G = B - B^T of each sector d = 0 .. n_max, B the
         a+ b+ sub-diagonal: rows are the odd positions 1, 3, .. and columns
         the even ones 0, 2, .., shape (n_max + 1) // 2 by n_max // 2 + 1.
-        Padding positions have no coupling, so K holds exact zeros there.
-        column_sum is the largest column sum of J = B + B^T, |G|.  One
+        Padding positions have no coupling, so K holds exact zeros there,
+        and sector n_max, one state, is all zeros (0 x 1 at n_max = 0).  One
         batched SVD; U and V hold about n_max (n_max + 1)^2 / 2 doubles, a
         quarter of an operator.
         """
         n_max, n = self.n_max, self.n_max + 1
         # <j| a+ b+ |j - 1> = sqrt(n_a n_b) at (n_a, n_b) = (j + d, j), 0 on padding
-        d, j = np.arange(n_max)[:, None], np.arange(1, n)
-        coupling = np.where(_present(n_max)[n_max:-1, 1:], np.sqrt((j + d) * j), 0.0)
-        # column j of J holds c_j above and c_(j + 1) below the diagonal, c_0 = c_n = 0
-        ends = np.pad(coupling, ((0, 0), (1, 1)))
-        column_sum = float((ends[:, :-1] + ends[:, 1:]).max(initial=0.0))
+        d, j = np.arange(n)[:, None], np.arange(1, n)
+        coupling = np.where(_present(n_max)[n_max:, 1:], np.sqrt((j + d) * j), 0.0)
         # G[2i + 1, 2i] = c_(2i + 1) and G[2i + 1, 2i + 2] = -c_(2i + 2)
         odd, even = n // 2, (n + 1) // 2
-        block = np.zeros((n_max, odd * even))
+        block = np.zeros((n, odd * even))
         block[:, :: even + 1] = coupling[:, ::2]
         block[:, 1 :: even + 1] = -coupling[:, 1::2]
-        u, sigma, vt = np.linalg.svd(block.reshape(n_max, odd, even), full_matrices=False)
+        u, sigma, vt = np.linalg.svd(block.reshape(n, odd, even), full_matrices=False)
         v = np.ascontiguousarray(vt.swapaxes(1, 2))  # rows by position, like U's
         for a in (sigma, u, v):
             a.flags.writeable = False
-        return sigma, u, v, column_sum
+        return sigma, u, v
 
 
 @dataclass(frozen=True)
@@ -227,10 +226,15 @@ def _fill_padding(out: np.ndarray, value: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def _pad_identity(out: np.ndarray) -> FockOperator:
-    """``out``, the sectors of a level, as an operator: the identity on their padding."""
+def _finish(out: np.ndarray, nu: float | Sequence[float]) -> FockOperator:
+    """The operator in ``out``, a route's sectors of a level per nu, of which those with d >= 0 are formed.
+
+    Writes sector -d as a copy of sector d and the identity on the
+    padding, in place; a float ``nu`` drops the leading nu axis.
+    """
     level = out.shape[-3] // 2
-    return FockOperator(FockSpaceSpec(level), _fill_padding(out, np.eye(level + 1)))
+    out[:, :level] = out[:, :level:-1]
+    return FockOperator(FockSpaceSpec(level), _fill_padding(out if np.ndim(nu) else out[0], np.eye(level + 1)))
 
 
 def _squeeze_values(nu: float | Sequence[float]) -> np.ndarray:
@@ -243,20 +247,29 @@ def _chunks(count: int, sectors: int, pair_bytes: int):
 
     A block holds as many (nu, sector) pairs as ``DIRECT_CHUNK_BYTES``
     takes at ``pair_bytes`` each, and at least one: every sector of
-    several nu, or some sectors of one nu.
+    several nu, or some sectors of one nu.  A pair of no bytes (n_max = 0)
+    counts as one byte.
     """
-    if not sectors:
-        return
-    pairs = max(1, DIRECT_CHUNK_BYTES // pair_bytes)
+    pairs = max(1, DIRECT_CHUNK_BYTES // max(pair_bytes, 1))
     nu_step, sector_step = max(1, pairs // sectors), min(pairs, sectors)
     for k in range(0, count, nu_step):
         for s in range(0, sectors, sector_step):
             yield slice(k, k + nu_step), slice(s, s + sector_step)
 
 
-def _check_direct(nu: float, column_sum: float) -> None:
-    """Raise ``ConvergenceError`` where the direct route's predicted orthogonality defect at nu passes its bound."""
-    norm = abs(nu) * column_sum  # a Python float: inf, not a warning, past 1e308
+def _check_direct(nu: float, n_max: int) -> None:
+    """Raise ``ConvergenceError`` where the direct route's predicted orthogonality defect at nu passes its bound.
+
+    The phases nu sigma carry |nu| times the singular values' rounding, so
+    the route's result X drifts off orthogonal, max |X^T X - I| growing as
+    (norm 2^-52)^2, norm being the generator's 1-norm: |nu| times its
+    largest column sum, 2 n_max - 1 exactly (column n_max - 1 of sector 0,
+    whose couplings are n_max - 1 and n_max; 0 at n_max = 0).  The guard
+    raises once 2 (norm 2^-52)^2 passes ``DIRECT_DEFECT_BOUND``: from |nu|
+    about 4.5e9 at n_max = 4 and 6.8e8 at n_max = 24, and never for a
+    finite nu at n_max = 0.  It reads no spectrum.
+    """
+    norm = abs(nu) * max(2 * n_max - 1, 0)  # a Python float: inf, not a warning, past 1e308
     drift = norm * 2.0**-52
     defect = 2.0 * drift * drift
     if not defect <= DIRECT_DEFECT_BOUND:
@@ -288,14 +301,13 @@ def two_mode_squeeze_direct(
     of the factored one: it shares neither its closed-form elements nor
     its products, only the generator's couplings.  nu = 0 gives the
     identity exactly.  Padding positions are uncoupled, so their rows and
-    columns of K are exact zeros and add no phase; ``_pad_identity``
-    writes the identity there.  Sector d = n_max holds one state and a
-    zero generator, so its block is the identity.  G's blocks for d and -d
-    are equal, sqrt((n_a+1)(n_b+1)) being symmetric in the two modes, so
-    the sectors d < 0 are copies of d > 0.  Against scipy's expm the
-    result agrees within 2.9e-14 on the dense space at n_max <= 8, 1.7e-13
-    per sector at n_max = 24 and 60, and 3.8e-14 on the level-80 block at
-    n_max = 160.
+    columns of K are exact zeros and add no phase; ``_finish`` writes the
+    identity there, and copies the sectors d > 0 to d < 0, G's blocks for
+    d and -d being equal.  Sector d = n_max holds one state and an
+    all-zero block, whose singular values 0 give exactly the identity.
+    Against scipy's expm the result agrees within 2.9e-14 on the dense
+    space at n_max <= 8, 1.7e-13 per sector at n_max = 24 and 60, and
+    3.8e-14 on the level-80 block at n_max = 160.
 
     ``nu`` is a float or a 1-D sequence; for a sequence the entries carry a
     leading nu axis, and each slice is bitwise the result of a call with
@@ -312,27 +324,23 @@ def two_mode_squeeze_direct(
     scaled rows of U and V taking at most ``DIRECT_CHUNK_BYTES``, so a call
     peaks at its result and a few MiB beside U and V.
 
-    Raises ``ConvergenceError`` for the first nu at which 2 (norm 2^-52)^2
-    passes ``DIRECT_DEFECT_BOUND``, norm being the generator's 1-norm,
-    |nu| times its largest column sum: the phases nu sigma carry |nu|
-    times the singular values' rounding, so the result X drifts off
-    orthogonal, max |X^T X - I| growing as (norm 2^-52)^2.  The guard trips
-    from |nu| about 4.5e9 at n_max = 4 and 6.8e8 at n_max = 24.
+    Raises ``ConvergenceError`` for the first nu that ``_check_direct``
+    refuses, before the spectrum is read.
     """
     level = _compression_level(spec, level)
     values = _squeeze_values(nu)
-    n_max, n = spec.n_max, level + 1
-    sigma, u, v, column_sum = spec._spectrum
     for x in values.tolist():
-        _check_direct(x, column_sum)
-    sectors = min(n, n_max)  # d = 0 .. level, less the one-state sector d = n_max
-    # the rows of the odd positions 1, 3, .. <= level and of the even ones 0, 2, ..
-    sigma, u, v = sigma[:sectors], u[:sectors, : n // 2], v[:sectors, : (n + 1) // 2]
+        _check_direct(x, spec.n_max)
+    n = level + 1
+    # the sectors d = 0 .. level, and the rows of the odd positions 1, 3, ..
+    # <= level and of the even ones 0, 2, ..
+    sigma, u, v = spec._spectrum
+    sigma, u, v = sigma[:n], u[:n, : n // 2], v[:n, : (n + 1) // 2]
     eye_odd, eye_even = np.eye(n // 2), np.eye((n + 1) // 2)
 
     out = np.empty((len(values), 2 * level + 1, n, n))
-    upper = out[:, level : level + sectors]
-    for ks, ss in _chunks(len(values), sectors, 8 * n * sigma.shape[-1]):
+    upper = out[:, level:]
+    for ks, ss in _chunks(len(values), n, 8 * n * sigma.shape[-1]):
         phase = values[ks, None, None] * sigma[ss]
         sin_phase = np.sin(phase)[..., None, :]
         half_sin = math.sqrt(2.0) * np.sin(0.5 * phase)[..., None, :]
@@ -345,9 +353,7 @@ def two_mode_squeeze_direct(
         block[..., 1::2, ::2] = odd_even
         np.negative(odd_even.swapaxes(-1, -2), out=block[..., ::2, 1::2])
         del z, odd_even  # before the next chunk's
-    out[:, level + sectors :] = np.eye(n)
-    out[:, :level] = out[:, :level:-1]
-    return _pad_identity(out if np.ndim(nu) else out[0])
+    return _finish(out, nu)
 
 
 def _pair_powers(f: float | np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -398,18 +404,20 @@ def two_mode_squeeze_factored(
     exponential: the raising factor as ``_scale_pair_table`` at f1, the
     lowering factor as the transpose of that at f3, each a power scaling
     of the truncation's ``_pair_table``, and the diagonal middle factor
-    elementwise.  The middle generator is the literal product a a+ (not
-    a+ a + 1): on the truncated space the two differ only at n_a = n_max,
-    where a a+ is 0, and the discrepancy never reaches interior blocks
-    because the middle factor is diagonal.  That zero also breaks the
-    mirror symmetry of sectors d and -d, so the product is formed on every
-    sector.
+    elementwise.  The middle generator is the number operator
+    n_a + n_b + 1 = d + 2 j + 1, which a a+ + b+ b is on the untruncated
+    space (the truncated product a a+ would be 0 at n_a = n_max).  The
+    raising factor is lower- and the lowering factor upper-triangular in
+    the position, so element (j, k) sums over positions i <= min(j, k)
+    only, all of them states where each factor holds its untruncated
+    elements: the product has no truncation error on any state.  Its
+    elements are symmetric in n_a and n_b, so only the sectors d >= 0 are
+    formed, and ``_finish`` mirrors them.
 
     ``level`` (default n_max) compresses the result as the product of the
-    factors' leading (level + 1)^2 corners.  That is exact: the raising
-    factor is lower- and the lowering factor upper-triangular in the
-    position, so element (j, k) sums over positions i <= min(j, k) only,
-    and at n_max <= 24 the block is bitwise the full operator's.
+    factors' leading (level + 1)^2 corners.  That is exact, by the same
+    triangular sums, and at n_max <= 24 the block is bitwise the full
+    operator's.
 
     ``nu`` is a float or a 1-D sequence, as for
     ``two_mode_squeeze_direct``: the closed forms, powers and middle
@@ -421,8 +429,8 @@ def two_mode_squeeze_factored(
     table.  A chunk of several nu would hold an operator per nu in each
     factor, and at n_max = 24 read slower than one nu a chunk.
 
-    The product is free of truncation error on interior blocks, not of
-    rounding: sector 0's element (L, L) is the alternating sum over k of
+    The product is free of truncation error, not of rounding: sector 0's
+    element (L, L) is the alternating sum over k of
     C(L, k)^2 (f1 f3)^(L-k) e^(f2 (2k+1)), and its error is a few eps times
     the largest term.  At nu = 0.5 that term is 3.8e8 at level 40 (an
     error near 1e-7) and 4.9e18 at level 80, where the element comes out
@@ -431,31 +439,27 @@ def two_mode_squeeze_factored(
     level = _compression_level(spec, level)
     values = _squeeze_values(nu)
     f1, f2, f3 = np.array([(f.f1, f.f2, f.f3) for f in map(disentangle_closed_form, values.tolist())]).reshape(-1, 3).T
-    n_max, n = spec.n_max, level + 1
-    mirror = np.abs(np.arange(-level, n))  # |d|, the table sector of each sector
-    # a a+ + b+ b = n_a + n_b + 1 = |d| + 2 j + 1 at position j of sector d
-    number = mirror[:, None] + np.arange(1, 2 * n, 2)
-    if level == n_max:  # a a+ is 0 at n_a = n_max, position n_max - d of sector d >= 0
-        d = np.arange(n)
-        number[level + d, n_max - d] -= n
+    n = level + 1
+    # n_a + n_b + 1 = d + 2 j + 1 at position j of sector d >= 0
+    number = np.arange(n)[:, None] + np.arange(1, 2 * n, 2)
     with np.errstate(over="ignore"):  # f2 * number is -inf near |nu| ~ 1e308, where the factor tends to 0
         middle = np.exp(f2[:, None, None] * number)
-    table = spec._pair_table
+    table = spec._pair_table[:n, :n, :n]
     raising = _pair_powers(f1, n)
     lowering = [a.swapaxes(-1, -2).copy() for a in _pair_powers(f3, n)]
     out = np.empty((len(values), 2 * level + 1, n, n))
     chunk = max(1, DIRECT_CHUNK_BYTES // (8 * n * n))
     for k in range(len(values)):
-        for s in range(0, 2 * level + 1, chunk):
-            factor = table[mirror[s : s + chunk], :n, :n]
+        for s in range(0, n, chunk):
+            factor = table[s : s + chunk].copy()
             # both factors row-major: numpy's batched product takes 2.5 times
             # as long with a transposed operand (n_max = 24)
             lower = _scale_pair_table(factor.swapaxes(1, 2).copy(), [a[k] for a in lowering])
             _scale_pair_table(factor, [a[k] for a in raising])
             factor *= middle[k, s : s + chunk, None, :]
-            np.matmul(factor, lower, out=out[k, s : s + chunk])
+            np.matmul(factor, lower, out=out[k, level + s : level + s + chunk])
             del factor, lower  # before the next chunk's: one chunk of each at a time
-    return _pad_identity(out if np.ndim(nu) else out[0])
+    return _finish(out, nu)
 
 
 def interior_block(op: FockOperator, level: int) -> np.ndarray:
@@ -726,9 +730,10 @@ def check_squeezes(nu_values: Sequence[float], n_max: int) -> list[tuple[dict, l
     (``vacuum_column``); a nu the direct route's guard refuses gets an
     ``error`` message instead, and no rows.
 
-    The guard is judged per nu first, from the direct route's spectrum,
-    which is built once per run, also when the guard refuses every nu.
-    The other nu go to the routes in
+    The guard is judged per nu first, from the generator's exact 1-norm
+    (``_check_direct``), with no spectrum: the direct route builds that
+    once per run, inside its first call, and not at all when the guard
+    refuses every nu.  The other nu go to the routes in
     runs of as many as ``DIRECT_CHUNK_BYTES`` of one route's result holds,
     and at least one: up to 31 nu a call at n_max = 24, one at a time from
     n_max = 80 on.  Each entry is bitwise what a run of its nu alone gives,
@@ -741,13 +746,12 @@ def check_squeezes(nu_values: Sequence[float], n_max: int) -> list[tuple[dict, l
     ``ode_error`` message instead.
     """
     spec, half = FockSpaceSpec(n_max), n_max // 2
-    column_sum = spec._spectrum[-1]
     entries: list[dict] = [{"nu": nu, "interior_level": half} for nu in nu_values]
     rows: list[list[tuple[str, float, str]]] = [[] for _ in nu_values]
     passed = []
     for k, nu in enumerate(nu_values):
         try:
-            _check_direct(nu, column_sum)
+            _check_direct(nu, n_max)
             passed.append(k)
         except ConvergenceError as exc:
             entries[k]["error"] = str(exc)

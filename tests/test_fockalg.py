@@ -102,15 +102,18 @@ def test_modes_commute():
 @pytest.mark.parametrize("n_max", range(1, 9))
 def test_sector_operators_match_dense_reference(n_max):
     # the sector-built exponentials against scipy's on the dense kron
-    # generators; zeros between sectors are checked too
+    # generators; zeros between sectors are checked too.  The factored
+    # route's middle generator is the number operator n_a + n_b + 1, which
+    # a a+ + b+ b is untruncated
     spec = fa.FockSpaceSpec(n_max)
     a, b = dense_ladder(n_max)
     ad, bd = a.T, b.T
+    number = ad @ a + np.eye(len(a)) + bd @ b
     for nu in [-0.6, 0.3, 1.0]:
         direct = scipy_expm(nu * (ad @ bd - a @ b))
         np.testing.assert_allclose(to_dense(fa.two_mode_squeeze_direct(nu, spec)), direct, rtol=0, atol=1e-13)
         f = fa.disentangle_closed_form(nu)
-        factored = scipy_expm(f.f1 * ad @ bd) @ scipy_expm(f.f2 * (a @ ad + bd @ b)) @ scipy_expm(f.f3 * a @ b)
+        factored = scipy_expm(f.f1 * ad @ bd) @ scipy_expm(f.f2 * number) @ scipy_expm(f.f3 * a @ b)
         np.testing.assert_allclose(to_dense(fa.two_mode_squeeze_factored(nu, spec)), factored, rtol=0, atol=1e-13)
 
 
@@ -251,10 +254,16 @@ def test_direct_padding_is_identity(n_max, nu):
 
 @pytest.mark.parametrize("n_max, nu", [(24, 0.5), (60, 1.0), (3, -0.7)])
 def test_direct_mirror_is_bitwise_copy(n_max, nu):
-    # sector -d is a copy of sector d, not computed
-    entries = fa.two_mode_squeeze_direct(nu, fa.FockSpaceSpec(n_max)).entries
-    for d in range(1, n_max + 1):
-        np.testing.assert_array_equal(entries[n_max - d], entries[n_max + d])
+    # sector -d is a copy of sector d, not computed, in both routes and at
+    # the full and the interior level
+    spec = fa.FockSpaceSpec(n_max)
+    for route in [fa.two_mode_squeeze_direct, fa.two_mode_squeeze_factored]:
+        for level in [n_max, n_max // 2]:
+            entries = route(nu, spec, level=level).entries
+            for d in range(1, level + 1):
+                np.testing.assert_array_equal(entries[level - d], entries[level + d])
+    # the one-state sector d = n_max is the identity, from its all-zero block
+    np.testing.assert_array_equal(fa.two_mode_squeeze_direct(nu, spec).entries[2 * n_max], np.eye(n_max + 1))
 
 
 def test_direct_zero_squeeze_is_identity(spec24):
@@ -279,6 +288,49 @@ def test_direct_guard_at_predicted_orthogonality_defect(n_max, sign):
     for nu in [1.001 * edge, 1e11, 1e16, 1e18, 1e200, 1e308, math.nan]:
         with pytest.raises(fa.ConvergenceError, match="1-norm"):
             fa.two_mode_squeeze_direct(sign * nu, spec)
+
+
+def test_direct_guard_norm_is_the_largest_column_sum():
+    # the guard's 1-norm per unit nu, 2 n_max - 1, is bitwise the largest
+    # column sum of |G| over every sector, G's couplings being sqrt(n_a n_b)
+    # at (n_a, n_b) = (j + d, j), j = 1 .. n_max - d
+    for n_max in range(fa.N_MAX_LIMIT + 1):
+        d, j = np.arange(n_max + 1)[:, None], np.arange(1, n_max + 1)
+        coupling = np.where(j <= n_max - d, np.sqrt((j + d) * j), 0.0)
+        # column j sums the couplings above and below it, c_0 = c_(n_max + 1) = 0
+        ends = np.pad(coupling, ((0, 0), (1, 1)))
+        column_sum = (ends[:, :-1] + ends[:, 1:]).max(initial=0.0)
+        assert max(2 * n_max - 1, 0) == column_sum, n_max
+
+
+@pytest.mark.parametrize("n_max", [1, 24, 160])
+def test_direct_guard_edge_needs_no_route(monkeypatch, n_max):
+    # the guard trips between 0.999 and 1.001 of its edge, and reads no
+    # spectrum to judge: no decomposition runs
+    def refuse(m, **kwargs):
+        raise AssertionError("the guard called a decomposition")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    edge = 2.0**52 * math.sqrt(fa.DIRECT_DEFECT_BOUND / 2.0) / (2 * n_max - 1)
+    for sign in [1.0, -1.0]:
+        fa._check_direct(sign * 0.999 * edge, n_max)
+        with pytest.raises(fa.ConvergenceError, match="1-norm"):
+            fa._check_direct(sign * 1.001 * edge, n_max)
+
+
+def test_direct_guard_at_vacuum_space():
+    # at n_max = 0 the generator is 0: no finite nu trips the guard, and
+    # the route is the identity; its SVD block is 0 x 1, so a chunk's
+    # (nu, sector) pair holds no bytes
+    for nu in [0.5, -1e16, 1e308, -1.7976931348623157e308]:
+        fa._check_direct(nu, 0)
+    for nu in [math.inf, -math.inf, math.nan]:
+        with pytest.raises(fa.ConvergenceError, match="1-norm"):
+            fa._check_direct(nu, 0)
+    spec = fa.FockSpaceSpec(0)
+    assert spec._spectrum[0].shape == (1, 0)
+    op = fa.two_mode_squeeze_direct([0.5, -1e16, 1e308], spec)
+    np.testing.assert_array_equal(op.entries, np.ones((3, 1, 1, 1)))
 
 
 def test_direct_vacuum_column_matches_pair_law(spec40_direct_nu1):
@@ -324,7 +376,7 @@ def test_direct_route_reuses_its_spectrum_memory():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    _, u, v, _ = spec._spectrum
+    _, u, v = spec._spectrum
     assert peaks[1] + u.nbytes + v.nbytes <= peaks[0]
 
 
@@ -343,7 +395,7 @@ def test_run_of_nu_is_bitwise_the_single_calls(monkeypatch, n_max, route):
     for level in [n_max, n_max // 2]:
         alone = np.stack([route(nu, spec, level=level).entries for nu in RUN_NU])
         assert alone.shape == (len(RUN_NU), *fa.FockSpaceSpec(level).sector_shape)
-        sectors, pair_bytes = min(level + 1, n_max), 8 * (level + 1) * ((n_max + 1) // 2)
+        sectors, pair_bytes = level + 1, 8 * (level + 1) * ((n_max + 1) // 2)
         for chunk_bytes in [len(RUN_NU) * sectors * pair_bytes, 2 * sectors * pair_bytes, 3 * pair_bytes]:
             monkeypatch.setattr(fa, "DIRECT_CHUNK_BYTES", chunk_bytes)
             run = route(RUN_NU, spec, level=level)
@@ -382,7 +434,7 @@ def test_spec_reused_across_nu_is_bitwise_fresh(n_max, nu_values, route):
 
 def test_cached_sector_structure_is_read_only():
     spec = fa.FockSpaceSpec(6)
-    cached = [spec._pair_table, *(a for a in spec._spectrum if isinstance(a, np.ndarray))]
+    cached = [spec._pair_table, *spec._spectrum]
     assert len(cached) == 4
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
@@ -420,21 +472,22 @@ def test_factored_route_peaks_at_result_and_one_chunk():
 
 @pytest.mark.parametrize("n_max, nu", [(6, 0.7), (24, -0.4), (24, 1e-3)])
 def test_factored_chunks_are_bitwise_one_product(monkeypatch, n_max, nu):
-    # three sectors a chunk leave a remainder of one sector of 13 and of 49;
-    # every chunk's product equals the one product over all sectors of the
-    # raising factor, scaled by the middle one, and the lowering factor
+    # the route forms the n_max + 1 sectors d >= 0, and three sectors a
+    # chunk leave a remainder of one sector of 7 and of 25; every chunk's
+    # product equals the one product over all sectors of the raising
+    # factor, scaled by the middle one, and the lowering factor
     spec = fa.FockSpaceSpec(n_max)
     f = fa.disentangle_closed_form(nu)
     d, j = np.arange(-n_max, n_max + 1)[:, None], np.arange(n_max + 1)
     n_a, n_b = j + np.maximum(d, 0), j + np.maximum(-d, 0)
-    # a a+ + b+ b at each state (a a+ is 0 at n_a = n_max), 0 on padding
-    number = np.where(j <= n_max - np.abs(d), np.where(n_a < n_max, n_a + 1, 0) + n_b, 0)
+    # the number operator n_a + n_b + 1 at each state, 0 on padding
+    number = np.where(j <= n_max - np.abs(d), n_a + n_b + 1, 0)
     raising = pair_exponential(f.f1, spec) * np.exp(f.f2 * number)[:, None, :]
     lowering = pair_exponential(f.f3, spec).swapaxes(1, 2).copy()
     whole = raising @ lowering
     sector_bytes = 8 * (n_max + 1) ** 2
-    assert (2 * n_max + 1) % 3 == 1
-    for chunk_bytes in [(2 * n_max + 1) * sector_bytes, 3 * sector_bytes + 8, sector_bytes]:
+    assert (n_max + 1) % 3 == 1
+    for chunk_bytes in [(n_max + 1) * sector_bytes, 3 * sector_bytes + 8, sector_bytes]:
         monkeypatch.setattr(fa, "DIRECT_CHUNK_BYTES", chunk_bytes)
         np.testing.assert_array_equal(fa.two_mode_squeeze_factored(nu, spec).entries, whole)
 
@@ -448,7 +501,8 @@ def test_factored_route_reads_each_function(monkeypatch):
     ad, bd = a.T, b.T
     f1, f2, f3 = 0.3, -0.1, 0.2
     monkeypatch.setattr(fa, "disentangle_closed_form", lambda nu: fa.DisentangleFunctions(f1, f2, f3))
-    dense = scipy_expm(f1 * ad @ bd) @ scipy_expm(f2 * (a @ ad + bd @ b)) @ scipy_expm(f3 * a @ b)
+    number = ad @ a + np.eye(len(a)) + bd @ b
+    dense = scipy_expm(f1 * ad @ bd) @ scipy_expm(f2 * number) @ scipy_expm(f3 * a @ b)
     factored = fa.two_mode_squeeze_factored(0.0, fa.FockSpaceSpec(n_max))
     np.testing.assert_allclose(to_dense(factored), dense, rtol=0, atol=1e-13)
 
@@ -478,6 +532,17 @@ def test_factored_interior_block_is_truncation_independent():
     b24 = fa.interior_block(f24, 12)
     b32 = fa.interior_block(f32, 12)
     assert np.abs(b24 - b32).max() < 1e-11
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 6, 12])
+@pytest.mark.parametrize("nu", [0.3, -0.7, 1.0])
+def test_factored_route_has_no_truncation_error(n_max, nu):
+    # the middle generator is the number operator on every state, the edge
+    # n_a = n_max included, so the whole operator is the block of a
+    # truncation 16 larger (bitwise on this build; 1e-12 allows rounding)
+    full = fa.interior_block(fa.two_mode_squeeze_factored(nu, fa.FockSpaceSpec(n_max)), n_max)
+    larger = fa.interior_block(fa.two_mode_squeeze_factored(nu, fa.FockSpaceSpec(n_max + 16)), n_max)
+    assert np.abs(full - larger).max() <= 1e-12
 
 
 def test_factored_matches_direct_where_truncation_converged(spec40_direct_nu1):
@@ -629,12 +694,18 @@ def test_compression_at_n_max_is_full_operator(route):
 
 
 def test_compression_of_vacuum_space():
-    # level 0 keeps the vacuum alone: <0,0|U|0,0> = 1 / cosh nu to rounding
+    # level 0 keeps the vacuum alone: <0,0|U|0,0> = 1 / cosh nu to rounding.
+    # On the space of the vacuum alone the generator is 0, so the direct
+    # route gives 1, while the factored route, free of truncation error,
+    # gives bitwise the level-0 block of n_max = 24
     spec = fa.FockSpaceSpec(24)
     for route in ROUTES:
         (((amplitude,),),) = route(0.1, spec, level=0).entries
         assert amplitude == pytest.approx(1.0 / math.cosh(0.1), rel=1e-14)
-        np.testing.assert_array_equal(route(0.5, fa.FockSpaceSpec(0)).entries, np.ones((1, 1, 1)))
+    np.testing.assert_array_equal(fa.two_mode_squeeze_direct(0.5, fa.FockSpaceSpec(0)).entries, np.ones((1, 1, 1)))
+    vacuum = fa.two_mode_squeeze_factored(0.5, fa.FockSpaceSpec(0)).entries
+    np.testing.assert_array_equal(vacuum, fa.two_mode_squeeze_factored(0.5, spec, level=0).entries)
+    assert vacuum[0, 0, 0] == pytest.approx(1.0 / math.cosh(0.5), rel=1e-14)
 
 
 def test_compression_keeps_the_direct_guard():
@@ -1007,7 +1078,8 @@ def test_closed_form_at_large_squeeze():
 
 def test_factored_route_silent_at_overflowing_squeeze():
     # f2 * number overflows to -inf at nu = 1e308; the middle factor's limit
-    # is 0 off the number-0 states, which nu = 1e300 reaches without overflow
+    # is 0, the number being at least 1, which nu = 1e300 reaches without
+    # overflow
     spec = fa.FockSpaceSpec(4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
