@@ -277,11 +277,16 @@ def test_main_rejects_non_positive_tolerances(tmp_path, capsys, command, flags, 
         ("density", {"times": [1.0, 100.0]}),
         ("verify", {"times": [0.5, 100.0], "grid": "auto"}),
         ("entropy", {"nu_values": [0.5, 5.0]}),
+        ("verify", {"grid": {"x_min": -1.0, "x_max": 1.0, "y_min": -1.0, "y_max": 1.0, "nx": 4, "ny": 4}}),
+        ("fock", {"nu_values": [0.5], "tolerances": {"residual_max": 1e-4}}),
+        ("entropy", {"nu_values": []}),
     ],
 )
 def test_failed_run_leaves_no_output(tmp_path, capsys, command, payload):
-    # the first time or squeeze value succeeds, a later one fails
-    if command == "entropy":
+    # the first time or squeeze value succeeds and a later one fails, or the
+    # config is refused: a grid with no interior, a key of verify's config
+    # in fock's, no squeeze values
+    if command in ("fock", "entropy"):
         cfg = write_config(tmp_path, "e.json", {**payload, "out_dir": str(tmp_path / "out")})
     else:
         cfg = small_density_config(tmp_path, **payload)
@@ -727,6 +732,8 @@ def test_fock_report_is_strict_json(tmp_path_factory, nu):
         max_size=4,
     ),
 )
+# at the shipped truncation: the guard refuses 1e16, and 0.5 and 1.0 are computed
+@example(n_max=24, nu_values=[0.5, 1e16, 1.0])
 def test_fock_entry_does_not_depend_on_other_nu(tmp_path_factory, n_max, nu_values):
     # the direct route's spectrum is computed once per truncation and reused
     # at every nu, and one ODE oracle call integrates every nu: each entry
