@@ -188,8 +188,12 @@ def _outer_sum_report(
 
     where mean d and mean e are the means' rounding.  With large opposite
     offsets a + b cancels exactly (Sterbenz), and the rounding terms keep
-    the rms within a few ulps.  The parts are first scaled by a power of
-    two below 1, exactly, so no sum or square overflows or underflows.
+    the rms within a few ulps.  The rounding of a mean of large parts can
+    be as large as their spread, where var d = mean d^2 - (mean d)^2 would
+    cancel, so d and e are centred a second time, in place: what mean is
+    left then lies far below the spread, and each variance reads as the
+    part's mean square.  The parts are first scaled by a power of two
+    below 1, exactly, so no sum or square overflows or underflows.
     """
     top_u, bottom_u, top_v, bottom_v = r_u.max(), r_u.min(), r_v.max(), r_v.min()
     top, bottom = top_u + top_v, bottom_u + bottom_v
@@ -201,7 +205,9 @@ def _outer_sum_report(
         mean_a, mean_b = a.sum() / a.size, b.sum() / b.size
         d, e = a - mean_a, b - mean_b
         mean_d, mean_e = d.sum() / d.size, e.sum() / e.size
-        square = (np.vecdot(d, d) / d.size - mean_d * mean_d) + (np.vecdot(e, e) / e.size - mean_e * mean_e)
+        d -= mean_d
+        e -= mean_e
+        square = np.vecdot(d, d) / d.size + np.vecdot(e, e) / e.size
         square += ((mean_a + mean_b) + (mean_d + mean_e)) ** 2
         rms = math.sqrt(max(square, 0.0)) / scale
     return ResidualReport(equation, t, float(max(abs(top), abs(bottom))), rms, grid, 0.0)
