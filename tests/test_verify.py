@@ -658,7 +658,7 @@ def test_outer_sum_report_matches_grid_statistics(r_u, r_v):
     epsilons=hnp.arrays(np.float64, st.integers(3, 40), elements=st.floats(-1.0, 1.0)),
 )
 # the parts' spread is one ulp of the offset, while the rounding of the mean
-# of r_v is several: centred once, var e cancelled to 19 ulps of the rms
+# of r_v is several: after one centring, mean e^2 - (mean e)^2 cancels
 @example(offset=651562446090.041, deltas=np.zeros(3), epsilons=np.array([1e-4] + [0.0] * 26))
 def test_outer_sum_rms_survives_large_opposite_offsets(offset, deltas, epsilons):
     # parts c + delta_i and -c + eps_j, as the Bohm definition's are (+-e_v

@@ -50,8 +50,8 @@ def nu(values: list[float]) -> str:
 def cases() -> dict[str, tuple[str, dict | bytes, list[str]]]:
     """Case name -> (subcommand, config as a JSON object or the file's bytes, further flags).
 
-    Each case runs with no ``--out``, so it writes to its config's relative
-    ``out_dir`` inside its own working directory.
+    No case but the refused empty one passes ``--out``, so each writes to
+    its config's relative ``out_dir`` inside its own working directory.
     """
     runs = {}
     for name in ("verify_example1", "verify_example2", "fig1", "fig2"):
@@ -59,7 +59,8 @@ def cases() -> dict[str, tuple[str, dict | bytes, list[str]]]:
         for grid in (config["grid"], "auto"):
             size = grid if grid == "auto" else f"{grid['nx']}x{grid['ny']}"
             for v_source in verify.V_SOURCES:
-                runs[f"verify/{name}/{size}/{v_source}"] = ("verify", {**config, "grid": grid, "v_source": v_source}, [])
+                payload = {**config, "grid": grid, "v_source": v_source}
+                runs[f"verify/{name}/{size}/{v_source}"] = ("verify", payload, [])
     for name in ("verify_example1", "verify_example2"):
         for tol in ("1e-6", "1e-10"):
             runs[f"verify/{name}/tol={tol}"] = ("verify", shipped(name), ["--tol", tol])
@@ -138,7 +139,10 @@ def run(name: str, command: str, config: dict | bytes, flags: list[str], where: 
 
 
 def manifest(runs: dict[str, tuple[str, dict | bytes, list[str]]]) -> tuple[list[str], bool]:
-    """The sorted manifest lines of ``runs``, each case in its own directory of one new temporary directory, and whether any raised."""
+    """The sorted manifest lines of ``runs``, and whether any case raised.
+
+    Each case runs in its own directory of one new temporary directory.
+    """
     lines, raised = [], False
     with tempfile.TemporaryDirectory() as tmp:
         for k, (name, case) in enumerate(runs.items()):
@@ -155,8 +159,8 @@ def header() -> str:
     config = np.show_config(mode="dicts")
     simd = config["SIMD Extensions"]
     blas = config["Build Dependencies"]["blas"]
-    build = blas.get("openblas configuration", f"{blas['name']} {blas['version']}")
-    return f"# numpy {np.__version__}; SIMD {' '.join(simd['baseline'] + simd['found'])}; BLAS {' '.join(build.split())}"
+    build = " ".join(blas.get("openblas configuration", f"{blas['name']} {blas['version']}").split())
+    return f"# numpy {np.__version__}; SIMD {' '.join(simd['baseline'] + simd['found'])}; BLAS {build}"
 
 
 def main() -> int:
