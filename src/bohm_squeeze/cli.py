@@ -433,16 +433,15 @@ def run_fock(
 def run_entropy(nu_values: Sequence[float], out_dir: Path) -> Path:
     """entropy.csv with summed and closed-form entropies per squeeze value; no file if one fails.
 
-    Each value sums ``spectral.ENTROPY_TERMS`` Schmidt terms, or more where
-    ``spectral.entropy_terms`` needs more to hold the entropy they leave
-    out to its tolerance; past its cap it refuses the value, naming the
-    cap's reach.
+    Each value sums the Schmidt terms ``spectral.entropy_terms`` counts,
+    which holds the entropy they leave out to its tolerance; past its cap
+    it refuses the value, naming the cap's reach.
     """
     from . import spectral
 
     rows = ["nu,entropy_sum,entropy_closed,schmidt_lambda0\n"]
     for nu in nu_values:
-        spec = spectral.schmidt_spectrum(nu, max(spectral.ENTROPY_TERMS, spectral.entropy_terms(nu)))
+        spec = spectral.schmidt_spectrum(nu, spectral.entropy_terms(nu))
         rows.append(
             f"{_fmt(nu)},{_fmt(spectral.entanglement_entropy(spec))},"
             f"{_fmt(spectral.entropy_closed_form(nu))},{_fmt(float(spec.lambdas[0]))}\n"

@@ -237,26 +237,6 @@ def _finish(out: np.ndarray, nu: float | Sequence[float]) -> FockOperator:
     return FockOperator(FockSpaceSpec(level), _fill_padding(out if np.ndim(nu) else out[0], np.eye(level + 1)))
 
 
-def _squeeze_values(nu: float | Sequence[float]) -> np.ndarray:
-    """``nu`` as a 1-D array: a float is a run of one."""
-    return np.atleast_1d(np.asarray(nu, dtype=float))
-
-
-def _chunks(count: int, sectors: int, pair_bytes: int):
-    """(nu slice, sector slice) blocks over ``count`` nu and ``sectors`` sectors.
-
-    A block holds as many (nu, sector) pairs as ``DIRECT_CHUNK_BYTES``
-    takes at ``pair_bytes`` each, and at least one: every sector of
-    several nu, or some sectors of one nu.  A pair of no bytes (n_max = 0)
-    counts as one byte.
-    """
-    pairs = max(1, DIRECT_CHUNK_BYTES // max(pair_bytes, 1))
-    nu_step, sector_step = max(1, pairs // sectors), min(pairs, sectors)
-    for k in range(0, count, nu_step):
-        for s in range(0, sectors, sector_step):
-            yield slice(k, k + nu_step), slice(s, s + sector_step)
-
-
 def _check_direct(nu: float, n_max: int) -> None:
     """Raise ``ConvergenceError`` where the direct route's predicted orthogonality defect at nu passes its bound.
 
@@ -328,7 +308,7 @@ def two_mode_squeeze_direct(
     refuses, before the spectrum is read.
     """
     level = _compression_level(spec, level)
-    values = _squeeze_values(nu)
+    values = np.atleast_1d(np.asarray(nu, dtype=float))  # a float is a run of one
     for x in values.tolist():
         _check_direct(x, spec.n_max)
     n = level + 1
@@ -340,19 +320,26 @@ def two_mode_squeeze_direct(
 
     out = np.empty((len(values), 2 * level + 1, n, n))
     upper = out[:, level:]
-    for ks, ss in _chunks(len(values), n, 8 * n * sigma.shape[-1]):
-        phase = values[ks, None, None] * sigma[ss]
-        sin_phase = np.sin(phase)[..., None, :]
-        half_sin = math.sqrt(2.0) * np.sin(0.5 * phase)[..., None, :]
-        block, rows_odd, rows_even = upper[ks, ss], u[ss], v[ss]
-        z = rows_even * half_sin
-        np.subtract(eye_even, z @ z.swapaxes(-1, -2), out=block[..., ::2, ::2])
-        z = rows_odd * half_sin
-        np.subtract(eye_odd, z @ z.swapaxes(-1, -2), out=block[..., 1::2, 1::2])
-        odd_even = (rows_odd * sin_phase) @ rows_even.swapaxes(-1, -2)
-        block[..., 1::2, ::2] = odd_even
-        np.negative(odd_even.swapaxes(-1, -2), out=block[..., ::2, 1::2])
-        del z, odd_even  # before the next chunk's
+    # blocks of (nu, sector) pairs, as many as DIRECT_CHUNK_BYTES takes and at
+    # least one: every sector of several nu, or some sectors of one nu.  A
+    # pair of no bytes (n_max = 0) counts as one byte
+    pairs = max(1, DIRECT_CHUNK_BYTES // max(8 * n * sigma.shape[-1], 1))
+    nu_step, sector_step = max(1, pairs // n), min(pairs, n)
+    for k in range(0, len(values), nu_step):
+        for s in range(0, n, sector_step):
+            ks, ss = slice(k, k + nu_step), slice(s, s + sector_step)
+            phase = values[ks, None, None] * sigma[ss]
+            sin_phase = np.sin(phase)[..., None, :]
+            half_sin = math.sqrt(2.0) * np.sin(0.5 * phase)[..., None, :]
+            block, rows_odd, rows_even = upper[ks, ss], u[ss], v[ss]
+            z = rows_even * half_sin
+            np.subtract(eye_even, z @ z.swapaxes(-1, -2), out=block[..., ::2, ::2])
+            z = rows_odd * half_sin
+            np.subtract(eye_odd, z @ z.swapaxes(-1, -2), out=block[..., 1::2, 1::2])
+            odd_even = (rows_odd * sin_phase) @ rows_even.swapaxes(-1, -2)
+            block[..., 1::2, ::2] = odd_even
+            np.negative(odd_even.swapaxes(-1, -2), out=block[..., ::2, 1::2])
+            del z, odd_even  # before the next chunk's
     return _finish(out, nu)
 
 
@@ -437,7 +424,7 @@ def two_mode_squeeze_factored(
     -1520 against 0.035.
     """
     level = _compression_level(spec, level)
-    values = _squeeze_values(nu)
+    values = np.atleast_1d(np.asarray(nu, dtype=float))
     f1, f2, f3 = np.array([(f.f1, f.f2, f.f3) for f in map(disentangle_closed_form, values.tolist())]).reshape(-1, 3).T
     n = level + 1
     # n_a + n_b + 1 = d + 2 j + 1 at position j of sector d >= 0

@@ -357,52 +357,41 @@ class TimeSamples:
             ) from None
         if min(self.grids[0].nx, self.grids[0].ny) < 2 * RING + 1:
             raise ValueError(f"need at least {2 * RING + 1} samples per axis for an interior residual")
-        terms = _check_terms(schedules, self.grids, dt, v_source)
-        self.schrodinger_terms, self.continuity_terms, self.hj_parts, self.bohm_parts = terms
+        # a term past the float range is left to the report of the check that
+        # reads it, which refuses it, so forming it raises no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, now = schedules.s.m, Schedules(schedules.s, *(field[:, 2] for field in schedules[1:]))  # at t: (T, 1)
+            # each time's axes on its rows, and their spacings as (T, 1) columns
+            u, v = np.stack([grid.xs() for grid in self.grids]), np.stack([grid.ys() for grid in self.grids])
+            hx, hy = np.array([[grid.hx] for grid in self.grids]), np.array([[grid.hy] for grid in self.grids])
+            phase = phase_coeffs(schedules)
+            (p, q), (f, g) = _mode_factors(log_amplitude_coeffs(schedules), phase, u[:, None], v[:, None])
+            u_in, v_in = _inner(u), _inner(v)
+
+            # Schrodinger: lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
+            (f0, _, f2), (g0, _, g2) = _stencil(f[:, 2], hx), _stencil(g[:, 2], hy)
+            pot = external_quadform(now, v_source)
+            r_u = f2 / (2.0 * m) - (pot.c_u * u_in * u_in + pot.const) * f0
+            r_v = g2 / (2.0 * m) - pot.c_v * v_in * v_in * g0
+            self.schrodinger_terms = _time_difference_terms((f, g), 0.5j / dt, [r_u, f0], [g0, r_v])
+
+            # continuity: S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and
+            # S_v = 2 c_v v, the phase's form at t; lap S A / (2m) joins the u term
+            f, g = np.exp(p), np.exp(q)
+            (f0, f1, _), (g0, g1, _) = _stencil(f[:, 2], hx), _stencil(g[:, 2], hy)
+            flux_u = (2.0 * phase.c_u[:, 2] * u_in * f1 + 0.5 * phase.laplacian[:, 2] * f0) / m
+            flux_v = 2.0 * phase.c_v[:, 2] * v_in * g1 / m
+            self.continuity_terms = _time_difference_terms((f, g), 0.5 / dt, [flux_u, f0], [g0, flux_v])
+
+            # the outer sums; for A = f(u) g(v), lap A / A = f''/f + g''/g, each from ln A at t
+            b = bohm_coeffs(now)
+            total = kinetic_coeffs(now) + b + pot + phase_rate_coeffs(now)
+            self.hj_parts = total.c_u * u * u + total.const, total.c_v * v * v
+            self.bohm_parts = (
+                -_relative_second_difference(p[:, 2], hx) / (2.0 * m) - (b.c_u * u_in * u_in + b.const),
+                -_relative_second_difference(q[:, 2], hy) / (2.0 * m) - b.c_v * v_in * v_in,
+            )
         _read_only(*self.schrodinger_terms, *self.continuity_terms, *self.hj_parts, *self.bohm_parts)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _check_terms(schedules: Schedules, grids: list[GridSpec2D], dt: float, v_source: VSource) -> tuple:
-    """Each check's terms at a record's times: the two stacks and the two pairs of outer-sum parts.
-
-    ``schedules`` is the record over the (T, 3, 1) times t + dt, t - dt
-    and t, and ``grids`` holds one grid per time, all of one shape.  A
-    term past the float range is left to the report of the check that
-    reads it, which refuses it, so forming it raises no warning.
-    """
-    m, now = schedules.s.m, Schedules(schedules.s, *(field[:, 2] for field in schedules[1:]))  # at t: (T, 1)
-    # each time's axes on its rows, and their spacings as (T, 1) columns
-    u, v = np.stack([grid.xs() for grid in grids]), np.stack([grid.ys() for grid in grids])
-    hx, hy = np.array([[grid.hx] for grid in grids]), np.array([[grid.hy] for grid in grids])
-    phase = phase_coeffs(schedules)
-    (p, q), (f, g) = _mode_factors(log_amplitude_coeffs(schedules), phase, u[:, None], v[:, None])
-    u_in, v_in = _inner(u), _inner(v)
-
-    # Schrodinger: lap psi = f'' g + f g'' and V = V_u(u) + V_v(v), V's constant in V_u
-    (f0, _, f2), (g0, _, g2) = _stencil(f[:, 2], hx), _stencil(g[:, 2], hy)
-    pot = external_quadform(now, v_source)
-    r_u = f2 / (2.0 * m) - (pot.c_u * u_in * u_in + pot.const) * f0
-    r_v = g2 / (2.0 * m) - pot.c_v * v_in * v_in * g0
-    schrodinger = _time_difference_terms((f, g), 0.5j / dt, [r_u, f0], [g0, r_v])
-
-    # continuity: S_x A_x + S_y A_y = S_u A_u + S_v A_v, with S_u = 2 c_u u and
-    # S_v = 2 c_v v, the phase's form at t; lap S A / (2m) joins the u term
-    f, g = np.exp(p), np.exp(q)
-    (f0, f1, _), (g0, g1, _) = _stencil(f[:, 2], hx), _stencil(g[:, 2], hy)
-    flux_u = (2.0 * phase.c_u[:, 2] * u_in * f1 + 0.5 * phase.laplacian[:, 2] * f0) / m
-    flux_v = 2.0 * phase.c_v[:, 2] * v_in * g1 / m
-    continuity = _time_difference_terms((f, g), 0.5 / dt, [flux_u, f0], [g0, flux_v])
-
-    # the outer sums; for A = f(u) g(v), lap A / A = f''/f + g''/g, each from ln A at t
-    b = bohm_coeffs(now)
-    total = kinetic_coeffs(now) + b + pot + phase_rate_coeffs(now)
-    hamilton_jacobi = total.c_u * u * u + total.const, total.c_v * v * v
-    bohm_definition = (
-        -_relative_second_difference(p[:, 2], hx) / (2.0 * m) - (b.c_u * u_in * u_in + b.const),
-        -_relative_second_difference(q[:, 2], hy) / (2.0 * m) - b.c_v * v_in * v_in,
-    )
-    return schrodinger, continuity, hamilton_jacobi, bohm_definition
 
 
 def _field(terms: tuple[np.ndarray, np.ndarray], row: int) -> np.ndarray:

@@ -202,7 +202,7 @@ def test_entropy_sum_holds_at_small_squeeze(nu):
     # rounded value put -lambda_0 ln lambda_0 off by about 1e-17: 0.29% of
     # the entropy at nu = 1e-8, 7.7e-7 at 1e-6 and 3.0e-11 at 1e-4.  The
     # sum takes ln lambda_n = ln(1 - q) + n ln q instead
-    terms = max(600, sp.entropy_terms(nu))
+    terms = sp.entropy_terms(nu)
     summed = sp.entanglement_entropy(sp.schmidt_spectrum(nu, terms))
     assert summed == pytest.approx(sp.entropy_closed_form(nu), rel=1e-12, abs=0)
 
@@ -254,12 +254,15 @@ def test_entropy_terms_are_the_least_that_hold_the_omitted_entropy(nu, terms):
 
 @given(st.floats(min_value=-4.75, max_value=4.75, allow_nan=False))
 @example(4.391211703632974e-160)  # tanh^2 nu is subnormal and the allowed share underflows to 0
+@example(0.0)  # no term is omitted: ENTROPY_TERMS
+@example(2.183057686743343)  # the floor's edge: 600 terms hold the omitted entropy here,
+@example(2.1830576867433433)  # and at the next float the least count is 601
 def test_entropy_terms_are_the_least_count(nu):
-    # the binary search over term counts finds the least count whose
-    # omitted entropy is within the tolerance
+    # the binary search over term counts finds ENTROPY_TERMS, or the least
+    # count past it whose omitted entropy is within the tolerance
     terms = sp.entropy_terms(nu)
     assert sp._omits_little(nu, terms)
-    assert terms == 1 or not sp._omits_little(nu, terms - 1)
+    assert terms == sp.ENTROPY_TERMS or not sp._omits_little(nu, terms - 1)
 
 
 def test_entropy_terms_refuse_past_their_cap():
