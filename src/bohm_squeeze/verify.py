@@ -192,8 +192,11 @@ def _outer_sum_report(
     be as large as their spread, where var d = mean d^2 - (mean d)^2 would
     cancel, so d and e are centred a second time, in place: what mean is
     left then lies far below the spread, and each variance reads as the
-    part's mean square.  The parts are first scaled by a power of two
-    below 1, exactly, so no sum or square overflows or underflows.
+    part's mean square, its squares summed by ``math.fsum``: a product sum
+    can round each small square's addition the same way, which put one
+    large and thirty equal small squares 16 ulps off.  The parts are first
+    scaled by a power of two below 1, exactly, so no sum or square
+    overflows or underflows.
     """
     top_u, bottom_u, top_v, bottom_v = r_u.max(), r_u.min(), r_v.max(), r_v.min()
     top, bottom = top_u + top_v, bottom_u + bottom_v
@@ -207,7 +210,7 @@ def _outer_sum_report(
         mean_d, mean_e = d.sum() / d.size, e.sum() / e.size
         d -= mean_d
         e -= mean_e
-        square = np.vecdot(d, d) / d.size + np.vecdot(e, e) / e.size
+        square = math.fsum((d * d).tolist()) / d.size + math.fsum((e * e).tolist()) / e.size
         square += ((mean_a + mean_b) + (mean_d + mean_e)) ** 2
         rms = math.sqrt(max(square, 0.0)) / scale
     return ResidualReport(equation, t, float(max(abs(top), abs(bottom))), rms, grid, 0.0)

@@ -660,6 +660,9 @@ def test_outer_sum_report_matches_grid_statistics(r_u, r_v):
 # the parts' spread is one ulp of the offset, while the rounding of the mean
 # of r_v is several: after one centring, mean e^2 - (mean e)^2 cancels
 @example(offset=651562446090.041, deltas=np.zeros(3), epsilons=np.array([1e-4] + [0.0] * 26))
+# one large and thirty equal small elements of e: a product sum of e with
+# itself rounds each small square's addition the same way
+@example(offset=35289826322.45239, deltas=np.zeros(3), epsilons=np.array([0.0] * 4 + [0.5189743041992188] + [0.0] * 26))
 def test_outer_sum_rms_survives_large_opposite_offsets(offset, deltas, epsilons):
     # parts c + delta_i and -c + eps_j, as the Bohm definition's are (+-e_v
     # / 2m): the grid's elements are small differences of large parts, and
