@@ -183,7 +183,7 @@ def entanglement_entropy(spec: SchmidtSpectrum) -> float:
     q^N [-ln(1 - q) - ln q (N + q/(1 - q))] with q = tanh^2 nu, to be at
     most ENTROPY_OMITTED_TOL of the whole; raises otherwise, since the sum
     would silently miss it, naming the reach of N terms in |nu|.
-    ``entropy_terms`` gives the least such N.  The tail mass q^N alone
+    ``entropy_terms`` gives the N ``entropy`` sums.  The tail mass q^N alone
     understates what is left out, by about 32 times near 600 terms' reach.
 
     Each ln lambda_n is taken as ln(1 - q) + n ln q, not as the log of
