@@ -254,7 +254,7 @@ def _run_config(raw: dict, out_override: str | None, grid_n: int | None, tol: fl
             f"unknown outputs {sorted(unknown_fields)}; supported: {sorted(FIELD_SAMPLERS)}"
         )
 
-    v_source = raw.get("v_source", "hj_closure")
+    v_source = raw.get("v_source", "closed_form")
     if "v_source" in raw:  # only a verify config takes one
         from . import verify
 

@@ -118,17 +118,15 @@ __all__ = [
 ]
 
 Equation = Literal["schrodinger", "continuity", "hamilton_jacobi", "bohm_definition"]
-VSource = Literal["hj_closure", "closed_form", "variant"]
+VSource = Literal["closed_form", "variant"]
 
 # Selectable external-potential sources for the residual checks:
-#   hj_closure  - V assembled from -S_t - |grad S|^2/(2m) - V_B (the identity
-#                 definition; the trusted default),
-#   closed_form - the explicit coefficient formula (analytically equal to
-#                 hj_closure; exercises the formula path),
+#   closed_form - the closed-form V that ``density`` writes as
+#                 external_potential (the default),
 #   variant     - the sign-variant transcription, which differs by
 #                 (2m + 1) V_B and therefore fails the residual checks by
 #                 construction (diagnostic).
-V_SOURCES: tuple[VSource, ...] = ("hj_closure", "closed_form", "variant")
+V_SOURCES: tuple[VSource, ...] = ("closed_form", "variant")
 
 
 @dataclass(frozen=True)
@@ -216,14 +214,12 @@ def _outer_sum_report(
     return ResidualReport(equation, t, float(max(abs(top), abs(bottom))), rms, grid, 0.0)
 
 
-def external_quadform(now: Schedules, v_source: VSource = "hj_closure") -> QuadForm:
+def external_quadform(now: Schedules, v_source: VSource = "closed_form") -> QuadForm:
     """External-potential quadratic form from the selected source."""
     if v_source == "closed_form":
         return external_coeffs(now)
     if v_source == "variant":
         return external_variant_coeffs(now)
-    if v_source == "hj_closure":
-        return QuadForm(0.0, 0.0, 0.0) - phase_rate_coeffs(now) - kinetic_coeffs(now) - bohm_coeffs(now)
     raise ValueError(f"unknown v_source {v_source!r}; expected one of {V_SOURCES}")
 
 
@@ -342,9 +338,9 @@ class TimeSamples:
         now: Schedules,
         grids: GridSpec2D | Sequence[GridSpec2D],
         dt: float = 1e-4,
-        v_source: VSource = "hj_closure",
+        v_source: VSource = "closed_form",
     ):
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError("dt must be positive")
         run = _as_run(now)
         self.dt, self.t = dt, run.t.tolist()
@@ -426,9 +422,10 @@ def continuity_residual(at: TimeSamples, row: int = 0) -> ResidualReport:
 def hamilton_jacobi_residual(at: TimeSamples, row: int = 0) -> ResidualReport:
     """Residual of |grad S|^2/(2m) + V_B + V + S_t = 0 at the record's time ``row``, all terms analytic.
 
-    With ``closed_form`` (or ``hj_closure``) this cancels to rounding noise;
-    with ``variant`` it leaves exactly (2m + 1) V_B, which is the point of
-    that source.
+    With ``closed_form`` this cancels to rounding noise, so it checks the
+    closed-form V that ``density`` writes against the phase and amplitude
+    forms; with ``variant`` it leaves exactly (2m + 1) V_B, which is the
+    point of that source.
     """
     r_u, r_v = at.hj_parts
     return _outer_sum_report("hamilton_jacobi", at.t[row], r_u[row], r_v[row], at.grids[row])
@@ -580,7 +577,7 @@ def _time_bytes(grid: GridSpec2D) -> int:
 
 
 def check_times(
-    now: Schedules, grids: GridSpec2D | Sequence[GridSpec2D], v_source: VSource = "hj_closure"
+    now: Schedules, grids: GridSpec2D | Sequence[GridSpec2D], v_source: VSource = "closed_form"
 ) -> list[tuple[dict, list[CheckRow]]]:
     """Every check at each time of ``now``: per time, its report entry and its rows, in report order.
 

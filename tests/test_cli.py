@@ -78,8 +78,9 @@ def test_config_errors(tmp_path):
         cli.load_config(small_density_config(tmp_path, times=[]))
     with pytest.raises(cli.ConfigError, match="scenario"):
         cli.load_config(small_density_config(tmp_path, scenario={"m": -1}))
-    with pytest.raises(cli.ConfigError, match="v_source must be one of"):
-        load_verify_config(small_density_config(tmp_path, v_source="bogus"))
+    for v_source in ("bogus", "hj_closure"):
+        with pytest.raises(cli.ConfigError, match="v_source must be one of"):
+            load_verify_config(small_density_config(tmp_path, v_source=v_source))
     with pytest.raises(cli.ConfigError, match="tolerances has unknown key 'nope'"):
         load_verify_config(small_density_config(tmp_path, tolerances={"nope": 1.0}))
     with pytest.raises(cli.ConfigError, match="out_dir"):
@@ -555,34 +556,28 @@ def _scaled(c_u: float = 1.0, const: float = 0.0, sign: float = 1.0):
     return lambda q: cf.QuadForm(sign * q.c_u * c_u, sign * q.c_v, sign * (q.const + const))
 
 
-BOTH_SOURCES = ("hj_closure", "closed_form")
-
 # Seeded defects: a coefficient form that verify reads, the defect applied
-# to what it returns, and, per v_source, the checks whose failure lines the
-# defect must produce on both verify examples.  The checks name where a
-# defect shows, not what it is: ln A's c_u moves var(u), so its smallest
-# defect shows in variance_product, not in var(v)'s variance check.  The
-# phase's c_u x (1 + 1e-4) passes every check on both examples
+# to what it returns, and the checks whose failure lines the defect must
+# produce in the default run on both verify examples.  The checks name where
+# a defect shows, not what it is: ln A's c_u moves var(u), so its smallest
+# defect shows in variance_product, not in var(v)'s variance check.  A
+# defect in the closed-form V that density writes fails hamilton_jacobi down
+# to c_u x (1 + 1e-6).  The phase's c_u x (1 + 1e-4) passes every check on
+# both examples
 SEEDED_DEFECTS = {
-    "phase_sign_flip": ("phase_coeffs", _scaled(sign=-1.0), dict.fromkeys(BOTH_SOURCES, {"continuity", "schrodinger"})),
-    "phase_c_u_1e-3": ("phase_coeffs", _scaled(c_u=1.001), dict.fromkeys(BOTH_SOURCES, {"continuity", "schrodinger"})),
-    "ln_A_const_1e-3": ("log_amplitude_coeffs", _scaled(const=1e-3), dict.fromkeys(BOTH_SOURCES, {"normalization"})),
+    "phase_sign_flip": ("phase_coeffs", _scaled(sign=-1.0), {"continuity", "schrodinger"}),
+    "phase_c_u_1e-3": ("phase_coeffs", _scaled(c_u=1.001), {"continuity", "schrodinger"}),
+    "ln_A_const_1e-3": ("log_amplitude_coeffs", _scaled(const=1e-3), {"normalization"}),
     "ln_A_c_u_1e-3": (
         "log_amplitude_coeffs",
         _scaled(c_u=1.001),
-        dict.fromkeys(BOTH_SOURCES, {"bohm_definition", "normalization", "schrodinger", "variance_product"}),
+        {"bohm_definition", "normalization", "schrodinger", "variance_product"},
     ),
-    "ln_A_c_u_1e-6": ("log_amplitude_coeffs", _scaled(c_u=1.0 + 1e-6), dict.fromkeys(BOTH_SOURCES, {"variance_product"})),
-    "bohm_c_u_1e-3": (
-        "bohm_coeffs",
-        _scaled(c_u=1.001),
-        {"hj_closure": {"bohm_definition"}, "closed_form": {"bohm_definition", "hamilton_jacobi"}},
-    ),
-    "bohm_const_1e-3": (
-        "bohm_coeffs",
-        _scaled(const=1e-3),
-        {"hj_closure": {"bohm_definition", "schrodinger"}, "closed_form": {"bohm_definition", "hamilton_jacobi"}},
-    ),
+    "ln_A_c_u_1e-6": ("log_amplitude_coeffs", _scaled(c_u=1.0 + 1e-6), {"variance_product"}),
+    "bohm_c_u_1e-3": ("bohm_coeffs", _scaled(c_u=1.001), {"bohm_definition", "hamilton_jacobi"}),
+    "bohm_const_1e-3": ("bohm_coeffs", _scaled(const=1e-3), {"bohm_definition", "hamilton_jacobi"}),
+    "V_c_u_1e-3": ("external_coeffs", _scaled(c_u=1.001), {"hamilton_jacobi", "schrodinger"}),
+    "V_c_u_1e-6": ("external_coeffs", _scaled(c_u=1.0 + 1e-6), {"hamilton_jacobi"}),
 }
 
 
@@ -591,8 +586,8 @@ def test_seeded_defects_fail_the_checks_they_reach(tmp_path, monkeypatch, defect
     # verify's checks read the forms through its module attributes, so a
     # wrapped form reaches every check that reads it.  A defect must first
     # change the form at every example time (the phase's c_v is 0 at r = 1,
-    # where scaling it would change nothing); then verify exits 2 on both
-    # examples under both sources, naming at least the listed checks
+    # where scaling it would change nothing); then the default verify run
+    # exits 2 on both examples, naming at least the listed checks
     name, perturb, failing = SEEDED_DEFECTS[defect]
     clean = getattr(verify, name)
     examples = [json.loads((CONFIG_DIR / f"verify_example{k}.json").read_text()) for k in (1, 2)]
@@ -603,13 +598,12 @@ def test_seeded_defects_fail_the_checks_they_reach(tmp_path, monkeypatch, defect
             assert (after.c_u, after.c_v, after.const) != (before.c_u, before.c_v, before.const)
     monkeypatch.setattr(verify, name, lambda now: perturb(clean(now)))
     for k, payload in enumerate(examples, start=1):
-        for v_source in BOTH_SOURCES:
-            out = tmp_path / f"{k}_{v_source}"
-            cfg = write_config(tmp_path, "cfg.json", {**payload, "v_source": v_source, "out_dir": str(out)})
-            code, _, err = run_main(["verify", "--config", str(cfg)])
-            named = set(re.findall(r"^tolerance violation: (\w+) at t = ", err, flags=re.M))
-            assert code == cli.EXIT_TOLERANCE and named >= failing[v_source], (k, v_source, err)
-            assert json.loads((out / "residuals.json").read_text())["pass"] is False
+        out = tmp_path / str(k)
+        cfg = write_config(tmp_path, "cfg.json", {**payload, "out_dir": str(out)})
+        code, _, err = run_main(["verify", "--config", str(cfg)])
+        named = set(re.findall(r"^tolerance violation: (\w+) at t = ", err, flags=re.M))
+        assert code == cli.EXIT_TOLERANCE and named >= failing, (k, err)
+        assert json.loads((out / "residuals.json").read_text())["pass"] is False
 
 
 # ---------------------------------------------------------------------------

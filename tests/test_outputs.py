@@ -10,7 +10,7 @@ _spec = importlib.util.spec_from_file_location("outputs", TOOL)
 outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(outputs)
 
-VERIFY = "verify/verify_example1/auto/hj_closure"
+VERIFY = "verify/verify_example1/auto/closed_form"
 CASES = {name: case for name, case in outputs.cases().items() if name in (VERIFY, "entropy/entropy")}
 
 

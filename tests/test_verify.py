@@ -177,9 +177,8 @@ def test_hamilton_jacobi_residual_closed_form_sources():
     grid = GridSpec2D.square(4.0, 41)
     for s in [example1(), example2()]:
         for t in [0.0, 0.7, 1.5]:
-            for source in ("closed_form", "hj_closure"):
-                rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid, v_source=source))
-                assert rep.max_abs_residual < 1e-9
+            rep = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid, v_source="closed_form"))
+            assert rep.max_abs_residual < 1e-9
 
 
 def test_hamilton_jacobi_residual_exposes_variant():
@@ -197,7 +196,7 @@ def test_hamilton_jacobi_residual_exposes_variant():
 def test_schrodinger_residual_exposes_variant():
     s = example1()
     grid = verify.residual_grid(s.at(0.5), RESIDUAL_MAX)
-    good = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid, v_source="hj_closure"))
+    good = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid, v_source="closed_form"))
     bad = verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid, v_source="variant"))
     assert bad.max_abs_residual > 1e3 * good.max_abs_residual
 
@@ -224,6 +223,8 @@ def test_dt_validation():
         verify.continuity_residual(verify.TimeSamples(s.at(0.5), grid, dt=0.0))
     with pytest.raises(ValueError, match="dt"):
         verify.schrodinger_residual(verify.TimeSamples(s.at(0.5), grid, dt=-1e-4))
+    with pytest.raises(ValueError, match="dt must be positive"):
+        verify.TimeSamples(s.at(0.5), grid, dt=float("nan"))
 
 
 def test_time_difference_past_the_nu_limit_names_its_time():
@@ -290,21 +291,21 @@ def _close_exp(ours: np.ndarray, ref: np.ndarray, exponent: np.ndarray, scale: f
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=scenarios_at(), grid=mode_grids(), v_source=st.sampled_from(["hj_closure", "closed_form"]))
-def test_hj_closure_and_unit_norm_hold_for_random_scenarios(case, grid, v_source):
-    # the Hamilton-Jacobi sum cancels to rounding: each coefficient of the
-    # total sums four forms (hj_closure rounds V's three once more), and the
-    # field adds c_u u^2 + c_v v^2 + const, so the residual stays within a
-    # few eps of the largest coefficient times 1 + u^2 + v^2 (1.4 at most in
-    # 3000 draws); and the moments' norm is 1 within the normalization
+@given(case=scenarios_at(), grid=mode_grids())
+def test_hj_closure_and_unit_norm_hold_for_random_scenarios(case, grid):
+    # the Hamilton-Jacobi sum with the closed-form V cancels to rounding:
+    # each coefficient of the total sums four forms, and the field adds
+    # c_u u^2 + c_v v^2 + const, so the residual stays within a few eps of
+    # the largest coefficient times 1 + u^2 + v^2 (1.4 at most in 3000
+    # draws); and the moments' norm is 1 within the normalization
     # tolerance (2e-13 at most in those draws)
     s, t = case
-    external = verify.external_quadform(s.at(t), v_source)
+    external = verify.external_quadform(s.at(t), "closed_form")
     forms = [cf.kinetic_coeffs(s.at(t)), cf.bohm_coeffs(s.at(t)), external, cf.phase_rate_coeffs(s.at(t))]
     largest = max(max(abs(f.c_u), abs(f.c_v), abs(f.const)) for f in forms)
     u, v = grid.xs(), grid.ys()
     reach = 1.0 + float((u * u).max()) + float((v * v).max())
-    report = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid, v_source=v_source))
+    report = verify.hamilton_jacobi_residual(verify.TimeSamples(s.at(t), grid, v_source="closed_form"))
     assert report.max_abs_residual <= 8.0 * np.finfo(float).eps * largest * reach
     norm, _, _ = verify.diagonal_moments(s.at(t))
     assert abs(norm - 1.0) <= cli.DEFAULT_TOLERANCES["normalization"]
@@ -547,7 +548,7 @@ def stencil_fields_2d(s, t, grid, dt, v_source):
     # ratios along v pass the float range, so the report refuses our parts
     grid=GridSpec2D(1.0, 4.241714080680985, 1.0, 5.862571121021479, 9, 13),
     case=(Scenario(m=1.0, r=0.0, nu=TimePolynomial([0.0, 0.0, 5.0]), mu=TimePolynomial([0.0, 0.0])), 3.0),
-    v_source="hj_closure",
+    v_source="closed_form",
 )
 def test_factored_stencils_match_2d_stencils(grid, case, v_source):
     s, t = case
@@ -844,7 +845,7 @@ def entry_bits(entry, rows):
     return bits, [(name, float(value).hex(), key) for name, value, key in rows]
 
 
-def check_run(s, times, grid, v_source="hj_closure"):
+def check_run(s, times, grid, v_source="closed_form"):
     """check_times on a run of ``times``, on auto grids or on one explicit grid."""
     now = s.at(np.array(times))
     return verify.check_times(now, verify.residual_grid(now, RESIDUAL_MAX) if grid == "auto" else grid, v_source)
