@@ -10,7 +10,6 @@ import shutil
 import stat
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,8 +21,7 @@ from bohm_squeeze import cli, fockalg, spectral, verify
 from bohm_squeeze import closedform as cf
 from bohm_squeeze import Scenario, TimePolynomial
 from bohm_squeeze.closedform import GridSpec2D, ScalarField2D
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+from harness import CONFIG_DIR, child_env, traced_peak
 
 
 def write_config(tmp_path: Path, name: str, payload: dict) -> Path:
@@ -800,12 +798,7 @@ def test_fock_allocates_per_nu_only_interior_operators(tmp_path, monkeypatch):
     # run_fock's spec is this one; fockalg's own specs of level 40 stay fresh
     real = fockalg.FockSpaceSpec
     monkeypatch.setattr(fockalg, "FockSpaceSpec", lambda n_max: spec if n_max == 80 else real(n_max))
-    tracemalloc.start()
-    try:
-        cli.run_fock([0.25, 0.5, 1.0], 80, tmp_path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: cli.run_fock([0.25, 0.5, 1.0], 80, tmp_path))
     full, interior = 8 * 161 * 81**2, 8 * 81 * 41**2
     assert peak < 2 * interior + 2 * fockalg.DIRECT_CHUNK_BYTES + 0.1 * full
 
@@ -821,12 +814,7 @@ def test_fock_interior_norm_makes_no_copy_of_the_result(monkeypatch):
     real = fockalg.FockSpaceSpec
     monkeypatch.setattr(fockalg, "FockSpaceSpec", lambda n_max: spec if n_max == 160 else real(n_max))
     fockalg.check_squeezes([0.5], 160)
-    tracemalloc.start()
-    try:
-        ((entry, _),) = fockalg.check_squeezes([0.5], 160)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ((entry, _),), peak = traced_peak(lambda: fockalg.check_squeezes([0.5], 160))
     result = 8 * 161 * 81**2
     assert peak < 2.5 * result
     # the same array contents as the zero-padded copy, and each norm the
@@ -1015,9 +1003,7 @@ def test_fock_imports_no_scipy(tmp_path):
         "assert code == 0, code\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "fock_report.json").exists()
 
@@ -1048,9 +1034,7 @@ def test_each_subcommand_loads_only_its_layer(tmp_path, command, config, layer):
         f"{call}\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'bohm_squeeze')))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     expected = {"bohm_squeeze", "bohm_squeeze.cli", "bohm_squeeze.closedform", "bohm_squeeze.timefns"}
     if layer is not None:
@@ -1074,12 +1058,10 @@ def test_parser_reused_within_a_process(tmp_path, capsys):
     def written():
         return {p.relative_to(tmp_path): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     fresh = []
     for argv in calls:
         done = subprocess.run(
-            [sys.executable, "-m", "bohm_squeeze.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-m", "bohm_squeeze.cli", *argv], env=child_env(), capture_output=True, text=True, timeout=120
         )
         fresh.append((done.returncode, done.stdout, done.stderr, written()))
     assert [run[0] for run in fresh] == [cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_OK]

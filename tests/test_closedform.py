@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bohm_squeeze import GridSpec2D, Scenario, TimePolynomial
 from bohm_squeeze import closedform as cf
+from harness import example1, example2, in_range, traced_peak
 
 SQRT_PI = math.sqrt(math.pi)
-
-
-def example1():
-    """m=1, r=0, nu=t, mu=0: the strongly localizing case."""
-    return Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
-
-
-def example2():
-    """m=1, r=1, nu=t^2, mu=0: the dilated case."""
-    return Scenario(m=1.0, r=1.0, nu=TimePolynomial([0, 0, 1]), mu=TimePolynomial([0]))
 
 
 def generic():
@@ -156,7 +146,7 @@ def test_nu_range_guard_is_both_bounds(r, t):
     # Scenario.at checks |nu| and |r nu| by one product; it refuses exactly
     # the times where either bound fails
     s = Scenario(m=1.0, r=r, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
-    if _in_range(s, t):
+    if in_range(s, s.nu.value(t)):
         assert s.at(t).nu == t
     else:
         with pytest.raises(ValueError, match="exceeds the supported range"):
@@ -350,14 +340,9 @@ def scenario_times(draw):
         nu=TimePolynomial([0.0, *draw(coeffs)]),
         mu=TimePolynomial(draw(coeffs)),
     )
-    ts = [t for t in draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20)) if _in_range(s, t)]
+    ts = [t for t in draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20)) if in_range(s, s.nu.value(t))]
     assume(ts)
     return s, np.array(ts)
-
-
-def _in_range(s: Scenario, t: float) -> bool:
-    nu = s.nu.value(t)
-    return abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT
 
 
 @settings(max_examples=300, deadline=None)
@@ -528,12 +513,7 @@ def test_samplers_hold_at_most_four_and_a_half_grid_arrays(sampler):
     # form's two products the only others (4 arrays); a meshgrid adds 2
     s, grid = example1(), GridSpec2D.square(6.0, 601)
     sampler(s, grid, 1.0)
-    tracemalloc.start()
-    try:
-        field = sampler(s, grid, 1.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    field, peak = traced_peak(lambda: sampler(s, grid, 1.0))
     assert peak <= 4.5 * field.values.nbytes
 
 

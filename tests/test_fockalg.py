@@ -1,15 +1,14 @@
 import json
 import math
 import time
-import tracemalloc
 import warnings
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
+from harness import CONFIG_DIR, traced_peak
 from test_acceptance import interior_level
 
 from bohm_squeeze import fockalg as fa
@@ -355,12 +354,7 @@ def test_direct_route_holds_four_operators_at_most():
     # on a fresh spec: the result, the eigenvectors and Z Z^T, about 2
     # operators
     spec = fa.FockSpaceSpec(40)
-    tracemalloc.start()
-    try:
-        op = fa.two_mode_squeeze_direct(0.5, spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    op, peak = traced_peak(lambda: fa.two_mode_squeeze_direct(0.5, spec))
     assert peak < 4.5 * op.entries.nbytes
 
 
@@ -368,14 +362,7 @@ def test_direct_route_reuses_its_spectrum_memory():
     # a second nu on the same spec computes no decomposition, so it peaks
     # below the first by at least the singular vectors it reuses
     spec = fa.FockSpaceSpec(40)
-    peaks = []
-    for nu in [0.5, 0.75]:
-        tracemalloc.start()
-        try:
-            fa.two_mode_squeeze_direct(nu, spec)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(lambda: fa.two_mode_squeeze_direct(nu, spec))[1] for nu in [0.5, 0.75]]
     _, u, v = spec._spectrum
     assert peaks[1] + u.nbytes + v.nbytes <= peaks[0]
 
@@ -420,7 +407,7 @@ def test_direct_matches_scipy_on_the_interior_at_the_storage_bound():
         assert np.abs(entries.swapaxes(1, 2) @ entries - np.eye(161)).max() <= 1e-13
 
 
-CONFIG_NU = json.loads((Path(__file__).resolve().parents[1] / "configs" / "fock.json").read_text())["nu_values"]
+CONFIG_NU = json.loads((CONFIG_DIR / "fock.json").read_text())["nu_values"]
 
 
 @pytest.mark.parametrize("n_max, nu_values", [(24, CONFIG_NU), (60, [0.3, -1.7, 2.0])])
@@ -445,12 +432,7 @@ def test_factored_route_holds_three_operators_at_most():
     # the raising factor, the lowering factor scaled in place by the middle
     # one, and their product
     spec = fa.FockSpaceSpec(80)
-    tracemalloc.start()
-    try:
-        op = fa.two_mode_squeeze_factored(0.5, spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    op, peak = traced_peak(lambda: fa.two_mode_squeeze_factored(0.5, spec))
     assert peak < 3.25 * op.entries.nbytes
 
 
@@ -459,12 +441,7 @@ def test_factored_route_peaks_at_result_and_one_chunk():
     # n x n power tables and middle factor (0.04 operators at n_max = 80)
     spec = fa.FockSpaceSpec(80)
     spec._pair_table
-    tracemalloc.start()
-    try:
-        op = fa.two_mode_squeeze_factored(0.5, spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    op, peak = traced_peak(lambda: fa.two_mode_squeeze_factored(0.5, spec))
     chunk = fa.DIRECT_CHUNK_BYTES // op.entries[0].nbytes
     assert chunk < len(op.entries)
     assert peak < op.entries.nbytes + 2 * chunk * op.entries[0].nbytes + 0.1 * op.entries.nbytes

@@ -5,7 +5,6 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +14,10 @@ from hypothesis.extra import numpy as hnp
 from bohm_squeeze import GridSpec2D, ScalarField2D, Scenario, TimePolynomial
 from bohm_squeeze import closedform as cf
 from bohm_squeeze import cli, verify
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+from harness import CONFIG_DIR, example1, example2, in_range, peak_bytes, traced_peak
 
 # verify's default stencil-residual tolerance, which auto grids are sized for
 RESIDUAL_MAX = cli.DEFAULT_TOLERANCES["residual_max"]
-
-def example1():
-    return Scenario(m=1.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
-
-
-def example2():
-    return Scenario(m=1.0, r=1.0, nu=TimePolynomial([0, 0, 1]), mu=TimePolynomial([0]))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +254,7 @@ def scenarios_at(draw):
         mu=TimePolynomial([draw(coeff), draw(coeff)]),
     )
     t = draw(st.floats(0.0, 3.0))
-    nu = s.nu.value(t)
-    assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
+    assume(in_range(s, s.nu.value(t)))
     return s, t
 
 
@@ -326,8 +316,7 @@ def test_mode_lattice_matches_meshgrid(grid, case):
     s, t = case
     dt = 1e-4
     for when in (t - dt, t + dt):
-        nu = s.nu.value(when)
-        assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
+        assume(in_range(s, s.nu.value(when)))
     # A's and psi's factors as the record forms them (the phase's constant
     # goes to psi's f), at the record's rows t + dt, t - dt and t
     times = np.array([t + dt, t - dt, t])
@@ -554,8 +543,7 @@ def test_factored_stencils_match_2d_stencils(grid, case, v_source):
     s, t = case
     dt = 1e-4
     for at in (t - dt, t + dt):
-        nu = s.nu.value(at)
-        assume(abs(nu) <= cf.NU_LIMIT and abs(s.r * nu) <= cf.NU_LIMIT)
+        assume(in_range(s, s.nu.value(at)))
     with warnings.catch_warnings():
         # the 2-D samples may underflow where the factors do not
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -752,17 +740,6 @@ def test_report_reduces_every_field_by_one_rule(field):
         assert max_abs != 1e-160
     assert rep.max_abs_residual.hex() == max_abs.hex()
     assert rep.rms_residual.hex() == rms.hex()
-
-
-def peak_bytes(run) -> int:
-    """Peak of the memory ``run()`` allocates, after one call that warms numpy up."""
-    run()
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("residual", [*RESIDUALS, pytest.param(None, id="per_time_pass")])
@@ -1116,12 +1093,7 @@ def test_diagonal_moments_build_no_2d_array():
     # the 2001^2 density the factored sums replace took 32 MB
     s = example2()
     verify.diagonal_moments(s.at(1.0))
-    tracemalloc.start()
-    try:
-        verify.diagonal_moments(s.at(1.0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: verify.diagonal_moments(s.at(1.0)))
     assert peak < 2**20
 
 
