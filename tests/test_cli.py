@@ -85,6 +85,18 @@ def test_config_errors(tmp_path):
         cli.load_config(small_density_config(tmp_path, out_dir=5))
     with pytest.raises(cli.ConfigError, match="outputs"):
         cli.load_config(small_density_config(tmp_path, outputs=[["density"]]))
+    payload = json.loads(small_density_config(tmp_path).read_text())
+    scenario, grid = payload["scenario"], payload["grid"]
+    huge = 10**400  # an integer literal past the float range
+    for overrides, message in [
+        ({"scenario": []}, "bad scenario: scenario must be a JSON object"),
+        ({"scenario": {**scenario, "m": huge}}, f"bad scenario: m must be a finite number, got {huge!r}"),
+        ({"scenario": {**scenario, "nu": {"coeffs": 5}}}, "bad scenario: nu must be given as {'coeffs': [c0, c1, ...]}"),
+        ({"grid": {k: v for k, v in grid.items() if k != "ny"}}, "bad grid: grid is missing required key 'ny'"),
+    ]:
+        with pytest.raises(cli.ConfigError) as refused:
+            cli.load_config(small_density_config(tmp_path, **overrides))
+        assert str(refused.value) == message
 
 
 def test_grid_n_override(tmp_path):
@@ -353,6 +365,23 @@ def test_verify_checks_a_time_before_choosing_the_next_grid(tmp_path, capsys, mo
     cfg = small_density_config(tmp_path, times=[0.5, 4.0], grid="auto")
     assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == "invalid input: schrodinger residual at t = 0.5 must be finite and non-negative\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_raises_the_runs_own_error_when_no_time_fails_alone(tmp_path, monkeypatch):
+    # no config is known to fail as a run while each of its times passes
+    # alone; if one did, the retry must not swallow the run's error
+    check_times = verify.check_times
+
+    def fails_as_a_run(now, grids, v_source="closed_form"):
+        if np.size(now.t) > 1:
+            raise ValueError("a failure of the run alone")
+        return check_times(now, grids, v_source)
+
+    monkeypatch.setattr(verify, "check_times", fails_as_a_run)
+    cfg = cli.load_config(small_density_config(tmp_path, times=[0.25, 0.5]))
+    with pytest.raises(ValueError, match="^a failure of the run alone$"):
+        cli.run_verify(cfg)
     assert not (tmp_path / "out").exists()
 
 

@@ -517,6 +517,12 @@ def test_samplers_hold_at_most_four_and_a_half_grid_arrays(sampler):
     assert peak <= 4.5 * field.values.nbytes
 
 
+def test_field_rejects_a_shape_that_is_not_the_grid():
+    with pytest.raises(ValueError) as refused:
+        cf.ScalarField2D(grid=GridSpec2D(-1.0, 1.0, 0.0, 1.0, 5, 3), t=0.0, values=np.zeros((3, 5)))
+    assert str(refused.value) == "field shape (3, 5) does not match grid (5, 3)"
+
+
 def test_field_rejects_nonfinite():
     g = GridSpec2D.square(1.0, 5)
     bad = np.full((5, 5), np.inf)

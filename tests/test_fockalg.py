@@ -838,6 +838,18 @@ def test_ode_fixed_refuses_a_nan_nu():
         fa.disentangle_ode_fixed(math.nan, 10)
 
 
+def test_ode_fixed_refuses_a_result_that_is_not_finite(monkeypatch):
+    # every accepted step has finite estimates, and no (nu, steps) is known
+    # to give a non-finite result through them; a step that did is still
+    # refused by the final guard
+    def step(f1, f2, f3, k1, m1, h):
+        return math.inf, f2 - h, f3, k1, m1, h, 0.0, 0.0, 0.0
+
+    monkeypatch.setattr(fa, "_dp_step", step)
+    with pytest.raises(fa.ConvergenceError, match=r"^result \(inf, -1\.0, 0\.0\) is not finite; increase steps$"):
+        fa.disentangle_ode_fixed(1.0, 2)
+
+
 DP_E = [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]  # b_j - b*_j
 
 

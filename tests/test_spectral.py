@@ -145,8 +145,18 @@ def test_series_rejects_negative_order():
         sp.series_amplitude_r0(0.0, 0.0, 0.5, -1)
 
 
+def test_hermite_table_rejects_negative_order():
+    with pytest.raises(ValueError, match="^order must be non-negative$"):
+        sp.hermite_phi_table(-1, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Schmidt spectrum and entropy
+
+
+def test_schmidt_spectrum_refuses_no_terms():
+    with pytest.raises(ValueError, match="^need at least one retained eigenvalue$"):
+        sp.schmidt_spectrum(0.5, 0)
 
 
 def test_schmidt_zero_squeeze_is_separable():

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import pytest
@@ -105,6 +106,13 @@ def test_scenario_rejects_bad_mass():
         Scenario(m=0.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
     with pytest.raises(ValueError, match="mass"):
         Scenario(m=-2.0, r=0.0, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
+
+
+def test_scenario_rejects_non_finite_r():
+    for r in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError) as refused:
+            Scenario(m=1.0, r=r, nu=TimePolynomial([0, 1]), mu=TimePolynomial([0]))
+        assert str(refused.value) == f"mix parameter r must be finite, got {r}"
 
 
 def test_mu_may_have_constant_term():
