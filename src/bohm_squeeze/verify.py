@@ -3,11 +3,14 @@
 The closed-form quadruple (A, S, V_B, V) must satisfy four identities:
 the Schrodinger equation, the amplitude-transport (continuity) equation,
 the Hamilton-Jacobi closure, and the defining relation of the Bohm
-potential.  This module checks them with central differences that know
+potential.  Three of them are checked with central differences that know
 nothing about the closed forms: time derivatives by central differencing
-of the analytic fields, Laplacians by 5-point stencils.  Residuals are
-reported over an interior region excluding a 2-point boundary ring where
-one-sided stencils would degrade the order.
+of the analytic fields, Laplacians by 5-point stencils.  The
+Hamilton-Jacobi closure has no derivative to difference: it is checked
+on the forms themselves, the sum of its four forms evaluated at every
+node (``hamilton_jacobi_residual``), where it cancels to rounding.
+Residuals are reported over an interior region excluding a 2-point
+boundary ring where one-sided stencils would degrade the order.
 
 Residual grids lie on the mode axes: a grid's first axis is
 u = (x+y)/sqrt2 and its second is v = (x-y)/sqrt2, each with its own
